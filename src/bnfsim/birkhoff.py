@@ -21,7 +21,7 @@ from .modes import as_mode, mode_str
 from .norms import majorant_norm
 from .poly import (Monomial, Polynomial, poisson_bracket, quadratic_diagonal,
                    zero)
-from .resonance import normal_form_membership
+from .resonance import net_exponents, normal_form_membership, omega_dot
 from .spectra import FrequencyTable
 
 DEGREE_BY_DEGREE = "degree_by_degree"
@@ -165,12 +165,7 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
         if mono.tail_degree(N) > 2:
             raise ValueError("tail degree > 2 in homological input: %r"
                              % mono)
-        net: Dict[tuple, int] = {}
-        for m, e in mono.xi:
-            net[m] = net.get(m, 0) + e
-        for m, e in mono.eta:
-            net[m] = net.get(m, 0) - e
-        div = math.fsum(omega.omega_of(m) * k for m, k in net.items() if k)
+        div = omega_dot(omega, net_exponents(mono))
         if abs(div) <= thr:
             z_t[mono] = c
         else:

@@ -35,6 +35,7 @@ the manifest), 2 validation failure with a message naming the field.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -57,6 +58,7 @@ from .resonance import (DivisorQuery, enumerate_near_resonances,
 from .spectra import FAMILIES, PotentialSample, sample_potential
 
 STREAMS = {"potential": 0, "initial": 1, "monte_carlo": 2}
+INCOMPLETE = "warning: node budget hit, enumeration incomplete"
 
 
 class ConfigError(ValueError):
@@ -281,8 +283,7 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
     res = enumerate_near_resonances(q)
     write_hits_csv(res, os.path.join(outdir, "hits.csv"))
     if not res.complete:
-        print("warning: node budget hit, enumeration incomplete",
-              file=sys.stderr)
+        print(INCOMPLETE, file=sys.stderr)
     print("scan-resonances: %d hits (complete=%s, nodes=%d)"
           % (len(res.hits), res.complete, res.nodes))
     return ["hits.csv"]
@@ -314,6 +315,8 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
     except ValueError as exc:
         raise ConfigError(str(exc))
     write_measure_csv(estimates, os.path.join(outdir, "measure.csv"))
+    if not all(e.complete for e in estimates):
+        print(INCOMPLETE, file=sys.stderr)
     for e in estimates:
         print("measure-estimate: gamma=%g fraction=%.4f (%d/%d, skipped %d)"
               % (e.gamma, e.fraction, e.violations, e.samples - e.skipped,
@@ -376,12 +379,11 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
 
 
 def _drift_summary(path: str) -> List[str]:
-    import csv as _csv
     finals = {}
     first_H = {}
     max_dH = {}
     with open(path) as fh:
-        for row in _csv.DictReader(fh):
+        for row in csv.DictReader(fh):
             key = (row["model"], float(row["eps"]), int(row["seed"]))
             h = float(row["H"])
             first_H.setdefault(key, h)
@@ -419,24 +421,23 @@ def _drift_summary(path: str) -> List[str]:
 
 
 def _measure_summary(path: str) -> List[str]:
-    import csv as _csv
     lines = ["measure:"]
     with open(path) as fh:
-        for row in _csv.DictReader(fh):
+        for row in csv.DictReader(fh):
             lines.append(
-                "  gamma=%-10g fraction=%-8s violations=%s/%s  [%s]"
+                "  gamma=%-10g fraction=%-8s violations=%s/%s complete=%s"
+                "  [%s]"
                 % (float(row["gamma"]), row["fraction"], row["violations"],
                    int(row["samples"]) - int(row["skipped"]),
-                   row["patterns"] or "no hits"))
+                   row["complete"], row["patterns"] or "no hits"))
     return lines
 
 
 def _hits_summary(path: str) -> List[str]:
-    import csv as _csv
     patterns: dict = {}
     worst = None
     with open(path) as fh:
-        for row in _csv.DictReader(fh):
+        for row in csv.DictReader(fh):
             patterns[row["pattern"]] = patterns.get(row["pattern"], 0) + 1
             v = abs(float(row["divisor"]))
             if worst is None or v < worst:
@@ -523,9 +524,16 @@ def write_manifest(outdir: str, command: str, cfg: dict,
         entry["status"] = "failed"
         entry["error"] = error
     data[command] = entry
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    # a write that fails partway leaves the previous manifest in place
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def main(argv=None) -> int:

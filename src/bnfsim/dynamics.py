@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .birkhoff import NormalFormResult, apply_transport, transport_plan
 from .fields import eta_gradient_table, value_table
-from .modes import as_mode, lattice_modes, mode_abs, mode_abs2, weight
+from .modes import as_mode, f17, mode_abs, mode_abs2, weight
 from .poly import Monomial, Polynomial, quadratic_diagonal, zero
 from .spectra import (FrequencyTable, PotentialSample, SpectralResult,
                       nlw_frequencies, periodic_nlw_table, sturm_liouville)
@@ -82,73 +82,67 @@ def _as_sample(potential, mass: float = 0.0) -> PotentialSample:
     return PotentialSample("explicit", {}, 0, dict(potential), mass)
 
 
-def _multiplicity(combo: Sequence) -> int:
-    mult = math.factorial(len(combo))
-    for _, grp in itertools.groupby(combo):
-        mult //= math.factorial(len(tuple(grp)))
-    return mult
+# -- quartic assembly -------------------------------------------------------
 
 
-def _quartic_real_legs(modes: list, rows: np.ndarray, quadw,
-                       legw: np.ndarray, kappa: float,
-                       parity: Optional[np.ndarray] = None) -> Polynomial:
-    """kappa * integral of (sum_j legw_j (xi_j + eta_j) phi_j)^4.
+class Leg(NamedTuple):
+    """One linear factor sum_i weights[i] z[vars[i]] rows[i](x) of a quartic.
 
-    `parity` marks odd-extended legs for torus models: products with an odd
-    number of odd legs integrate to zero, the rest pick up the half-line
-    integral times 1/2 (the 1/sqrt(2) torus renormalization per leg).
+    `vars` index the fields layout over the model's sorted modes: v < n is
+    xi_v, v >= n is eta_(v-n).  `rows` holds one grid row per variable.
     """
-    terms: Dict[Monomial, complex] = {}
-    prods = {}
-    for a, b in itertools.combinations_with_replacement(range(len(modes)), 2):
-        prods[(a, b)] = rows[a] * rows[b]
-    for combo in itertools.combinations_with_replacement(
-            range(len(modes)), 4):
-        factor = 1.0
-        if parity is not None:
-            if int(sum(parity[i] for i in combo)) % 2 == 1:
-                continue
-            factor = 0.5
-        val = float(np.dot(prods[(combo[0], combo[1])],
-                           prods[(combo[2], combo[3])])) * quadw * factor
-        if abs(val) < 1e-12:
-            continue
-        c = kappa * _multiplicity(combo) * val
-        for i in combo:
-            c *= legw[i]
-        for bits in itertools.product((0, 1), repeat=4):
-            xd: Dict[tuple, int] = {}
-            ed: Dict[tuple, int] = {}
-            for i, b in zip(combo, bits):
-                d = xd if b == 0 else ed
-                d[modes[i]] = d.get(modes[i], 0) + 1
-            mono = Monomial(xd, ed)
-            terms[mono] = terms.get(mono, 0.0) + c
-    return Polynomial(terms)
+    vars: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
 
 
-def _quartic_psi4(modes: list, rows: np.ndarray, quadw, amp: float,
-                  kappa: float) -> Polynomial:
-    """kappa * integral of |psi|^4 for psi = amp * sum_j xi_j phi_j."""
+def _real_leg(rows: np.ndarray, legw: np.ndarray) -> Leg:
+    """u = sum_j legw_j (xi_j + eta_j) phi_j over the sorted modes."""
+    n = len(legw)
+    return Leg(np.arange(2 * n), np.tile(legw, 2), np.vstack([rows, rows]))
+
+
+def _assemble_quartic(modes: list, legs: Sequence[Leg], quadw: float,
+                      scale: float) -> Polynomial:
+    """scale * integral of the product of four legs, by quadrature.
+
+    The integrals of all ordered leg tuples come from one matrix product of
+    row-pair products.  Integrals below 1e-12 are dropped before any weight
+    is applied, so the term set does not depend on the weights or scale.
+    """
+    def pairs(a: Leg, b: Leg) -> np.ndarray:
+        return (a.rows[:, None, :] * b.rows[None, :, :]).reshape(
+            -1, a.rows.shape[1])
+
+    integ = (pairs(legs[0], legs[1]) @ pairs(legs[2], legs[3]).T) * quadw
+    integ = integ.reshape([len(leg.vars) for leg in legs])
+    idx = np.nonzero(np.abs(integ) >= 1e-12)
+    values = integ[idx]
+    for leg, i in zip(legs, idx):
+        values = values * leg.weights[i]
+    tuples = np.column_stack([leg.vars[i] for leg, i in zip(legs, idx)])
+    return _merge_quartic(modes, tuples, values, scale)
+
+
+def _merge_quartic(modes: list, tuples: np.ndarray, values: np.ndarray,
+                   scale: float) -> Polynomial:
+    """scale * sum_t values[t] z[tuples[t, 0]] ... z[tuples[t, 3]].
+
+    Each 4-tuple of layout variables is sorted into a canonical key; equal
+    keys merge through one integer-coded unique and bincount, and every
+    Monomial is built once per key.
+    """
+    n = len(modes)
+    keys = np.sort(tuples, axis=1)
+    code = np.ravel_multi_index(keys.T, (2 * n,) * 4)
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    coeffs = scale * np.bincount(inv, weights=values, minlength=len(first))
     terms: Dict[Monomial, complex] = {}
-    npairs = list(itertools.combinations_with_replacement(
-        range(len(modes)), 2))
-    prods = [rows[a] * rows[b] for a, b in npairs]
-    scale = kappa * amp ** 4
-    for (ia, pa), (ib, pb) in itertools.product(
-            zip(npairs, prods), repeat=2):
-        val = float(np.dot(pa, pb)) * quadw
-        if abs(val) < 1e-12:
-            continue
-        sym = (2 if ia[0] != ia[1] else 1) * (2 if ib[0] != ib[1] else 1)
-        xd: Dict[tuple, int] = {}
-        ed: Dict[tuple, int] = {}
-        for i in ia:
-            xd[modes[i]] = xd.get(modes[i], 0) + 1
-        for i in ib:
-            ed[modes[i]] = ed.get(modes[i], 0) + 1
-        mono = Monomial(xd, ed)
-        terms[mono] = terms.get(mono, 0.0) + scale * sym * val
+    for key, c in zip(keys[first].tolist(), coeffs.tolist()):
+        xi, eta = [], []
+        for v, grp in itertools.groupby(key):
+            (xi if v < n else eta).append((modes[v % n], len(tuple(grp))))
+        terms[Monomial(xi, eta)] = c
     return Polynomial(terms)
 
 
@@ -179,7 +173,9 @@ def _nls1d_dirichlet(jmax: int = 6, kappa: float = 0.1, potential=None,
     x, w = _midpoint_grid(n)
     rows = _basis_rows(res, x)
     # psi = p + i q in real canonical pairs: each field leg is sqrt(2) xi
-    P = _quartic_psi4(modes, rows, w, math.sqrt(2.0), kappa)
+    psi = Leg(np.arange(jmax), np.full(jmax, math.sqrt(2.0)), rows)
+    psi_bar = psi._replace(vars=jmax + psi.vars)
+    P = _assemble_quartic(modes, (psi, psi, psi_bar, psi_bar), w, kappa)
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
     return ModelSystem("nls1d_dirichlet", t, h0, P, None,
                        {"kappa": kappa, "spectral": res})
@@ -197,7 +193,7 @@ def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
     x, w = _midpoint_grid(n)
     rows = _basis_rows(res, x)
     legw = np.array([(2.0 * t.omega_of(m)) ** -0.5 for m in modes])
-    P = _quartic_real_legs(modes, rows, w, legw, kappa)
+    P = _assemble_quartic(modes, (_real_leg(rows, legw),) * 4, w, kappa)
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
     return ModelSystem("nlw_dirichlet", t, h0, P, None,
                        {"kappa": kappa, "mass": mass, "spectral": res})
@@ -215,15 +211,15 @@ def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
     x, w = _midpoint_grid(n)
     drows = _basis_rows(dres, x)
     nrows = _basis_rows(nres, x)
-    rows = np.empty((len(modes), len(x)))
-    parity = np.empty(len(modes), dtype=int)
-    for i, m in enumerate(modes):
-        j = m[0]
-        # j > 0: odd (Dirichlet-type) torus mode; j <= 0: even (Neumann)
-        rows[i] = drows[j - 1] if j > 0 else nrows[-j]
-        parity[i] = 1 if j > 0 else 0
+    # j > 0: odd (Dirichlet-type) torus mode; j <= 0: even (Neumann).  On
+    # (-pi, pi) the odd modes change sign and every row carries the 1/sqrt(2)
+    # torus renormalization, so products with an odd number of odd legs
+    # cancel and the rest give half the integral over (0, pi).
+    half = np.array([drows[j - 1] if j > 0 else nrows[-j] for (j,) in modes])
+    sign = np.array([[-1.0] if j > 0 else [1.0] for (j,) in modes])
+    rows = np.hstack([half, sign * half]) / math.sqrt(2.0)
     legw = np.array([(2.0 * t.omega_of(m)) ** -0.5 for m in modes])
-    P = _quartic_real_legs(modes, rows, w, legw, kappa, parity=parity)
+    P = _assemble_quartic(modes, (_real_leg(rows, legw),) * 4, w, kappa)
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in modes})
     return ModelSystem("nlw_periodic", t, h0, P, PAIRS,
                        {"kappa": kappa, "mass": mass})
@@ -247,24 +243,17 @@ def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
         omega[(j,)] = float(res1.lams[j - 1])
         omega[(-j,)] = -float(res2.lams[j - 1])
     t = FrequencyTable("nls_coupled", omega)
+    modes = t.modes()
     n = quad_n or max(128, 4 * int(res1.basis.wavenumbers[-1]) + 16)
     x, w = _midpoint_grid(n)
-    rows1 = _basis_rows(res1, x)
-    rows2 = _basis_rows(res2, x)
-    terms: Dict[Monomial, complex] = {}
-    rng = range(1, jmax + 1)
-    for a, b, c, d in itertools.product(rng, repeat=4):
-        val = float(np.dot(rows1[a - 1] * rows1[b - 1],
-                           rows2[c - 1] * rows2[d - 1])) * w
-        if abs(val) < 1e-12:
-            continue
-        xd: Dict[tuple, int] = {(a,): 1}
-        xd[(-c,)] = xd.get((-c,), 0) + 1
-        ed: Dict[tuple, int] = {(b,): 1}
-        ed[(-d,)] = ed.get((-d,), 0) + 1
-        mono = Monomial(xd, ed)
-        terms[mono] = terms.get(mono, 0.0) - kappa * val
-    P = Polynomial(terms)
+    # sorted modes: phi_j is xi_(-j) at jmax - j, psi_j is xi_j at jmax+j-1
+    j = np.arange(1, jmax + 1)
+    one = np.ones(jmax)
+    psi = Leg(jmax + j - 1, one, _basis_rows(res1, x))
+    phi = Leg(jmax - j, one, _basis_rows(res2, x))
+    legs = (psi, psi._replace(vars=2 * jmax + psi.vars),
+            phi, phi._replace(vars=2 * jmax + phi.vars))
+    P = _assemble_quartic(modes, legs, w, -kappa)
     h0 = quadratic_diagonal(omega)
     return ModelSystem("nls_coupled", t, h0, P, PAIRS, {"kappa": kappa})
 
@@ -274,28 +263,26 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
     """Constant-coefficient quartic NLS on the d-torus, built combinatorially.
 
     g = kappa |psi|^4 with psi = sum_k xi_k e^(i k.x) / (2 pi)^(d/2); the
-    zero-momentum selection rule k1 + k2 = k3 + k4 is exact.
+    zero-momentum selection rule k1 + k2 = k3 + k4 is exact, so every
+    ordered (a, b, c, e) with a + b = c + e carries the same coefficient.
     """
     from .spectra import convolution_frequencies
     sample = potential if isinstance(potential, PotentialSample) else None
     t = convolution_frequencies(d, sample, jmax)
     modes = t.modes()
-    c0 = kappa * (2.0 * math.pi) ** (-d)
-    by_sum: Dict[tuple, list] = {}
-    for a, b in itertools.combinations_with_replacement(modes, 2):
-        key = tuple(x + y for x, y in zip(a, b))
-        by_sum.setdefault(key, []).append((a, b))
-    terms: Dict[Monomial, complex] = {}
-    for key, pairs in by_sum.items():
-        for (a, b), (c, e) in itertools.product(pairs, repeat=2):
-            sym = (2 if a != b else 1) * (2 if c != e else 1)
-            xd: Dict[tuple, int] = {a: 1}
-            xd[b] = xd.get(b, 0) + 1
-            ed: Dict[tuple, int] = {c: 1}
-            ed[e] = ed.get(e, 0) + 1
-            mono = Monomial(xd, ed)
-            terms[mono] = terms.get(mono, 0.0) + c0 * sym
-    P = Polynomial(terms)
+    n = len(modes)
+    a, b = np.divmod(np.arange(n * n), n)
+    J = int(jmax)
+    lattice = np.array(modes)
+    total = np.ravel_multi_index((lattice[a] + lattice[b] + 2 * J).T,
+                                 (4 * J + 1,) * d)
+    order = np.argsort(total, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(total[order])) + 1)
+    left = np.concatenate([np.repeat(g, len(g)) for g in groups])
+    right = np.concatenate([np.tile(g, len(g)) for g in groups])
+    tuples = np.column_stack([a[left], b[left], n + a[right], n + b[right]])
+    P = _merge_quartic(modes, tuples, np.ones(len(left)),
+                       kappa * (2.0 * math.pi) ** (-d))
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in modes})
     return ModelSystem("nls_dd", t, h0, P, SHELLS,
                        {"kappa": kappa, "d": d})
@@ -391,7 +378,8 @@ def _advance(x, dt, omv, nl, tol, depth, max_halvings):
     if depth >= max_halvings:
         raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
     xh, d1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
-    return _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
+    x1, d2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
+    return x1, max(d1, d2)
 
 
 def integrate(H: Polynomial, z0: dict, T: float, dt: float,
@@ -610,19 +598,15 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
 # -- CSV output -------------------------------------------------------------
 
 
-def _f17(x) -> str:
-    return "%.17g" % float(x)
-
-
 def write_drift_csv(rows: Sequence[DriftRow], path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(DRIFT_COLUMNS) + "\n")
         for r in rows:
-            fh.write(",".join([r.model, _f17(r.eps), str(r.seed),
-                               _f17(r.t), _f17(r.H), _f17(r.norm_s),
-                               _f17(r.max_weighted_action_drift),
-                               _f17(r.max_weighted_J_drift),
-                               _f17(r.torus_dist), str(r.escaped)]) + "\n")
+            fh.write(",".join([r.model, f17(r.eps), str(r.seed),
+                               f17(r.t), f17(r.H), f17(r.norm_s),
+                               f17(r.max_weighted_action_drift),
+                               f17(r.max_weighted_J_drift),
+                               f17(r.torus_dist), str(r.escaped)]) + "\n")
 
 
 def write_frames_csv(system: ModelSystem, traj: Trajectory, path,
@@ -631,7 +615,7 @@ def write_frames_csv(system: ModelSystem, traj: Trajectory, path,
         fh.write("model,eps,seed,t,mode,I\n")
         for i, t in enumerate(traj.times):
             for m, v in zip(traj.layout, traj.states[i]):
-                fh.write(",".join([system.model, _f17(eps), str(seed),
-                                   _f17(t),
+                fh.write(",".join([system.model, f17(eps), str(seed),
+                                   f17(t),
                                    "_".join(str(c) for c in m),
-                                   _f17(abs(complex(v)) ** 2)]) + "\n")
+                                   f17(abs(complex(v)) ** 2)]) + "\n")

@@ -75,9 +75,6 @@ class GaussRat:
     def __abs__(self) -> float:
         return math.hypot(float(self.re), float(self.im))
 
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return "GaussRat(%s, %s)" % (self.re, self.im)
 

@@ -1,4 +1,4 @@
-"""Mode labels and Sobolev-type mode weights.
+"""Mode labels, Sobolev-type mode weights and the CSV float format.
 
 A mode is a point of the integer lattice Z^d, stored as a tuple of ints.
 For 1-d problems plain ints are accepted everywhere and normalized to
@@ -7,7 +7,7 @@ For 1-d problems plain ints are accepted everywhere and normalized to
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 ModeLike = Union[int, Sequence[int]]
 Mode = tuple
@@ -77,12 +77,6 @@ def lattice_modes(d: int, jmax: float, include_zero: bool = True) -> list:
     return out
 
 
-def check_same_dim(modes: Iterable[tuple]) -> int:
-    """Common spatial dimension of a mode collection (0 if empty)."""
-    d = 0
-    for m in modes:
-        if d == 0:
-            d = len(m)
-        elif len(m) != d:
-            raise ValueError("mixed mode dimensions: %r" % (m,))
-    return d
+def f17(x) -> str:
+    """CSV text of a float: 17 significant digits round-trip a double."""
+    return "%.17g" % float(x)

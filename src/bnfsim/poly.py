@@ -88,12 +88,6 @@ class Monomial:
     def is_action(self) -> bool:
         return self.xi == self.eta
 
-    def xi_dict(self) -> dict:
-        return dict(self.xi)
-
-    def eta_dict(self) -> dict:
-        return dict(self.eta)
-
     def flip(self) -> "Monomial":
         """Swap the xi and eta exponent patterns."""
         return Monomial(self.eta, self.xi)
@@ -114,9 +108,6 @@ class Monomial:
         parts = ["xi[%s]^%d" % (mode_str(m), e) for m, e in self.xi]
         parts += ["eta[%s]^%d" % (mode_str(m), e) for m, e in self.eta]
         return " ".join(parts) if parts else "1"
-
-
-ONE = Monomial()
 
 
 def _is_exact(c) -> bool:
@@ -163,9 +154,6 @@ class Polynomial:
 
     def l1(self) -> float:
         return math.fsum(abs(c) for c in self.terms.values())
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def min_degree(self) -> int:
         return min((m.degree for m in self.terms), default=0)
@@ -214,10 +202,6 @@ class Polynomial:
         return Polynomial(acc, cap, self.dropped + other.dropped + drop)
 
     __rmul__ = __mul__
-
-    def map_coeffs(self, fn) -> "Polynomial":
-        return Polynomial({m: fn(c) for m, c in self.terms.items()},
-                          self.degree_cap, self.dropped)
 
     # -- structure ----------------------------------------------------
 
@@ -393,10 +377,6 @@ def xi(j, coeff=1.0) -> Polynomial:
 
 def eta(j, coeff=1.0) -> Polynomial:
     return monomial(coeff, eta={as_mode(j): 1})
-
-
-def const(c) -> Polynomial:
-    return Polynomial({ONE: c})
 
 
 def action(j, coeff=1.0) -> Polynomial:

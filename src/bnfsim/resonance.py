@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modes import Mode, as_mode, lattice_modes, mode_abs2, mode_str
+from .modes import Mode, f17, lattice_modes, mode_abs2, mode_str
 from .poly import Monomial
 from .spectra import (FrequencyTable, PotentialSample, SpectralError,
                       convolution_frequencies, periodic_nlw_table,
@@ -39,6 +39,16 @@ def omega_dot(omega: FrequencyTable, k) -> float:
     """Signed omega.k by exactly-rounded summation."""
     items = k.items() if isinstance(k, dict) else k
     return math.fsum(omega.omega_of(j) * int(c) for j, c in items if c)
+
+
+def net_exponents(mono: Monomial) -> Dict[Mode, int]:
+    """Net exponent k - l per mode of xi^k eta^l (zeros included)."""
+    net: Dict[Mode, int] = {}
+    for j, e in mono.xi:
+        net[j] = net.get(j, 0) + e
+    for j, e in mono.eta:
+        net[j] = net.get(j, 0) - e
+    return net
 
 
 def small_divisor(omega: FrequencyTable, k) -> float:
@@ -186,7 +196,7 @@ def enumerate_near_resonances(q: DivisorQuery) -> EnumerationResult:
         pairs = [(modes[i], e) for i, e in enumerate(assign) if e]
         if not pairs:
             return
-        value = math.fsum(q.omega.omega_of(j) * e for j, e in pairs)
+        value = omega_dot(q.omega, pairs)
         if abs(value) < thr:
             hits.append(ResonanceHit(dict(pairs), value))
 
@@ -227,7 +237,7 @@ def enumerate_brute_force(q: DivisorQuery, box_cap: int = 40_000_000
     hits = []
     for row in K[near]:
         pairs = [(modes[i], int(row[i])) for i in range(n) if row[i]]
-        value = math.fsum(q.omega.omega_of(j) * e for j, e in pairs)
+        value = omega_dot(q.omega, pairs)
         if abs(value) < thr:
             hits.append(ResonanceHit(dict(pairs), value))
     hits.sort(key=ResonanceHit.key)
@@ -341,12 +351,7 @@ def normal_form_membership(mono: Monomial, omega: FrequencyTable,
     normalization keeps boundary terms rather than dividing by a minimal
     divisor, and membership has to agree with that split.
     """
-    net: Dict[Mode, int] = {}
-    for j, e in mono.xi:
-        net[j] = net.get(j, 0) + e
-    for j, e in mono.eta:
-        net[j] = net.get(j, 0) - e
-    div = abs(math.fsum(omega.omega_of(j) * c for j, c in net.items() if c))
+    div = abs(omega_dot(omega, net_exponents(mono)))
     return div <= gamma / N ** alpha and mono.tail_degree(N) <= 2
 
 
@@ -547,26 +552,24 @@ def measure_estimate(family: str, params: dict, q: DivisorQuery,
 # -- CSV -----------------------------------------------------------------
 
 
-def _f17(x: float) -> str:
-    return "%.17g" % x
-
-
 def write_hits_csv(result: EnumerationResult, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k_serialized", "divisor", "pattern"])
         for h in result.hits:
-            w.writerow([h.serialize(), _f17(h.value), h.pattern])
+            w.writerow([h.serialize(), f17(h.value), h.pattern])
 
 
 def write_measure_csv(estimates: Iterable[MeasureEstimate], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["gamma", "threshold", "samples", "skipped", "violations",
-                    "fraction", "wilson_low", "wilson_high", "patterns"])
+                    "fraction", "wilson_low", "wilson_high", "patterns",
+                    "complete"])
         for e in estimates:
             pats = ";".join("%s:%d" % (k, v)
                             for k, v in sorted(e.pattern_histogram.items()))
-            w.writerow([_f17(e.gamma), _f17(e.threshold), e.samples,
-                        e.skipped, e.violations, _f17(e.fraction),
-                        _f17(e.wilson_low), _f17(e.wilson_high), pats])
+            w.writerow([f17(e.gamma), f17(e.threshold), e.samples,
+                        e.skipped, e.violations, f17(e.fraction),
+                        f17(e.wilson_low), f17(e.wilson_high), pats,
+                        int(e.complete)])

@@ -54,14 +54,6 @@ class PotentialSample:
             return 0.5 * r / (1.0 + mode_abs(k)) ** self.params["decay"]
         return 0.5 * r * math.exp(-self.params["sigma"] * abs(k))
 
-    def on_grid(self, x: np.ndarray) -> np.ndarray:
-        if self.family == CONVOLUTION_D:
-            raise ValueError("grid evaluation is for 1-d cosine potentials")
-        v = np.full_like(x, self.mass, dtype=float)
-        for k, c in sorted(self.coeffs.items()):
-            v += c * np.cos(k * x)
-        return v
-
 
 def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
     """Draw a potential from one of the supported ensembles.

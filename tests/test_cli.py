@@ -1,8 +1,10 @@
 """End-to-end checks of the command line front end."""
 
+import csv
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -184,6 +186,57 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
     assert cli.main(["measure-estimate", p, "--out", out2]) == 0
     assert (tmp_path / "out2" / "measure.csv").read_text() == \
         "\n".join(rows) + "\n"
+
+
+def test_incomplete_measure_scan_says_so(tmp_path, capsys):
+    p = write_cfg(tmp_path / "m.cfg", [
+        'potential.family = "convolution_d"',
+        'potential.params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}',
+        "jmax = 2",
+        "r = 3",
+        "N = 2",
+        "gamma = 0.01",
+        "resonance.samples = 30",
+        "node_cap = 50",
+    ])
+    out = str(tmp_path / "out")
+    assert cli.main(["measure-estimate", p, "--out", out]) == 0
+    assert cli.INCOMPLETE in capsys.readouterr().err
+    with open(os.path.join(out, "measure.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["complete"] for r in rows] == ["0"]
+    assert cli.main(["report", p, "--out", out]) == 0
+    assert "complete=0" in capsys.readouterr().out
+
+
+def test_readme_config_runs_as_printed(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```\n(.*?)```", fh.read(), re.S)
+    config = [b for b in blocks if b.startswith("model")]
+    assert len(config) == 1
+    p = tmp_path / "run.cfg"
+    p.write_text(config[0])
+    out = str(tmp_path / "out")
+    for sub in ("normalize", "scan-resonances"):
+        assert cli.main([sub, str(p), "--out", out]) == 0, sub
+
+
+def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
+    out = str(tmp_path)
+    cli.write_manifest(out, "normalize", {"model": "demo_2mode"}, [], 1.0)
+    path = tmp_path / "manifest.json"
+    before = path.read_text()
+
+    def dump_then_fail(obj, fh, **kw):
+        fh.write('{"normalize": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        cli.write_manifest(out, "simulate", {"model": "demo_2mode"}, [], 1.0)
+    assert path.read_text() == before
+    assert os.listdir(out) == ["manifest.json"]
 
 
 def test_stream_seeds_are_distinct_and_stable():

@@ -9,7 +9,7 @@ from bnfsim import dynamics as D
 from bnfsim import poly
 from bnfsim.modes import weight
 from bnfsim.poly import Monomial
-from bnfsim.spectra import sturm_liouville
+from bnfsim.spectra import sample_potential, sturm_liouville
 
 
 def rand_state(rnd, modes, scale=0.3):
@@ -148,6 +148,26 @@ def test_nls_coupled_frequencies_and_sign():
     assert val.real == pytest.approx(direct, rel=1e-10)
 
 
+NLS_POTENTIAL = sample_potential(
+    "nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 3)
+
+
+@pytest.mark.parametrize("model, params, terms", [
+    ("nls1d_dirichlet", dict(jmax=9, kappa=0.25, potential=NLS_POTENTIAL),
+     2025),
+    ("nls1d_dirichlet", dict(jmax=6, kappa=0.25, potential=NLS_POTENTIAL),
+     441),
+    ("nlw_dirichlet", dict(jmax=5, kappa=1.2, mass=0.5, potential={2: 0.3}),
+     371),
+    ("nlw_periodic", dict(jmax=3, kappa=0.8, mass=0.7, potential={1: 0.1}),
+     1196),
+    ("nls_coupled", dict(jmax=4, kappa=0.6, potential2={1: 0.2}), 256),
+    ("nls_dd", dict(d=2, jmax=3, kappa=0.1), 2893),
+])
+def test_model_term_counts(model, params, terms):
+    assert len(D.build_model_hamiltonian(model, **params).P) == terms
+
+
 def test_build_model_validation():
     with pytest.raises(ValueError, match="model"):
         D.build_model_hamiltonian("heat_equation")
@@ -235,6 +255,17 @@ def test_integrate_reversibility():
     z1 = back.state_dict(len(back.times) - 1)
     for m in z1:
         assert abs(z1[m] - complex(z0[m[0]])) <= 1e-9
+
+
+def test_integrate_reports_deepest_halving():
+    # dissipative xi' = -|xi|^2 xi from 10: the field is stiffest at the
+    # start, so the first half of the step needs the deepest halving
+    H = poly.monomial(-0.5j, xi={1: 2}, eta={1: 2})
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = D.integrate(H, {1: 10.0}, 0.1, 0.1)
+        first = D.integrate(H, {1: 10.0}, 0.05, 0.05)
+    assert first.halvings >= 2
+    assert full.halvings == first.halvings + 1
 
 
 def test_integrate_stride_and_validation():
