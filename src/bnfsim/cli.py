@@ -337,13 +337,14 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(STREAMS["initial"], 0)))
     z0 = initial_state(system.modes(), eps, s, rng, profile)
-    traj = integrate(system.H, z0, horizon, dt, tol=tol, stride=stride,
+    traj = integrate(system, z0, horizon, dt, tol=tol, stride=stride,
                      layout=system.modes())
     write_frames_csv(system, traj, os.path.join(outdir, "frames.csv"),
                      eps=eps, seed=seed)
     de = max(abs(e - traj.energies[0]) for e in traj.energies)
-    print("simulate: %d frames, max |dH| = %.3e, halved steps: %d"
-          % (len(traj.times), de, traj.halvings))
+    print("simulate: %d frames, max |dH| = %.3e, halved steps: %d, "
+          "field evaluations per step: %.2f"
+          % (len(traj.times), de, traj.halvings, traj.evals / traj.steps))
     return ["frames.csv"]
 
 

@@ -9,22 +9,27 @@ models couple xi_k directly).  The flow convention is
     d(xi_j)/dt = -i dH/d(eta_j)   on the real slice eta = conj(xi),
 
 integrated by the implicit midpoint rule, which is symplectic and needs no
-kinetic/potential splitting.  Observables: actions I_j = |xi_j|^2, pair
-actions J_j = I_j + I_{-j}, shell actions J_M summed over |k|^2 = M,
-norm_s(z) = sqrt(sum_j w_s(j) 2 I_j), and the torus distance
-sqrt(sum_j w_s1(j) (sqrt(I_j) - sqrt(Iref_j))^2) in normalized coordinates.
+kinetic/potential splitting.  Each builder describes its quartic as four
+linear legs on a quadrature grid (`fields.Leg`); the same legs assemble P
+and give the integrator its field evaluator (`fields.QuadratureField`), so
+only a bare polynomial is compiled into a `fields.FieldTable`.
+
+Observables: actions I_j = |xi_j|^2, pair actions J_j = I_j + I_{-j},
+shell actions J_M summed over |k|^2 = M, norm_s(z) = sqrt(sum_j w_s(j)
+2 I_j), and the torus distance sqrt(sum_j w_s1(j) (sqrt(I_j) -
+sqrt(Iref_j))^2) in normalized coordinates.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .birkhoff import NormalFormResult, apply_transport, transport_plan
-from .fields import eta_gradient_table, value_table
+from .fields import Leg, QuadratureField, eta_gradient_table, value_table
 from .modes import as_mode, f17, mode_abs, mode_abs2, weight
 from .poly import Monomial, Polynomial, quadratic_diagonal, zero
 from .spectra import (FrequencyTable, PotentialSample, SpectralResult,
@@ -39,12 +44,20 @@ SHELLS = "shells"
 
 @dataclass
 class ModelSystem:
+    """H0 + P of one model.
+
+    A model whose quartic comes from quadrature keeps the description it
+    was built from: P = quad_weight * sum over grid points of the product
+    of its four `legs`.  The integrator evaluates the field from them.
+    """
     model: str
     table: FrequencyTable
     H0: Polynomial
     P: Polynomial
     grouping: Optional[str]
     meta: dict = field(default_factory=dict)
+    legs: Tuple[Leg, ...] = ()
+    quad_weight: float = 0.0
 
     @property
     def H(self) -> Polynomial:
@@ -52,6 +65,11 @@ class ModelSystem:
 
     def modes(self) -> list:
         return self.table.modes()
+
+    def quadrature_field(self) -> Optional[QuadratureField]:
+        if not self.legs:
+            return None
+        return QuadratureField(len(self.modes()), self.legs, self.quad_weight)
 
 
 # -- quadrature helpers ----------------------------------------------------
@@ -83,17 +101,6 @@ def _as_sample(potential, mass: float = 0.0) -> PotentialSample:
 
 
 # -- quartic assembly -------------------------------------------------------
-
-
-class Leg(NamedTuple):
-    """One linear factor sum_i weights[i] z[vars[i]] rows[i](x) of a quartic.
-
-    `vars` index the fields layout over the model's sorted modes: v < n is
-    xi_v, v >= n is eta_(v-n).  `rows` holds one grid row per variable.
-    """
-    vars: np.ndarray
-    weights: np.ndarray
-    rows: np.ndarray
 
 
 def _real_leg(rows: np.ndarray, legw: np.ndarray) -> Leg:
@@ -175,10 +182,11 @@ def _nls1d_dirichlet(jmax: int = 6, kappa: float = 0.1, potential=None,
     # psi = p + i q in real canonical pairs: each field leg is sqrt(2) xi
     psi = Leg(np.arange(jmax), np.full(jmax, math.sqrt(2.0)), rows)
     psi_bar = psi._replace(vars=jmax + psi.vars)
-    P = _assemble_quartic(modes, (psi, psi, psi_bar, psi_bar), w, kappa)
+    legs = (psi, psi, psi_bar, psi_bar)
+    P = _assemble_quartic(modes, legs, w, kappa)
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
     return ModelSystem("nls1d_dirichlet", t, h0, P, None,
-                       {"kappa": kappa, "spectral": res})
+                       {"kappa": kappa, "spectral": res}, legs, w * kappa)
 
 
 def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
@@ -193,10 +201,12 @@ def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
     x, w = _midpoint_grid(n)
     rows = _basis_rows(res, x)
     legw = np.array([(2.0 * t.omega_of(m)) ** -0.5 for m in modes])
-    P = _assemble_quartic(modes, (_real_leg(rows, legw),) * 4, w, kappa)
+    legs = (_real_leg(rows, legw),) * 4
+    P = _assemble_quartic(modes, legs, w, kappa)
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
     return ModelSystem("nlw_dirichlet", t, h0, P, None,
-                       {"kappa": kappa, "mass": mass, "spectral": res})
+                       {"kappa": kappa, "mass": mass, "spectral": res},
+                       legs, w * kappa)
 
 
 def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
@@ -219,10 +229,11 @@ def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
     sign = np.array([[-1.0] if j > 0 else [1.0] for (j,) in modes])
     rows = np.hstack([half, sign * half]) / math.sqrt(2.0)
     legw = np.array([(2.0 * t.omega_of(m)) ** -0.5 for m in modes])
-    P = _assemble_quartic(modes, (_real_leg(rows, legw),) * 4, w, kappa)
+    legs = (_real_leg(rows, legw),) * 4
+    P = _assemble_quartic(modes, legs, w, kappa)
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in modes})
     return ModelSystem("nlw_periodic", t, h0, P, PAIRS,
-                       {"kappa": kappa, "mass": mass})
+                       {"kappa": kappa, "mass": mass}, legs, w * kappa)
 
 
 def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
@@ -255,7 +266,8 @@ def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
             phi, phi._replace(vars=2 * jmax + phi.vars))
     P = _assemble_quartic(modes, legs, w, -kappa)
     h0 = quadratic_diagonal(omega)
-    return ModelSystem("nls_coupled", t, h0, P, PAIRS, {"kappa": kappa})
+    return ModelSystem("nls_coupled", t, h0, P, PAIRS, {"kappa": kappa},
+                       legs, -w * kappa)
 
 
 def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
@@ -265,6 +277,9 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
     g = kappa |psi|^4 with psi = sum_k xi_k e^(i k.x) / (2 pi)^(d/2); the
     zero-momentum selection rule k1 + k2 = k3 + k4 is exact, so every
     ordered (a, b, c, e) with a + b = c + e carries the same coefficient.
+    The field is evaluated from plane-wave legs on the uniform (4J+1)^d
+    grid, where the trapezoid rule is exact: every component of
+    a + b - c - e is at most 4J in modulus.
     """
     from .spectra import convolution_frequencies
     sample = potential if isinstance(potential, PotentialSample) else None
@@ -283,9 +298,15 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
     tuples = np.column_stack([a[left], b[left], n + a[right], n + b[right]])
     P = _merge_quartic(modes, tuples, np.ones(len(left)),
                        kappa * (2.0 * math.pi) ** (-d))
+    grid = 4 * J + 1
+    x = (2.0 * math.pi / grid) * np.indices((grid,) * d).reshape(d, -1)
+    rows = np.exp(1j * (lattice @ x)) * (2.0 * math.pi) ** (-0.5 * d)
+    psi = Leg(np.arange(n), np.ones(n), rows)
+    psi_bar = Leg(n + psi.vars, psi.weights, np.conj(rows))
     h0 = quadratic_diagonal({m: t.omega_of(m) for m in modes})
-    return ModelSystem("nls_dd", t, h0, P, SHELLS,
-                       {"kappa": kappa, "d": d})
+    return ModelSystem("nls_dd", t, h0, P, SHELLS, {"kappa": kappa, "d": d},
+                       (psi, psi, psi_bar, psi_bar),
+                       kappa * (2.0 * math.pi / grid) ** d)
 
 
 _BUILDERS = {
@@ -351,42 +372,60 @@ class Trajectory:
     energies: List[float]
     dt: float
     halvings: int
+    evals: int = 0   # field evaluations over all steps and halvings
+
+    @property
+    def steps(self) -> int:
+        return max(1, int(round(self.times[-1] / self.dt)))
 
     def state_dict(self, i: int) -> dict:
         return {m: complex(v) for m, v in zip(self.layout, self.states[i])}
 
 
 def _midpoint_step(x0, dt, omv, nl, tol, max_iter=64):
+    """One implicit midpoint step by fixed-point iteration.
+
+    Returns (x1, converged, field evaluations).  A non-finite iterate ends
+    the step at once as not converged.
+    """
     a = 1.0 - 0.5j * dt * omv
     b = 1.0 + 0.5j * dt * omv
     rhs0 = a * x0
     x1 = rhs0 / b
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         mid = 0.5 * (x0 + x1)
         x1n = (rhs0 + dt * (-1j) * nl.eval(mid)) / b
-        err = float(np.max(np.abs(x1n - x1)))
+        err = float(np.abs(x1n - x1).max())
         x1 = x1n
-        if err <= tol * (1.0 + float(np.max(np.abs(x1)))):
-            return x1, True
-    return x1, False
+        if not math.isfinite(err):
+            return x1, False, it
+        if err <= tol * (1.0 + float(np.abs(x1).max())):
+            return x1, True, it
+    return x1, False, max_iter
 
 
 def _advance(x, dt, omv, nl, tol, depth, max_halvings):
-    x1, ok = _midpoint_step(x, dt, omv, nl, tol)
+    """(state, deepest halving, field evaluations) after one step of dt."""
+    x1, ok, evals = _midpoint_step(x, dt, omv, nl, tol)
     if ok:
-        return x1, depth
+        return x1, depth, evals
     if depth >= max_halvings:
         raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
-    xh, d1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
-    x1, d2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
-    return x1, max(d1, d2)
+    xh, d1, e1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
+    x1, d2, e2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
+    return x1, max(d1, d2), evals + e1 + e2
 
 
-def integrate(H: Polynomial, z0: dict, T: float, dt: float,
-              scheme: str = "implicit_midpoint", tol: float = 1e-12,
+def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
+              dt: float, scheme: str = "implicit_midpoint", tol: float = 1e-12,
               stride: int = 1, max_halvings: int = 8,
               layout: Optional[list] = None) -> Trajectory:
     """Fixed-grid implicit midpoint run with frames every `stride` steps.
+
+    H is a Hamiltonian polynomial or a ModelSystem.  A system whose quartic
+    comes from quadrature legs is integrated on its QuadratureField; any
+    other H has its non-diagonal part compiled into a FieldTable.  Energies
+    always come from the compiled value table of the whole H.
 
     A non-converging step is retried on two half steps (recursively, up to
     max_halvings); the outer time grid is unchanged.  T < 0 integrates
@@ -398,6 +437,9 @@ def integrate(H: Polynomial, z0: dict, T: float, dt: float,
         raise ValueError("dt: need nonzero dt and T of equal sign")
     if stride < 1:
         raise ValueError("stride: must be >= 1")
+    system = H if isinstance(H, ModelSystem) else None
+    if system is not None:
+        H = system.H
     z = {as_mode(m): complex(v) for m, v in z0.items()}
     modes = set(z)
     for mono in H.terms:
@@ -407,7 +449,13 @@ def integrate(H: Polynomial, z0: dict, T: float, dt: float,
     else:
         layout = sorted({as_mode(m) for m in layout} | modes)
     omv, rest = _split_linear(H, layout)
-    nl = eta_gradient_table(rest, layout)
+    # a system's H0 is diagonal, so `rest` is its P and the legs describe it
+    nl = system.quadrature_field() if system is not None else None
+    if nl is None:
+        nl = eta_gradient_table(rest, layout)
+    elif layout != system.modes():
+        raise ValueError("layout: the quadrature field needs the system's "
+                         "own modes")
     ht = value_table(H, layout)
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
@@ -416,8 +464,9 @@ def integrate(H: Polynomial, z0: dict, T: float, dt: float,
                       [complex(ht.eval(x)).real], dt_eff, 0)
     worst = 0
     for n in range(1, nsteps + 1):
-        x, depth = _advance(x, dt_eff, omv, nl, tol, 0, max_halvings)
+        x, depth, evals = _advance(x, dt_eff, omv, nl, tol, 0, max_halvings)
         worst = max(worst, depth)
+        traj.evals += evals
         if n % stride == 0 or n == nsteps:
             traj.times.append(n * dt_eff)
             traj.states.append(x.copy())
@@ -558,7 +607,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
                 np.random.SeedSequence(entropy=seed, spawn_key=(ei,)))
             z0 = initial_state(layout, eps, s, rng, profile)
             T = c * eps ** (-float(r))
-            traj = integrate(system.H, z0, T, dt, stride=stride, tol=tol,
+            traj = integrate(system, z0, T, dt, stride=stride, tol=tol,
                              layout=layout)
             if plan is not None and plan.layout != traj.layout:
                 raise ArithmeticError("transport layout mismatch")

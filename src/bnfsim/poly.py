@@ -90,7 +90,13 @@ class Monomial:
 
     def flip(self) -> "Monomial":
         """Swap the xi and eta exponent patterns."""
-        return Monomial(self.eta, self.xi)
+        # built directly: the degree stays, the momentum changes sign
+        out = Monomial.__new__(Monomial)
+        out.xi, out.eta = self.eta, self.xi
+        out.degree = self.degree
+        out.momentum = tuple(-c for c in self.momentum)
+        out._hash = hash((out.xi, out.eta))
+        return out
 
     def mul(self, other: "Monomial") -> "Monomial":
         xk = dict(self.xi)

@@ -7,6 +7,7 @@ import pytest
 from bnfsim import birkhoff as B
 from bnfsim import dynamics as D
 from bnfsim import poly
+from bnfsim.fields import eta_gradient_table, value_table
 from bnfsim.modes import weight
 from bnfsim.poly import Monomial
 from bnfsim.spectra import sample_potential, sturm_liouville
@@ -152,7 +153,7 @@ NLS_POTENTIAL = sample_potential(
     "nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 3)
 
 
-@pytest.mark.parametrize("model, params, terms", [
+MODEL_SIZES = [
     ("nls1d_dirichlet", dict(jmax=9, kappa=0.25, potential=NLS_POTENTIAL),
      2025),
     ("nls1d_dirichlet", dict(jmax=6, kappa=0.25, potential=NLS_POTENTIAL),
@@ -163,9 +164,29 @@ NLS_POTENTIAL = sample_potential(
      1196),
     ("nls_coupled", dict(jmax=4, kappa=0.6, potential2={1: 0.2}), 256),
     ("nls_dd", dict(d=2, jmax=3, kappa=0.1), 2893),
-])
+]
+
+
+@pytest.mark.parametrize("model, params, terms", MODEL_SIZES)
 def test_model_term_counts(model, params, terms):
     assert len(D.build_model_hamiltonian(model, **params).P) == terms
+
+
+@pytest.mark.parametrize("model, params, terms", MODEL_SIZES)
+def test_quadrature_field_matches_compiled_tables(model, params, terms):
+    sys1 = D.build_model_hamiltonian(model, **params)
+    layout = sys1.modes()
+    quad = sys1.quadrature_field()
+    field = eta_gradient_table(sys1.P, layout)
+    value = value_table(sys1.P, layout)
+    rng = np.random.default_rng(np.random.SeedSequence(71))
+    for _ in range(5):
+        x = 0.3 * (rng.standard_normal(len(layout))
+                   + 1j * rng.standard_normal(len(layout)))
+        F = field.eval(x)
+        assert np.max(np.abs(quad.eval(x) - F)) <= 1e-12 * np.max(np.abs(F))
+        v = value.eval(x)
+        assert abs(quad.value(x) - v) <= 1e-12 * abs(v)
 
 
 def test_build_model_validation():
@@ -266,6 +287,50 @@ def test_integrate_reports_deepest_halving():
         first = D.integrate(H, {1: 10.0}, 0.05, 0.05)
     assert first.halvings >= 2
     assert full.halvings == first.halvings + 1
+
+
+def test_midpoint_step_stops_on_overflow():
+    class Blowup:
+        calls = 0
+
+        def eval(self, x):
+            self.calls += 1
+            return x * 1e300
+
+    nl = Blowup()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, ok, evals = D._midpoint_step(np.array([1e10 + 0j]), 1.0,
+                                         np.zeros(1), nl, 1e-12)
+    assert not ok
+    assert evals == nl.calls <= 3
+
+
+def test_integrate_counts_field_evaluations():
+    # purely quadratic H: the first evaluation (of a zero field) already
+    # confirms convergence, so every step costs exactly one
+    H = poly.quadratic_diagonal({(1,): 1.0, (2,): 0.5})
+    traj = D.integrate(H, {1: 0.1, 2: 0.2j}, 1.0, 0.1, stride=3)
+    assert traj.steps == 10
+    assert traj.evals == traj.steps
+    sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.4)
+    traj = D.integrate(sys1.H, {1: 0.4, 2: 0.3j}, 1.0, 0.05)
+    assert traj.evals > traj.steps
+
+
+def test_integrate_system_matches_polynomial():
+    sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=9, kappa=0.25,
+                                     potential=NLS_POTENTIAL)
+    z0 = D.initial_state(sys1.modes(), 0.2, 4.0,
+                         np.random.default_rng(np.random.SeedSequence(5)))
+    quad = D.integrate(sys1, z0, 2.0, 0.01, stride=20, layout=sys1.modes())
+    table = D.integrate(sys1.H, z0, 2.0, 0.01, stride=20,
+                        layout=sys1.modes())
+    assert quad.times == table.times
+    assert np.max(np.abs(np.array(quad.states) - np.array(table.states))) \
+        <= 1e-10
+    assert quad.energies == pytest.approx(table.energies, rel=1e-12)
+    with pytest.raises(ValueError, match="layout"):
+        D.integrate(sys1, z0, 0.1, 0.01, layout=sys1.modes() + [(10,)])
 
 
 def test_integrate_stride_and_validation():

@@ -38,6 +38,18 @@ def test_monomial_basics():
     assert Monomial({(2,): 1}, {(2,): 1}).is_action()
 
 
+def test_flip_matches_constructed_monomial():
+    rnd = random.Random(3)
+    for dim in (1, 2):
+        for mono in rand_poly(rnd, nterms=20, dim=dim).terms:
+            built = Monomial(mono.eta, mono.xi)
+            flipped = mono.flip()
+            assert flipped == built and hash(flipped) == hash(built)
+            assert (flipped.degree, flipped.momentum) \
+                == (built.degree, built.momentum)
+            assert flipped.flip() == mono
+
+
 def test_add_and_scale():
     p = P.xi(1) + P.xi(1, 2.0)
     assert p.coeff(Monomial({(1,): 1})) == 3.0
