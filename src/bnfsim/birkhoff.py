@@ -26,6 +26,8 @@ from .spectra import FrequencyTable
 
 DEGREE_BY_DEGREE = "degree_by_degree"
 BLOCK = "block"
+RK4_BASE_STEPS = 64  # first RK4 step count of a time-1 generator flow
+RK4_MAX_DOUBLINGS = 7
 
 
 # -- parameter formulas --------------------------------------------------
@@ -293,8 +295,7 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
 # -- state transport ------------------------------------------------------
 
 
-def _unit_flow(table, sign: float, x0: np.ndarray, tol: float,
-               base_steps: int, max_doublings: int) -> np.ndarray:
+def _unit_flow(table, sign: float, x0: np.ndarray, tol: float) -> np.ndarray:
     factor = 1j * sign
 
     def run(n: int) -> np.ndarray:
@@ -308,9 +309,9 @@ def _unit_flow(table, sign: float, x0: np.ndarray, tol: float,
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return x
 
-    prev = run(base_steps)
-    n = 2 * base_steps
-    for _ in range(max_doublings):
+    prev = run(RK4_BASE_STEPS)
+    n = 2 * RK4_BASE_STEPS
+    for _ in range(RK4_MAX_DOUBLINGS):
         cur = run(n)
         err = float(np.max(np.abs(cur - prev))) if len(cur) else 0.0
         scale = 1.0 + float(np.max(np.abs(cur))) if len(cur) else 1.0
@@ -332,8 +333,6 @@ class TransportPlan:
     steps: List[object]
     sign: float
     tol: float
-    base_steps: int
-    max_doublings: int
 
     def vector(self, state: dict) -> np.ndarray:
         z = {as_mode(m): complex(v) for m, v in state.items()}
@@ -341,8 +340,7 @@ class TransportPlan:
 
 
 def transport_plan(generators: Sequence[Polynomial], modes,
-                   direction: str = "forward", tol: float = 1e-12,
-                   base_steps: int = 64, max_doublings: int = 7
+                   direction: str = "forward", tol: float = 1e-12
                    ) -> TransportPlan:
     if direction not in ("forward", "inverse"):
         raise ValueError("direction: forward or inverse")
@@ -356,19 +354,17 @@ def transport_plan(generators: Sequence[Polynomial], modes,
     else:
         seq, sign = list(generators), -1.0
     steps = [eta_gradient_table(chi, layout) for chi in seq if chi]
-    return TransportPlan(layout, steps, sign, tol, base_steps, max_doublings)
+    return TransportPlan(layout, steps, sign, tol)
 
 
 def apply_transport(plan: TransportPlan, x: np.ndarray) -> np.ndarray:
     for table in plan.steps:
-        x = _unit_flow(table, plan.sign, x, plan.tol, plan.base_steps,
-                       plan.max_doublings)
+        x = _unit_flow(table, plan.sign, x, plan.tol)
     return x
 
 
 def transform_state(state: dict, generators: Sequence[Polynomial],
-                    direction: str = "forward", tol: float = 1e-12,
-                    base_steps: int = 64, max_doublings: int = 7) -> dict:
+                    direction: str = "forward", tol: float = 1e-12) -> dict:
     """Transport a phase point through the time-1 generator flows.
 
     The function-level transform applies the generators in list order, so
@@ -377,6 +373,6 @@ def transform_state(state: dict, generators: Sequence[Polynomial],
     preserved because the generators are real-valued.
     """
     plan = transport_plan(generators, [as_mode(m) for m in state],
-                          direction, tol, base_steps, max_doublings)
+                          direction, tol)
     x = apply_transport(plan, plan.vector(state))
     return {m: complex(v) for m, v in zip(plan.layout, x)}

@@ -11,6 +11,7 @@ from the command line.  The flat key schema:
     r_star, gamma, alpha   normal-form parameters; N = "auto" or an int
     N, s, mode             (mode: degree_by_degree | block)
     eps, T                 single-run amplitude and horizon (simulate)
+    s1                     torus-distance weight, default s (drift-experiment)
     potential.family       none | explicit | nlw_periodic | nls_cosine |
                            convolution_d
     potential.params       sampling parameters for the random families
@@ -18,7 +19,7 @@ from the command line.  The flat key schema:
                            "3" (1-d) or "1,0" (lattice)
     potential.seed         fixed sampling seed (default: potential stream)
     integrator.dt/.tol/.stride
-    experiment.eps_list/.seeds/.c/.r/.profile
+    experiment.eps_list/.seeds/.c/.r/.profile   (profile: sobolev | flat)
     resonance.gammas/.samples, r, node_cap
     seed                   single manifest seed, default 0
     out                    output directory, default "runs"
@@ -116,6 +117,14 @@ def number(cfg: dict, key: str, default=_REQUIRED) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("%s: expected a number" % key)
     return float(v)
+
+
+def initial_profile(cfg: dict) -> str:
+    profile = cfg.get("experiment.profile", "sobolev")
+    if profile not in ("sobolev", "flat"):
+        raise ConfigError("experiment.profile: expected sobolev or flat, "
+                          "got %r" % (profile,))
+    return profile
 
 
 def stream_seed(seed: int, stream: str, index: int = 0) -> int:
@@ -333,7 +342,7 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
     tol = number(cfg, "integrator.tol", 1e-12)
     stride = int(cfg.get("integrator.stride", 10))
     s = number(cfg, "s", 4.0)
-    profile = cfg.get("experiment.profile", "sobolev")
+    profile = initial_profile(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(STREAMS["initial"], 0)))
     z0 = initial_state(system.modes(), eps, s, rng, profile)
@@ -356,6 +365,9 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
         raise ConfigError("experiment.eps_list: must be non-empty")
     nseeds = int(cfg.get("experiment.seeds", 2))
     r = int(cfg.get("experiment.r", cfg.get("r_star", 2)))
+    s = number(cfg, "s", 4.0)
+    s1 = number(cfg, "s1", s)
+    profile = initial_profile(cfg)
     nf = None
     if "gamma" in cfg and "r_star" in cfg:
         nf = run_normalize(cfg, seed)
@@ -365,13 +377,13 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     seeds = [stream_seed(seed, "initial", k) for k in range(nseeds)]
     rows = drift_experiment(
         system, nf, eps_list, seeds, r,
-        s=number(cfg, "s", 4.0),
+        s=s,
         c=number(cfg, "experiment.c", 1.0),
         dt=number(cfg, "integrator.dt", 0.01),
         stride=int(cfg.get("integrator.stride", 10)),
-        s1=cfg.get("s1"),
+        s1=s1,
         tol=number(cfg, "integrator.tol", 1e-12),
-        profile=cfg.get("experiment.profile", "sobolev"))
+        profile=profile)
     write_drift_csv(rows, os.path.join(outdir, "drift.csv"))
     nesc = sum(1 for row in rows if row.escaped)
     print("drift-experiment: %d rows over %d runs, %d escaped frames"

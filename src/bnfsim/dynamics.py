@@ -40,6 +40,7 @@ MODELS = ("demo_2mode", "nls1d_dirichlet", "nlw_dirichlet", "nlw_periodic",
 
 PAIRS = "pairs"
 SHELLS = "shells"
+MAX_HALVINGS = 8  # recursive step halvings before the integrator gives up
 
 
 @dataclass
@@ -333,13 +334,11 @@ def build_model_hamiltonian(model: str, **params) -> ModelSystem:
 # -- flow field and integrator ---------------------------------------------
 
 
-def hamiltonian_flow_field(H: Polynomial, state: dict,
-                           check_real: bool = True) -> dict:
+def hamiltonian_flow_field(H: Polynomial, state: dict) -> dict:
     """xi-dot = -i dH/d(eta) at the point, on the real slice."""
-    if check_real:
-        defect = H.reality_defect()
-        if defect > 1e-10 * max(1.0, H.l1()):
-            raise ValueError("H: not real-flagged (defect %.3e)" % defect)
+    defect = H.reality_defect()
+    if defect > 1e-10 * max(1.0, H.l1()):
+        raise ValueError("H: not real-flagged (defect %.3e)" % defect)
     z = {as_mode(m): complex(v) for m, v in state.items()}
     modes = set(z)
     for mono in H.terms:
@@ -404,22 +403,21 @@ def _midpoint_step(x0, dt, omv, nl, tol, max_iter=64):
     return x1, False, max_iter
 
 
-def _advance(x, dt, omv, nl, tol, depth, max_halvings):
+def _advance(x, dt, omv, nl, tol, depth):
     """(state, deepest halving, field evaluations) after one step of dt."""
     x1, ok, evals = _midpoint_step(x, dt, omv, nl, tol)
     if ok:
         return x1, depth, evals
-    if depth >= max_halvings:
+    if depth >= MAX_HALVINGS:
         raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
-    xh, d1, e1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
-    x1, d2, e2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1, max_halvings)
+    xh, d1, e1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1)
+    x1, d2, e2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1)
     return x1, max(d1, d2), evals + e1 + e2
 
 
 def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
               dt: float, scheme: str = "implicit_midpoint", tol: float = 1e-12,
-              stride: int = 1, max_halvings: int = 8,
-              layout: Optional[list] = None) -> Trajectory:
+              stride: int = 1, layout: Optional[list] = None) -> Trajectory:
     """Fixed-grid implicit midpoint run with frames every `stride` steps.
 
     H is a Hamiltonian polynomial or a ModelSystem.  A system whose quartic
@@ -428,7 +426,7 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
     always come from the compiled value table of the whole H.
 
     A non-converging step is retried on two half steps (recursively, up to
-    max_halvings); the outer time grid is unchanged.  T < 0 integrates
+    MAX_HALVINGS); the outer time grid is unchanged.  T < 0 integrates
     backwards (pass dt < 0 as well).
     """
     if scheme != "implicit_midpoint":
@@ -464,7 +462,7 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
                       [complex(ht.eval(x)).real], dt_eff, 0)
     worst = 0
     for n in range(1, nsteps + 1):
-        x, depth, evals = _advance(x, dt_eff, omv, nl, tol, 0, max_halvings)
+        x, depth, evals = _advance(x, dt_eff, omv, nl, tol, 0)
         worst = max(worst, depth)
         traj.evals += evals
         if n % stride == 0 or n == nsteps:

@@ -52,12 +52,9 @@ def parse_mode(text: str) -> tuple:
     return tuple(int(p) for p in text.split(","))
 
 
-def lattice_modes(d: int, jmax: float, include_zero: bool = True) -> list:
-    """All modes of Z^d with Euclidean norm <= jmax, canonically sorted.
-
-    For d = 1 the zero mode is excluded by default conventions of the 1-d
-    models; pass include_zero to control it explicitly.
-    """
+def lattice_modes(d: int, jmax: float) -> list:
+    """All modes of Z^d with Euclidean norm <= jmax (the zero mode
+    included), canonically sorted."""
     rng = range(-int(jmax), int(jmax) + 1)
     out = []
     jmax2 = jmax * jmax + 1e-12
@@ -71,8 +68,6 @@ def lattice_modes(d: int, jmax: float, include_zero: bool = True) -> list:
             rec(prefix + [c])
 
     rec([])
-    if not include_zero:
-        out = [m for m in out if any(c != 0 for c in m)]
     out.sort()
     return out
 

@@ -7,6 +7,13 @@ order and tail constraints, classifies the structured patterns that survive
 in the paired and lattice-shell models, and Monte Carlo-estimates the measure
 of the violating potential set over the random ensembles.
 
+The patterns are group cancellations.  A combination, as a row of an
+integer matrix K over the modes, is exceptional when it is zero on every
+mode up to a cutoff and sums to zero over every group of modes beyond it:
+the pairs {j, -j} (PAIR_TAIL: periodic NLW, coupled NLS) or the shells
+|j|^2 = M (SHELL: NLS on the d-torus).  `classify_rows` tags a whole matrix
+with one integer product K @ G against the mode -> group indicator G.
+
 Divisor decisions use exactly-rounded summation throughout: near the
 threshold a naive left-to-right sum misclassifies at this scale.
 """
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,8 +30,7 @@ import numpy as np
 from .modes import Mode, f17, lattice_modes, mode_abs2, mode_str
 from .poly import Monomial
 from .spectra import (FrequencyTable, PotentialSample, SpectralError,
-                      convolution_frequencies, periodic_nlw_table,
-                      sample_potential, sturm_liouville)
+                      periodic_nlw_table, sample_potential, sturm_liouville)
 
 PATTERN_NONE = "NONE"
 PATTERN_PAIR_TAIL = "PAIR_TAIL"
@@ -247,35 +253,53 @@ def enumerate_brute_force(q: DivisorQuery, box_cap: int = 40_000_000
 # -- exceptional patterns ------------------------------------------------
 
 
-def _neg(mode: Mode) -> Mode:
-    return tuple(-c for c in mode)
+def _exception_rule(model: str, params: dict) -> Tuple[str, float]:
+    """(pattern, cutoff) of a model's exceptional-resonance rule."""
+    tag = model.lower()
+    if tag == "nlw_periodic":
+        return PATTERN_PAIR_TAIL, params["b"] * math.log(params["N"])
+    if tag == "nls_coupled":
+        return PATTERN_PAIR_TAIL, params.get("C", 1.0) * params["N"] ** \
+            math.sqrt(2.0 * params["alpha"])
+    if tag == "pair":
+        return PATTERN_PAIR_TAIL, params.get("cutoff", 0.0)
+    if tag in ("nls_dd", "convolution_d", "shell"):
+        m = params.get("m_decay", params.get("decay"))
+        if m is None:
+            raise ValueError("m_decay: required for shell classification")
+        return PATTERN_SHELL, params["N"] ** math.sqrt(params["alpha"] / m)
+    raise ValueError("unknown model tag %r" % model)
 
 
-def _pair_pattern(k: Dict[Mode, int], cutoff: float) -> bool:
-    """k_j = 0 below the cutoff and k_j + k_{-j} = 0 beyond it."""
-    c2 = cutoff * cutoff
-    for j, e in k.items():
-        if not e:
-            continue
-        if mode_abs2(j) <= c2:
-            return False
-        if e + k.get(_neg(j), 0) != 0:
-            return False
-    return True
-
-
-def _shell_pattern(k: Dict[Mode, int], cutoff: float) -> bool:
-    """k_j = 0 below the cutoff, zero sum on every squared-modulus shell."""
-    c2 = cutoff * cutoff
-    shells: Dict[int, int] = defaultdict(int)
-    for j, e in k.items():
-        if not e:
-            continue
-        a2 = mode_abs2(j)
-        if a2 <= c2:
-            return False
-        shells[a2] += e
-    return all(v == 0 for v in shells.values())
+def classify_rows(K: np.ndarray, modes: Sequence[Mode],
+                  rules: Sequence[Tuple[str, float]]) -> np.ndarray:
+    """Tag of each row of K (one column per mode): the pattern of the first
+    rule (pattern, cutoff) whose group sums all vanish, else NONE.  Each mode
+    with |j| <= cutoff is a group of its own; beyond it the groups are the
+    shells for SHELL and the pairs {j, -j} for PAIR_TAIL, where a mode
+    without its partner among the columns (or the zero mode) stands alone.
+    An empty row takes the first rule's pattern."""
+    tags = np.full(len(K), PATTERN_NONE, dtype=object)
+    open_rows = np.ones(len(K), dtype=bool)
+    for pattern, cutoff in rules:
+        c2 = cutoff * cutoff
+        groups: Dict[object, int] = {}
+        col = []
+        for i, j in enumerate(modes):
+            a2 = mode_abs2(j)
+            if a2 <= c2:
+                key = ("alone", i)
+            elif pattern == PATTERN_SHELL:
+                key = a2
+            else:
+                key = min(j, tuple(-c for c in j))
+            col.append(groups.setdefault(key, len(groups)))
+        G = np.zeros((len(modes), len(groups)), dtype=np.int64)
+        G[np.arange(len(modes)), col] = 1
+        match = open_rows & ~np.any(K @ G, axis=1)
+        tags[match] = pattern
+        open_rows &= ~match
+    return tags
 
 
 def classify_exception(hit, model: str, params: dict) -> str:
@@ -287,23 +311,8 @@ def classify_exception(hit, model: str, params: dict) -> str:
     nls_dd / convolution_d / shell: zero shell sums beyond N^sqrt(alpha/m).
     """
     k = dict(hit.k) if isinstance(hit, ResonanceHit) else dict(hit)
-    tag = model.lower()
-    if tag in ("nlw_periodic", "nls_coupled", "pair"):
-        if tag == "nlw_periodic":
-            cutoff = params["b"] * math.log(params["N"])
-        elif tag == "nls_coupled":
-            cutoff = params.get("C", 1.0) * params["N"] ** math.sqrt(
-                2.0 * params["alpha"])
-        else:
-            cutoff = params.get("cutoff", 0.0)
-        return PATTERN_PAIR_TAIL if _pair_pattern(k, cutoff) else PATTERN_NONE
-    if tag in ("nls_dd", "convolution_d", "shell"):
-        m = params.get("m_decay", params.get("decay"))
-        if m is None:
-            raise ValueError("m_decay: required for shell classification")
-        cutoff = params["N"] ** math.sqrt(params["alpha"] / m)
-        return PATTERN_SHELL if _shell_pattern(k, cutoff) else PATTERN_NONE
-    raise ValueError("unknown model tag %r" % model)
+    row = np.array(list(k.values()), dtype=np.int64).reshape(1, len(k))
+    return classify_rows(row, list(k), [_exception_rule(model, params)])[0]
 
 
 @dataclass
@@ -390,34 +399,28 @@ def sample_seeds(seed: int, samples: int) -> List[int]:
                 .generate_state(1)[0]) for i in range(samples)]
 
 
-def _classify_for_family(k: Dict[Mode, int], family: str, params: dict,
-                         q: DivisorQuery, table: Optional[FrequencyTable],
-                         gamma: float) -> str:
-    f = family.lower()
-    if f == "convolution_d":
-        tag = classify_exception(k, "shell", {
-            "N": q.N, "alpha": q.alpha,
-            "m_decay": params.get("decay", params.get("m_decay"))})
-        if tag != PATTERN_NONE:
-            return tag
+def _measure_rules(family: str, params: dict, q: DivisorQuery,
+                   table: Optional[FrequencyTable], gamma: float) -> list:
+    """Exception rules of a measure family, in priority order."""
+    if family == "convolution_d":
         # the real-symmetric coefficient slice makes omega_k = omega_{-k}
         # exactly, so pure pair cancellations are degenerate by
-        # construction and exempted at any index
-        return classify_exception(k, "pair", {"cutoff": 0.0})
-    if f == "nlw_periodic":
+        # construction and exempted at any index; SHELL wins over them
+        return [_exception_rule("shell", {
+            "N": q.N, "alpha": q.alpha,
+            "m_decay": params.get("decay", params.get("m_decay"))}),
+            (PATTERN_PAIR_TAIL, 0.0)]
+    if family == "nlw_periodic":
         b = params.get("b")
         if b is None:
             b = calibrate_pair_cutoff(table, gamma, q.alpha, q.N).b
-        return classify_exception(k, "nlw_periodic", {"b": b, "N": q.N})
-    return PATTERN_NONE
+        return [_exception_rule("nlw_periodic", {"b": b, "N": q.N})]
+    return []
 
 
 def _family_table(family: str, sample: PotentialSample,
                   q: DivisorQuery) -> FrequencyTable:
     f = family.lower()
-    if f == "convolution_d":
-        return convolution_frequencies(sample.params.get("d", 1), sample,
-                                       q.jmax)
     if f == "nlw_periodic":
         return periodic_nlw_table(sample, int(q.jmax))[0]
     if f == "nls_cosine":
@@ -477,59 +480,52 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     """
     if samples < 30:
         raise ValueError("samples: must be >= 30")
+    f = family.lower()
     gammas = sorted(gammas, reverse=True)
     seeds = sample_seeds(seed, samples)
     thrs = [g / q.N ** q.alpha for g in gammas]
     violations = [0] * len(gammas)
-    hist: List[Dict[str, int]] = [defaultdict(int) for _ in gammas]
+    hist: List[Counter] = [Counter() for _ in gammas]
     skipped = 0
     complete = True
-
-    if family.lower() == "convolution_d":
+    table = None
+    if f == "convolution_d":
+        # one interval search covers every sample: each sample only
+        # re-weights the fixed candidate matrix
         modes, K, complete = _convolution_candidates(params, q, gammas[0])
-        patterns = np.array([_classify_for_family(
-            {m: int(c) for m, c in zip(modes, row) if c},
-            family, params, q, None, gammas[0]) for row in K])
-        none_mask = patterns == PATTERN_NONE
-        for s in seeds:
-            sample = sample_potential("convolution_d", params, s)
+
+    for s in seeds:
+        sample = sample_potential(f, params, s)
+        if f == "convolution_d":
             wv = np.array([mode_abs2(m) + sample.coeffs.get(m, 0.0)
                            for m in modes])
-            div = K @ wv if len(K) else np.zeros(0)
-            # exactly-rounded recheck where the dot product is borderline
-            for gi, thr in enumerate(thrs):
-                near = np.abs(np.abs(div) - thr) < 1e-10 * (1.0 + thr)
-                exact = np.abs(div) < thr
-                for ri in np.nonzero(near)[0]:
-                    row = K[ri]
-                    val = math.fsum(float(wv[i]) * int(row[i])
-                                    for i in range(len(modes)) if row[i])
-                    exact[ri] = abs(val) < thr
-                if np.any(exact & none_mask):
-                    violations[gi] += 1
-                for p in patterns[exact]:
-                    hist[gi][p] += 1
-    else:
-        for s in seeds:
-            sample = sample_potential(family, params, s)
+        else:
             try:
-                table = _family_table(family, sample, q)
+                table = _family_table(f, sample, q)
             except SpectralError:
                 skipped += 1
                 continue
             qs = replace(q, omega=table, gamma=gammas[0])
             res = enumerate_near_resonances(qs)
             complete = complete and res.complete
-            for gi, thr in enumerate(thrs):
-                live = [h for h in res.hits if abs(h.value) < thr]
-                bad = False
-                for h in live:
-                    tag = _classify_for_family(h.k, family, params, q, table,
-                                               gammas[gi])
-                    hist[gi][tag] += 1
-                    bad = bad or tag == PATTERN_NONE
-                if bad:
-                    violations[gi] += 1
+            modes = table.modes()
+            K = np.array([[h.k.get(m, 0) for m in modes] for h in res.hits],
+                         dtype=np.int64).reshape(-1, len(modes))
+            wv = table.vector(modes)
+        div = K @ wv
+        for gi, thr in enumerate(thrs):
+            live = np.abs(div) < thr
+            # exactly-rounded recheck where the dot product is borderline
+            near = np.abs(np.abs(div) - thr) < 1e-10 * (1.0 + thr)
+            for ri in np.nonzero(near)[0]:
+                nz = np.flatnonzero(K[ri])
+                live[ri] = abs(math.fsum(wv[nz] * K[ri, nz])) < thr
+            if not live.any():
+                continue
+            tags = classify_rows(K[live], modes, _measure_rules(
+                f, params, q, table, gammas[gi]))
+            hist[gi].update(tags.tolist())
+            violations[gi] += bool(np.any(tags == PATTERN_NONE))
 
     n_eff = samples - skipped
     out = []

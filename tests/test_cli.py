@@ -257,3 +257,19 @@ def test_compute_failure_exits_1(tmp_path, capsys):
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert man["simulate"]["status"] == "failed"
     assert man["simulate"]["error"]
+
+
+def test_drift_s1_must_be_a_number(tmp_path, capsys):
+    argv = drift_argv(tmp_path, str(tmp_path / "out"), ("--set", 's1="abc"'))
+    assert cli.main(argv) == 2
+    assert "s1: expected a number" in capsys.readouterr().err
+
+
+def test_unknown_initial_profile_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    bogus = ("--set", 'experiment.profile="bogus"')
+    p = write_cfg(tmp_path / "s.cfg", DEMO + ["T = 0.1"])
+    for argv in (["simulate", p, "--out", out, *bogus],
+                 drift_argv(tmp_path, out, bogus)):
+        assert cli.main(argv) == 2, argv
+        assert "experiment.profile:" in capsys.readouterr().err

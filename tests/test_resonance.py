@@ -310,3 +310,113 @@ def test_csv_outputs(tmp_path):
     rows = p2.read_text().splitlines()
     assert rows[0].startswith("gamma,threshold,samples")
     assert len(rows) == 3
+
+
+# measure_scan on the per-sample route: a table is built and searched for
+# every sampled potential (values pinned from the per-combination code)
+NLW = {"R": 0.1, "sigma": 1.0, "kmax": 6, "mass_span": 1.0}
+PER_SAMPLE_PINS = [
+    ("nlw_periodic", NLW, 2, [26, 12, 5],
+     [{"PAIR_TAIL": 1560, "NONE": 1756}, {"PAIR_TAIL": 1488, "NONE": 286},
+      {"PAIR_TAIL": 864, "NONE": 68}]),
+    ("nlw_periodic", NLW, 3, [27, 18, 13],
+     [{"PAIR_TAIL": 1980, "NONE": 2192}, {"PAIR_TAIL": 1764, "NONE": 622},
+      {"PAIR_TAIL": 1060, "NONE": 228}]),
+    ("nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 2, [14, 1, 1],
+     [{"NONE": 28}, {"NONE": 2}, {"NONE": 2}]),
+]
+
+
+@pytest.mark.parametrize("family,params,N,violations,hists", PER_SAMPLE_PINS)
+def test_measure_scan_per_sample_route_pinned(family, params, N, violations,
+                                              hists):
+    q = R.DivisorQuery(None, r=2, N=N, gamma=0.05, alpha=1.0, jmax=6)
+    est = R.measure_scan(family, params, q, [0.05, 0.01, 0.001], 30, seed=5)
+    assert [e.violations for e in est] == violations
+    assert [e.pattern_histogram for e in est] == hists
+    assert all(type(p) is str for e in est for p in e.pattern_histogram)
+    assert all(e.complete and e.skipped == 0 for e in est)
+
+
+def test_measure_histogram_keys_are_plain_str():
+    params = {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 3}
+    q = R.DivisorQuery(None, r=2, N=1, gamma=1.0, alpha=1.0, jmax=3)
+    est = R.measure_scan("convolution_d", params, q, [20.0, 1e-6], 30, seed=9)
+    assert all(e.pattern_histogram for e in est)
+    assert all(type(p) is str for e in est for p in e.pattern_histogram)
+
+
+def oracle_tag(k: dict, pattern: str, cutoff: float) -> str:
+    """The exception rule from its definition: no weight at |j| <= cutoff
+    and a zero sum on every shell |j|^2 = M (SHELL) or pair {j, -j}."""
+    if any(c and sum(x * x for x in j) <= cutoff * cutoff
+           for j, c in k.items()):
+        return R.PATTERN_NONE
+    sums = {}
+    for j, c in k.items():
+        if pattern == R.PATTERN_SHELL:
+            group = sum(x * x for x in j)
+        else:
+            group = frozenset((j, tuple(-x for x in j)))
+        sums[group] = sums.get(group, 0) + c
+    return pattern if all(v == 0 for v in sums.values()) else R.PATTERN_NONE
+
+
+def test_matrix_classifier_matches_definitions_on_convolution_scan():
+    params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
+    q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
+    modes, K, complete = R._convolution_candidates(params, q, 1e-2)
+    assert complete and K.shape == (8424, len(modes))
+    shell = {"N": 2, "alpha": 1.0, "m_decay": 2.0}
+    cutoff = 2 ** math.sqrt(0.5)
+    rules = [(R.PATTERN_SHELL, cutoff), (R.PATTERN_PAIR_TAIL, 0.0)]
+    fast = R.classify_rows(K, modes, rules)
+    counts = {}
+    for row, tag in zip(K, fast):
+        k = {m: int(c) for m, c in zip(modes, row) if c}
+        want = oracle_tag(k, R.PATTERN_SHELL, cutoff)
+        if want == R.PATTERN_NONE:
+            want = oracle_tag(k, R.PATTERN_PAIR_TAIL, 0.0)
+        one = R.classify_exception(k, "shell", shell)
+        if one == R.PATTERN_NONE:
+            one = R.classify_exception(k, "pair", {"cutoff": 0.0})
+        assert tag == one == want, k
+        counts[want] = counts.get(want, 0) + 1
+    assert counts == {R.PATTERN_NONE: 8298, R.PATTERN_SHELL: 54,
+                      R.PATTERN_PAIR_TAIL: 72}
+
+
+def test_matrix_classifier_matches_definitions_on_random_rows():
+    # (0,) stands alone in every group; (5,) has no partner among the columns
+    modes = [(-3,), (-2,), (-1,), (0,), (1,), (2,), (3,), (5,)]
+    rnd = random.Random(3)
+    rows = []
+    for _ in range(600):
+        row = [0] * len(modes)
+        for _ in range(rnd.randint(0, 2)):
+            j = rnd.randint(1, 3)
+            e = rnd.randint(-2, 2)
+            row[modes.index((j,))] += e
+            row[modes.index((-j,))] -= e
+        if rnd.random() < 0.4:
+            row[rnd.randrange(len(modes))] += rnd.choice([-1, 1])
+        rows.append(row)
+    K = np.array(rows, dtype=np.int64)
+    seen = set()
+    for pattern, cutoff in [(R.PATTERN_PAIR_TAIL, 0.0),
+                            (R.PATTERN_PAIR_TAIL, 1.5),
+                            (R.PATTERN_SHELL, 0.0), (R.PATTERN_SHELL, 2.0)]:
+        fast = R.classify_rows(K, modes, [(pattern, cutoff)])
+        if pattern == R.PATTERN_SHELL:
+            model, prm = "shell", {"N": cutoff, "alpha": 1.0, "m_decay": 1.0}
+        else:
+            model, prm = "pair", {"cutoff": cutoff}
+        for row, tag in zip(rows, fast):
+            full = dict(zip(modes, row))
+            k = {j: c for j, c in full.items() if c}
+            want = oracle_tag(k, pattern, cutoff)
+            assert tag == want, (row, pattern, cutoff)
+            assert R.classify_exception(k, model, prm) == want
+            assert R.classify_exception(full, model, prm) == want
+            seen.add(want)
+    assert seen == {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
