@@ -5,6 +5,10 @@ flow of a polynomial generator chi.  Divisors under gamma/N^alpha are kept
 (resonant), the rest is divided out; tail-cubic terms are never normalized,
 only transported, and every majorant pushed aside on the way is ledgered.
 
+The flows are Lie series truncated at degree r_star + 2.  `lie_transform`
+is the one place that applies this cap: it returns the truncated series
+together with the l1 mass the truncation dropped (its overflow).
+
 Degree indexing is 1-based on the generator list: chi_r is homogeneous of
 degree r+2 for r = 1..r_star, so the first generator removes cubics.
 """
@@ -19,8 +23,8 @@ import numpy as np
 from .fields import eta_gradient_table
 from .modes import as_mode, mode_str
 from .norms import majorant_norm
-from .poly import (Monomial, Polynomial, poisson_bracket, quadratic_diagonal,
-                   zero)
+from .poly import (Monomial, Polynomial, bracket_overflow, poisson_bracket,
+                   quadratic_diagonal, zero)
 from .resonance import net_exponents, normal_form_membership, omega_dot
 from .spectra import FrequencyTable
 
@@ -172,8 +176,8 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
             z_t[mono] = c
         else:
             chi_t[mono] = complex(c) / (1j * div)
-    chi = Polynomial(chi_t, f.degree_cap)
-    z = Polynomial(z_t, f.degree_cap)
+    chi = Polynomial(chi_t)
+    z = Polynomial(z_t)
     support = set()
     for mono in f.terms:
         support |= mono.modes()
@@ -186,42 +190,38 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
 
 
 def lie_transform(g: Polynomial, chi: Polynomial,
-                  degree_cap: Optional[int]) -> Polynomial:
-    """Sum of g_l with g_0 = g and g_l = (1/l){chi, g_{l-1}} under the cap.
+                  cap: int) -> Tuple[Polynomial, float]:
+    """Sum of g_l with g_0 = g and g_l = (1/l){chi, g_{l-1}} up to degree cap.
 
-    chi must have minimum degree >= 3 so each bracket raises the minimum
-    degree and the series terminates; overflow mass is logged on the
-    result.
+    Returns (series, overflow).  The overflow is the l1 mass of g above
+    the cap plus, for every bracket, the mass of the contributions that
+    land above it (`poly.bracket_overflow`).  chi must have minimum degree
+    >= 3 so each bracket raises the minimum degree and the series
+    terminates.
     """
+    total = g.truncate_above(cap)
+    overflow = math.fsum(abs(c) for m, c in g.items() if m.degree > cap)
     if not chi:
-        return g.truncate_above(degree_cap) if degree_cap is not None else g
+        return total, overflow
     if chi.min_degree() <= 2:
         raise ValueError("chi: minimum degree must be >= 3")
-    total = g.truncate_above(degree_cap) if degree_cap is not None else g
-    # series terms are stripped of operand history so only fresh overflow
-    # is metered; the bracket propagates operand drops into its result
-    chi0 = Polynomial(chi.terms, chi.degree_cap)
-    term = Polynomial(total.terms, total.degree_cap)
-    fresh = 0.0
+    term = total
     l = 1
     while term:
-        term = poisson_bracket(chi0, term).scale(1.0 / l)
-        if degree_cap is not None:
-            term = term.truncate_above(degree_cap)
-        fresh += term.dropped
-        term = Polynomial(term.terms, term.degree_cap)
+        overflow += bracket_overflow(chi, term, cap)
+        term = poisson_bracket(chi, term, cap).scale(1.0 / l)
         total = total + term
         l += 1
         if l > 400:
             raise ArithmeticError("lie series failed to terminate")
-    return Polynomial(total.terms, total.degree_cap, total.dropped + fresh)
+    return total, overflow
 
 
 def lie_compose(g: Polynomial, generators: Sequence[Polynomial],
-                degree_cap: Optional[int]) -> Polynomial:
+                cap: int) -> Polynomial:
     """g composed with the time-1 flows of the generators, in order."""
     for chi in generators:
-        g = lie_transform(g, chi, degree_cap)
+        g, _ = lie_transform(g, chi, cap)
     return g
 
 
@@ -238,6 +238,8 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
     slice by default, the whole low part in block mode), then transport the
     core Hamiltonian and the tail-cubic remainder through the generator
     flow.  The carry is whatever the identity {H0,chi}+Z = f left over.
+    Both transforms truncate at degree r_star + 2, and the ledger's
+    overflow_mass accumulates the overflow they report.
     """
     params = params.resolved(amplitude)
     N = params.N
@@ -248,8 +250,8 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
                              for m in h0_freqs.modes()})
     zero_mom = P.is_zero_momentum()
     g = P.truncate_above(cap)
-    z = zero(cap)
-    rn = zero(cap)
+    z = zero()
+    rn = zero()
     gens: List[Polynomial] = []
     ledger = RemainderLedger()
     tail_cum = 0.0
@@ -265,16 +267,14 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
         chi, z_r = solve_homological(working, h0_freqs, params.gamma,
                                      params.alpha, N)
         gens.append(chi)
-        core = lie_transform(h0 + z + low, chi, cap)
-        rn = lie_transform(rn + high, chi, cap)
+        core, core_over = lie_transform(h0 + z + low, chi, cap)
+        rn, rn_over = lie_transform(rn + high, chi, cap)
         z = z + z_r
-        # operands above fed the transform with zero logged mass, so
-        # core.dropped is exactly this step's overflow; rn keeps its own
-        overflow_cum += core.dropped
+        overflow_cum += core_over + rn_over
         g = core - h0 - z
         ledger.chi_majorants.append(majorant_norm(chi, params.s, 1.0))
         ledger.tail_cubic_mass.append(tail_cum)
-        ledger.overflow_mass.append(overflow_cum + rn.dropped)
+        ledger.overflow_mass.append(overflow_cum)
 
     membership = {term_key(m): normal_form_membership(
         m, h0_freqs, params.gamma, params.alpha, N) for m in z.terms}

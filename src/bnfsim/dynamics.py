@@ -41,6 +41,7 @@ MODELS = ("demo_2mode", "nls1d_dirichlet", "nlw_dirichlet", "nlw_periodic",
 PAIRS = "pairs"
 SHELLS = "shells"
 MAX_HALVINGS = 8  # recursive step halvings before the integrator gives up
+MIDPOINT_MAX_ITER = 64  # fixed-point iterations before a step is halved
 
 
 @dataclass
@@ -360,7 +361,7 @@ def _split_linear(H: Polynomial, layout: list) -> Tuple[np.ndarray, Polynomial]:
             omv[index[mono.xi[0][0]]] += complex(c).real
         else:
             rest[mono] = c
-    return omv, Polynomial(rest, H.degree_cap)
+    return omv, Polynomial(rest)
 
 
 @dataclass
@@ -381,7 +382,7 @@ class Trajectory:
         return {m: complex(v) for m, v in zip(self.layout, self.states[i])}
 
 
-def _midpoint_step(x0, dt, omv, nl, tol, max_iter=64):
+def _midpoint_step(x0, dt, omv, nl, tol):
     """One implicit midpoint step by fixed-point iteration.
 
     Returns (x1, converged, field evaluations).  A non-finite iterate ends
@@ -391,7 +392,7 @@ def _midpoint_step(x0, dt, omv, nl, tol, max_iter=64):
     b = 1.0 + 0.5j * dt * omv
     rhs0 = a * x0
     x1 = rhs0 / b
-    for it in range(1, max_iter + 1):
+    for it in range(1, MIDPOINT_MAX_ITER + 1):
         mid = 0.5 * (x0 + x1)
         x1n = (rhs0 + dt * (-1j) * nl.eval(mid)) / b
         err = float(np.abs(x1n - x1).max())
@@ -400,7 +401,7 @@ def _midpoint_step(x0, dt, omv, nl, tol, max_iter=64):
             return x1, False, it
         if err <= tol * (1.0 + float(np.abs(x1).max())):
             return x1, True, it
-    return x1, False, max_iter
+    return x1, False, MIDPOINT_MAX_ITER
 
 
 def _advance(x, dt, omv, nl, tol, depth):
@@ -416,7 +417,7 @@ def _advance(x, dt, omv, nl, tol, depth):
 
 
 def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
-              dt: float, scheme: str = "implicit_midpoint", tol: float = 1e-12,
+              dt: float, tol: float = 1e-12,
               stride: int = 1, layout: Optional[list] = None) -> Trajectory:
     """Fixed-grid implicit midpoint run with frames every `stride` steps.
 
@@ -429,8 +430,6 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
     MAX_HALVINGS); the outer time grid is unchanged.  T < 0 integrates
     backwards (pass dt < 0 as well).
     """
-    if scheme != "implicit_midpoint":
-        raise ValueError("scheme: only implicit_midpoint is provided")
     if dt == 0 or T == 0 or (T > 0) != (dt > 0):
         raise ValueError("dt: need nonzero dt and T of equal sign")
     if stride < 1:

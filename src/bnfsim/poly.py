@@ -14,12 +14,17 @@ H0 = sum_m omega_m xi_m eta_m.
 
 Coefficients are complex floats by default; exact Gaussian rationals
 (`exact.GaussRat`) can be used instead for identity-grade algebra checks.
+
+A `Polynomial` is a plain sparse map and keeps every degree its operations
+produce.  Degree truncation is the Lie series' policy: `poisson_bracket`
+takes an optional `cap` and skips the term pairs that land above it, and
+`bracket_overflow` meters the l1 mass those pairs carry.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 from .exact import GaussRat, times_i
 from .modes import as_mode, mode_abs2, mode_str, parse_mode
@@ -123,26 +128,14 @@ def _is_exact(c) -> bool:
 class Polynomial:
     """Sparse polynomial: mapping Monomial -> coefficient.
 
-    Carries an optional degree cap; any operation result above the cap is
-    dropped and its l1 mass accumulated in `dropped`.  Near-zero float
+    Operations keep every degree they produce.  Near-zero float
     coefficients (below 1e-14 of the largest) are pruned silently.
     """
 
-    __slots__ = ("terms", "degree_cap", "dropped")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, degree_cap: Optional[int] = None, dropped: float = 0.0):
-        self.degree_cap = degree_cap
-        self.dropped = float(dropped)
-        raw = dict(terms) if terms else {}
-        if degree_cap is not None:
-            kept = {}
-            for mono, c in raw.items():
-                if mono.degree > degree_cap:
-                    self.dropped += abs(c)
-                else:
-                    kept[mono] = c
-            raw = kept
-        self.terms = _prune(raw)
+    def __init__(self, terms=None):
+        self.terms = _prune(dict(terms) if terms else {})
 
     # -- basic queries ------------------------------------------------
 
@@ -173,11 +166,10 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        cap = _merge_caps(self.degree_cap, other.degree_cap)
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             _accum(acc, mono, c)
-        return Polynomial(acc, cap, self.dropped + other.dropped)
+        return Polynomial(acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -186,26 +178,16 @@ class Polynomial:
         return self.scale(-1)
 
     def scale(self, a) -> "Polynomial":
-        return Polynomial({m: a * c for m, c in self.terms.items()},
-                          self.degree_cap, self.dropped)
-
-    def times_i(self) -> "Polynomial":
-        return Polynomial({m: times_i(c) for m, c in self.terms.items()},
-                          self.degree_cap, self.dropped)
+        return Polynomial({m: a * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        cap = _merge_caps(self.degree_cap, other.degree_cap)
         acc = {}
-        drop = 0.0
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                if cap is not None and m1.degree + m2.degree > cap:
-                    drop += abs(c1 * c2)
-                    continue
                 _accum(acc, m1.mul(m2), c1 * c2)
-        return Polynomial(acc, cap, self.dropped + other.dropped + drop)
+        return Polynomial(acc)
 
     __rmul__ = __mul__
 
@@ -213,13 +195,11 @@ class Polynomial:
 
     def modulus(self) -> "Polynomial":
         """Coefficientwise absolute value (always float coefficients)."""
-        return Polynomial({m: abs(c) for m, c in self.terms.items()},
-                          self.degree_cap, self.dropped)
+        return Polynomial({m: abs(c) for m, c in self.terms.items()})
 
     def conj_flip(self) -> "Polynomial":
         """conj(c_{kl}) attached to xi^l eta^k; equals self iff real-flagged."""
-        return Polynomial({m.flip(): _conj(c) for m, c in self.terms.items()},
-                          self.degree_cap, self.dropped)
+        return Polynomial({m.flip(): _conj(c) for m, c in self.terms.items()})
 
     def reality_defect(self) -> float:
         """max |conj(c_kl) - c_lk|; zero for real-valued Hamiltonians."""
@@ -229,25 +209,21 @@ class Polynomial:
         return d
 
     def homogeneous_part(self, r: int) -> "Polynomial":
-        return Polynomial({m: c for m, c in self.terms.items() if m.degree == r},
-                          self.degree_cap)
+        return self.filter(lambda m: m.degree == r)
 
     def filter(self, pred) -> "Polynomial":
-        return Polynomial({m: c for m, c in self.terms.items() if pred(m)},
-                          self.degree_cap)
+        return Polynomial({m: c for m, c in self.terms.items() if pred(m)})
 
     def truncate_above(self, cap: int) -> "Polynomial":
-        """New polynomial with degree cap `cap`; overflow mass is logged."""
-        return Polynomial(self.terms, cap, self.dropped)
+        """The terms of degree <= cap."""
+        return self.filter(lambda m: m.degree <= cap)
 
     def tail_split(self, cutoff_n: float) -> "TailSplit":
         """Split by tail degree at cutoff N: low (<= 2) and high (>= 3)."""
         low, high = {}, {}
         for m, c in self.terms.items():
             (low if m.tail_degree(cutoff_n) <= 2 else high)[m] = c
-        return TailSplit(Polynomial(low, self.degree_cap),
-                         Polynomial(high, self.degree_cap),
-                         cutoff_n)
+        return TailSplit(Polynomial(low), Polynomial(high), cutoff_n)
 
     def momentum_filter(self) -> "Polynomial":
         """Zero-total-momentum part of the polynomial."""
@@ -331,14 +307,6 @@ class TailSplit:
     cutoff_n: float
 
 
-def _merge_caps(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def _accum(acc: dict, mono: Monomial, c):
     cur = acc.get(mono)
     acc[mono] = c if cur is None else cur + c
@@ -366,15 +334,15 @@ def _prune(terms: dict) -> dict:
 # -- constructors ------------------------------------------------------
 
 
-def zero(degree_cap: Optional[int] = None) -> Polynomial:
-    return Polynomial({}, degree_cap)
+def zero() -> Polynomial:
+    return Polynomial()
 
 
-def monomial(coeff, xi=(), eta=(), degree_cap=None) -> Polynomial:
+def monomial(coeff, xi=(), eta=()) -> Polynomial:
     """Single-term polynomial.  xi/eta are {mode: exponent} mappings."""
     xd = {as_mode(m): e for m, e in (xi.items() if isinstance(xi, dict) else xi)}
     ed = {as_mode(m): e for m, e in (eta.items() if isinstance(eta, dict) else eta)}
-    return Polynomial({Monomial(xd, ed): coeff}, degree_cap)
+    return Polynomial({Monomial(xd, ed): coeff})
 
 
 def xi(j, coeff=1.0) -> Polynomial:
@@ -403,34 +371,21 @@ def quadratic_diagonal(freqs: dict) -> Polynomial:
 # -- Poisson bracket ---------------------------------------------------
 
 
-def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
+def poisson_bracket(f: Polynomial, g: Polynomial,
+                    cap: Optional[int] = None) -> Polynomial:
     """{f, g} = i sum_m (df/deta_m dg/dxi_m - df/dxi_m dg/deta_m).
 
-    Degree caps are inherited (minimum of the operands' caps); overflow
-    mass is logged on the result.
+    A term pair brackets to degree deg f + deg g - 2.  With a `cap`, the
+    pairs above it are skipped, so the result equals the uncapped bracket
+    truncated at the cap; `bracket_overflow` gives their mass.
     """
-    cap = _merge_caps(f.degree_cap, g.degree_cap)
     acc = {}
-    drop = 0.0
     for mf, cf in f.terms.items():
         fxi = dict(mf.xi)
         feta = dict(mf.eta)
+        room = None if cap is None else cap + 2 - mf.degree
         for mg, cg in g.terms.items():
-            deg = mf.degree + mg.degree - 2
-            if cap is not None and deg > cap:
-                # every contribution of this pair lands above the cap
-                gxi = dict(mg.xi)
-                geta = dict(mg.eta)
-                mass = 0.0
-                for m, ef in feta.items():
-                    eg = gxi.get(m, 0)
-                    if eg:
-                        mass += abs(cf * cg) * ef * eg
-                for m, ef in fxi.items():
-                    eg = geta.get(m, 0)
-                    if eg:
-                        mass += abs(cf * cg) * ef * eg
-                drop += mass
+            if room is not None and mg.degree > room:
                 continue
             gxi = dict(mg.xi)
             geta = dict(mg.eta)
@@ -444,7 +399,41 @@ def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
                 if eg:
                     mono = _bracket_mono(gxi, geta, fxi, feta, m)
                     _accum(acc, mono, times_i(cf * cg * (-ef * eg)))
-    return Polynomial(acc, cap, f.dropped + g.dropped + drop)
+    return Polynomial(acc)
+
+
+def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
+    """Mass of the contributions to {f, g} above degree `cap`.
+
+    The sum of |c_f c_g| e_f e_g over every term pair with
+    deg f + deg g - 2 > cap and every mode m it contracts (e_f the eta_m
+    exponent of f's term and e_g the xi_m exponent of g's, or the other
+    way round).  It separates by mode: per degree pair (d, e) it is
+    sum_m (A_eta[m] B_xi[m] + A_xi[m] B_eta[m]), where
+    A_eta[m] = sum |c_f| (eta_m exponent) over f's terms of degree d, and
+    so on, so the cost is O(terms) instead of O(term pairs).
+    """
+    fm, gm = _exponent_mass(f), _exponent_mass(g)
+    tot = 0.0
+    for df, (fxi, feta) in fm.items():
+        for dg, (gxi, geta) in gm.items():
+            if df + dg - 2 > cap:
+                tot += sum(a * gxi.get(m, 0.0) for m, a in feta.items())
+                tot += sum(a * geta.get(m, 0.0) for m, a in fxi.items())
+    return tot
+
+
+def _exponent_mass(p: Polynomial) -> dict:
+    """degree -> (mode -> sum |c| xi exponent, mode -> sum |c| eta exponent)."""
+    out = {}
+    for mono, c in p.terms.items():
+        a = abs(c)
+        xs, es = out.setdefault(mono.degree, ({}, {}))
+        for m, e in mono.xi:
+            xs[m] = xs.get(m, 0.0) + a * e
+        for m, e in mono.eta:
+            es[m] = es.get(m, 0.0) + a * e
+    return out
 
 
 def _bracket_mono(axi, aeta, bxi, beta, m) -> Monomial:

@@ -39,6 +39,7 @@ PATTERN_SHELL = "SHELL"
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 DEFAULT_NODE_CAP = 2_000_000
+BRUTE_FORCE_BOX_CAP = 40_000_000  # exponent vectors the oracle may form
 
 
 def omega_dot(omega: FrequencyTable, k) -> float:
@@ -211,8 +212,7 @@ def enumerate_near_resonances(q: DivisorQuery) -> EnumerationResult:
     return EnumerationResult(hits, complete, nodes, thr)
 
 
-def enumerate_brute_force(q: DivisorQuery, box_cap: int = 40_000_000
-                          ) -> EnumerationResult:
+def enumerate_brute_force(q: DivisorQuery) -> EnumerationResult:
     """Exhaustive reference enumeration over the full exponent box.
 
     Only the defining constraints are applied, so this shares no pruning
@@ -223,7 +223,7 @@ def enumerate_brute_force(q: DivisorQuery, box_cap: int = 40_000_000
     n = len(modes)
     R = q.r + 2
     width = 2 * R + 1
-    if width ** n > box_cap:
+    if width ** n > BRUTE_FORCE_BOX_CAP:
         raise ValueError("brute-force box %d^%d exceeds cap" % (width, n))
     grids = np.meshgrid(*([np.arange(-R, R + 1)] * n), indexing="ij")
     K = np.stack([g.ravel() for g in grids], axis=1)

@@ -339,8 +339,6 @@ def test_integrate_stride_and_validation():
     assert traj.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
     with pytest.raises(ValueError, match="dt"):
         D.integrate(H, {1: 0.1}, 1.0, -0.1)
-    with pytest.raises(ValueError, match="scheme"):
-        D.integrate(H, {1: 0.1}, 1.0, 0.1, scheme="leapfrog")
 
 
 def test_momentum_conserved_zero_momentum_model():

@@ -62,11 +62,33 @@ def test_product_example():
     assert (P.xi(1) * P.eta(1)).terms == P.action(1).terms
 
 
-def test_cap_drop_logged():
-    I1 = Polynomial(P.action(1).terms, degree_cap=2)
-    prod = I1 * I1
-    assert not prod.terms
-    assert prod.dropped == pytest.approx(1.0)
+def test_bracket_overflow_matches_pair_sum():
+    # oracle: walk every term pair over the cap and sum |c_f c_g| e_f e_g
+    # over the modes it contracts
+    def pair_sum(f, g, cap):
+        mass = 0.0
+        for mf, cf in f.terms.items():
+            for mg, cg in g.terms.items():
+                if mf.degree + mg.degree - 2 <= cap:
+                    continue
+                gxi, geta = dict(mg.xi), dict(mg.eta)
+                for m, ef in mf.eta:
+                    mass += abs(cf * cg) * ef * gxi.get(m, 0)
+                for m, ef in mf.xi:
+                    mass += abs(cf * cg) * ef * geta.get(m, 0)
+        return mass
+
+    rnd = random.Random(17)
+    for dim in (1, 2):
+        for _ in range(10):
+            f = rand_poly(rnd, nterms=8, nmodes=2, maxdeg=4, dim=dim)
+            g = rand_poly(rnd, nterms=8, nmodes=2, maxdeg=4, dim=dim)
+            for cap in (1, 2, 3, 4):
+                want = pair_sum(f, g, cap)
+                assert P.bracket_overflow(f, g, cap) \
+                    == pytest.approx(want, rel=1e-12, abs=1e-300)
+                capped = poisson_bracket(f, g, cap)
+                assert capped == poisson_bracket(f, g).truncate_above(cap)
 
 
 def test_prune_threshold():
