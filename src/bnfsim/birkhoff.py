@@ -194,10 +194,10 @@ def lie_transform(g: Polynomial, chi: Polynomial,
     """Sum of g_l with g_0 = g and g_l = (1/l){chi, g_{l-1}} up to degree cap.
 
     Returns (series, overflow).  The overflow is the l1 mass of g above
-    the cap plus, for every bracket, the mass of the contributions that
-    land above it (`poly.bracket_overflow`).  chi must have minimum degree
-    >= 3 so each bracket raises the minimum degree and the series
-    terminates.
+    the cap plus, for every series term g_l, the mass of its contributions
+    above the cap: `poly.bracket_overflow` of {chi, g_{l-1}}, times 1/l.
+    chi must have minimum degree >= 3 so each bracket raises the minimum
+    degree and the series terminates.
     """
     total = g.truncate_above(cap)
     overflow = math.fsum(abs(c) for m, c in g.items() if m.degree > cap)
@@ -208,7 +208,7 @@ def lie_transform(g: Polynomial, chi: Polynomial,
     term = total
     l = 1
     while term:
-        overflow += bracket_overflow(chi, term, cap)
+        overflow += bracket_overflow(chi, term, cap) / l
         term = poisson_bracket(chi, term, cap).scale(1.0 / l)
         total = total + term
         l += 1
