@@ -376,8 +376,8 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
     """{f, g} = i sum_m (df/deta_m dg/dxi_m - df/dxi_m dg/deta_m).
 
     A term pair brackets to degree deg f + deg g - 2.  With a `cap`, the
-    pairs above it are skipped, so the result equals the uncapped bracket
-    truncated at the cap; `bracket_overflow` gives their mass.
+    pairs above it are skipped, so the result is the part of the uncapped
+    bracket of degree <= cap; `bracket_overflow` gives their mass.
     """
     acc = {}
     for mf, cf in f.terms.items():
@@ -424,7 +424,7 @@ def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
 
 
 def _exponent_mass(p: Polynomial) -> dict:
-    """degree -> (mode -> sum |c| xi exponent, mode -> sum |c| eta exponent)."""
+    """degree -> (mode -> sum |c| xi_m exponent, same for eta_m)."""
     out = {}
     for mono, c in p.terms.items():
         a = abs(c)
