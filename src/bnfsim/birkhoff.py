@@ -11,6 +11,11 @@ together with the l1 mass the truncation dropped (its overflow).
 
 Degree indexing is 1-based on the generator list: chi_r is homogeneous of
 degree r+2 for r = 1..r_star, so the first generator removes cubics.
+
+States travel through the generator flows on compiled field tables
+(`transport_plan`).  `apply_transport` carries a whole (B, n) batch, e.g.
+every frame of a trajectory, through each flow at once: classical RK4
+from 4 steps, doubling per row until the row's result settles.
 """
 from __future__ import annotations
 
@@ -30,8 +35,8 @@ from .spectra import FrequencyTable
 
 DEGREE_BY_DEGREE = "degree_by_degree"
 BLOCK = "block"
-RK4_BASE_STEPS = 64  # first RK4 step count of a time-1 generator flow
-RK4_MAX_DOUBLINGS = 7
+# RK4 step counts tried in turn on a time-1 generator flow, doubling
+RK4_STEPS = tuple(4 << k for k in range(12))  # 4, 8, ..., 8192
 
 
 # -- parameter formulas --------------------------------------------------
@@ -239,7 +244,8 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
     core Hamiltonian and the tail-cubic remainder through the generator
     flow.  The carry is whatever the identity {H0,chi}+Z = f left over.
     Both transforms truncate at degree r_star + 2, and the ledger's
-    overflow_mass accumulates the overflow they report.
+    overflow_mass accumulates the overflow they report, on top of the l1
+    mass of P above that degree, which is cut before the first round.
     """
     params = params.resolved(amplitude)
     N = params.N
@@ -255,7 +261,8 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
     gens: List[Polynomial] = []
     ledger = RemainderLedger()
     tail_cum = 0.0
-    overflow_cum = 0.0
+    # the part of P above the cap never enters the series: ledger it here
+    overflow_cum = math.fsum(abs(c) for m, c in P.items() if m.degree > cap)
     for r in range(params.r_star):
         split = g.tail_split(N)
         low, high = split.low, split.high
@@ -295,30 +302,40 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
 # -- state transport ------------------------------------------------------
 
 
-def _unit_flow(table, sign: float, x0: np.ndarray, tol: float) -> np.ndarray:
+def _rk4(table, factor: complex, X: np.ndarray, n: int) -> np.ndarray:
+    """n classical RK4 steps of size 1/n for x' = factor * field(x), per row."""
+    h = 1.0 / n
+    for _ in range(n):
+        k1 = factor * table.eval(X)
+        k2 = factor * table.eval(X + 0.5 * h * k1)
+        k3 = factor * table.eval(X + 0.5 * h * k2)
+        k4 = factor * table.eval(X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return X
+
+
+def _unit_flow(table, sign: float, X0: np.ndarray, tol: float) -> np.ndarray:
+    """Time-1 flow of x' = i sign dchi/deta for every row of a (B, n) block.
+
+    Each row runs through the step counts of RK4_STEPS and is accepted at
+    the first count whose result lies within tol * (1 + max|x|) of the
+    previous count's; only the rows not yet accepted go on doubling, so
+    each row stops at the step count it would stop at on its own.
+    """
     factor = 1j * sign
-
-    def run(n: int) -> np.ndarray:
-        h = 1.0 / n
-        x = x0.astype(complex)
-        for _ in range(n):
-            k1 = factor * table.eval(x)
-            k2 = factor * table.eval(x + 0.5 * h * k1)
-            k3 = factor * table.eval(x + 0.5 * h * k2)
-            k4 = factor * table.eval(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x
-
-    prev = run(RK4_BASE_STEPS)
-    n = 2 * RK4_BASE_STEPS
-    for _ in range(RK4_MAX_DOUBLINGS):
-        cur = run(n)
-        err = float(np.max(np.abs(cur - prev))) if len(cur) else 0.0
-        scale = 1.0 + float(np.max(np.abs(cur))) if len(cur) else 1.0
-        if err <= tol * scale:
-            return cur
-        prev = cur
-        n *= 2
+    X0 = X0.astype(complex)
+    out = np.empty_like(X0)
+    todo = np.arange(len(X0))
+    prev = _rk4(table, factor, X0, RK4_STEPS[0])
+    for n in RK4_STEPS[1:]:
+        cur = _rk4(table, factor, X0[todo], n)
+        err = np.max(np.abs(cur - prev), axis=1, initial=0.0)
+        scale = 1.0 + np.max(np.abs(cur), axis=1, initial=0.0)
+        done = err <= tol * scale
+        out[todo[done]] = cur[done]
+        todo, prev = todo[~done], cur[~done]
+        if not len(todo):
+            return out
     raise ArithmeticError("generator flow did not converge to %g" % tol)
 
 
@@ -326,8 +343,9 @@ def _unit_flow(table, sign: float, x0: np.ndarray, tol: float) -> np.ndarray:
 class TransportPlan:
     """Precompiled generator-flow tables over a fixed mode layout.
 
-    Worth building once when many points travel through the same flows,
-    e.g. one transform per trajectory frame.
+    Worth building once when many points travel through the same flows:
+    `apply_transport` carries a whole (B, n) batch of states, e.g. every
+    frame of a trajectory, through each flow in one pass.
     """
     layout: List[tuple]
     steps: List[object]
@@ -358,9 +376,11 @@ def transport_plan(generators: Sequence[Polynomial], modes,
 
 
 def apply_transport(plan: TransportPlan, x: np.ndarray) -> np.ndarray:
+    """x through the plan's flows: (n,) for one state, (B, n) for a batch."""
+    X = np.atleast_2d(x)
     for table in plan.steps:
-        x = _unit_flow(table, plan.sign, x, plan.tol)
-    return x
+        X = _unit_flow(table, plan.sign, X, plan.tol)
+    return X if np.ndim(x) == 2 else X[0]
 
 
 def transform_state(state: dict, generators: Sequence[Polynomial],

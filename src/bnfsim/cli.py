@@ -237,8 +237,7 @@ def resolved_params(cfg: dict) -> NormalFormParams:
         raise ConfigError(str(exc))
 
 
-def run_normalize(cfg: dict, seed: int) -> NormalFormResult:
-    system = build_system(cfg, seed)
+def run_normalize(cfg: dict, system: ModelSystem) -> NormalFormResult:
     params = resolved_params(cfg)
     return normalize(system.table, system.P, params)
 
@@ -248,7 +247,7 @@ def run_normalize(cfg: dict, seed: int) -> NormalFormResult:
 
 def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
     seed = int(cfg.get("seed", 0))
-    res = run_normalize(cfg, seed)
+    res = run_normalize(cfg, build_system(cfg, seed))
     pr = res.params
     doc = {
         "model": cfg["model"],
@@ -370,7 +369,7 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     profile = initial_profile(cfg)
     nf = None
     if "gamma" in cfg and "r_star" in cfg:
-        nf = run_normalize(cfg, seed)
+        nf = run_normalize(cfg, system)
         if not nf.membership_ok():
             print("warning: normal form membership checks failed",
                   file=sys.stderr)

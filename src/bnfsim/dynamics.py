@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,6 +52,7 @@ class ModelSystem:
     A model whose quartic comes from quadrature keeps the description it
     was built from: P = quad_weight * sum over grid points of the product
     of its four `legs`.  The integrator evaluates the field from them.
+    H and the integrator's compiled parts are built on first use and kept.
     """
     model: str
     table: FrequencyTable
@@ -61,7 +63,7 @@ class ModelSystem:
     legs: Tuple[Leg, ...] = ()
     quad_weight: float = 0.0
 
-    @property
+    @cached_property
     def H(self) -> Polynomial:
         return self.H0 + self.P
 
@@ -72,6 +74,20 @@ class ModelSystem:
         if not self.legs:
             return None
         return QuadratureField(len(self.modes()), self.legs, self.quad_weight)
+
+    @cached_property
+    def flow_parts(self) -> tuple:
+        """(omega vector, field evaluator of the interaction, value table of
+        H) over the system's own modes, for `integrate`."""
+        layout = self.modes()
+        if self.legs:
+            # H0 is diagonal and the legs describe all of P
+            omv, _ = _split_linear(self.H0, layout)
+            nl = self.quadrature_field()
+        else:
+            omv, rest = _split_linear(self.H, layout)
+            nl = eta_gradient_table(rest, layout)
+        return omv, nl, value_table(self.H, layout)
 
 
 # -- quadrature helpers ----------------------------------------------------
@@ -424,7 +440,9 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
     H is a Hamiltonian polynomial or a ModelSystem.  A system whose quartic
     comes from quadrature legs is integrated on its QuadratureField; any
     other H has its non-diagonal part compiled into a FieldTable.  Energies
-    always come from the compiled value table of the whole H.
+    always come from the compiled value table of the whole H, evaluated on
+    all frames at once after the run.  On its own modes a system compiles
+    these parts once (`ModelSystem.flow_parts`) for all its runs.
 
     A non-converging step is retried on two half steps (recursively, up to
     MAX_HALVINGS); the outer time grid is unchanged.  T < 0 integrates
@@ -437,28 +455,30 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
     system = H if isinstance(H, ModelSystem) else None
     if system is not None:
         H = system.H
+        modes = set(system.modes())
+    else:
+        modes = set()
+        for mono in H.terms:
+            modes |= mono.modes()
     z = {as_mode(m): complex(v) for m, v in z0.items()}
-    modes = set(z)
-    for mono in H.terms:
-        modes |= mono.modes()
+    modes |= set(z)
     if layout is None:
         layout = sorted(modes)
     else:
         layout = sorted({as_mode(m) for m in layout} | modes)
-    omv, rest = _split_linear(H, layout)
-    # a system's H0 is diagonal, so `rest` is its P and the legs describe it
-    nl = system.quadrature_field() if system is not None else None
-    if nl is None:
-        nl = eta_gradient_table(rest, layout)
-    elif layout != system.modes():
+    if system is not None and layout == system.modes():
+        omv, nl, ht = system.flow_parts
+    elif system is not None and system.legs:
         raise ValueError("layout: the quadrature field needs the system's "
                          "own modes")
-    ht = value_table(H, layout)
+    else:
+        omv, rest = _split_linear(H, layout)
+        nl = eta_gradient_table(rest, layout)
+        ht = value_table(H, layout)
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
     x = np.array([z.get(m, 0.0) for m in layout], dtype=complex)
-    traj = Trajectory(layout, [0.0], [x.copy()],
-                      [complex(ht.eval(x)).real], dt_eff, 0)
+    traj = Trajectory(layout, [0.0], [x.copy()], [], dt_eff, 0)
     worst = 0
     for n in range(1, nsteps + 1):
         x, depth, evals = _advance(x, dt_eff, omv, nl, tol, 0)
@@ -467,7 +487,8 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
         if n % stride == 0 or n == nsteps:
             traj.times.append(n * dt_eff)
             traj.states.append(x.copy())
-            traj.energies.append(complex(ht.eval(x)).real)
+    # the energies of all frames in one batched evaluation
+    traj.energies = ht.eval(np.array(traj.states)).real.tolist()
     traj.halvings = worst
     return traj
 
@@ -611,11 +632,11 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
             acts0 = actions(traj.state_dict(0))
             j0 = group_actions(acts0, groups)
             wvec = np.array([base ** (2.0 * s) for _, _, base in groups])
+            # every frame through the inverse flows in one batch
+            ys = np.array(traj.states)
             if plan is not None:
-                y0 = apply_transport(plan, traj.states[0].copy())
-                ref = actions({m: v for m, v in zip(traj.layout, y0)})
-            else:
-                ref = acts0
+                ys = apply_transport(plan, ys)
+            ref = actions(dict(zip(traj.layout, ys[0])))
             sup_i = 0.0
             sup_j = 0.0
             escaped = 0
@@ -629,11 +650,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
                 nsz = norm_s(st, s)
                 if nsz > 2.0 * eps:
                     escaped = 1
-                if plan is not None:
-                    y = apply_transport(plan, traj.states[i].copy())
-                    ya = actions({m: v for m, v in zip(traj.layout, y)})
-                else:
-                    ya = acts
+                ya = actions(dict(zip(traj.layout, ys[i])))
                 dist = torus_distance(ya, ref, s1)
                 rows.append(DriftRow(system.model, eps, seed, t,
                                      traj.energies[i], nsz, sup_i, sup_j,

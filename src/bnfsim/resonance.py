@@ -464,8 +464,9 @@ def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
 
     complete, _ = _dfs(lo, hi, tail, q.r + 2, 2,
                        gamma_max / q.N ** q.alpha, q.node_cap, emit)
-    K = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(modes)),
-                                                             dtype=np.int64)
+    # float64, exact for these small integers: every sample's divisors are
+    # one product K @ wv, which an integer K would cast on each call
+    K = np.array(rows, dtype=float).reshape(-1, len(modes))
     return modes, K, complete
 
 

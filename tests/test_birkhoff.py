@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bnfsim import birkhoff as B
-from bnfsim import poly
+from bnfsim import cli, dynamics, poly
+from bnfsim.fields import eta_gradient_table
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 from bnfsim.spectra import FrequencyTable
 
@@ -397,3 +398,101 @@ def test_transform_roundtrip_and_displacement_scaling():
     s1 = math.log(disp[0] / disp[1]) / math.log(2.0)
     s2 = math.log(disp[1] / disp[2]) / math.log(2.0)
     assert abs(s1 - 2.0) <= 0.2 and abs(s2 - 2.0) <= 0.2
+
+
+# -- batched transport --------------------------------------------------------
+
+
+# the benchmark's transport system: nls1d_dirichlet, jmax 6, a 441-term P
+TRANSPORT_CFG = {
+    "model": "nls1d_dirichlet", "jmax": 6, "kappa": 0.25,
+    "potential.family": "nls_cosine",
+    "potential.params": {"R": 0.5, "sigma": 0.4, "kmax": 9},
+    "potential.seed": 3, "r_star": 2, "gamma": 0.002, "N": 6, "s": 4.0}
+
+
+def reference_flow(table, sign, x0, tol):
+    """One state through a time-1 flow as before batching: RK4 from 64
+    steps, doubling up to 8192, on a row-product field with bincount."""
+    n = len(x0)
+
+    def field(x):
+        G = np.concatenate([x, np.conj(x), [1.0]])
+        vals = table.coeff * np.prod(G[table.vidx], axis=1)
+        return (np.bincount(table.out, vals.real, minlength=n)
+                + 1j * np.bincount(table.out, vals.imag, minlength=n))
+
+    def run(steps):
+        h = 1.0 / steps
+        x = x0.astype(complex)
+        for _ in range(steps):
+            k1 = 1j * sign * field(x)
+            k2 = 1j * sign * field(x + 0.5 * h * k1)
+            k3 = 1j * sign * field(x + 0.5 * h * k2)
+            k4 = 1j * sign * field(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x
+
+    prev, steps = run(64), 128
+    for _ in range(7):
+        cur = run(steps)
+        if np.max(np.abs(cur - prev)) <= tol * (1.0 + np.max(np.abs(cur))):
+            return cur
+        prev, steps = cur, 2 * steps
+    raise ArithmeticError("reference flow did not converge")
+
+
+def test_batched_transport_matches_per_frame_reference():
+    system = cli.build_system(TRANSPORT_CFG, 0)
+    res = B.normalize(system.table, system.P, cli.resolved_params(
+        TRANSPORT_CFG))
+    layout = system.modes()
+    plan = B.transport_plan(res.generators, layout, "inverse")
+    assert plan.steps
+    # the first run of the transport workload: eps 0.1, T = 0.2 eps^-2
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=cli.stream_seed(0, "initial", 0), spawn_key=(0,)))
+    z0 = dynamics.initial_state(layout, 0.1, 4.0, rng)
+    traj = dynamics.integrate(system, z0, 20.0, 0.01, stride=50,
+                              layout=layout)
+    frames = np.array(traj.states)
+    assert frames.shape == (41, 6)
+    got = B.apply_transport(plan, frames)
+    want = frames.astype(complex)
+    for table in plan.steps:
+        want = np.array([reference_flow(table, plan.sign, x, plan.tol)
+                         for x in want])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # a single state is a batch of one
+    one = B.apply_transport(plan, frames[7])
+    assert one.shape == (6,)
+    assert np.max(np.abs(one - got[7])) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_unit_flow_rows_meet_tolerance_in_a_mixed_batch():
+    # chi = xi^2 eta: xi(1) = xi0 / (1 - i xi0); amplitudes 1e-4 to 0.36
+    table = eta_gradient_table(poly.monomial(1.0, xi={1: 2}, eta={1: 1}),
+                               [(1,)])
+    z0 = np.array([[1e-4], [0.01 + 0.02j], [-0.15j], [0.3 + 0.2j], [0.0]])
+    tol = 1e-12
+    out = B._unit_flow(table, 1.0, z0, tol)
+    exact = z0 / (1.0 - 1j * z0)
+    for row, want, x0 in zip(out, exact, z0):
+        assert abs(row[0] - want[0]) <= tol * (1.0 + abs(want[0]))
+        alone = B._unit_flow(table, 1.0, x0[None], tol)
+        assert abs(alone[0, 0] - row[0]) <= 1e-15 * abs(want[0])
+    # the zero row passes at once; the other needs err == 0 and never does
+    with pytest.raises(ArithmeticError):
+        B._unit_flow(table, 1.0, z0[[4, 1]], 0.0)
+
+
+def test_normalize_ledgers_P_above_cap():
+    system = cli.build_system(TRANSPORT_CFG, 0)
+    assert len(system.P.terms) == 441
+    assert system.P.min_degree() == 4
+    # r_star 1 caps the series at degree 3: all of the quartic P is cut
+    prm = B.NormalFormParams(r_star=1, gamma=0.002, alpha=1.0, N=6, s=4.0)
+    res = B.normalize(system.table, system.P, prm)
+    assert not res.Z and not res.f_final
+    assert res.ledger.overflow_mass[0] == math.fsum(
+        abs(c) for c in system.P.terms.values())
