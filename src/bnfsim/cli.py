@@ -54,8 +54,9 @@ from .dynamics import (MODELS, ModelSystem, build_model_hamiltonian,
                        write_drift_csv, write_frames_csv)
 from .modes import mode_abs
 from .poly import to_text
-from .resonance import (DivisorQuery, enumerate_near_resonances,
-                        measure_scan, write_hits_csv, write_measure_csv)
+from .resonance import (DEFAULT_NODE_CAP, DivisorQuery,
+                        enumerate_near_resonances, measure_scan,
+                        write_hits_csv, write_measure_csv)
 from .spectra import FAMILIES, PotentialSample, sample_potential
 
 STREAMS = {"potential": 0, "initial": 1, "monte_carlo": 2}
@@ -117,6 +118,15 @@ def number(cfg: dict, key: str, default=_REQUIRED) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("%s: expected a number" % key)
     return float(v)
+
+
+def integer(cfg: dict, key: str, default=_REQUIRED) -> int:
+    v = require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError("%s: expected an integer" % key)
+    return v
 
 
 def initial_profile(cfg: dict) -> str:
@@ -201,7 +211,7 @@ def build_system(cfg: dict, seed: int) -> ModelSystem:
 
 
 def nf_params(cfg: dict) -> NormalFormParams:
-    r_star = int(number(cfg, "r_star"))
+    r_star = integer(cfg, "r_star")
     gamma = number(cfg, "gamma")
     alpha = number(cfg, "alpha", 1.0)
     n = cfg.get("N", AUTO)
@@ -246,7 +256,7 @@ def run_normalize(cfg: dict, system: ModelSystem) -> NormalFormResult:
 
 
 def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
-    seed = int(cfg.get("seed", 0))
+    seed = integer(cfg, "seed", 0)
     res = run_normalize(cfg, build_system(cfg, seed))
     pr = res.params
     doc = {
@@ -273,10 +283,10 @@ def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
-    seed = int(cfg.get("seed", 0))
+    seed = integer(cfg, "seed", 0)
     system = build_system(cfg, seed)
     params = resolved_params(cfg)
-    r = int(cfg.get("r", params.r_star))
+    r = integer(cfg, "r", params.r_star)
     jmax = cfg.get("jmax")
     if jmax is None:
         jmax = max(mode_abs(m) for m in system.table.modes())
@@ -284,8 +294,7 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
         q = DivisorQuery(omega=system.table, r=r, N=params.N,
                          gamma=params.gamma, alpha=params.alpha,
                          jmax=float(jmax),
-                         **({"node_cap": int(cfg["node_cap"])}
-                            if "node_cap" in cfg else {}))
+                         node_cap=integer(cfg, "node_cap", DEFAULT_NODE_CAP))
     except ValueError as exc:
         raise ConfigError(str(exc))
     res = enumerate_near_resonances(q)
@@ -298,7 +307,7 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
-    seed = int(cfg.get("seed", 0))
+    seed = integer(cfg, "seed", 0)
     family = require(cfg, "potential.family")
     if family not in FAMILIES:
         raise ConfigError("potential.family: unknown %r" % family)
@@ -307,17 +316,15 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
         raise ConfigError("potential.params: required")
     gamma = number(cfg, "gamma")
     gammas = [float(g) for g in cfg.get("resonance.gammas", [gamma])]
-    samples = int(cfg.get("resonance.samples", 100))
-    r = int(cfg.get("r", cfg.get("r_star", 3)))
-    n = cfg.get("N", 2)
-    if n == AUTO:
+    samples = integer(cfg, "resonance.samples", 100)
+    r = integer(cfg, "r", integer(cfg, "r_star", 3))
+    if cfg.get("N") == AUTO:
         raise ConfigError("N: explicit integer required for measure scans")
     try:
-        q = DivisorQuery(omega=None, r=r, N=int(n),
+        q = DivisorQuery(omega=None, r=r, N=integer(cfg, "N", 2),
                          gamma=gamma, alpha=number(cfg, "alpha", 1.0),
                          jmax=number(cfg, "jmax"),
-                         **({"node_cap": int(cfg["node_cap"])}
-                            if "node_cap" in cfg else {}))
+                         node_cap=integer(cfg, "node_cap", DEFAULT_NODE_CAP))
         estimates = measure_scan(family, dict(params), q, gammas, samples,
                                  stream_seed(seed, "monte_carlo"))
     except ValueError as exc:
@@ -333,20 +340,19 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
-    seed = int(cfg.get("seed", 0))
+    seed = integer(cfg, "seed", 0)
     system = build_system(cfg, seed)
     eps = number(cfg, "eps")
     horizon = number(cfg, "T")
     dt = number(cfg, "integrator.dt", 0.01)
     tol = number(cfg, "integrator.tol", 1e-12)
-    stride = int(cfg.get("integrator.stride", 10))
+    stride = integer(cfg, "integrator.stride", 10)
     s = number(cfg, "s", 4.0)
     profile = initial_profile(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(STREAMS["initial"], 0)))
     z0 = initial_state(system.modes(), eps, s, rng, profile)
-    traj = integrate(system, z0, horizon, dt, tol=tol, stride=stride,
-                     layout=system.modes())
+    traj = integrate(system, z0, horizon, dt, tol=tol, stride=stride)
     write_frames_csv(system, traj, os.path.join(outdir, "frames.csv"),
                      eps=eps, seed=seed)
     de = max(abs(e - traj.energies[0]) for e in traj.energies)
@@ -357,13 +363,13 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
-    seed = int(cfg.get("seed", 0))
+    seed = integer(cfg, "seed", 0)
     system = build_system(cfg, seed)
     eps_list = [float(e) for e in require(cfg, "experiment.eps_list")]
     if not eps_list:
         raise ConfigError("experiment.eps_list: must be non-empty")
-    nseeds = int(cfg.get("experiment.seeds", 2))
-    r = int(cfg.get("experiment.r", cfg.get("r_star", 2)))
+    nseeds = integer(cfg, "experiment.seeds", 2)
+    r = integer(cfg, "experiment.r", integer(cfg, "r_star", 2))
     s = number(cfg, "s", 4.0)
     s1 = number(cfg, "s1", s)
     profile = initial_profile(cfg)
@@ -379,7 +385,7 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
         s=s,
         c=number(cfg, "experiment.c", 1.0),
         dt=number(cfg, "integrator.dt", 0.01),
-        stride=int(cfg.get("integrator.stride", 10)),
+        stride=integer(cfg, "integrator.stride", 10),
         s1=s1,
         tol=number(cfg, "integrator.tol", 1e-12),
         profile=profile)

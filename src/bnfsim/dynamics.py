@@ -434,15 +434,16 @@ def _advance(x, dt, omv, nl, tol, depth):
 
 def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
               dt: float, tol: float = 1e-12,
-              stride: int = 1, layout: Optional[list] = None) -> Trajectory:
+              stride: int = 1) -> Trajectory:
     """Fixed-grid implicit midpoint run with frames every `stride` steps.
 
-    H is a Hamiltonian polynomial or a ModelSystem.  A system whose quartic
-    comes from quadrature legs is integrated on its QuadratureField; any
-    other H has its non-diagonal part compiled into a FieldTable.  Energies
+    H is a Hamiltonian polynomial or a ModelSystem.  A system integrates on
+    its own modes (z0 may name no other) with the parts it compiles once
+    for all its runs (`ModelSystem.flow_parts`): the QuadratureField of its
+    legs, or else a FieldTable of its non-diagonal part.  A polynomial
+    integrates on its modes and those of z0, with a FieldTable.  Energies
     always come from the compiled value table of the whole H, evaluated on
-    all frames at once after the run.  On its own modes a system compiles
-    these parts once (`ModelSystem.flow_parts`) for all its runs.
+    all frames at once after the run.
 
     A non-converging step is retried on two half steps (recursively, up to
     MAX_HALVINGS); the outer time grid is unchanged.  T < 0 integrates
@@ -452,26 +453,19 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
         raise ValueError("dt: need nonzero dt and T of equal sign")
     if stride < 1:
         raise ValueError("stride: must be >= 1")
-    system = H if isinstance(H, ModelSystem) else None
-    if system is not None:
-        H = system.H
-        modes = set(system.modes())
+    z = {as_mode(m): complex(v) for m, v in z0.items()}
+    if isinstance(H, ModelSystem):
+        layout = H.modes()
+        foreign = set(z).difference(layout)
+        if foreign:
+            raise ValueError("z0: modes %s are not the system's"
+                             % sorted(foreign))
+        omv, nl, ht = H.flow_parts
     else:
-        modes = set()
+        modes = set(z)
         for mono in H.terms:
             modes |= mono.modes()
-    z = {as_mode(m): complex(v) for m, v in z0.items()}
-    modes |= set(z)
-    if layout is None:
         layout = sorted(modes)
-    else:
-        layout = sorted({as_mode(m) for m in layout} | modes)
-    if system is not None and layout == system.modes():
-        omv, nl, ht = system.flow_parts
-    elif system is not None and system.legs:
-        raise ValueError("layout: the quadrature field needs the system's "
-                         "own modes")
-    else:
         omv, rest = _split_linear(H, layout)
         nl = eta_gradient_table(rest, layout)
         ht = value_table(H, layout)
@@ -625,8 +619,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
                 np.random.SeedSequence(entropy=seed, spawn_key=(ei,)))
             z0 = initial_state(layout, eps, s, rng, profile)
             T = c * eps ** (-float(r))
-            traj = integrate(system, z0, T, dt, stride=stride, tol=tol,
-                             layout=layout)
+            traj = integrate(system, z0, T, dt, stride=stride, tol=tol)
             if plan is not None and plan.layout != traj.layout:
                 raise ArithmeticError("transport layout mismatch")
             acts0 = actions(traj.state_dict(0))

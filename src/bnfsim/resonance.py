@@ -5,7 +5,9 @@ combinations omega.k into small divisors (kept in the normal form) and safe
 ones (eliminated).  This module enumerates the small combinations under the
 order and tail constraints, classifies the structured patterns that survive
 in the paired and lattice-shell models, and Monte Carlo-estimates the measure
-of the violating potential set over the random ensembles.
+of the violating potential set over the random ensembles.  One search
+(`_dfs`) yields the candidates as int8 rows over the modes, and one accept
+step (`_below`) keeps the rows under a threshold, for both jobs.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it is zero on every
@@ -14,13 +16,15 @@ the pairs {j, -j} (PAIR_TAIL: periodic NLW, coupled NLS) or the shells
 |j|^2 = M (SHELL: NLS on the d-torus).  `classify_rows` tags a whole matrix
 with one integer product K @ G against the mode -> group indicator G.
 
-Divisor decisions use exactly-rounded summation throughout: near the
-threshold a naive left-to-right sum misclassifies at this scale.
+Divisor decisions agree with exactly-rounded summation: a row near the
+threshold, within the rounding error of K @ w, is rechecked by `math.fsum`;
+a naive left-to-right sum misclassifies there.
 """
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -81,8 +85,9 @@ class DivisorQuery:
             raise ValueError("alpha: must be > 0")
         if self.N < 1:
             raise ValueError("N: must be >= 1")
-        if self.r < 1:
-            raise ValueError("r: must be >= 1")
+        if not 1 <= self.r <= 125:
+            raise ValueError("r: must be in 1..125 (int8 exponents, "
+                             "order r+2 <= 127)")
         if self.jmax < self.N:
             raise ValueError("jmax: must be >= N")
         if self.node_cap < 1:
@@ -132,23 +137,29 @@ def _domain(q: DivisorQuery) -> Tuple[list, list, list]:
     return modes, w, tail
 
 
-def _dfs(w_lo: Sequence[float], w_hi: Sequence[float], is_tail: Sequence[bool],
-         order: int, tail_budget: int, threshold: float, node_cap: int,
-         emit) -> Tuple[bool, int]:
+def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
+         tail: Sequence[bool], order: int, threshold: float, node_cap: int
+         ) -> Tuple[list, np.ndarray, bool, int]:
     """Depth-first search over exponent vectors with interval pruning.
 
-    Each frequency lies in [w_lo[i], w_hi[i]] (point queries pass equal
-    endpoints).  A branch is cut when no completion within the remaining
-    order budget can bring |sum| under the threshold.  emit(assign) is
-    called at every admissible leaf; the exact accept test is the caller's.
+    Each frequency lies in [lo[i], hi[i]] (point queries pass equal
+    endpoints); modes are searched by decreasing max(|lo|, |hi|).  A branch
+    is cut when no completion within the order budget (2 of it on the tail)
+    can bring |sum| under the threshold.  Returns the modes in search order,
+    the nonzero admissible leaves as int8 rows over them, complete, nodes.
     """
-    n = len(w_lo)
+    idx = sorted(range(len(modes)),
+                 key=lambda i: (-max(abs(lo[i]), abs(hi[i])), modes[i]))
+    modes, w_lo, w_hi, is_tail = ([v[i] for i in idx]
+                                  for v in (modes, lo, hi, tail))
+    n = len(modes)
     sufmax = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         sufmax[i] = max(sufmax[i + 1], abs(w_lo[i]), abs(w_hi[i]))
     # prune with slack: partial sums round; leaves are rechecked exactly
     margin = 1e-9 * (1.0 + threshold + order * sufmax[0])
     assign = [0] * n
+    rows = array("b")
     state = [0, True]  # nodes, complete
 
     def rec(i: int, m: int, tb: int, s_lo: float, s_hi: float) -> None:
@@ -162,7 +173,8 @@ def _dfs(w_lo: Sequence[float], w_hi: Sequence[float], is_tail: Sequence[bool],
         if mindiv > threshold + margin:
             return
         if i == n:
-            emit(assign)
+            if m < order:  # some exponent is nonzero
+                rows.fromlist(assign)
             return
         cap = min(m, tb) if is_tail[i] else m
         wl, wh = w_lo[i], w_hi[i]
@@ -180,8 +192,27 @@ def _dfs(w_lo: Sequence[float], w_hi: Sequence[float], is_tail: Sequence[bool],
                 break
         assign[i] = 0
 
-    rec(0, order, tail_budget, 0.0, 0.0)
-    return state[1], state[0]
+    rec(0, order, 2, 0.0, 0.0)
+    K = np.frombuffer(rows, dtype=np.int8).reshape(len(rows) // max(n, 1), n)
+    return modes, K, state[1], state[0]
+
+
+def _below(div: np.ndarray, K: np.ndarray, wv: np.ndarray, thr: float,
+           order: int) -> np.ndarray:
+    """Mask of the rows k of K with |wv.k| < thr, given div = K @ wv.
+
+    With |k| <= order the product is off the exactly-rounded sum by less
+    than (n + 1) eps order max|wv| over n columns; rows within twice that
+    of thr are decided by `math.fsum`, as `omega_dot` decides them.
+    """
+    a = np.abs(div)
+    live = a < thr
+    band = 2 * (len(wv) + 1) * np.finfo(float).eps * order * \
+        np.max(np.abs(wv), initial=0.0)
+    for ri in np.flatnonzero(np.abs(a - thr) <= band):
+        nz = np.flatnonzero(K[ri])
+        live[ri] = abs(math.fsum(wv[nz] * K[ri, nz])) < thr
+    return live
 
 
 def enumerate_near_resonances(q: DivisorQuery) -> EnumerationResult:
@@ -192,22 +223,14 @@ def enumerate_near_resonances(q: DivisorQuery) -> EnumerationResult:
     budget overrun is reported through the complete flag, never silently.
     """
     modes, w, tail = _domain(q)
-    idx = sorted(range(len(modes)), key=lambda i: (-abs(w[i]), modes[i]))
-    modes = [modes[i] for i in idx]
-    w = [w[i] for i in idx]
-    tail = [tail[i] for i in idx]
-    thr = q.threshold
+    thr, order = q.threshold, q.r + 2
+    modes, K, complete, nodes = _dfs(modes, w, w, tail, order, thr,
+                                     q.node_cap)
+    wv = q.omega.vector(modes)
     hits: List[ResonanceHit] = []
-
-    def emit(assign):
-        pairs = [(modes[i], e) for i, e in enumerate(assign) if e]
-        if not pairs:
-            return
-        value = omega_dot(q.omega, pairs)
-        if abs(value) < thr:
-            hits.append(ResonanceHit(dict(pairs), value))
-
-    complete, nodes = _dfs(w, w, tail, q.r + 2, 2, thr, q.node_cap, emit)
+    for row in K[_below(K @ wv, K, wv, thr, order)]:
+        pairs = [(modes[i], int(row[i])) for i in np.flatnonzero(row)]
+        hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs)))
     hits.sort(key=ResonanceHit.key)
     return EnumerationResult(hits, complete, nodes, thr)
 
@@ -438,36 +461,19 @@ def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
     covers every sample, after which per-sample divisors are plain dot
     products.
     """
-    d = int(params.get("d", 1))
-    modes = lattice_modes(d, q.jmax)
+    modes = lattice_modes(int(params.get("d", 1)), q.jmax)
     probe = PotentialSample(family="convolution_d", params=params, seed=0,
                             coeffs={}, mass=0.0)
-    lo, hi, tail = [], [], []
-    n2 = q.N * q.N
-    for m in modes:
-        base = float(mode_abs2(m))
-        env = probe.envelope(m)
-        lo.append(base - env)
-        hi.append(base + env)
-        tail.append(mode_abs2(m) > n2)
-    idx = sorted(range(len(modes)),
-                 key=lambda i: (-max(abs(lo[i]), abs(hi[i])), modes[i]))
-    modes = [modes[i] for i in idx]
-    lo = [lo[i] for i in idx]
-    hi = [hi[i] for i in idx]
-    tail = [tail[i] for i in idx]
-    rows: List[list] = []
-
-    def emit(assign):
-        if any(assign):
-            rows.append(list(assign))
-
-    complete, _ = _dfs(lo, hi, tail, q.r + 2, 2,
-                       gamma_max / q.N ** q.alpha, q.node_cap, emit)
+    base = [float(mode_abs2(m)) for m in modes]
+    env = [probe.envelope(m) for m in modes]
+    modes, K, complete, _ = _dfs(
+        modes, [b - e for b, e in zip(base, env)],
+        [b + e for b, e in zip(base, env)],
+        [mode_abs2(m) > q.N * q.N for m in modes], q.r + 2,
+        gamma_max / q.N ** q.alpha, q.node_cap)
     # float64, exact for these small integers: every sample's divisors are
     # one product K @ wv, which an integer K would cast on each call
-    K = np.array(rows, dtype=float).reshape(-1, len(modes))
-    return modes, K, complete
+    return modes, K.astype(float), complete
 
 
 def measure_scan(family: str, params: dict, q: DivisorQuery,
@@ -506,21 +512,14 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             except SpectralError:
                 skipped += 1
                 continue
-            qs = replace(q, omega=table, gamma=gammas[0])
-            res = enumerate_near_resonances(qs)
-            complete = complete and res.complete
-            modes = table.modes()
-            K = np.array([[h.k.get(m, 0) for m in modes] for h in res.hits],
-                         dtype=np.int64).reshape(-1, len(modes))
+            modes, w, tail = _domain(replace(q, omega=table))
+            modes, K, ok, _ = _dfs(modes, w, w, tail, q.r + 2, thrs[0],
+                                   q.node_cap)
+            complete = complete and ok
             wv = table.vector(modes)
         div = K @ wv
         for gi, thr in enumerate(thrs):
-            live = np.abs(div) < thr
-            # exactly-rounded recheck where the dot product is borderline
-            near = np.abs(np.abs(div) - thr) < 1e-10 * (1.0 + thr)
-            for ri in np.nonzero(near)[0]:
-                nz = np.flatnonzero(K[ri])
-                live[ri] = abs(math.fsum(wv[nz] * K[ri, nz])) < thr
+            live = _below(div, K, wv, thr, q.r + 2)
             if not live.any():
                 continue
             tags = classify_rows(K[live], modes, _measure_rules(

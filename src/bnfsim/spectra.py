@@ -13,14 +13,13 @@ periodic spectrum of the even potential on the circle.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .modes import as_mode, lattice_modes, mode_abs, mode_str
+from .modes import as_mode, lattice_modes, mode_abs
 
 NLW_PERIODIC = "nlw_periodic"
 NLS_COSINE = "nls_cosine"
@@ -382,28 +381,3 @@ def eigenvalue_derivative_check(potential, j: int, k: int, bc: str = "dirichlet"
     if k == 2 * j:
         lead = -0.5 if bc == "dirichlet" else 0.5
     return DerivativeCheck(j, k, bc, fd, lead, abs(fd - lead), step)
-
-
-# -- CSV exports --------------------------------------------------------
-
-
-def write_frequency_csv(table: FrequencyTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "j", "lambda", "omega"])
-        for j in table.modes():
-            lam = table.lam.get(j, "")
-            w.writerow([table.model, mode_str(j),
-                        repr(lam) if lam != "" else "",
-                        repr(table.omega[j])])
-
-
-def write_potential_csv(sample: PotentialSample, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["family", "seed", "k", "v_k"])
-        for k in sorted(sample.coeffs):
-            w.writerow([sample.family, sample.seed, mode_str(k),
-                        repr(sample.coeffs[k])])
-        if sample.mass:
-            w.writerow([sample.family, sample.seed, "mass", repr(sample.mass)])

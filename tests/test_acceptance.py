@@ -386,7 +386,7 @@ def test_criterion_09_pattern_theorems():
     z[(-3,)] = 0.04
     nz = norm_s(z, 1.0)
     z = {m: v * eps / nz for m, v in z.items()}
-    traj = integrate(sysm.H, z, eps ** -2.0, 0.02, stride=20, layout=layout)
+    traj = integrate(sysm.H, z, eps ** -2.0, 0.02, stride=20)
     I0 = actions(traj.state_dict(0))
     dI = dJ = 0.0
     for i in range(len(traj.times)):

@@ -453,8 +453,7 @@ def test_batched_transport_matches_per_frame_reference():
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cli.stream_seed(0, "initial", 0), spawn_key=(0,)))
     z0 = dynamics.initial_state(layout, 0.1, 4.0, rng)
-    traj = dynamics.integrate(system, z0, 20.0, 0.01, stride=50,
-                              layout=layout)
+    traj = dynamics.integrate(system, z0, 20.0, 0.01, stride=50)
     frames = np.array(traj.states)
     assert frames.shape == (41, 6)
     got = B.apply_transport(plan, frames)

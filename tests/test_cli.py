@@ -265,6 +265,52 @@ def test_drift_s1_must_be_a_number(tmp_path, capsys):
     assert "s1: expected a number" in capsys.readouterr().err
 
 
+MEASURE = [
+    'potential.family = "convolution_d"',
+    'potential.params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}',
+    "jmax = 2", "r = 3", "N = 2", "gamma = 0.01", "resonance.samples = 30",
+]
+
+
+@pytest.mark.parametrize("command,key", [
+    ("drift-experiment", "seed"),
+    ("drift-experiment", "integrator.stride"),
+    ("drift-experiment", "experiment.seeds"),
+    ("drift-experiment", "experiment.r"),
+    ("simulate", "integrator.stride"),
+    ("normalize", "r_star"),
+    ("scan-resonances", "r"),
+    ("scan-resonances", "node_cap"),
+    ("measure-estimate", "resonance.samples"),
+    ("measure-estimate", "node_cap"),
+])
+@pytest.mark.parametrize("value", ["abc", "2.7", "true"])
+def test_integer_keys_must_be_integers(tmp_path, capsys, command, key,
+                                       value):
+    extra = ("--set", "%s=%s" % (key, value))
+    if command == "drift-experiment":
+        argv = drift_argv(tmp_path, str(tmp_path / "out"), extra)
+    else:
+        p = write_cfg(tmp_path / "i.cfg", MEASURE if command ==
+                      "measure-estimate" else DEMO + ["T = 0.1"])
+        argv = [command, p, "--out", str(tmp_path / "out"), *extra]
+    assert cli.main(argv) == 2
+    assert "%s: expected an integer" % key in capsys.readouterr().err
+
+
+def test_search_order_beyond_int8_exits_2(tmp_path, capsys):
+    # candidate rows are int8: the order r + 2 may not pass 127
+    out = str(tmp_path / "out")
+    p = write_cfg(tmp_path / "o.cfg", DEMO)
+    assert cli.main(["scan-resonances", p, "--out", out,
+                     "--set", "r=126"]) == 2
+    assert "r: must be in 1..125" in capsys.readouterr().err
+    p = write_cfg(tmp_path / "m.cfg", MEASURE)
+    assert cli.main(["measure-estimate", p, "--out", out,
+                     "--set", "r=126"]) == 2
+    assert "r: must be in 1..125" in capsys.readouterr().err
+
+
 def test_unknown_initial_profile_exits_2(tmp_path, capsys):
     out = str(tmp_path / "out")
     bogus = ("--set", 'experiment.profile="bogus"')

@@ -322,15 +322,15 @@ def test_integrate_system_matches_polynomial():
                                      potential=NLS_POTENTIAL)
     z0 = D.initial_state(sys1.modes(), 0.2, 4.0,
                          np.random.default_rng(np.random.SeedSequence(5)))
-    quad = D.integrate(sys1, z0, 2.0, 0.01, stride=20, layout=sys1.modes())
-    table = D.integrate(sys1.H, z0, 2.0, 0.01, stride=20,
-                        layout=sys1.modes())
+    quad = D.integrate(sys1, z0, 2.0, 0.01, stride=20)
+    table = D.integrate(sys1.H, z0, 2.0, 0.01, stride=20)
     assert quad.times == table.times
     assert np.max(np.abs(np.array(quad.states) - np.array(table.states))) \
         <= 1e-10
     assert quad.energies == pytest.approx(table.energies, rel=1e-12)
-    with pytest.raises(ValueError, match="layout"):
-        D.integrate(sys1, z0, 0.1, 0.01, layout=sys1.modes() + [(10,)])
+    # a system integrates on its own modes only
+    with pytest.raises(ValueError, match="z0"):
+        D.integrate(sys1, {**z0, (10,): 0.1}, 0.1, 0.01)
 
 
 def test_integrate_stride_and_validation():

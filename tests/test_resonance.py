@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -33,6 +34,14 @@ def test_query_validation():
         R.DivisorQuery(t, r=1, N=4, gamma=1.0, alpha=1.0, jmax=2)
 
 
+def test_query_order_fits_int8_rows():
+    t = table_1d({1: 1.0})
+    assert R.DivisorQuery(t, r=125, N=1, gamma=1.0, alpha=1.0, jmax=1)
+    for r in (0, 126):
+        with pytest.raises(ValueError, match="r: must be in 1..125"):
+            R.DivisorQuery(t, r=r, N=1, gamma=1.0, alpha=1.0, jmax=1)
+
+
 def test_integer_spectrum_contains_exact_resonance():
     t = table_1d({j: float(j) for j in range(1, 6)})
     q = R.DivisorQuery(t, r=1, N=5, gamma=0.5, alpha=1.0, jmax=5)
@@ -52,6 +61,20 @@ def test_wild_spectrum_empty():
     q = R.DivisorQuery(t, r=2, N=3, gamma=1e-3, alpha=1.0, jmax=3)
     assert R.enumerate_near_resonances(q).hits == []
     assert R.enumerate_brute_force(q).hits == []
+
+
+def test_borderline_divisor_is_decided_exactly():
+    # summed in some orders 0.1 + 0.3 - 0.4 reads 5.55e-17, above the
+    # threshold 4e-17 (the product K @ w does so for this row with numpy's
+    # default BLAS); the exactly-rounded value 2.78e-17 is below it
+    t = table_1d({1: 0.1, 2: 0.3, 3: 0.4, 4: 0.5})
+    q = R.DivisorQuery(t, r=1, N=1, gamma=4e-17, alpha=1.0, jmax=4)
+    assert abs((0.1 - 0.4) + 0.3) > q.threshold
+    res = R.enumerate_near_resonances(q)
+    hit = {h.key(): h for h in res.hits}[(((1,), 1), ((2,), 1), ((3,), -1))]
+    assert hit.value == R.omega_dot(t, hit.k) == math.fsum([0.1, 0.3, -0.4])
+    assert abs(hit.value) < q.threshold
+    assert res.complete and res.keys() == R.enumerate_brute_force(q).keys()
 
 
 def test_pruned_equals_brute_force_1d():
@@ -367,6 +390,12 @@ def test_matrix_classifier_matches_definitions_on_convolution_scan():
     q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
     modes, K, complete = R._convolution_candidates(params, q, 1e-2)
     assert complete and K.shape == (8424, len(modes))
+    # the columns, the rows and their search order, as the list-building
+    # search gave them
+    assert modes == [(-2, 0), (0, -2), (0, 2), (2, 0), (-1, -1), (-1, 1),
+                     (1, -1), (1, 1), (-1, 0), (0, -1), (0, 1), (1, 0), (0, 0)]
+    assert hashlib.sha256(K.astype(np.int8).tobytes()).hexdigest() == \
+        "082cf6869bfb6ae61b38207dc117c2f0845805baaba52327719f1dcea1c4f68b"
     shell = {"N": 2, "alpha": 1.0, "m_decay": 2.0}
     cutoff = 2 ** math.sqrt(0.5)
     rules = [(R.PATTERN_SHELL, cutoff), (R.PATTERN_PAIR_TAIL, 0.0)]

@@ -144,20 +144,3 @@ def test_eigenvalue_derivative_fd_converges():
     e2 = abs(r2.fd_derivative - ref.fd_derivative)
     if e1 > 1e-12:
         assert e2 <= e1 / 2.5
-
-
-def test_csv_exports(tmp_path):
-    samp = S.sample_potential("nls_cosine", {"R": 0.2, "sigma": 1.0, "kmax": 6}, seed=5)
-    res = S.sturm_liouville(samp, "dirichlet", jmax=6)
-    table = S.nlw_frequencies({j + 1: float(res.lams[j]) for j in range(6)}, mass=0.5)
-    p1 = tmp_path / "freqs.csv"
-    p2 = tmp_path / "potential.csv"
-    S.write_frequency_csv(table, p1)
-    S.write_potential_csv(samp, p2)
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "model,j,lambda,omega"
-    assert len(lines) == 7
-    # round-trip precision: repr floats parse back exactly
-    row = lines[1].split(",")
-    assert float(row[3]) == table.omega_of(1)
-    assert p2.read_text().splitlines()[0] == "family,seed,k,v_k"
