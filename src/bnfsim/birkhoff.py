@@ -183,10 +183,7 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
             chi_t[mono] = complex(c) / (1j * div)
     chi = Polynomial(chi_t)
     z = Polynomial(z_t)
-    support = set()
-    for mono in f.terms:
-        support |= mono.modes()
-    h0 = quadratic_diagonal({m: omega.omega_of(m) for m in support})
+    h0 = quadratic_diagonal({m: omega.omega_of(m) for m in f.modes()})
     residual = (poisson_bracket(h0, chi) + z - f).l1()
     if residual > 1e-12 * max(f.l1(), 1e-300):
         raise ArithmeticError("homological residual %.3e exceeds tolerance"
@@ -362,11 +359,8 @@ def transport_plan(generators: Sequence[Polynomial], modes,
                    ) -> TransportPlan:
     if direction not in ("forward", "inverse"):
         raise ValueError("direction: forward or inverse")
-    all_modes = {as_mode(m) for m in modes}
-    for chi in generators:
-        for mono in chi.terms:
-            all_modes |= mono.modes()
-    layout = sorted(all_modes)
+    layout = sorted({as_mode(m) for m in modes}.union(
+        *(chi.modes() for chi in generators)))
     if direction == "forward":
         seq, sign = list(reversed(generators)), 1.0
     else:

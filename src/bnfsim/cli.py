@@ -6,7 +6,8 @@ lines and `#` comments are ignored.  `--set key=value` overrides any key
 from the command line.  The flat key schema:
 
     model                  one of the names in dynamics.MODELS
-    d, jmax, kappa, mass   model-builder knobs (only the ones the model takes)
+    d, jmax, kappa, mass   model-builder knobs (only the ones the model takes;
+                           jmax is an integer, for nls_dd a radius)
     basis_size, quad_n     spectral resolution overrides
     r_star, gamma, alpha   normal-form parameters; N = "auto" or an int
     N, s, mode             (mode: degree_by_degree | block)
@@ -31,8 +32,12 @@ with identical resolved config are bit-reproducible; every subcommand
 records the resolved config and its sha256 in manifest.json next to its
 artifacts, keyed by subcommand so reports can sit in the same directory.
 
-Exit codes: 0 success, 1 compute failure (partial artifacts are flagged in
-the manifest), 2 validation failure with a message naming the field.
+Every value is read by `read` as one kind: a number, an integer (2.0 reads
+as 2), a non-empty list of numbers (the eps and gamma grids), a JSON object
+(potential.params, potential.coeffs) or one of a tuple of allowed values; a
+null value counts as unset.  Exit codes: 0 success, 1 compute failure
+(partial artifacts are flagged in the manifest), 2 validation failure with a
+message naming the field.
 """
 
 import argparse
@@ -60,6 +65,7 @@ from .resonance import (DEFAULT_NODE_CAP, DivisorQuery,
 from .spectra import FAMILIES, PotentialSample, sample_potential
 
 STREAMS = {"potential": 0, "initial": 1, "monte_carlo": 2}
+PROFILES = ("sobolev", "flat")
 INCOMPLETE = "warning: node budget hit, enumeration incomplete"
 
 
@@ -104,37 +110,44 @@ def apply_overrides(cfg: dict, sets: List[str]) -> None:
         cfg[key.strip()] = parse_value(val)
 
 
-def require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError("%s: required" % key)
-    return cfg[key]
-
-
 _REQUIRED = object()
+NUMBER, INTEGER = "a number", "an integer"
+NUMBERS, OBJECT = "a non-empty list of numbers", "a JSON object"
 
 
-def number(cfg: dict, key: str, default=_REQUIRED) -> float:
-    v = require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError("%s: expected a number" % key)
-    return float(v)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def integer(cfg: dict, key: str, default=_REQUIRED) -> int:
-    v = require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
-    if isinstance(v, float) and v.is_integer():
+def read(cfg: dict, key: str, kind, default=_REQUIRED):
+    """cfg[key] checked as `kind`, the one reader of config values.
+
+    A kind is NUMBER (read as a float), INTEGER (2.0 reads as 2), NUMBERS
+    (a list of floats), OBJECT (a dict) or a tuple of allowed values.  A
+    missing or null key gives `default` as it is; without one it is an
+    error.  Every failure is a ConfigError that names the key.
+    """
+    v = cfg.get(key)
+    if v is None:
+        if default is _REQUIRED:
+            raise ConfigError("%s: required" % key)
+        return default
+    if isinstance(kind, tuple):
+        if v not in kind:
+            raise ConfigError("%s: expected one of %s, got %r"
+                              % (key, ", ".join(kind), v))
+        return v
+    if kind == INTEGER and isinstance(v, float) and v.is_integer():
         v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError("%s: expected an integer" % key)
-    return v
-
-
-def initial_profile(cfg: dict) -> str:
-    profile = cfg.get("experiment.profile", "sobolev")
-    if profile not in ("sobolev", "flat"):
-        raise ConfigError("experiment.profile: expected sobolev or flat, "
-                          "got %r" % (profile,))
-    return profile
+    ok = {NUMBER: _is_number(v),
+          INTEGER: isinstance(v, int) and not isinstance(v, bool),
+          NUMBERS: isinstance(v, list) and v and all(map(_is_number, v)),
+          OBJECT: isinstance(v, dict)}[kind]
+    if not ok:
+        raise ConfigError("%s: expected %s" % (key, kind))
+    if kind == NUMBER:
+        return float(v)
+    return [float(e) for e in v] if kind == NUMBERS else v
 
 
 def stream_seed(seed: int, stream: str, index: int = 0) -> int:
@@ -147,58 +160,52 @@ def stream_seed(seed: int, stream: str, index: int = 0) -> int:
 # -- model assembly -------------------------------------------------------
 
 
-def _parse_coeff_key(key: str):
-    if "," in str(key):
-        return tuple(int(p) for p in str(key).split(","))
-    return int(key)
+def _coeffs(raw: dict) -> dict:
+    """Explicit coefficients {"3": v} (1-d) or {"1,0": v} (lattice)."""
+    try:
+        return {(tuple(int(p) for p in k.split(",")) if "," in k else int(k)):
+                read(raw, k, NUMBER) for k in raw}
+    except ValueError as exc:
+        raise ConfigError("potential.coeffs: %s" % exc)
 
 
 def resolve_potential(cfg: dict, seed: int, index: int = 0):
     """None, an explicit coefficient dict, or a sampled PotentialSample."""
-    family = cfg.get("potential.family", "none")
-    if family in (None, "none"):
+    family = read(cfg, "potential.family", ("none", "explicit") + FAMILIES,
+                  "none")
+    if family == "none":
         return None
     if family == "explicit":
-        raw = cfg.get("potential.coeffs", {})
-        if not isinstance(raw, dict):
-            raise ConfigError("potential.coeffs: expected a JSON object")
-        coeffs = {_parse_coeff_key(k): float(v) for k, v in raw.items()}
+        coeffs = _coeffs(read(cfg, "potential.coeffs", OBJECT, {}))
         if cfg.get("model") == "nls_dd":
             return PotentialSample("convolution_d", {}, 0, coeffs, 0.0)
         return coeffs
-    if family not in FAMILIES:
-        raise ConfigError("potential.family: unknown %r" % family)
-    params = cfg.get("potential.params")
-    if not isinstance(params, dict):
-        raise ConfigError("potential.params: required")
-    pseed = cfg.get("potential.seed")
-    if pseed is None:
-        pseed = stream_seed(seed, "potential", index)
-    return sample_potential(family, dict(params), int(pseed))
+    params = read(cfg, "potential.params", OBJECT)
+    pseed = read(cfg, "potential.seed", INTEGER,
+                 stream_seed(seed, "potential", index))
+    try:
+        return sample_potential(family, dict(params), pseed)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
+_ONE_D = {"jmax": INTEGER, "kappa": NUMBER, "basis_size": INTEGER,
+          "quad_n": INTEGER}
 _MODEL_KEYS = {
-    "demo_2mode": ("kappa",),
-    "nls1d_dirichlet": ("jmax", "kappa", "basis_size", "quad_n"),
-    "nlw_dirichlet": ("jmax", "kappa", "mass", "basis_size", "quad_n"),
-    "nlw_periodic": ("jmax", "kappa", "mass", "basis_size", "quad_n"),
-    "nls_coupled": ("jmax", "kappa", "basis_size", "quad_n"),
-    "nls_dd": ("d", "jmax", "kappa"),
+    "demo_2mode": {"kappa": NUMBER},
+    "nls1d_dirichlet": _ONE_D,
+    "nlw_dirichlet": dict(_ONE_D, mass=NUMBER),
+    "nlw_periodic": dict(_ONE_D, mass=NUMBER),
+    "nls_coupled": _ONE_D,
+    "nls_dd": {"d": INTEGER, "jmax": NUMBER, "kappa": NUMBER},
 }
 
 
 def build_system(cfg: dict, seed: int) -> ModelSystem:
-    model = require(cfg, "model")
-    if model not in MODELS:
-        raise ConfigError("model: unknown %r (choose from %s)"
-                          % (model, ", ".join(MODELS)))
-    kwargs = {}
-    for key in _MODEL_KEYS[model]:
-        if key in cfg:
-            v = cfg[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError("%s: expected a number" % key)
-            kwargs[key] = v
+    model = read(cfg, "model", MODELS)
+    kwargs = {key: read(cfg, key, kind)
+              for key, kind in _MODEL_KEYS[model].items()
+              if cfg.get(key) is not None}
     if model == "nls_coupled":
         # two fields: independent draws off the potential stream
         kwargs["potential1"] = resolve_potential(cfg, seed, 0)
@@ -210,39 +217,23 @@ def build_system(cfg: dict, seed: int) -> ModelSystem:
     return build_model_hamiltonian(model, **kwargs)
 
 
-def nf_params(cfg: dict) -> NormalFormParams:
-    r_star = integer(cfg, "r_star")
-    gamma = number(cfg, "gamma")
-    alpha = number(cfg, "alpha", 1.0)
-    n = cfg.get("N", AUTO)
-    if n != AUTO:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigError("N: expected an integer or \"auto\"")
-    s = number(cfg, "s", 4.0)
-    mode = cfg.get("mode", DEGREE_BY_DEGREE)
-    try:
-        return NormalFormParams(r_star=r_star, gamma=gamma, alpha=alpha,
-                                N=n, s=s, mode=mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def amplitude_of(cfg: dict) -> Optional[float]:
-    if "eps" in cfg:
-        return number(cfg, "eps")
-    eps_list = cfg.get("experiment.eps_list")
-    if eps_list:
-        return max(float(e) for e in eps_list)
-    return None
-
-
 def resolved_params(cfg: dict) -> NormalFormParams:
-    params = nf_params(cfg)
-    amp = amplitude_of(cfg)
-    if params.N == AUTO and amp is None:
+    """Normal-form parameters, N = auto resolved at the largest amplitude."""
+    given = dict(r_star=read(cfg, "r_star", INTEGER),
+                 gamma=read(cfg, "gamma", NUMBER),
+                 alpha=read(cfg, "alpha", NUMBER, 1.0),
+                 N=AUTO if cfg.get("N") == AUTO
+                 else read(cfg, "N", INTEGER, AUTO),
+                 s=read(cfg, "s", NUMBER, 4.0),
+                 mode=cfg.get("mode", DEGREE_BY_DEGREE))
+    amp = read(cfg, "eps", NUMBER, None)
+    eps_list = read(cfg, "experiment.eps_list", NUMBERS, None)
+    if amp is None and eps_list is not None:
+        amp = max(eps_list)
+    if given["N"] == AUTO and amp is None:
         raise ConfigError("eps: required to resolve N = auto")
     try:
-        return params.resolved(amp)
+        return NormalFormParams(**given).resolved(amp)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -256,7 +247,7 @@ def run_normalize(cfg: dict, system: ModelSystem) -> NormalFormResult:
 
 
 def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
-    seed = integer(cfg, "seed", 0)
+    seed = read(cfg, "seed", INTEGER, 0)
     res = run_normalize(cfg, build_system(cfg, seed))
     pr = res.params
     doc = {
@@ -283,18 +274,18 @@ def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
-    seed = integer(cfg, "seed", 0)
+    seed = read(cfg, "seed", INTEGER, 0)
     system = build_system(cfg, seed)
     params = resolved_params(cfg)
-    r = integer(cfg, "r", params.r_star)
-    jmax = cfg.get("jmax")
+    r = read(cfg, "r", INTEGER, params.r_star)
+    jmax = read(cfg, "jmax", NUMBER, None)
     if jmax is None:
         jmax = max(mode_abs(m) for m in system.table.modes())
+    node_cap = read(cfg, "node_cap", INTEGER, DEFAULT_NODE_CAP)
     try:
         q = DivisorQuery(omega=system.table, r=r, N=params.N,
-                         gamma=params.gamma, alpha=params.alpha,
-                         jmax=float(jmax),
-                         node_cap=integer(cfg, "node_cap", DEFAULT_NODE_CAP))
+                         gamma=params.gamma, alpha=params.alpha, jmax=jmax,
+                         node_cap=node_cap)
     except ValueError as exc:
         raise ConfigError(str(exc))
     res = enumerate_near_resonances(q)
@@ -307,24 +298,20 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
-    seed = integer(cfg, "seed", 0)
-    family = require(cfg, "potential.family")
-    if family not in FAMILIES:
-        raise ConfigError("potential.family: unknown %r" % family)
-    params = cfg.get("potential.params")
-    if not isinstance(params, dict):
-        raise ConfigError("potential.params: required")
-    gamma = number(cfg, "gamma")
-    gammas = [float(g) for g in cfg.get("resonance.gammas", [gamma])]
-    samples = integer(cfg, "resonance.samples", 100)
-    r = integer(cfg, "r", integer(cfg, "r_star", 3))
-    if cfg.get("N") == AUTO:
-        raise ConfigError("N: explicit integer required for measure scans")
+    seed = read(cfg, "seed", INTEGER, 0)
+    family = read(cfg, "potential.family", FAMILIES)
+    params = read(cfg, "potential.params", OBJECT)
+    gamma = read(cfg, "gamma", NUMBER)
+    gammas = read(cfg, "resonance.gammas", NUMBERS, [gamma])
+    samples = read(cfg, "resonance.samples", INTEGER, 100)
+    r = read(cfg, "r", INTEGER, read(cfg, "r_star", INTEGER, 3))
+    n = read(cfg, "N", INTEGER, 2)
+    alpha = read(cfg, "alpha", NUMBER, 1.0)
+    jmax = read(cfg, "jmax", NUMBER)
+    node_cap = read(cfg, "node_cap", INTEGER, DEFAULT_NODE_CAP)
     try:
-        q = DivisorQuery(omega=None, r=r, N=integer(cfg, "N", 2),
-                         gamma=gamma, alpha=number(cfg, "alpha", 1.0),
-                         jmax=number(cfg, "jmax"),
-                         node_cap=integer(cfg, "node_cap", DEFAULT_NODE_CAP))
+        q = DivisorQuery(omega=None, r=r, N=n, gamma=gamma, alpha=alpha,
+                         jmax=jmax, node_cap=node_cap)
         estimates = measure_scan(family, dict(params), q, gammas, samples,
                                  stream_seed(seed, "monte_carlo"))
     except ValueError as exc:
@@ -340,15 +327,15 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
-    seed = integer(cfg, "seed", 0)
+    seed = read(cfg, "seed", INTEGER, 0)
     system = build_system(cfg, seed)
-    eps = number(cfg, "eps")
-    horizon = number(cfg, "T")
-    dt = number(cfg, "integrator.dt", 0.01)
-    tol = number(cfg, "integrator.tol", 1e-12)
-    stride = integer(cfg, "integrator.stride", 10)
-    s = number(cfg, "s", 4.0)
-    profile = initial_profile(cfg)
+    eps = read(cfg, "eps", NUMBER)
+    horizon = read(cfg, "T", NUMBER)
+    dt = read(cfg, "integrator.dt", NUMBER, 0.01)
+    tol = read(cfg, "integrator.tol", NUMBER, 1e-12)
+    stride = read(cfg, "integrator.stride", INTEGER, 10)
+    s = read(cfg, "s", NUMBER, 4.0)
+    profile = read(cfg, "experiment.profile", PROFILES, "sobolev")
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(STREAMS["initial"], 0)))
     z0 = initial_state(system.modes(), eps, s, rng, profile)
@@ -363,16 +350,14 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
-    seed = integer(cfg, "seed", 0)
+    seed = read(cfg, "seed", INTEGER, 0)
     system = build_system(cfg, seed)
-    eps_list = [float(e) for e in require(cfg, "experiment.eps_list")]
-    if not eps_list:
-        raise ConfigError("experiment.eps_list: must be non-empty")
-    nseeds = integer(cfg, "experiment.seeds", 2)
-    r = integer(cfg, "experiment.r", integer(cfg, "r_star", 2))
-    s = number(cfg, "s", 4.0)
-    s1 = number(cfg, "s1", s)
-    profile = initial_profile(cfg)
+    eps_list = read(cfg, "experiment.eps_list", NUMBERS)
+    nseeds = read(cfg, "experiment.seeds", INTEGER, 2)
+    r = read(cfg, "experiment.r", INTEGER, read(cfg, "r_star", INTEGER, 2))
+    s = read(cfg, "s", NUMBER, 4.0)
+    s1 = read(cfg, "s1", NUMBER, s)
+    profile = read(cfg, "experiment.profile", PROFILES, "sobolev")
     nf = None
     if "gamma" in cfg and "r_star" in cfg:
         nf = run_normalize(cfg, system)
@@ -383,11 +368,11 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     rows = drift_experiment(
         system, nf, eps_list, seeds, r,
         s=s,
-        c=number(cfg, "experiment.c", 1.0),
-        dt=number(cfg, "integrator.dt", 0.01),
-        stride=integer(cfg, "integrator.stride", 10),
+        c=read(cfg, "experiment.c", NUMBER, 1.0),
+        dt=read(cfg, "integrator.dt", NUMBER, 0.01),
+        stride=read(cfg, "integrator.stride", INTEGER, 10),
         s1=s1,
-        tol=number(cfg, "integrator.tol", 1e-12),
+        tol=read(cfg, "integrator.tol", NUMBER, 1e-12),
         profile=profile)
     write_drift_csv(rows, os.path.join(outdir, "drift.csv"))
     nesc = sum(1 for row in rows if row.escaped)

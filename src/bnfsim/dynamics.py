@@ -357,10 +357,7 @@ def hamiltonian_flow_field(H: Polynomial, state: dict) -> dict:
     if defect > 1e-10 * max(1.0, H.l1()):
         raise ValueError("H: not real-flagged (defect %.3e)" % defect)
     z = {as_mode(m): complex(v) for m, v in state.items()}
-    modes = set(z)
-    for mono in H.terms:
-        modes |= mono.modes()
-    layout = sorted(modes)
+    layout = sorted(set(z) | H.modes())
     table = eta_gradient_table(H, layout)
     x = np.array([z.get(m, 0.0) for m in layout], dtype=complex)
     dot = -1j * table.eval(x)
@@ -462,10 +459,7 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
                              % sorted(foreign))
         omv, nl, ht = H.flow_parts
     else:
-        modes = set(z)
-        for mono in H.terms:
-            modes |= mono.modes()
-        layout = sorted(modes)
+        layout = sorted(set(z) | H.modes())
         omv, rest = _split_linear(H, layout)
         nl = eta_gradient_table(rest, layout)
         ht = value_table(H, layout)

@@ -163,6 +163,10 @@ class Polynomial:
     def degrees(self) -> list:
         return sorted({m.degree for m in self.terms})
 
+    def modes(self) -> set:
+        """Every mode that some term carries in xi or eta."""
+        return set().union(*(m.modes() for m in self.terms))
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

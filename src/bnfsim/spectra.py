@@ -48,10 +48,22 @@ class PotentialSample:
 
     def envelope(self, k) -> float:
         """Bound guaranteed for |v_k| by the family's envelope."""
-        r = self.params["R"]
+        p = self.params
+        r = _param(p, "R")
         if self.family == CONVOLUTION_D:
-            return 0.5 * r / (1.0 + mode_abs(k)) ** self.params["decay"]
-        return 0.5 * r * math.exp(-self.params["sigma"] * abs(k))
+            return 0.5 * r / (1.0 + mode_abs(k)) ** _param(p, "decay")
+        return 0.5 * r * math.exp(-_param(p, "sigma") * abs(k))
+
+
+def _param(params: dict, name: str, kind=float):
+    """One sampling parameter; a ValueError names it."""
+    if name not in params:
+        raise ValueError("potential.params: %s required" % name)
+    try:
+        return kind(params[name])
+    except (TypeError, ValueError):
+        raise ValueError("potential.params: %s expected a number"
+                         % name) from None
 
 
 def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
@@ -66,11 +78,11 @@ def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
     if family not in FAMILIES:
         raise ValueError("unknown potential family %r" % family)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    r = float(params["R"])
+    r = _param(params, "R")
     if family == CONVOLUTION_D:
-        d = int(params["d"])
-        kmax = int(params["kmax"])
-        decay = float(params["decay"])
+        d = _param(params, "d", int)
+        kmax = _param(params, "kmax", int)
+        decay = _param(params, "decay")
         coeffs = {}
         for k in lattice_modes(d, kmax):
             if k in coeffs:
@@ -80,8 +92,8 @@ def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
             coeffs[k] = v
             coeffs[tuple(-c for c in k)] = v
         return PotentialSample(family, dict(params), seed, coeffs)
-    sigma = float(params["sigma"])
-    kmax = int(params["kmax"])
+    sigma = _param(params, "sigma")
+    kmax = _param(params, "kmax", int)
     coeffs = {}
     for k in range(1, kmax + 1):
         u = rng.uniform(-0.5, 0.5)
@@ -123,15 +135,11 @@ def _neumann_matrix(coeffs: Dict[int, float], m: int) -> np.ndarray:
     h = np.zeros((m, m))
     idx = np.arange(m)
     h[np.diag_indices(m)] = idx.astype(float) ** 2
-
-    def overlap(a: int, b: int) -> float:
-        # integral over (0,pi) of cos(ax)cos(bx), with the basis norms folded in
-        if a != b:
-            return 0.0
-        return math.pi if a == 0 else math.pi / 2
-
     norms = np.full(m, math.sqrt(2.0 / math.pi))
     norms[0] = math.sqrt(1.0 / math.pi)
+    # sq[n] = integral over (0, pi) of cos(nx)^2
+    sq = np.full(m, math.pi / 2)
+    sq[0] = math.pi
     for k, v in coeffs.items():
         if k == 0:
             h[np.diag_indices(m)] += v
@@ -139,7 +147,7 @@ def _neumann_matrix(coeffs: Dict[int, float], m: int) -> np.ndarray:
         for n in range(m):
             for target in (n + k, abs(n - k)):
                 if target < m:
-                    h[target, n] += v * 0.5 * norms[target] * norms[n] * overlap(target, target)
+                    h[target, n] += v * 0.5 * norms[target] * norms[n] * sq[target]
     return 0.5 * (h + h.T)
 
 
@@ -227,7 +235,6 @@ class FrequencyTable:
     """Mode -> frequency map with the spectral data it came from."""
     model: str
     omega: dict
-    lam: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def modes(self) -> list:
@@ -242,15 +249,13 @@ class FrequencyTable:
 
 def nlw_frequencies(lams: dict, mass: float, model: str = "nlw") -> FrequencyTable:
     """omega_j = sqrt(lambda_j + m); rejects non-positive arguments."""
-    omega, lam = {}, {}
+    omega = {}
     for j, l in lams.items():
         v = l + mass
         if v <= 0:
             raise SpectralError("lambda_%s + m = %g <= 0, omega undefined" % (j, v))
-        jm = as_mode(j)
-        omega[jm] = math.sqrt(v)
-        lam[jm] = l
-    return FrequencyTable(model, omega, lam, {"mass": mass})
+        omega[as_mode(j)] = math.sqrt(v)
+    return FrequencyTable(model, omega, {"mass": mass})
 
 
 def periodic_nlw_table(sample: PotentialSample, jmax: int,

@@ -298,6 +298,46 @@ def test_integer_keys_must_be_integers(tmp_path, capsys, command, key,
     assert "%s: expected an integer" % key in capsys.readouterr().err
 
 
+NLS1D = [
+    'model = "nls1d_dirichlet"', "jmax = 4", "kappa = 0.25",
+    'potential.family = "nls_cosine"',
+    'potential.params = {"R": 0.5, "sigma": 0.4, "kmax": 9}',
+    "r_star = 2", "gamma = 0.002", "N = 3", "s = 4.0",
+]
+EXPLICIT = 'potential.family="explicit"'
+NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
+
+
+@pytest.mark.parametrize("command,sets,key", [
+    ("normalize", ["jmax=6.5"], "jmax"),
+    ("normalize", ["potential.seed=2.7"], "potential.seed"),
+    ("normalize", ['potential.seed="abc"'], "potential.seed"),
+    ("drift-experiment", ['experiment.eps_list=["a"]'],
+     "experiment.eps_list"),
+    ("drift-experiment", ["experiment.eps_list=0.1"], "experiment.eps_list"),
+    ("measure-estimate", ['resonance.gammas=["x"]'], "resonance.gammas"),
+    ("normalize", [EXPLICIT, 'potential.coeffs={"x": 0.5}'],
+     "potential.coeffs"),
+    ("normalize", [EXPLICIT, 'potential.coeffs={"2": "a"}'],
+     "potential.coeffs"),
+    ("normalize", [NO_R], "potential.params"),
+    ("measure-estimate", [NO_R], "potential.params"),
+    ("normalize", ['potential.params={"R": "x", "sigma": 0.4, "kmax": 9}'],
+     "potential.params"),
+])
+def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
+                                          key):
+    extra = [a for s in sets for a in ("--set", s)]
+    if command == "drift-experiment":
+        argv = drift_argv(tmp_path, str(tmp_path / "out"), extra)
+    else:
+        p = write_cfg(tmp_path / "v.cfg", MEASURE if command ==
+                      "measure-estimate" else NLS1D)
+        argv = [command, p, "--out", str(tmp_path / "out"), *extra]
+    assert cli.main(argv) == 2
+    assert "bnfsim: %s:" % key in capsys.readouterr().err
+
+
 def test_search_order_beyond_int8_exits_2(tmp_path, capsys):
     # candidate rows are int8: the order r + 2 may not pass 127
     out = str(tmp_path / "out")
@@ -319,3 +359,4 @@ def test_unknown_initial_profile_exits_2(tmp_path, capsys):
                  drift_argv(tmp_path, out, bogus)):
         assert cli.main(argv) == 2, argv
         assert "experiment.profile:" in capsys.readouterr().err
+
