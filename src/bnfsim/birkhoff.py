@@ -249,8 +249,7 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
     cap = params.degree_cap
     if P and P.min_degree() < 3:
         raise ValueError("P: minimum degree must be >= 3")
-    h0 = quadratic_diagonal({m: h0_freqs.omega_of(m)
-                             for m in h0_freqs.modes()})
+    h0 = quadratic_diagonal(h0_freqs.omega)
     zero_mom = P.is_zero_momentum()
     g = P.truncate_above(cap)
     z = zero()

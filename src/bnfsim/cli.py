@@ -33,11 +33,13 @@ records the resolved config and its sha256 in manifest.json next to its
 artifacts, keyed by subcommand so reports can sit in the same directory.
 
 Every value is read by `read` as one kind: a number, an integer (2.0 reads
-as 2), a non-empty list of numbers (the eps and gamma grids), a JSON object
-(potential.params, potential.coeffs) or one of a tuple of allowed values; a
-null value counts as unset.  Exit codes: 0 success, 1 compute failure
-(partial artifacts are flagged in the manifest), 2 validation failure with a
-message naming the field.
+as 2), a seed (an integer >= 0), a count (an integer >= 1: the experiment
+seeds, the frame stride and the model sizes), a non-empty list of numbers
+(the eps and gamma grids), a JSON object (potential.params,
+potential.coeffs) or one of a tuple of allowed values; a null value counts
+as unset.  Exit codes: 0 success, 1 compute failure (partial artifacts are
+flagged in the manifest), 2 validation failure with a message naming the
+field.
 """
 
 import argparse
@@ -112,6 +114,7 @@ def apply_overrides(cfg: dict, sets: List[str]) -> None:
 
 _REQUIRED = object()
 NUMBER, INTEGER = "a number", "an integer"
+SEED, COUNT = "an integer >= 0", "an integer >= 1"
 NUMBERS, OBJECT = "a non-empty list of numbers", "a JSON object"
 
 
@@ -122,10 +125,11 @@ def _is_number(v) -> bool:
 def read(cfg: dict, key: str, kind, default=_REQUIRED):
     """cfg[key] checked as `kind`, the one reader of config values.
 
-    A kind is NUMBER (read as a float), INTEGER (2.0 reads as 2), NUMBERS
-    (a list of floats), OBJECT (a dict) or a tuple of allowed values.  A
-    missing or null key gives `default` as it is; without one it is an
-    error.  Every failure is a ConfigError that names the key.
+    A kind is NUMBER (read as a float), INTEGER (2.0 reads as 2), SEED or
+    COUNT (an INTEGER >= 0 or >= 1), NUMBERS (a list of floats), OBJECT (a
+    dict) or a tuple of allowed values.  A missing or null key gives
+    `default` as it is; without one it is an error.  Every failure is a
+    ConfigError that names the key.
     """
     v = cfg.get(key)
     if v is None:
@@ -137,10 +141,14 @@ def read(cfg: dict, key: str, kind, default=_REQUIRED):
             raise ConfigError("%s: expected one of %s, got %r"
                               % (key, ", ".join(kind), v))
         return v
-    if kind == INTEGER and isinstance(v, float) and v.is_integer():
+    whole = kind in (INTEGER, SEED, COUNT)
+    if whole and isinstance(v, float) and v.is_integer():
         v = int(v)
+    integer = isinstance(v, int) and not isinstance(v, bool)
     ok = {NUMBER: _is_number(v),
-          INTEGER: isinstance(v, int) and not isinstance(v, bool),
+          INTEGER: integer,
+          SEED: integer and v >= 0,
+          COUNT: integer and v >= 1,
           NUMBERS: isinstance(v, list) and v and all(map(_is_number, v)),
           OBJECT: isinstance(v, dict)}[kind]
     if not ok:
@@ -181,7 +189,7 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
             return PotentialSample("convolution_d", {}, 0, coeffs, 0.0)
         return coeffs
     params = read(cfg, "potential.params", OBJECT)
-    pseed = read(cfg, "potential.seed", INTEGER,
+    pseed = read(cfg, "potential.seed", SEED,
                  stream_seed(seed, "potential", index))
     try:
         return sample_potential(family, dict(params), pseed)
@@ -189,15 +197,15 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
         raise ConfigError(str(exc))
 
 
-_ONE_D = {"jmax": INTEGER, "kappa": NUMBER, "basis_size": INTEGER,
-          "quad_n": INTEGER}
+_ONE_D = {"jmax": COUNT, "kappa": NUMBER, "basis_size": COUNT,
+          "quad_n": COUNT}
 _MODEL_KEYS = {
     "demo_2mode": {"kappa": NUMBER},
     "nls1d_dirichlet": _ONE_D,
     "nlw_dirichlet": dict(_ONE_D, mass=NUMBER),
     "nlw_periodic": dict(_ONE_D, mass=NUMBER),
     "nls_coupled": _ONE_D,
-    "nls_dd": {"d": INTEGER, "jmax": NUMBER, "kappa": NUMBER},
+    "nls_dd": {"d": COUNT, "jmax": NUMBER, "kappa": NUMBER},
 }
 
 
@@ -247,7 +255,7 @@ def run_normalize(cfg: dict, system: ModelSystem) -> NormalFormResult:
 
 
 def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", INTEGER, 0)
+    seed = read(cfg, "seed", SEED, 0)
     res = run_normalize(cfg, build_system(cfg, seed))
     pr = res.params
     doc = {
@@ -274,7 +282,7 @@ def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", INTEGER, 0)
+    seed = read(cfg, "seed", SEED, 0)
     system = build_system(cfg, seed)
     params = resolved_params(cfg)
     r = read(cfg, "r", INTEGER, params.r_star)
@@ -298,7 +306,7 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", INTEGER, 0)
+    seed = read(cfg, "seed", SEED, 0)
     family = read(cfg, "potential.family", FAMILIES)
     params = read(cfg, "potential.params", OBJECT)
     gamma = read(cfg, "gamma", NUMBER)
@@ -327,13 +335,13 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", INTEGER, 0)
+    seed = read(cfg, "seed", SEED, 0)
     system = build_system(cfg, seed)
     eps = read(cfg, "eps", NUMBER)
     horizon = read(cfg, "T", NUMBER)
     dt = read(cfg, "integrator.dt", NUMBER, 0.01)
     tol = read(cfg, "integrator.tol", NUMBER, 1e-12)
-    stride = read(cfg, "integrator.stride", INTEGER, 10)
+    stride = read(cfg, "integrator.stride", COUNT, 10)
     s = read(cfg, "s", NUMBER, 4.0)
     profile = read(cfg, "experiment.profile", PROFILES, "sobolev")
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -350,10 +358,10 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", INTEGER, 0)
+    seed = read(cfg, "seed", SEED, 0)
     system = build_system(cfg, seed)
     eps_list = read(cfg, "experiment.eps_list", NUMBERS)
-    nseeds = read(cfg, "experiment.seeds", INTEGER, 2)
+    nseeds = read(cfg, "experiment.seeds", COUNT, 2)
     r = read(cfg, "experiment.r", INTEGER, read(cfg, "r_star", INTEGER, 2))
     s = read(cfg, "s", NUMBER, 4.0)
     s1 = read(cfg, "s1", NUMBER, s)
@@ -370,7 +378,7 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
         s=s,
         c=read(cfg, "experiment.c", NUMBER, 1.0),
         dt=read(cfg, "integrator.dt", NUMBER, 0.01),
-        stride=read(cfg, "integrator.stride", INTEGER, 10),
+        stride=read(cfg, "integrator.stride", COUNT, 10),
         s1=s1,
         tol=read(cfg, "integrator.tol", NUMBER, 1e-12),
         profile=profile)

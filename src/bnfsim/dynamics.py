@@ -1,18 +1,19 @@
 """Truncated Hamiltonian flows, observables and drift experiments.
 
-Model Hamiltonians are assembled as H0 + P with H0 = sum omega_j xi_j eta_j
-and P a quartic computed by quadrature of basis-function products (wave
-models carry the (2 omega_j)^(-1/2) smoothing weight per leg, the 1-d NLS
-written in real canonical pairs carries sqrt(2) per field leg, complex-field
-models couple xi_k directly).  The flow convention is
+Every model is H0 + P.  H0 = sum omega_j xi_j eta_j comes from the model's
+frequency table; P is a quartic given once by (legs, w, scale): scale times
+the quadrature, grid weight w, of the product of four linear legs
+(`fields.Leg`).  Wave models carry the (2 omega_j)^(-1/2) smoothing weight
+per leg, the 1-d NLS written in real canonical pairs carries sqrt(2) per
+field leg, complex-field models couple xi_k directly.  The same (legs, w,
+scale) give the integrator its field evaluator (`fields.QuadratureField`),
+so only a bare polynomial is compiled into a `fields.FieldTable`.  The
+flow is
 
     d(xi_j)/dt = -i dH/d(eta_j)   on the real slice eta = conj(xi),
 
 integrated by the implicit midpoint rule, which is symplectic and needs no
-kinetic/potential splitting.  Each builder describes its quartic as four
-linear legs on a quadrature grid (`fields.Leg`); the same legs assemble P
-and give the integrator its field evaluator (`fields.QuadratureField`), so
-only a bare polynomial is compiled into a `fields.FieldTable`.
+kinetic/potential splitting.
 
 Observables: actions I_j = |xi_j|^2, pair actions J_j = I_j + I_{-j},
 shell actions J_M summed over |k|^2 = M, norm_s(z) = sqrt(sum_j w_s(j)
@@ -32,7 +33,7 @@ import numpy as np
 from .birkhoff import NormalFormResult, apply_transport, transport_plan
 from .fields import Leg, QuadratureField, eta_gradient_table, value_table
 from .modes import as_mode, f17, mode_abs, mode_abs2, weight
-from .poly import Monomial, Polynomial, quadratic_diagonal, zero
+from .poly import Monomial, Polynomial, quadratic_diagonal
 from .spectra import (FrequencyTable, PotentialSample, SpectralResult,
                       nlw_frequencies, periodic_nlw_table, sturm_liouville)
 
@@ -49,19 +50,23 @@ MIDPOINT_MAX_ITER = 64  # fixed-point iterations before a step is halved
 class ModelSystem:
     """H0 + P of one model.
 
-    A model whose quartic comes from quadrature keeps the description it
-    was built from: P = quad_weight * sum over grid points of the product
-    of its four `legs`.  The integrator evaluates the field from them.
-    H and the integrator's compiled parts are built on first use and kept.
+    H0 comes from the frequency table.  A model whose quartic comes from
+    quadrature keeps the description it was built from: P = quad_weight *
+    sum over grid points of the product of its four `legs`, and the
+    integrator evaluates the field from the same legs.  H0, H and the
+    integrator's compiled parts are built on first use and kept.
     """
     model: str
     table: FrequencyTable
-    H0: Polynomial
     P: Polynomial
     grouping: Optional[str]
     meta: dict = field(default_factory=dict)
     legs: Tuple[Leg, ...] = ()
     quad_weight: float = 0.0
+
+    @cached_property
+    def H0(self) -> Polynomial:
+        return quadratic_diagonal(self.table.omega)
 
     @cached_property
     def H(self) -> Polynomial:
@@ -77,24 +82,22 @@ class ModelSystem:
 
     @cached_property
     def flow_parts(self) -> tuple:
-        """(omega vector, field evaluator of the interaction, value table of
-        H) over the system's own modes, for `integrate`."""
-        layout = self.modes()
-        if self.legs:
-            # H0 is diagonal and the legs describe all of P
-            omv, _ = _split_linear(self.H0, layout)
-            nl = self.quadrature_field()
-        else:
-            omv, rest = _split_linear(self.H, layout)
-            nl = eta_gradient_table(rest, layout)
-        return omv, nl, value_table(self.H, layout)
+        """`_flow_parts` of H over the system's own modes, with the
+        quadrature field of its legs when it has them: P is quartic, so its
+        legs give the field of every term of H but those of H0."""
+        return _flow_parts(self.H, self.modes(), self.quadrature_field())
 
 
 # -- quadrature helpers ----------------------------------------------------
 
 
-def _midpoint_grid(n: int) -> Tuple[np.ndarray, float]:
-    # exact for trigonometric polynomials of frequency < 2n on (0, pi)
+def _midpoint_grid(quad_n: Optional[int],
+                   *spectra: SpectralResult) -> Tuple[np.ndarray, float]:
+    """Midpoint grid on (0, pi) and its weight: quad_n points, by default
+    max(128, 4 k + 16) for the largest basis wavenumber k of the spectra.
+    Exact for trigonometric polynomials of frequency < 2n."""
+    n = quad_n or max(128, 4 * max(int(res.basis.wavenumbers[-1])
+                                   for res in spectra) + 16)
     x = (np.arange(n) + 0.5) * (math.pi / n)
     return x, math.pi / n
 
@@ -121,10 +124,14 @@ def _as_sample(potential, mass: float = 0.0) -> PotentialSample:
 # -- quartic assembly -------------------------------------------------------
 
 
-def _real_leg(rows: np.ndarray, legw: np.ndarray) -> Leg:
-    """u = sum_j legw_j (xi_j + eta_j) phi_j over the sorted modes."""
+def _wave_legs(rows: np.ndarray, table: FrequencyTable) -> tuple:
+    """Four times the wave leg u = sum_j (2 omega_j)^(-1/2) (xi_j + eta_j)
+    phi_j over the table's sorted modes, phi_j being rows[j]."""
+    legw = np.array([(2.0 * table.omega_of(m)) ** -0.5
+                     for m in table.modes()])
     n = len(legw)
-    return Leg(np.arange(2 * n), np.tile(legw, 2), np.vstack([rows, rows]))
+    return (Leg(np.arange(2 * n), np.tile(legw, 2),
+                np.vstack([rows, rows])),) * 4
 
 
 def _assemble_quartic(modes: list, legs: Sequence[Leg], quadw: float,
@@ -171,6 +178,15 @@ def _merge_quartic(modes: list, tuples: np.ndarray, values: np.ndarray,
     return Polynomial(terms)
 
 
+def _quadrature_model(model: str, table: FrequencyTable, legs: tuple,
+                      w: float, scale: float, grouping: Optional[str],
+                      meta: dict) -> ModelSystem:
+    """P = scale * quadrature (grid weight w) of the product of the legs;
+    the integrator's field comes from the same legs with weight w * scale."""
+    P = _assemble_quartic(table.modes(), legs, w, scale)
+    return ModelSystem(model, table, P, grouping, meta, legs, w * scale)
+
+
 # -- model builders --------------------------------------------------------
 
 
@@ -182,8 +198,7 @@ def _demo_2mode(kappa: float = 0.1) -> ModelSystem:
          + monomial(kappa, xi={1: 1, 2: 1}, eta={1: 1, 2: 1})
          + monomial(kappa, xi={1: 2}, eta={2: 2})
          + monomial(kappa, xi={2: 2}, eta={1: 2}))
-    h0 = quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
-    return ModelSystem("demo_2mode", t, h0, P, None, {"kappa": kappa})
+    return ModelSystem("demo_2mode", t, P, None, {"kappa": kappa})
 
 
 def _nls1d_dirichlet(jmax: int = 6, kappa: float = 0.1, potential=None,
@@ -191,20 +206,16 @@ def _nls1d_dirichlet(jmax: int = 6, kappa: float = 0.1, potential=None,
                      quad_n: Optional[int] = None) -> ModelSystem:
     sample = _as_sample(potential)
     res = sturm_liouville(sample, "dirichlet", jmax, basis_size)
-    modes = [(j,) for j in range(1, jmax + 1)]
-    t = FrequencyTable("nls1d_dirichlet",
-                       {m: float(res.lams[i]) for i, m in enumerate(modes)})
-    n = quad_n or max(128, 4 * int(res.basis.wavenumbers[-1]) + 16)
-    x, w = _midpoint_grid(n)
-    rows = _basis_rows(res, x)
+    t = FrequencyTable("nls1d_dirichlet", {(j,): float(res.lams[j - 1])
+                                           for j in range(1, jmax + 1)})
+    x, w = _midpoint_grid(quad_n, res)
     # psi = p + i q in real canonical pairs: each field leg is sqrt(2) xi
-    psi = Leg(np.arange(jmax), np.full(jmax, math.sqrt(2.0)), rows)
+    psi = Leg(np.arange(jmax), np.full(jmax, math.sqrt(2.0)),
+              _basis_rows(res, x))
     psi_bar = psi._replace(vars=jmax + psi.vars)
-    legs = (psi, psi, psi_bar, psi_bar)
-    P = _assemble_quartic(modes, legs, w, kappa)
-    h0 = quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
-    return ModelSystem("nls1d_dirichlet", t, h0, P, None,
-                       {"kappa": kappa, "spectral": res}, legs, w * kappa)
+    return _quadrature_model("nls1d_dirichlet", t,
+                             (psi, psi, psi_bar, psi_bar), w, kappa, None,
+                             {"kappa": kappa, "spectral": res})
 
 
 def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
@@ -212,19 +223,12 @@ def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
                    quad_n: Optional[int] = None) -> ModelSystem:
     sample = _as_sample(potential, mass)
     res = sturm_liouville(sample, "dirichlet", jmax, basis_size)
-    modes = [(j,) for j in range(1, jmax + 1)]
-    lams = {m: float(res.lams[i]) for i, m in enumerate(modes)}
-    t = nlw_frequencies(lams, mass, "nlw_dirichlet")
-    n = quad_n or max(128, 4 * int(res.basis.wavenumbers[-1]) + 16)
-    x, w = _midpoint_grid(n)
-    rows = _basis_rows(res, x)
-    legw = np.array([(2.0 * t.omega_of(m)) ** -0.5 for m in modes])
-    legs = (_real_leg(rows, legw),) * 4
-    P = _assemble_quartic(modes, legs, w, kappa)
-    h0 = quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
-    return ModelSystem("nlw_dirichlet", t, h0, P, None,
-                       {"kappa": kappa, "mass": mass, "spectral": res},
-                       legs, w * kappa)
+    t = nlw_frequencies({(j,): float(res.lams[j - 1])
+                         for j in range(1, jmax + 1)}, mass, "nlw_dirichlet")
+    x, w = _midpoint_grid(quad_n, res)
+    legs = _wave_legs(_basis_rows(res, x), t)
+    return _quadrature_model("nlw_dirichlet", t, legs, w, kappa, None,
+                             {"kappa": kappa, "mass": mass, "spectral": res})
 
 
 def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
@@ -234,9 +238,7 @@ def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
     t, parts = periodic_nlw_table(sample, jmax, basis_size)
     dres, nres = parts["dirichlet"], parts["neumann"]
     modes = t.modes()
-    n = quad_n or max(128, 4 * int(max(dres.basis.wavenumbers[-1],
-                                       nres.basis.wavenumbers[-1])) + 16)
-    x, w = _midpoint_grid(n)
+    x, w = _midpoint_grid(quad_n, dres, nres)
     drows = _basis_rows(dres, x)
     nrows = _basis_rows(nres, x)
     # j > 0: odd (Dirichlet-type) torus mode; j <= 0: even (Neumann).  On
@@ -246,12 +248,8 @@ def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
     half = np.array([drows[j - 1] if j > 0 else nrows[-j] for (j,) in modes])
     sign = np.array([[-1.0] if j > 0 else [1.0] for (j,) in modes])
     rows = np.hstack([half, sign * half]) / math.sqrt(2.0)
-    legw = np.array([(2.0 * t.omega_of(m)) ** -0.5 for m in modes])
-    legs = (_real_leg(rows, legw),) * 4
-    P = _assemble_quartic(modes, legs, w, kappa)
-    h0 = quadratic_diagonal({m: t.omega_of(m) for m in modes})
-    return ModelSystem("nlw_periodic", t, h0, P, PAIRS,
-                       {"kappa": kappa, "mass": mass}, legs, w * kappa)
+    return _quadrature_model("nlw_periodic", t, _wave_legs(rows, t),
+                             w, kappa, PAIRS, {"kappa": kappa, "mass": mass})
 
 
 def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
@@ -272,9 +270,7 @@ def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
         omega[(j,)] = float(res1.lams[j - 1])
         omega[(-j,)] = -float(res2.lams[j - 1])
     t = FrequencyTable("nls_coupled", omega)
-    modes = t.modes()
-    n = quad_n or max(128, 4 * int(res1.basis.wavenumbers[-1]) + 16)
-    x, w = _midpoint_grid(n)
+    x, w = _midpoint_grid(quad_n, res1, res2)
     # sorted modes: phi_j is xi_(-j) at jmax - j, psi_j is xi_j at jmax+j-1
     j = np.arange(1, jmax + 1)
     one = np.ones(jmax)
@@ -282,10 +278,8 @@ def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
     phi = Leg(jmax - j, one, _basis_rows(res2, x))
     legs = (psi, psi._replace(vars=2 * jmax + psi.vars),
             phi, phi._replace(vars=2 * jmax + phi.vars))
-    P = _assemble_quartic(modes, legs, w, -kappa)
-    h0 = quadratic_diagonal(omega)
-    return ModelSystem("nls_coupled", t, h0, P, PAIRS, {"kappa": kappa},
-                       legs, -w * kappa)
+    return _quadrature_model("nls_coupled", t, legs, w, -kappa, PAIRS,
+                             {"kappa": kappa})
 
 
 def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
@@ -321,8 +315,7 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
     rows = np.exp(1j * (lattice @ x)) * (2.0 * math.pi) ** (-0.5 * d)
     psi = Leg(np.arange(n), np.ones(n), rows)
     psi_bar = Leg(n + psi.vars, psi.weights, np.conj(rows))
-    h0 = quadratic_diagonal({m: t.omega_of(m) for m in modes})
-    return ModelSystem("nls_dd", t, h0, P, SHELLS, {"kappa": kappa, "d": d},
+    return ModelSystem("nls_dd", t, P, SHELLS, {"kappa": kappa, "d": d},
                        (psi, psi, psi_bar, psi_bar),
                        kappa * (2.0 * math.pi / grid) ** d)
 
@@ -364,17 +357,21 @@ def hamiltonian_flow_field(H: Polynomial, state: dict) -> dict:
     return {m: complex(v) for m, v in zip(layout, dot)}
 
 
-def _split_linear(H: Polynomial, layout: list) -> Tuple[np.ndarray, Polynomial]:
-    """Diagonal quadratic frequencies and the remaining interaction."""
+def _flow_parts(H: Polynomial, layout: list, nl=None) -> tuple:
+    """(frequencies of H's diagonal quadratic terms, field evaluator of its
+    other terms, value table of H) over the layout, for `integrate`.  The
+    field is `nl` when given, else a FieldTable of those terms."""
     index = {m: i for i, m in enumerate(layout)}
     omv = np.zeros(len(layout))
     rest: Dict[Monomial, complex] = {}
     for mono, c in H.items():
         if mono.degree == 2 and mono.is_action():
             omv[index[mono.xi[0][0]]] += complex(c).real
-        else:
+        elif nl is None:
             rest[mono] = c
-    return omv, Polynomial(rest)
+    if nl is None:
+        nl = eta_gradient_table(Polynomial(rest), layout)
+    return omv, nl, value_table(H, layout)
 
 
 @dataclass
@@ -460,9 +457,7 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
         omv, nl, ht = H.flow_parts
     else:
         layout = sorted(set(z) | H.modes())
-        omv, rest = _split_linear(H, layout)
-        nl = eta_gradient_table(rest, layout)
-        ht = value_table(H, layout)
+        omv, nl, ht = _flow_parts(H, layout)
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
     x = np.array([z.get(m, 0.0) for m in layout], dtype=complex)

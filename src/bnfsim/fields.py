@@ -21,7 +21,7 @@ every frame of a trajectory through a generator flow in one such batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class QuadratureField:
         z = np.concatenate([x, np.conj(x)])
         return (z[None, :] @ self.legs_of_z).reshape(-1, self.grid)
 
-    def _product(self, L: np.ndarray, skip: int = -1):
+    def _product(self, L: np.ndarray, skip: int):
         """weight times the legs on the grid, less one factor of leg `skip`."""
         prod = self.weight
         for u, (Lu, m) in enumerate(zip(L, self.mult)):
@@ -86,9 +86,6 @@ class QuadratureField:
         L = self._legs(x)
         prods = np.concatenate([self._product(L, u) for u in self.eta_legs])
         return (self.field_of_legs @ prods[:, None])[:, 0]
-
-    def value(self, x: np.ndarray) -> complex:
-        return complex(np.sum(self._product(self._legs(x))))
 
 
 # Rows per block of a table evaluation: each block's (rows, B) complex
@@ -134,7 +131,6 @@ class FieldTable:
     on the interleaved real and imaginary parts of all states at once.
     """
     modes: List[tuple]
-    index: Dict[tuple, int]
     vidx: np.ndarray
     coeff: np.ndarray
     out: np.ndarray
@@ -180,6 +176,18 @@ def _layout(modes: Sequence) -> (list, dict):
     return ms, {m: i for i, m in enumerate(ms)}
 
 
+def _factors(mono, index: dict, drop=None) -> List[int]:
+    """Rows of G multiplied in a term of monomial mono, one per power, less
+    one factor eta_drop: xi_m is row index[m], eta_m row n + index[m]."""
+    n = len(index)
+    idxs = []
+    for m, e in mono.xi:
+        idxs += [index[m]] * e
+    for m, e in mono.eta:
+        idxs += [n + index[m]] * (e - (m == drop))
+    return idxs
+
+
 def _pack(rows: list, width: int, pad: int):
     # column-major, so that each column gather reads contiguous indices
     vidx = np.full((len(rows), width), pad, dtype=np.int64, order="F")
@@ -195,35 +203,14 @@ def _pack(rows: list, width: int, pad: int):
 def eta_gradient_table(p: Polynomial, modes: Sequence) -> FieldTable:
     """Compile all partial derivatives d(p)/d(eta_m) for m in the layout."""
     ms, index = _layout(modes)
-    n = len(ms)
-    rows = []
-    width = max(0, p.max_degree() - 1)
-    for mono, c in p.items():
-        base = []
-        for m, e in mono.xi:
-            base += [index[m]] * e
-        for m, e in mono.eta:
-            out = index[m]
-            idxs = list(base)
-            for m2, e2 in mono.eta:
-                reps = e2 - 1 if m2 == m else e2
-                idxs += [n + index[m2]] * reps
-            rows.append((complex(c) * e, idxs, out))
-    vidx, coeff, out = _pack(rows, width, 2 * n)
-    return FieldTable(ms, index, vidx, coeff, out)
+    rows = [(complex(c) * e, _factors(mono, index, m), index[m])
+            for mono, c in p.items() for m, e in mono.eta]
+    vidx, coeff, out = _pack(rows, max(0, p.max_degree() - 1), 2 * len(ms))
+    return FieldTable(ms, vidx, coeff, out)
 
 
 def value_table(p: Polynomial, modes: Sequence) -> ValueTable:
     ms, index = _layout(modes)
-    n = len(ms)
-    rows = []
-    width = max(0, p.max_degree())
-    for mono, c in p.items():
-        idxs = []
-        for m, e in mono.xi:
-            idxs += [index[m]] * e
-        for m, e in mono.eta:
-            idxs += [n + index[m]] * e
-        rows.append((complex(c), idxs, 0))
-    vidx, coeff, _ = _pack(rows, width, 2 * n)
+    rows = [(complex(c), _factors(mono, index), 0) for mono, c in p.items()]
+    vidx, coeff, _ = _pack(rows, max(0, p.max_degree()), 2 * len(ms))
     return ValueTable(ms, vidx, coeff)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .modes import Mode, f17, lattice_modes, mode_abs2, mode_str
 from .poly import Monomial
-from .spectra import (FrequencyTable, PotentialSample, SpectralError,
+from .spectra import (FrequencyTable, PotentialSample, SpectralError, _param,
                       periodic_nlw_table, sample_potential, sturm_liouville)
 
 PATTERN_NONE = "NONE"
@@ -430,8 +430,7 @@ def _measure_rules(family: str, params: dict, q: DivisorQuery,
         # exactly, so pure pair cancellations are degenerate by
         # construction and exempted at any index; SHELL wins over them
         return [_exception_rule("shell", {
-            "N": q.N, "alpha": q.alpha,
-            "m_decay": params.get("decay", params.get("m_decay"))}),
+            "N": q.N, "alpha": q.alpha, "m_decay": _param(params, "decay")}),
             (PATTERN_PAIR_TAIL, 0.0)]
     if family == "nlw_periodic":
         b = params.get("b")
@@ -461,7 +460,7 @@ def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
     covers every sample, after which per-sample divisors are plain dot
     products.
     """
-    modes = lattice_modes(int(params.get("d", 1)), q.jmax)
+    modes = lattice_modes(_param(params, "d", int), q.jmax)
     probe = PotentialSample(family="convolution_d", params=params, seed=0,
                             coeffs={}, mass=0.0)
     base = [float(mode_abs2(m)) for m in modes]

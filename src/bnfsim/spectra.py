@@ -55,10 +55,13 @@ class PotentialSample:
         return 0.5 * r * math.exp(-_param(p, "sigma") * abs(k))
 
 
-def _param(params: dict, name: str, kind=float):
-    """One sampling parameter; a ValueError names it."""
+def _param(params: dict, name: str, kind=float, default=None):
+    """One sampling parameter, required unless it has a default; a
+    ValueError names it."""
     if name not in params:
-        raise ValueError("potential.params: %s required" % name)
+        if default is None:
+            raise ValueError("potential.params: %s required" % name)
+        return default
     try:
         return kind(params[name])
     except (TypeError, ValueError):
@@ -100,7 +103,7 @@ def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
         coeffs[k] = r * math.exp(-sigma * k) * u
     mass = 0.0
     if family == NLW_PERIODIC:
-        mass = float(params.get("mass_span", 1.0)) * rng.uniform(0.0, 1.0)
+        mass = _param(params, "mass_span", default=1.0) * rng.uniform(0.0, 1.0)
     return PotentialSample(family, dict(params), seed, coeffs, mass)
 
 

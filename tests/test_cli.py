@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -122,13 +123,13 @@ def test_drift_rerun_is_byte_identical(tmp_path):
     a, b = str(tmp_path / "A"), str(tmp_path / "B")
     assert cli.main(drift_argv(tmp_path, a)) == 0
     assert cli.main(drift_argv(tmp_path, b)) == 0
-    ha = hashlib.sha256(open(os.path.join(a, "drift.csv"), "rb").read())
-    hb = hashlib.sha256(open(os.path.join(b, "drift.csv"), "rb").read())
+    ha = hashlib.sha256((Path(a) / "drift.csv").read_bytes())
+    hb = hashlib.sha256((Path(b) / "drift.csv").read_bytes())
     assert ha.hexdigest() == hb.hexdigest()
     # a different manifest seed changes the data
     c = str(tmp_path / "C")
     assert cli.main(drift_argv(tmp_path, c, ("--set", "seed=12"))) == 0
-    hc = hashlib.sha256(open(os.path.join(c, "drift.csv"), "rb").read())
+    hc = hashlib.sha256((Path(c) / "drift.csv").read_bytes())
     assert hc.hexdigest() != ha.hexdigest()
 
 
@@ -324,6 +325,22 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
     ("measure-estimate", [NO_R], "potential.params"),
     ("normalize", ['potential.params={"R": "x", "sigma": 0.4, "kmax": 9}'],
      "potential.params"),
+    # seeds are integers >= 0, counts integers >= 1
+    ("normalize", ["seed=-1"], "seed"),
+    ("measure-estimate", ["seed=-1"], "seed"),
+    ("normalize", ["potential.seed=-1"], "potential.seed"),
+    ("drift-experiment", ["experiment.seeds=0"], "experiment.seeds"),
+    ("drift-experiment", ["experiment.seeds=-1"], "experiment.seeds"),
+    ("drift-experiment", ["integrator.stride=0"], "integrator.stride"),
+    ("normalize", ["quad_n=0"], "quad_n"),
+    ("normalize", ["basis_size=0"], "basis_size"),
+    ("normalize", ["jmax=0"], "jmax"),
+    # sampling parameters read through the one parameter reader
+    ("normalize", ['model="nlw_periodic"', 'potential.family="nlw_periodic"',
+                   'potential.params={"R": 0.5, "sigma": 0.4, "kmax": 9, '
+                   '"mass_span": "x"}'], "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": 2, "d": "x", '
+                          '"decay": 2.0}'], "potential.params"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):

@@ -185,8 +185,27 @@ def test_quadrature_field_matches_compiled_tables(model, params, terms):
                    + 1j * rng.standard_normal(len(layout)))
         F = field.eval(x)
         assert np.max(np.abs(quad.eval(x) - F)) <= 1e-12 * np.max(np.abs(F))
+        # P itself: quad_weight times the grid sum of the legs' product
+        z = np.concatenate([x, np.conj(x)])
+        L = [(leg.weights * z[leg.vars]) @ leg.rows for leg in sys1.legs]
         v = value.eval(x)
-        assert abs(quad.value(x) - v) <= 1e-12 * abs(v)
+        assert abs(sys1.quad_weight * np.sum(np.prod(L, axis=0)) - v) \
+            <= 1e-12 * abs(v)
+
+
+@pytest.mark.parametrize("model, params, terms",
+                         [m for m in MODEL_SIZES if m[0] != "nls_dd"])
+def test_finer_quadrature_grid_gives_the_same_quartic(model, params, terms):
+    # nls_dd is left out: its grid is fixed by jmax and takes no quad_n
+    sys1 = D.build_model_hamiltonian(model, **params)
+    # quad_weight = +-kappa * pi / n on the default n-point midpoint grid
+    n = round(math.pi * abs(params["kappa"] / sys1.quad_weight))
+    sys2 = D.build_model_hamiltonian(model, quad_n=2 * n, **params)
+    assert set(sys2.P.terms) == set(sys1.P.terms)
+    big = max(abs(c) for c in sys1.P.terms.values())
+    assert max(abs(sys2.P.terms[m] - c) for m, c in sys1.P.terms.items()) \
+        <= 1e-13 * big
+    assert sys2.quad_weight == sys1.quad_weight / 2
 
 
 def test_build_model_validation():

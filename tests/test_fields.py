@@ -19,9 +19,8 @@ def test_quadrature_field_repeated_leg_and_variable():
     P = D._assemble_quartic(layout, (leg,) * 4, 1.0, 0.3)
     x = np.array([0.4 + 0.1j, -0.2 + 0.3j])
     u = 3.0 * x[0] * rows[0] - np.conj(x[1]) * rows[2]
-    assert quad.value(x) == pytest.approx(0.3 * np.sum(u ** 4), rel=1e-14)
-    assert quad.value(x) == pytest.approx(value_table(P, layout).eval(x),
-                                          rel=1e-14)
+    assert value_table(P, layout).eval(x) == pytest.approx(
+        0.3 * np.sum(u ** 4), rel=1e-14)
     F = eta_gradient_table(P, layout).eval(x)
     assert np.max(np.abs(quad.eval(x) - F)) <= 1e-14 * np.max(np.abs(F))
 
