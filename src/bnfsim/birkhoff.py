@@ -13,9 +13,11 @@ Degree indexing is 1-based on the generator list: chi_r is homogeneous of
 degree r+2 for r = 1..r_star, so the first generator removes cubics.
 
 States travel through the generator flows on compiled field tables
-(`transport_plan`).  `apply_transport` carries a whole (B, n) batch, e.g.
-every frame of a trajectory, through each flow at once: classical RK4
-from 4 steps, doubling per row until the row's result settles.
+(`transport_plan`).  A state is an (n,) complex array over the plan's
+mode layout, the system's sorted modes (`ModelSystem.modes()`);
+`apply_transport` carries one state or a whole (B, n) batch, e.g. every
+frame of a trajectory, through each flow at once: classical RK4 from 4
+steps, doubling per row until the row's result settles.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import eta_gradient_table
-from .modes import as_mode, mode_str
+from .modes import mode_str
 from .norms import majorant_norm
 from .poly import (Monomial, Polynomial, bracket_overflow, poisson_bracket,
                    quadratic_diagonal, zero)
@@ -343,29 +345,35 @@ class TransportPlan:
     `apply_transport` carries a whole (B, n) batch of states, e.g. every
     frame of a trajectory, through each flow in one pass.
     """
-    layout: List[tuple]
     steps: List[object]
     sign: float
     tol: float
 
-    def vector(self, state: dict) -> np.ndarray:
-        z = {as_mode(m): complex(v) for m, v in state.items()}
-        return np.array([z.get(m, 0.0) for m in self.layout], dtype=complex)
 
-
-def transport_plan(generators: Sequence[Polynomial], modes,
+def transport_plan(generators: Sequence[Polynomial], layout: List[tuple],
                    direction: str = "forward", tol: float = 1e-12
                    ) -> TransportPlan:
+    """The time-1 generator flows compiled over the given sorted modes.
+
+    The function-level transform applies the generators in list order, so
+    points travel through the flows in reverse order; the inverse negates
+    the generators and undoes them first-to-last.  eta = conj(xi) is
+    preserved because the generators are real-valued.  A generator mode
+    outside the layout is an error.
+    """
     if direction not in ("forward", "inverse"):
         raise ValueError("direction: forward or inverse")
-    layout = sorted({as_mode(m) for m in modes}.union(
-        *(chi.modes() for chi in generators)))
+    foreign = set().union(*(chi.modes() for chi in generators))
+    foreign.difference_update(layout)
+    if foreign:
+        raise ValueError("layout: generator modes %s are not in it"
+                         % sorted(foreign))
     if direction == "forward":
         seq, sign = list(reversed(generators)), 1.0
     else:
         seq, sign = list(generators), -1.0
     steps = [eta_gradient_table(chi, layout) for chi in seq if chi]
-    return TransportPlan(layout, steps, sign, tol)
+    return TransportPlan(steps, sign, tol)
 
 
 def apply_transport(plan: TransportPlan, x: np.ndarray) -> np.ndarray:
@@ -374,18 +382,3 @@ def apply_transport(plan: TransportPlan, x: np.ndarray) -> np.ndarray:
     for table in plan.steps:
         X = _unit_flow(table, plan.sign, X, plan.tol)
     return X if np.ndim(x) == 2 else X[0]
-
-
-def transform_state(state: dict, generators: Sequence[Polynomial],
-                    direction: str = "forward", tol: float = 1e-12) -> dict:
-    """Transport a phase point through the time-1 generator flows.
-
-    The function-level transform applies the generators in list order, so
-    points travel through the flows in reverse order; the inverse negates
-    the generators and undoes them first-to-last.  eta = conj(xi) is
-    preserved because the generators are real-valued.
-    """
-    plan = transport_plan(generators, [as_mode(m) for m in state],
-                          direction, tol)
-    x = apply_transport(plan, plan.vector(state))
-    return {m: complex(v) for m, v in zip(plan.layout, x)}

@@ -8,7 +8,10 @@ from the command line.  The flat key schema:
     model                  one of the names in dynamics.MODELS
     d, jmax, kappa, mass   model-builder knobs (only the ones the model takes;
                            jmax is an integer, for nls_dd a radius)
-    basis_size, quad_n     spectral resolution overrides
+    basis_size, quad_n     spectral resolution overrides (basis_size >=
+                           jmax + 2, jmax + 3 for nlw_periodic; quad_n >
+                           twice the largest basis wavenumber, so the
+                           quadrature stays exact)
     r_star, gamma, alpha   normal-form parameters; N = "auto" or an int
     N, s, mode             (mode: degree_by_degree | block)
     eps, T                 single-run amplitude and horizon (simulate)
@@ -222,7 +225,10 @@ def build_system(cfg: dict, seed: int) -> ModelSystem:
         pot = resolve_potential(cfg, seed, 0)
         if pot is not None:
             kwargs["potential"] = pot
-    return build_model_hamiltonian(model, **kwargs)
+    try:
+        return build_model_hamiltonian(model, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def resolved_params(cfg: dict) -> NormalFormParams:

@@ -15,10 +15,15 @@ flow is
 integrated by the implicit midpoint rule, which is symplectic and needs no
 kinetic/potential splitting.
 
-Observables: actions I_j = |xi_j|^2, pair actions J_j = I_j + I_{-j},
-shell actions J_M summed over |k|^2 = M, norm_s(z) = sqrt(sum_j w_s(j)
-2 I_j), and the torus distance sqrt(sum_j w_s1(j) (sqrt(I_j) -
-sqrt(Iref_j))^2) in normalized coordinates.
+A state is an (n,) complex array over the sorted modes of its Hamiltonian
+(`ModelSystem.modes()`, or sorted(H.modes()) for a bare polynomial), and a
+block of states, such as the frames of a run, is a (B, n) array.  Initial
+data, the integrator, transport and the observables all take this one
+format.  Observables: actions I_j = |xi_j|^2, pair actions J_j = I_j +
+I_{-j}, shell actions J_M summed over |k|^2 = M, norm_s(z) = sqrt(sum_j
+w_s(j) 2 I_j), and the torus distance sqrt(sum_j w_s1(j) (sqrt(I_j) -
+sqrt(Iref_j))^2) in normalized coordinates.  Every sum over modes is
+exactly rounded (math.fsum).
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from .birkhoff import NormalFormResult, apply_transport, transport_plan
 from .fields import Leg, QuadratureField, eta_gradient_table, value_table
-from .modes import as_mode, f17, mode_abs, mode_abs2, weight
+from .modes import f17, mode_abs, mode_abs2, weight
 from .poly import Monomial, Polynomial, quadratic_diagonal
 from .spectra import (FrequencyTable, PotentialSample, SpectralResult,
                       nlw_frequencies, periodic_nlw_table, sturm_liouville)
@@ -95,9 +100,13 @@ def _midpoint_grid(quad_n: Optional[int],
                    *spectra: SpectralResult) -> Tuple[np.ndarray, float]:
     """Midpoint grid on (0, pi) and its weight: quad_n points, by default
     max(128, 4 k + 16) for the largest basis wavenumber k of the spectra.
-    Exact for trigonometric polynomials of frequency < 2n."""
-    n = quad_n or max(128, 4 * max(int(res.basis.wavenumbers[-1])
-                                   for res in spectra) + 16)
+    Exact for trigonometric polynomials of frequency < 2n; a product of
+    four basis functions reaches frequency 4k, so n must exceed 2k."""
+    k = max(int(res.basis.wavenumbers[-1]) for res in spectra)
+    if quad_n is not None and quad_n <= 2 * k:
+        raise ValueError("quad_n: must be > %d, twice the largest basis "
+                         "wavenumber" % (2 * k))
+    n = quad_n or max(128, 4 * k + 16)
     x = (np.arange(n) + 0.5) * (math.pi / n)
     return x, math.pi / n
 
@@ -344,17 +353,24 @@ def build_model_hamiltonian(model: str, **params) -> ModelSystem:
 # -- flow field and integrator ---------------------------------------------
 
 
-def hamiltonian_flow_field(H: Polynomial, state: dict) -> dict:
-    """xi-dot = -i dH/d(eta) at the point, on the real slice."""
+def _state(x, n: int, name: str) -> np.ndarray:
+    """x as a complex (n,) state; any other shape is an error naming it."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n,):
+        raise ValueError("%s: expected a state of shape (%d,), got %s"
+                         % (name, n, x.shape))
+    return x
+
+
+def hamiltonian_flow_field(H: Polynomial, x) -> np.ndarray:
+    """xi-dot = -i dH/d(eta) at the state x over sorted(H.modes()), on the
+    real slice."""
     defect = H.reality_defect()
     if defect > 1e-10 * max(1.0, H.l1()):
         raise ValueError("H: not real-flagged (defect %.3e)" % defect)
-    z = {as_mode(m): complex(v) for m, v in state.items()}
-    layout = sorted(set(z) | H.modes())
-    table = eta_gradient_table(H, layout)
-    x = np.array([z.get(m, 0.0) for m in layout], dtype=complex)
-    dot = -1j * table.eval(x)
-    return {m: complex(v) for m, v in zip(layout, dot)}
+    layout = sorted(H.modes())
+    return -1j * eta_gradient_table(H, layout).eval(
+        _state(x, len(layout), "x"))
 
 
 def _flow_parts(H: Polynomial, layout: list, nl=None) -> tuple:
@@ -378,7 +394,7 @@ def _flow_parts(H: Polynomial, layout: list, nl=None) -> tuple:
 class Trajectory:
     layout: List[tuple]
     times: List[float]
-    states: List[np.ndarray]
+    states: np.ndarray   # (frames, n), one row per frame
     energies: List[float]
     dt: float
     halvings: int
@@ -387,9 +403,6 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return max(1, int(round(self.times[-1] / self.dt)))
-
-    def state_dict(self, i: int) -> dict:
-        return {m: complex(v) for m, v in zip(self.layout, self.states[i])}
 
 
 def _midpoint_step(x0, dt, omv, nl, tol):
@@ -426,18 +439,18 @@ def _advance(x, dt, omv, nl, tol, depth):
     return x1, max(d1, d2), evals + e1 + e2
 
 
-def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
+def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
               dt: float, tol: float = 1e-12,
               stride: int = 1) -> Trajectory:
     """Fixed-grid implicit midpoint run with frames every `stride` steps.
 
-    H is a Hamiltonian polynomial or a ModelSystem.  A system integrates on
-    its own modes (z0 may name no other) with the parts it compiles once
-    for all its runs (`ModelSystem.flow_parts`): the QuadratureField of its
+    H is a Hamiltonian polynomial or a ModelSystem, and x0 a state over its
+    sorted modes.  A system integrates with the parts it compiles once for
+    all its runs (`ModelSystem.flow_parts`): the QuadratureField of its
     legs, or else a FieldTable of its non-diagonal part.  A polynomial
-    integrates on its modes and those of z0, with a FieldTable.  Energies
-    always come from the compiled value table of the whole H, evaluated on
-    all frames at once after the run.
+    integrates with a FieldTable.  Energies always come from the compiled
+    value table of the whole H, evaluated on all frames at once after the
+    run.
 
     A non-converging step is retried on two half steps (recursively, up to
     MAX_HALVINGS); the outer time grid is unchanged.  T < 0 integrates
@@ -447,114 +460,107 @@ def integrate(H: Union[ModelSystem, Polynomial], z0: dict, T: float,
         raise ValueError("dt: need nonzero dt and T of equal sign")
     if stride < 1:
         raise ValueError("stride: must be >= 1")
-    z = {as_mode(m): complex(v) for m, v in z0.items()}
     if isinstance(H, ModelSystem):
         layout = H.modes()
-        foreign = set(z).difference(layout)
-        if foreign:
-            raise ValueError("z0: modes %s are not the system's"
-                             % sorted(foreign))
         omv, nl, ht = H.flow_parts
     else:
-        layout = sorted(set(z) | H.modes())
+        layout = sorted(H.modes())
         omv, nl, ht = _flow_parts(H, layout)
+    x = _state(x0, len(layout), "x0")
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
-    x = np.array([z.get(m, 0.0) for m in layout], dtype=complex)
-    traj = Trajectory(layout, [0.0], [x.copy()], [], dt_eff, 0)
-    worst = 0
+    times, frames = [0.0], [x]
+    worst = evals = 0
     for n in range(1, nsteps + 1):
-        x, depth, evals = _advance(x, dt_eff, omv, nl, tol, 0)
+        x, depth, e = _advance(x, dt_eff, omv, nl, tol, 0)
         worst = max(worst, depth)
-        traj.evals += evals
+        evals += e
         if n % stride == 0 or n == nsteps:
-            traj.times.append(n * dt_eff)
-            traj.states.append(x.copy())
+            times.append(n * dt_eff)
+            frames.append(x)
+    states = np.array(frames)
     # the energies of all frames in one batched evaluation
-    traj.energies = ht.eval(np.array(traj.states)).real.tolist()
-    traj.halvings = worst
-    return traj
+    return Trajectory(layout, times, states, ht.eval(states).real.tolist(),
+                      dt_eff, worst, evals)
 
 
 # -- observables -----------------------------------------------------------
 
 
-def actions(state: dict) -> dict:
-    return {as_mode(m): abs(complex(v)) ** 2 for m, v in state.items()}
+def actions(X: np.ndarray) -> np.ndarray:
+    """I_j = |xi_j|^2 of a state or of every row of a block.  np.hypot
+    rounds |xi_j| as abs(complex) does; np.abs does not always."""
+    return np.hypot(X.real, X.imag) ** 2
 
 
-def norm_s(state: dict, s: float) -> float:
-    return math.sqrt(math.fsum(
-        2.0 * weight(m, s) * abs(complex(v)) ** 2
-        for m, v in state.items()))
+def _weights(modes: Sequence, s: float) -> np.ndarray:
+    return np.array([weight(m, s) for m in modes])
+
+
+def _fsum_rows(M: np.ndarray):
+    """math.fsum over the last axis: a float for (n,), (B,) for (B, n)."""
+    if M.ndim == 1:
+        return math.fsum(M)
+    return np.array([math.fsum(row) for row in M])
+
+
+def norm_s(X: np.ndarray, modes: Sequence, s: float):
+    """sqrt(sum_j w_s(j) 2 I_j) of a state, or of every row of a block."""
+    return np.sqrt(_fsum_rows(2.0 * _weights(modes, s) * actions(X)))
+
+
+def torus_distance(A: np.ndarray, ref: np.ndarray, modes: Sequence,
+                   s1: float):
+    """sqrt(sum_j w_s1(j) (sqrt(A_j) - sqrt(ref_j))^2) for actions A of a
+    state or of every row of a block, against the reference actions."""
+    d = np.sqrt(A) - np.sqrt(ref)
+    return np.sqrt(_fsum_rows(_weights(modes, s1) * d ** 2))
 
 
 def initial_state(modes: Sequence, eps: float, s: float, rng,
-                  profile: str = "sobolev") -> dict:
-    """Random-phase state with norm_s exactly eps.
+                  profile: str = "sobolev") -> np.ndarray:
+    """Random-phase state over the modes with norm_s exactly eps.
 
     The default profile decays like (1 + |j|)^-(s+1), keeping a margin of
     one power inside the s-norm.
     """
-    ms = [as_mode(m) for m in modes]
     if profile == "sobolev":
-        rho = np.array([(1.0 + mode_abs(m)) ** (-(s + 1.0)) for m in ms])
+        rho = np.array([(1.0 + mode_abs(m)) ** (-(s + 1.0)) for m in modes])
     elif profile == "flat":
-        rho = np.ones(len(ms))
+        rho = np.ones(len(modes))
     else:
         raise ValueError("profile: sobolev or flat")
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=len(ms))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=len(modes))
     z = rho * np.exp(1j * theta)
-    state = {m: complex(v) for m, v in zip(ms, z)}
-    nrm = norm_s(state, s)
-    return {m: complex(v) * (eps / nrm) for m, v in state.items()}
+    return z * (eps / norm_s(z, modes, s))
 
 
-def action_groups(system: ModelSystem) -> List[Tuple[str, List[tuple], float]]:
-    """(label, member modes, weight) triples for the J observables.
+def action_groups(system: ModelSystem) -> List[Tuple[str, List[int], float]]:
+    """(label, member indices, weight) triples for the J observables.
 
-    Pairs group {j, -j} under weight w_s evaluated at |j|; shells group by
-    the exact squared modulus M with weight evaluated at radius sqrt(M).
-    The weight is returned as the base (1 + radius); callers raise it to
-    the 2s power for a given s.
+    Members index the system's sorted modes.  Pairs group {j, -j} under
+    weight w_s evaluated at |j|; shells group by the exact squared modulus
+    M with weight evaluated at radius sqrt(M).  The weight is returned as
+    the base (1 + radius); callers raise it to the 2s power for a given s.
     """
     modes = system.modes()
-    groups: Dict[object, List[tuple]] = {}
+    groups: Dict[object, List[int]] = {}
     if system.grouping == PAIRS:
-        for m in modes:
-            groups.setdefault(abs(m[0]), []).append(m)
+        for i, m in enumerate(modes):
+            groups.setdefault(abs(m[0]), []).append(i)
         return [("J_%d" % k, v, 1.0 + k) for k, v in sorted(groups.items())]
     if system.grouping == SHELLS:
-        for m in modes:
-            groups.setdefault(mode_abs2(m), []).append(m)
+        for i, m in enumerate(modes):
+            groups.setdefault(mode_abs2(m), []).append(i)
         return [("J_M%d" % k, v, 1.0 + math.sqrt(k))
                 for k, v in sorted(groups.items())]
-    return [("I_%s" % "_".join(str(c) for c in m), [m], 1.0 + mode_abs(m))
-            for m in modes]
+    return [("I_%s" % "_".join(str(c) for c in m), [i], 1.0 + mode_abs(m))
+            for i, m in enumerate(modes)]
 
 
-def group_actions(acts: dict, groups) -> np.ndarray:
-    return np.array([math.fsum(acts.get(m, 0.0) for m in members)
-                     for _, members, _ in groups])
-
-
-def torus_distance(acts: dict, ref: dict, s1: float) -> float:
-    tot = 0.0
-    for m in set(acts) | set(ref):
-        da = math.sqrt(max(acts.get(m, 0.0), 0.0))
-        db = math.sqrt(max(ref.get(m, 0.0), 0.0))
-        tot += weight(m, s1) * (da - db) ** 2
-    return math.sqrt(tot)
-
-
-def total_momentum(state: dict) -> tuple:
-    d = max(len(as_mode(m)) for m in state)
-    mom = [0.0] * d
-    for m, v in state.items():
-        a = abs(complex(v)) ** 2
-        for i, c in enumerate(as_mode(m)):
-            mom[i] += c * a
-    return tuple(mom)
+def total_momentum(x: np.ndarray, modes: Sequence) -> tuple:
+    """sum_j j I_j of a state over the lattice modes."""
+    return tuple(actions(x) @ np.array(modes, dtype=float))
 
 
 # -- drift experiment -------------------------------------------------------
@@ -596,8 +602,10 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
     """
     if s1 is None:
         s1 = s
-    groups = action_groups(system)
     layout = system.modes()
+    groups = action_groups(system)
+    ws = _weights(layout, s)
+    wvec = np.array([base ** (2.0 * s) for _, _, base in groups])
     plan = None
     if nf is not None and nf.generators:
         plan = transport_plan(nf.generators, layout, "inverse")
@@ -606,37 +614,24 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
         for seed in seeds:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(ei,)))
-            z0 = initial_state(layout, eps, s, rng, profile)
+            x0 = initial_state(layout, eps, s, rng, profile)
             T = c * eps ** (-float(r))
-            traj = integrate(system, z0, T, dt, stride=stride, tol=tol)
-            if plan is not None and plan.layout != traj.layout:
-                raise ArithmeticError("transport layout mismatch")
-            acts0 = actions(traj.state_dict(0))
-            j0 = group_actions(acts0, groups)
-            wvec = np.array([base ** (2.0 * s) for _, _, base in groups])
+            traj = integrate(system, x0, T, dt, stride=stride, tol=tol)
+            X = traj.states
+            A = actions(X)
+            J = np.array([[math.fsum(a[idx]) for _, idx, _ in groups]
+                          for a in A])
+            sup_i = np.maximum.accumulate(np.max(ws * np.abs(A - A[0]), 1))
+            sup_j = np.maximum.accumulate(np.max(wvec * np.abs(J - J[0]), 1))
+            nsz = norm_s(X, layout, s)
+            escaped = np.maximum.accumulate(nsz > 2.0 * eps).astype(int)
             # every frame through the inverse flows in one batch
-            ys = np.array(traj.states)
-            if plan is not None:
-                ys = apply_transport(plan, ys)
-            ref = actions(dict(zip(traj.layout, ys[0])))
-            sup_i = 0.0
-            sup_j = 0.0
-            escaped = 0
-            for i, t in enumerate(traj.times):
-                st = traj.state_dict(i)
-                acts = actions(st)
-                sup_i = max(sup_i, max(
-                    weight(m, s) * abs(acts[m] - acts0[m]) for m in acts))
-                jvec = group_actions(acts, groups)
-                sup_j = max(sup_j, float(np.max(wvec * np.abs(jvec - j0))))
-                nsz = norm_s(st, s)
-                if nsz > 2.0 * eps:
-                    escaped = 1
-                ya = actions(dict(zip(traj.layout, ys[i])))
-                dist = torus_distance(ya, ref, s1)
-                rows.append(DriftRow(system.model, eps, seed, t,
-                                     traj.energies[i], nsz, sup_i, sup_j,
-                                     dist, escaped))
+            AY = actions(X if plan is None else apply_transport(plan, X))
+            dist = torus_distance(AY, AY[0], layout, s1)
+            for row in zip(traj.times, traj.energies, nsz.tolist(),
+                           sup_i.tolist(), sup_j.tolist(), dist.tolist(),
+                           escaped.tolist()):
+                rows.append(DriftRow(system.model, eps, seed, *row))
     return rows
 
 
@@ -658,9 +653,8 @@ def write_frames_csv(system: ModelSystem, traj: Trajectory, path,
                      eps: float = 0.0, seed: int = 0) -> None:
     with open(path, "w") as fh:
         fh.write("model,eps,seed,t,mode,I\n")
-        for i, t in enumerate(traj.times):
-            for m, v in zip(traj.layout, traj.states[i]):
+        for t, acts in zip(traj.times, actions(traj.states)):
+            for m, a in zip(traj.layout, acts):
                 fh.write(",".join([system.model, f17(eps), str(seed),
-                                   f17(t),
-                                   "_".join(str(c) for c in m),
-                                   f17(abs(complex(v)) ** 2)]) + "\n")
+                                   f17(t), "_".join(str(c) for c in m),
+                                   f17(a)]) + "\n")

@@ -214,7 +214,8 @@ def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
     coeffs = _coeff_dict(potential)
     m = basis_size or max(4 * jmax, 32)
     if m < jmax + 2:
-        raise ValueError("basis_size too small for jmax")
+        raise ValueError("basis_size: must be >= %d, two more than the %d "
+                         "eigenvalues solved for" % (jmax + 2, jmax))
     lams, vecs, waven = _solve(coeffs, bc, m)
     err = 0.0
     if check:

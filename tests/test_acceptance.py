@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from bnfsim import poly as P
-from bnfsim.birkhoff import (NormalFormParams, lie_compose, normalize, nstar,
-                             rstar_radius, solve_homological, sstar,
-                             transform_state)
+from bnfsim.birkhoff import (NormalFormParams, apply_transport, lie_compose,
+                             normalize, nstar, rstar_radius,
+                             solve_homological, sstar, transport_plan)
 from bnfsim.dynamics import (actions, build_model_hamiltonian,
                              drift_experiment, initial_state, integrate,
                              norm_s)
@@ -162,10 +162,12 @@ def test_criterion_03_canonicity():
         worst = max(worst, err)
     # forward then inverse state transport at ||z||_s = 0.05
     rng = np.random.default_rng(np.random.SeedSequence(4103))
-    z = initial_state(sysm.modes(), 0.05, 4.0, rng)
-    y = transform_state(z, res.generators, "forward")
-    back = transform_state(y, res.generators, "inverse")
-    rt = math.sqrt(sum(abs(back[m] - z[m]) ** 2 for m in z))
+    layout = sysm.modes()
+    z = initial_state(layout, 0.05, 4.0, rng)
+    y = apply_transport(transport_plan(res.generators, layout, "forward"), z)
+    back = apply_transport(
+        transport_plan(res.generators, layout, "inverse"), y)
+    rt = math.sqrt(sum(abs(b - a) ** 2 for a, b in zip(z, back)))
     verdict(3, "canonicity", worst <= 1e-10 and rt <= 1e-9,
             "bracket defect %.2e, roundtrip %.2e" % (worst, rt))
 
@@ -233,12 +235,13 @@ def test_criterion_06_displacement_scaling():
     rng = np.random.default_rng(np.random.SeedSequence(4106))
     sizes = [0.1, 0.05, 0.025]
     direction = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    layout = sysm.modes()
+    plan = transport_plan(res.generators, layout, "forward")
     disp = []
     for rho in sizes:
-        z = initial_state(sysm.modes(), rho, 4.0, rng)
-        y = transform_state(z, res.generators, "forward")
-        d = {m: y[m] - z[m] for m in z}
-        disp.append(norm_s(d, 4.0))
+        z = initial_state(layout, rho, 4.0, rng)
+        y = apply_transport(plan, z)
+        disp.append(norm_s(y - z, layout, 4.0))
     slope = float(np.polyfit(np.log(sizes), np.log(disp), 1)[0])
     verdict(6, "displacement scaling", abs(slope - 2.0) <= 0.2,
             "slope %.3f" % slope)
@@ -384,15 +387,13 @@ def test_criterion_09_pattern_theorems():
     z[(-1,)] = 0.15
     z[(3,)] = 0.05
     z[(-3,)] = 0.04
-    nz = norm_s(z, 1.0)
-    z = {m: v * eps / nz for m, v in z.items()}
-    traj = integrate(sysm.H, z, eps ** -2.0, 0.02, stride=20)
-    I0 = actions(traj.state_dict(0))
-    dI = dJ = 0.0
-    for i in range(len(traj.times)):
-        a = actions(traj.state_dict(i))
-        dI = max(dI, abs(a[(2,)] - I0[(2,)]))
-        dJ = max(dJ, abs(a[(2,)] + a[(-2,)] - I0[(2,)] - I0[(-2,)]))
+    x = np.array([z[m] for m in layout])
+    x = x * eps / norm_s(x, layout, 1.0)
+    traj = integrate(sysm.H, x, eps ** -2.0, 0.02, stride=20)
+    a = actions(traj.states)
+    p, q = layout.index((2,)), layout.index((-2,))
+    dI = float(np.max(np.abs(a[:, p] - a[0, p])))
+    dJ = float(np.max(np.abs(a[:, p] + a[:, q] - a[0, p] - a[0, q])))
     ratio = dI / dJ
 
     # x-independent d-dim NLS: the normal form depends on actions only

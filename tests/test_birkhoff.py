@@ -346,18 +346,31 @@ def test_canonicity_through_cap():
             assert diff.homogeneous_part(d).l1() <= 1e-10
 
 
+def transform(x, generators, layout, direction="forward", tol=1e-12):
+    return B.apply_transport(
+        B.transport_plan(generators, layout, direction, tol), np.asarray(x))
+
+
 def test_transform_state_identity_and_flow_oracle():
-    assert B.transform_state({1: 0.1 + 0.2j}, []) == {(1,): 0.1 + 0.2j}
+    assert transform([0.1 + 0.2j], [], [(1,)]) == [0.1 + 0.2j]
     zeros = [poly.zero(), poly.zero()]
-    out = B.transform_state({1: 0.1}, zeros)
-    assert out[(1,)] == 0.1
+    assert transform([0.1], zeros, [(1,)]) == [0.1]
     # chi = xi^2 eta: xi(1) = xi0 / (1 - i xi0)
     chi = poly.monomial(1.0, xi={1: 2}, eta={1: 1})
     z0 = 0.08 + 0.03j
-    out = B.transform_state({1: z0}, [chi], "forward", tol=1e-13)
-    assert abs(out[(1,)] - z0 / (1 - 1j * z0)) <= 1e-11
-    back = B.transform_state(out, [chi], "inverse", tol=1e-13)
-    assert abs(back[(1,)] - z0) <= 1e-11
+    out = transform([z0], [chi], [(1,)], "forward", tol=1e-13)
+    assert abs(out[0] - z0 / (1 - 1j * z0)) <= 1e-11
+    back = transform(out, [chi], [(1,)], "inverse", tol=1e-13)
+    assert abs(back[0] - z0) <= 1e-11
+
+
+def test_transport_plan_rejects_modes_outside_the_layout():
+    chi = poly.monomial(1.0, xi={1: 2}, eta={2: 1})
+    with pytest.raises(ValueError, match=r"layout: .* \[\(2,\)\]"):
+        B.transport_plan([chi], [(1,)])
+    # the plan keeps the layout it is given, wider than the generators' own
+    plan = B.transport_plan([chi], [(1,), (2,), (3,)])
+    assert plan.steps[0].eval(np.array([0.1, 0.2, 0.3])).shape == (3,)
 
 
 def test_transform_state_matches_function_composition():
@@ -373,8 +386,10 @@ def test_transform_state_matches_function_composition():
     # normalization cap for the pointwise comparison to be tight
     gens = [Polynomial(chi.terms) for chi in res.generators]
     lhs = B.lie_compose(F, gens, 8).evaluate_real_slice(z)
-    pt = B.transform_state(z, res.generators, "forward", tol=1e-13)
-    rhs = F.evaluate_real_slice(pt)
+    layout = [(1,), (2,)]
+    pt = transform([z[m] for m in layout], res.generators, layout,
+                   "forward", tol=1e-13)
+    rhs = F.evaluate_real_slice(dict(zip(layout, pt)))
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -383,18 +398,19 @@ def test_transform_roundtrip_and_displacement_scaling():
     prm = B.NormalFormParams(r_star=2, gamma=0.1, alpha=1.0, N=2)
     res = B.normalize(t, P, prm)
     rnd = random.Random(9)
+    layout = [(1,), (2,)]
     disp = []
     for size in (0.1, 0.05, 0.025):
-        z = {}
+        z = []
         for j in (1, 2):
             ph = rnd.uniform(0, 2 * math.pi)
-            z[(j,)] = size / math.sqrt(2.0) * complex(math.cos(ph),
-                                                      math.sin(ph))
-        fwd = B.transform_state(z, res.generators, "forward")
-        back = B.transform_state(fwd, res.generators, "inverse")
-        rt = max(abs(back[m] - z[m]) for m in z)
+            z.append(size / math.sqrt(2.0) * complex(math.cos(ph),
+                                                     math.sin(ph)))
+        fwd = transform(z, res.generators, layout, "forward")
+        back = transform(fwd, res.generators, layout, "inverse")
+        rt = np.max(np.abs(back - z))
         assert rt <= 1e-9
-        disp.append(max(abs(fwd[m] - z[m]) for m in z))
+        disp.append(np.max(np.abs(fwd - z)))
     s1 = math.log(disp[0] / disp[1]) / math.log(2.0)
     s2 = math.log(disp[1] / disp[2]) / math.log(2.0)
     assert abs(s1 - 2.0) <= 0.2 and abs(s2 - 2.0) <= 0.2
@@ -454,7 +470,7 @@ def test_batched_transport_matches_per_frame_reference():
         entropy=cli.stream_seed(0, "initial", 0), spawn_key=(0,)))
     z0 = dynamics.initial_state(layout, 0.1, 4.0, rng)
     traj = dynamics.integrate(system, z0, 20.0, 0.01, stride=50)
-    frames = np.array(traj.states)
+    frames = traj.states
     assert frames.shape == (41, 6)
     got = B.apply_transport(plan, frames)
     want = frames.astype(complex)

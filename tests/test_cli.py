@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -219,8 +220,17 @@ def test_readme_config_runs_as_printed(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(config[0])
     out = str(tmp_path / "out")
-    for sub in ("normalize", "scan-resonances"):
-        assert cli.main([sub, str(p), "--out", out]) == 0, sub
+    # the printed commands, with the drift experiment and report left out
+    commands = [shlex.split(line)[1:] for b in blocks
+                for line in b.splitlines() if line.startswith("bnfsim ")]
+    run = [argv for argv in commands
+           if argv[0] in ("normalize", "scan-resonances", "simulate")]
+    assert [argv[0] for argv in run] == ["normalize", "scan-resonances",
+                                         "simulate"]
+    for argv in run:
+        argv = [str(p) if a == "run.cfg" else out if a == "out/" else a
+                for a in argv]
+        assert cli.main(argv) == 0, argv
 
 
 def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
@@ -341,6 +351,10 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
                    '"mass_span": "x"}'], "potential.params"),
     ("measure-estimate", ['potential.params={"R": 1.0, "kmax": 2, "d": "x", '
                           '"decay": 2.0}'], "potential.params"),
+    # a grid at or below twice the basis wavenumber 32 is not exact, and
+    # jmax 4 needs 6 basis functions
+    ("normalize", ["quad_n=4"], "quad_n"),
+    ("normalize", ["basis_size=5"], "basis_size"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):

@@ -8,7 +8,7 @@ from bnfsim import birkhoff as B
 from bnfsim import dynamics as D
 from bnfsim import poly
 from bnfsim.fields import eta_gradient_table, value_table
-from bnfsim.modes import weight
+from bnfsim.modes import mode_abs, weight
 from bnfsim.poly import Monomial
 from bnfsim.spectra import sample_potential, sturm_liouville
 
@@ -218,14 +218,14 @@ def test_build_model_validation():
 
 def test_flow_field_linear_rotation():
     H = poly.monomial(2.5, xi={1: 1}, eta={1: 1})
-    out = D.hamiltonian_flow_field(H, {1: 0.2 + 0.1j})
-    assert out[(1,)] == pytest.approx(-1j * 2.5 * (0.2 + 0.1j))
+    out = D.hamiltonian_flow_field(H, [0.2 + 0.1j])
+    assert out[0] == pytest.approx(-1j * 2.5 * (0.2 + 0.1j))
 
 
 def test_flow_field_rejects_complex_hamiltonian():
     H = poly.monomial(1.0 + 0.5j, xi={1: 2}, eta={2: 1})
     with pytest.raises(ValueError, match="H:"):
-        D.hamiltonian_flow_field(H, {1: 0.1, 2: 0.1})
+        D.hamiltonian_flow_field(H, [0.1, 0.1])
 
 
 def test_flow_field_finite_difference():
@@ -235,13 +235,13 @@ def test_flow_field_finite_difference():
     H = q + q.conj_flip()
     assert H.reality_defect() <= 1e-14
     z = rand_state(rnd, [(1,), (2,)])
-    F = D.hamiltonian_flow_field(H, z)
+    F = D.hamiltonian_flow_field(H, [z[(1,)], z[(2,)]])
     h = 1e-5
 
     def hval(st):
         return complex(H.evaluate_real_slice(st)).real
 
-    for m in ((1,), (2,)):
+    for k, m in enumerate(((1,), (2,))):
         dq = dict(z)
         dq[m] = z[m] + h / math.sqrt(2.0)
         dq2 = dict(z)
@@ -253,8 +253,8 @@ def test_flow_field_finite_difference():
         dp2[m] = z[m] - 1j * h / math.sqrt(2.0)
         dh_dp = (hval(dp) - hval(dp2)) / (2.0 * h)
         # Hamilton's equations in (q, p): qdot = dH/dp, pdot = -dH/dq
-        assert dh_dp == pytest.approx(math.sqrt(2.0) * F[m].real, abs=1e-6)
-        assert dh_dq == pytest.approx(-math.sqrt(2.0) * F[m].imag, abs=1e-6)
+        assert dh_dp == pytest.approx(math.sqrt(2.0) * F[k].real, abs=1e-6)
+        assert dh_dq == pytest.approx(-math.sqrt(2.0) * F[k].imag, abs=1e-6)
 
 
 # -- integrator -------------------------------------------------------------
@@ -262,21 +262,20 @@ def test_flow_field_finite_difference():
 
 def test_integrate_linear_exact_actions():
     H = poly.quadratic_diagonal({(1,): 1.0, (2,): math.sqrt(2.0)})
-    z0 = {1: 0.3 + 0.1j, 2: -0.2j}
+    z0 = np.array([0.3 + 0.1j, -0.2j])
     traj = D.integrate(H, z0, 1.0, 0.01)
-    for i in (0, len(traj.times) - 1):
-        st = traj.state_dict(i)
-        assert abs(abs(st[(1,)]) - abs(z0[1])) <= 1e-13
-        assert abs(abs(st[(2,)]) - abs(z0[2])) <= 1e-13
-    final = traj.state_dict(len(traj.times) - 1)
-    assert abs(final[(1,)] - z0[1] * np.exp(-1j * 1.0)) <= 1e-4
-    assert abs(final[(2,)] - z0[2] * np.exp(-1j * math.sqrt(2.0))) <= 1e-4
+    for st in traj.states[[0, -1]]:
+        assert abs(abs(st[0]) - abs(z0[0])) <= 1e-13
+        assert abs(abs(st[1]) - abs(z0[1])) <= 1e-13
+    final = traj.states[-1]
+    assert abs(final[0] - z0[0] * np.exp(-1j * 1.0)) <= 1e-4
+    assert abs(final[1] - z0[1] * np.exp(-1j * math.sqrt(2.0))) <= 1e-4
     assert max(abs(e - traj.energies[0]) for e in traj.energies) <= 1e-14
 
 
 def test_integrate_second_order_energy():
     sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.4)
-    z0 = {1: 0.4, 2: 0.3j}
+    z0 = [0.4, 0.3j]
     errs = []
     for dt in (0.02, 0.01):
         traj = D.integrate(sys1.H, z0, 2.0, dt)
@@ -288,13 +287,10 @@ def test_integrate_second_order_energy():
 
 def test_integrate_reversibility():
     sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.3)
-    z0 = {1: 0.35 + 0.05j, 2: 0.1 - 0.25j}
+    z0 = np.array([0.35 + 0.05j, 0.1 - 0.25j])
     fwd = D.integrate(sys1.H, z0, 1.0, 0.01, tol=1e-13)
-    zT = fwd.state_dict(len(fwd.times) - 1)
-    back = D.integrate(sys1.H, zT, -1.0, -0.01, tol=1e-13)
-    z1 = back.state_dict(len(back.times) - 1)
-    for m in z1:
-        assert abs(z1[m] - complex(z0[m[0]])) <= 1e-9
+    back = D.integrate(sys1.H, fwd.states[-1], -1.0, -0.01, tol=1e-13)
+    assert np.max(np.abs(back.states[-1] - z0)) <= 1e-9
 
 
 def test_integrate_reports_deepest_halving():
@@ -302,8 +298,8 @@ def test_integrate_reports_deepest_halving():
     # start, so the first half of the step needs the deepest halving
     H = poly.monomial(-0.5j, xi={1: 2}, eta={1: 2})
     with np.errstate(over="ignore", invalid="ignore"):
-        full = D.integrate(H, {1: 10.0}, 0.1, 0.1)
-        first = D.integrate(H, {1: 10.0}, 0.05, 0.05)
+        full = D.integrate(H, [10.0], 0.1, 0.1)
+        first = D.integrate(H, [10.0], 0.05, 0.05)
     assert first.halvings >= 2
     assert full.halvings == first.halvings + 1
 
@@ -328,11 +324,11 @@ def test_integrate_counts_field_evaluations():
     # purely quadratic H: the first evaluation (of a zero field) already
     # confirms convergence, so every step costs exactly one
     H = poly.quadratic_diagonal({(1,): 1.0, (2,): 0.5})
-    traj = D.integrate(H, {1: 0.1, 2: 0.2j}, 1.0, 0.1, stride=3)
+    traj = D.integrate(H, [0.1, 0.2j], 1.0, 0.1, stride=3)
     assert traj.steps == 10
     assert traj.evals == traj.steps
     sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.4)
-    traj = D.integrate(sys1.H, {1: 0.4, 2: 0.3j}, 1.0, 0.05)
+    traj = D.integrate(sys1.H, [0.4, 0.3j], 1.0, 0.05)
     assert traj.evals > traj.steps
 
 
@@ -344,29 +340,31 @@ def test_integrate_system_matches_polynomial():
     quad = D.integrate(sys1, z0, 2.0, 0.01, stride=20)
     table = D.integrate(sys1.H, z0, 2.0, 0.01, stride=20)
     assert quad.times == table.times
-    assert np.max(np.abs(np.array(quad.states) - np.array(table.states))) \
-        <= 1e-10
+    assert np.max(np.abs(quad.states - table.states)) <= 1e-10
     assert quad.energies == pytest.approx(table.energies, rel=1e-12)
-    # a system integrates on its own modes only
-    with pytest.raises(ValueError, match="z0"):
-        D.integrate(sys1, {**z0, (10,): 0.1}, 0.1, 0.01)
+    # a state has one entry per mode of the system, no more and no less
+    for x0 in (np.append(z0, 0.1), z0[:-1], z0[None]):
+        with pytest.raises(ValueError, match="x0"):
+            D.integrate(sys1, x0, 0.1, 0.01)
 
 
 def test_integrate_stride_and_validation():
     H = poly.quadratic_diagonal({(1,): 1.0})
-    traj = D.integrate(H, {1: 0.1}, 1.0, 0.1, stride=3)
+    traj = D.integrate(H, [0.1], 1.0, 0.1, stride=3)
     assert traj.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    assert traj.states.shape == (5, 1)
     with pytest.raises(ValueError, match="dt"):
-        D.integrate(H, {1: 0.1}, 1.0, -0.1)
+        D.integrate(H, [0.1], 1.0, -0.1)
 
 
 def test_momentum_conserved_zero_momentum_model():
     sys1 = D.build_model_hamiltonian("nls_dd", d=1, jmax=2, kappa=0.8)
     rnd = random.Random(31)
-    z0 = rand_state(rnd, sys1.modes(), scale=0.25)
-    mom0 = D.total_momentum(z0)
+    modes = sys1.modes()
+    z0 = np.array(list(rand_state(rnd, modes, scale=0.25).values()))
+    mom0 = D.total_momentum(z0, modes)
     traj = D.integrate(sys1.H, z0, 5.0, 0.02, stride=50)
-    momT = D.total_momentum(traj.state_dict(len(traj.times) - 1))
+    momT = D.total_momentum(traj.states[-1], modes)
     assert momT[0] == pytest.approx(mom0[0], abs=1e-10)
     e = traj.energies
     assert max(abs(v - e[0]) for v in e) <= 5e-6
@@ -376,21 +374,24 @@ def test_momentum_conserved_zero_momentum_model():
 
 
 def test_norm_s_definition():
-    z = {(1,): 0.3 + 0.4j, (2,): -0.2j}
+    z = np.array([0.3 + 0.4j, -0.2j])
     manual = math.sqrt(2 * weight((1,), 2.0) * 0.25
                        + 2 * weight((2,), 2.0) * 0.04)
-    assert D.norm_s(z, 2.0) == pytest.approx(manual, rel=1e-14)
+    assert D.norm_s(z, [(1,), (2,)], 2.0) == pytest.approx(manual, rel=1e-14)
+    # a block gives one norm per row
+    rows = D.norm_s(np.array([z, 2 * z]), [(1,), (2,)], 2.0)
+    assert rows == pytest.approx([manual, 2 * manual], rel=1e-14)
 
 
 def test_initial_state_profile_and_norm():
     rng = np.random.default_rng(7)
     modes = [(j,) for j in range(1, 6)]
     z = D.initial_state(modes, 0.05, 3.0, rng)
-    assert D.norm_s(z, 3.0) == pytest.approx(0.05, rel=1e-12)
-    mags = [abs(z[m]) for m in modes]
+    assert D.norm_s(z, modes, 3.0) == pytest.approx(0.05, rel=1e-12)
+    mags = np.abs(z)
     assert all(a > b for a, b in zip(mags, mags[1:]))
     z2 = D.initial_state(modes, 0.05, 3.0, np.random.default_rng(7))
-    assert z == z2
+    assert np.array_equal(z, z2)
     with pytest.raises(ValueError, match="profile"):
         D.initial_state(modes, 0.05, 3.0, rng, profile="delta")
 
@@ -400,19 +401,24 @@ def test_action_groups():
     groups = D.action_groups(per)
     labels = [g[0] for g in groups]
     assert labels == ["J_0", "J_1", "J_2"]
-    assert sorted(groups[1][1]) == [(-1,), (1,)]
+    assert sorted(per.modes()[i] for i in groups[1][1]) == [(-1,), (1,)]
     dd = D.build_model_hamiltonian("nls_dd", d=2, jmax=2, kappa=0.1)
     glab = [g[0] for g in D.action_groups(dd)]
     assert glab == ["J_M0", "J_M1", "J_M2", "J_M4"]
     shell2 = dict((g[0], g[1]) for g in D.action_groups(dd))["J_M2"]
-    assert sorted(shell2) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert sorted(dd.modes()[i] for i in shell2) == [
+        (-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def test_torus_distance_zero_iff_match():
-    a = {(1,): 0.04, (2,): 0.01}
-    assert D.torus_distance(a, dict(a), 2.0) == 0.0
-    b = {(1,): 0.05, (2,): 0.01}
-    assert D.torus_distance(a, b, 2.0) > 0.0
+    modes = [(1,), (2,)]
+    a = np.array([0.04, 0.01])
+    assert D.torus_distance(a, a.copy(), modes, 2.0) == 0.0
+    b = np.array([0.05, 0.01])
+    assert D.torus_distance(a, b, modes, 2.0) > 0.0
+    # a block of actions gives one distance per row
+    rows = D.torus_distance(np.array([a, b, a]), a, modes, 2.0)
+    assert rows[0] == rows[2] == 0.0 and rows[1] > 0.0
 
 
 # -- drift experiment -------------------------------------------------------
@@ -460,9 +466,136 @@ def test_drift_csv_roundtrip(tmp_path):
     assert parts[0] == "demo_2mode"
     assert float(parts[3]) == rows[-1].t
     assert float(parts[6]) == rows[-1].max_weighted_action_drift
-    traj = D.integrate(sys1.H, {1: 0.05}, 1.0, 0.1, stride=5)
+    traj = D.integrate(sys1.H, [0.05, 0.0], 1.0, 0.1, stride=5)
     fpath = tmp_path / "frames.csv"
     D.write_frames_csv(sys1, traj, fpath, eps=0.05, seed=1)
     flines = fpath.read_text().strip().split("\n")
     assert flines[0] == "model,eps,seed,t,mode,I"
     assert len(flines) == 1 + len(traj.times) * len(traj.layout)
+
+
+# -- drift observables against the per-frame dict reference ------------------
+
+
+def ref_norm_s(state, s):
+    return math.sqrt(math.fsum(2.0 * weight(m, s) * abs(complex(v)) ** 2
+                               for m, v in state.items()))
+
+
+def ref_actions(state):
+    return {m: abs(complex(v)) ** 2 for m, v in state.items()}
+
+
+def ref_torus_distance(acts, ref, s1):
+    tot = 0.0
+    for m in set(acts) | set(ref):
+        da = math.sqrt(max(acts.get(m, 0.0), 0.0))
+        db = math.sqrt(max(ref.get(m, 0.0), 0.0))
+        tot += weight(m, s1) * (da - db) ** 2
+    return math.sqrt(tot)
+
+
+def ref_drift(system, nf, eps_list, seeds, r, s, c, dt, stride):
+    """The drift observables computed frame by frame on {mode: complex}
+    dicts, with the profile-sobolev initial data built the same way."""
+    layout = system.modes()
+    groups = [(label, [layout[i] for i in idx], base)
+              for label, idx, base in D.action_groups(system)]
+    wvec = np.array([base ** (2.0 * s) for _, _, base in groups])
+    plan = None
+    if nf is not None and nf.generators:
+        plan = B.transport_plan(nf.generators, layout, "inverse")
+
+    def group_actions(acts):
+        return np.array([math.fsum(acts.get(m, 0.0) for m in members)
+                         for _, members, _ in groups])
+
+    rows = []
+    for ei, eps in enumerate(eps_list):
+        for seed in seeds:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(ei,)))
+            rho = np.array([(1.0 + mode_abs(m)) ** (-(s + 1.0))
+                            for m in layout])
+            theta = rng.uniform(0.0, 2.0 * math.pi, size=len(layout))
+            z0 = {m: complex(v)
+                  for m, v in zip(layout, rho * np.exp(1j * theta))}
+            nrm = ref_norm_s(z0, s)
+            z0 = {m: v * (eps / nrm) for m, v in z0.items()}
+            traj = D.integrate(system, [z0[m] for m in layout],
+                               c * eps ** (-float(r)), dt, stride=stride)
+            ys = traj.states
+            if plan is not None:
+                ys = B.apply_transport(plan, ys)
+            ref = ref_actions(dict(zip(layout, ys[0])))
+            acts0 = ref_actions(dict(zip(layout, traj.states[0])))
+            j0 = group_actions(acts0)
+            sup_i = sup_j = 0.0
+            escaped = 0
+            for i, t in enumerate(traj.times):
+                st = dict(zip(layout, traj.states[i]))
+                acts = ref_actions(st)
+                sup_i = max(sup_i, max(weight(m, s) * abs(acts[m] - acts0[m])
+                                       for m in acts))
+                jvec = group_actions(acts)
+                sup_j = max(sup_j, float(np.max(wvec * np.abs(jvec - j0))))
+                nsz = ref_norm_s(st, s)
+                if nsz > 2.0 * eps:
+                    escaped = 1
+                dist = ref_torus_distance(
+                    ref_actions(dict(zip(layout, ys[i]))), ref, s)
+                rows.append(D.DriftRow(system.model, eps, seed, t,
+                                       traj.energies[i], nsz, sup_i, sup_j,
+                                       dist, escaped))
+    return rows
+
+
+def nlw_periodic_normal_form():
+    pot = sample_potential("nlw_periodic", {"R": 0.1, "sigma": 1.0, "kmax": 6,
+                                            "mass_span": 1.0}, seed=2)
+    system = D.build_model_hamiltonian("nlw_periodic", jmax=2, kappa=1.0,
+                                       potential=pot)
+    return system, B.normalize(system.table, system.P, B.NormalFormParams(
+        r_star=2, gamma=0.05, alpha=1.0, N=2, s=4.0))
+
+
+def nls_dd_normal_form():
+    system = D.build_model_hamiltonian("nls_dd", d=2, jmax=2, kappa=0.1)
+    return system, B.normalize(system.table, system.P, B.NormalFormParams(
+        r_star=2, gamma=1e-8, alpha=1.0, N=2, s=6.0))
+
+
+@pytest.mark.parametrize("case", ["drift", "nlw_periodic", "nls_dd",
+                                  "escape"])
+def test_drift_observables_match_the_dict_reference(case):
+    if case == "drift":
+        # the benchmark's drift system on a shorter horizon, no normal form
+        system = D.build_model_hamiltonian(
+            "nls1d_dirichlet", jmax=9, kappa=0.25, potential=NLS_POTENTIAL)
+        nf, kw = None, dict(eps_list=[0.2, 0.1], seeds=[4, 9], r=2, s=4.0,
+                            c=0.02, dt=0.0045, stride=50)
+    elif case == "nlw_periodic":
+        system, nf = nlw_periodic_normal_form()
+        kw = dict(eps_list=[0.1, 0.05], seeds=[2], r=2, s=4.0, c=0.1,
+                  dt=0.02, stride=25)
+    elif case == "nls_dd":
+        system, nf = nls_dd_normal_form()
+        kw = dict(eps_list=[0.1], seeds=[1, 6], r=2, s=6.0, c=0.05,
+                  dt=0.02, stride=25)
+    else:
+        # a strong coupling at a large amplitude: norm_s passes 2 eps
+        system = D.build_model_hamiltonian("demo_2mode", kappa=5.0)
+        nf, kw = None, dict(eps_list=[8.0], seeds=[2, 5], r=1, s=3.0,
+                            c=20.0, dt=0.002, stride=25)
+    assert nf is None or nf.generators[-1]
+    got = D.drift_experiment(system, nf, **kw)
+    want = ref_drift(system, nf, **kw)
+    assert len(got) == len(want) > 2 * len(kw["eps_list"])
+    assert any(w.torus_dist > 0.0 for w in want)
+    if case == "escape":
+        assert 0 < sum(w.escaped for w in want) < len(want)
+    for g, w in zip(got, want):
+        # the reference sums the torus distance in set order, the array
+        # form exactly rounded: only its last bit may move
+        assert abs(g.torus_dist - w.torus_dist) <= 1e-15 * w.torus_dist
+        assert g == D.DriftRow(**{**vars(w), "torus_dist": g.torus_dist})
