@@ -65,8 +65,8 @@ from .dynamics import (MODELS, ModelSystem, build_model_hamiltonian,
 from .modes import mode_abs
 from .poly import to_text
 from .resonance import (DEFAULT_NODE_CAP, DivisorQuery,
-                        enumerate_near_resonances, measure_scan,
-                        write_hits_csv, write_measure_csv)
+                        enumerate_near_resonances, family_rules,
+                        measure_scan, write_hits_csv, write_measure_csv)
 from .spectra import FAMILIES, PotentialSample, sample_potential
 
 STREAMS = {"potential": 0, "initial": 1, "monte_carlo": 2}
@@ -296,13 +296,18 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
     if jmax is None:
         jmax = max(mode_abs(m) for m in system.table.modes())
     node_cap = read(cfg, "node_cap", INTEGER, DEFAULT_NODE_CAP)
+    family = read(cfg, "potential.family", ("none", "explicit") + FAMILIES,
+                  "none")
+    pot_params = read(cfg, "potential.params", OBJECT, {})
     try:
         q = DivisorQuery(omega=system.table, r=r, N=params.N,
                          gamma=params.gamma, alpha=params.alpha, jmax=jmax,
                          node_cap=node_cap)
+        # the measure scan's rules, so hits.csv and measure.csv tag alike
+        rules = family_rules(family, pot_params, q, system.table, q.gamma)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    res = enumerate_near_resonances(q)
+    res = enumerate_near_resonances(q, rules)
     write_hits_csv(res, os.path.join(outdir, "hits.csv"))
     if not res.complete:
         print(INCOMPLETE, file=sys.stderr)

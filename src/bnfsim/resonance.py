@@ -6,8 +6,11 @@ ones (eliminated).  This module enumerates the small combinations under the
 order and tail constraints, classifies the structured patterns that survive
 in the paired and lattice-shell models, and Monte Carlo-estimates the measure
 of the violating potential set over the random ensembles.  One search
-(`_dfs`) yields the candidates as int8 rows over the modes, and one accept
-step (`_below`) keeps the rows under a threshold, for both jobs.
+(`_dfs`) yields the candidates as int8 rows over the modes, one sign of each
+pair +-k, and one accept step (`_below`) keeps the rows under a threshold,
+for both jobs.  The measure scan of the lattice family searches once for
+all samples, classifies each candidate once and takes every sample's
+divisors in one blocked product.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it is zero on every
@@ -44,6 +47,8 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 DEFAULT_NODE_CAP = 2_000_000
 BRUTE_FORCE_BOX_CAP = 40_000_000  # exponent vectors the oracle may form
+# the measure scan's float64 rows and divisors per block of candidates
+SCAN_BLOCK_BYTES = 1 << 22
 
 
 def omega_dot(omega: FrequencyTable, k) -> float:
@@ -145,8 +150,10 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
     Each frequency lies in [lo[i], hi[i]] (point queries pass equal
     endpoints); modes are searched by decreasing max(|lo|, |hi|).  A branch
     is cut when no completion within the order budget (2 of it on the tail)
-    can bring |sum| under the threshold.  Returns the modes in search order,
-    the nonzero admissible leaves as int8 rows over them, complete, nodes.
+    can bring |sum| under the threshold.  Divisors, constraints and group
+    sums are all even in k, so only one sign of each pair +-k is visited:
+    the first nonzero exponent is positive.  Returns the modes in search
+    order, those leaves as int8 rows over them, complete, nodes.
     """
     idx = sorted(range(len(modes)),
                  key=lambda i: (-max(abs(lo[i]), abs(hi[i])), modes[i]))
@@ -178,7 +185,7 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
             return
         cap = min(m, tb) if is_tail[i] else m
         wl, wh = w_lo[i], w_hi[i]
-        for e in range(-cap, cap + 1):
+        for e in range(0 if m == order else -cap, cap + 1):
             if e == 0:
                 lo2, hi2 = s_lo, s_hi
             elif e > 0:
@@ -197,28 +204,35 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
     return modes, K, state[1], state[0]
 
 
-def _below(div: np.ndarray, K: np.ndarray, wv: np.ndarray, thr: float,
-           order: int) -> np.ndarray:
-    """Mask of the rows k of K with |wv.k| < thr, given div = K @ wv.
+def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray, thr: float,
+           order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Entries (i, s), in row-major order, with |K[i] . W[:, s]| < thr,
+    given div = K @ W.
 
     With |k| <= order the product is off the exactly-rounded sum by less
-    than (n + 1) eps order max|wv| over n columns; rows within twice that
-    of thr are decided by `math.fsum`, as `omega_dot` decides them.
+    than (n + 1) eps order max|w| over n columns; entries within twice that
+    of thr, with each column's own max|w|, are decided by `math.fsum`, as
+    `omega_dot` decides them.
     """
-    a = np.abs(div)
-    live = a < thr
-    band = 2 * (len(wv) + 1) * np.finfo(float).eps * order * \
-        np.max(np.abs(wv), initial=0.0)
-    for ri in np.flatnonzero(np.abs(a - thr) <= band):
-        nz = np.flatnonzero(K[ri])
-        live[ri] = abs(math.fsum(wv[nz] * K[ri, nz])) < thr
-    return live
+    band = 2 * (len(W) + 1) * np.finfo(float).eps * order * \
+        np.max(np.abs(W), axis=0, initial=0.0)
+    ri, si = np.nonzero(np.abs(div) < thr + band)
+    a = np.abs(div[ri, si])
+    keep = a < thr
+    for e in np.flatnonzero(np.abs(a - thr) <= band[si]):
+        nz = np.flatnonzero(K[ri[e]])
+        keep[e] = abs(math.fsum(W[nz, si[e]] * K[ri[e], nz])) < thr
+    return ri[keep], si[keep]
 
 
-def enumerate_near_resonances(q: DivisorQuery) -> EnumerationResult:
-    """All k with 0 < |k| <= r+2, tail mass <= 2, |omega.k| < gamma/N^alpha.
+def enumerate_near_resonances(q: DivisorQuery,
+                              rules: Sequence[Tuple[str, float]] = ()
+                              ) -> EnumerationResult:
+    """All k with 0 < |k| <= r+2, tail mass <= 2, |omega.k| < gamma/N^alpha,
+    each tagged by `classify_rows` under the exception rules (NONE without).
 
-    Branch-and-bound over frequencies sorted by size; the returned list is
+    Branch-and-bound over frequencies sorted by size; the search keeps one
+    sign of each pair +-k and the other is appended.  The returned list is
     canonically sorted, so it does not depend on the search order.  A node
     budget overrun is reported through the complete flag, never silently.
     """
@@ -226,11 +240,13 @@ def enumerate_near_resonances(q: DivisorQuery) -> EnumerationResult:
     thr, order = q.threshold, q.r + 2
     modes, K, complete, nodes = _dfs(modes, w, w, tail, order, thr,
                                      q.node_cap)
-    wv = q.omega.vector(modes)
+    W = q.omega.vector(modes)[:, None]
+    K = K[_below(K @ W, K, W, thr, order)[0]]
+    K = np.concatenate([K, -K])
     hits: List[ResonanceHit] = []
-    for row in K[_below(K @ wv, K, wv, thr, order)]:
+    for row, tag in zip(K, classify_rows(K, modes, rules)):
         pairs = [(modes[i], int(row[i])) for i in np.flatnonzero(row)]
-        hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs)))
+        hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs), tag))
     hits.sort(key=ResonanceHit.key)
     return EnumerationResult(hits, complete, nodes, thr)
 
@@ -422,9 +438,10 @@ def sample_seeds(seed: int, samples: int) -> List[int]:
                 .generate_state(1)[0]) for i in range(samples)]
 
 
-def _measure_rules(family: str, params: dict, q: DivisorQuery,
-                   table: Optional[FrequencyTable], gamma: float) -> list:
-    """Exception rules of a measure family, in priority order."""
+def family_rules(family: str, params: dict, q: DivisorQuery,
+                 table: Optional[FrequencyTable], gamma: float) -> list:
+    """Exception rules of a potential family, in priority order: none for a
+    family without a theorem of its own (nls_cosine, explicit, none)."""
     if family == "convolution_d":
         # the real-symmetric coefficient slice makes omega_k = omega_{-k}
         # exactly, so pure pair cancellations are degenerate by
@@ -454,7 +471,8 @@ def _family_table(family: str, sample: PotentialSample,
 
 def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
                             ) -> Tuple[list, np.ndarray, bool]:
-    """Exponent vectors that can be hits for SOME potential in the ensemble.
+    """Exponent vectors that can be hits for SOME potential in the ensemble,
+    one sign of each pair +-k, as int8 rows.
 
     Frequencies are intervals |k|^2 +- envelope(k); one interval search
     covers every sample, after which per-sample divisors are plain dot
@@ -470,9 +488,35 @@ def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
         [b + e for b, e in zip(base, env)],
         [mode_abs2(m) > q.N * q.N for m in modes], q.r + 2,
         gamma_max / q.N ** q.alpha, q.node_cap)
-    # float64, exact for these small integers: every sample's divisors are
-    # one product K @ wv, which an integer K would cast on each call
-    return modes, K.astype(float), complete
+    return modes, K, complete
+
+
+def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
+           thrs: Sequence[float], order: int, rule_sets: Sequence[list],
+           violates: np.ndarray, hist: List[Counter]) -> None:
+    """Add the hits among the rows of K under each column (sample) of W.
+
+    Row k stands for the pair +-k, which shares its divisor and its tag, so
+    it counts twice.  At threshold thrs[g], under rules rule_sets[g], the
+    tags of the hits go to hist[g], and a NONE hit under column s sets
+    violates[g, s].  K is cast to float64 one block of rows at a time
+    (float64 holds these small integers exactly, and BLAS takes it), and
+    each block is classified once per distinct rule set.
+    """
+    step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
+    for lo in range(0, len(K), step):
+        Kb = K[lo:lo + step].astype(float)
+        div = Kb @ W
+        tags = {}
+        for gi, thr in enumerate(thrs):
+            ri, si = _below(div, Kb, W, thr, order)
+            rules = tuple(rule_sets[gi])
+            if rules not in tags:
+                tags[rules] = classify_rows(Kb, modes, rules)
+            hit = tags[rules][ri]
+            for tag, n in Counter(hit.tolist()).items():
+                hist[gi][tag] += 2 * n
+            violates[gi, si[hit == PATTERN_NONE]] = True
 
 
 def measure_scan(family: str, params: dict, q: DivisorQuery,
@@ -482,66 +526,55 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
 
     A sample violates at gamma when it has any hit classified NONE.  Reusing
     the same potentials across the grid makes the fraction exactly
-    nonincreasing in gamma.
+    nonincreasing in gamma.  convolution_d searches once for every sample
+    and takes all the samples' divisors in one blocked product; the other
+    families build and search each sample's table.
     """
     if samples < 30:
         raise ValueError("samples: must be >= 30")
     f = family.lower()
     gammas = sorted(gammas, reverse=True)
-    seeds = sample_seeds(seed, samples)
     thrs = [g / q.N ** q.alpha for g in gammas]
-    violations = [0] * len(gammas)
+    order = q.r + 2
+    potentials = [sample_potential(f, params, s)
+                  for s in sample_seeds(seed, samples)]
+    violates = np.zeros((len(gammas), samples), dtype=bool)
     hist: List[Counter] = [Counter() for _ in gammas]
     skipped = 0
     complete = True
-    table = None
     if f == "convolution_d":
-        # one interval search covers every sample: each sample only
-        # re-weights the fixed candidate matrix
         modes, K, complete = _convolution_candidates(params, q, gammas[0])
-
-    for s in seeds:
-        sample = sample_potential(f, params, s)
-        if f == "convolution_d":
-            wv = np.array([mode_abs2(m) + sample.coeffs.get(m, 0.0)
-                           for m in modes])
-        else:
+        W = np.array([[mode_abs2(m) + p.coeffs.get(m, 0.0)
+                       for p in potentials] for m in modes])
+        rules = family_rules(f, params, q, None, gammas[0])
+        _tally(K, modes, W, thrs, order, [rules] * len(gammas), violates,
+               hist)
+    else:
+        for si, sample in enumerate(potentials):
             try:
                 table = _family_table(f, sample, q)
             except SpectralError:
                 skipped += 1
                 continue
             modes, w, tail = _domain(replace(q, omega=table))
-            modes, K, ok, _ = _dfs(modes, w, w, tail, q.r + 2, thrs[0],
+            modes, K, ok, _ = _dfs(modes, w, w, tail, order, thrs[0],
                                    q.node_cap)
             complete = complete and ok
-            wv = table.vector(modes)
-        div = K @ wv
-        for gi, thr in enumerate(thrs):
-            live = _below(div, K, wv, thr, q.r + 2)
-            if not live.any():
-                continue
-            tags = classify_rows(K[live], modes, _measure_rules(
-                f, params, q, table, gammas[gi]))
-            hist[gi].update(tags.tolist())
-            violations[gi] += bool(np.any(tags == PATTERN_NONE))
+            _tally(K, modes, table.vector(modes)[:, None], thrs, order,
+                   [family_rules(f, params, q, table, g) for g in gammas],
+                   violates[:, si:si + 1], hist)
 
     n_eff = samples - skipped
     out = []
     for gi, g in enumerate(gammas):
-        lo, hi, hw = wilson_interval(violations[gi], n_eff)
+        v = int(violates[gi].sum())
+        lo, hi, hw = wilson_interval(v, n_eff)
         out.append(MeasureEstimate(
             gamma=g, threshold=thrs[gi], samples=samples, skipped=skipped,
-            violations=violations[gi],
-            fraction=violations[gi] / n_eff if n_eff else 0.0,
+            violations=v, fraction=v / n_eff if n_eff else 0.0,
             wilson_low=lo, wilson_high=hi, half_width=hw,
             pattern_histogram=dict(hist[gi]), complete=complete))
     return out
-
-
-def measure_estimate(family: str, params: dict, q: DivisorQuery,
-                     samples: int, seed: int) -> MeasureEstimate:
-    return measure_scan(family, params, q, [q.gamma], samples, seed)[0]
 
 
 # -- CSV -----------------------------------------------------------------

@@ -426,11 +426,14 @@ def test_criterion_10_measure_trend():
     last = est[-1]
     exempt = set(map(str, last.pattern_histogram)) - {PATTERN_NONE}
     structural = exempt <= {"SHELL", "PAIR_TAIL"}
+    # the candidate search finishes under the default node_cap
+    complete = all(e.complete for e in est)
     dt = time.monotonic() - t0
     verdict(10, "measure trend",
-            mono and last.fraction <= 0.05 and structural and dt < 300.0,
-            "fractions %s, residual patterns %s, %.0fs"
-            % (["%.2f" % f for f in fr], sorted(exempt), dt))
+            mono and last.fraction <= 0.05 and structural and complete
+            and dt < 300.0,
+            "fractions %s, residual patterns %s, complete=%s, %.0fs"
+            % (["%.2f" % f for f in fr], sorted(exempt), complete, dt))
 
 
 # -- 11: parameter formulas -------------------------------------------------------

@@ -190,6 +190,30 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
         "\n".join(rows) + "\n"
 
 
+def test_scan_tags_hits_with_the_family_rules(tmp_path, capsys):
+    # nls_dd under a sampled convolution_d potential: the rules of the
+    # measure scan (shells beyond N^sqrt(alpha/decay) = 1, then pairs)
+    p = write_cfg(tmp_path / "dd.cfg", [
+        'model = "nls_dd"', "d = 2", "jmax = 2", "kappa = 0.1",
+        'potential.family = "convolution_d"',
+        'potential.params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}',
+        "r_star = 2", "gamma = 0.01", "N = 1",
+    ])
+    out = str(tmp_path / "out")
+    assert cli.main(["scan-resonances", p, "--out", out]) == 0
+    with open(os.path.join(out, "hits.csv")) as fh:
+        tags = {r["k_serialized"]: r["pattern"] for r in csv.DictReader(fh)}
+    # a cancellation across the shell |j|^2 = 2 that is not a pair
+    assert tags["-1,-1:-1 -1,1:1"] == tags["-1,-1:1 -1,1:-1"] == "SHELL"
+    assert tags["-2,0:-1 -1,0:-1 1,0:1 2,0:1"] == "PAIR_TAIL"
+    assert set(tags.values()) == {"NONE", "PAIR_TAIL", "SHELL"}
+    # an explicit potential has no rule of its own: every hit stays NONE
+    assert cli.main(["scan-resonances", p, "--out", out, "--set",
+                     "potential.family=explicit"]) == 0
+    with open(os.path.join(out, "hits.csv")) as fh:
+        assert {r["pattern"] for r in csv.DictReader(fh)} == {"NONE"}
+
+
 def test_incomplete_measure_scan_says_so(tmp_path, capsys):
     p = write_cfg(tmp_path / "m.cfg", [
         'potential.family = "convolution_d"',

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,11 +282,11 @@ def test_measure_scan_convolution():
 def test_measure_deterministic():
     params = {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 2}
     q = R.DivisorQuery(None, r=1, N=1, gamma=0.3, alpha=1.0, jmax=2)
-    a = R.measure_estimate("convolution_d", params, q, 30, seed=4)
-    b = R.measure_estimate("convolution_d", params, q, 30, seed=4)
+    a = R.measure_scan("convolution_d", params, q, [q.gamma], 30, seed=4)[0]
+    b = R.measure_scan("convolution_d", params, q, [q.gamma], 30, seed=4)[0]
     assert (a.fraction, a.violations, a.pattern_histogram) == \
         (b.fraction, b.violations, b.pattern_histogram)
-    c = R.measure_estimate("convolution_d", params, q, 30, seed=5)
+    c = R.measure_scan("convolution_d", params, q, [q.gamma], 30, seed=5)[0]
     assert (a.violations,) != (c.violations,) or \
         a.pattern_histogram != c.pattern_histogram
 
@@ -389,12 +390,17 @@ def test_matrix_classifier_matches_definitions_on_convolution_scan():
     params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
     q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
     modes, K, complete = R._convolution_candidates(params, q, 1e-2)
-    assert complete and K.shape == (8424, len(modes))
-    # the columns, the rows and their search order, as the list-building
-    # search gave them
+    # one sign of each pair +-k: the first nonzero exponent is positive
+    assert complete and K.shape == (4212, 13)
+    first = K[np.arange(len(K)), np.argmax(K != 0, axis=1)]
+    assert np.all(first > 0)
+    # the columns, and with the other signs the rows in lexicographic
+    # order, as the two-sign list-building search gave them
     assert modes == [(-2, 0), (0, -2), (0, 2), (2, 0), (-1, -1), (-1, 1),
                      (1, -1), (1, 1), (-1, 0), (0, -1), (0, 1), (1, 0), (0, 0)]
-    assert hashlib.sha256(K.astype(np.int8).tobytes()).hexdigest() == \
+    K = np.unique(np.concatenate([K, -K]), axis=0)
+    assert K.dtype == np.int8 and len(K) == 8424
+    assert hashlib.sha256(K.tobytes()).hexdigest() == \
         "082cf6869bfb6ae61b38207dc117c2f0845805baaba52327719f1dcea1c4f68b"
     shell = {"N": 2, "alpha": 1.0, "m_decay": 2.0}
     cutoff = 2 ** math.sqrt(0.5)
@@ -449,3 +455,42 @@ def test_matrix_classifier_matches_definitions_on_random_rows():
             assert R.classify_exception(full, model, prm) == want
             seen.add(want)
     assert seen == {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
+
+
+@pytest.mark.parametrize("block_bytes", [R.SCAN_BLOCK_BYTES, 1 << 10])
+@pytest.mark.parametrize("d,jmax", [(1, 2), (2, 1)])
+def test_blocked_measure_scan_matches_brute_force_per_sample(
+        monkeypatch, block_bytes, d, jmax):
+    # one candidate search and one blocked product for all samples against
+    # each sample's own exhaustive enumeration (both signs), classified row
+    # by row and tallied per gamma
+    from bnfsim.spectra import sample_potential, convolution_frequencies
+    monkeypatch.setattr(R, "SCAN_BLOCK_BYTES", block_bytes)
+    params = {"R": 0.8, "decay": 2.0, "d": d, "kmax": 2}
+    grid = [3.0, 0.6, 0.2, 0.05, 1e-6]
+    q = R.DivisorQuery(None, r=2, N=1, gamma=grid[0], alpha=1.0, jmax=jmax)
+    est = R.measure_scan("convolution_d", params, q, grid, 30, seed=13)
+    rules = R.family_rules("convolution_d", params, q, None, grid[0])
+    violations = [0] * len(grid)
+    hists = [{} for _ in grid]
+    for s in R.sample_seeds(13, 30):
+        t = convolution_frequencies(
+            d, sample_potential("convolution_d", params, s), jmax)
+        hits = R.enumerate_brute_force(replace(q, omega=t)).hits
+        for gi, g in enumerate(grid):
+            kept = [h for h in hits if abs(h.value) < g]
+            modes = sorted({j for h in kept for j in h.k})
+            K = np.array([[h.k.get(j, 0) for j in modes] for h in kept],
+                         dtype=np.int64).reshape(len(kept), len(modes))
+            tags = R.classify_rows(K, modes, rules).tolist()
+            for tag in tags:
+                hists[gi][tag] = hists[gi].get(tag, 0) + 1
+            violations[gi] += R.PATTERN_NONE in tags
+    assert [e.violations for e in est] == violations
+    assert [e.pattern_histogram for e in est] == hists
+    assert all(e.complete for e in est)
+    # the grid sees every tag the rules give and the fractions fall
+    assert 0 < violations[-2] < violations[0]
+    seen = {tag for h in hists for tag in h}
+    assert seen == ({R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
+                    if d == 1 else {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL})
