@@ -24,7 +24,8 @@ from the command line.  The flat key schema:
     potential.seed         fixed sampling seed (default: potential stream)
     integrator.dt/.tol/.stride
     experiment.eps_list/.seeds/.c/.r/.profile   (profile: sobolev | flat)
-    resonance.gammas/.samples, r, node_cap
+    resonance.gammas/.samples, r
+    node_cap               search budget in tree nodes
     seed                   single manifest seed, default 0
     out                    output directory, default "runs"
 
@@ -336,8 +337,11 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
     except ValueError as exc:
         raise ConfigError(str(exc))
     write_measure_csv(estimates, os.path.join(outdir, "measure.csv"))
-    if not all(e.complete for e in estimates):
+    complete = all(e.complete for e in estimates)
+    if not complete:
         print(INCOMPLETE, file=sys.stderr)
+    print("measure-estimate: complete=%s, nodes=%d"
+          % (complete, estimates[0].nodes))
     for e in estimates:
         print("measure-estimate: gamma=%g fraction=%.4f (%d/%d, skipped %d)"
               % (e.gamma, e.fraction, e.violations, e.samples - e.skipped,

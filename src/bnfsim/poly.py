@@ -201,10 +201,6 @@ class Polynomial:
         """Coefficientwise absolute value (always float coefficients)."""
         return Polynomial({m: abs(c) for m, c in self.terms.items()})
 
-    def conj_flip(self) -> "Polynomial":
-        """conj(c_{kl}) attached to xi^l eta^k; equals self iff real-flagged."""
-        return Polynomial({m.flip(): _conj(c) for m, c in self.terms.items()})
-
     def reality_defect(self) -> float:
         """max |conj(c_kl) - c_lk|; zero for real-valued Hamiltonians."""
         d = 0.0
@@ -229,73 +225,13 @@ class Polynomial:
             (low if m.tail_degree(cutoff_n) <= 2 else high)[m] = c
         return TailSplit(Polynomial(low), Polynomial(high), cutoff_n)
 
-    def momentum_filter(self) -> "Polynomial":
-        """Zero-total-momentum part of the polynomial."""
-        return self.filter(lambda m: not any(m.momentum))
-
     def is_zero_momentum(self) -> bool:
         return all(not any(m.momentum) for m in self.terms)
-
-    # -- calculus -----------------------------------------------------
-
-    def d_xi(self, mode) -> "Polynomial":
-        return self._deriv(as_mode(mode), True)
-
-    def d_eta(self, mode) -> "Polynomial":
-        return self._deriv(as_mode(mode), False)
-
-    def _deriv(self, mode, wrt_xi: bool) -> "Polynomial":
-        acc = {}
-        for mono, c in self.terms.items():
-            side = mono.xi if wrt_xi else mono.eta
-            d = dict(side)
-            e = d.get(mode, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                del d[mode]
-            else:
-                d[mode] = e - 1
-            new = Monomial(d, mono.eta) if wrt_xi else Monomial(mono.xi, d)
-            _accum(acc, new, c * e)
-        return Polynomial(acc)
-
-    def evaluate(self, xi_map: dict, eta_map: dict):
-        """Evaluate at a point; missing modes count as zero."""
-        xm = {as_mode(k): v for k, v in xi_map.items()}
-        em = {as_mode(k): v for k, v in eta_map.items()}
-        tot = 0.0
-        for mono, c in self.terms.items():
-            v = c
-            ok = True
-            for m, e in mono.xi:
-                z = xm.get(m, 0.0)
-                if z == 0.0:
-                    ok = False
-                    break
-                v = v * z ** e
-            if not ok:
-                continue
-            for m, e in mono.eta:
-                z = em.get(m, 0.0)
-                if z == 0.0:
-                    ok = False
-                    break
-                v = v * z ** e
-            if ok:
-                tot = tot + v
-        return tot
-
-    def evaluate_real_slice(self, xi_map: dict):
-        return self.evaluate(xi_map, {k: _conj(v) for k, v in xi_map.items()})
 
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def allclose(self, other: "Polynomial", tol: float = 1e-12) -> bool:
-        return (self - other).l1() <= tol
 
     def __repr__(self):
         if not self.terms:

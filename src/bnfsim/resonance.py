@@ -8,7 +8,12 @@ in the paired and lattice-shell models, and Monte Carlo-estimates the measure
 of the violating potential set over the random ensembles.  One search
 (`_dfs`) yields the candidates as int8 rows over the modes, one sign of each
 pair +-k, and one accept step (`_below`) keeps the rows under a threshold,
-for both jobs.  The measure scan of the lattice family searches once for
+for both jobs.  The search goes depth first through the tree of exponent
+vectors a block of up to CHUNK nodes at a time, each step in numpy, so its
+depth is not bounded by Python's recursion limit.  Its budget `node_cap` is
+in tree nodes: `nodes` counts the root and every node made, pruned or not,
+and a search past the cap stops with complete False, at most one block's
+children past it.  The measure scan of the lattice family searches once for
 all samples, classifies each candidate once and takes every sample's
 divisors in one blocked product.
 
@@ -49,6 +54,7 @@ DEFAULT_NODE_CAP = 2_000_000
 BRUTE_FORCE_BOX_CAP = 40_000_000  # exponent vectors the oracle may form
 # the measure scan's float64 rows and divisors per block of candidates
 SCAN_BLOCK_BYTES = 1 << 22
+CHUNK = 4096  # live nodes per block of the candidate search
 
 
 def omega_dot(omega: FrequencyTable, k) -> float:
@@ -65,11 +71,6 @@ def net_exponents(mono: Monomial) -> Dict[Mode, int]:
     for j, e in mono.eta:
         net[j] = net.get(j, 0) - e
     return net
-
-
-def small_divisor(omega: FrequencyTable, k) -> float:
-    """|omega.k|; raises KeyError on modes outside the table."""
-    return abs(omega_dot(omega, k))
 
 
 @dataclass
@@ -145,15 +146,27 @@ def _domain(q: DivisorQuery) -> Tuple[list, list, list]:
 def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
          tail: Sequence[bool], order: int, threshold: float, node_cap: int
          ) -> Tuple[list, np.ndarray, bool, int]:
-    """Depth-first search over exponent vectors with interval pruning.
+    """Depth-first search over exponent vectors with interval pruning, a
+    block of nodes at a time.
 
-    Each frequency lies in [lo[i], hi[i]] (point queries pass equal
-    endpoints); modes are searched by decreasing max(|lo|, |hi|).  A branch
-    is cut when no completion within the order budget (2 of it on the tail)
-    can bring |sum| under the threshold.  Divisors, constraints and group
-    sums are all even in k, so only one sign of each pair +-k is visited:
-    the first nonzero exponent is positive.  Returns the modes in search
-    order, those leaves as int8 rows over them, complete, nodes.
+    Each frequency lies in [lo[i], hi[i]] with lo[i] <= hi[i] (point
+    queries pass equal endpoints); modes are searched by decreasing
+    max(|lo|, |hi|).  A branch is cut when no completion within the order
+    budget (2 of it on the tail) can bring |sum| under the threshold.
+    Divisors, constraints and group sums are all even in k, so only one
+    sign of each pair +-k is visited: the first nonzero exponent is
+    positive.
+
+    A stack holds blocks of at most CHUNK nodes of one level.  A popped
+    block yields all its children, in parent order and then by exponent
+    ascending; a child's bounds are its parent's plus e*w, one IEEE multiply
+    and add each, so no prune decision depends on the blocking.  The
+    survivors go back in CHUNK pieces, the first on top, so the leaves come
+    out in depth-first order.  `nodes` counts the root and every child made,
+    pruned or not, and is checked after each block: a search past node_cap
+    stops incomplete, at most one block's children past it, with the leaves
+    found so far.  Returns the modes in search order, the leaves as int8
+    rows over them, complete, nodes.
     """
     idx = sorted(range(len(modes)),
                  key=lambda i: (-max(abs(lo[i]), abs(hi[i])), modes[i]))
@@ -164,44 +177,48 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
     for i in range(n - 1, -1, -1):
         sufmax[i] = max(sufmax[i + 1], abs(w_lo[i]), abs(w_hi[i]))
     # prune with slack: partial sums round; leaves are rechecked exactly
-    margin = 1e-9 * (1.0 + threshold + order * sufmax[0])
-    assign = [0] * n
+    limit = threshold + 1e-9 * (1.0 + threshold + order * sufmax[0])
+    E = np.arange(-order, order + 1, dtype=np.int8)
+    A = np.abs(E)
+    up = E > 0
     rows = array("b")
-    state = [0, True]  # nodes, complete
-
-    def rec(i: int, m: int, tb: int, s_lo: float, s_hi: float) -> None:
-        state[0] += 1
-        if state[0] > node_cap:
-            state[1] = False
-            return
-        reach = m * sufmax[i]
-        lo, hi = s_lo - reach, s_hi + reach
-        mindiv = lo if lo > 0.0 else (-hi if hi < 0.0 else 0.0)
-        if mindiv > threshold + margin:
-            return
-        if i == n:
-            if m < order:  # some exponent is nonzero
-                rows.fromlist(assign)
-            return
-        cap = min(m, tb) if is_tail[i] else m
-        wl, wh = w_lo[i], w_hi[i]
-        for e in range(0 if m == order else -cap, cap + 1):
-            if e == 0:
-                lo2, hi2 = s_lo, s_hi
-            elif e > 0:
-                lo2, hi2 = s_lo + e * wl, s_hi + e * wh
-            else:
-                lo2, hi2 = s_lo + e * wh, s_hi + e * wl
-            assign[i] = e
-            rec(i + 1, m - abs(e), tb - (abs(e) if is_tail[i] else 0),
-                lo2, hi2)
-            if not state[1]:
-                break
-        assign[i] = 0
-
-    rec(0, order, 2, 0.0, 0.0)
+    nodes, complete = 1, True
+    # (level, budget m, tail budget tb, s_lo, s_hi, exponents assigned)
+    root = (0, np.array([order], dtype=np.int8), np.array([2], np.int8),
+            np.zeros(1), np.zeros(1), np.zeros((1, 0), np.int8))
+    stack = [root] if n else []
+    while stack:
+        i, m, tb, s_lo, s_hi, K = stack.pop()
+        cap = np.minimum(m, tb) if is_tail[i] else m
+        ok = A <= cap[:, None]
+        ok[m == order, :order] = False  # no exponent yet: e >= 0
+        p, c = np.nonzero(ok)
+        nodes += len(p)
+        if nodes > node_cap:
+            complete = False
+            break
+        m = m[p] - A[c]
+        tb = tb[p] - A[c] if is_tail[i] else tb[p]
+        s_lo = s_lo[p] + (E * np.where(up, w_lo[i], w_hi[i]))[c]
+        s_hi = s_hi[p] + (E * np.where(up, w_hi[i], w_lo[i]))[c]
+        reach = m * sufmax[i + 1]
+        # lo <= hi, so |sum| > limit throughout iff either end is past it
+        keep = ~((s_lo - reach > limit) | (s_hi + reach < -limit))
+        if i + 1 == n:
+            keep &= m < order  # some exponent is nonzero
+        p = p[keep]
+        K2 = np.empty((len(p), i + 1), dtype=np.int8)
+        K2[:, :i] = K[p]
+        K2[:, i] = E[c[keep]]
+        if i + 1 == n:
+            rows.frombytes(K2.tobytes())
+            continue
+        m, tb, s_lo, s_hi = m[keep], tb[keep], s_lo[keep], s_hi[keep]
+        for a in range((len(p) - 1) // CHUNK * CHUNK, -1, -CHUNK):
+            b = slice(a, a + CHUNK)
+            stack.append((i + 1, m[b], tb[b], s_lo[b], s_hi[b], K2[b]))
     K = np.frombuffer(rows, dtype=np.int8).reshape(len(rows) // max(n, 1), n)
-    return modes, K, state[1], state[0]
+    return modes, K, complete, nodes
 
 
 def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray, thr: float,
@@ -419,6 +436,7 @@ class MeasureEstimate:
     half_width: float
     pattern_histogram: Dict[str, int] = field(default_factory=dict)
     complete: bool = True
+    nodes: int = 0  # summed over the searches of the scan
 
 
 def wilson_interval(v: int, n: int) -> Tuple[float, float, float]:
@@ -470,9 +488,10 @@ def _family_table(family: str, sample: PotentialSample,
 
 
 def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
-                            ) -> Tuple[list, np.ndarray, bool]:
+                            ) -> Tuple[list, np.ndarray, bool, int]:
     """Exponent vectors that can be hits for SOME potential in the ensemble,
-    one sign of each pair +-k, as int8 rows.
+    one sign of each pair +-k, as int8 rows, with `_dfs`'s complete and
+    nodes.
 
     Frequencies are intervals |k|^2 +- envelope(k); one interval search
     covers every sample, after which per-sample divisors are plain dot
@@ -483,12 +502,10 @@ def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
                             coeffs={}, mass=0.0)
     base = [float(mode_abs2(m)) for m in modes]
     env = [probe.envelope(m) for m in modes]
-    modes, K, complete, _ = _dfs(
-        modes, [b - e for b, e in zip(base, env)],
-        [b + e for b, e in zip(base, env)],
-        [mode_abs2(m) > q.N * q.N for m in modes], q.r + 2,
-        gamma_max / q.N ** q.alpha, q.node_cap)
-    return modes, K, complete
+    return _dfs(modes, [b - e for b, e in zip(base, env)],
+                [b + e for b, e in zip(base, env)],
+                [mode_abs2(m) > q.N * q.N for m in modes], q.r + 2,
+                gamma_max / q.N ** q.alpha, q.node_cap)
 
 
 def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
@@ -540,10 +557,11 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
                   for s in sample_seeds(seed, samples)]
     violates = np.zeros((len(gammas), samples), dtype=bool)
     hist: List[Counter] = [Counter() for _ in gammas]
-    skipped = 0
+    skipped = nodes = 0
     complete = True
     if f == "convolution_d":
-        modes, K, complete = _convolution_candidates(params, q, gammas[0])
+        modes, K, complete, nodes = _convolution_candidates(params, q,
+                                                            gammas[0])
         W = np.array([[mode_abs2(m) + p.coeffs.get(m, 0.0)
                        for p in potentials] for m in modes])
         rules = family_rules(f, params, q, None, gammas[0])
@@ -557,9 +575,9 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
                 skipped += 1
                 continue
             modes, w, tail = _domain(replace(q, omega=table))
-            modes, K, ok, _ = _dfs(modes, w, w, tail, order, thrs[0],
+            modes, K, ok, n = _dfs(modes, w, w, tail, order, thrs[0],
                                    q.node_cap)
-            complete = complete and ok
+            complete, nodes = complete and ok, nodes + n
             _tally(K, modes, table.vector(modes)[:, None], thrs, order,
                    [family_rules(f, params, q, table, g) for g in gammas],
                    violates[:, si:si + 1], hist)
@@ -573,7 +591,8 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             gamma=g, threshold=thrs[gi], samples=samples, skipped=skipped,
             violations=v, fraction=v / n_eff if n_eff else 0.0,
             wilson_low=lo, wilson_high=hi, half_width=hw,
-            pattern_histogram=dict(hist[gi]), complete=complete))
+            pattern_histogram=dict(hist[gi]), complete=complete,
+            nodes=nodes))
     return out
 
 

@@ -1,0 +1,74 @@
+"""Test-only operations on polynomials and divisors.
+
+The package never calls these; the tests use them to state and check the
+package's results from their definitions.
+"""
+from bnfsim.modes import as_mode
+from bnfsim.poly import Monomial, Polynomial, _accum, _conj
+from bnfsim.resonance import omega_dot
+
+
+def small_divisor(omega, k) -> float:
+    """|omega.k|; raises KeyError on modes outside the table."""
+    return abs(omega_dot(omega, k))
+
+
+def allclose(p: Polynomial, q: Polynomial, tol: float = 1e-12) -> bool:
+    return (p - q).l1() <= tol
+
+
+def conj_flip(p: Polynomial) -> Polynomial:
+    """conj(c_{kl}) attached to xi^l eta^k; equals p iff real-flagged."""
+    return Polynomial({m.flip(): _conj(c) for m, c in p.terms.items()})
+
+
+def momentum_filter(p: Polynomial) -> Polynomial:
+    """Zero-total-momentum part of the polynomial."""
+    return p.filter(lambda m: not any(m.momentum))
+
+
+def _deriv(p: Polynomial, mode, wrt_xi: bool) -> Polynomial:
+    mode = as_mode(mode)
+    acc = {}
+    for mono, c in p.terms.items():
+        d = dict(mono.xi if wrt_xi else mono.eta)
+        e = d.get(mode, 0)
+        if e == 0:
+            continue
+        if e == 1:
+            del d[mode]
+        else:
+            d[mode] = e - 1
+        new = Monomial(d, mono.eta) if wrt_xi else Monomial(mono.xi, d)
+        _accum(acc, new, c * e)
+    return Polynomial(acc)
+
+
+def d_xi(p: Polynomial, mode) -> Polynomial:
+    return _deriv(p, mode, True)
+
+
+def d_eta(p: Polynomial, mode) -> Polynomial:
+    return _deriv(p, mode, False)
+
+
+def evaluate(p: Polynomial, xi_map: dict, eta_map: dict):
+    """Evaluate at a point; missing modes count as zero, and a term with a
+    zero factor is skipped."""
+    xm = {as_mode(k): v for k, v in xi_map.items()}
+    em = {as_mode(k): v for k, v in eta_map.items()}
+    tot = 0.0
+    for mono, c in p.terms.items():
+        zs = [(xm.get(m, 0.0), e) for m, e in mono.xi] + \
+            [(em.get(m, 0.0), e) for m, e in mono.eta]
+        if all(z != 0.0 for z, _ in zs):
+            v = c
+            for z, e in zs:
+                v = v * z ** e
+            tot = tot + v
+    return tot
+
+
+def evaluate_real_slice(p: Polynomial, xi_map: dict):
+    """Evaluate on eta = conj(xi)."""
+    return evaluate(p, xi_map, {k: _conj(v) for k, v in xi_map.items()})

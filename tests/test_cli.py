@@ -180,6 +180,9 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
     ])
     out = str(tmp_path / "out")
     assert cli.main(["measure-estimate", p, "--out", out]) == 0
+    # one search for every sample, reported as scan-resonances reports its
+    assert "measure-estimate: complete=True, nodes=22614" in \
+        capsys.readouterr().out.splitlines()
     rows = (tmp_path / "out" / "measure.csv").read_text().splitlines()
     assert rows[0].startswith("gamma,threshold,samples")
     assert len(rows) == 3
@@ -227,7 +230,9 @@ def test_incomplete_measure_scan_says_so(tmp_path, capsys):
     ])
     out = str(tmp_path / "out")
     assert cli.main(["measure-estimate", p, "--out", out]) == 0
-    assert cli.INCOMPLETE in capsys.readouterr().err
+    std = capsys.readouterr()
+    assert cli.INCOMPLETE in std.err
+    assert "measure-estimate: complete=False, nodes=94" in std.out
     with open(os.path.join(out, "measure.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["complete"] for r in rows] == ["0"]

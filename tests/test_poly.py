@@ -7,6 +7,9 @@ from bnfsim import poly as P
 from bnfsim.exact import GaussRat
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 
+from helpers import (allclose, d_eta, d_xi, evaluate, evaluate_real_slice,
+                     momentum_filter)
+
 
 def rand_poly(rnd, nterms=6, nmodes=4, maxdeg=4, dim=1, exact=False):
     terms = {}
@@ -111,7 +114,7 @@ def test_bracket_cross_example():
     g = P.monomial(1.0, xi={2: 1}, eta={1: 1})
     out = poisson_bracket(f, g)
     expect = P.action(1, 1j) + P.action(2, -1j)
-    assert out.allclose(expect, 0.0)
+    assert allclose(out, expect, 0.0)
 
 
 def test_bracket_diagonal_action_exact():
@@ -174,8 +177,8 @@ def test_bracket_identities_exact_mode():
 def test_bracket_momentum_conserved():
     rnd = random.Random(5)
     for _ in range(10):
-        f = rand_poly(rnd, dim=2).momentum_filter()
-        g = rand_poly(rnd, dim=2).momentum_filter()
+        f = momentum_filter(rand_poly(rnd, dim=2))
+        g = momentum_filter(rand_poly(rnd, dim=2))
         br = poisson_bracket(f, g)
         assert br.is_zero_momentum()
 
@@ -205,7 +208,7 @@ def test_tail_split():
     ts = p.tail_split(4)
     assert ts.cutoff_n == 4
     assert len(ts.low) == 2 and len(ts.high) == 1
-    assert (ts.low + ts.high).allclose(p, 0.0)
+    assert allclose(ts.low + ts.high, p, 0.0)
     # tail degrees: every high term >= 3, every low term <= 2
     assert all(m.tail_degree(4) >= 3 for m in ts.high.terms)
     assert all(m.tail_degree(4) <= 2 for m in ts.low.terms)
@@ -213,7 +216,7 @@ def test_tail_split():
 
 def test_momentum_filter_1d():
     p = P.monomial(1.0, xi={1: 1, 2: 1}, eta={3: 1}) + P.monomial(1.0, xi={1: 1}, eta={3: 1})
-    q = p.momentum_filter()
+    q = momentum_filter(p)
     assert len(q) == 1
     assert next(iter(q.terms)).momentum == (0,)
 
@@ -221,7 +224,7 @@ def test_momentum_filter_1d():
 def test_momentum_filter_2d():
     good = P.monomial(1.0, xi={(1, 0): 1, (0, 1): 1}, eta={(1, 1): 1})
     bad = P.monomial(1.0, xi={(1, 0): 2}, eta={(1, 1): 1})
-    assert (good + bad).momentum_filter().terms == good.terms
+    assert momentum_filter(good + bad).terms == good.terms
 
 
 def test_homogeneous_parts_and_degrees():
@@ -247,15 +250,15 @@ def test_serialization_roundtrip_bit_exact():
 
 def test_derivatives():
     p = P.monomial(2.0, xi={1: 2}, eta={2: 1})
-    dx = p.d_xi(1)
+    dx = d_xi(p, 1)
     assert dx.terms == {Monomial({(1,): 1}, {(2,): 1}): 4.0}
-    de = p.d_eta(2)
+    de = d_eta(p, 2)
     assert de.terms == {Monomial({(1,): 2}): 2.0}
-    assert not p.d_xi(3)
+    assert not d_xi(p, 3)
 
 
 def test_evaluate():
     p = P.action(1) + P.monomial(1.0, xi={2: 2})
-    v = p.evaluate({1: 1 + 1j, 2: 2.0}, {1: 1 - 1j, 2: 2.0})
+    v = evaluate(p, {1: 1 + 1j, 2: 2.0}, {1: 1 - 1j, 2: 2.0})
     assert v == pytest.approx((1 + 1j) * (1 - 1j) + 4.0)
-    assert p.evaluate_real_slice({1: 1 + 1j, 2: 0.0}) == pytest.approx(2.0)
+    assert evaluate_real_slice(p, {1: 1 + 1j, 2: 0.0}) == pytest.approx(2.0)

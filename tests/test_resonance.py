@@ -11,6 +11,8 @@ from bnfsim import resonance as R
 from bnfsim.poly import Monomial
 from bnfsim.spectra import FrequencyTable
 
+from helpers import small_divisor
+
 
 def table_1d(omegas: dict) -> FrequencyTable:
     return FrequencyTable("test", {(j,): float(w) for j, w in omegas.items()})
@@ -18,13 +20,13 @@ def table_1d(omegas: dict) -> FrequencyTable:
 
 def test_small_divisor_examples():
     t = table_1d({1: 1.0, 2: 2.0, 3: 3.0})
-    assert R.small_divisor(t, {}) == 0.0
-    assert R.small_divisor(t, {(1,): 1, (2,): 1, (3,): -1}) == 0.0
+    assert small_divisor(t, {}) == 0.0
+    assert small_divisor(t, {(1,): 1, (2,): 1, (3,): -1}) == 0.0
     t2 = table_1d({1: 1.0, 2: math.sqrt(2)})
-    assert R.small_divisor(t2, {(1,): 1, (2,): -1}) == pytest.approx(
+    assert small_divisor(t2, {(1,): 1, (2,): -1}) == pytest.approx(
         math.sqrt(2) - 1, abs=1e-15)
     with pytest.raises(KeyError):
-        R.small_divisor(t, {(9,): 1})
+        small_divisor(t, {(9,): 1})
 
 
 def test_query_validation():
@@ -53,8 +55,8 @@ def test_integer_spectrum_contains_exact_resonance():
     for h in res.hits:
         assert 0 < h.order() <= q.r + 2
         assert abs(h.value) < q.threshold
-        assert abs(h.value - R.small_divisor(t, h.k)) <= 1e-15 or \
-            abs(abs(h.value) - R.small_divisor(t, h.k)) <= 1e-15
+        assert abs(h.value - small_divisor(t, h.k)) <= 1e-15 or \
+            abs(abs(h.value) - small_divisor(t, h.k)) <= 1e-15
 
 
 def test_wild_spectrum_empty():
@@ -130,6 +132,31 @@ def test_node_cap_flags_incomplete():
     full = R.enumerate_near_resonances(
         R.DivisorQuery(t, r=3, N=6, gamma=20.0, alpha=1.0, jmax=6))
     assert res.keys() <= full.keys()
+
+
+def test_node_cap_counts_tree_nodes():
+    # a complete search reports every node it made, the root included, so
+    # a budget of exactly that many completes and one less does not
+    t = table_1d({j: float(j) for j in range(1, 7)})
+    q = R.DivisorQuery(t, r=3, N=6, gamma=20.0, alpha=1.0, jmax=6)
+    full = R.enumerate_near_resonances(q)
+    assert full.complete
+    exact = R.enumerate_near_resonances(replace(q, node_cap=full.nodes))
+    assert exact.complete and exact.nodes == full.nodes
+    assert [h.key() for h in exact.hits] == [h.key() for h in full.hits]
+    short = R.enumerate_near_resonances(replace(q, node_cap=full.nodes - 1))
+    assert not short.complete and short.keys() <= full.keys()
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # more modes than Python's recursion limit: the all-zero branch is the
+    # first one searched and runs as deep as the table
+    t = table_1d({j: j + 0.5 for j in range(1, 1501)})
+    q = R.DivisorQuery(t, r=1, N=1500, gamma=0.1, alpha=1.0, jmax=1500,
+                       node_cap=5000)
+    res = R.enumerate_near_resonances(q)
+    assert not res.complete and 5000 < res.nodes <= 5000 + 7 * R.CHUNK
+    assert res.hits == []
 
 
 def test_classify_pair_tail():
@@ -214,7 +241,7 @@ def test_membership_examples():
     # tail degree 3 fails regardless of the divisor
     t = table_1d({j: float(j) for j in range(1, 13)})
     m_tail = Monomial({(5,): 1, (6,): 1}, {(11,): 1})
-    assert R.small_divisor(t, {(5,): 1, (6,): 1, (11,): -1}) == 0.0
+    assert small_divisor(t, {(5,): 1, (6,): 1, (11,): -1}) == 0.0
     assert not R.normal_form_membership(m_tail, t, 1.0, 1.0, 4)
 
 
@@ -389,9 +416,12 @@ def oracle_tag(k: dict, pattern: str, cutoff: float) -> str:
 def test_matrix_classifier_matches_definitions_on_convolution_scan():
     params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
     q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
-    modes, K, complete = R._convolution_candidates(params, q, 1e-2)
+    modes, K, complete, nodes = R._convolution_candidates(params, q, 1e-2)
     # one sign of each pair +-k: the first nonzero exponent is positive
-    assert complete and K.shape == (4212, 13)
+    assert complete and K.shape == (4212, 13) and nodes == 22614
+    # the rows in the order the search emits them
+    assert hashlib.sha256(K.tobytes()).hexdigest() == \
+        "4043b47459bcd4f3fb0d44017308b754d0b0926dfd994e3f0e83bc953923ce9c"
     first = K[np.arange(len(K)), np.argmax(K != 0, axis=1)]
     assert np.all(first > 0)
     # the columns, and with the other signs the rows in lexicographic
@@ -419,6 +449,48 @@ def test_matrix_classifier_matches_definitions_on_convolution_scan():
         counts[want] = counts.get(want, 0) + 1
     assert counts == {R.PATTERN_NONE: 8298, R.PATTERN_SHELL: 54,
                       R.PATTERN_PAIR_TAIL: 72}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_search_does_not_depend_on_the_block_size(monkeypatch, chunk):
+    monkeypatch.setattr(R, "CHUNK", chunk)
+    params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
+    q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
+    modes, K, complete, nodes = R._convolution_candidates(params, q, 1e-2)
+    assert complete and nodes == 22614
+    assert hashlib.sha256(K.tobytes()).hexdigest() == \
+        "4043b47459bcd4f3fb0d44017308b754d0b0926dfd994e3f0e83bc953923ce9c"
+    short = R._convolution_candidates(params, replace(q, node_cap=9000),
+                                      1e-2)
+    assert not short[2] and 9000 < short[3] <= 9000 + 11 * chunk
+    assert set(map(bytes, short[1])) <= set(map(bytes, K))
+
+
+def test_candidates_of_the_benchmark_measure_config():
+    # the measure config of criterion 10 and the benchmark is complete at
+    # the default budget
+    params = {"R": 1.0, "kmax": 4, "d": 2, "decay": 2.0}
+    q = R.DivisorQuery(None, r=3, N=2, gamma=1e-4, alpha=1.0, jmax=4)
+    modes, K, complete, nodes = R._convolution_candidates(params, q, 1e-4)
+    assert complete and K.shape == (145078, 49) and nodes == 1071288
+    assert hashlib.sha256(K.tobytes()).hexdigest() == \
+        "ec3410ba650e6f9754a218e34fb9c2428ef7331b8ea7a25de71fc4cee1b66060"
+
+
+def test_measure_scan_sums_the_nodes_of_its_searches():
+    params = {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 2}
+    q = R.DivisorQuery(None, r=1, N=1, gamma=0.35, alpha=1.0, jmax=2)
+    fast = R.measure_scan("convolution_d", params, q, [0.35, 0.1], 30, 21)
+    assert {e.nodes for e in fast} == \
+        {R._convolution_candidates(params, q, 0.35)[3]}
+    q = R.DivisorQuery(None, r=2, N=2, gamma=0.05, alpha=1.0, jmax=6)
+    slow = R.measure_scan("nlw_periodic", NLW, q, [0.05, 0.01], 30, seed=5)
+    nodes = 0
+    for s in R.sample_seeds(5, 30):
+        t = R._family_table("nlw_periodic",
+                            R.sample_potential("nlw_periodic", NLW, s), q)
+        nodes += R.enumerate_near_resonances(replace(q, omega=t)).nodes
+    assert {e.nodes for e in slow} == {nodes}
 
 
 def test_matrix_classifier_matches_definitions_on_random_rows():
