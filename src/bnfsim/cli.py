@@ -3,31 +3,9 @@
 Config files are plain text with one `key = value` per line; values are
 parsed as JSON when possible and kept as bare strings otherwise.  Blank
 lines and `#` comments are ignored.  `--set key=value` overrides any key
-from the command line.  The flat key schema:
-
-    model                  one of the names in dynamics.MODELS
-    d, jmax, kappa, mass   model-builder knobs (only the ones the model takes;
-                           jmax is an integer, for nls_dd a radius)
-    basis_size, quad_n     spectral resolution overrides (basis_size >=
-                           jmax + 2, jmax + 3 for nlw_periodic; quad_n >
-                           twice the largest basis wavenumber, so the
-                           quadrature stays exact)
-    r_star, gamma, alpha   normal-form parameters; N = "auto" or an int
-    N, s, mode             (mode: degree_by_degree | block)
-    eps, T                 single-run amplitude and horizon (simulate)
-    s1                     torus-distance weight, default s (drift-experiment)
-    potential.family       none | explicit | nlw_periodic | nls_cosine |
-                           convolution_d
-    potential.params       sampling parameters for the random families
-    potential.coeffs       explicit cosine/lattice coefficients, keys like
-                           "3" (1-d) or "1,0" (lattice)
-    potential.seed         fixed sampling seed (default: potential stream)
-    integrator.dt/.tol/.stride
-    experiment.eps_list/.seeds/.c/.r/.profile   (profile: sobolev | flat)
-    resonance.gammas/.samples, r
-    node_cap               search budget in tree nodes
-    seed                   single manifest seed, default 0
-    out                    output directory, default "runs"
+from the command line.  `KEYS` is the config schema: every key that some
+command reads, with its kind; `read` checks each value as its kind, a null
+value counts as unset, and any key not in `KEYS` exits 2 naming it.
 
 All randomness derives from the one manifest seed through named streams:
 stream k of seed S is SeedSequence(entropy=S, spawn_key=(k, index)) with
@@ -36,14 +14,8 @@ with identical resolved config are bit-reproducible; every subcommand
 records the resolved config and its sha256 in manifest.json next to its
 artifacts, keyed by subcommand so reports can sit in the same directory.
 
-Every value is read by `read` as one kind: a number, an integer (2.0 reads
-as 2), a seed (an integer >= 0), a count (an integer >= 1: the experiment
-seeds, the frame stride and the model sizes), a non-empty list of numbers
-(the eps and gamma grids), a JSON object (potential.params,
-potential.coeffs) or one of a tuple of allowed values; a null value counts
-as unset.  Exit codes: 0 success, 1 compute failure (partial artifacts are
-flagged in the manifest), 2 validation failure with a message naming the
-field.
+Exit codes: 0 success, 1 compute failure (partial artifacts are flagged in
+the manifest), 2 validation failure with a message naming the field.
 """
 
 import argparse
@@ -53,12 +25,13 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
-from .birkhoff import (AUTO, DEGREE_BY_DEGREE, NormalFormParams,
+from .birkhoff import (AUTO, BLOCK, DEGREE_BY_DEGREE, NormalFormParams,
                        NormalFormResult, normalize)
 from .dynamics import (MODELS, ModelSystem, build_model_hamiltonian,
                        drift_experiment, initial_state, integrate,
@@ -117,29 +90,55 @@ def apply_overrides(cfg: dict, sets: List[str]) -> None:
 
 
 _REQUIRED = object()
-NUMBER, INTEGER = "a number", "an integer"
+NUMBER, INTEGER, TEXT = "a number", "an integer", "a string"
 SEED, COUNT = "an integer >= 0", "an integer >= 1"
 NUMBERS, OBJECT = "a non-empty list of numbers", "a JSON object"
+
+# The config schema: every key that some command reads, with its one kind.
+# Narrowed in three places: jmax (a radius on nls_dd and in the resonance
+# commands) is a COUNT on the 1-d models, measure-estimate samples only
+# FAMILIES, and _coeffs reads each potential.coeffs value as a NUMBER.
+KEYS = {
+    "model": MODELS, "d": COUNT, "jmax": NUMBER, "kappa": NUMBER,
+    "mass": NUMBER, "basis_size": COUNT, "quad_n": COUNT,  # see README
+    "potential.family": ("none", "explicit") + FAMILIES,
+    "potential.params": OBJECT,  # sampling parameters of a random family
+    "potential.coeffs": OBJECT,  # {"3": v} (1-d) or {"1,0": v} (lattice)
+    "potential.seed": SEED,      # default: the potential stream
+    "r_star": INTEGER, "gamma": NUMBER, "alpha": NUMBER, "s": NUMBER,
+    "mode": (DEGREE_BY_DEGREE, BLOCK), "N": INTEGER,  # or N = "auto"
+    "eps": NUMBER, "T": NUMBER, "s1": NUMBER,  # s1: torus weight, default s
+    "integrator.dt": NUMBER, "integrator.tol": NUMBER,
+    "integrator.stride": COUNT, "experiment.profile": PROFILES,
+    "experiment.eps_list": NUMBERS, "experiment.seeds": COUNT,
+    "experiment.c": NUMBER, "experiment.r": INTEGER, "seed": SEED,
+    "resonance.gammas": NUMBERS, "resonance.samples": INTEGER, "out": TEXT,
+    "r": INTEGER, "node_cap": INTEGER,  # node_cap: search budget in nodes
+}
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def read(cfg: dict, key: str, kind, default=_REQUIRED):
-    """cfg[key] checked as `kind`, the one reader of config values.
-
-    A kind is NUMBER (read as a float), INTEGER (2.0 reads as 2), SEED or
-    COUNT (an INTEGER >= 0 or >= 1), NUMBERS (a list of floats), OBJECT (a
-    dict) or a tuple of allowed values.  A missing or null key gives
-    `default` as it is; without one it is an error.  Every failure is a
-    ConfigError that names the key.
-    """
+def read(cfg: dict, key: str, default=_REQUIRED):
+    """cfg[key] checked as its kind in KEYS, the one reader of config values;
+    a missing or null key gives `default`, and without one is an error."""
     v = cfg.get(key)
     if v is None:
         if default is _REQUIRED:
             raise ConfigError("%s: required" % key)
         return default
+    return _check(key, v, KEYS[key])
+
+
+def _check(key: str, v, kind):
+    """A non-null value checked as `kind`; every failure names the key.
+
+    A kind is NUMBER (read as a float), INTEGER (2.0 reads as 2), SEED or
+    COUNT (an INTEGER >= 0 or >= 1), NUMBERS (a list of floats), OBJECT (a
+    dict), TEXT (a string) or a tuple of allowed values.
+    """
     if isinstance(kind, tuple):
         if v not in kind:
             raise ConfigError("%s: expected one of %s, got %r"
@@ -154,7 +153,8 @@ def read(cfg: dict, key: str, kind, default=_REQUIRED):
           SEED: integer and v >= 0,
           COUNT: integer and v >= 1,
           NUMBERS: isinstance(v, list) and v and all(map(_is_number, v)),
-          OBJECT: isinstance(v, dict)}[kind]
+          OBJECT: isinstance(v, dict),
+          TEXT: isinstance(v, str)}[kind]
     if not ok:
         raise ConfigError("%s: expected %s" % (key, kind))
     if kind == NUMBER:
@@ -172,52 +172,59 @@ def stream_seed(seed: int, stream: str, index: int = 0) -> int:
 # -- model assembly -------------------------------------------------------
 
 
-def _coeffs(raw: dict) -> dict:
-    """Explicit coefficients {"3": v} (1-d) or {"1,0": v} (lattice)."""
-    try:
-        return {(tuple(int(p) for p in k.split(",")) if "," in k else int(k)):
-                read(raw, k, NUMBER) for k in raw}
-    except ValueError as exc:
-        raise ConfigError("potential.coeffs: %s" % exc)
+def _coeffs(raw: dict, d: Optional[int]) -> dict:
+    """Explicit coefficients: {"3": v} on the 1-d models (d None), {"1,0": v}
+    on the d-lattice of nls_dd.  A key of another dimension is an error."""
+    coeffs = {}
+    for key, v in raw.items():
+        try:
+            k = tuple(int(p) for p in key.split(","))
+        except ValueError:
+            k = ()
+        if len(k) != (d or 1):
+            raise ConfigError("potential.coeffs: key %r is not a %d-d lattice "
+                              "point" % (key, d or 1))
+        coeffs[k if d else k[0]] = _check("potential.coeffs", v, NUMBER)
+    return coeffs
 
 
 def resolve_potential(cfg: dict, seed: int, index: int = 0):
     """None, an explicit coefficient dict, or a sampled PotentialSample."""
-    family = read(cfg, "potential.family", ("none", "explicit") + FAMILIES,
-                  "none")
+    family = read(cfg, "potential.family", "none")
     if family == "none":
         return None
     if family == "explicit":
-        coeffs = _coeffs(read(cfg, "potential.coeffs", OBJECT, {}))
-        if cfg.get("model") == "nls_dd":
+        # nls_dd's lattice dimension: 2 unless set, as in its builder
+        d = read(cfg, "d", 2) if cfg.get("model") == "nls_dd" else None
+        coeffs = _coeffs(read(cfg, "potential.coeffs", {}), d)
+        if d is not None:
             return PotentialSample("convolution_d", {}, 0, coeffs, 0.0)
         return coeffs
-    params = read(cfg, "potential.params", OBJECT)
-    pseed = read(cfg, "potential.seed", SEED,
-                 stream_seed(seed, "potential", index))
+    params = read(cfg, "potential.params")
+    pseed = read(cfg, "potential.seed", stream_seed(seed, "potential", index))
     try:
         return sample_potential(family, dict(params), pseed)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-_ONE_D = {"jmax": COUNT, "kappa": NUMBER, "basis_size": COUNT,
-          "quad_n": COUNT}
+_ONE_D = ("jmax", "kappa", "basis_size", "quad_n")
 _MODEL_KEYS = {
-    "demo_2mode": {"kappa": NUMBER},
+    "demo_2mode": ("kappa",),
     "nls1d_dirichlet": _ONE_D,
-    "nlw_dirichlet": dict(_ONE_D, mass=NUMBER),
-    "nlw_periodic": dict(_ONE_D, mass=NUMBER),
+    "nlw_dirichlet": _ONE_D + ("mass",),
+    "nlw_periodic": _ONE_D + ("mass",),
     "nls_coupled": _ONE_D,
-    "nls_dd": {"d": COUNT, "jmax": NUMBER, "kappa": NUMBER},
+    "nls_dd": ("d", "jmax", "kappa"),
 }
 
 
 def build_system(cfg: dict, seed: int) -> ModelSystem:
-    model = read(cfg, "model", MODELS)
-    kwargs = {key: read(cfg, key, kind)
-              for key, kind in _MODEL_KEYS[model].items()
+    model = read(cfg, "model")
+    kwargs = {key: read(cfg, key) for key in _MODEL_KEYS[model]
               if cfg.get(key) is not None}
+    if model != "nls_dd" and "jmax" in kwargs:
+        kwargs["jmax"] = _check("jmax", kwargs["jmax"], COUNT)
     if model == "nls_coupled":
         # two fields: independent draws off the potential stream
         kwargs["potential1"] = resolve_potential(cfg, seed, 0)
@@ -234,15 +241,14 @@ def build_system(cfg: dict, seed: int) -> ModelSystem:
 
 def resolved_params(cfg: dict) -> NormalFormParams:
     """Normal-form parameters, N = auto resolved at the largest amplitude."""
-    given = dict(r_star=read(cfg, "r_star", INTEGER),
-                 gamma=read(cfg, "gamma", NUMBER),
-                 alpha=read(cfg, "alpha", NUMBER, 1.0),
-                 N=AUTO if cfg.get("N") == AUTO
-                 else read(cfg, "N", INTEGER, AUTO),
-                 s=read(cfg, "s", NUMBER, 4.0),
-                 mode=cfg.get("mode", DEGREE_BY_DEGREE))
-    amp = read(cfg, "eps", NUMBER, None)
-    eps_list = read(cfg, "experiment.eps_list", NUMBERS, None)
+    given = dict(r_star=read(cfg, "r_star"),
+                 gamma=read(cfg, "gamma"),
+                 alpha=read(cfg, "alpha", 1.0),
+                 N=AUTO if cfg.get("N") == AUTO else read(cfg, "N", AUTO),
+                 s=read(cfg, "s", 4.0),
+                 mode=read(cfg, "mode", DEGREE_BY_DEGREE))
+    amp = read(cfg, "eps", None)
+    eps_list = read(cfg, "experiment.eps_list", None)
     if amp is None and eps_list is not None:
         amp = max(eps_list)
     if given["N"] == AUTO and amp is None:
@@ -262,7 +268,7 @@ def run_normalize(cfg: dict, system: ModelSystem) -> NormalFormResult:
 
 
 def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", SEED, 0)
+    seed = read(cfg, "seed", 0)
     res = run_normalize(cfg, build_system(cfg, seed))
     pr = res.params
     doc = {
@@ -289,17 +295,16 @@ def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", SEED, 0)
+    seed = read(cfg, "seed", 0)
     system = build_system(cfg, seed)
     params = resolved_params(cfg)
-    r = read(cfg, "r", INTEGER, params.r_star)
-    jmax = read(cfg, "jmax", NUMBER, None)
+    r = read(cfg, "r", params.r_star)
+    jmax = read(cfg, "jmax", None)
     if jmax is None:
         jmax = max(mode_abs(m) for m in system.table.modes())
-    node_cap = read(cfg, "node_cap", INTEGER, DEFAULT_NODE_CAP)
-    family = read(cfg, "potential.family", ("none", "explicit") + FAMILIES,
-                  "none")
-    pot_params = read(cfg, "potential.params", OBJECT, {})
+    node_cap = read(cfg, "node_cap", DEFAULT_NODE_CAP)
+    family = read(cfg, "potential.family", "none")
+    pot_params = read(cfg, "potential.params", {})
     try:
         q = DivisorQuery(omega=system.table, r=r, N=params.N,
                          gamma=params.gamma, alpha=params.alpha, jmax=jmax,
@@ -318,17 +323,18 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", SEED, 0)
-    family = read(cfg, "potential.family", FAMILIES)
-    params = read(cfg, "potential.params", OBJECT)
-    gamma = read(cfg, "gamma", NUMBER)
-    gammas = read(cfg, "resonance.gammas", NUMBERS, [gamma])
-    samples = read(cfg, "resonance.samples", INTEGER, 100)
-    r = read(cfg, "r", INTEGER, read(cfg, "r_star", INTEGER, 3))
-    n = read(cfg, "N", INTEGER, 2)
-    alpha = read(cfg, "alpha", NUMBER, 1.0)
-    jmax = read(cfg, "jmax", NUMBER)
-    node_cap = read(cfg, "node_cap", INTEGER, DEFAULT_NODE_CAP)
+    seed = read(cfg, "seed", 0)
+    family = _check("potential.family", read(cfg, "potential.family"),
+                    FAMILIES)
+    params = read(cfg, "potential.params")
+    gamma = read(cfg, "gamma")
+    gammas = read(cfg, "resonance.gammas", [gamma])
+    samples = read(cfg, "resonance.samples", 100)
+    r = read(cfg, "r", read(cfg, "r_star", 3))
+    n = read(cfg, "N", 2)
+    alpha = read(cfg, "alpha", 1.0)
+    jmax = read(cfg, "jmax")
+    node_cap = read(cfg, "node_cap", DEFAULT_NODE_CAP)
     try:
         q = DivisorQuery(omega=None, r=r, N=n, gamma=gamma, alpha=alpha,
                          jmax=jmax, node_cap=node_cap)
@@ -350,15 +356,15 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", SEED, 0)
+    seed = read(cfg, "seed", 0)
     system = build_system(cfg, seed)
-    eps = read(cfg, "eps", NUMBER)
-    horizon = read(cfg, "T", NUMBER)
-    dt = read(cfg, "integrator.dt", NUMBER, 0.01)
-    tol = read(cfg, "integrator.tol", NUMBER, 1e-12)
-    stride = read(cfg, "integrator.stride", COUNT, 10)
-    s = read(cfg, "s", NUMBER, 4.0)
-    profile = read(cfg, "experiment.profile", PROFILES, "sobolev")
+    eps = read(cfg, "eps")
+    horizon = read(cfg, "T")
+    dt = read(cfg, "integrator.dt", 0.01)
+    tol = read(cfg, "integrator.tol", 1e-12)
+    stride = read(cfg, "integrator.stride", 10)
+    s = read(cfg, "s", 4.0)
+    profile = read(cfg, "experiment.profile", "sobolev")
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(STREAMS["initial"], 0)))
     z0 = initial_state(system.modes(), eps, s, rng, profile)
@@ -373,16 +379,16 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
 
 
 def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
-    seed = read(cfg, "seed", SEED, 0)
+    seed = read(cfg, "seed", 0)
     system = build_system(cfg, seed)
-    eps_list = read(cfg, "experiment.eps_list", NUMBERS)
-    nseeds = read(cfg, "experiment.seeds", COUNT, 2)
-    r = read(cfg, "experiment.r", INTEGER, read(cfg, "r_star", INTEGER, 2))
-    s = read(cfg, "s", NUMBER, 4.0)
-    s1 = read(cfg, "s1", NUMBER, s)
-    profile = read(cfg, "experiment.profile", PROFILES, "sobolev")
+    eps_list = read(cfg, "experiment.eps_list")
+    nseeds = read(cfg, "experiment.seeds", 2)
+    r = read(cfg, "experiment.r", read(cfg, "r_star", 2))
+    s = read(cfg, "s", 4.0)
+    s1 = read(cfg, "s1", s)
+    profile = read(cfg, "experiment.profile", "sobolev")
     nf = None
-    if "gamma" in cfg and "r_star" in cfg:
+    if None not in (read(cfg, "gamma", None), read(cfg, "r_star", None)):
         nf = run_normalize(cfg, system)
         if not nf.membership_ok():
             print("warning: normal form membership checks failed",
@@ -391,11 +397,11 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     rows = drift_experiment(
         system, nf, eps_list, seeds, r,
         s=s,
-        c=read(cfg, "experiment.c", NUMBER, 1.0),
-        dt=read(cfg, "integrator.dt", NUMBER, 0.01),
-        stride=read(cfg, "integrator.stride", COUNT, 10),
+        c=read(cfg, "experiment.c", 1.0),
+        dt=read(cfg, "integrator.dt", 0.01),
+        stride=read(cfg, "integrator.stride", 10),
         s1=s1,
-        tol=read(cfg, "integrator.tol", NUMBER, 1e-12),
+        tol=read(cfg, "integrator.tol", 1e-12),
         profile=profile)
     write_drift_csv(rows, os.path.join(outdir, "drift.csv"))
     nesc = sum(1 for row in rows if row.escaped)
@@ -460,22 +466,15 @@ def _measure_summary(path: str) -> List[str]:
 
 
 def _hits_summary(path: str) -> List[str]:
-    patterns: dict = {}
-    worst = None
     with open(path) as fh:
-        for row in csv.DictReader(fh):
-            patterns[row["pattern"]] = patterns.get(row["pattern"], 0) + 1
-            v = abs(float(row["divisor"]))
-            if worst is None or v < worst:
-                worst = v
-    lines = ["resonance hits:"]
-    if not patterns:
-        lines.append("  none")
-        return lines
-    for pat in sorted(patterns):
-        lines.append("  %-12s %d" % (pat, patterns[pat]))
-    lines.append("  smallest |divisor|: %.6e" % worst)
-    return lines
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        return ["resonance hits:", "  none"]
+    patterns = Counter(row["pattern"] for row in rows)
+    worst = min(abs(float(row["divisor"])) for row in rows)
+    return (["resonance hits:"]
+            + ["  %-12s %d" % (pat, patterns[pat]) for pat in sorted(patterns)]
+            + ["  smallest |divisor|: %.6e" % worst])
 
 
 def _nf_summary(path: str) -> List[str]:
@@ -529,13 +528,11 @@ def write_manifest(outdir: str, command: str, cfg: dict,
                    artifacts: List[str], wall: float,
                    error: Optional[str] = None) -> None:
     path = os.path.join(outdir, "manifest.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            data = {}
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        data = {}
     resolved = {k: cfg[k] for k in sorted(cfg)}
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"),
                       default=str)
@@ -582,7 +579,10 @@ def main(argv=None) -> int:
         apply_overrides(cfg, args.sets)
         if args.out is not None:
             cfg["out"] = args.out
-        outdir = str(cfg.get("out", "runs"))
+        unknown = sorted(set(cfg) - set(KEYS))
+        if unknown:
+            raise ConfigError("%s: unknown key" % ", ".join(unknown))
+        outdir = read(cfg, "out", "runs")
         os.makedirs(outdir, exist_ok=True)
         t0 = time.monotonic()
         artifacts = COMMANDS[args.command](cfg, outdir)

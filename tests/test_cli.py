@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -384,6 +386,7 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
     # jmax 4 needs 6 basis functions
     ("normalize", ["quad_n=4"], "quad_n"),
     ("normalize", ["basis_size=5"], "basis_size"),
+    ("normalize", ["mode=bogus"], "mode"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):
@@ -420,3 +423,85 @@ def test_unknown_initial_profile_exits_2(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         assert "experiment.profile:" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    p = write_cfg(tmp_path / "u.cfg", DEMO + ["gama = 0.4"])
+    assert cli.main([command, p, "--out", str(out)]) == 2
+    assert "bnfsim: gama: unknown key" in capsys.readouterr().err
+    p = write_cfg(tmp_path / "u.cfg", DEMO)
+    assert cli.main([command, p, "--out", str(out),
+                     "--set", "integrator.dtt=0.5"]) == 2
+    assert "bnfsim: integrator.dtt: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keys_table_lists_exactly_the_keys_read():
+    source = inspect.getsource(cli)
+    named = set(re.findall(r'\bread\(cfg, "([^"]+)"', source))
+    model = {key for keys in cli._MODEL_KEYS.values() for key in keys}
+    assert named <= set(cli.KEYS)
+    assert named | model == set(cli.KEYS)
+
+
+def test_benchmark_configs_pass_the_key_check(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, w in workloads.WORKLOADS.items():
+        p = str(tmp_path / (name + ".cfg"))
+        workloads.write_config(w.config(0), p)
+        # the command is stubbed out: main runs its key check and nothing else
+        monkeypatch.setitem(cli.COMMANDS, w.command, lambda cfg, outdir: [])
+        assert cli.main([w.command, p, "--out", str(tmp_path / name)]) == 0
+
+
+def test_null_gamma_or_r_star_drifts_without_a_normal_form(tmp_path):
+    digests = {}
+    for case in ("gamma=null", "r_star=null", "alpha=1.0"):
+        out = str(tmp_path / case)
+        assert cli.main(drift_argv(tmp_path, out, ("--set", case))) == 0
+        digests[case] = hashlib.sha256(
+            (Path(out) / "drift.csv").read_bytes()).hexdigest()
+    assert digests["gamma=null"] == digests["r_star=null"]
+    assert digests["gamma=null"] != digests["alpha=1.0"]
+
+
+def test_null_out_writes_to_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    p = write_cfg(tmp_path / "n.cfg", DEMO)
+    assert cli.main(["normalize", p, "--set", "out=null"]) == 0
+    assert (tmp_path / "runs" / "nf.json").exists()
+    assert not (tmp_path / "None").exists()
+    assert cli.main(["normalize", p, "--set", "out=5"]) == 2
+    assert "bnfsim: out: expected a string" in capsys.readouterr().err
+    assert not (tmp_path / "5").exists()
+
+
+NLS_DD = ['model = "nls_dd"', "d = 2", "jmax = 2", "kappa = 0.1",
+          'potential.family = "explicit"', "r_star = 2", "gamma = 0.01",
+          "N = 1"]
+
+
+@pytest.mark.parametrize("base,coeffs", [
+    (NLS1D + [EXPLICIT], '{"1,0": 0.5}'),
+    (NLS_DD, '{"3": 0.5}'),
+    (NLS_DD, '{"1,0,0": 0.5}'),
+])
+def test_coeff_keys_of_another_dimension_exit_2(tmp_path, capsys, base,
+                                                coeffs):
+    p = write_cfg(tmp_path / "c.cfg", base)
+    assert cli.main(["normalize", p, "--out", str(tmp_path / "out"),
+                     "--set", "potential.coeffs=" + coeffs]) == 2
+    assert "bnfsim: potential.coeffs:" in capsys.readouterr().err
+
+
+def test_lattice_coeffs_shift_their_frequency():
+    cfg = {"model": "nls_dd", "d": 2, "jmax": 2,
+           "potential.family": "explicit", "potential.coeffs": {"1,0": 0.5}}
+    table = cli.build_system(cfg, 0).table
+    assert table.omega_of((1, 0)) == 1.5
+    assert table.omega_of((0, 1)) == 1.0
