@@ -115,6 +115,7 @@ KEYS = {
     "resonance.gammas": NUMBERS, "resonance.samples": INTEGER, "out": TEXT,
     "r": INTEGER, "node_cap": INTEGER,  # node_cap: search budget in nodes
 }
+DEFAULT_S = 4.0  # the Sobolev index of the normal form and the initial data
 
 
 def _is_number(v) -> bool:
@@ -245,7 +246,7 @@ def resolved_params(cfg: dict) -> NormalFormParams:
                  gamma=read(cfg, "gamma"),
                  alpha=read(cfg, "alpha", 1.0),
                  N=AUTO if cfg.get("N") == AUTO else read(cfg, "N", AUTO),
-                 s=read(cfg, "s", 4.0),
+                 s=read(cfg, "s", DEFAULT_S),
                  mode=read(cfg, "mode", DEGREE_BY_DEGREE))
     amp = read(cfg, "eps", None)
     eps_list = read(cfg, "experiment.eps_list", None)
@@ -355,20 +356,27 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
     return ["measure.csv"]
 
 
+def _integration(cfg: dict) -> dict:
+    """The settings both integrating commands read, with their one set of
+    defaults, keyed by `drift_experiment`'s keywords."""
+    return dict(s=read(cfg, "s", DEFAULT_S),
+                dt=read(cfg, "integrator.dt", 0.01),
+                tol=read(cfg, "integrator.tol", 1e-12),
+                stride=read(cfg, "integrator.stride", 10),
+                profile=read(cfg, "experiment.profile", "sobolev"))
+
+
 def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
     seed = read(cfg, "seed", 0)
     system = build_system(cfg, seed)
     eps = read(cfg, "eps")
     horizon = read(cfg, "T")
-    dt = read(cfg, "integrator.dt", 0.01)
-    tol = read(cfg, "integrator.tol", 1e-12)
-    stride = read(cfg, "integrator.stride", 10)
-    s = read(cfg, "s", 4.0)
-    profile = read(cfg, "experiment.profile", "sobolev")
+    run = _integration(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(STREAMS["initial"], 0)))
-    z0 = initial_state(system.modes(), eps, s, rng, profile)
-    traj = integrate(system, z0, horizon, dt, tol=tol, stride=stride)
+    z0 = initial_state(system.modes(), eps, run["s"], rng, run["profile"])
+    traj = integrate(system, z0, horizon, run["dt"], tol=run["tol"],
+                     stride=run["stride"])
     write_frames_csv(system, traj, os.path.join(outdir, "frames.csv"),
                      eps=eps, seed=seed)
     de = max(abs(e - traj.energies[0]) for e in traj.energies)
@@ -384,9 +392,8 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     eps_list = read(cfg, "experiment.eps_list")
     nseeds = read(cfg, "experiment.seeds", 2)
     r = read(cfg, "experiment.r", read(cfg, "r_star", 2))
-    s = read(cfg, "s", 4.0)
-    s1 = read(cfg, "s1", s)
-    profile = read(cfg, "experiment.profile", "sobolev")
+    run = _integration(cfg)
+    s1 = read(cfg, "s1", run["s"])
     nf = None
     if None not in (read(cfg, "gamma", None), read(cfg, "r_star", None)):
         nf = run_normalize(cfg, system)
@@ -394,15 +401,8 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
             print("warning: normal form membership checks failed",
                   file=sys.stderr)
     seeds = [stream_seed(seed, "initial", k) for k in range(nseeds)]
-    rows = drift_experiment(
-        system, nf, eps_list, seeds, r,
-        s=s,
-        c=read(cfg, "experiment.c", 1.0),
-        dt=read(cfg, "integrator.dt", 0.01),
-        stride=read(cfg, "integrator.stride", 10),
-        s1=s1,
-        tol=read(cfg, "integrator.tol", 1e-12),
-        profile=profile)
+    rows = drift_experiment(system, nf, eps_list, seeds, r,
+                            c=read(cfg, "experiment.c", 1.0), s1=s1, **run)
     write_drift_csv(rows, os.path.join(outdir, "drift.csv"))
     nesc = sum(1 for row in rows if row.escaped)
     print("drift-experiment: %d rows over %d runs, %d escaped frames"

@@ -7,15 +7,16 @@ order and tail constraints, classifies the structured patterns that survive
 in the paired and lattice-shell models, and Monte Carlo-estimates the measure
 of the violating potential set over the random ensembles.  One search
 (`_dfs`) yields the candidates as int8 rows over the modes, one sign of each
-pair +-k, and one accept step (`_below`) keeps the rows under a threshold,
-for both jobs.  The search goes depth first through the tree of exponent
-vectors a block of up to CHUNK nodes at a time, each step in numpy, so its
-depth is not bounded by Python's recursion limit.  Its budget `node_cap` is
-in tree nodes: `nodes` counts the root and every node made, pruned or not,
-and a search past the cap stops with complete False, at most one block's
-children past it.  The measure scan of the lattice family searches once for
-all samples, classifies each candidate once and takes every sample's
-divisors in one blocked product.
+pair +-k, and one accept step (`_below`) keeps the rows under each of a
+list of thresholds in one pass, for both jobs.  The search goes depth first
+through the tree of exponent vectors a block of up to CHUNK nodes at a
+time, each step in numpy, so its depth is not bounded by Python's
+recursion limit.  Its budget `node_cap` is in tree nodes: `nodes` counts
+the root and every node made, pruned or not, and a search past the cap
+stops with complete False, at most one block's children past it.  The
+measure scan of the lattice family searches once for all samples, takes
+every sample's divisors in one blocked product and classifies only the
+candidates that are hits.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it is zero on every
@@ -221,25 +222,35 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
     return modes, K, complete, nodes
 
 
-def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray, thr: float,
-           order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Entries (i, s), in row-major order, with |K[i] . W[:, s]| < thr,
-    given div = K @ W.
+def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray,
+           thrs: Sequence[float], order: int
+           ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """For each threshold of the non-increasing thrs, the entries (i, s), in
+    row-major order, with |K[i] . W[:, s]| < thr, given div = K @ W (div is
+    overwritten by its absolute value).
 
     With |k| <= order the product is off the exactly-rounded sum by less
     than (n + 1) eps order max|w| over n columns; entries within twice that
     of thr, with each column's own max|w|, are decided by `math.fsum`, as
-    `omega_dot` decides them.
+    `omega_dot` decides them.  One pass over div finds the entries under
+    the largest threshold plus its band; each smaller threshold's
+    candidates are a subset of the previous one's.
     """
     band = 2 * (len(W) + 1) * np.finfo(float).eps * order * \
         np.max(np.abs(W), axis=0, initial=0.0)
-    ri, si = np.nonzero(np.abs(div) < thr + band)
-    a = np.abs(div[ri, si])
-    keep = a < thr
-    for e in np.flatnonzero(np.abs(a - thr) <= band[si]):
-        nz = np.flatnonzero(K[ri[e]])
-        keep[e] = abs(math.fsum(W[nz, si[e]] * K[ri[e], nz])) < thr
-    return ri[keep], si[keep]
+    np.abs(div, out=div)
+    ri, si = np.nonzero(div < thrs[0] + band)
+    a = div[ri, si]
+    out = []
+    for thr in thrs:
+        c = a < thr + band[si]
+        ri, si, a = ri[c], si[c], a[c]
+        keep = a < thr
+        for e in np.flatnonzero(np.abs(a - thr) <= band[si]):
+            nz = np.flatnonzero(K[ri[e]])
+            keep[e] = abs(math.fsum(W[nz, si[e]] * K[ri[e], nz])) < thr
+        out.append((ri[keep], si[keep]))
+    return out
 
 
 def enumerate_near_resonances(q: DivisorQuery,
@@ -258,7 +269,7 @@ def enumerate_near_resonances(q: DivisorQuery,
     modes, K, complete, nodes = _dfs(modes, w, w, tail, order, thr,
                                      q.node_cap)
     W = q.omega.vector(modes)[:, None]
-    K = K[_below(K @ W, K, W, thr, order)[0]]
+    K = K[_below(K @ W, K, W, [thr], order)[0][0]]
     K = np.concatenate([K, -K])
     hits: List[ResonanceHit] = []
     for row, tag in zip(K, classify_rows(K, modes, rules)):
@@ -517,20 +528,22 @@ def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
     it counts twice.  At threshold thrs[g], under rules rule_sets[g], the
     tags of the hits go to hist[g], and a NONE hit under column s sets
     violates[g, s].  K is cast to float64 one block of rows at a time
-    (float64 holds these small integers exactly, and BLAS takes it), and
-    each block is classified once per distinct rule set.
+    (float64 holds these small integers exactly, and BLAS takes it); one
+    `_below` pass decides the block for every threshold (thrs is
+    non-increasing), and only the rows hit under some threshold are
+    classified, once per distinct rule set.
     """
     step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
     for lo in range(0, len(K), step):
         Kb = K[lo:lo + step].astype(float)
-        div = Kb @ W
+        found = _below(Kb @ W, Kb, W, thrs, order)
+        live = np.unique(np.concatenate([ri for ri, _ in found]))
         tags = {}
-        for gi, thr in enumerate(thrs):
-            ri, si = _below(div, Kb, W, thr, order)
+        for gi, (ri, si) in enumerate(found):
             rules = tuple(rule_sets[gi])
             if rules not in tags:
-                tags[rules] = classify_rows(Kb, modes, rules)
-            hit = tags[rules][ri]
+                tags[rules] = classify_rows(Kb[live], modes, rules)
+            hit = tags[rules][np.searchsorted(live, ri)]
             for tag, n in Counter(hit.tolist()).items():
                 hist[gi][tag] += 2 * n
             violates[gi, si[hit == PATTERN_NONE]] = True
@@ -548,7 +561,9 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     families build and search each sample's table.
     """
     if samples < 30:
-        raise ValueError("samples: must be >= 30")
+        raise ValueError("resonance.samples: must be >= 30")
+    if not all(g > 0 for g in gammas):
+        raise ValueError("resonance.gammas: must be > 0")
     f = family.lower()
     gammas = sorted(gammas, reverse=True)
     thrs = [g / q.N ** q.alpha for g in gammas]

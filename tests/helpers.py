@@ -3,6 +3,11 @@
 The package never calls these; the tests use them to state and check the
 package's results from their definitions.
 """
+import math
+from typing import Tuple
+
+import numpy as np
+
 from bnfsim.modes import as_mode
 from bnfsim.poly import Monomial, Polynomial, _accum, _conj
 from bnfsim.resonance import omega_dot
@@ -72,3 +77,24 @@ def evaluate(p: Polynomial, xi_map: dict, eta_map: dict):
 def evaluate_real_slice(p: Polynomial, xi_map: dict):
     """Evaluate on eta = conj(xi)."""
     return evaluate(p, xi_map, {k: _conj(v) for k, v in xi_map.items()})
+
+
+def below_reference(div: np.ndarray, K: np.ndarray, W: np.ndarray,
+                    thr: float, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Entries (i, s), in row-major order, with |K[i] . W[:, s]| < thr,
+    given div = K @ W.
+
+    With |k| <= order the product is off the exactly-rounded sum by less
+    than (n + 1) eps order max|w| over n columns; entries within twice that
+    of thr, with each column's own max|w|, are decided by `math.fsum`, as
+    `omega_dot` decides them.
+    """
+    band = 2 * (len(W) + 1) * np.finfo(float).eps * order * \
+        np.max(np.abs(W), axis=0, initial=0.0)
+    ri, si = np.nonzero(np.abs(div) < thr + band)
+    a = np.abs(div[ri, si])
+    keep = a < thr
+    for e in np.flatnonzero(np.abs(a - thr) <= band[si]):
+        nz = np.flatnonzero(K[ri[e]])
+        keep[e] = abs(math.fsum(W[nz, si[e]] * K[ri[e], nz])) < thr
+    return ri[keep], si[keep]

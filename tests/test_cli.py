@@ -387,6 +387,10 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
     ("normalize", ["quad_n=4"], "quad_n"),
     ("normalize", ["basis_size=5"], "basis_size"),
     ("normalize", ["mode=bogus"], "mode"),
+    # the measure grid and sample count
+    ("measure-estimate", ["resonance.gammas=[-1e-4]"], "resonance.gammas"),
+    ("measure-estimate", ["resonance.gammas=[0]"], "resonance.gammas"),
+    ("measure-estimate", ["resonance.samples=29"], "resonance.samples"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):

@@ -11,6 +11,7 @@ from bnfsim import resonance as R
 from bnfsim.poly import Monomial
 from bnfsim.spectra import FrequencyTable
 
+import helpers
 from helpers import small_divisor
 
 
@@ -566,3 +567,66 @@ def test_blocked_measure_scan_matches_brute_force_per_sample(
     seen = {tag for h in hists for tag in h}
     assert seen == ({R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
                     if d == 1 else {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL})
+
+
+def test_one_pass_accept_step_matches_one_call_per_threshold():
+    # random int8 rows (|k| <= order) against one planted entry per column,
+    # exactly at, within and just beyond the fsum band of every threshold
+    # (a duplicate included), on both signs: one `_below` pass must give
+    # each threshold's entries as the single-threshold step gives them
+    from bnfsim.modes import lattice_modes
+    rng = np.random.default_rng(11)
+    modes, order = lattice_modes(1, 4), 6
+    thrs = [0.3, 0.1, 0.1, 0.02, 1e-3]
+    offsets = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]  # in units of the band
+    ulps = [-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0]  # in units of eps max|w|
+    plants = [(thr, sign, off, 0.0) for thr in thrs for sign in (-1, 1)
+              for off in offsets] + \
+        [(thr, sign, 0.0, ulp) for thr in thrs for sign in (-1, 1)
+         for ulp in ulps for _ in range(3)]
+    n, P = len(modes), len(plants)
+    K = np.zeros((40 + P + 300, n), dtype=np.int8)
+    # pair cancellations inside and beyond the SHELL cutoff, so that the
+    # hits carry every tag of the rules below
+    K[:20, [modes.index((1,)), modes.index((-1,))]] = [1, -1]
+    K[20:40, [modes.index((3,)), modes.index((-3,))]] = [2, -2]
+    for i in range(40, len(K)):
+        if i < 40 + P:  # a planted row: order terms, cancelling
+            K[i, rng.choice(n, order, replace=False)] = \
+                rng.choice([-1, 1], order)
+        else:
+            for c in rng.integers(0, n, size=rng.integers(1, order + 1)):
+                K[i, c] += rng.choice([-1, 1])
+    W = rng.uniform(50.0, 150.0, size=(n, P))
+    W *= rng.uniform(0.5, 4.0, size=P)  # per-column scales
+    eps = np.finfo(float).eps
+    for s, (thr, sign, off, ulp) in enumerate(plants):
+        i = 40 + s
+        c = np.flatnonzero(K[i])[0]
+        for _ in range(2):  # band from the column as planted
+            top = eps * np.abs(W[:, s]).max()
+            target = sign * (thr + (2 * (n + 1) * order * off + ulp) * top)
+            rest = math.fsum(W[m, s] * K[i, m] for m in range(n) if m != c)
+            W[c, s] = (target - rest) / K[i, c]
+    # the product summed left to right, so no BLAS kernel picks the data
+    div = np.zeros((len(K), P))
+    for m in range(n):
+        div += K[:, m, None] * W[m]
+    want = [helpers.below_reference(div, K, W, thr, order) for thr in thrs]
+    naive = [np.nonzero(np.abs(div) < thr) for thr in thrs]
+    got = R._below(div.copy(), K, W, thrs, order)
+    assert len(got) == len(thrs)
+    for (ri, si), (wr, ws) in zip(got, want):
+        assert np.array_equal(ri, wr) and np.array_equal(si, ws)
+    # the data reach the fsum recheck: at every threshold a plain product
+    # decision differs
+    assert all(len(a) != len(b) or np.any(a != b)
+               for (a, _), (b, _) in zip(naive, want))
+    assert all(len(ri) for ri, _ in want)
+    # tags of the live rows alone equal the whole block's at those rows
+    rules = [(R.PATTERN_SHELL, 2.0), (R.PATTERN_PAIR_TAIL, 0.0)]
+    live = np.unique(np.concatenate([ri for ri, _ in got]))
+    tags = R.classify_rows(K[live], modes, rules)
+    assert np.array_equal(tags, R.classify_rows(K, modes, rules)[live])
+    assert set(tags) == {R.PATTERN_NONE, R.PATTERN_SHELL,
+                         R.PATTERN_PAIR_TAIL}
