@@ -41,7 +41,7 @@ from .poly import to_text
 from .resonance import (DEFAULT_NODE_CAP, DivisorQuery,
                         enumerate_near_resonances, family_rules,
                         measure_scan, write_hits_csv, write_measure_csv)
-from .spectra import FAMILIES, PotentialSample, sample_potential
+from .spectra import FAMILIES, NLW_PERIODIC, sample_potential
 
 STREAMS = {"potential": 0, "initial": 1, "monte_carlo": 2}
 PROFILES = ("sobolev", "flat")
@@ -90,9 +90,9 @@ def apply_overrides(cfg: dict, sets: List[str]) -> None:
 
 
 _REQUIRED = object()
-NUMBER, INTEGER, TEXT = "a number", "an integer", "a string"
-SEED, COUNT = "an integer >= 0", "an integer >= 1"
-NUMBERS, OBJECT = "a non-empty list of numbers", "a JSON object"
+NUMBER, POSITIVE, INTEGER = "a number", "a number > 0", "an integer"
+SEED, COUNT, TEXT = "an integer >= 0", "an integer >= 1", "a string"
+POSITIVES, OBJECT = "a non-empty list of numbers > 0", "a JSON object"
 
 # The config schema: every key that some command reads, with its one kind.
 # Narrowed in three places: jmax (a radius on nls_dd and in the resonance
@@ -107,12 +107,12 @@ KEYS = {
     "potential.seed": SEED,      # default: the potential stream
     "r_star": INTEGER, "gamma": NUMBER, "alpha": NUMBER, "s": NUMBER,
     "mode": (DEGREE_BY_DEGREE, BLOCK), "N": INTEGER,  # or N = "auto"
-    "eps": NUMBER, "T": NUMBER, "s1": NUMBER,  # s1: torus weight, default s
-    "integrator.dt": NUMBER, "integrator.tol": NUMBER,
+    "eps": POSITIVE, "T": NUMBER, "s1": NUMBER,  # s1: torus weight, default s
+    "integrator.dt": NUMBER, "integrator.tol": POSITIVE,
     "integrator.stride": COUNT, "experiment.profile": PROFILES,
-    "experiment.eps_list": NUMBERS, "experiment.seeds": COUNT,
+    "experiment.eps_list": POSITIVES, "experiment.seeds": COUNT,
     "experiment.c": NUMBER, "experiment.r": INTEGER, "seed": SEED,
-    "resonance.gammas": NUMBERS, "resonance.samples": INTEGER, "out": TEXT,
+    "resonance.gammas": POSITIVES, "resonance.samples": INTEGER, "out": TEXT,
     "r": INTEGER, "node_cap": INTEGER,  # node_cap: search budget in nodes
 }
 DEFAULT_S = 4.0  # the Sobolev index of the normal form and the initial data
@@ -136,9 +136,9 @@ def read(cfg: dict, key: str, default=_REQUIRED):
 def _check(key: str, v, kind):
     """A non-null value checked as `kind`; every failure names the key.
 
-    A kind is NUMBER (read as a float), INTEGER (2.0 reads as 2), SEED or
-    COUNT (an INTEGER >= 0 or >= 1), NUMBERS (a list of floats), OBJECT (a
-    dict), TEXT (a string) or a tuple of allowed values.
+    A kind is NUMBER or POSITIVE (a float), INTEGER (2.0 reads as 2), SEED
+    or COUNT (an INTEGER >= 0 or >= 1), POSITIVES (a list of floats > 0),
+    OBJECT (a dict), TEXT (a string) or a tuple of allowed values.
     """
     if isinstance(kind, tuple):
         if v not in kind:
@@ -150,17 +150,19 @@ def _check(key: str, v, kind):
         v = int(v)
     integer = isinstance(v, int) and not isinstance(v, bool)
     ok = {NUMBER: _is_number(v),
+          POSITIVE: _is_number(v) and v > 0,
           INTEGER: integer,
           SEED: integer and v >= 0,
           COUNT: integer and v >= 1,
-          NUMBERS: isinstance(v, list) and v and all(map(_is_number, v)),
+          POSITIVES: isinstance(v, list) and v and all(
+              _is_number(e) and e > 0 for e in v),
           OBJECT: isinstance(v, dict),
           TEXT: isinstance(v, str)}[kind]
     if not ok:
         raise ConfigError("%s: expected %s" % (key, kind))
-    if kind == NUMBER:
+    if kind in (NUMBER, POSITIVE):
         return float(v)
-    return [float(e) for e in v] if kind == NUMBERS else v
+    return [float(e) for e in v] if kind == POSITIVES else v
 
 
 def stream_seed(seed: int, stream: str, index: int = 0) -> int:
@@ -197,10 +199,7 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
     if family == "explicit":
         # nls_dd's lattice dimension: 2 unless set, as in its builder
         d = read(cfg, "d", 2) if cfg.get("model") == "nls_dd" else None
-        coeffs = _coeffs(read(cfg, "potential.coeffs", {}), d)
-        if d is not None:
-            return PotentialSample("convolution_d", {}, 0, coeffs, 0.0)
-        return coeffs
+        return _coeffs(read(cfg, "potential.coeffs", {}), d)
     params = read(cfg, "potential.params")
     pseed = read(cfg, "potential.seed", stream_seed(seed, "potential", index))
     try:
@@ -222,6 +221,13 @@ _MODEL_KEYS = {
 
 def build_system(cfg: dict, seed: int) -> ModelSystem:
     model = read(cfg, "model")
+    # model-only keys the builder does not take; nlw_periodic draws the mass
+    for key in ("mass", "basis_size", "quad_n", "d"):
+        if cfg.get(key) is not None and key not in _MODEL_KEYS[model]:
+            raise ConfigError("%s: not a key of model %s" % (key, model))
+    if cfg.get("mass") is not None and \
+            cfg.get("potential.family") == NLW_PERIODIC:
+        raise ConfigError("mass: the nlw_periodic family draws it")
     kwargs = {key: read(cfg, key) for key in _MODEL_KEYS[model]
               if cfg.get(key) is not None}
     if model != "nls_dd" and "jmax" in kwargs:
@@ -231,9 +237,7 @@ def build_system(cfg: dict, seed: int) -> ModelSystem:
         kwargs["potential1"] = resolve_potential(cfg, seed, 0)
         kwargs["potential2"] = resolve_potential(cfg, seed, 1)
     elif model != "demo_2mode":
-        pot = resolve_potential(cfg, seed, 0)
-        if pot is not None:
-            kwargs["potential"] = pot
+        kwargs["potential"] = resolve_potential(cfg, seed, 0)
     try:
         return build_model_hamiltonian(model, **kwargs)
     except ValueError as exc:
@@ -366,12 +370,23 @@ def _integration(cfg: dict) -> dict:
                 profile=read(cfg, "experiment.profile", "sobolev"))
 
 
+def _horizon(key: str, v: float, dt: float) -> float:
+    """T, or the drift horizon's factor experiment.c, checked against the
+    step dt: dt is nonzero and v has its sign (T < 0, dt < 0 runs back)."""
+    if dt == 0:
+        raise ConfigError("integrator.dt: must be nonzero")
+    if v * dt <= 0:
+        raise ConfigError("%s: must be nonzero, of the sign of "
+                          "integrator.dt" % key)
+    return v
+
+
 def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
     seed = read(cfg, "seed", 0)
     system = build_system(cfg, seed)
     eps = read(cfg, "eps")
-    horizon = read(cfg, "T")
     run = _integration(cfg)
+    horizon = _horizon("T", read(cfg, "T"), run["dt"])
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(STREAMS["initial"], 0)))
     z0 = initial_state(system.modes(), eps, run["s"], rng, run["profile"])
@@ -394,6 +409,8 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     r = read(cfg, "experiment.r", read(cfg, "r_star", 2))
     run = _integration(cfg)
     s1 = read(cfg, "s1", run["s"])
+    c = _horizon("experiment.c", read(cfg, "experiment.c", 1.0),
+                 run["dt"])
     nf = None
     if None not in (read(cfg, "gamma", None), read(cfg, "r_star", None)):
         nf = run_normalize(cfg, system)
@@ -401,8 +418,8 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
             print("warning: normal form membership checks failed",
                   file=sys.stderr)
     seeds = [stream_seed(seed, "initial", k) for k in range(nseeds)]
-    rows = drift_experiment(system, nf, eps_list, seeds, r,
-                            c=read(cfg, "experiment.c", 1.0), s1=s1, **run)
+    rows = drift_experiment(system, nf, eps_list, seeds, r, c=c, s1=s1,
+                            **run)
     write_drift_csv(rows, os.path.join(outdir, "drift.csv"))
     nesc = sum(1 for row in rows if row.escaped)
     print("drift-experiment: %d rows over %d runs, %d escaped frames"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,8 +39,10 @@ from .birkhoff import NormalFormResult, apply_transport, transport_plan
 from .fields import Leg, QuadratureField, eta_gradient_table, value_table
 from .modes import f17, mode_abs, mode_abs2, weight
 from .poly import Monomial, Polynomial, quadratic_diagonal
-from .spectra import (FrequencyTable, PotentialSample, SpectralResult,
-                      nlw_frequencies, periodic_nlw_table, sturm_liouville)
+from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
+                      SpectralResult, convolution_frequencies,
+                      mode_eigenvalues, nlw_frequencies, periodic_nlw_table,
+                      sturm_liouville)
 
 MODELS = ("demo_2mode", "nls1d_dirichlet", "nlw_dirichlet", "nlw_periodic",
           "nls_coupled", "nls_dd")
@@ -123,11 +125,14 @@ def _basis_rows(res: SpectralResult, x: np.ndarray) -> np.ndarray:
 
 
 def _as_sample(potential, mass: float = 0.0) -> PotentialSample:
-    if potential is None:
-        potential = {}
-    if isinstance(potential, PotentialSample):
+    """The one converter of a builder's potential: None, a {k: v_k} dict or
+    a PotentialSample.  A sampled nlw_periodic potential keeps the mass it
+    drew; every other potential takes `mass`."""
+    if not isinstance(potential, PotentialSample):
+        return PotentialSample("explicit", {}, 0, dict(potential or {}), mass)
+    if potential.family == NLW_PERIODIC:
         return potential
-    return PotentialSample("explicit", {}, 0, dict(potential), mass)
+    return replace(potential, mass=mass)
 
 
 # -- quartic assembly -------------------------------------------------------
@@ -200,7 +205,7 @@ def _quadrature_model(model: str, table: FrequencyTable, legs: tuple,
 
 
 def _demo_2mode(kappa: float = 0.1) -> ModelSystem:
-    t = FrequencyTable("demo_2mode", {(1,): 1.0, (2,): math.sqrt(2.0)})
+    t = FrequencyTable({(1,): 1.0, (2,): math.sqrt(2.0)})
     from .poly import monomial
     P = (monomial(kappa, xi={1: 2}, eta={2: 1})
          + monomial(kappa, xi={2: 1}, eta={1: 2})
@@ -213,10 +218,9 @@ def _demo_2mode(kappa: float = 0.1) -> ModelSystem:
 def _nls1d_dirichlet(jmax: int = 6, kappa: float = 0.1, potential=None,
                      basis_size: Optional[int] = None,
                      quad_n: Optional[int] = None) -> ModelSystem:
-    sample = _as_sample(potential)
-    res = sturm_liouville(sample, "dirichlet", jmax, basis_size)
-    t = FrequencyTable("nls1d_dirichlet", {(j,): float(res.lams[j - 1])
-                                           for j in range(1, jmax + 1)})
+    res = sturm_liouville(_as_sample(potential), "dirichlet", jmax,
+                          basis_size)
+    t = FrequencyTable(mode_eigenvalues(res))
     x, w = _midpoint_grid(quad_n, res)
     # psi = p + i q in real canonical pairs: each field leg is sqrt(2) xi
     psi = Leg(np.arange(jmax), np.full(jmax, math.sqrt(2.0)),
@@ -232,20 +236,19 @@ def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
                    quad_n: Optional[int] = None) -> ModelSystem:
     sample = _as_sample(potential, mass)
     res = sturm_liouville(sample, "dirichlet", jmax, basis_size)
-    t = nlw_frequencies({(j,): float(res.lams[j - 1])
-                         for j in range(1, jmax + 1)}, mass, "nlw_dirichlet")
+    t = nlw_frequencies(mode_eigenvalues(res), sample.mass)
     x, w = _midpoint_grid(quad_n, res)
     legs = _wave_legs(_basis_rows(res, x), t)
     return _quadrature_model("nlw_dirichlet", t, legs, w, kappa, None,
-                             {"kappa": kappa, "mass": mass, "spectral": res})
+                             {"kappa": kappa, "mass": sample.mass,
+                              "spectral": res})
 
 
 def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
                   potential=None, basis_size: Optional[int] = None,
                   quad_n: Optional[int] = None) -> ModelSystem:
     sample = _as_sample(potential, mass)
-    t, parts = periodic_nlw_table(sample, jmax, basis_size)
-    dres, nres = parts["dirichlet"], parts["neumann"]
+    t, dres, nres = periodic_nlw_table(sample, jmax, basis_size)
     modes = t.modes()
     x, w = _midpoint_grid(quad_n, dres, nres)
     drows = _basis_rows(dres, x)
@@ -254,11 +257,13 @@ def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
     # (-pi, pi) the odd modes change sign and every row carries the 1/sqrt(2)
     # torus renormalization, so products with an odd number of odd legs
     # cancel and the rest give half the integral over (0, pi).
-    half = np.array([drows[j - 1] if j > 0 else nrows[-j] for (j,) in modes])
+    labels = list(mode_eigenvalues(dres, nres))
+    half = np.vstack([drows, nrows])[[labels.index(m) for m in modes]]
     sign = np.array([[-1.0] if j > 0 else [1.0] for (j,) in modes])
     rows = np.hstack([half, sign * half]) / math.sqrt(2.0)
     return _quadrature_model("nlw_periodic", t, _wave_legs(rows, t),
-                             w, kappa, PAIRS, {"kappa": kappa, "mass": mass})
+                             w, kappa, PAIRS,
+                             {"kappa": kappa, "mass": sample.mass})
 
 
 def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
@@ -274,11 +279,9 @@ def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
                            basis_size)
     res2 = sturm_liouville(_as_sample(potential2), "dirichlet", jmax,
                            basis_size)
-    omega = {}
-    for j in range(1, jmax + 1):
-        omega[(j,)] = float(res1.lams[j - 1])
-        omega[(-j,)] = -float(res2.lams[j - 1])
-    t = FrequencyTable("nls_coupled", omega)
+    omega = mode_eigenvalues(res1)
+    omega.update({(-j,): -lam for (j,), lam in mode_eigenvalues(res2).items()})
+    t = FrequencyTable(omega)
     x, w = _midpoint_grid(quad_n, res1, res2)
     # sorted modes: phi_j is xi_(-j) at jmax - j, psi_j is xi_j at jmax+j-1
     j = np.arange(1, jmax + 1)
@@ -302,9 +305,7 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
     grid, where the trapezoid rule is exact: every component of
     a + b - c - e is at most 4J in modulus.
     """
-    from .spectra import convolution_frequencies
-    sample = potential if isinstance(potential, PotentialSample) else None
-    t = convolution_frequencies(d, sample, jmax)
+    t = convolution_frequencies(d, _as_sample(potential), jmax)
     modes = t.modes()
     n = len(modes)
     a, b = np.divmod(np.arange(n * n), n)

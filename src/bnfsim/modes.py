@@ -6,6 +6,8 @@ For 1-d problems plain ints are accepted everywhere and normalized to
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Sequence, Union
 
@@ -52,24 +54,16 @@ def parse_mode(text: str) -> tuple:
     return tuple(int(p) for p in text.split(","))
 
 
-def lattice_modes(d: int, jmax: float) -> list:
+@functools.lru_cache(maxsize=64)
+def lattice_modes(d: int, jmax: float) -> tuple:
     """All modes of Z^d with Euclidean norm <= jmax (the zero mode
-    included), canonically sorted."""
-    rng = range(-int(jmax), int(jmax) + 1)
-    out = []
+    included), canonically sorted; kept, since every sample of a scan asks
+    for the same lattice."""
     jmax2 = jmax * jmax + 1e-12
-
-    def rec(prefix):
-        if len(prefix) == d:
-            if sum(c * c for c in prefix) <= jmax2:
-                out.append(tuple(prefix))
-            return
-        for c in rng:
-            rec(prefix + [c])
-
-    rec([])
-    out.sort()
-    return out
+    rng = range(-int(jmax), int(jmax) + 1)
+    # product runs in lexicographic order, which is the sorted order
+    return tuple(k for k in itertools.product(rng, repeat=d)
+                 if sum(c * c for c in k) <= jmax2)
 
 
 def f17(x) -> str:

@@ -42,8 +42,10 @@ import numpy as np
 
 from .modes import Mode, f17, lattice_modes, mode_abs2, mode_str
 from .poly import Monomial
-from .spectra import (FrequencyTable, PotentialSample, SpectralError, _param,
-                      periodic_nlw_table, sample_potential, sturm_liouville)
+from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
+                      SpectralError, _param, convolution_frequencies,
+                      mode_eigenvalues, periodic_nlw_table, sample_potential,
+                      sturm_liouville)
 
 PATTERN_NONE = "NONE"
 PATTERN_PAIR_TAIL = "PAIR_TAIL"
@@ -486,18 +488,6 @@ def family_rules(family: str, params: dict, q: DivisorQuery,
     return []
 
 
-def _family_table(family: str, sample: PotentialSample,
-                  q: DivisorQuery) -> FrequencyTable:
-    f = family.lower()
-    if f == "nlw_periodic":
-        return periodic_nlw_table(sample, int(q.jmax))[0]
-    if f == "nls_cosine":
-        res = sturm_liouville(sample, "dirichlet", int(q.jmax))
-        om = {(j,): float(res.lams[j - 1]) for j in range(1, int(q.jmax) + 1)}
-        return FrequencyTable("nls_dirichlet", om)
-    raise ValueError("unknown family %r" % family)
-
-
 def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
                             ) -> Tuple[list, np.ndarray, bool, int]:
     """Exponent vectors that can be hits for SOME potential in the ensemble,
@@ -509,8 +499,7 @@ def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
     products.
     """
     modes = lattice_modes(_param(params, "d", int), q.jmax)
-    probe = PotentialSample(family="convolution_d", params=params, seed=0,
-                            coeffs={}, mass=0.0)
+    probe = PotentialSample("convolution_d", params, 0, {})
     base = [float(mode_abs2(m)) for m in modes]
     env = [probe.envelope(m) for m in modes]
     return _dfs(modes, [b - e for b, e in zip(base, env)],
@@ -577,15 +566,20 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     if f == "convolution_d":
         modes, K, complete, nodes = _convolution_candidates(params, q,
                                                             gammas[0])
-        W = np.array([[mode_abs2(m) + p.coeffs.get(m, 0.0)
-                       for p in potentials] for m in modes])
+        d = _param(params, "d", int)
+        W = np.column_stack([convolution_frequencies(d, p, q.jmax)
+                             .vector(modes) for p in potentials])
         rules = family_rules(f, params, q, None, gammas[0])
         _tally(K, modes, W, thrs, order, [rules] * len(gammas), violates,
                hist)
     else:
         for si, sample in enumerate(potentials):
-            try:
-                table = _family_table(f, sample, q)
+            try:  # the table of nlw_periodic, or of the Dirichlet NLS
+                if f == NLW_PERIODIC:
+                    table = periodic_nlw_table(sample, int(q.jmax))[0]
+                else:
+                    table = FrequencyTable(mode_eigenvalues(sturm_liouville(
+                        sample, "dirichlet", int(q.jmax))))
             except SpectralError:
                 skipped += 1
                 continue

@@ -14,8 +14,8 @@ periodic spectrum of the even potential on the circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -86,24 +86,23 @@ def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
         d = _param(params, "d", int)
         kmax = _param(params, "kmax", int)
         decay = _param(params, "decay")
+        # one draw per pair +-k, taken at the half-lattice k <= -k in order
+        half = [k for k in lattice_modes(d, kmax)
+                if k <= tuple(-c for c in k)]
         coeffs = {}
-        for k in lattice_modes(d, kmax):
-            if k in coeffs:
-                continue
-            u = rng.uniform(-0.5, 0.5)
-            v = r * u / (1.0 + mode_abs(k)) ** decay
-            coeffs[k] = v
-            coeffs[tuple(-c for c in k)] = v
+        for k, u in zip(half, rng.uniform(-0.5, 0.5, len(half)).tolist()):
+            coeffs[k] = coeffs[tuple(-c for c in k)] = \
+                r * u / (1.0 + mode_abs(k)) ** decay
         return PotentialSample(family, dict(params), seed, coeffs)
     sigma = _param(params, "sigma")
     kmax = _param(params, "kmax", int)
-    coeffs = {}
-    for k in range(1, kmax + 1):
-        u = rng.uniform(-0.5, 0.5)
-        coeffs[k] = r * math.exp(-sigma * k) * u
-    mass = 0.0
-    if family == NLW_PERIODIC:
-        mass = _param(params, "mass_span", default=1.0) * rng.uniform(0.0, 1.0)
+    # the cosine draws, then nlw_periodic's mass draw, in one call
+    low = [-0.5] * kmax + [0.0] * (family == NLW_PERIODIC)
+    u = rng.uniform(low, np.add(low, 1.0)).tolist()
+    coeffs = {k: r * math.exp(-sigma * k) * u[k - 1]
+              for k in range(1, kmax + 1)}
+    mass = _param(params, "mass_span", default=1.0) * u[-1] \
+        if family == NLW_PERIODIC else 0.0
     return PotentialSample(family, dict(params), seed, coeffs, mass)
 
 
@@ -113,31 +112,26 @@ def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
 def _dirichlet_matrix(coeffs: Dict[int, float], m: int) -> np.ndarray:
     """Matrix of -d2/dx2 + sum v_k cos(kx) in the sine basis on (0, pi)."""
     h = np.zeros((m, m))
-    idx = np.arange(1, m + 1)
-    h[np.diag_indices(m)] = idx.astype(float) ** 2
+    i = np.arange(1, m + 1)
+    h[np.diag_indices(m)] = i.astype(float) ** 2
     for k, v in coeffs.items():
         if k == 0:
             h[np.diag_indices(m)] += v
             continue
-        for i in range(1, m + 1):
-            # cos(kx) sin(ix) = [sin((i+k)x) + sin((i-k)x)] / 2
-            j = i + k
-            if j <= m:
-                h[j - 1, i - 1] += 0.5 * v
-            j = i - k
-            if 1 <= j:
-                h[j - 1, i - 1] += 0.5 * v
-            j = k - i
-            if 1 <= j <= m:
-                h[j - 1, i - 1] -= 0.5 * v
+        # cos(kx) sin(ix) = [sin((i+k)x) + sin((i-k)x)] / 2, and
+        # sin((i-k)x) = -sin((k-i)x): one add per rule, in the rule's bounds
+        for j, ok, c in ((i + k, i + k <= m, 0.5 * v),
+                         (i - k, i - k >= 1, 0.5 * v),
+                         (k - i, (k - i >= 1) & (k - i <= m), -0.5 * v)):
+            h[j[ok] - 1, i[ok] - 1] += c
     return 0.5 * (h + h.T)
 
 
 def _neumann_matrix(coeffs: Dict[int, float], m: int) -> np.ndarray:
     """Same operator in the cosine basis cos(nx), n = 0..m-1."""
     h = np.zeros((m, m))
-    idx = np.arange(m)
-    h[np.diag_indices(m)] = idx.astype(float) ** 2
+    n = np.arange(m)
+    h[np.diag_indices(m)] = n.astype(float) ** 2
     norms = np.full(m, math.sqrt(2.0 / math.pi))
     norms[0] = math.sqrt(1.0 / math.pi)
     # sq[n] = integral over (0, pi) of cos(nx)^2
@@ -147,10 +141,11 @@ def _neumann_matrix(coeffs: Dict[int, float], m: int) -> np.ndarray:
         if k == 0:
             h[np.diag_indices(m)] += v
             continue
-        for n in range(m):
-            for target in (n + k, abs(n - k)):
-                if target < m:
-                    h[target, n] += v * 0.5 * norms[target] * norms[n] * sq[target]
+        # cos(kx) cos(nx) = [cos((n+k)x) + cos((n-k)x)] / 2; the two
+        # targets meet only at n = 0, where they add in this order
+        for target in (n + k, np.abs(n - k)):
+            t, c = target[target < m], n[target < m]
+            h[t, c] += v * 0.5 * norms[t] * norms[c] * sq[t]
     return 0.5 * (h + h.T)
 
 
@@ -193,12 +188,9 @@ def _solve(coeffs, bc, m):
     return lams, vecs, waven
 
 
-def _coeff_dict(potential) -> Dict[int, float]:
-    if isinstance(potential, PotentialSample):
-        return dict(potential.coeffs)
-    if isinstance(potential, dict):
-        return {int(k): float(v) for k, v in potential.items()}
-    raise TypeError("potential must be a PotentialSample or {k: v_k} dict")
+def _cosine_coeffs(p) -> Dict[int, float]:
+    """{k: v_k} of a PotentialSample or a dict; a lattice key k is an error."""
+    return {int(k): v for k, v in getattr(p, "coeffs", p).items()}
 
 
 def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
@@ -211,7 +203,7 @@ def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
     check=True the solve is repeated at twice the basis size and the
     relative eigenvalue movement must stay below rel_tol.
     """
-    coeffs = _coeff_dict(potential)
+    coeffs = _cosine_coeffs(potential)
     m = basis_size or max(4 * jmax, 32)
     if m < jmax + 2:
         raise ValueError("basis_size: must be >= %d, two more than the %d "
@@ -234,12 +226,17 @@ def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
 # -- frequency tables ---------------------------------------------------
 
 
+def mode_eigenvalues(*results: SpectralResult) -> dict:
+    """Mode -> eigenvalue of the solved spectra, in their order: Dirichlet
+    lams[j-1] is mode j >= 1, Neumann lams[j] is mode -j <= 0."""
+    return {(j + 1,) if res.bc == "dirichlet" else (-j,): lam
+            for res in results for j, lam in enumerate(res.lams.tolist())}
+
+
 @dataclass
 class FrequencyTable:
-    """Mode -> frequency map with the spectral data it came from."""
-    model: str
+    """Mode -> frequency map."""
     omega: dict
-    meta: dict = field(default_factory=dict)
 
     def modes(self) -> list:
         return sorted(self.omega)
@@ -251,7 +248,7 @@ class FrequencyTable:
         return np.array([self.omega[as_mode(j)] for j in modes])
 
 
-def nlw_frequencies(lams: dict, mass: float, model: str = "nlw") -> FrequencyTable:
+def nlw_frequencies(lams: dict, mass: float) -> FrequencyTable:
     """omega_j = sqrt(lambda_j + m); rejects non-positive arguments."""
     omega = {}
     for j, l in lams.items():
@@ -259,24 +256,20 @@ def nlw_frequencies(lams: dict, mass: float, model: str = "nlw") -> FrequencyTab
         if v <= 0:
             raise SpectralError("lambda_%s + m = %g <= 0, omega undefined" % (j, v))
         omega[as_mode(j)] = math.sqrt(v)
-    return FrequencyTable(model, omega, {"mass": mass})
+    return FrequencyTable(omega)
 
 
 def periodic_nlw_table(sample: PotentialSample, jmax: int,
                        basis_size: Optional[int] = None) -> tuple:
-    """Frequencies for the periodic wave model: j > 0 Dirichlet, j <= 0 Neumann.
+    """Frequencies for the periodic wave model: j > 0 Dirichlet, j <= 0
+    Neumann, at the sample's mass.
 
-    Returns (FrequencyTable, {"dirichlet": SpectralResult, "neumann": ...}).
+    Returns the table and the Dirichlet and Neumann SpectralResults.
     """
     dres = sturm_liouville(sample, "dirichlet", jmax, basis_size)
     nres = sturm_liouville(sample, "neumann", jmax + 1, basis_size)
-    lams = {}
-    for j in range(1, jmax + 1):
-        lams[(j,)] = float(dres.lams[j - 1])
-    for j in range(0, jmax + 1):
-        lams[(-j,)] = float(nres.lams[j])
-    table = nlw_frequencies(lams, sample.mass, "nlw_periodic")
-    return table, {"dirichlet": dres, "neumann": nres}
+    table = nlw_frequencies(mode_eigenvalues(dres, nres), sample.mass)
+    return table, dres, nres
 
 
 def convolution_frequencies(d: int, sample: Optional[PotentialSample],
@@ -286,7 +279,7 @@ def convolution_frequencies(d: int, sample: Optional[PotentialSample],
     omega = {}
     for k in lattice_modes(d, jmax):
         omega[k] = float(sum(c * c for c in k)) + float(coeffs.get(k, 0.0))
-    return FrequencyTable("nls_dd", omega, meta={"d": d})
+    return FrequencyTable(omega)
 
 
 # -- diagnostics --------------------------------------------------------
@@ -375,15 +368,14 @@ def eigenvalue_derivative_check(potential, j: int, k: int, bc: str = "dirichlet"
     differentiating lambda_j along cos(2j x) moves it by -+1/2, which is
     what the perturbative eigenvalue formulas actually use.)
     """
-    coeffs = _coeff_dict(potential)
+    coeffs = _cosine_coeffs(potential)
     jmax = jmax or (j + 8)
-    idx = j - 1 if bc == "dirichlet" else j
 
     def lam(vk):
         c = dict(coeffs)
         c[k] = c.get(k, 0.0) + vk
         res = sturm_liouville(c, bc, jmax, basis_size, check=False)
-        return float(res.lams[idx])
+        return mode_eigenvalues(res)[(j,) if bc == "dirichlet" else (-j,)]
 
     fd = (lam(step) - lam(-step)) / (2 * step)
     lead = 0.0

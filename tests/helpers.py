@@ -98,3 +98,49 @@ def below_reference(div: np.ndarray, K: np.ndarray, W: np.ndarray,
         nz = np.flatnonzero(K[ri[e]])
         keep[e] = abs(math.fsum(W[nz, si[e]] * K[ri[e], nz])) < thr
     return ri[keep], si[keep]
+
+
+def dirichlet_matrix_reference(coeffs: dict, m: int) -> np.ndarray:
+    """Matrix of -d2/dx2 + sum v_k cos(kx) in the sine basis on (0, pi),
+    assembled one basis function at a time."""
+    h = np.zeros((m, m))
+    idx = np.arange(1, m + 1)
+    h[np.diag_indices(m)] = idx.astype(float) ** 2
+    for k, v in coeffs.items():
+        if k == 0:
+            h[np.diag_indices(m)] += v
+            continue
+        for i in range(1, m + 1):
+            # cos(kx) sin(ix) = [sin((i+k)x) + sin((i-k)x)] / 2
+            j = i + k
+            if j <= m:
+                h[j - 1, i - 1] += 0.5 * v
+            j = i - k
+            if 1 <= j:
+                h[j - 1, i - 1] += 0.5 * v
+            j = k - i
+            if 1 <= j <= m:
+                h[j - 1, i - 1] -= 0.5 * v
+    return 0.5 * (h + h.T)
+
+
+def neumann_matrix_reference(coeffs: dict, m: int) -> np.ndarray:
+    """The same operator in the cosine basis cos(nx), n = 0..m-1, assembled
+    one basis function at a time."""
+    h = np.zeros((m, m))
+    idx = np.arange(m)
+    h[np.diag_indices(m)] = idx.astype(float) ** 2
+    norms = np.full(m, math.sqrt(2.0 / math.pi))
+    norms[0] = math.sqrt(1.0 / math.pi)
+    # sq[n] = integral over (0, pi) of cos(nx)^2
+    sq = np.full(m, math.pi / 2)
+    sq[0] = math.pi
+    for k, v in coeffs.items():
+        if k == 0:
+            h[np.diag_indices(m)] += v
+            continue
+        for n in range(m):
+            for target in (n + k, abs(n - k)):
+                if target < m:
+                    h[target, n] += v * 0.5 * norms[target] * norms[n] * sq[target]
+    return 0.5 * (h + h.T)

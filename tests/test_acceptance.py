@@ -59,7 +59,7 @@ def test_criterion_01_homological_identity():
     worst = 0.0
     for _ in range(200):
         om = {m: rnd.choice((-1, 1)) * rnd.uniform(0.3, 4.0) for m in modes}
-        table = FrequencyTable("rand", om)
+        table = FrequencyTable(om)
         h0 = P.quadratic_diagonal(om)
         terms = {}
         for _ in range(rnd.randint(3, 10)):
@@ -184,7 +184,7 @@ def test_criterion_04_enumeration_equivalence():
         gamma = float(rng.uniform(0.05, 0.6))
         for jmax in (2, 3, 4, 5, 6):
             table = FrequencyTable(
-                "rand", {m: w for m, w in om.items() if abs(m[0]) <= jmax})
+                {m: w for m, w in om.items() if abs(m[0]) <= jmax})
             for r in (1, 2, 3):
                 q = DivisorQuery(omega=table, r=r, N=min(3, jmax),
                                  gamma=gamma, alpha=1.0, jmax=jmax)

@@ -14,7 +14,7 @@ from helpers import evaluate, evaluate_real_slice
 
 
 def table(omegas: dict) -> FrequencyTable:
-    return FrequencyTable("test", {(j,): float(w) for j, w in omegas.items()})
+    return FrequencyTable({(j,): float(w) for j, w in omegas.items()})
 
 
 def demo_hamiltonian(kappa=0.1):

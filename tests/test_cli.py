@@ -291,9 +291,9 @@ def test_stream_seeds_are_distinct_and_stable():
 
 
 def test_compute_failure_exits_1(tmp_path, capsys):
-    # sign mismatch between T and dt is rejected inside the integrator
-    p = write_cfg(tmp_path / "x.cfg", DEMO + ["T = -1.0",
-                                              "integrator.dt = 1.0"])
+    # lambda_1 + m < 0 leaves omega_1 undefined: the spectral solve fails
+    p = write_cfg(tmp_path / "x.cfg", DEMO[1:] + [
+        'model = "nlw_dirichlet"', "jmax = 3", "mass = -5.0", "T = 1.0"])
     rc = cli.main(["simulate", p, "--out", str(tmp_path / "out")])
     assert rc == 1
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -391,6 +391,23 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
     ("measure-estimate", ["resonance.gammas=[-1e-4]"], "resonance.gammas"),
     ("measure-estimate", ["resonance.gammas=[0]"], "resonance.gammas"),
     ("measure-estimate", ["resonance.samples=29"], "resonance.samples"),
+    # integration inputs: T and experiment.c take the sign of a nonzero dt
+    ("simulate", ["eps=0.05", "T=-1"], "T"),
+    ("simulate", ["eps=0.05", "T=0.1", "integrator.dt=0"], "integrator.dt"),
+    ("simulate", ["eps=0.05", "T=0.1", "integrator.tol=-1"],
+     "integrator.tol"),
+    ("simulate", ["eps=-0.1", "T=0.1"], "eps"),
+    ("drift-experiment", ["experiment.c=-1"], "experiment.c"),
+    ("drift-experiment", ["experiment.eps_list=[0]"], "experiment.eps_list"),
+    ("drift-experiment", ["experiment.eps_list=[-0.1]"],
+     "experiment.eps_list"),
+    # model-only keys the chosen model's builder does not take
+    ("normalize", ["mass=3.0"], "mass"),
+    ("simulate", ["d=4"], "d"),
+    ("scan-resonances", ['model="nls_dd"', "quad_n=200"], "quad_n"),
+    ("drift-experiment", ["basis_size=40"], "basis_size"),
+    ("normalize", ['model="nlw_periodic"', 'potential.family="nlw_periodic"',
+                   "mass=0.5"], "mass"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):
@@ -403,6 +420,26 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
         argv = [command, p, "--out", str(tmp_path / "out"), *extra]
     assert cli.main(argv) == 2
     assert "bnfsim: %s:" % key in capsys.readouterr().err
+
+
+def test_nls_dd_dict_potential_matches_the_explicit_config():
+    cfg = {"model": "nls_dd", "d": 2, "jmax": 2,
+           "potential.family": "explicit",
+           "potential.coeffs": {"1,0": 0.5, "-1,0": 0.5}}
+    cli_table = cli.build_system(cfg, 0).table.omega
+    lib_table = cli.build_model_hamiltonian(
+        "nls_dd", d=2, jmax=2, potential={(1, 0): 0.5, (-1, 0): 0.5}
+    ).table.omega
+    assert lib_table == cli_table
+    assert lib_table[(1, 0)] == 1.5
+
+
+def test_backward_integration_runs(tmp_path):
+    p = write_cfg(tmp_path / "b.cfg", DEMO + ["T = -0.1"])
+    assert cli.main(["simulate", p, "--out", str(tmp_path / "out"),
+                     "--set", "integrator.dt=-0.01"]) == 0
+    assert cli.main(drift_argv(tmp_path, str(tmp_path / "out"), (
+        "--set", "integrator.dt=-0.05", "--set", "experiment.c=-1"))) == 0
 
 
 def test_search_order_beyond_int8_exits_2(tmp_path, capsys):

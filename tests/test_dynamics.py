@@ -210,6 +210,28 @@ def test_finer_quadrature_grid_gives_the_same_quartic(model, params, terms):
     assert sys2.quad_weight == sys1.quad_weight / 2
 
 
+def test_nlw_dirichlet_takes_the_drawn_mass_of_an_nlw_periodic_sample():
+    pot = sample_potential("nlw_periodic", {"R": 0.1, "sigma": 1.0, "kmax": 6,
+                                            "mass_span": 1.0}, 2)
+    lams = sturm_liouville(pot, "dirichlet", 3).lams
+    for kw in ({}, {"mass": 3.0}):
+        t = D.build_model_hamiltonian("nlw_dirichlet", jmax=3, potential=pot,
+                                      **kw).table
+        assert [t.omega_of(j) for j in (1, 2, 3)] == \
+            [math.sqrt(lam + pot.mass) for lam in lams.tolist()]
+
+
+def test_nlw_periodic_takes_mass_beside_an_nls_cosine_sample():
+    pot = sample_potential("nls_cosine", {"R": 0.1, "sigma": 1.0, "kmax": 6},
+                           2)
+    for mass in (0.5, 3.0):
+        got = D.build_model_hamiltonian("nlw_periodic", jmax=2, mass=mass,
+                                        potential=pot).table.omega
+        want = D.build_model_hamiltonian("nlw_periodic", jmax=2, mass=mass,
+                                         potential=pot.coeffs).table.omega
+        assert got == want
+
+
 def test_build_model_validation():
     with pytest.raises(ValueError, match="model"):
         D.build_model_hamiltonian("heat_equation")

@@ -9,14 +9,14 @@ import pytest
 from bnfsim import poly
 from bnfsim import resonance as R
 from bnfsim.poly import Monomial
-from bnfsim.spectra import FrequencyTable
+from bnfsim.spectra import FrequencyTable, periodic_nlw_table
 
 import helpers
 from helpers import small_divisor
 
 
 def table_1d(omegas: dict) -> FrequencyTable:
-    return FrequencyTable("test", {(j,): float(w) for j, w in omegas.items()})
+    return FrequencyTable({(j,): float(w) for j, w in omegas.items()})
 
 
 def test_small_divisor_examples():
@@ -222,14 +222,14 @@ def test_calibrate_pair_cutoff():
     for j in range(1, 9):
         omega[(j,)] = float(j)
         omega[(-j,)] = float(j) + 10.0 ** -j
-    t = FrequencyTable("test", omega)
+    t = FrequencyTable(omega)
     cal = R.calibrate_pair_cutoff(t, gamma=1e-2, alpha=1.0, N=2)
     assert cal.gap_threshold == pytest.approx(2.5e-3)
     assert cal.j_cutoff == 2
     assert cal.b == pytest.approx(2 / math.log(2))
     assert cal.worst_gap_beyond < cal.gap_threshold
     # a table with no failures calibrates to b = 0
-    flat = FrequencyTable("test", {(1,): 1.0, (-1,): 1.0 + 1e-9})
+    flat = FrequencyTable({(1,): 1.0, (-1,): 1.0 + 1e-9})
     assert R.calibrate_pair_cutoff(flat, 1.0, 1.0, 2).b == 0.0
 
 
@@ -488,8 +488,8 @@ def test_measure_scan_sums_the_nodes_of_its_searches():
     slow = R.measure_scan("nlw_periodic", NLW, q, [0.05, 0.01], 30, seed=5)
     nodes = 0
     for s in R.sample_seeds(5, 30):
-        t = R._family_table("nlw_periodic",
-                            R.sample_potential("nlw_periodic", NLW, s), q)
+        t = periodic_nlw_table(R.sample_potential("nlw_periodic", NLW, s),
+                               int(q.jmax))[0]
         nodes += R.enumerate_near_resonances(replace(q, omega=t)).nodes
     assert {e.nodes for e in slow} == {nodes}
 

@@ -1,9 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from bnfsim import spectra as S
+
+import helpers
 
 
 def test_flat_potential_dirichlet_exact():
@@ -65,6 +68,38 @@ def test_convolution_sampling_symmetric():
         assert abs(v) <= s.envelope(k) + 1e-15
 
 
+def test_samples_pinned():
+    # coefficients of the scalar-draw sampler, one uniform per call
+    conv = S.sample_potential(
+        "convolution_d", {"R": 1.0, "kmax": 4, "d": 2, "decay": 2.0}, 12345)
+    assert len(conv.coeffs) == 49
+    assert conv.coeffs[(-4, 0)] == -0.010906559101313213
+    assert conv.coeffs[(0, 0)] == -0.23357897170922903
+    assert conv.coeffs[(1, 2)] == conv.coeffs[(-1, -2)] == \
+        -0.005553817681713773
+    assert conv.coeffs[(3, -1)] == -0.006285324349437578
+    nlw = S.sample_potential(
+        "nlw_periodic", {"R": 0.1, "sigma": 1.0, "kmax": 6, "mass_span": 1.0},
+        12345)
+    assert nlw.coeffs[1] == -0.010030747168236034
+    assert nlw.coeffs[4] == 0.00032282169019275884
+    assert nlw.coeffs[6] == -4.144128402094982e-05
+    assert nlw.mass == 0.5983087535871898
+
+
+def test_galerkin_matrices_match_the_loop_reference():
+    rnd = random.Random(17)
+    for trial in range(40):
+        m = rnd.randint(4, 79)
+        ks = rnd.sample(range(12), rnd.randint(1, 6))
+        coeffs = {k: rnd.uniform(-1.0, 1.0) for k in ks}
+        for c in (coeffs, dict(reversed(coeffs.items()))):
+            assert np.array_equal(S._dirichlet_matrix(c, m),
+                                  helpers.dirichlet_matrix_reference(c, m))
+            assert np.array_equal(S._neumann_matrix(c, m),
+                                  helpers.neumann_matrix_reference(c, m))
+
+
 def test_nlw_frequencies():
     t = S.nlw_frequencies({1: 1.0, 2: 4.0}, mass=0.25)
     assert t.omega_of(1) == pytest.approx(math.sqrt(1.25))
@@ -84,12 +119,12 @@ def test_periodic_table_pairing():
     samp = S.sample_potential("nlw_periodic",
                               {"R": 0.1, "sigma": 1.0, "kmax": 10, "mass_span": 1.0},
                               seed=3)
-    table, bases = S.periodic_nlw_table(samp, jmax=5)
+    table, dres, _ = S.periodic_nlw_table(samp, jmax=5)
     assert len(table.modes()) == 11
     # high pairs nearly degenerate, but not exactly
     gap = abs(table.omega_of(5) - table.omega_of(-5))
     assert 0 < gap < 1e-4
-    assert bases["dirichlet"].basis.orthonormality_defect() < 1e-10
+    assert dres.basis.orthonormality_defect() < 1e-10
 
 
 def test_localization_flat_and_sampled():
