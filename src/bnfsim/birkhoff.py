@@ -66,12 +66,6 @@ def rstar_radius(gamma: float, r_star: int, N: int, alpha: float,
     return gamma / (24.0 * math.e * r_star * N ** alpha * A)
 
 
-def fit_A(P: Polynomial, s: float, radii: Sequence[float] = (0.25, 0.5, 1.0)
-          ) -> float:
-    """Smallest A with majorant(P, s, R) <= A R^2 over the probe radii."""
-    return max(majorant_norm(P, s, R) / (R * R) for R in radii)
-
-
 # -- parameters and result records ---------------------------------------
 
 

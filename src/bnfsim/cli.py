@@ -41,7 +41,8 @@ from .poly import to_text
 from .resonance import (DEFAULT_NODE_CAP, DivisorQuery,
                         enumerate_near_resonances, family_rules,
                         measure_scan, write_hits_csv, write_measure_csv)
-from .spectra import FAMILIES, NLW_PERIODIC, sample_potential
+from .spectra import (CONVOLUTION_D, FAMILIES, NLW_PERIODIC,
+                      sample_potential)
 
 STREAMS = {"potential": 0, "initial": 1, "monte_carlo": 2}
 PROFILES = ("sobolev", "flat")
@@ -187,6 +188,9 @@ def _coeffs(raw: dict, d: Optional[int]) -> dict:
         if len(k) != (d or 1):
             raise ConfigError("potential.coeffs: key %r is not a %d-d lattice "
                               "point" % (key, d or 1))
+        if not d and k[0] < 0:
+            raise ConfigError("potential.coeffs: cosine wavenumber %r must be "
+                              ">= 0" % key)
         coeffs[k if d else k[0]] = _check("potential.coeffs", v, NUMBER)
     return coeffs
 
@@ -196,10 +200,15 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
     family = read(cfg, "potential.family", "none")
     if family == "none":
         return None
+    lattice = cfg.get("model") == "nls_dd"
     if family == "explicit":
         # nls_dd's lattice dimension: 2 unless set, as in its builder
-        d = read(cfg, "d", 2) if cfg.get("model") == "nls_dd" else None
+        d = read(cfg, "d", 2) if lattice else None
         return _coeffs(read(cfg, "potential.coeffs", {}), d)
+    if (family == CONVOLUTION_D) != lattice:
+        raise ConfigError("potential.family: %s does not fit model %s, whose "
+                          "potential is %s" % (family, cfg.get("model"),
+                                               "d-dim" if lattice else "1-d"))
     params = read(cfg, "potential.params")
     pseed = read(cfg, "potential.seed", stream_seed(seed, "potential", index))
     try:

@@ -363,17 +363,6 @@ def _state(x, n: int, name: str) -> np.ndarray:
     return x
 
 
-def hamiltonian_flow_field(H: Polynomial, x) -> np.ndarray:
-    """xi-dot = -i dH/d(eta) at the state x over sorted(H.modes()), on the
-    real slice."""
-    defect = H.reality_defect()
-    if defect > 1e-10 * max(1.0, H.l1()):
-        raise ValueError("H: not real-flagged (defect %.3e)" % defect)
-    layout = sorted(H.modes())
-    return -1j * eta_gradient_table(H, layout).eval(
-        _state(x, len(layout), "x"))
-
-
 def _flow_parts(H: Polynomial, layout: list, nl=None) -> tuple:
     """(frequencies of H's diagonal quadratic terms, field evaluator of its
     other terms, value table of H) over the layout, for `integrate`.  The
@@ -406,37 +395,52 @@ class Trajectory:
         return max(1, int(round(self.times[-1] / self.dt)))
 
 
-def _midpoint_step(x0, dt, omv, nl, tol):
-    """One implicit midpoint step by fixed-point iteration.
+def _coefficients(dt, omv):
+    """(a, b, -i dt) of a midpoint step of dt: x1 = (a x0 - i dt F(mid)) / b
+    with a = 1 - i dt omega / 2 and b = 1 + i dt omega / 2."""
+    return 1.0 - 0.5j * dt * omv, 1.0 + 0.5j * dt * omv, dt * (-1j)
+
+
+def _midpoint_step(x0, coef, nl, tol):
+    """One implicit midpoint step by fixed-point iteration, with the
+    `_coefficients` of its step size.
 
     Returns (x1, converged, field evaluations).  A non-finite iterate ends
-    the step at once as not converged.
+    the step at once as not converged.  The update runs in place on arrays
+    the step allocates itself, never on the array `nl.eval` returns.
     """
-    a = 1.0 - 0.5j * dt * omv
-    b = 1.0 + 0.5j * dt * omv
+    a, b, mdt = coef
     rhs0 = a * x0
     x1 = rhs0 / b
     for it in range(1, MIDPOINT_MAX_ITER + 1):
-        mid = 0.5 * (x0 + x1)
-        x1n = (rhs0 + dt * (-1j) * nl.eval(mid)) / b
-        err = float(np.abs(x1n - x1).max())
+        mid = x0 + x1
+        mid *= 0.5
+        x1n = nl.eval(mid) * mdt
+        x1n += rhs0
+        x1n /= b
+        err = np.maximum.reduce(np.abs(x1n - x1))
         x1 = x1n
         if not math.isfinite(err):
             return x1, False, it
-        if err <= tol * (1.0 + float(np.abs(x1).max())):
+        # err <= tol decides as the scaled test would, since 1 + max|x1| >= 1
+        if err <= tol or err <= tol * (1.0 + np.maximum.reduce(np.abs(x1))):
             return x1, True, it
     return x1, False, MIDPOINT_MAX_ITER
 
 
-def _advance(x, dt, omv, nl, tol, depth):
-    """(state, deepest halving, field evaluations) after one step of dt."""
-    x1, ok, evals = _midpoint_step(x, dt, omv, nl, tol)
+def _advance(x, dt, omv, nl, tol, depth, coefs):
+    """(state, deepest halving, field evaluations) after one step of dt.
+    `coefs` keeps the `_coefficients` of every step size met so far."""
+    coef = coefs.get(dt)
+    if coef is None:
+        coef = coefs[dt] = _coefficients(dt, omv)
+    x1, ok, evals = _midpoint_step(x, coef, nl, tol)
     if ok:
         return x1, depth, evals
     if depth >= MAX_HALVINGS:
         raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
-    xh, d1, e1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1)
-    x1, d2, e2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1)
+    xh, d1, e1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1, coefs)
+    x1, d2, e2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1, coefs)
     return x1, max(d1, d2), evals + e1 + e2
 
 
@@ -472,8 +476,9 @@ def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
     dt_eff = T / nsteps
     times, frames = [0.0], [x]
     worst = evals = 0
+    coefs: dict = {}
     for n in range(1, nsteps + 1):
-        x, depth, e = _advance(x, dt_eff, omv, nl, tol, 0)
+        x, depth, e = _advance(x, dt_eff, omv, nl, tol, 0, coefs)
         worst = max(worst, depth)
         evals += e
         if n % stride == 0 or n == nsteps:
@@ -557,11 +562,6 @@ def action_groups(system: ModelSystem) -> List[Tuple[str, List[int], float]]:
                 for k, v in sorted(groups.items())]
     return [("I_%s" % "_".join(str(c) for c in m), [i], 1.0 + mode_abs(m))
             for i, m in enumerate(modes)]
-
-
-def total_momentum(x: np.ndarray, modes: Sequence) -> tuple:
-    """sum_j j I_j of a state over the lattice modes."""
-    return tuple(actions(x) @ np.array(modes, dtype=float))
 
 
 # -- drift experiment -------------------------------------------------------

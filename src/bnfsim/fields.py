@@ -66,26 +66,35 @@ class QuadratureField:
         self.field_of_legs = (mat[size:, self.eta_legs]
                               * np.array(self.mult)[self.eta_legs, None]
                               ).reshape(size, -1)
+        # the factors of each eta leg's product, in multiplication order:
+        # every leg times its multiplicity, less one factor of that leg
+        self.factors = [[u for u, m in enumerate(self.mult)
+                         for _ in range(m - (u == skip))]
+                        for skip in self.eta_legs]
 
     # Both products are taken between 2-d arrays.  With two OpenBLAS
     # threads on a 2-vCPU host, the 1-d (18,) @ (18, 320) product of the
     # nls1d jmax=9 legs took 395 us, against 6 us for (1, 18) @ (18, 320).
+    # Their operands, shapes and order stay as they are: the integrator's
+    # outputs are pinned to the bit, and so is the rounding of these BLAS
+    # calls (conj(x @ W) and conj(x) @ W, for one, differ in the last bits).
     def _legs(self, x: np.ndarray) -> np.ndarray:
-        z = np.concatenate([x, np.conj(x)])
-        return (z[None, :] @ self.legs_of_z).reshape(-1, self.grid)
-
-    def _product(self, L: np.ndarray, skip: int):
-        """weight times the legs on the grid, less one factor of leg `skip`."""
-        prod = self.weight
-        for u, (Lu, m) in enumerate(zip(L, self.mult)):
-            for _ in range(m - (u == skip)):
-                prod = prod * Lu
-        return prod
+        n = len(x)
+        z = np.empty((1, 2 * n), dtype=complex)
+        z[0, :n] = x
+        np.conjugate(x, out=z[0, n:])
+        return (z @ self.legs_of_z).reshape(-1, self.grid)
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         L = self._legs(x)
-        prods = np.concatenate([self._product(L, u) for u in self.eta_legs])
-        return (self.field_of_legs @ prods[:, None])[:, 0]
+        prods = []
+        for first, *rest in self.factors:
+            prod = self.weight * L[first]
+            for u in rest:
+                prod *= L[u]
+            prods.append(prod)
+        prod = prods[0] if len(prods) == 1 else np.concatenate(prods)
+        return (self.field_of_legs @ prod[:, None])[:, 0]
 
 
 # Rows per block of a table evaluation: each block's (rows, B) complex

@@ -344,41 +344,3 @@ def expansion_fit(lams: np.ndarray, mean_value: float = 0.0,
     sol, res, _, _ = np.linalg.lstsq(a, y, rcond=None)
     resid = float(np.sqrt(res[0] / sel.sum())) if res.size else 0.0
     return ExpansionFit(float(sol[0]), float(sol[1]), float(sol[2]), resid, mean_value)
-
-
-@dataclass
-class DerivativeCheck:
-    j: int
-    k: int
-    bc: str
-    fd_derivative: float
-    leading_term: float
-    abs_error: float
-    step: float
-
-
-def eigenvalue_derivative_check(potential, j: int, k: int, bc: str = "dirichlet",
-                                step: float = 1e-5, jmax: Optional[int] = None,
-                                basis_size: Optional[int] = None) -> DerivativeCheck:
-    """Central finite difference of lambda_j along the cos(kx) coefficient.
-
-    The leading term is -delta_{k,2j}/2 for Dirichlet eigenvalues and
-    +delta_{k,2j}/2 for Neumann ones; corrections are exponentially small
-    in the potential's analyticity width.  (The resonant pairing is k = 2j:
-    differentiating lambda_j along cos(2j x) moves it by -+1/2, which is
-    what the perturbative eigenvalue formulas actually use.)
-    """
-    coeffs = _cosine_coeffs(potential)
-    jmax = jmax or (j + 8)
-
-    def lam(vk):
-        c = dict(coeffs)
-        c[k] = c.get(k, 0.0) + vk
-        res = sturm_liouville(c, bc, jmax, basis_size, check=False)
-        return mode_eigenvalues(res)[(j,) if bc == "dirichlet" else (-j,)]
-
-    fd = (lam(step) - lam(-step)) / (2 * step)
-    lead = 0.0
-    if k == 2 * j:
-        lead = -0.5 if bc == "dirichlet" else 0.5
-    return DerivativeCheck(j, k, bc, fd, lead, abs(fd - lead), step)

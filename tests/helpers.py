@@ -4,13 +4,18 @@ The package never calls these; the tests use them to state and check the
 package's results from their definitions.
 """
 import math
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from bnfsim import dynamics as D
+from bnfsim.fields import QuadratureField, eta_gradient_table
 from bnfsim.modes import as_mode
+from bnfsim.norms import majorant_norm
 from bnfsim.poly import Monomial, Polynomial, _accum, _conj
 from bnfsim.resonance import omega_dot
+from bnfsim.spectra import _cosine_coeffs, mode_eigenvalues, sturm_liouville
 
 
 def small_divisor(omega, k) -> float:
@@ -144,3 +149,157 @@ def neumann_matrix_reference(coeffs: dict, m: int) -> np.ndarray:
                 if target < m:
                     h[target, n] += v * 0.5 * norms[target] * norms[n] * sq[target]
     return 0.5 * (h + h.T)
+
+
+# -- flows and the reference integrator ---------------------------------------
+
+
+def hamiltonian_flow_field(H: Polynomial, x) -> np.ndarray:
+    """xi-dot = -i dH/d(eta) at the state x over sorted(H.modes()), on the
+    real slice."""
+    defect = H.reality_defect()
+    if defect > 1e-10 * max(1.0, H.l1()):
+        raise ValueError("H: not real-flagged (defect %.3e)" % defect)
+    layout = sorted(H.modes())
+    return -1j * eta_gradient_table(H, layout).eval(
+        D._state(x, len(layout), "x"))
+
+
+def total_momentum(x: np.ndarray, modes) -> tuple:
+    """sum_j j I_j of a state over the lattice modes."""
+    return tuple(D.actions(x) @ np.array(modes, dtype=float))
+
+
+# The implicit midpoint step and the quadrature field as written before the
+# step's constants were kept per step size, its update ran in place and the
+# field's products were compiled; `dynamics.integrate` must give the same
+# trajectories, to the bit.
+
+
+class QuadratureFieldReference:
+    """`QuadratureField.eval` of the same compiled matrices, one product of
+    the legs at a time."""
+
+    def __init__(self, quad: QuadratureField):
+        self.q = quad
+
+    def _legs(self, x):
+        z = np.concatenate([x, np.conj(x)])
+        return (z[None, :] @ self.q.legs_of_z).reshape(-1, self.q.grid)
+
+    def _product(self, L, skip):
+        prod = self.q.weight
+        for u, (Lu, m) in enumerate(zip(L, self.q.mult)):
+            for _ in range(m - (u == skip)):
+                prod = prod * Lu
+        return prod
+
+    def eval(self, x):
+        L = self._legs(x)
+        prods = np.concatenate([self._product(L, u) for u in self.q.eta_legs])
+        return (self.q.field_of_legs @ prods[:, None])[:, 0]
+
+
+def midpoint_step_reference(x0, dt, omv, nl, tol):
+    a = 1.0 - 0.5j * dt * omv
+    b = 1.0 + 0.5j * dt * omv
+    rhs0 = a * x0
+    x1 = rhs0 / b
+    for it in range(1, D.MIDPOINT_MAX_ITER + 1):
+        mid = 0.5 * (x0 + x1)
+        x1n = (rhs0 + dt * (-1j) * nl.eval(mid)) / b
+        err = float(np.abs(x1n - x1).max())
+        x1 = x1n
+        if not math.isfinite(err):
+            return x1, False, it
+        if err <= tol * (1.0 + float(np.abs(x1).max())):
+            return x1, True, it
+    return x1, False, D.MIDPOINT_MAX_ITER
+
+
+def _advance_reference(x, dt, omv, nl, tol, depth):
+    x1, ok, evals = midpoint_step_reference(x, dt, omv, nl, tol)
+    if ok:
+        return x1, depth, evals
+    if depth >= D.MAX_HALVINGS:
+        raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
+    xh, d1, e1 = _advance_reference(x, 0.5 * dt, omv, nl, tol, depth + 1)
+    x1, d2, e2 = _advance_reference(xh, 0.5 * dt, omv, nl, tol, depth + 1)
+    return x1, max(d1, d2), evals + e1 + e2
+
+
+def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
+                        stride: int = 1) -> "D.Trajectory":
+    """`dynamics.integrate` on the same compiled parts, stepped by
+    `midpoint_step_reference`, with a quadrature field evaluated by
+    `QuadratureFieldReference`."""
+    if isinstance(H, D.ModelSystem):
+        layout = H.modes()
+        omv, nl, ht = H.flow_parts
+        if isinstance(nl, QuadratureField):
+            nl = QuadratureFieldReference(nl)
+    else:
+        layout = sorted(H.modes())
+        omv, nl, ht = D._flow_parts(H, layout)
+    x = D._state(x0, len(layout), "x0")
+    nsteps = max(1, int(round(T / dt)))
+    dt_eff = T / nsteps
+    times, frames = [0.0], [x]
+    worst = evals = 0
+    for n in range(1, nsteps + 1):
+        x, depth, e = _advance_reference(x, dt_eff, omv, nl, tol, 0)
+        worst = max(worst, depth)
+        evals += e
+        if n % stride == 0 or n == nsteps:
+            times.append(n * dt_eff)
+            frames.append(x)
+    states = np.array(frames)
+    return D.Trajectory(layout, times, states,
+                        ht.eval(states).real.tolist(), dt_eff, worst, evals)
+
+
+# -- spectral and norm diagnostics ------------------------------------------
+
+
+def fit_A(P: Polynomial, s: float, radii: Sequence[float] = (0.25, 0.5, 1.0)
+          ) -> float:
+    """Smallest A with majorant(P, s, R) <= A R^2 over the probe radii."""
+    return max(majorant_norm(P, s, R) / (R * R) for R in radii)
+
+
+@dataclass
+class DerivativeCheck:
+    j: int
+    k: int
+    bc: str
+    fd_derivative: float
+    leading_term: float
+    abs_error: float
+    step: float
+
+
+def eigenvalue_derivative_check(potential, j: int, k: int, bc: str = "dirichlet",
+                                step: float = 1e-5, jmax: Optional[int] = None,
+                                basis_size: Optional[int] = None) -> DerivativeCheck:
+    """Central finite difference of lambda_j along the cos(kx) coefficient.
+
+    The leading term is -delta_{k,2j}/2 for Dirichlet eigenvalues and
+    +delta_{k,2j}/2 for Neumann ones; corrections are exponentially small
+    in the potential's analyticity width.  (The resonant pairing is k = 2j:
+    differentiating lambda_j along cos(2j x) moves it by -+1/2, which is
+    what the perturbative eigenvalue formulas actually use.)
+    """
+    coeffs = _cosine_coeffs(potential)
+    jmax = jmax or (j + 8)
+
+    def lam(vk):
+        c = dict(coeffs)
+        c[k] = c.get(k, 0.0) + vk
+        res = sturm_liouville(c, bc, jmax, basis_size, check=False)
+        return mode_eigenvalues(res)[(j,) if bc == "dirichlet" else (-j,)]
+
+    fd = (lam(step) - lam(-step)) / (2 * step)
+    lead = 0.0
+    if k == 2 * j:
+        lead = -0.5 if bc == "dirichlet" else 0.5
+    return DerivativeCheck(j, k, bc, fd, lead, abs(fd - lead), step)

@@ -10,7 +10,7 @@ from bnfsim.fields import eta_gradient_table
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 from bnfsim.spectra import FrequencyTable
 
-from helpers import evaluate, evaluate_real_slice
+from helpers import evaluate, evaluate_real_slice, fit_A
 
 
 def table(omegas: dict) -> FrequencyTable:
@@ -48,7 +48,7 @@ def test_fit_A_quartic():
     from bnfsim.norms import nu_homogeneous, majorant_norm
     P = poly.monomial(0.7, xi={1: 2}, eta={2: 2})
     nu = nu_homogeneous(P, 2.0)
-    A = B.fit_A(P, 2.0, radii=(0.25, 0.5, 1.0))
+    A = fit_A(P, 2.0, radii=(0.25, 0.5, 1.0))
     assert A == pytest.approx(nu)  # max of nu * R at R = 1
     assert majorant_norm(P, 2.0, 0.5) <= A * 0.25 + 1e-15
 

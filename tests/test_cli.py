@@ -407,7 +407,16 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
     ("scan-resonances", ['model="nls_dd"', "quad_n=200"], "quad_n"),
     ("drift-experiment", ["basis_size=40"], "basis_size"),
     ("normalize", ['model="nlw_periodic"', 'potential.family="nlw_periodic"',
-                   "mass=0.5"], "mass"),
+                   "mass=0.5"], "mass"),    # a cosine wavenumber is >= 0, in the Dirichlet and the Neumann basis
+    ("normalize", [EXPLICIT, 'potential.coeffs={"-3": 0.2}'],
+     "potential.coeffs"),
+    ("normalize", ['model="nlw_periodic"', EXPLICIT,
+                   'potential.coeffs={"-3": 0.2}'], "potential.coeffs"),
+    # a family of the other dimension: 1-d on nls_dd, d-dim on a 1-d model
+    ("normalize", ['model="nls_dd"', "jmax=2"], "potential.family"),
+    ("normalize", ['potential.family="convolution_d"',
+                   'potential.params={"R": 1.0, "kmax": 2, "d": 2, '
+                   '"decay": 2.0}'], "potential.family"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):

@@ -12,7 +12,9 @@ from bnfsim.modes import mode_abs, weight
 from bnfsim.poly import Monomial
 from bnfsim.spectra import sample_potential, sturm_liouville
 
-from helpers import conj_flip, evaluate_real_slice
+from helpers import (QuadratureFieldReference, conj_flip, evaluate_real_slice,
+                     hamiltonian_flow_field, integrate_reference,
+                     total_momentum)
 
 
 def rand_state(rnd, modes, scale=0.3):
@@ -195,6 +197,18 @@ def test_quadrature_field_matches_compiled_tables(model, params, terms):
             <= 1e-12 * abs(v)
 
 
+@pytest.mark.parametrize("model, params, terms", MODEL_SIZES)
+def test_quadrature_field_matches_the_reference_to_the_bit(model, params,
+                                                           terms):
+    quad = D.build_model_hamiltonian(model, **params).quadrature_field()
+    ref = QuadratureFieldReference(quad)
+    rng = np.random.default_rng(np.random.SeedSequence(72))
+    for _ in range(3):
+        x = 0.3 * (rng.standard_normal(quad.field_of_legs.shape[0])
+                   + 1j * rng.standard_normal(quad.field_of_legs.shape[0]))
+        assert np.array_equal(quad.eval(x), ref.eval(x))
+
+
 @pytest.mark.parametrize("model, params, terms",
                          [m for m in MODEL_SIZES if m[0] != "nls_dd"])
 def test_finer_quadrature_grid_gives_the_same_quartic(model, params, terms):
@@ -242,14 +256,14 @@ def test_build_model_validation():
 
 def test_flow_field_linear_rotation():
     H = poly.monomial(2.5, xi={1: 1}, eta={1: 1})
-    out = D.hamiltonian_flow_field(H, [0.2 + 0.1j])
+    out = hamiltonian_flow_field(H, [0.2 + 0.1j])
     assert out[0] == pytest.approx(-1j * 2.5 * (0.2 + 0.1j))
 
 
 def test_flow_field_rejects_complex_hamiltonian():
     H = poly.monomial(1.0 + 0.5j, xi={1: 2}, eta={2: 1})
     with pytest.raises(ValueError, match="H:"):
-        D.hamiltonian_flow_field(H, [0.1, 0.1])
+        hamiltonian_flow_field(H, [0.1, 0.1])
 
 
 def test_flow_field_finite_difference():
@@ -259,7 +273,7 @@ def test_flow_field_finite_difference():
     H = q + conj_flip(q)
     assert H.reality_defect() <= 1e-14
     z = rand_state(rnd, [(1,), (2,)])
-    F = D.hamiltonian_flow_field(H, [z[(1,)], z[(2,)]])
+    F = hamiltonian_flow_field(H, [z[(1,)], z[(2,)]])
     h = 1e-5
 
     def hval(st):
@@ -338,10 +352,73 @@ def test_midpoint_step_stops_on_overflow():
 
     nl = Blowup()
     with np.errstate(over="ignore", invalid="ignore"):
-        x1, ok, evals = D._midpoint_step(np.array([1e10 + 0j]), 1.0,
-                                         np.zeros(1), nl, 1e-12)
+        x1, ok, evals = D._midpoint_step(
+            np.array([1e10 + 0j]), D._coefficients(1.0, np.zeros(1)), nl,
+            1e-12)
     assert not ok
     assert evals == nl.calls <= 3
+
+
+def _dissipative():
+    return poly.monomial(-0.5j, xi={1: 2}, eta={1: 2})
+
+
+@pytest.mark.parametrize("case", ["nls1d", "nls_coupled", "demo_2mode",
+                                  "halving", "backward", "stride"])
+def test_integrate_matches_the_reference_step_to_the_bit(case):
+    # the fast step keeps every floating-point operation on the state, so
+    # frames, energies and counts equal those of the reference step exactly
+    nls1d = D.build_model_hamiltonian("nls1d_dirichlet", jmax=9, kappa=0.25,
+                                      potential=NLS_POTENTIAL)
+    z9 = D.initial_state(nls1d.modes(), 0.2, 4.0,
+                         np.random.default_rng(np.random.SeedSequence(5)))
+    demo = D.build_model_hamiltonian("demo_2mode", kappa=0.4).H
+    coupled = D.build_model_hamiltonian("nls_coupled", jmax=3, kappa=0.5)
+    z6 = D.initial_state(coupled.modes(), 0.3, 2.0,
+                         np.random.default_rng(np.random.SeedSequence(9)))
+    H, x0, T, dt, stride = {
+        # QuadratureField, one eta leg
+        "nls1d": (nls1d, z9, 0.9, 0.0045, 1),
+        # QuadratureField, two eta legs
+        "nls_coupled": (coupled, z6, 1.0, 0.01, 1),
+        # FieldTable
+        "demo_2mode": (demo, [0.4, 0.3j], 2.0, 0.01, 1),
+        "halving": (_dissipative(), [10.0], 0.1, 0.1, 1),
+        "backward": (demo, [0.35 + 0.05j, 0.1 - 0.25j], -1.0, -0.01, 1),
+        "stride": (nls1d, z9, 1.0, 0.0045, 7),
+    }[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = D.integrate(H, x0, T, dt, stride=stride)
+        ref = integrate_reference(H, x0, T, dt, stride=stride)
+    assert fast.times == ref.times
+    assert np.array_equal(fast.states, ref.states)
+    assert fast.energies == ref.energies
+    assert (fast.evals, fast.halvings) == (ref.evals, ref.halvings)
+    if case == "halving":
+        assert fast.halvings >= 2
+
+
+def test_midpoint_step_leaves_the_field_output_alone():
+    # a field may hand back an array it keeps; the step must not write it
+    class Keeps:
+        def __init__(self, nl):
+            self.nl, self.kept = nl, []
+
+        def eval(self, x):
+            F = self.nl.eval(x)
+            self.kept.append((F, F.copy()))
+            return F
+
+    sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=9, kappa=0.25,
+                                     potential=NLS_POTENTIAL)
+    omv, nl, _ = sys1.flow_parts
+    z0 = D.initial_state(sys1.modes(), 0.2, 4.0,
+                         np.random.default_rng(np.random.SeedSequence(5)))
+    keeps = Keeps(nl)
+    x1, ok, evals = D._midpoint_step(z0, D._coefficients(0.0045, omv), keeps,
+                                     1e-12)
+    assert ok and evals == len(keeps.kept) >= 2
+    assert all(np.array_equal(F, copy) for F, copy in keeps.kept)
 
 
 def test_integrate_counts_field_evaluations():
@@ -386,9 +463,9 @@ def test_momentum_conserved_zero_momentum_model():
     rnd = random.Random(31)
     modes = sys1.modes()
     z0 = np.array(list(rand_state(rnd, modes, scale=0.25).values()))
-    mom0 = D.total_momentum(z0, modes)
+    mom0 = total_momentum(z0, modes)
     traj = D.integrate(sys1.H, z0, 5.0, 0.02, stride=50)
-    momT = D.total_momentum(traj.states[-1], modes)
+    momT = total_momentum(traj.states[-1], modes)
     assert momT[0] == pytest.approx(mom0[0], abs=1e-10)
     e = traj.energies
     assert max(abs(v - e[0]) for v in e) <= 5e-6

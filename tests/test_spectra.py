@@ -156,25 +156,25 @@ def test_expansion_fit_stability_under_jmax():
 
 def test_eigenvalue_derivative_leading_term():
     # the resonant pairing is k = 2j (cos(2jx) against sin(jx)^2)
-    r = S.eigenvalue_derivative_check({}, j=1, k=2, bc="dirichlet", jmax=12, basis_size=64)
+    r = helpers.eigenvalue_derivative_check({}, j=1, k=2, bc="dirichlet", jmax=12, basis_size=64)
     assert r.abs_error <= 1e-3 and r.leading_term == -0.5
-    r = S.eigenvalue_derivative_check({}, j=2, k=4, bc="dirichlet", jmax=12, basis_size=64)
+    r = helpers.eigenvalue_derivative_check({}, j=2, k=4, bc="dirichlet", jmax=12, basis_size=64)
     assert r.abs_error <= 1e-3 and r.leading_term == -0.5
     # off-resonant pairs are flat at V ~ 0
-    r = S.eigenvalue_derivative_check({}, j=3, k=1, bc="dirichlet", jmax=12, basis_size=64)
+    r = helpers.eigenvalue_derivative_check({}, j=3, k=1, bc="dirichlet", jmax=12, basis_size=64)
     assert abs(r.fd_derivative) <= 1e-3 and r.leading_term == 0.0
     # Neumann flips the sign
-    r = S.eigenvalue_derivative_check({}, j=1, k=2, bc="neumann", jmax=12, basis_size=64)
+    r = helpers.eigenvalue_derivative_check({}, j=1, k=2, bc="neumann", jmax=12, basis_size=64)
     assert r.abs_error <= 1e-3 and r.leading_term == 0.5
 
 
 def test_eigenvalue_derivative_fd_converges():
     samp = S.sample_potential("nls_cosine", {"R": 0.1, "sigma": 1.0, "kmax": 8}, seed=4)
-    r1 = S.eigenvalue_derivative_check(samp, j=1, k=2, step=2e-3, jmax=10, basis_size=64)
-    r2 = S.eigenvalue_derivative_check(samp, j=1, k=2, step=1e-3, jmax=10, basis_size=64)
+    r1 = helpers.eigenvalue_derivative_check(samp, j=1, k=2, step=2e-3, jmax=10, basis_size=64)
+    r2 = helpers.eigenvalue_derivative_check(samp, j=1, k=2, step=1e-3, jmax=10, basis_size=64)
     # second-order stencil: halving the step shrinks the fd truncation
     # error ~4x; compare against a tiny-step reference
-    ref = S.eigenvalue_derivative_check(samp, j=1, k=2, step=1e-6, jmax=10, basis_size=64)
+    ref = helpers.eigenvalue_derivative_check(samp, j=1, k=2, step=1e-6, jmax=10, basis_size=64)
     e1 = abs(r1.fd_derivative - ref.fd_derivative)
     e2 = abs(r2.fd_derivative - ref.fd_derivative)
     if e1 > 1e-12:
