@@ -30,8 +30,8 @@ import numpy as np
 from .fields import eta_gradient_table
 from .modes import mode_str
 from .norms import majorant_norm
-from .poly import (Monomial, Polynomial, bracket_overflow, poisson_bracket,
-                   quadratic_diagonal, zero)
+from .poly import (Monomial, Polynomial, bracket_overflow, pair_counts,
+                   poisson_bracket, quadratic_diagonal, zero)
 from .resonance import net_exponents, normal_form_membership, omega_dot
 from .spectra import FrequencyTable
 
@@ -119,10 +119,16 @@ class NormalFormParams:
 
 @dataclass
 class RemainderLedger:
-    """Cumulative majorant bookkeeping; every series is nondecreasing."""
+    """One entry per round: the cumulative, nondecreasing masses; chi's
+    majorant; the term pairs the round's Lie series bracketed and those
+    over the cap; the terms of chi and of Z after the round."""
     tail_cubic_mass: List[float] = field(default_factory=list)
     overflow_mass: List[float] = field(default_factory=list)
     chi_majorants: List[float] = field(default_factory=list)
+    pairs: List[int] = field(default_factory=list)
+    pairs_over_cap: List[int] = field(default_factory=list)
+    chi_terms: List[int] = field(default_factory=list)
+    Z_terms: List[int] = field(default_factory=list)
 
     def check(self) -> bool:
         for seq in (self.tail_cubic_mass, self.overflow_mass):
@@ -168,10 +174,11 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
     """
     thr = gamma / N ** alpha
     chi_t, z_t = {}, {}
+    high = f.tail_split(N).high
+    if high:
+        raise ValueError("tail degree > 2 in homological input: %r"
+                         % next(iter(high.terms)))
     for mono, c in f.items():
-        if mono.tail_degree(N) > 2:
-            raise ValueError("tail degree > 2 in homological input: %r"
-                             % mono)
         div = omega_dot(omega, net_exponents(mono))
         if abs(div) <= thr:
             z_t[mono] = c
@@ -187,8 +194,18 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
     return chi, z
 
 
-def lie_transform(g: Polynomial, chi: Polynomial,
-                  cap: int) -> Tuple[Polynomial, float]:
+class LieSeries(tuple):
+    """(series, overflow) of `lie_transform`; `pairs` and `over_cap` count
+    the term pairs its brackets took and those they skipped above the cap."""
+
+    def __new__(cls, series: Polynomial, overflow: float, pairs: int = 0,
+                over_cap: int = 0):
+        out = super().__new__(cls, (series, overflow))
+        out.pairs, out.over_cap = pairs, over_cap
+        return out
+
+
+def lie_transform(g: Polynomial, chi: Polynomial, cap: int) -> LieSeries:
     """Sum of g_l with g_0 = g and g_l = (1/l){chi, g_{l-1}} up to degree cap.
 
     Returns (series, overflow).  The overflow is the l1 mass of g above
@@ -200,19 +217,22 @@ def lie_transform(g: Polynomial, chi: Polynomial,
     total = g.truncate_above(cap)
     overflow = math.fsum(abs(c) for m, c in g.items() if m.degree > cap)
     if not chi:
-        return total, overflow
+        return LieSeries(total, overflow)
     if chi.min_degree() <= 2:
         raise ValueError("chi: minimum degree must be >= 3")
     term = total
     l = 1
+    pairs = over_cap = 0
     while term:
         overflow += bracket_overflow(chi, term, cap) / l
+        took, skipped = pair_counts(chi, term, cap)
+        pairs, over_cap = pairs + took, over_cap + skipped
         term = poisson_bracket(chi, term, cap).scale(1.0 / l)
         total = total + term
         l += 1
         if l > 400:
             raise ArithmeticError("lie series failed to terminate")
-    return total, overflow
+    return LieSeries(total, overflow, pairs, over_cap)
 
 
 def lie_compose(g: Polynomial, generators: Sequence[Polynomial],
@@ -266,14 +286,19 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
         chi, z_r = solve_homological(working, h0_freqs, params.gamma,
                                      params.alpha, N)
         gens.append(chi)
-        core, core_over = lie_transform(h0 + z + low, chi, cap)
-        rn, rn_over = lie_transform(rn + high, chi, cap)
+        flows = (lie_transform(h0 + z + low, chi, cap),
+                 lie_transform(rn + high, chi, cap))
+        (core, core_over), (rn, rn_over) = flows
         z = z + z_r
         overflow_cum += core_over + rn_over
         g = core - h0 - z
         ledger.chi_majorants.append(majorant_norm(chi, params.s, 1.0))
         ledger.tail_cubic_mass.append(tail_cum)
         ledger.overflow_mass.append(overflow_cum)
+        ledger.pairs.append(sum(s.pairs for s in flows))
+        ledger.pairs_over_cap.append(sum(s.over_cap for s in flows))
+        ledger.chi_terms.append(len(chi))
+        ledger.Z_terms.append(len(z))
 
     membership = {term_key(m): normal_form_membership(
         m, h0_freqs, params.gamma, params.alpha, N) for m in z.terms}

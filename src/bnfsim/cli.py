@@ -297,10 +297,7 @@ def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
         "generators": [to_text(g) for g in res.generators],
         "f_final_l1": res.f_final.l1(),
         "remainder_tail_l1": res.remainder_tail.l1(),
-        "ledger": {"tail_cubic_mass": res.ledger.tail_cubic_mass,
-                   "overflow_mass": res.ledger.overflow_mass,
-                   "chi_majorants": res.ledger.chi_majorants,
-                   "monotone": res.ledger.check()},
+        "ledger": dict(vars(res.ledger), monotone=res.ledger.check()),
     }
     with open(os.path.join(outdir, "nf.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -506,8 +503,10 @@ def _hits_summary(path: str) -> List[str]:
 def _nf_summary(path: str) -> List[str]:
     with open(path) as fh:
         doc = json.load(fh)
-    p = doc["params"]
+    p, led = doc["params"], doc["ledger"]
     nz = len([ln for ln in doc["Z"].splitlines() if ln.strip()])
+    rounds = zip(*(led.get(k, []) for k in (
+        "chi_terms", "Z_terms", "pairs", "pairs_over_cap")))
     return [
         "normal form [%s]:" % doc["model"],
         "  r_star=%d N=%d gamma=%g alpha=%g mode=%s"
@@ -516,7 +515,8 @@ def _nf_summary(path: str) -> List[str]:
         % (doc["membership_ok"], nz, len(doc["generators"])),
         "  f_final l1=%.6e  remainder tail l1=%.6e"
         % (doc["f_final_l1"], doc["remainder_tail_l1"]),
-    ]
+    ] + ["  round %d: chi terms=%d  Z terms=%d  bracket pairs=%d  "
+         "over cap=%d" % ((r,) + row) for r, row in enumerate(rounds, 1)]
 
 
 def cmd_report(cfg: dict, outdir: str) -> List[str]:

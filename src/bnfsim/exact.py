@@ -85,10 +85,3 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return GaussRat(x, 0)
     return NotImplemented
-
-
-def times_i(c):
-    """Multiply a coefficient by the imaginary unit, whatever its type."""
-    if isinstance(c, GaussRat):
-        return c.times_i()
-    return 1j * c

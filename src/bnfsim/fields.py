@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .modes import as_mode
-from .poly import Polynomial
+from .poly import Polynomial, exponent_matrix
 
 
 class Leg(NamedTuple):
@@ -180,46 +180,40 @@ class ValueTable:
         return v if np.ndim(x) == 2 else complex(v[0])
 
 
-def _layout(modes: Sequence) -> (list, dict):
+def _table(p: Polynomial, modes: Sequence, grad: bool) -> tuple:
+    """(layout, vidx, coeff, out) of p's table over the sorted modes: a row
+    per term, or with `grad` a row per eta_m exponent e of a term, e times
+    its coefficient with one factor eta_m fewer, added into mode m.  A
+    row's factors index G in ascending order: xi of layout mode k is row
+    k, eta row n + k; the rest is padded with the row of ones, 2n."""
     ms = sorted({as_mode(m) for m in modes})
-    return ms, {m: i for i, m in enumerate(ms)}
-
-
-def _factors(mono, index: dict, drop=None) -> List[int]:
-    """Rows of G multiplied in a term of monomial mono, one per power, less
-    one factor eta_drop: xi_m is row index[m], eta_m row n + index[m]."""
-    n = len(index)
-    idxs = []
-    for m, e in mono.xi:
-        idxs += [index[m]] * e
-    for m, e in mono.eta:
-        idxs += [n + index[m]] * (e - (m == drop))
-    return idxs
-
-
-def _pack(rows: list, width: int, pad: int):
+    n, X = len(ms), exponent_matrix(p, ms)
+    coeff = np.array(list(p.terms.values()), dtype=complex)
+    out = np.zeros(len(X), dtype=np.int64)
+    if grad:
+        t, out = np.nonzero(X[:, n:])
+        e, c = X[t, n + out], coeff[t]
+        X = X[t]
+        X[np.arange(len(t)), n + out] -= 1
+        # complex(c) * e, the floats of Python's complex-by-int product
+        coeff = np.empty(len(t), dtype=complex)
+        coeff.real = c.real * e - c.imag * 0.0
+        coeff.imag = c.real * 0.0 + c.imag * e
+    r, col = np.nonzero(X)
+    reps, size = X[r, col], X.sum(axis=1)
+    rows = np.repeat(r, reps)
     # column-major, so that each column gather reads contiguous indices
-    vidx = np.full((len(rows), width), pad, dtype=np.int64, order="F")
-    coeff = np.empty(len(rows), dtype=complex)
-    out = np.empty(len(rows), dtype=np.int64)
-    for r, (c, idxs, o) in enumerate(rows):
-        coeff[r] = c
-        out[r] = o
-        vidx[r, :len(idxs)] = idxs
-    return vidx, coeff, out
+    vidx = np.full((len(X), max(0, p.max_degree() - grad)), 2 * n,
+                   dtype=np.int64, order="F")
+    vidx[rows, np.arange(len(rows)) - (np.cumsum(size) - size)[rows]] = \
+        np.repeat(col, reps)
+    return ms, vidx, coeff, out
 
 
 def eta_gradient_table(p: Polynomial, modes: Sequence) -> FieldTable:
     """Compile all partial derivatives d(p)/d(eta_m) for m in the layout."""
-    ms, index = _layout(modes)
-    rows = [(complex(c) * e, _factors(mono, index, m), index[m])
-            for mono, c in p.items() for m, e in mono.eta]
-    vidx, coeff, out = _pack(rows, max(0, p.max_degree() - 1), 2 * len(ms))
-    return FieldTable(ms, vidx, coeff, out)
+    return FieldTable(*_table(p, modes, True))
 
 
 def value_table(p: Polynomial, modes: Sequence) -> ValueTable:
-    ms, index = _layout(modes)
-    rows = [(complex(c), _factors(mono, index), 0) for mono, c in p.items()]
-    vidx, coeff, _ = _pack(rows, max(0, p.max_degree()), 2 * len(ms))
-    return ValueTable(ms, vidx, coeff)
+    return ValueTable(*_table(p, modes, False)[:3])

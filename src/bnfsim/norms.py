@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -46,14 +46,17 @@ def _occurrences(mono: Monomial) -> list:
     return out
 
 
-def nu_term(mono: Monomial, s: float) -> float:
-    """Per-term majorant factor (coefficient excluded)."""
+def nu_term(mono: Monomial, s: float, weights: Optional[dict] = None
+            ) -> float:
+    """Per-term majorant factor (coefficient excluded).  `weights` maps
+    each mode to (w_s, w_1); a caller with many terms computes it once."""
     slots = _occurrences(mono)
+    weights = weights or _weights({m for _, m, _ in slots}, s)
     r = mono.degree
     if r == 0:
         return 0.0
     if r == 1:
-        return math.sqrt(weight(slots[0][1], s))
+        return math.sqrt(weights[slots[0][1]][0])
     # occurrence multiset of modes, with multiplicity
     occ: List = []
     for _, m, e in slots:
@@ -62,22 +65,21 @@ def nu_term(mono: Monomial, s: float) -> float:
     for kind, mode_v, e_v in slots:
         rest0 = list(occ)
         rest0.remove(mode_v)  # output slot uses one occurrence of mode_v
-        w_out = weight(mode_v, s)
+        w_out = weights[mode_v][0]
         for idx in range(len(rest0)):
             m = rest0[idx]
-            denom = weight(m, s)
+            denom = weights[m][0]
             for jdx, mj in enumerate(rest0):
                 if jdx != idx:
-                    denom *= weight(mj, 1.0)
+                    denom *= weights[mj][1]
             val = e_v * math.sqrt(w_out / denom)
             if val > best:
                 best = val
     return best * TAME_CAL
 
 
-def nu_homogeneous(f_r: Polynomial, s: float) -> float:
-    """nu_s of a homogeneous polynomial (sum of per-term contributions)."""
-    return math.fsum(abs(c) * nu_term(m, s) for m, c in f_r.items())
+def _weights(modes, s: float) -> dict:
+    return {m: (weight(m, s), weight(m, 1.0)) for m in modes}
 
 
 def majorant_norm(f: Polynomial, s: float, radius: float) -> float:
@@ -85,9 +87,11 @@ def majorant_norm(f: Polynomial, s: float, radius: float) -> float:
 
     Sums nu_s(f_r) * R^(r-1) over the homogeneous parts f_r.
     """
+    weights = _weights(f.modes(), s)
     by_deg: Dict[int, float] = {}
     for m, c in f.items():
-        by_deg[m.degree] = by_deg.get(m.degree, 0.0) + abs(c) * nu_term(m, s)
+        by_deg[m.degree] = (by_deg.get(m.degree, 0.0)
+                            + abs(c) * nu_term(m, s, weights))
     return math.fsum(v * radius ** (r - 1) for r, v in by_deg.items())
 
 

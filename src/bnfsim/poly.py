@@ -12,21 +12,32 @@ The Poisson bracket convention is fixed once and used everywhere:
 so that {H0, xi^k eta^l} = i omega.(k - l) xi^k eta^l for
 H0 = sum_m omega_m xi_m eta_m.
 
-Coefficients are complex floats by default; exact Gaussian rationals
-(`exact.GaussRat`) can be used instead for identity-grade algebra checks.
-
 A `Polynomial` is a plain sparse map and keeps every degree its operations
 produce.  Degree truncation is the Lie series' policy: `poisson_bracket`
 takes an optional `cap` and skips the term pairs that land above it, and
 `bracket_overflow` meters the l1 mass those pairs carry.
+
+The bracket runs on arrays: a polynomial keeps, once built, the exponent
+matrix of its terms (xi columns, then eta, over its sorted modes) and its
+coefficient vector.  Contractions are array joins over degree buckets and
+merge by one sort of packed row keys.  They are emitted and summed in the
+order of the term-pair loop the bracket replaced (kept in tests/helpers.py),
+each with Python's complex operations in order, so the result equals that
+loop's to the bit, dict order included, which later sums depend on.
+Coefficients are complex floats by default; exact Gaussian rationals
+(`exact.GaussRat`) take the same path as an object vector, one Python
+product per contribution, for identity-grade algebra checks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from itertools import chain
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .exact import GaussRat, times_i
+import numpy as np
+
+from .exact import GaussRat
 from .modes import as_mode, mode_abs2, mode_str, parse_mode
 
 PRUNE_REL = 1e-14
@@ -93,15 +104,20 @@ class Monomial:
     def is_action(self) -> bool:
         return self.xi == self.eta
 
+    @classmethod
+    def canonical(cls, xi: tuple, eta: tuple, degree: int,
+                  momentum: tuple) -> "Monomial":
+        """Built directly from parts already in the form __init__ gives
+        them, unchecked."""
+        out = cls.__new__(cls)
+        out.xi, out.eta, out.degree, out.momentum = xi, eta, degree, momentum
+        out._hash = hash((xi, eta))
+        return out
+
     def flip(self) -> "Monomial":
         """Swap the xi and eta exponent patterns."""
-        # built directly: the degree stays, the momentum changes sign
-        out = Monomial.__new__(Monomial)
-        out.xi, out.eta = self.eta, self.xi
-        out.degree = self.degree
-        out.momentum = tuple(-c for c in self.momentum)
-        out._hash = hash((out.xi, out.eta))
-        return out
+        return Monomial.canonical(self.eta, self.xi, self.degree,
+                                  tuple(-c for c in self.momentum))
 
     def mul(self, other: "Monomial") -> "Monomial":
         xk = dict(self.xi)
@@ -111,9 +127,6 @@ class Monomial:
         for m, e in other.eta:
             ek[m] = ek.get(m, 0) + e
         return Monomial(xk, ek)
-
-    def modes(self) -> set:
-        return {m for m, _ in self.xi} | {m for m, _ in self.eta}
 
     def __repr__(self):
         parts = ["xi[%s]^%d" % (mode_str(m), e) for m, e in self.xi]
@@ -132,10 +145,11 @@ class Polynomial:
     coefficients (below 1e-14 of the largest) are pruned silently.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_arrays")
 
     def __init__(self, terms=None):
         self.terms = _prune(dict(terms) if terms else {})
+        self._arrays = None
 
     # -- basic queries ------------------------------------------------
 
@@ -165,7 +179,7 @@ class Polynomial:
 
     def modes(self) -> set:
         """Every mode that some term carries in xi or eta."""
-        return set().union(*(m.modes() for m in self.terms))
+        return set(_arrays(self).modes)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -220,10 +234,13 @@ class Polynomial:
 
     def tail_split(self, cutoff_n: float) -> "TailSplit":
         """Split by tail degree at cutoff N: low (<= 2) and high (>= 3)."""
-        low, high = {}, {}
-        for m, c in self.terms.items():
-            (low if m.tail_degree(cutoff_n) <= 2 else high)[m] = c
-        return TailSplit(Polynomial(low), Polynomial(high), cutoff_n)
+        a = _arrays(self)
+        tail = [mode_abs2(m) > cutoff_n * cutoff_n for m in a.modes]
+        high = a.X[:, np.array(tail + tail, dtype=bool)].sum(axis=1) > 2
+        parts: tuple = ({}, {})
+        for (m, c), h in zip(self.terms.items(), high.tolist()):
+            parts[h][m] = c
+        return TailSplit(Polynomial(parts[0]), Polynomial(parts[1]), cutoff_n)
 
     def is_zero_momentum(self) -> bool:
         return all(not any(m.momentum) for m in self.terms)
@@ -308,7 +325,92 @@ def quadratic_diagonal(freqs: dict) -> Polynomial:
     return Polynomial(acc)
 
 
-# -- Poisson bracket ---------------------------------------------------
+# -- the Poisson bracket on exponent matrices -----------------------------
+
+
+class _Arrays(NamedTuple):
+    """A polynomial's terms in dict order over its sorted `modes`: row t of
+    X holds term t's xi exponents, then its eta ones.  `coef` is complex
+    (object when exact); `real` flags the coefficients that are not complex.
+    """
+    modes: list
+    X: np.ndarray
+    coef: np.ndarray
+    real: np.ndarray
+    deg: np.ndarray
+
+
+def _arrays(p: Polynomial) -> _Arrays:
+    """The arrays of p, built on first use and kept with it."""
+    if p._arrays is None:
+        parts = ([mono.xi for mono in p.terms], [mono.eta for mono in p.terms])
+        modes = sorted({m for part in parts for sl in part for m, _ in sl})
+        index = {m: k for k, m in enumerate(modes)}
+        X = np.zeros((len(p), 2 * len(modes)), dtype=np.int16)
+        for off, part in zip((0, len(modes)), parts):
+            slots = list(chain.from_iterable(part))
+            rows = np.repeat(np.arange(len(part)), [len(s) for s in part])
+            X[rows, np.array([index[m] + off for m, _ in slots], dtype=int)] \
+                = [e for _, e in slots]
+        vals = list(p.terms.values())
+        exact = bool(vals) and _is_exact(vals[0])
+        p._arrays = _Arrays(
+            modes, X, np.array(vals, dtype=object if exact else complex),
+            np.array([not isinstance(c, complex) for c in vals], dtype=bool),
+            X.sum(axis=1))
+    return p._arrays
+
+
+def exponent_matrix(p: Polynomial, modes: list) -> np.ndarray:
+    """p's exponent rows (xi columns, then eta) over sorted `modes`, which
+    must hold every mode of p."""
+    index = {m: k for k, m in enumerate(modes)}
+    a = _arrays(p)
+    cols = [index[m] for m in a.modes]
+    X = np.zeros((len(p), 2 * len(modes)), dtype=np.int16)
+    X[:, cols + [c + len(modes) for c in cols]] = a.X
+    return X
+
+
+def _monomials(rows: np.ndarray, modes: list) -> list:
+    """The Monomial of each exponent row (xi, then eta, over sorted modes)."""
+    n = len(modes)
+    deg = rows.sum(axis=1).tolist()
+    mom = ((rows[:, :n] - rows[:, n:])
+           @ np.array(modes, dtype=np.int64).reshape(n, -1)).tolist()
+    t, col = np.nonzero(rows)
+    ends = np.cumsum(np.bincount(t, minlength=len(rows))).tolist()
+    nxi = np.bincount(t[col < n], minlength=len(rows)).tolist()
+    labels = modes + modes
+    slots = [(labels[c], e)
+             for c, e in zip(col.tolist(), rows[t, col].tolist())]
+    out, lo = [], 0
+    for hi, k, d, mo in zip(ends, nxi, deg, mom):
+        out.append(Monomial.canonical(tuple(slots[lo:lo + k]),
+                                      tuple(slots[lo + k:hi]), d,
+                                      tuple(mo) if d else ()))
+        lo = hi
+    return out
+
+
+def _times_i_products(a: _Arrays, b: _Arrays, i: np.ndarray, j: np.ndarray,
+                      k: np.ndarray) -> np.ndarray:
+    """1j * (cf * cg * k) for terms i of f and j of g and integers k, with
+    the float operations, in order, of Python's complex arithmetic: a real
+    number enters a product as (x, 0.0), and two real numbers multiply as
+    floats, with no imaginary part to carry a signed zero."""
+    if a.coef.dtype == object or b.coef.dtype == object:
+        return np.array([(x * y * e).times_i() for x, y, e
+                         in zip(a.coef[i], b.coef[j], k.tolist())],
+                        dtype=object)
+    x, y, both = a.coef[i], b.coef[j], a.real[i] & b.real[j]
+    pr = x.real * y.real - x.imag * y.imag
+    pi = np.where(both, 0.0, x.real * y.imag + x.imag * y.real)
+    qr = pr * k - pi * 0.0
+    qi = np.where(both, 0.0, pr * 0.0 + pi * k)
+    out = np.empty(len(k), dtype=complex)
+    out.real, out.imag = 0.0 * qr - qi, 0.0 * qi + qr
+    return out
 
 
 def poisson_bracket(f: Polynomial, g: Polynomial,
@@ -318,28 +420,70 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
     A term pair brackets to degree deg f + deg g - 2.  With a `cap`, the
     pairs above it are skipped, so the result is the part of the uncapped
     bracket of degree <= cap; `bracket_overflow` gives their mass.
+
+    Every exponent of f meets, as arrays, those of g it contracts with in
+    g's terms of degree <= cap + 2 - deg.  Equal output rows merge by one
+    sort of packed keys, summed in the term-pair loop's order (f's terms,
+    g's terms, eta then xi contractions, by mode): terms, coefficient bits
+    and dict order equal that loop's.
     """
-    acc = {}
-    for mf, cf in f.terms.items():
-        fxi = dict(mf.xi)
-        feta = dict(mf.eta)
-        room = None if cap is None else cap + 2 - mf.degree
-        for mg, cg in g.terms.items():
-            if room is not None and mg.degree > room:
-                continue
-            gxi = dict(mg.xi)
-            geta = dict(mg.eta)
-            for m, ef in feta.items():
-                eg = gxi.get(m, 0)
-                if eg:
-                    mono = _bracket_mono(fxi, feta, gxi, geta, m)
-                    _accum(acc, mono, times_i(cf * cg * (ef * eg)))
-            for m, ef in fxi.items():
-                eg = geta.get(m, 0)
-                if eg:
-                    mono = _bracket_mono(gxi, geta, fxi, feta, m)
-                    _accum(acc, mono, times_i(cf * cg * (-ef * eg)))
-    return Polynomial(acc)
+    if not f or not g:
+        return Polynomial()
+    a, b = _arrays(f), _arrays(g)
+    modes = sorted(set(a.modes).union(b.modes))
+    F, G = exponent_matrix(f, modes), exponent_matrix(g, modes)
+    n, top = len(modes), int(b.deg.max())
+    # g's exponents by the column of f they contract with, then degree
+    gj, gv = np.nonzero(G)
+    gkey = (gv + n) % (2 * n) * (top + 1) + b.deg[gj]
+    order = np.argsort(gkey, kind="stable")
+    gkey, gj, gv = gkey[order], gj[order], gv[order]
+    fi, fv = np.nonzero(F)
+    room = top if cap is None else np.clip(cap + 2 - a.deg[fi], -1, top)
+    lo = np.searchsorted(gkey, fv * (top + 1))
+    cnt = np.maximum(
+        np.searchsorted(gkey, fv * (top + 1) + room, "right") - lo, 0)
+    total = int(cnt.sum())
+    if not total:
+        return Polynomial()
+    f_at = np.repeat(np.arange(len(fi)), cnt)
+    g_at = np.arange(total) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    i, v, j, w = fi[f_at], fv[f_at], gj[g_at], gv[g_at]
+    m, xi_kind = v % n, v < n
+    emit = ((i * len(G) + j) * 2 + xi_kind) * n + m
+    # output rows F[i] + G[j] - xi_m - eta_m, as int64 words of `bits`-bit
+    # columns (sums may wrap on the way; the results are exact), grouped
+    # with emission order kept inside each group
+    bits = max(1, (top + int(a.deg.max()) - 2 if cap is None
+                   else max(cap, 0)).bit_length())
+    cols = np.arange(2 * n)
+    weight = np.left_shift(1, bits * (cols % (62 // bits)))
+    unit = np.eye(n, dtype=np.int64)
+    KF, KG, U = (np.add.reduceat(M * weight, cols[::62 // bits], axis=1)
+                 for M in (F, G, np.hstack([unit, unit])))
+    keys = KF[i] + KG[j] - U[m]
+    order = np.lexsort((emit,) + tuple(keys.T))
+    keys = keys[order]
+    new = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    # each sum starts at its group's first contribution, as the dict's did
+    k = np.where(xi_kind, -1, 1) * F[i, v] * G[j, w]
+    c = _times_i_products(a, b, i, j, k)[order]
+    acc = c[new]
+    np.add.at(acc, np.cumsum(new)[~new] - 1, c[~new])
+    rank = np.argsort(emit[order[new]])
+    rep = order[new][rank]
+    rows = F[i[rep]] + G[j[rep]]
+    rows[np.arange(len(rep))[:, None], np.c_[m[rep], m[rep] + n]] -= 1
+    return Polynomial(dict(zip(_monomials(rows, modes), acc[rank].tolist())))
+
+
+def pair_counts(f: Polynomial, g: Polynomial, cap: int) -> Tuple[int, int]:
+    """Term pairs of {f, g} at or below degree `cap`, and above it: sums of
+    len(F_d) * len(G_e) over the degree buckets of f and g."""
+    pairs = np.outer(np.bincount(_arrays(f).deg), np.bincount(_arrays(g).deg))
+    over = np.add.outer(np.arange(len(pairs)), np.arange(pairs.shape[1])) \
+        - 2 > cap
+    return int(pairs[~over].sum()), int(pairs[over].sum())
 
 
 def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
@@ -351,46 +495,40 @@ def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
     way round).  It separates by mode: per degree pair (d, e) it is
     sum_m (A_eta[m] B_xi[m] + A_xi[m] B_eta[m]), where
     A_eta[m] = sum |c_f| (eta_m exponent) over f's terms of degree d, and
-    so on, so the cost is O(terms) instead of O(term pairs).
+    so on, so the cost is O(terms) instead of O(term pairs).  Every sum
+    runs over terms in dict order, and over modes in the order they first
+    appear in those terms.
     """
-    fm, gm = _exponent_mass(f), _exponent_mass(g)
-    tot = 0.0
-    for df, (fxi, feta) in fm.items():
-        for dg, (gxi, geta) in gm.items():
+    if not f or not g:
+        return 0.0
+    a, b = _arrays(f), _arrays(g)
+    modes = sorted(set(a.modes).union(b.modes))
+    F, G = exponent_matrix(f, modes), exponent_matrix(g, modes)
+    fm, gm = _exponent_mass(f, a.deg, F), _exponent_mass(g, b.deg, G)
+    n, tot = len(modes), 0.0
+    for df, (fmass, fxi, feta) in fm.items():
+        for dg, (gmass, _, _) in gm.items():
             if df + dg - 2 > cap:
-                tot += sum(a * gxi.get(m, 0.0) for m, a in feta.items())
-                tot += sum(a * geta.get(m, 0.0) for m, a in fxi.items())
+                tot += sum((fmass[feta] * gmass[feta - n]).tolist())
+                tot += sum((fmass[fxi] * gmass[fxi + n]).tolist())
     return tot
 
 
-def _exponent_mass(p: Polynomial) -> dict:
-    """degree -> (mode -> sum |c| xi_m exponent, same for eta_m)."""
+def _exponent_mass(p: Polynomial, deg: np.ndarray, X: np.ndarray) -> dict:
+    """degree -> (sum of |c| times the exponent per column, over the terms
+    of that degree; the xi columns that occur, then the eta ones, each in
+    order of first appearance), degrees in order of first appearance."""
+    absc = np.array([abs(c) for c in p.terms.values()])
     out = {}
-    for mono, c in p.terms.items():
-        a = abs(c)
-        xs, es = out.setdefault(mono.degree, ({}, {}))
-        for m, e in mono.xi:
-            xs[m] = xs.get(m, 0.0) + a * e
-        for m, e in mono.eta:
-            es[m] = es.get(m, 0.0) + a * e
+    for d in dict.fromkeys(deg.tolist()):
+        rows = np.flatnonzero(deg == d)
+        seen = X[rows] > 0
+        cols = np.flatnonzero(seen.any(axis=0))
+        cols = cols[np.lexsort((cols, seen[:, cols].argmax(axis=0)))]
+        half = cols < X.shape[1] // 2
+        out[d] = (np.cumsum(absc[rows, None] * X[rows], axis=0)[-1],
+                  cols[half], cols[~half])
     return out
-
-
-def _bracket_mono(axi, aeta, bxi, beta, m) -> Monomial:
-    """Product monomial with one eta_m removed from a and one xi_m from b."""
-    xk = dict(axi)
-    for mm, e in bxi.items():
-        xk[mm] = xk.get(mm, 0) + e
-    xk[m] -= 1
-    if xk[m] == 0:
-        del xk[m]
-    ek = dict(aeta)
-    for mm, e in beta.items():
-        ek[mm] = ek.get(mm, 0) + e
-    ek[m] -= 1
-    if ek[m] == 0:
-        del ek[m]
-    return Monomial(xk, ek)
 
 
 # -- serialization -----------------------------------------------------

@@ -54,7 +54,6 @@ PATTERN_SHELL = "SHELL"
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 DEFAULT_NODE_CAP = 2_000_000
-BRUTE_FORCE_BOX_CAP = 40_000_000  # exponent vectors the oracle may form
 # the measure scan's float64 rows and divisors per block of candidates
 SCAN_BLOCK_BYTES = 1 << 22
 CHUNK = 4096  # live nodes per block of the candidate search
@@ -279,44 +278,6 @@ def enumerate_near_resonances(q: DivisorQuery,
         hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs), tag))
     hits.sort(key=ResonanceHit.key)
     return EnumerationResult(hits, complete, nodes, thr)
-
-
-def enumerate_brute_force(q: DivisorQuery) -> EnumerationResult:
-    """Exhaustive reference enumeration over the full exponent box.
-
-    Only the defining constraints are applied, so this shares no pruning
-    logic with the branch-and-bound search; intended as a test oracle on
-    small domains.
-    """
-    modes, w, tail = _domain(q)
-    n = len(modes)
-    R = q.r + 2
-    width = 2 * R + 1
-    if width ** n > BRUTE_FORCE_BOX_CAP:
-        raise ValueError("brute-force box %d^%d exceeds cap" % (width, n))
-    grids = np.meshgrid(*([np.arange(-R, R + 1)] * n), indexing="ij")
-    K = np.stack([g.ravel() for g in grids], axis=1)
-    a = np.abs(K)
-    order = a.sum(axis=1)
-    keep = (order > 0) & (order <= R)
-    tcols = [i for i in range(n) if tail[i]]
-    if tcols:
-        keep &= a[:, tcols].sum(axis=1) <= 2
-    K = K[keep]
-    wv = np.asarray(w)
-    div = K @ wv
-    thr = q.threshold
-    # wide pre-filter, then exactly-rounded recheck on the borderline
-    slack = 64 * np.finfo(float).eps * R * (np.max(np.abs(wv)) if n else 0.0)
-    near = np.abs(div) < thr + slack
-    hits = []
-    for row in K[near]:
-        pairs = [(modes[i], int(row[i])) for i in range(n) if row[i]]
-        value = omega_dot(q.omega, pairs)
-        if abs(value) < thr:
-            hits.append(ResonanceHit(dict(pairs), value))
-    hits.sort(key=ResonanceHit.key)
-    return EnumerationResult(hits, True, int(K.shape[0]), thr)
 
 
 # -- exceptional patterns ------------------------------------------------

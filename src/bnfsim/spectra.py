@@ -161,10 +161,6 @@ class EigenBasis:
     coeffs: np.ndarray
     wavenumbers: np.ndarray
 
-    def orthonormality_defect(self) -> float:
-        g = self.coeffs.T @ self.coeffs
-        return float(np.max(np.abs(g - np.eye(g.shape[0]))))
-
 
 @dataclass
 class SpectralResult:
@@ -194,14 +190,14 @@ def _cosine_coeffs(p) -> Dict[int, float]:
 
 
 def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
-                    basis_size: Optional[int] = None, rel_tol: float = 1e-8,
-                    check: bool = True) -> SpectralResult:
+                    basis_size: Optional[int] = None,
+                    rel_tol: float = 1e-8) -> SpectralResult:
     """First jmax eigenvalues and eigenfunctions of -d2/dx2 + V0 on (0, pi).
 
     The potential's mean/mass term is *not* included; for models that carry
-    one, shift the eigenvalues afterwards (the shift is exact).  With
-    check=True the solve is repeated at twice the basis size and the
-    relative eigenvalue movement must stay below rel_tol.
+    one, shift the eigenvalues afterwards (the shift is exact).  The solve
+    is repeated at twice the basis size and the relative eigenvalue
+    movement must stay below rel_tol.
     """
     coeffs = _cosine_coeffs(potential)
     m = basis_size or max(4 * jmax, 32)
@@ -209,16 +205,14 @@ def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
         raise ValueError("basis_size: must be >= %d, two more than the %d "
                          "eigenvalues solved for" % (jmax + 2, jmax))
     lams, vecs, waven = _solve(coeffs, bc, m)
-    err = 0.0
-    if check:
-        lams2, _, _ = _solve(coeffs, bc, 2 * m)
-        num = np.abs(lams[:jmax] - lams2[:jmax])
-        den = np.maximum(1.0, np.abs(lams2[:jmax]))
-        err = float(np.max(num / den))
-        if err > rel_tol:
-            raise SpectralError(
-                "Galerkin truncation not converged: rel err %.3e > %.0e "
-                "(increase basis_size)" % (err, rel_tol))
+    lams2, _, _ = _solve(coeffs, bc, 2 * m)
+    num = np.abs(lams[:jmax] - lams2[:jmax])
+    den = np.maximum(1.0, np.abs(lams2[:jmax]))
+    err = float(np.max(num / den))
+    if err > rel_tol:
+        raise SpectralError(
+            "Galerkin truncation not converged: rel err %.3e > %.0e "
+            "(increase basis_size)" % (err, rel_tol))
     basis = EigenBasis(bc, vecs[:, :jmax].copy(), waven)
     return SpectralResult(lams[:jmax].copy(), basis, bc, m, err)
 
@@ -286,45 +280,12 @@ def convolution_frequencies(d: int, sample: Optional[PotentialSample],
 
 
 @dataclass
-class LocalizationReport:
-    n: int
-    c_n: float
-    worst: tuple
-
-
-def check_localization(basis: EigenBasis, n: int = 2) -> LocalizationReport:
-    """Smallest C_n with |phi_j^k| <= C_n / (1 + min|k -+ j|)^n.
-
-    j labels the eigenfunction (1-based for Dirichlet, 0-based Neumann),
-    k the trigonometric wavenumber of the expansion coefficient.
-    """
-    coeffs = np.abs(basis.coeffs)
-    waven = basis.wavenumbers
-    offset = 1 if basis.bc == "dirichlet" else 0
-    c_n = 0.0
-    worst = (0, 0)
-    for col in range(coeffs.shape[1]):
-        j = col + offset
-        dist = np.minimum(np.abs(waven - j), np.abs(waven + j))
-        vals = coeffs[:, col] * (1.0 + dist) ** n
-        i = int(np.argmax(vals))
-        if vals[i] > c_n:
-            c_n = float(vals[i])
-            worst = (j, int(waven[i]))
-    return LocalizationReport(n, c_n, worst)
-
-
-@dataclass
 class ExpansionFit:
     c0: float
     c1: float
     c2: float
     residual: float
     mean_value: float
-
-    @property
-    def c0_defect(self) -> float:
-        return abs(self.c0 - self.mean_value)
 
 
 def expansion_fit(lams: np.ndarray, mean_value: float = 0.0,

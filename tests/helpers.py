@@ -11,11 +11,13 @@ import numpy as np
 
 from bnfsim import dynamics as D
 from bnfsim.fields import QuadratureField, eta_gradient_table
-from bnfsim.modes import as_mode
-from bnfsim.norms import majorant_norm
+from bnfsim.modes import as_mode, weight
+from bnfsim.norms import TAME_CAL, majorant_norm, nu_term
+from bnfsim.exact import GaussRat
 from bnfsim.poly import Monomial, Polynomial, _accum, _conj
-from bnfsim.resonance import omega_dot
-from bnfsim.spectra import _cosine_coeffs, mode_eigenvalues, sturm_liouville
+from bnfsim.resonance import (DivisorQuery, EnumerationResult, ResonanceHit,
+                               _domain, omega_dot)
+from bnfsim.spectra import EigenBasis, ExpansionFit, _cosine_coeffs, _solve
 
 
 def small_divisor(omega, k) -> float:
@@ -84,6 +86,124 @@ def evaluate_real_slice(p: Polynomial, xi_map: dict):
     return evaluate(p, xi_map, {k: _conj(v) for k, v in xi_map.items()})
 
 
+# The Poisson bracket and its overflow as the term-pair loops they were
+# before the contractions were taken as arrays; `poly.poisson_bracket` and
+# `poly.bracket_overflow` must give the same polynomials and masses, to the
+# bit and in the same dict order.
+
+
+def poisson_bracket_reference(f: Polynomial, g: Polynomial,
+                              cap: Optional[int] = None) -> Polynomial:
+    """{f, g}, one Monomial per contribution, accumulated into a dict in
+    pair order: f's terms, g's terms, the eta contractions, then the xi
+    ones, each by mode."""
+    acc = {}
+    for mf, cf in f.terms.items():
+        fxi = dict(mf.xi)
+        feta = dict(mf.eta)
+        room = None if cap is None else cap + 2 - mf.degree
+        for mg, cg in g.terms.items():
+            if room is not None and mg.degree > room:
+                continue
+            gxi = dict(mg.xi)
+            geta = dict(mg.eta)
+            for m, ef in feta.items():
+                eg = gxi.get(m, 0)
+                if eg:
+                    mono = _bracket_mono(fxi, feta, gxi, geta, m)
+                    _accum(acc, mono, times_i(cf * cg * (ef * eg)))
+            for m, ef in fxi.items():
+                eg = geta.get(m, 0)
+                if eg:
+                    mono = _bracket_mono(gxi, geta, fxi, feta, m)
+                    _accum(acc, mono, times_i(cf * cg * (-ef * eg)))
+    return Polynomial(acc)
+
+
+def times_i(c):
+    return c.times_i() if isinstance(c, GaussRat) else 1j * c
+
+
+def _bracket_mono(axi, aeta, bxi, beta, m) -> Monomial:
+    """Product monomial with one eta_m removed from a and one xi_m from b."""
+    xk = dict(axi)
+    for mm, e in bxi.items():
+        xk[mm] = xk.get(mm, 0) + e
+    xk[m] -= 1
+    if xk[m] == 0:
+        del xk[m]
+    ek = dict(aeta)
+    for mm, e in beta.items():
+        ek[mm] = ek.get(mm, 0) + e
+    ek[m] -= 1
+    if ek[m] == 0:
+        del ek[m]
+    return Monomial(xk, ek)
+
+
+def bracket_overflow_reference(f: Polynomial, g: Polynomial,
+                               cap: int) -> float:
+    """`poly.bracket_overflow` from per-degree dicts of exponent masses."""
+    def mass(p):
+        out = {}
+        for mono, c in p.terms.items():
+            a = abs(c)
+            xs, es = out.setdefault(mono.degree, ({}, {}))
+            for m, e in mono.xi:
+                xs[m] = xs.get(m, 0.0) + a * e
+            for m, e in mono.eta:
+                es[m] = es.get(m, 0.0) + a * e
+        return out
+
+    tot = 0.0
+    for df, (fxi, feta) in mass(f).items():
+        for dg, (gxi, geta) in mass(g).items():
+            if df + dg - 2 > cap:
+                tot += sum(a * gxi.get(m, 0.0) for m, a in feta.items())
+                tot += sum(a * geta.get(m, 0.0) for m, a in fxi.items())
+    return tot
+
+
+BRUTE_FORCE_BOX_CAP = 40_000_000  # exponent vectors the oracle may form
+
+
+def enumerate_brute_force(q: DivisorQuery) -> EnumerationResult:
+    """Exhaustive reference enumeration over the full exponent box.
+
+    Only the defining constraints are applied, so this shares no pruning
+    logic with the branch-and-bound search; a test oracle on small domains.
+    """
+    modes, w, tail = _domain(q)
+    n = len(modes)
+    R = q.r + 2
+    width = 2 * R + 1
+    if width ** n > BRUTE_FORCE_BOX_CAP:
+        raise ValueError("brute-force box %d^%d exceeds cap" % (width, n))
+    grids = np.meshgrid(*([np.arange(-R, R + 1)] * n), indexing="ij")
+    K = np.stack([g.ravel() for g in grids], axis=1)
+    a = np.abs(K)
+    order = a.sum(axis=1)
+    keep = (order > 0) & (order <= R)
+    tcols = [i for i in range(n) if tail[i]]
+    if tcols:
+        keep &= a[:, tcols].sum(axis=1) <= 2
+    K = K[keep]
+    wv = np.asarray(w)
+    div = K @ wv
+    thr = q.threshold
+    # wide pre-filter, then exactly-rounded recheck on the borderline
+    slack = 64 * np.finfo(float).eps * R * (np.max(np.abs(wv)) if n else 0.0)
+    near = np.abs(div) < thr + slack
+    hits = []
+    for row in K[near]:
+        pairs = [(modes[i], int(row[i])) for i in range(n) if row[i]]
+        value = omega_dot(q.omega, pairs)
+        if abs(value) < thr:
+            hits.append(ResonanceHit(dict(pairs), value))
+    hits.sort(key=ResonanceHit.key)
+    return EnumerationResult(hits, True, int(K.shape[0]), thr)
+
+
 def below_reference(div: np.ndarray, K: np.ndarray, W: np.ndarray,
                     thr: float, order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Entries (i, s), in row-major order, with |K[i] . W[:, s]| < thr,
@@ -149,6 +269,36 @@ def neumann_matrix_reference(coeffs: dict, m: int) -> np.ndarray:
                 if target < m:
                     h[target, n] += v * 0.5 * norms[target] * norms[n] * sq[target]
     return 0.5 * (h + h.T)
+
+
+def table_reference(p: Polynomial, modes, grad: bool) -> tuple:
+    """(layout, vidx, coeff, out) of `fields.eta_gradient_table` (`grad`)
+    or `fields.value_table`, compiled one term at a time."""
+    ms = sorted({as_mode(m) for m in modes})
+    index = {m: i for i, m in enumerate(ms)}
+    n = len(ms)
+
+    def factors(mono, drop=None):
+        idxs = []
+        for m, e in mono.xi:
+            idxs += [index[m]] * e
+        for m, e in mono.eta:
+            idxs += [n + index[m]] * (e - (m == drop))
+        return idxs
+    if grad:
+        rows = [(complex(c) * e, factors(mono, m), index[m])
+                for mono, c in p.items() for m, e in mono.eta]
+    else:
+        rows = [(complex(c), factors(mono), 0) for mono, c in p.items()]
+    vidx = np.full((len(rows), max(0, p.max_degree() - grad)), 2 * n,
+                   dtype=np.int64, order="F")
+    coeff = np.empty(len(rows), dtype=complex)
+    out = np.empty(len(rows), dtype=np.int64)
+    for r, (c, idxs, o) in enumerate(rows):
+        coeff[r] = c
+        out[r] = o
+        vidx[r, :len(idxs)] = idxs
+    return ms, vidx, coeff, out
 
 
 # -- flows and the reference integrator ---------------------------------------
@@ -261,6 +411,81 @@ def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
 # -- spectral and norm diagnostics ------------------------------------------
 
 
+def nu_homogeneous(f_r: Polynomial, s: float) -> float:
+    """nu_s of a homogeneous polynomial (sum of per-term contributions)."""
+    return math.fsum(abs(c) * nu_term(m, s) for m, c in f_r.items())
+
+
+def nu_term_reference(mono: Monomial, s: float) -> float:
+    """`norms.nu_term` as it was written before each mode's weights were
+    computed once: a weight call per occurrence, every output slot and
+    every denominator taken."""
+    slots = [(m, e) for m, e in mono.xi] + [(m, e) for m, e in mono.eta]
+    if mono.degree == 0:
+        return 0.0
+    if mono.degree == 1:
+        return math.sqrt(weight(slots[0][0], s))
+    occ = [m for m, e in slots for _ in range(e)]
+    best = 0.0
+    for mode_v, e_v in slots:
+        rest0 = list(occ)
+        rest0.remove(mode_v)
+        w_out = weight(mode_v, s)
+        for idx in range(len(rest0)):
+            denom = weight(rest0[idx], s)
+            for jdx, mj in enumerate(rest0):
+                if jdx != idx:
+                    denom *= weight(mj, 1.0)
+            best = max(best, e_v * math.sqrt(w_out / denom))
+    return best * TAME_CAL
+
+
+def majorant_norm_reference(f: Polynomial, s: float, radius: float) -> float:
+    by_deg = {}
+    for m, c in f.items():
+        by_deg[m.degree] = by_deg.get(m.degree, 0.0) \
+            + abs(c) * nu_term_reference(m, s)
+    return math.fsum(v * radius ** (r - 1) for r, v in by_deg.items())
+
+
+def orthonormality_defect(basis: EigenBasis) -> float:
+    g = basis.coeffs.T @ basis.coeffs
+    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+
+
+def c0_defect(fit: ExpansionFit) -> float:
+    return abs(fit.c0 - fit.mean_value)
+
+
+@dataclass
+class LocalizationReport:
+    n: int
+    c_n: float
+    worst: tuple
+
+
+def check_localization(basis: EigenBasis, n: int = 2) -> LocalizationReport:
+    """Smallest C_n with |phi_j^k| <= C_n / (1 + min|k -+ j|)^n.
+
+    j labels the eigenfunction (1-based for Dirichlet, 0-based Neumann),
+    k the trigonometric wavenumber of the expansion coefficient.
+    """
+    coeffs = np.abs(basis.coeffs)
+    waven = basis.wavenumbers
+    offset = 1 if basis.bc == "dirichlet" else 0
+    c_n = 0.0
+    worst = (0, 0)
+    for col in range(coeffs.shape[1]):
+        j = col + offset
+        dist = np.minimum(np.abs(waven - j), np.abs(waven + j))
+        vals = coeffs[:, col] * (1.0 + dist) ** n
+        i = int(np.argmax(vals))
+        if vals[i] > c_n:
+            c_n = float(vals[i])
+            worst = (j, int(waven[i]))
+    return LocalizationReport(n, c_n, worst)
+
+
 def fit_A(P: Polynomial, s: float, radii: Sequence[float] = (0.25, 0.5, 1.0)
           ) -> float:
     """Smallest A with majorant(P, s, R) <= A R^2 over the probe radii."""
@@ -290,13 +515,14 @@ def eigenvalue_derivative_check(potential, j: int, k: int, bc: str = "dirichlet"
     what the perturbative eigenvalue formulas actually use.)
     """
     coeffs = _cosine_coeffs(potential)
-    jmax = jmax or (j + 8)
+    size = basis_size or max(4 * (jmax or (j + 8)), 32)
 
     def lam(vk):
         c = dict(coeffs)
         c[k] = c.get(k, 0.0) + vk
-        res = sturm_liouville(c, bc, jmax, basis_size, check=False)
-        return mode_eigenvalues(res)[(j,) if bc == "dirichlet" else (-j,)]
+        lams = _solve(c, bc, size)[0]
+        # Dirichlet lams[j-1] is mode j, Neumann lams[j] is mode -j
+        return float(lams[j - 1] if bc == "dirichlet" else lams[j])
 
     fd = (lam(step) - lam(-step)) / (2 * step)
     lead = 0.0

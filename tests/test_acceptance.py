@@ -22,10 +22,11 @@ from bnfsim.exact import GaussRat
 from bnfsim.fields import eta_gradient_table
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 from bnfsim.resonance import (DivisorQuery, PATTERN_NONE,
-                              enumerate_brute_force,
                               enumerate_near_resonances, measure_scan)
 from bnfsim.spectra import (FrequencyTable, expansion_fit, sample_potential,
                             sturm_liouville)
+
+from helpers import enumerate_brute_force
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -10,7 +10,7 @@ from bnfsim.fields import eta_gradient_table
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 from bnfsim.spectra import FrequencyTable
 
-from helpers import evaluate, evaluate_real_slice, fit_A
+from helpers import evaluate, evaluate_real_slice, fit_A, nu_homogeneous
 
 
 def table(omegas: dict) -> FrequencyTable:
@@ -45,7 +45,7 @@ def test_parameter_formulas_exact():
 
 
 def test_fit_A_quartic():
-    from bnfsim.norms import nu_homogeneous, majorant_norm
+    from bnfsim.norms import majorant_norm
     P = poly.monomial(0.7, xi={1: 2}, eta={2: 2})
     nu = nu_homogeneous(P, 2.0)
     A = fit_A(P, 2.0, radii=(0.25, 0.5, 1.0))
@@ -177,6 +177,15 @@ def test_lie_transform_overflow_logged():
     assert out.max_degree() <= 3
 
 
+def test_lie_transform_counts_term_pairs():
+    # g_0..g_3 = xi^1..xi^4 (up to factors) each meet chi's one term under
+    # cap 5; g_4 brackets to degree 6 and is skipped, which ends the series
+    chi = poly.monomial(1.0, xi={1: 2}, eta={1: 1})
+    series = B.lie_transform(poly.xi(1), chi, 5)
+    assert (series.pairs, series.over_cap) == (4, 1)
+    assert (B.lie_transform(poly.xi(1), poly.zero(), 5).pairs) == 0
+
+
 # -- normalize -------------------------------------------------------------
 
 
@@ -284,6 +293,36 @@ def test_normalize_momentum_conservation():
     assert res.Z.is_zero_momentum()
     assert all(chi.is_zero_momentum() for chi in res.generators)
     assert res.f_final.is_zero_momentum()
+
+
+def test_normalize_order_four(monkeypatch):
+    # the theorem's order r at r = 4: a normal form through degree 6 on the
+    # 1-d torus, where P and every bracket keep zero momentum
+    system = dynamics.build_model_hamiltonian("nls_dd", d=1, jmax=5,
+                                              kappa=0.5)
+    assert system.P.is_zero_momentum()
+    solve, solves = B.solve_homological, []
+
+    def recorded(f, *args):
+        chi, z = solve(f, *args)
+        solves.append((f, chi, z))
+        return chi, z
+    monkeypatch.setattr(B, "solve_homological", recorded)
+    prm = B.NormalFormParams(r_star=4, gamma=0.05, alpha=1.0, N=3)
+    res = B.normalize(system.table, system.P, prm)
+    assert res.membership_ok()
+    assert 3 <= res.Z.min_degree() and res.Z.max_degree() == 6
+    for i, chi in enumerate(res.generators):
+        assert not chi or chi.degrees() == [i + 3]
+    assert res.generators[3]
+    assert res.Z.is_zero_momentum()
+    assert all(chi.is_zero_momentum() for chi in res.generators)
+    assert len(solves) == 4
+    for f, chi, z in solves:
+        h0 = poly.quadratic_diagonal(
+            {m: system.table.omega_of(m) for m in f.modes()})
+        res_l1 = (poisson_bracket(h0, chi) + z - f).l1()
+        assert res_l1 <= 1e-12 * max(f.l1(), 1e-300)
 
 
 def test_normalize_tail_remainder_transported():

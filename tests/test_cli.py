@@ -136,6 +136,27 @@ def test_drift_rerun_is_byte_identical(tmp_path):
     assert hc.hexdigest() != ha.hexdigest()
 
 
+def test_normalize_ledger_counts_reach_nf_json_and_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    p = write_cfg(tmp_path / "n.cfg", DEMO)
+    assert cli.main(["normalize", p, "--out", str(out)]) == 0
+    doc = json.loads((out / "nf.json").read_text())
+    led = doc["ledger"]
+    chi_lines = [len(g.splitlines()) for g in doc["generators"]]
+    assert led["chi_terms"] == chi_lines
+    assert led["Z_terms"][-1] == len(doc["Z"].splitlines())
+    assert len(led["pairs"]) == len(led["pairs_over_cap"]) == 2
+    assert all(n > 0 for n in led["pairs"] + led["pairs_over_cap"])
+    capsys.readouterr()
+    assert cli.main(["report", p, "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    rows = zip(led["chi_terms"], led["Z_terms"], led["pairs"],
+               led["pairs_over_cap"])
+    for r, row in enumerate(rows, 1):
+        assert "  round %d: chi terms=%d  Z terms=%d  bracket pairs=%d  " \
+            "over cap=%d" % ((r,) + row) in text
+
+
 def test_scan_simulate_report_pipeline(tmp_path, capsys):
     out = str(tmp_path / "out")
     p = write_cfg(tmp_path / "h.cfg", DEMO + [

@@ -8,6 +8,8 @@ from bnfsim import poly
 from bnfsim.fields import (Leg, QuadratureField, _row_blocks,
                            eta_gradient_table, value_table)
 
+from helpers import table_reference
+
 
 def test_quadrature_field_repeated_leg_and_variable():
     # one leg u = 2 xi_1 + xi_1 - eta_2 (xi_1 listed twice) on three grid
@@ -89,3 +91,23 @@ def test_batched_eval_matches_single_evaluations(batch):
     assert np.array_equal(empty.eval(np.ones(5)), np.zeros(5))
     assert np.array_equal(value_table(poly.zero(), layout).eval(X),
                           np.zeros(batch))
+
+
+def test_tables_match_the_per_term_compile():
+    # the same rows, factor indices and coefficient bits, signed zeros too,
+    # on a layout wider than the polynomial and on an empty polynomial
+    p = random_polynomial(37, nterms=80)
+    signed = poly.Polynomial({m: complex(-0.0, c.imag) if k % 2 else c.real
+                              for k, (m, c) in enumerate(p.terms.items())})
+    layout = [(m,) for m in range(0, 7)]
+    for q in (p, signed, poly.zero()):
+        for grad, compile_ in ((True, eta_gradient_table),
+                               (False, value_table)):
+            table = compile_(q, layout)
+            ms, vidx, coeff, out = table_reference(q, layout, grad)
+            assert table.modes == ms
+            assert np.array_equal(table.vidx, vidx)
+            assert table.vidx.flags["F_CONTIGUOUS"]
+            assert table.coeff.tobytes() == coeff.tobytes()
+            if grad:
+                assert np.array_equal(table.out, out)

@@ -5,9 +5,10 @@ import pytest
 
 from bnfsim import poly as P
 from bnfsim.modes import weight
-from bnfsim.norms import majorant_norm, nu_homogeneous, sampled_tame_ratio
+from bnfsim.norms import majorant_norm, sampled_tame_ratio
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 
+from helpers import majorant_norm_reference, nu_homogeneous
 from test_poly import rand_poly
 
 
@@ -122,3 +123,15 @@ def test_bracket_norm_inequality():
         assert lhs <= rhs * (1 + 1e-9)
         checked += 1
     assert checked > 30
+
+
+def test_majorant_norm_matches_the_per_occurrence_loop():
+    # weights once per mode and one candidate per distinct product: the
+    # same floats, to the bit
+    rnd = random.Random(41)
+    for dim in (1, 2):
+        for _ in range(10):
+            f = rand_poly(rnd, nterms=20, nmodes=4, maxdeg=6, dim=dim)
+            for s, R in ((2.0, 1.0), (4.0, 0.5)):
+                assert majorant_norm(f, s, R).hex() \
+                    == majorant_norm_reference(f, s, R).hex()

@@ -7,8 +7,9 @@ from bnfsim import poly as P
 from bnfsim.exact import GaussRat
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 
-from helpers import (allclose, d_eta, d_xi, evaluate, evaluate_real_slice,
-                     momentum_filter)
+from helpers import (allclose, bracket_overflow_reference, d_eta, d_xi,
+                     evaluate, evaluate_real_slice, momentum_filter,
+                     poisson_bracket_reference)
 
 
 def rand_poly(rnd, nterms=6, nmodes=4, maxdeg=4, dim=1, exact=False):
@@ -92,6 +93,83 @@ def test_bracket_overflow_matches_pair_sum():
                     == pytest.approx(want, rel=1e-12, abs=1e-300)
                 capped = poisson_bracket(f, g, cap)
                 assert capped == poisson_bracket(f, g).truncate_above(cap)
+
+
+def bracket_operands():
+    """Operand pairs over 1-d and 2-d modes: random complex coefficients,
+    real floats, pure imaginary ones with signed-zero real parts, and
+    empty operands."""
+    rnd = random.Random(23)
+    out = []
+    for dim in (1, 2):
+        for _ in range(10):
+            f = rand_poly(rnd, nterms=rnd.randint(1, 25), nmodes=3,
+                          maxdeg=5, dim=dim)
+            g = rand_poly(rnd, nterms=rnd.randint(1, 25), nmodes=3,
+                          maxdeg=5, dim=dim)
+            out.append((f, g))
+        imag = Polynomial({m: complex(rnd.choice((0.0, -0.0)), c.imag)
+                           for m, c in f.terms.items()})
+        real = Polynomial({m: -abs(c.real) for m, c in g.terms.items()})
+        out += [(imag, g), (f, real), (real, real), (imag, imag),
+                (P.zero(), g), (f, P.zero())]
+    return out
+
+
+def caps_for(f, g):
+    top = f.max_degree() + g.max_degree() - 2
+    low = f.min_degree() + g.min_degree() - 2
+    # uncapped, the top degree pair exactly at the cap and just over it,
+    # and every pair over it
+    return (None, top, top - 1, low - 1, 3)
+
+
+def test_array_bracket_matches_the_pair_loop():
+    # the same terms, coefficient bits (signed zeros too) and dict order
+    for f, g in bracket_operands():
+        for cap in caps_for(f, g):
+            got = poisson_bracket(f, g, cap)
+            want = poisson_bracket_reference(f, g, cap)
+            assert P.to_text(got, hexfloat=True) \
+                == P.to_text(want, hexfloat=True)
+            assert list(got.terms) == list(want.terms)
+            assert [(m.degree, m.momentum) for m in got.terms] \
+                == [(m.degree, m.momentum) for m in want.terms]
+
+
+def test_array_bracket_exact_coefficients():
+    rnd = random.Random(29)
+    for _ in range(10):
+        f = rand_poly(rnd, nterms=6, maxdeg=4, exact=True)
+        g = rand_poly(rnd, nterms=6, maxdeg=4, exact=True)
+        for cap in (None, 3):
+            got = poisson_bracket(f, g, cap)
+            want = poisson_bracket_reference(f, g, cap)
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_bracket_overflow_and_pair_counts_match_the_pair_loop():
+    for f, g in bracket_operands():
+        for cap in caps_for(f, g)[1:]:
+            assert P.bracket_overflow(f, g, cap).hex() \
+                == float(bracket_overflow_reference(f, g, cap)).hex()
+            over = sum(mf.degree + mg.degree - 2 > cap
+                       for mf in f.terms for mg in g.terms)
+            assert P.pair_counts(f, g, cap) \
+                == (len(f) * len(g) - over, over)
+
+
+def test_tail_split_matches_the_monomials():
+    rnd = random.Random(31)
+    for dim in (1, 2):
+        p = rand_poly(rnd, nterms=30, nmodes=4, maxdeg=5, dim=dim)
+        for cutoff in (0.5, 1, 2.5, 4):
+            ts = p.tail_split(cutoff)
+            high = [m.tail_degree(cutoff) > 2 for m in p.terms]
+            assert list(ts.low.terms.items()) == [
+                t for t, h in zip(p.terms.items(), high) if not h]
+            assert list(ts.high.terms.items()) == [
+                t for t, h in zip(p.terms.items(), high) if h]
 
 
 def test_prune_threshold():

@@ -64,7 +64,7 @@ def test_wild_spectrum_empty():
     t = table_1d({j: math.pi ** j for j in range(1, 4)})
     q = R.DivisorQuery(t, r=2, N=3, gamma=1e-3, alpha=1.0, jmax=3)
     assert R.enumerate_near_resonances(q).hits == []
-    assert R.enumerate_brute_force(q).hits == []
+    assert helpers.enumerate_brute_force(q).hits == []
 
 
 def test_borderline_divisor_is_decided_exactly():
@@ -78,7 +78,8 @@ def test_borderline_divisor_is_decided_exactly():
     hit = {h.key(): h for h in res.hits}[(((1,), 1), ((2,), 1), ((3,), -1))]
     assert hit.value == R.omega_dot(t, hit.k) == math.fsum([0.1, 0.3, -0.4])
     assert abs(hit.value) < q.threshold
-    assert res.complete and res.keys() == R.enumerate_brute_force(q).keys()
+    assert res.complete \
+        and res.keys() == helpers.enumerate_brute_force(q).keys()
 
 
 def test_pruned_equals_brute_force_1d():
@@ -91,7 +92,7 @@ def test_pruned_equals_brute_force_1d():
         gamma = 10 ** rnd.uniform(-2, 0.7)
         q = R.DivisorQuery(t, r=r, N=N, gamma=gamma, alpha=1.0, jmax=n)
         a = R.enumerate_near_resonances(q)
-        b = R.enumerate_brute_force(q)
+        b = helpers.enumerate_brute_force(q)
         assert a.complete
         assert a.keys() == b.keys(), (trial, gamma)
         assert [h.key() for h in a.hits] == [h.key() for h in b.hits]
@@ -105,7 +106,7 @@ def test_pruned_equals_brute_force_d2():
         t = convolution_frequencies(2, s, jmax=1)
         q = R.DivisorQuery(t, r=2, N=1, gamma=0.6, alpha=1.0, jmax=1)
         a = R.enumerate_near_resonances(q)
-        b = R.enumerate_brute_force(q)
+        b = helpers.enumerate_brute_force(q)
         assert a.keys() == b.keys()
         # exact pair degeneracy on the symmetric slice
         assert (((-1, 0), -1), ((1, 0), 1)) in a.keys()
@@ -121,7 +122,7 @@ def test_tail_budget_enforced():
         tail_mass = sum(abs(c) for j, c in h.k.items()
                         if j[0] * j[0] > n2)
         assert tail_mass <= 2
-    assert res.keys() == R.enumerate_brute_force(q).keys()
+    assert res.keys() == helpers.enumerate_brute_force(q).keys()
 
 
 def test_node_cap_flags_incomplete():
@@ -549,7 +550,7 @@ def test_blocked_measure_scan_matches_brute_force_per_sample(
     for s in R.sample_seeds(13, 30):
         t = convolution_frequencies(
             d, sample_potential("convolution_d", params, s), jmax)
-        hits = R.enumerate_brute_force(replace(q, omega=t)).hits
+        hits = helpers.enumerate_brute_force(replace(q, omega=t)).hits
         for gi, g in enumerate(grid):
             kept = [h for h in hits if abs(h.value) < g]
             modes = sorted({j for h in kept for j in h.k})
