@@ -27,7 +27,6 @@ exactly rounded (math.fsum).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -38,7 +37,7 @@ import numpy as np
 from .birkhoff import NormalFormResult, apply_transport, transport_plan
 from .fields import Leg, QuadratureField, eta_gradient_table, value_table
 from .modes import f17, mode_abs, mode_abs2, weight
-from .poly import Monomial, Polynomial, quadratic_diagonal
+from .poly import Monomial, Polynomial, monomials, quadratic_diagonal
 from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
                       SpectralResult, convolution_frequencies,
                       mode_eigenvalues, nlw_frequencies, periodic_nlw_table,
@@ -183,13 +182,15 @@ def _merge_quartic(modes: list, tuples: np.ndarray, values: np.ndarray,
     code = np.ravel_multi_index(keys.T, (2 * n,) * 4)
     _, first, inv = np.unique(code, return_index=True, return_inverse=True)
     coeffs = scale * np.bincount(inv, weights=values, minlength=len(first))
-    terms: Dict[Monomial, complex] = {}
-    for key, c in zip(keys[first].tolist(), coeffs.tolist()):
-        xi, eta = [], []
-        for v, grp in itertools.groupby(key):
-            (xi if v < n else eta).append((modes[v % n], len(tuple(grp))))
-        terms[Monomial(xi, eta)] = c
-    return Polynomial(terms)
+    # runs of equal variables in each sorted key are its exponents
+    flat = keys[first].ravel()
+    row = np.arange(len(flat)) // 4
+    starts = np.flatnonzero(np.r_[True, (flat[1:] != flat[:-1])
+                                  | (row[1:] != row[:-1])])
+    e = np.diff(np.r_[starts, len(flat)])
+    return Polynomial(dict(zip(monomials(row[starts], flat[starts], e,
+                                         len(first), modes),
+                               coeffs.tolist())))
 
 
 def _quadrature_model(model: str, table: FrequencyTable, legs: tuple,

@@ -372,20 +372,22 @@ def exponent_matrix(p: Polynomial, modes: list) -> np.ndarray:
     return X
 
 
-def _monomials(rows: np.ndarray, modes: list) -> list:
-    """The Monomial of each exponent row (xi, then eta, over sorted modes)."""
+def monomials(t: np.ndarray, col: np.ndarray, e: np.ndarray, count: int,
+              modes: list) -> list:
+    """The Monomials of `count` exponent rows over sorted modes, given as
+    their non-zero entries e at (row t, column col), sorted by row and then
+    column: xi of modes[k] is column k, its eta column len(modes) + k."""
     n = len(modes)
-    deg = rows.sum(axis=1).tolist()
-    mom = ((rows[:, :n] - rows[:, n:])
-           @ np.array(modes, dtype=np.int64).reshape(n, -1)).tolist()
-    t, col = np.nonzero(rows)
-    ends = np.cumsum(np.bincount(t, minlength=len(rows))).tolist()
-    nxi = np.bincount(t[col < n], minlength=len(rows)).tolist()
+    coords = np.array(modes, dtype=np.int64).reshape(n, -1)
+    mom = np.zeros((count, coords.shape[1]), dtype=np.int64)
+    np.add.at(mom, t, np.where(col < n, e, -e)[:, None] * coords[col % n])
+    deg = np.bincount(t, weights=e, minlength=count).astype(int).tolist()
+    ends = np.cumsum(np.bincount(t, minlength=count)).tolist()
+    nxi = np.bincount(t[col < n], minlength=count).tolist()
     labels = modes + modes
-    slots = [(labels[c], e)
-             for c, e in zip(col.tolist(), rows[t, col].tolist())]
+    slots = [(labels[c], x) for c, x in zip(col.tolist(), e.tolist())]
     out, lo = [], 0
-    for hi, k, d, mo in zip(ends, nxi, deg, mom):
+    for hi, k, d, mo in zip(ends, nxi, deg, mom.tolist()):
         out.append(Monomial.canonical(tuple(slots[lo:lo + k]),
                                       tuple(slots[lo + k:hi]), d,
                                       tuple(mo) if d else ()))
@@ -474,7 +476,9 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
     rep = order[new][rank]
     rows = F[i[rep]] + G[j[rep]]
     rows[np.arange(len(rep))[:, None], np.c_[m[rep], m[rep] + n]] -= 1
-    return Polynomial(dict(zip(_monomials(rows, modes), acc[rank].tolist())))
+    t, col = np.nonzero(rows)
+    return Polynomial(dict(zip(monomials(t, col, rows[t, col], len(rows),
+                                         modes), acc[rank].tolist())))
 
 
 def pair_counts(f: Polynomial, g: Polynomial, cap: int) -> Tuple[int, int]:

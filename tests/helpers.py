@@ -3,6 +3,7 @@
 The package never calls these; the tests use them to state and check the
 package's results from their definitions.
 """
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -299,6 +300,24 @@ def table_reference(p: Polynomial, modes, grad: bool) -> tuple:
         out[r] = o
         vidx[r, :len(idxs)] = idxs
     return ms, vidx, coeff, out
+
+
+def merge_quartic_reference(modes: list, tuples: np.ndarray,
+                            values: np.ndarray, scale: float) -> Polynomial:
+    """`dynamics._merge_quartic`, building each Monomial from its sorted key
+    by grouping equal variables."""
+    n = len(modes)
+    keys = np.sort(tuples, axis=1)
+    code = np.ravel_multi_index(keys.T, (2 * n,) * 4)
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    coeffs = scale * np.bincount(inv, weights=values, minlength=len(first))
+    terms = {}
+    for key, c in zip(keys[first].tolist(), coeffs.tolist()):
+        xi, eta = [], []
+        for v, grp in itertools.groupby(key):
+            (xi if v < n else eta).append((modes[v % n], len(tuple(grp))))
+        terms[Monomial(xi, eta)] = c
+    return Polynomial(terms)
 
 
 # -- flows and the reference integrator ---------------------------------------

@@ -14,7 +14,7 @@ from bnfsim.spectra import sample_potential, sturm_liouville
 
 from helpers import (QuadratureFieldReference, conj_flip, evaluate_real_slice,
                      hamiltonian_flow_field, integrate_reference,
-                     total_momentum)
+                     merge_quartic_reference, total_momentum)
 
 
 def rand_state(rnd, modes, scale=0.3):
@@ -700,3 +700,18 @@ def test_drift_observables_match_the_dict_reference(case):
         # form exactly rounded: only its last bit may move
         assert abs(g.torus_dist - w.torus_dist) <= 1e-15 * w.torus_dist
         assert g == D.DriftRow(**{**vars(w), "torus_dist": g.torus_dist})
+
+
+@pytest.mark.parametrize("modes", [[(m,) for m in range(-3, 4)],
+                                   [(a, b) for a in (-1, 0, 1)
+                                    for b in (0, 1)]])
+def test_merge_quartic_matches_the_grouped_keys(modes):
+    # repeated variables, repeated tuples and every xi/eta split
+    rng = np.random.default_rng(np.random.SeedSequence(43))
+    tuples = rng.integers(0, 2 * len(modes), size=(400, 4))
+    values = rng.standard_normal(400)
+    got = D._merge_quartic(modes, tuples, values, 0.7)
+    want = merge_quartic_reference(modes, tuples, values, 0.7)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [(m.degree, m.momentum) for m in got.terms] \
+        == [(m.degree, m.momentum) for m in want.terms]
