@@ -183,7 +183,7 @@ def test_lie_transform_counts_term_pairs():
     chi = poly.monomial(1.0, xi={1: 2}, eta={1: 1})
     series = B.lie_transform(poly.xi(1), chi, 5)
     assert (series.pairs, series.over_cap) == (4, 1)
-    assert (B.lie_transform(poly.xi(1), poly.zero(), 5).pairs) == 0
+    assert B.lie_transform(poly.xi(1), poly.zero(), 5).pairs == 0
 
 
 # -- normalize -------------------------------------------------------------

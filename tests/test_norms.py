@@ -126,8 +126,7 @@ def test_bracket_norm_inequality():
 
 
 def test_majorant_norm_matches_the_per_occurrence_loop():
-    # weights once per mode and one candidate per distinct product: the
-    # same floats, to the bit
+    # each mode's weights computed once: the same floats, to the bit
     rnd = random.Random(41)
     for dim in (1, 2):
         for _ in range(10):
