@@ -28,10 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import eta_gradient_table
-from .modes import mode_str
 from .norms import majorant_norm
-from .poly import (Monomial, Polynomial, bracket_overflow, pair_counts,
-                   poisson_bracket, quadratic_diagonal, zero)
+from .poly import (Monomial, Polynomial, bracket_overflow, exps_text,
+                   pair_counts, poisson_bracket, quadratic_diagonal, zero)
 from .resonance import net_exponents, normal_form_membership, omega_dot
 from .spectra import FrequencyTable
 
@@ -140,9 +139,7 @@ class RemainderLedger:
 
 
 def term_key(mono: Monomial) -> str:
-    xi_s = " ".join("%s:%d" % (mode_str(m), e) for m, e in mono.xi)
-    eta_s = " ".join("%s:%d" % (mode_str(m), e) for m, e in mono.eta)
-    return xi_s + "|" + eta_s
+    return exps_text(mono.xi) + "|" + exps_text(mono.eta)
 
 
 @dataclass
@@ -300,8 +297,8 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
         ledger.chi_terms.append(len(chi))
         ledger.Z_terms.append(len(z))
 
-    membership = {term_key(m): normal_form_membership(
-        m, h0_freqs, params.gamma, params.alpha, N) for m in z.terms}
+    membership = dict(zip(map(term_key, z.terms), normal_form_membership(
+        z, h0_freqs, params.gamma, params.alpha, N)))
     if not all(membership.values()):
         raise ArithmeticError("normal form term failed membership")
     if params.mode == DEGREE_BY_DEGREE:

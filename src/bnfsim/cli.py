@@ -338,8 +338,10 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
     family = _check("potential.family", read(cfg, "potential.family"),
                     FAMILIES)
     params = read(cfg, "potential.params")
-    gamma = read(cfg, "gamma")
-    gammas = read(cfg, "resonance.gammas", [gamma])
+    # gamma is only the default of the list; the query takes the largest
+    gammas = read(cfg, "resonance.gammas", [read(cfg, "gamma", None)])
+    if None in gammas:
+        raise ConfigError("gamma: required")
     samples = read(cfg, "resonance.samples", 100)
     r = read(cfg, "r", read(cfg, "r_star", 3))
     n = read(cfg, "N", 2)
@@ -347,7 +349,7 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
     jmax = read(cfg, "jmax")
     node_cap = read(cfg, "node_cap", DEFAULT_NODE_CAP)
     try:
-        q = DivisorQuery(omega=None, r=r, N=n, gamma=gamma, alpha=alpha,
+        q = DivisorQuery(omega=None, r=r, N=n, gamma=max(gammas), alpha=alpha,
                          jmax=jmax, node_cap=node_cap)
         estimates = measure_scan(family, dict(params), q, gammas, samples,
                                  stream_seed(seed, "monte_carlo"))

@@ -372,7 +372,7 @@ def _flow_parts(H: Polynomial, layout: list, nl=None) -> tuple:
     omv = np.zeros(len(layout))
     rest: Dict[Monomial, complex] = {}
     for mono, c in H.items():
-        if mono.degree == 2 and mono.is_action():
+        if mono.degree == 2 and mono.xi == mono.eta:
             omv[index[mono.xi[0][0]]] += complex(c).real
         elif nl is None:
             rest[mono] = c

@@ -17,10 +17,11 @@ produce.  Degree truncation is the Lie series' policy: `poisson_bracket`
 takes an optional `cap` and skips the term pairs that land above it, and
 `bracket_overflow` meters the l1 mass those pairs carry.
 
-The bracket runs on arrays: a polynomial keeps, once built, the exponent
-matrix of its terms (xi columns, then eta, over its sorted modes) and its
-coefficient vector.  Contractions are array joins over degree buckets and
-merge by one sort of packed row keys.  They are emitted and summed in the
+The bracket runs on arrays: a polynomial keeps, once built, the non-zero
+exponent entries of its terms (xi columns, then eta, over its sorted modes)
+and its coefficient vector; a `Monomial` is only the key of a term.
+Contractions are array joins over degree buckets and merge by one sort of
+packed row keys.  They are emitted and summed in the
 order of the term-pair loop the bracket replaced (kept in tests/helpers.py),
 each with Python's complex operations in order, so the result equals that
 loop's to the bit, dict order included, which later sums depend on.
@@ -48,13 +49,13 @@ def _sorted_items(d: Dict[tuple, int]) -> tuple:
 
 
 class Monomial:
-    """An exponent pattern xi^k eta^l with cached degree and momentum.
+    """An exponent pattern xi^k eta^l, the key of a polynomial's terms.
 
     `xi` and `eta` are sorted tuples of (mode, exponent) pairs with
     positive integer exponents.
     """
 
-    __slots__ = ("xi", "eta", "degree", "momentum", "_hash")
+    __slots__ = ("xi", "eta", "degree", "_hash")
 
     def __init__(self, xi=(), eta=()):
         if isinstance(xi, dict):
@@ -67,17 +68,6 @@ class Monomial:
             if e <= 0:
                 raise ValueError("exponents must be positive")
         self.degree = sum(e for _, e in self.xi) + sum(e for _, e in self.eta)
-        d = 0
-        for m, _ in self.xi + self.eta:
-            d = max(d, len(m))
-        mom = [0] * d
-        for m, e in self.xi:
-            for i, c in enumerate(m):
-                mom[i] += c * e
-        for m, e in self.eta:
-            for i, c in enumerate(m):
-                mom[i] -= c * e
-        self.momentum = tuple(mom)
         self._hash = hash((self.xi, self.eta))
 
     def __eq__(self, other):
@@ -89,35 +79,18 @@ class Monomial:
     def __lt__(self, other):
         return (self.degree, self.xi, self.eta) < (other.degree, other.xi, other.eta)
 
-    def tail_degree(self, cutoff: float) -> int:
-        """Total exponent mass carried by modes with |j| > cutoff."""
-        c2 = cutoff * cutoff
-        t = 0
-        for m, e in self.xi:
-            if mode_abs2(m) > c2:
-                t += e
-        for m, e in self.eta:
-            if mode_abs2(m) > c2:
-                t += e
-        return t
-
-    def is_action(self) -> bool:
-        return self.xi == self.eta
-
     @classmethod
-    def canonical(cls, xi: tuple, eta: tuple, degree: int,
-                  momentum: tuple) -> "Monomial":
+    def canonical(cls, xi: tuple, eta: tuple, degree: int) -> "Monomial":
         """Built directly from parts already in the form __init__ gives
         them, unchecked."""
         out = cls.__new__(cls)
-        out.xi, out.eta, out.degree, out.momentum = xi, eta, degree, momentum
+        out.xi, out.eta, out.degree = xi, eta, degree
         out._hash = hash((xi, eta))
         return out
 
     def flip(self) -> "Monomial":
         """Swap the xi and eta exponent patterns."""
-        return Monomial.canonical(self.eta, self.xi, self.degree,
-                                  tuple(-c for c in self.momentum))
+        return Monomial.canonical(self.eta, self.xi, self.degree)
 
     def mul(self, other: "Monomial") -> "Monomial":
         xk = dict(self.xi)
@@ -211,10 +184,6 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
 
-    def modulus(self) -> "Polynomial":
-        """Coefficientwise absolute value (always float coefficients)."""
-        return Polynomial({m: abs(c) for m, c in self.terms.items()})
-
     def reality_defect(self) -> float:
         """max |conj(c_kl) - c_lk|; zero for real-valued Hamiltonians."""
         d = 0.0
@@ -232,18 +201,32 @@ class Polynomial:
         """The terms of degree <= cap."""
         return self.filter(lambda m: m.degree <= cap)
 
+    def tail_degrees(self, cutoff: float) -> np.ndarray:
+        """Per term, in dict order: the exponent mass on modes |j| > cutoff."""
+        a = _arrays(self)
+        tail = [mode_abs2(m) > cutoff * cutoff for m in a.modes]
+        on = np.array(tail + tail, dtype=bool)[a.col]
+        return np.bincount(a.t[on], weights=a.e[on], minlength=len(self))
+
     def tail_split(self, cutoff_n: float) -> "TailSplit":
         """Split by tail degree at cutoff N: low (<= 2) and high (>= 3)."""
-        a = _arrays(self)
-        tail = [mode_abs2(m) > cutoff_n * cutoff_n for m in a.modes]
-        high = a.X[:, np.array(tail + tail, dtype=bool)].sum(axis=1) > 2
         parts: tuple = ({}, {})
-        for (m, c), h in zip(self.terms.items(), high.tolist()):
+        high = (self.tail_degrees(cutoff_n) > 2).tolist()
+        for (m, c), h in zip(self.terms.items(), high):
             parts[h][m] = c
         return TailSplit(Polynomial(parts[0]), Polynomial(parts[1]), cutoff_n)
 
     def is_zero_momentum(self) -> bool:
-        return all(not any(m.momentum) for m in self.terms)
+        """Whether every term has total momentum sum k_j - sum l_j = 0."""
+        a = _arrays(self)
+        n = len(a.modes)
+        if not n:  # the empty and the constant polynomial
+            return True
+        signed = np.where(a.col < n, a.e, -a.e)
+        coords = np.array(a.modes, dtype=np.int64).reshape(n, -1)[a.col % n]
+        return not any(np.bincount(a.t, weights=signed * k,
+                                   minlength=len(self)).any()
+                       for k in coords.T)
 
     # -- comparison ---------------------------------------------------
 
@@ -329,12 +312,16 @@ def quadratic_diagonal(freqs: dict) -> Polynomial:
 
 
 class _Arrays(NamedTuple):
-    """A polynomial's terms in dict order over its sorted `modes`: row t of
-    X holds term t's xi exponents, then its eta ones.  `coef` is complex
-    (object when exact); `real` flags the coefficients that are not complex.
+    """A polynomial's terms in dict order over its sorted `modes`, as the
+    non-zero exponents e of term t at column col (xi of modes[k] is column
+    k, its eta column len(modes) + k), sorted by term and then column.
+    `coef` is complex (object when exact); `real` flags the coefficients
+    that are not complex.
     """
     modes: list
-    X: np.ndarray
+    t: np.ndarray
+    col: np.ndarray
+    e: np.ndarray
     coef: np.ndarray
     real: np.ndarray
     deg: np.ndarray
@@ -346,29 +333,33 @@ def _arrays(p: Polynomial) -> _Arrays:
         parts = ([mono.xi for mono in p.terms], [mono.eta for mono in p.terms])
         modes = sorted({m for part in parts for sl in part for m, _ in sl})
         index = {m: k for k, m in enumerate(modes)}
-        X = np.zeros((len(p), 2 * len(modes)), dtype=np.int16)
+        t, col, e = [], [], []
         for off, part in zip((0, len(modes)), parts):
             slots = list(chain.from_iterable(part))
-            rows = np.repeat(np.arange(len(part)), [len(s) for s in part])
-            X[rows, np.array([index[m] + off for m, _ in slots], dtype=int)] \
-                = [e for _, e in slots]
+            t.append(np.repeat(np.arange(len(part)), [len(s) for s in part]))
+            col.append(np.array([index[m] + off for m, _ in slots], dtype=int))
+            e.append(np.array([x for _, x in slots], dtype=np.int16))
+        # each term's xi entries, then its eta ones: ascending columns
+        order = np.argsort(np.concatenate(t), kind="stable")
+        t, col, e = (np.concatenate(v)[order] for v in (t, col, e))
         vals = list(p.terms.values())
         exact = bool(vals) and _is_exact(vals[0])
         p._arrays = _Arrays(
-            modes, X, np.array(vals, dtype=object if exact else complex),
+            modes, t, col, e,
+            np.array(vals, dtype=object if exact else complex),
             np.array([not isinstance(c, complex) for c in vals], dtype=bool),
-            X.sum(axis=1))
+            np.bincount(t, weights=e, minlength=len(p)).astype(int))
     return p._arrays
 
 
 def exponent_matrix(p: Polynomial, modes: list) -> np.ndarray:
-    """p's exponent rows (xi columns, then eta) over sorted `modes`, which
-    must hold every mode of p."""
+    """p's dense exponent rows (xi columns, then eta) over sorted `modes`,
+    which must hold every mode of p."""
     index = {m: k for k, m in enumerate(modes)}
     a = _arrays(p)
-    cols = [index[m] for m in a.modes]
+    cols = np.array([index[m] for m in a.modes], dtype=int)
     X = np.zeros((len(p), 2 * len(modes)), dtype=np.int16)
-    X[:, cols + [c + len(modes) for c in cols]] = a.X
+    X[a.t, np.r_[cols, cols + len(modes)][a.col]] = a.e
     return X
 
 
@@ -378,19 +369,15 @@ def monomials(t: np.ndarray, col: np.ndarray, e: np.ndarray, count: int,
     their non-zero entries e at (row t, column col), sorted by row and then
     column: xi of modes[k] is column k, its eta column len(modes) + k."""
     n = len(modes)
-    coords = np.array(modes, dtype=np.int64).reshape(n, -1)
-    mom = np.zeros((count, coords.shape[1]), dtype=np.int64)
-    np.add.at(mom, t, np.where(col < n, e, -e)[:, None] * coords[col % n])
     deg = np.bincount(t, weights=e, minlength=count).astype(int).tolist()
     ends = np.cumsum(np.bincount(t, minlength=count)).tolist()
     nxi = np.bincount(t[col < n], minlength=count).tolist()
     labels = modes + modes
     slots = [(labels[c], x) for c, x in zip(col.tolist(), e.tolist())]
     out, lo = [], 0
-    for hi, k, d, mo in zip(ends, nxi, deg, mom.tolist()):
+    for hi, k, d in zip(ends, nxi, deg):
         out.append(Monomial.canonical(tuple(slots[lo:lo + k]),
-                                      tuple(slots[lo + k:hi]), d,
-                                      tuple(mo) if d else ()))
+                                      tuple(slots[lo + k:hi]), d))
         lo = hi
     return out
 
@@ -555,9 +542,9 @@ def to_text(p: Polynomial, hexfloat: bool = False) -> str:
     lines = []
     for mono in sorted(p.terms):
         c = complex(p.terms[mono])
-        xi_s = " ".join("%s:%d" % (mode_str(m), e) for m, e in mono.xi)
-        eta_s = " ".join("%s:%d" % (mode_str(m), e) for m, e in mono.eta)
-        lines.append("%s %s | %s | %s" % (fmt(c.real), fmt(c.imag), xi_s, eta_s))
+        lines.append("%s %s | %s | %s" % (fmt(c.real), fmt(c.imag),
+                                          exps_text(mono.xi),
+                                          exps_text(mono.eta)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -576,6 +563,12 @@ def from_text(text: str) -> Polynomial:
 
 def _parse_float(s: str) -> float:
     return float.fromhex(s) if "0x" in s or "0X" in s else float(s)
+
+
+def exps_text(pairs) -> str:
+    """(mode, exponent) pairs as `mode:exponent` tokens, the form
+    `_parse_exps` reads."""
+    return " ".join("%s:%d" % (mode_str(m), e) for m, e in pairs)
 
 
 def _parse_exps(s: str) -> dict:

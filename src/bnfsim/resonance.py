@@ -40,8 +40,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modes import Mode, f17, lattice_modes, mode_abs2, mode_str
-from .poly import Monomial
+from .modes import Mode, f17, lattice_modes, mode_abs2
+from .poly import Monomial, Polynomial, exps_text
 from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
                       SpectralError, _param, convolution_frequencies,
                       mode_eigenvalues, periodic_nlw_table, sample_potential,
@@ -119,7 +119,7 @@ class ResonanceHit:
         return sum(abs(c) for c in self.k.values())
 
     def serialize(self) -> str:
-        return " ".join("%s:%d" % (mode_str(j), c) for j, c in self.key())
+        return exps_text(self.key())
 
 
 @dataclass
@@ -382,16 +382,19 @@ def calibrate_pair_cutoff(table: FrequencyTable, gamma: float, alpha: float,
     return PairCalibration(b, j_cut, thr, worst)
 
 
-def normal_form_membership(mono: Monomial, omega: FrequencyTable,
-                           gamma: float, alpha: float, N: int) -> bool:
-    """Small divisor within threshold and at most two tail exponents.
+def normal_form_membership(p: Polynomial, omega: FrequencyTable,
+                           gamma: float, alpha: float, N: int) -> List[bool]:
+    """Per term of p, in dict order: small divisor within threshold and at
+    most two tail exponents.
 
     The boundary |omega.(k-l)| == gamma/N^alpha counts as a member: the
     normalization keeps boundary terms rather than dividing by a minimal
     divisor, and membership has to agree with that split.
     """
-    div = abs(omega_dot(omega, net_exponents(mono)))
-    return div <= gamma / N ** alpha and mono.tail_degree(N) <= 2
+    thr = gamma / N ** alpha
+    low = (p.tail_degrees(N) <= 2).tolist()
+    return [abs(omega_dot(omega, net_exponents(mono))) <= thr and ok
+            for mono, ok in zip(p.terms, low)]
 
 
 # -- Monte Carlo measure of the violating set ----------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from bnfsim import dynamics as D
 from bnfsim.fields import QuadratureField, eta_gradient_table
-from bnfsim.modes import as_mode, weight
+from bnfsim.modes import as_mode, mode_abs2, weight
 from bnfsim.norms import TAME_CAL, majorant_norm, nu_term
 from bnfsim.exact import GaussRat
 from bnfsim.poly import Monomial, Polynomial, _accum, _conj
@@ -35,9 +35,29 @@ def conj_flip(p: Polynomial) -> Polynomial:
     return Polynomial({m.flip(): _conj(c) for m, c in p.terms.items()})
 
 
+def momentum(mono: Monomial) -> tuple:
+    """Total momentum sum k_j j - sum l_j j of xi^k eta^l, a term at a time;
+    () for the constant."""
+    d = max((len(m) for m, _ in mono.xi + mono.eta), default=0)
+    mom = [0] * d
+    for m, e in mono.xi:
+        for i, c in enumerate(m):
+            mom[i] += c * e
+    for m, e in mono.eta:
+        for i, c in enumerate(m):
+            mom[i] -= c * e
+    return tuple(mom)
+
+
+def tail_degree(mono: Monomial, cutoff: float) -> int:
+    """Total exponent mass carried by modes with |j| > cutoff."""
+    c2 = cutoff * cutoff
+    return sum(e for m, e in mono.xi + mono.eta if mode_abs2(m) > c2)
+
+
 def momentum_filter(p: Polynomial) -> Polynomial:
     """Zero-total-momentum part of the polynomial."""
-    return p.filter(lambda m: not any(m.momentum))
+    return p.filter(lambda m: not any(momentum(m)))
 
 
 def _deriv(p: Polynomial, mode, wrt_xi: bool) -> Polynomial:

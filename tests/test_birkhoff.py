@@ -10,7 +10,8 @@ from bnfsim.fields import eta_gradient_table
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 from bnfsim.spectra import FrequencyTable
 
-from helpers import evaluate, evaluate_real_slice, fit_A, nu_homogeneous
+from helpers import (evaluate, evaluate_real_slice, fit_A, nu_homogeneous,
+                     tail_degree)
 
 
 def table(omegas: dict) -> FrequencyTable:
@@ -113,7 +114,7 @@ def test_homological_identity_random():
         f = rand_poly(rnd, nterms=rnd.randint(1, 10), nmodes=nmodes,
                       maxdeg=6)
         N = rnd.randint(max(1, nmodes - 2), nmodes)
-        f = f.filter(lambda m: m.tail_degree(N) <= 2)
+        f = f.filter(lambda m: tail_degree(m, N) <= 2)
         if not f:
             continue
         gamma = 10 ** rnd.uniform(-3, 0)
@@ -121,8 +122,7 @@ def test_homological_identity_random():
         h0 = poly.quadratic_diagonal({m: t.omega_of(m) for m in t.modes()})
         res = (poisson_bracket(h0, chi) + z - f).l1()
         assert res <= 1e-12 * max(f.l1(), 1e-300)
-        for mono in z.terms:
-            assert normal_form_membership(mono, t, gamma, 1.0, N)
+        assert all(normal_form_membership(z, t, gamma, 1.0, N))
 
 
 # -- Lie transform --------------------------------------------------------
@@ -337,7 +337,7 @@ def test_normalize_tail_remainder_transported():
     assert res.ledger.tail_cubic_mass[0] > 0
     assert conjugation_identity_error(t, tail_cubic + low, res) <= 1e-12
     for mono in res.Z.terms:
-        assert mono.tail_degree(2) <= 2
+        assert tail_degree(mono, 2) <= 2
 
 
 def test_normalize_rejects_low_degree():

@@ -216,6 +216,28 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
         "\n".join(rows) + "\n"
 
 
+def test_measure_estimate_reads_gamma_only_as_the_list_default(tmp_path):
+    # with resonance.gammas set, gamma may be missing, and any value of it
+    # gives the same measure.csv
+    p = write_cfg(tmp_path / "m.cfg", [
+        'potential.family = "convolution_d"',
+        'potential.params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}',
+        "jmax = 2", "r = 3", "N = 2",
+        "resonance.gammas = [0.01, 0.001]",
+        "resonance.samples = 30",
+    ])
+    got = []
+    for k, extra in enumerate(([], ["--set", "gamma=0.01"],
+                               ["--set", "gamma=5"])):
+        out = tmp_path / ("out%d" % k)
+        assert cli.main(["measure-estimate", p, "--out", str(out)]
+                        + extra) == 0
+        got.append((out / "measure.csv").read_bytes())
+    assert got[0] == got[1] == got[2]
+    assert cli.main(["measure-estimate", p, "--out", str(tmp_path / "x"),
+                     "--set", "resonance.gammas=null"]) == 2
+
+
 def test_scan_tags_hits_with_the_family_rules(tmp_path, capsys):
     # nls_dd under a sampled convolution_d potential: the rules of the
     # measure scan (shells beyond N^sqrt(alpha/decay) = 1, then pairs)

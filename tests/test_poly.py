@@ -6,10 +6,12 @@ import pytest
 from bnfsim import poly as P
 from bnfsim.exact import GaussRat
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
+from bnfsim.resonance import net_exponents, normal_form_membership, omega_dot
+from bnfsim.spectra import FrequencyTable
 
 from helpers import (allclose, bracket_overflow_reference, d_eta, d_xi,
-                     evaluate, evaluate_real_slice, momentum_filter,
-                     poisson_bracket_reference)
+                     evaluate, evaluate_real_slice, momentum, momentum_filter,
+                     poisson_bracket_reference, tail_degree)
 
 
 def rand_poly(rnd, nterms=6, nmodes=4, maxdeg=4, dim=1, exact=False):
@@ -35,11 +37,10 @@ def rand_poly(rnd, nterms=6, nmodes=4, maxdeg=4, dim=1, exact=False):
 def test_monomial_basics():
     m = Monomial({(1,): 2}, {(3,): 1})
     assert m.degree == 3
-    assert m.momentum == (-1,)
-    assert m.tail_degree(2) == 1
-    assert m.tail_degree(0.5) == 3
-    assert not m.is_action()
-    assert Monomial({(2,): 1}, {(2,): 1}).is_action()
+    assert momentum(m) == (-1,)
+    assert tail_degree(m, 2) == 1
+    assert tail_degree(m, 0.5) == 3
+    assert momentum(Monomial()) == () and tail_degree(Monomial(), 0) == 0
 
 
 def test_flip_matches_constructed_monomial():
@@ -49,8 +50,8 @@ def test_flip_matches_constructed_monomial():
             built = Monomial(mono.eta, mono.xi)
             flipped = mono.flip()
             assert flipped == built and hash(flipped) == hash(built)
-            assert (flipped.degree, flipped.momentum) \
-                == (built.degree, built.momentum)
+            assert (flipped.degree, momentum(flipped)) \
+                == (built.degree, momentum(built))
             assert flipped.flip() == mono
 
 
@@ -133,8 +134,8 @@ def test_array_bracket_matches_the_pair_loop():
             assert P.to_text(got, hexfloat=True) \
                 == P.to_text(want, hexfloat=True)
             assert list(got.terms) == list(want.terms)
-            assert [(m.degree, m.momentum) for m in got.terms] \
-                == [(m.degree, m.momentum) for m in want.terms]
+            assert [(m.degree, momentum(m)) for m in got.terms] \
+                == [(m.degree, momentum(m)) for m in want.terms]
 
 
 def test_array_bracket_exact_coefficients():
@@ -159,17 +160,40 @@ def test_bracket_overflow_and_pair_counts_match_the_pair_loop():
                 == (len(f) * len(g) - over, over)
 
 
-def test_tail_split_matches_the_monomials():
-    rnd = random.Random(31)
+def test_entry_queries_match_the_monomial_references():
+    # is_zero_momentum, tail_split and the membership flags read the
+    # exponent entries; the references walk each Monomial.  The empty and
+    # the constant polynomial have no modes at all.
+    rnd = random.Random(37)
+    cases = [P.zero(), Polynomial({Monomial(): 1.5}),
+             Polynomial({Monomial(): GaussRat(2, -1)})]
     for dim in (1, 2):
-        p = rand_poly(rnd, nterms=30, nmodes=4, maxdeg=5, dim=dim)
-        for cutoff in (0.5, 1, 2.5, 4):
-            ts = p.tail_split(cutoff)
-            high = [m.tail_degree(cutoff) > 2 for m in p.terms]
+        for exact in (False, True):
+            for _ in range(6):
+                p = rand_poly(rnd, nterms=rnd.randint(1, 20), nmodes=3,
+                              maxdeg=5, dim=dim, exact=exact)
+                even = Polynomial({m.mul(m.flip()): c
+                                   for m, c in p.terms.items()})
+                cases += [p, momentum_filter(p), even, even + p]
+    assert {c.is_zero_momentum() for c in cases} == {True, False}
+    flags = set()
+    for p in cases:
+        assert p.is_zero_momentum() \
+            == all(not any(momentum(m)) for m in p.terms)
+        modes = {m for mono in p.terms for m, _ in mono.xi + mono.eta}
+        table = FrequencyTable({m: rnd.uniform(0.5, 3.0) for m in modes})
+        for N in (0.5, 1, 2, 2.5, 3):
+            high = [tail_degree(m, N) > 2 for m in p.terms]
+            ts = p.tail_split(N)
             assert list(ts.low.terms.items()) == [
                 t for t, h in zip(p.terms.items(), high) if not h]
             assert list(ts.high.terms.items()) == [
                 t for t, h in zip(p.terms.items(), high) if h]
+            want = [abs(omega_dot(table, net_exponents(m))) <= 1.0 / N
+                    and tail_degree(m, N) <= 2 for m in p.terms]
+            assert normal_form_membership(p, table, 1.0, 1.0, N) == want
+            flags.update(want)
+    assert flags == {True, False}
 
 
 def test_prune_threshold():
@@ -261,14 +285,6 @@ def test_bracket_momentum_conserved():
         assert br.is_zero_momentum()
 
 
-def test_modulus():
-    p = P.xi(1, -2.0) + P.eta(2, 3j)
-    m = p.modulus()
-    assert m.coeff(Monomial({(1,): 1})) == 2.0
-    assert m.coeff(Monomial({}, {(2,): 1})) == 3.0
-    assert m.modulus().terms == m.terms  # idempotent
-
-
 def test_reality_flag():
     p = P.monomial(1 + 2j, xi={1: 2}, eta={2: 1}) + P.monomial(1 - 2j, xi={2: 1}, eta={1: 2})
     assert p.reality_defect() == 0.0
@@ -288,15 +304,15 @@ def test_tail_split():
     assert len(ts.low) == 2 and len(ts.high) == 1
     assert allclose(ts.low + ts.high, p, 0.0)
     # tail degrees: every high term >= 3, every low term <= 2
-    assert all(m.tail_degree(4) >= 3 for m in ts.high.terms)
-    assert all(m.tail_degree(4) <= 2 for m in ts.low.terms)
+    assert all(tail_degree(m, 4) >= 3 for m in ts.high.terms)
+    assert all(tail_degree(m, 4) <= 2 for m in ts.low.terms)
 
 
 def test_momentum_filter_1d():
     p = P.monomial(1.0, xi={1: 1, 2: 1}, eta={3: 1}) + P.monomial(1.0, xi={1: 1}, eta={3: 1})
     q = momentum_filter(p)
     assert len(q) == 1
-    assert next(iter(q.terms)).momentum == (0,)
+    assert momentum(next(iter(q.terms))) == (0,)
 
 
 def test_momentum_filter_2d():

@@ -19,6 +19,14 @@ def table_1d(omegas: dict) -> FrequencyTable:
     return FrequencyTable({(j,): float(w) for j, w in omegas.items()})
 
 
+def member(mono, t, gamma, alpha, N) -> bool:
+    """The membership flag of one monomial."""
+    flags = R.normal_form_membership(poly.Polynomial({mono: 1.0}), t, gamma,
+                                     alpha, N)
+    assert len(flags) == 1
+    return flags[0]
+
+
 def test_small_divisor_examples():
     t = table_1d({1: 1.0, 2: 2.0, 3: 3.0})
     assert small_divisor(t, {}) == 0.0
@@ -237,14 +245,14 @@ def test_calibrate_pair_cutoff():
 def test_membership_examples():
     t2 = table_1d({1: 1.0, 2: math.sqrt(2)})
     m_act = Monomial({(1,): 1}, {(1,): 1})
-    assert R.normal_form_membership(m_act, t2, 1e-9, 1.0, 1)
+    assert member(m_act, t2, 1e-9, 1.0, 1)
     m_off = Monomial({(1,): 1}, {(2,): 1})
-    assert not R.normal_form_membership(m_off, t2, 0.1, 1.0, 1)
+    assert not member(m_off, t2, 0.1, 1.0, 1)
     # tail degree 3 fails regardless of the divisor
     t = table_1d({j: float(j) for j in range(1, 13)})
     m_tail = Monomial({(5,): 1, (6,): 1}, {(11,): 1})
     assert small_divisor(t, {(5,): 1, (6,): 1, (11,): -1}) == 0.0
-    assert not R.normal_form_membership(m_tail, t, 1.0, 1.0, 4)
+    assert not member(m_tail, t, 1.0, 1.0, 4)
 
 
 def test_membership_depends_on_net_and_tail_only():
@@ -263,16 +271,16 @@ def test_membership_depends_on_net_and_tail_only():
             {**dict(m.eta), **{j: dict(m.eta).get(j, 0) + e
                                for j, e in p.items()}})
         gamma = 10 ** rnd.uniform(-3, 0)
-        assert R.normal_form_membership(m, t, gamma, 1.0, N) == \
-            R.normal_form_membership(shifted, t, gamma, 1.0, N)
+        assert member(m, t, gamma, 1.0, N) == \
+            member(shifted, t, gamma, 1.0, N)
 
 
 def test_membership_boundary_is_member():
     t = table_1d({1: 1.0})
     m = Monomial({(1,): 1}, {})
     # divisor 1.0 exactly at threshold gamma/N^alpha = 1.0
-    assert R.normal_form_membership(m, t, 1.0, 1.0, 1)
-    assert not R.normal_form_membership(m, t, 0.999, 1.0, 1)
+    assert member(m, t, 1.0, 1.0, 1)
+    assert not member(m, t, 0.999, 1.0, 1)
 
 
 def test_wilson_interval_properties():
