@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .modes import as_mode
-from .poly import Polynomial, exponent_matrix
+from .poly import Polynomial, exponent_entries
 
 
 class Leg(NamedTuple):
@@ -187,26 +187,27 @@ def _table(p: Polynomial, modes: Sequence, grad: bool) -> tuple:
     row's factors index G in ascending order: xi of layout mode k is row
     k, eta row n + k; the rest is padded with the row of ones, 2n."""
     ms = sorted({as_mode(m) for m in modes})
-    n, X = len(ms), exponent_matrix(p, ms)
+    n, rows = len(ms), len(p)
+    t, col, e = exponent_entries(p, ms)
     coeff = np.array(list(p.terms.values()), dtype=complex)
-    out = np.zeros(len(X), dtype=np.int64)
+    out = np.zeros(rows, dtype=np.int64)
     if grad:
-        t, out = np.nonzero(X[:, n:])
-        e, c = X[t, n + out], coeff[t]
-        X = X[t]
-        X[np.arange(len(t)), n + out] -= 1
-        # complex(c) * e, the floats of Python's complex-by-int product
-        coeff = np.empty(len(t), dtype=complex)
-        coeff.real = c.real * e - c.imag * 0.0
-        coeff.imag = c.real * 0.0 + c.imag * e
-    r, col = np.nonzero(X)
-    reps, size = X[r, col], X.sum(axis=1)
-    rows = np.repeat(r, reps)
+        # row r is eta entry k[r] with the other entries of its term, the
+        # exponent at k[r] lowered by 1
+        k = np.flatnonzero(col >= n)
+        cnt = np.bincount(t, minlength=rows)[t[k]]
+        first = np.searchsorted(t, t[k])
+        rows, r = len(k), np.repeat(np.arange(len(k)), cnt)
+        src = np.arange(len(r)) + np.repeat(first - np.cumsum(cnt) + cnt, cnt)
+        coeff, out = coeff[t[k]] * e[k], col[k] - n
+        t, col, e = r, col[src], e[src] - (src == k[r])
+    size = np.bincount(t, weights=e, minlength=rows).astype(np.int64)
+    reps = np.repeat(t, e)
     # column-major, so that each column gather reads contiguous indices
-    vidx = np.full((len(X), max(0, p.max_degree() - grad)), 2 * n,
+    vidx = np.full((rows, max(0, p.max_degree() - grad)), 2 * n,
                    dtype=np.int64, order="F")
-    vidx[rows, np.arange(len(rows)) - (np.cumsum(size) - size)[rows]] = \
-        np.repeat(col, reps)
+    vidx[reps, np.arange(len(reps)) - (np.cumsum(size) - size)[reps]] = \
+        np.repeat(col, e)
     return ms, vidx, coeff, out
 
 

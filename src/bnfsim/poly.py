@@ -352,15 +352,14 @@ def _arrays(p: Polynomial) -> _Arrays:
     return p._arrays
 
 
-def exponent_matrix(p: Polynomial, modes: list) -> np.ndarray:
-    """p's dense exponent rows (xi columns, then eta) over sorted `modes`,
-    which must hold every mode of p."""
+def exponent_entries(p: Polynomial, modes: list) -> tuple:
+    """(t, col, e): p's non-zero exponents e of term t at column col, by term
+    and then column, over sorted `modes`, which hold every mode of p (xi of
+    modes[k] is column k, its eta len(modes) + k); t and e are p's own."""
     index = {m: k for k, m in enumerate(modes)}
     a = _arrays(p)
     cols = np.array([index[m] for m in a.modes], dtype=int)
-    X = np.zeros((len(p), 2 * len(modes)), dtype=np.int16)
-    X[a.t, np.r_[cols, cols + len(modes)][a.col]] = a.e
-    return X
+    return a.t, np.r_[cols, cols + len(modes)][a.col], a.e
 
 
 def monomials(t: np.ndarray, col: np.ndarray, e: np.ndarray, count: int,
@@ -420,14 +419,15 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
         return Polynomial()
     a, b = _arrays(f), _arrays(g)
     modes = sorted(set(a.modes).union(b.modes))
-    F, G = exponent_matrix(f, modes), exponent_matrix(g, modes)
     n, top = len(modes), int(b.deg.max())
+    (fi, fv, fe), (gj, gv, ge) = (exponent_entries(p, modes) for p in (f, g))
+    # whole rows, as the packed output keys are sums of them
+    F, G = (np.zeros((len(p), 2 * n), dtype=np.int16) for p in (f, g))
+    F[fi, fv], G[gj, gv] = fe, ge
     # g's exponents by the column of f they contract with, then degree
-    gj, gv = np.nonzero(G)
     gkey = (gv + n) % (2 * n) * (top + 1) + b.deg[gj]
     order = np.argsort(gkey, kind="stable")
     gkey, gj, gv = gkey[order], gj[order], gv[order]
-    fi, fv = np.nonzero(F)
     room = top if cap is None else np.clip(cap + 2 - a.deg[fi], -1, top)
     lo = np.searchsorted(gkey, fv * (top + 1))
     cnt = np.maximum(
@@ -490,36 +490,26 @@ def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
     runs over terms in dict order, and over modes in the order they first
     appear in those terms.
     """
-    if not f or not g:
-        return 0.0
-    a, b = _arrays(f), _arrays(g)
-    modes = sorted(set(a.modes).union(b.modes))
-    F, G = exponent_matrix(f, modes), exponent_matrix(g, modes)
-    fm, gm = _exponent_mass(f, a.deg, F), _exponent_mass(g, b.deg, G)
-    n, tot = len(modes), 0.0
-    for df, (fmass, fxi, feta) in fm.items():
-        for dg, (gmass, _, _) in gm.items():
+    modes = sorted(f.modes() | g.modes())
+    n, mass = len(modes), []
+    for p in (f, g):
+        # degree -> column -> sum of |c| e, filled in entry order
+        absc = [abs(c) for c in p.terms.values()]
+        deg, out = _arrays(p).deg.tolist(), {}
+        entries = (v.tolist() for v in exponent_entries(p, modes))
+        for t, col, e in zip(*entries):
+            cols = out.setdefault(deg[t], {})
+            cols[col] = cols.get(col, 0.0) + absc[t] * e
+        mass.append(out)
+    tot = 0.0
+    for df, fcols in mass[0].items():
+        for dg, gcols in mass[1].items():
             if df + dg - 2 > cap:
-                tot += sum((fmass[feta] * gmass[feta - n]).tolist())
-                tot += sum((fmass[fxi] * gmass[fxi + n]).tolist())
+                tot += sum(x * gcols.get(c - n, 0.0)
+                           for c, x in fcols.items() if c >= n)
+                tot += sum(x * gcols.get(c + n, 0.0)
+                           for c, x in fcols.items() if c < n)
     return tot
-
-
-def _exponent_mass(p: Polynomial, deg: np.ndarray, X: np.ndarray) -> dict:
-    """degree -> (sum of |c| times the exponent per column, over the terms
-    of that degree; the xi columns that occur, then the eta ones, each in
-    order of first appearance), degrees in order of first appearance."""
-    absc = np.array([abs(c) for c in p.terms.values()])
-    out = {}
-    for d in dict.fromkeys(deg.tolist()):
-        rows = np.flatnonzero(deg == d)
-        seen = X[rows] > 0
-        cols = np.flatnonzero(seen.any(axis=0))
-        cols = cols[np.lexsort((cols, seen[:, cols].argmax(axis=0)))]
-        half = cols < X.shape[1] // 2
-        out[d] = (np.cumsum(absc[rows, None] * X[rows], axis=0)[-1],
-                  cols[half], cols[~half])
-    return out
 
 
 # -- serialization -----------------------------------------------------

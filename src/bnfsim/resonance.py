@@ -445,9 +445,8 @@ def family_rules(family: str, params: dict, q: DivisorQuery,
             "N": q.N, "alpha": q.alpha, "m_decay": _param(params, "decay")}),
             (PATTERN_PAIR_TAIL, 0.0)]
     if family == "nlw_periodic":
-        b = params.get("b")
-        if b is None:
-            b = calibrate_pair_cutoff(table, gamma, q.alpha, q.N).b
+        b = calibrate_pair_cutoff(table, gamma, q.alpha, q.N).b \
+            if params.get("b") is None else _param(params, "b")
         return [_exception_rule("nlw_periodic", {"b": b, "N": q.N})]
     return []
 

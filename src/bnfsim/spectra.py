@@ -27,6 +27,12 @@ CONVOLUTION_D = "convolution_d"
 
 FAMILIES = (NLW_PERIODIC, NLS_COSINE, CONVOLUTION_D)
 
+# the parameters the envelopes and the exception rules read, range-checked
+_RANGE = {"R": ("a number >= 0", lambda v: v >= 0),
+          "b": ("a number >= 0", lambda v: v >= 0),
+          "d": ("an integer >= 1", lambda v: v >= 1),
+          "decay": ("a number > 0", lambda v: v > 0)}
+
 
 class SpectralError(RuntimeError):
     pass
@@ -62,11 +68,14 @@ def _param(params: dict, name: str, kind=float, default=None):
         if default is None:
             raise ValueError("potential.params: %s required" % name)
         return default
+    what, ok = _RANGE.get(name, ("a number", lambda v: True))
     try:
-        return kind(params[name])
+        value = kind(params[name])
+        if ok(value):
+            return value
     except (TypeError, ValueError):
-        raise ValueError("potential.params: %s expected a number"
-                         % name) from None
+        pass
+    raise ValueError("potential.params: %s expected %s" % (name, what))
 
 
 def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:

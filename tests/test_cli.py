@@ -460,6 +460,29 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
     ("normalize", ['potential.family="convolution_d"',
                    'potential.params={"R": 1.0, "kmax": 2, "d": 2, '
                    '"decay": 2.0}'], "potential.family"),
+    # the ranges of the parameters the envelopes and the rules read: R >= 0
+    # for every family, decay > 0, d >= 1 and a number b >= 0
+    ("measure-estimate", ['potential.params={"R": -1.0, "kmax": 2, "d": 2, '
+                          '"decay": 2.0}'], "potential.params"),
+    ("normalize", ['potential.params={"R": -0.5, "sigma": 0.4, "kmax": 9}'],
+     "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": 2, "d": 2, '
+                          '"decay": 0}'], "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": 2, "d": 2, '
+                          '"decay": -1}'], "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": 2, "d": 0, '
+                          '"decay": 2.0}'], "potential.params"),
+    ("scan-resonances", ['model="nlw_periodic"',
+                         'potential.family="nlw_periodic"',
+                         'potential.params={"R": 0.5, "sigma": 0.4, '
+                         '"kmax": 9, "b": "x"}'], "potential.params"),
+    ("scan-resonances", ['model="nlw_periodic"',
+                         'potential.family="nlw_periodic"',
+                         'potential.params={"R": 0.5, "sigma": 0.4, '
+                         '"kmax": 9, "b": -1}'], "potential.params"),
+    ("measure-estimate", ['potential.family="nlw_periodic"',
+                          'potential.params={"R": 0.5, "sigma": 0.4, '
+                          '"kmax": 9, "b": "x"}'], "potential.params"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):

@@ -93,14 +93,30 @@ def test_batched_eval_matches_single_evaluations(batch):
                           np.zeros(batch))
 
 
+def lattice_polynomial(seed, nterms=60):
+    """Terms over d=2 modes with exponents 1 to 3 on either side."""
+    rnd = random.Random(seed)
+    grid = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 2)]
+
+    def side(least):
+        return {rnd.choice(grid): rnd.randint(1, 3)
+                for _ in range(rnd.randint(least, 3))}
+    return poly.Polynomial({poly.Monomial(side(0), side(1)):
+                            complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1))
+                            for _ in range(nterms)})
+
+
 def test_tables_match_the_per_term_compile():
     # the same rows, factor indices and coefficient bits, signed zeros too,
-    # on a layout wider than the polynomial and on an empty polynomial
+    # on layouts wider than the polynomial, on d=2 modes with exponents
+    # above 1, and on an empty polynomial
     p = random_polynomial(37, nterms=80)
     signed = poly.Polynomial({m: complex(-0.0, c.imag) if k % 2 else c.real
                               for k, (m, c) in enumerate(p.terms.items())})
-    layout = [(m,) for m in range(0, 7)]
-    for q in (p, signed, poly.zero()):
+    line = [(m,) for m in range(0, 7)]
+    lattice = [(a, b) for a in (-1, 0, 1, 3) for b in (-1, 0, 1, 2)]
+    for q, layout in ((p, line), (signed, line), (poly.zero(), line),
+                      (lattice_polynomial(43), lattice)):
         for grad, compile_ in ((True, eta_gradient_table),
                                (False, value_table)):
             table = compile_(q, layout)

@@ -316,6 +316,16 @@ def test_measure_scan_convolution():
         assert e.wilson_low <= e.fraction <= e.wilson_high
 
 
+def test_measure_scan_rejects_a_negative_envelope():
+    # R < 0 made every envelope negative, and the search, handed intervals
+    # with lo > hi, found no candidate: 0 violations at both gammas, where a
+    # per-sample search of the same potentials finds 30/30 and 5/30
+    params = {"R": -1.0, "kmax": 2, "d": 2, "decay": 2.0}
+    q = R.DivisorQuery(None, r=3, N=2, gamma=0.01, alpha=1.0, jmax=2)
+    with pytest.raises(ValueError, match="potential.params: R expected"):
+        R.measure_scan("convolution_d", params, q, [0.01, 0.001], 30, 5)
+
+
 def test_measure_deterministic():
     params = {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 2}
     q = R.DivisorQuery(None, r=1, N=1, gamma=0.3, alpha=1.0, jmax=2)
