@@ -174,7 +174,7 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
     high = f.tail_split(N).high
     if high:
         raise ValueError("tail degree > 2 in homological input: %r"
-                         % next(iter(high.terms)))
+                         % (next(iter(high.terms)),))
     for mono, c in f.items():
         div = omega_dot(omega, net_exponents(mono))
         if abs(div) <= thr:

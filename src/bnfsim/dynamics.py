@@ -306,6 +306,9 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
     grid, where the trapezoid rule is exact: every component of
     a + b - c - e is at most 4J in modulus.
     """
+    if jmax < 0:
+        raise ValueError("jmax: a lattice radius, must be >= 0, got %g"
+                         % jmax)
     t = convolution_frequencies(d, _as_sample(potential), jmax)
     modes = t.modes()
     n = len(modes)

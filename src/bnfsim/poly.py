@@ -19,21 +19,23 @@ takes an optional `cap` and skips the term pairs that land above it, and
 
 The bracket runs on arrays: a polynomial keeps, once built, the non-zero
 exponent entries of its terms (xi columns, then eta, over its sorted modes)
-and its coefficient vector; a `Monomial` is only the key of a term.
-Contractions are array joins over degree buckets and merge by one sort of
-packed row keys.  They are emitted and summed in the
-order of the term-pair loop the bracket replaced (kept in tests/helpers.py),
-each with Python's complex operations in order, so the result equals that
-loop's to the bit, dict order included, which later sums depend on.
-Coefficients are complex floats by default; exact Gaussian rationals
-(`exact.GaussRat`) take the same path as an object vector, one Python
-product per contribution, for identity-grade algebra checks.
+and its coefficient vector; a `Monomial` is only the key of a term, the
+tuple (degree, xi, eta).  Contractions are array joins over degree buckets
+and merge by one sort of packed row keys.  They are emitted and summed in
+the order of the term-pair loop the bracket replaced (kept in
+tests/helpers.py), each with Python's complex operations in order, so the
+result equals that loop's to the bit, dict order included, which later sums
+depend on.  Every coefficient that is not exact is stored as a Python
+complex; exact Gaussian rationals (`exact.GaussRat`) take the same path as
+an object vector, one Python product per contribution, for identity-grade
+algebra checks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -48,49 +50,38 @@ def _sorted_items(d: Dict[tuple, int]) -> tuple:
     return tuple(sorted((m, e) for m, e in d.items() if e != 0))
 
 
-class Monomial:
-    """An exponent pattern xi^k eta^l, the key of a polynomial's terms.
+class Monomial(tuple):
+    """An exponent pattern xi^k eta^l, the key of a polynomial's terms: the
+    tuple (degree, xi, eta), whose order is by degree, then xi, then eta.
 
     `xi` and `eta` are sorted tuples of (mode, exponent) pairs with
     positive integer exponents.
     """
 
-    __slots__ = ("xi", "eta", "degree", "_hash")
+    __slots__ = ()
 
-    def __init__(self, xi=(), eta=()):
+    def __new__(cls, xi=(), eta=()):
         if isinstance(xi, dict):
             xi = _sorted_items(xi)
         if isinstance(eta, dict):
             eta = _sorted_items(eta)
-        self.xi = tuple((as_mode(m), int(e)) for m, e in xi)
-        self.eta = tuple((as_mode(m), int(e)) for m, e in eta)
-        for _, e in self.xi + self.eta:
-            if e <= 0:
-                raise ValueError("exponents must be positive")
-        self.degree = sum(e for _, e in self.xi) + sum(e for _, e in self.eta)
-        self._hash = hash((self.xi, self.eta))
+        xi = tuple((as_mode(m), int(e)) for m, e in xi)
+        eta = tuple((as_mode(m), int(e)) for m, e in eta)
+        if any(e <= 0 for _, e in xi + eta):
+            raise ValueError("exponents must be positive")
+        return _key(xi, eta, sum(e for _, e in xi + eta))
 
-    def __eq__(self, other):
-        return self.xi == other.xi and self.eta == other.eta
+    def __getnewargs__(self):
+        """pickle and deepcopy rebuild a key as Monomial(xi, eta)."""
+        return self[1], self[2]
 
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return (self.degree, self.xi, self.eta) < (other.degree, other.xi, other.eta)
-
-    @classmethod
-    def canonical(cls, xi: tuple, eta: tuple, degree: int) -> "Monomial":
-        """Built directly from parts already in the form __init__ gives
-        them, unchecked."""
-        out = cls.__new__(cls)
-        out.xi, out.eta, out.degree = xi, eta, degree
-        out._hash = hash((xi, eta))
-        return out
+    degree = property(itemgetter(0))
+    xi = property(itemgetter(1))
+    eta = property(itemgetter(2))
 
     def flip(self) -> "Monomial":
         """Swap the xi and eta exponent patterns."""
-        return Monomial.canonical(self.eta, self.xi, self.degree)
+        return _key(self[2], self[1], self[0])
 
     def mul(self, other: "Monomial") -> "Monomial":
         xk = dict(self.xi)
@@ -105,6 +96,12 @@ class Monomial:
         parts = ["xi[%s]^%d" % (mode_str(m), e) for m, e in self.xi]
         parts += ["eta[%s]^%d" % (mode_str(m), e) for m, e in self.eta]
         return " ".join(parts) if parts else "1"
+
+
+def _key(xi: tuple, eta: tuple, degree: int) -> Monomial:
+    """A Monomial from parts already in the form Monomial() gives them,
+    unchecked."""
+    return tuple.__new__(Monomial, (degree, xi, eta))
 
 
 def _is_exact(c) -> bool:
@@ -188,7 +185,7 @@ class Polynomial:
         """max |conj(c_kl) - c_lk|; zero for real-valued Hamiltonians."""
         d = 0.0
         for m, c in self.terms.items():
-            d = max(d, abs(_conj(c) - self.terms.get(m.flip(), 0.0)))
+            d = max(d, abs(c.conjugate() - self.terms.get(m.flip(), 0.0)))
         return d
 
     def homogeneous_part(self, r: int) -> "Polynomial":
@@ -252,23 +249,16 @@ def _accum(acc: dict, mono: Monomial, c):
     acc[mono] = c if cur is None else cur + c
 
 
-def _conj(c):
-    if isinstance(c, GaussRat):
-        return c.conjugate()
-    return complex(c).conjugate()
-
-
 def _prune(terms: dict) -> dict:
     if not terms:
         return {}
-    exact = _is_exact(next(iter(terms.values())))
-    if exact:
+    if _is_exact(next(iter(terms.values()))):
         return {m: c for m, c in terms.items() if c}
     top = max(abs(c) for c in terms.values())
     if top == 0.0:
         return {}
     thr = PRUNE_REL * top
-    return {m: c for m, c in terms.items() if abs(c) > thr}
+    return {m: complex(c) for m, c in terms.items() if abs(c) > thr}
 
 
 # -- constructors ------------------------------------------------------
@@ -304,7 +294,7 @@ def quadratic_diagonal(freqs: dict) -> Polynomial:
     norm = {as_mode(k): v for k, v in freqs.items()}
     acc = {}
     for j in sorted(norm):
-        acc[Monomial({j: 1}, {j: 1})] = complex(norm[j])
+        acc[Monomial({j: 1}, {j: 1})] = norm[j]
     return Polynomial(acc)
 
 
@@ -315,22 +305,20 @@ class _Arrays(NamedTuple):
     """A polynomial's terms in dict order over its sorted `modes`, as the
     non-zero exponents e of term t at column col (xi of modes[k] is column
     k, its eta column len(modes) + k), sorted by term and then column.
-    `coef` is complex (object when exact); `real` flags the coefficients
-    that are not complex.
+    `coef` is complex (object when exact).
     """
     modes: list
     t: np.ndarray
     col: np.ndarray
     e: np.ndarray
     coef: np.ndarray
-    real: np.ndarray
     deg: np.ndarray
 
 
 def _arrays(p: Polynomial) -> _Arrays:
     """The arrays of p, built on first use and kept with it."""
     if p._arrays is None:
-        parts = ([mono.xi for mono in p.terms], [mono.eta for mono in p.terms])
+        parts = ([mono[1] for mono in p.terms], [mono[2] for mono in p.terms])
         modes = sorted({m for part in parts for sl in part for m, _ in sl})
         index = {m: k for k, m in enumerate(modes)}
         t, col, e = [], [], []
@@ -347,7 +335,6 @@ def _arrays(p: Polynomial) -> _Arrays:
         p._arrays = _Arrays(
             modes, t, col, e,
             np.array(vals, dtype=object if exact else complex),
-            np.array([not isinstance(c, complex) for c in vals], dtype=bool),
             np.bincount(t, weights=e, minlength=len(p)).astype(int))
     return p._arrays
 
@@ -372,11 +359,10 @@ def monomials(t: np.ndarray, col: np.ndarray, e: np.ndarray, count: int,
     ends = np.cumsum(np.bincount(t, minlength=count)).tolist()
     nxi = np.bincount(t[col < n], minlength=count).tolist()
     labels = modes + modes
-    slots = [(labels[c], x) for c, x in zip(col.tolist(), e.tolist())]
+    slots = tuple(zip([labels[c] for c in col.tolist()], e.tolist()))
     out, lo = [], 0
     for hi, k, d in zip(ends, nxi, deg):
-        out.append(Monomial.canonical(tuple(slots[lo:lo + k]),
-                                      tuple(slots[lo + k:hi]), d))
+        out.append(_key(slots[lo:lo + k], slots[lo + k:hi], d))
         lo = hi
     return out
 
@@ -384,18 +370,17 @@ def monomials(t: np.ndarray, col: np.ndarray, e: np.ndarray, count: int,
 def _times_i_products(a: _Arrays, b: _Arrays, i: np.ndarray, j: np.ndarray,
                       k: np.ndarray) -> np.ndarray:
     """1j * (cf * cg * k) for terms i of f and j of g and integers k, with
-    the float operations, in order, of Python's complex arithmetic: a real
-    number enters a product as (x, 0.0), and two real numbers multiply as
-    floats, with no imaginary part to carry a signed zero."""
+    the float operations, in order, of Python's complex arithmetic: an
+    integer enters a product as (k, 0.0)."""
     if a.coef.dtype == object or b.coef.dtype == object:
         return np.array([(x * y * e).times_i() for x, y, e
                          in zip(a.coef[i], b.coef[j], k.tolist())],
                         dtype=object)
-    x, y, both = a.coef[i], b.coef[j], a.real[i] & b.real[j]
+    x, y = a.coef[i], b.coef[j]
     pr = x.real * y.real - x.imag * y.imag
-    pi = np.where(both, 0.0, x.real * y.imag + x.imag * y.real)
+    pi = x.real * y.imag + x.imag * y.real
     qr = pr * k - pi * 0.0
-    qi = np.where(both, 0.0, pr * 0.0 + pi * k)
+    qi = pr * 0.0 + pi * k
     out = np.empty(len(k), dtype=complex)
     out.real, out.imag = 0.0 * qr - qi, 0.0 * qi + qr
     return out
@@ -531,7 +516,7 @@ def to_text(p: Polynomial, hexfloat: bool = False) -> str:
 
     lines = []
     for mono in sorted(p.terms):
-        c = complex(p.terms[mono])
+        c = p.terms[mono]
         lines.append("%s %s | %s | %s" % (fmt(c.real), fmt(c.imag),
                                           exps_text(mono.xi),
                                           exps_text(mono.eta)))

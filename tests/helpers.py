@@ -15,7 +15,7 @@ from bnfsim.fields import QuadratureField, eta_gradient_table
 from bnfsim.modes import as_mode, mode_abs2, weight
 from bnfsim.norms import TAME_CAL, majorant_norm, nu_term
 from bnfsim.exact import GaussRat
-from bnfsim.poly import Monomial, Polynomial, _accum, _conj
+from bnfsim.poly import Monomial, Polynomial, _accum
 from bnfsim.resonance import (DivisorQuery, EnumerationResult, ResonanceHit,
                                _domain, omega_dot)
 from bnfsim.spectra import EigenBasis, ExpansionFit, _cosine_coeffs, _solve
@@ -32,7 +32,7 @@ def allclose(p: Polynomial, q: Polynomial, tol: float = 1e-12) -> bool:
 
 def conj_flip(p: Polynomial) -> Polynomial:
     """conj(c_{kl}) attached to xi^l eta^k; equals p iff real-flagged."""
-    return Polynomial({m.flip(): _conj(c) for m, c in p.terms.items()})
+    return Polynomial({m.flip(): c.conjugate() for m, c in p.terms.items()})
 
 
 def momentum(mono: Monomial) -> tuple:
@@ -104,7 +104,7 @@ def evaluate(p: Polynomial, xi_map: dict, eta_map: dict):
 
 def evaluate_real_slice(p: Polynomial, xi_map: dict):
     """Evaluate on eta = conj(xi)."""
-    return evaluate(p, xi_map, {k: _conj(v) for k, v in xi_map.items()})
+    return evaluate(p, xi_map, {k: v.conjugate() for k, v in xi_map.items()})
 
 
 # The Poisson bracket and its overflow as the term-pair loops they were

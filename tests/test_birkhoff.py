@@ -6,7 +6,7 @@ import pytest
 
 from bnfsim import birkhoff as B
 from bnfsim import cli, dynamics, poly
-from bnfsim.fields import eta_gradient_table
+from bnfsim.fields import eta_gradient_table, value_table
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 from bnfsim.spectra import FrequencyTable
 
@@ -99,7 +99,8 @@ def test_solve_homological_boundary_is_resonant():
 def test_solve_homological_tail_precondition():
     t = table({j: float(j) for j in range(1, 9)})
     f = poly.monomial(1.0, xi={5: 2, 6: 1})
-    with pytest.raises(ValueError, match="tail"):
+    with pytest.raises(ValueError, match=r"tail degree > 2 in homological "
+                       r"input: xi\[5\]\^2 xi\[6\]\^1$"):
         B.solve_homological(f, t, 1.0, 1.0, 4)
 
 
@@ -323,6 +324,34 @@ def test_normalize_order_four(monkeypatch):
             {m: system.table.omega_of(m) for m in f.modes()})
         res_l1 = (poisson_bracket(h0, chi) + z - f).l1()
         assert res_l1 <= 1e-12 * max(f.l1(), 1e-300)
+
+
+def test_remainder_scales_with_the_order():
+    # H(Phi(z)) - (H0 + Z)(z) on states over the modes |j| <= N, of size
+    # eps: the first term the normal form leaves has degree r* + 4 (the
+    # quartic has no odd degrees), so the log-log slope is 6 at r* = 2 and
+    # 8 at r* = 4 (measured within 0.1 of both over 8 directions each)
+    system = dynamics.build_model_hamiltonian("nls_dd", d=1, jmax=5,
+                                              kappa=0.5)
+    layout = system.modes()
+    h0 = poly.quadratic_diagonal(system.table.omega)
+    H = value_table(h0 + system.P, layout)
+    rng = np.random.default_rng(np.random.SeedSequence(2024))
+    low = np.array([abs(m[0]) <= 3 for m in layout])
+    sizes = [0.2, 0.1, 0.05]
+    for r_star in (2, 4):
+        prm = B.NormalFormParams(r_star=r_star, gamma=0.05, alpha=1.0, N=3)
+        res = B.normalize(system.table, system.P, prm)
+        K = value_table(h0 + res.Z, layout)
+        plan = B.transport_plan(res.generators, layout, "forward")
+        for _ in range(2):
+            d = (rng.standard_normal(len(layout))
+                 + 1j * rng.standard_normal(len(layout))) * low
+            d /= np.linalg.norm(d)
+            gap = [abs(H.eval(B.apply_transport(plan, eps * d))
+                       - K.eval(eps * d)) for eps in sizes]
+            slope = np.polyfit(np.log(sizes), np.log(gap), 1)[0]
+            assert abs(slope - (r_star + 4)) <= 0.3, (r_star, slope)
 
 
 def test_normalize_tail_remainder_transported():

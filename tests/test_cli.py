@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import shlex
@@ -108,6 +109,15 @@ def test_auto_N_needs_amplitude(tmp_path, capsys):
     rc = cli.main(["normalize", p, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "eps: required" in capsys.readouterr().err
+    # resolved at the largest amplitude: eps, or else the experiment's list
+    got = []
+    for amp in (["eps=0.001"], ["eps=0.0002"],
+                ["experiment.eps_list=[0.0002, 0.001]"]):
+        out = tmp_path / ("o%d" % len(got))
+        argv = ["normalize", p, "--out", str(out), "--set", "s=10"]
+        assert cli.main(argv + ["--set", *amp]) == 0, amp
+        got.append(json.loads((out / "nf.json").read_text())["params"]["N"])
+    assert got == [3, 5, 3]
 
 
 def drift_argv(tmp_path, out, extra=()):
@@ -175,9 +185,10 @@ def test_scan_simulate_report_pipeline(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "normal form [demo_2mode]" in text
     assert "membership_ok=True" in text
-    assert "resonance hits" in text
+    assert "resonance hits:\n  none\n" in text
     assert "drift [demo_2mode]" in text
     assert "energy residual" in text
+    assert "log-log slope" not in text
     assert (tmp_path / "out" / "report.txt").read_text() == text
     # one manifest entry per subcommand, none clobbered
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -187,6 +198,27 @@ def test_scan_simulate_report_pipeline(tmp_path, capsys):
     frames = (tmp_path / "out" / "frames.csv").read_text().splitlines()
     assert frames[0] == "model,eps,seed,t,mode,I"
     assert len(frames) > 10
+    # hits list their patterns, and a second eps adds the drift slope
+    assert cli.main(["scan-resonances", p, "--out", out,
+                     "--set", "gamma=2"]) == 0
+    assert cli.main(["drift-experiment", p, "--out", out,
+                     "--set", "experiment.eps_list=[0.3, 0.15]"]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", p, "--out", out]) == 0
+    text = capsys.readouterr().out
+    with open(os.path.join(out, "hits.csv")) as fh:
+        hits = list(csv.DictReader(fh))
+    assert len(hits) == 6
+    for pat in {h["pattern"] for h in hits}:
+        n = sum(h["pattern"] == pat for h in hits)
+        assert "\n  %-12s %d\n" % (pat, n) in text
+    worst = min(abs(float(h["divisor"])) for h in hits)
+    assert "  smallest |divisor|: %.6e\n" % worst in text
+    with open(os.path.join(out, "drift.csv")) as fh:
+        last = {float(r["eps"]): float(r["max_weighted_action_drift"])
+                for r in csv.DictReader(fh)}
+    slope = math.log(last[0.3] / last[0.15]) / math.log(2.0)
+    assert "  log-log slope of sup w|dI| vs eps: %.3f\n" % slope in text
 
 
 def test_measure_estimate_writes_csv(tmp_path, capsys):
@@ -391,6 +423,8 @@ NLS1D = [
 ]
 EXPLICIT = 'potential.family="explicit"'
 NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
+DD_SAMPLED = ['model="nls_dd"', 'potential.family="convolution_d"',
+              'potential.params={"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}']
 
 
 @pytest.mark.parametrize("command,sets,key", [
@@ -483,6 +517,10 @@ NO_R = 'potential.params={"sigma": 0.4, "kmax": 9, "d": 2, "decay": 2.0}'
     ("measure-estimate", ['potential.family="nlw_periodic"',
                           'potential.params={"R": 0.5, "sigma": 0.4, '
                           '"kmax": 9, "b": "x"}'], "potential.params"),
+    # nls_dd's jmax is a lattice radius: below 0 the lattice is empty
+    ("simulate", [*DD_SAMPLED, "jmax=-1", "eps=0.1", "T=0.1",
+                  "integrator.dt=0.01"], "jmax"),
+    ("scan-resonances", [*DD_SAMPLED, "jmax=-1"], "jmax"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):
@@ -495,6 +533,20 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
         argv = [command, p, "--out", str(tmp_path / "out"), *extra]
     assert cli.main(argv) == 2
     assert "bnfsim: %s:" % key in capsys.readouterr().err
+
+
+def test_nls_coupled_fields_get_their_own_draws():
+    # psi_j carries lambda_j of V1 and phi_j, mode -j, -lambda_j of V2
+    cfg = {"model": "nls_coupled", "jmax": 3,
+           "potential.family": "nls_cosine",
+           "potential.params": {"R": 0.5, "sigma": 0.4, "kmax": 9}}
+    omega = cli.build_system(cfg, 5).table.omega
+    draws = [cli.resolve_potential(cfg, 5, i) for i in (0, 1)]
+    assert cli.build_model_hamiltonian(
+        "nls_coupled", jmax=3, potential1=draws[0], potential2=draws[1]
+    ).table.omega == omega
+    assert draws[0].coeffs != draws[1].coeffs
+    assert all(omega[(j,)] != -omega[(-j,)] for j in (1, 2, 3))
 
 
 def test_nls_dd_dict_potential_matches_the_explicit_config():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -37,6 +39,13 @@ def rand_poly(rnd, nterms=6, nmodes=4, maxdeg=4, dim=1, exact=False):
 def test_monomial_basics():
     m = Monomial({(1,): 2}, {(3,): 1})
     assert m.degree == 3
+    assert (m.xi, m.eta) == ((((1,), 2),), (((3,), 1),))
+    # the key is the tuple (degree, xi, eta), ordered as such
+    assert m == (3, m.xi, m.eta) and hash(m) == hash((3, m.xi, m.eta))
+    assert Monomial({1: 1}, {2: 1}) < Monomial({2: 1}, {1: 1}) < m
+    assert Monomial() == (0, (), ()) and repr(Monomial()) == "1"
+    with pytest.raises(ValueError, match="positive"):
+        Monomial([(1, -1)])
     assert momentum(m) == (-1,)
     assert tail_degree(m, 2) == 1
     assert tail_degree(m, 0.5) == 3
@@ -194,6 +203,38 @@ def test_entry_queries_match_the_monomial_references():
             assert normal_form_membership(p, table, 1.0, 1.0, N) == want
             flags.update(want)
     assert flags == {True, False}
+
+
+def test_terms_survive_pickle_and_deepcopy():
+    # pickle and deepcopy rebuild each key through Monomial(xi, eta)
+    rnd = random.Random(41)
+    for p in (rand_poly(rnd, nterms=12, dim=2), rand_poly(rnd, exact=True),
+              P.quadratic_diagonal({1: 2.5, 2: 0.5}), P.zero()):
+        P._arrays(p)
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            # repr keeps the coefficients' bits, signed zeros too
+            assert q == p and repr(list(q.items())) == repr(list(p.items()))
+            assert all(type(m) is Monomial for m in q.terms)
+            assert [(m.degree, m.xi, m.eta) for m in q.terms] \
+                == [(m.degree, m.xi, m.eta) for m in p.terms]
+
+
+def test_float_coefficients_are_stored_as_complex():
+    # an int or a float coefficient reads back as complex, and the
+    # bracket of float-built operands is the pair loop's to the bit
+    f = P.monomial(-2.0, xi={1: 2}, eta={2: 1}) + P.monomial(3, eta={1: 1})
+    g = P.monomial(0.5, xi={2: 1}, eta={1: 1}) + P.action(1, -1.5)
+    for p in (f, g, f.scale(-1), f * g):
+        assert {type(c) for c in p.terms.values()} == {complex}
+    assert f.coeff(Monomial({(1,): 2}, {(2,): 1})) == -2.0
+    for a, b in ((f, g), (g, f), (f, f), (f, -g)):
+        got, want = poisson_bracket(a, b), poisson_bracket_reference(a, b)
+        assert P.to_text(got, hexfloat=True) \
+            == P.to_text(want, hexfloat=True)
+        assert list(got.terms) == list(want.terms)
+    # conjugation reads complex coefficients (and GaussRat ones) alike
+    assert f.reality_defect() == 3.0
+    assert P.action(1, -1.5).reality_defect() == 0.0
 
 
 def test_prune_threshold():

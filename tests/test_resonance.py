@@ -9,7 +9,8 @@ import pytest
 from bnfsim import poly
 from bnfsim import resonance as R
 from bnfsim.poly import Monomial
-from bnfsim.spectra import FrequencyTable, periodic_nlw_table
+from bnfsim.spectra import (FrequencyTable, SpectralError,
+                            periodic_nlw_table)
 
 import helpers
 from helpers import small_divisor
@@ -407,6 +408,40 @@ def test_measure_scan_per_sample_route_pinned(family, params, N, violations,
     assert [e.pattern_histogram for e in est] == hists
     assert all(type(p) is str for e in est for p in e.pattern_histogram)
     assert all(e.complete and e.skipped == 0 for e in est)
+
+
+def test_measure_scan_skips_a_sample_whose_spectrum_fails(monkeypatch):
+    # a SpectralError drops its sample: `skipped` counts it, and the
+    # fraction and the Wilson interval are over the samples left
+    family, params, _, pinned, _ = PER_SAMPLE_PINS[2]
+    q = R.DivisorQuery(None, r=2, N=2, gamma=0.05, alpha=1.0, jmax=6)
+    gammas = [0.05, 0.01, 0.001]
+    solve = R.sturm_liouville
+
+    def scan(fails):
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if fails(len(calls) - 1):
+                raise SpectralError("no spectrum for this draw")
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(R, "sturm_liouville", flaky)
+        est = R.measure_scan(family, params, q, gammas, 30, seed=5)
+        assert len(calls) == 30
+        return est
+
+    # the first sample alone violates at the largest gamma only
+    first = [e.violations for e in scan(lambda i: i > 0)]
+    assert first == [1, 0, 0]
+    est = scan(lambda i: i == 0)
+    assert [e.violations for e in est] == [v - f
+                                           for v, f in zip(pinned, first)]
+    for e in est:
+        assert (e.samples, e.skipped) == (30, 1)
+        assert e.fraction == e.violations / 29
+        assert (e.wilson_low, e.wilson_high) \
+            == R.wilson_interval(e.violations, 29)[:2]
 
 
 def test_measure_histogram_keys_are_plain_str():
