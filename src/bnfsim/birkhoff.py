@@ -31,7 +31,7 @@ from .fields import eta_gradient_table
 from .norms import majorant_norm
 from .poly import (Monomial, Polynomial, bracket_overflow, exps_text,
                    pair_counts, poisson_bracket, quadratic_diagonal, zero)
-from .resonance import net_exponents, normal_form_membership, omega_dot
+from .resonance import normal_form_membership, term_divisors
 from .spectra import FrequencyTable
 
 DEGREE_BY_DEGREE = "degree_by_degree"
@@ -170,20 +170,16 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
     an actual bracket to 1e-12 relative.
     """
     thr = gamma / N ** alpha
-    chi_t, z_t = {}, {}
     high = f.tail_split(N).high
     if high:
         raise ValueError("tail degree > 2 in homological input: %r"
                          % (next(iter(high.terms)),))
-    for mono, c in f.items():
-        div = omega_dot(omega, net_exponents(mono))
-        if abs(div) <= thr:
-            z_t[mono] = c
-        else:
-            chi_t[mono] = complex(c) / (1j * div)
-    chi = Polynomial(chi_t)
-    z = Polynomial(z_t)
-    h0 = quadratic_diagonal({m: omega.omega_of(m) for m in f.modes()})
+    div = np.array(term_divisors(f, omega))
+    small = np.abs(div) <= thr
+    z, chi = f.filter(small), f.filter(~small)
+    chi = chi.with_coefficients([complex(c) / (1j * d) for c, d in zip(
+        chi.coef.tolist(), div[~small].tolist())])
+    h0 = quadratic_diagonal({m: omega.omega_of(m) for m in f.modes})
     residual = (poisson_bracket(h0, chi) + z - f).l1()
     if residual > 1e-12 * max(f.l1(), 1e-300):
         raise ArithmeticError("homological residual %.3e exceeds tolerance"
@@ -212,7 +208,7 @@ def lie_transform(g: Polynomial, chi: Polynomial, cap: int) -> LieSeries:
     degree and the series terminates.
     """
     total = g.truncate_above(cap)
-    overflow = math.fsum(abs(c) for m, c in g.items() if m.degree > cap)
+    overflow = g.filter(g.deg > cap).l1()
     if not chi:
         return LieSeries(total, overflow)
     if chi.min_degree() <= 2:
@@ -264,14 +260,13 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
         raise ValueError("P: minimum degree must be >= 3")
     h0 = quadratic_diagonal(h0_freqs.omega)
     zero_mom = P.is_zero_momentum()
-    g = P.truncate_above(cap)
+    # the part of P above the cap never enters the series: ledger it here
+    g, overflow_cum = lie_transform(P, zero(), cap)
     z = zero()
     rn = zero()
     gens: List[Polynomial] = []
     ledger = RemainderLedger()
     tail_cum = 0.0
-    # the part of P above the cap never enters the series: ledger it here
-    overflow_cum = math.fsum(abs(c) for m, c in P.items() if m.degree > cap)
     for r in range(params.r_star):
         split = g.tail_split(N)
         low, high = split.low, split.high
@@ -379,7 +374,7 @@ def transport_plan(generators: Sequence[Polynomial], layout: List[tuple],
     """
     if direction not in ("forward", "inverse"):
         raise ValueError("direction: forward or inverse")
-    foreign = set().union(*(chi.modes() for chi in generators))
+    foreign = set().union(*(chi.modes for chi in generators))
     foreign.difference_update(layout)
     if foreign:
         raise ValueError("layout: generator modes %s are not in it"

@@ -210,7 +210,10 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
                           "potential is %s" % (family, cfg.get("model"),
                                                "d-dim" if lattice else "1-d"))
     params = read(cfg, "potential.params")
-    pseed = read(cfg, "potential.seed", stream_seed(seed, "potential", index))
+    pseed = read(cfg, "potential.seed", None)
+    if pseed is None or index:  # field `index` > 0 draws apart from field 0
+        pseed = stream_seed(seed if pseed is None else pseed, "potential",
+                            index)
     try:
         return sample_potential(family, dict(params), pseed)
     except ValueError as exc:

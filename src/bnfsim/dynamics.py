@@ -16,7 +16,7 @@ integrated by the implicit midpoint rule, which is symplectic and needs no
 kinetic/potential splitting.
 
 A state is an (n,) complex array over the sorted modes of its Hamiltonian
-(`ModelSystem.modes()`, or sorted(H.modes()) for a bare polynomial), and a
+(`ModelSystem.modes()`, or `H.modes` for a bare polynomial), and a
 block of states, such as the frames of a run, is a (B, n) array.  Initial
 data, the integrator, transport and the observables all take this one
 format.  Observables: actions I_j = |xi_j|^2, pair actions J_j = I_j +
@@ -37,7 +37,7 @@ import numpy as np
 from .birkhoff import NormalFormResult, apply_transport, transport_plan
 from .fields import Leg, QuadratureField, eta_gradient_table, value_table
 from .modes import f17, mode_abs, mode_abs2, weight
-from .poly import Monomial, Polynomial, monomials, quadratic_diagonal
+from .poly import Polynomial, quadratic_diagonal
 from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
                       SpectralResult, convolution_frequencies,
                       mode_eigenvalues, nlw_frequencies, periodic_nlw_table,
@@ -174,8 +174,8 @@ def _merge_quartic(modes: list, tuples: np.ndarray, values: np.ndarray,
     """scale * sum_t values[t] z[tuples[t, 0]] ... z[tuples[t, 3]].
 
     Each 4-tuple of layout variables is sorted into a canonical key; equal
-    keys merge through one integer-coded unique and bincount, and every
-    Monomial is built once per key.
+    keys merge through one integer-coded unique and bincount, and the runs
+    of equal variables in each key are its exponent entries.
     """
     n = len(modes)
     keys = np.sort(tuples, axis=1)
@@ -188,9 +188,8 @@ def _merge_quartic(modes: list, tuples: np.ndarray, values: np.ndarray,
     starts = np.flatnonzero(np.r_[True, (flat[1:] != flat[:-1])
                                   | (row[1:] != row[:-1])])
     e = np.diff(np.r_[starts, len(flat)])
-    return Polynomial(dict(zip(monomials(row[starts], flat[starts], e,
-                                         len(first), modes),
-                               coeffs.tolist())))
+    return Polynomial.from_entries(modes, row[starts], flat[starts], e,
+                                   coeffs)
 
 
 def _quadrature_model(model: str, table: FrequencyTable, legs: tuple,
@@ -372,15 +371,17 @@ def _flow_parts(H: Polynomial, layout: list, nl=None) -> tuple:
     other terms, value table of H) over the layout, for `integrate`.  The
     field is `nl` when given, else a FieldTable of those terms."""
     index = {m: i for i, m in enumerate(layout)}
+    n = len(H.modes)
+    # a diagonal quadratic term xi_m eta_m is two entries, at m and n + m
+    cnt = np.bincount(H.t, minlength=len(H))
+    first = np.cumsum(cnt) - cnt
+    diag = (H.deg == 2) & (cnt == 2)
+    diag[diag] = H.col[first[diag]] + n == H.col[first[diag] + 1]
+    at = np.array([index[m] for m in H.modes], dtype=int)
     omv = np.zeros(len(layout))
-    rest: Dict[Monomial, complex] = {}
-    for mono, c in H.items():
-        if mono.degree == 2 and mono.xi == mono.eta:
-            omv[index[mono.xi[0][0]]] += complex(c).real
-        elif nl is None:
-            rest[mono] = c
+    omv[at[H.col[first[diag]]]] += H.coef[diag].astype(complex).real
     if nl is None:
-        nl = eta_gradient_table(Polynomial(rest), layout)
+        nl = eta_gradient_table(H.filter(~diag), layout)
     return omv, nl, value_table(H, layout)
 
 
@@ -473,7 +474,7 @@ def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
         layout = H.modes()
         omv, nl, ht = H.flow_parts
     else:
-        layout = sorted(H.modes())
+        layout = H.modes
         omv, nl, ht = _flow_parts(H, layout)
     x = _state(x0, len(layout), "x0")
     nsteps = max(1, int(round(T / dt)))

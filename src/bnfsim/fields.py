@@ -189,7 +189,7 @@ def _table(p: Polynomial, modes: Sequence, grad: bool) -> tuple:
     ms = sorted({as_mode(m) for m in modes})
     n, rows = len(ms), len(p)
     t, col, e = exponent_entries(p, ms)
-    coeff = np.array(list(p.terms.values()), dtype=complex)
+    coeff = np.array(p.coef, dtype=complex)
     out = np.zeros(rows, dtype=np.int64)
     if grad:
         # row r is eta entry k[r] with the other entries of its term, the

@@ -22,8 +22,7 @@ bracket inequality
 
     majorant_norm({f,g}, s, R-d) <= (1/d) majorant_norm(f,s,R) majorant_norm(g,s,R)
 
-is checked there as well.  TAME_CAL is the calibration constant; it stays
-at 1.0 unless the corpus forces a bump.
+is checked there as well.
 """
 from __future__ import annotations
 
@@ -35,8 +34,6 @@ import numpy as np
 
 from .modes import weight
 from .poly import Monomial, Polynomial
-
-TAME_CAL = 1.0
 
 
 def _occurrences(mono: Monomial) -> list:
@@ -75,7 +72,7 @@ def nu_term(mono: Monomial, s: float, weights: Optional[dict] = None
             val = e_v * math.sqrt(w_out / denom)
             if val > best:
                 best = val
-    return best * TAME_CAL
+    return best
 
 
 def _weights(modes, s: float) -> dict:
@@ -87,7 +84,7 @@ def majorant_norm(f: Polynomial, s: float, radius: float) -> float:
 
     Sums nu_s(f_r) * R^(r-1) over the homogeneous parts f_r.
     """
-    weights = _weights(f.modes(), s)
+    weights = _weights(f.modes, s)
     by_deg: Dict[int, float] = {}
     for m, c in f.items():
         by_deg[m.degree] = (by_deg.get(m.degree, 0.0)

@@ -12,31 +12,32 @@ The Poisson bracket convention is fixed once and used everywhere:
 so that {H0, xi^k eta^l} = i omega.(k - l) xi^k eta^l for
 H0 = sum_m omega_m xi_m eta_m.
 
-A `Polynomial` is a plain sparse map and keeps every degree its operations
-produce.  Degree truncation is the Lie series' policy: `poisson_bracket`
-takes an optional `cap` and skips the term pairs that land above it, and
-`bracket_overflow` meters the l1 mass those pairs carry.
+A `Polynomial` is one term store: its sorted `modes`, the non-zero
+exponents e of its terms t at columns col (xi of modes[k] is column k, its
+eta column len(modes) + k), sorted by term and then column, and the
+coefficient vector `coef`, complex, or object for exact Gaussian rationals
+(`exact.GaussRat`, for identity-grade algebra checks).  It keeps every
+degree its operations produce.  Degree truncation is the Lie series'
+policy: `poisson_bracket` takes an optional `cap` and skips the term pairs
+that land above it, and `bracket_overflow` meters the l1 mass those pairs
+carry.
 
-The bracket runs on arrays: a polynomial keeps, once built, the non-zero
-exponent entries of its terms (xi columns, then eta, over its sorted modes)
-and its coefficient vector; a `Monomial` is only the key of a term, the
-tuple (degree, xi, eta).  Contractions are array joins over degree buckets
-and merge by one sort of packed row keys.  They are emitted and summed in
-the order of the term-pair loop the bracket replaced (kept in
-tests/helpers.py), each with Python's complex operations in order, so the
-result equals that loop's to the bit, dict order included, which later sums
-depend on.  Every coefficient that is not exact is stored as a Python
-complex; exact Gaussian rationals (`exact.GaussRat`) take the same path as
-an object vector, one Python product per contribution, for identity-grade
-algebra checks.
+Filters and splits are masks over the terms; sums and the bracket merge
+equal terms by one sort of packed exponent rows (`_pack`, `_merge`).  The
+terms come out in the order of the dict code and the term-pair loop these
+replaced (kept in tests/helpers.py), later sums depend on it, and each
+coefficient with Python's complex operations in order, so results equal
+theirs to the bit.  A `Monomial`, the tuple (degree, xi, eta), exists only
+at the edges: a {Monomial: coefficient} mapping is converted once, at
+construction, and `terms` builds one back on first use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
-from typing import Dict, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -83,15 +84,6 @@ class Monomial(tuple):
         """Swap the xi and eta exponent patterns."""
         return _key(self[2], self[1], self[0])
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        xk = dict(self.xi)
-        for m, e in other.xi:
-            xk[m] = xk.get(m, 0) + e
-        ek = dict(self.eta)
-        for m, e in other.eta:
-            ek[m] = ek.get(m, 0) + e
-        return Monomial(xk, ek)
-
     def __repr__(self):
         parts = ["xi[%s]^%d" % (mode_str(m), e) for m, e in self.xi]
         parts += ["eta[%s]^%d" % (mode_str(m), e) for m, e in self.eta]
@@ -109,25 +101,85 @@ def _is_exact(c) -> bool:
 
 
 class Polynomial:
-    """Sparse polynomial: mapping Monomial -> coefficient.
-
-    Operations keep every degree they produce.  Near-zero float
-    coefficients (below 1e-14 of the largest) are pruned silently.
+    """Sparse polynomial: sorted `modes`, exponent entries `t`, `col`, `e`
+    and coefficients `coef` (see the module docstring); `deg` is each
+    term's degree.  Built from a {Monomial: coefficient} mapping, or by the
+    operations straight from arrays; either way exact zeros and float
+    coefficients at most 1e-14 of the largest modulus are pruned.  A
+    polynomial is not changed once built.
     """
 
-    __slots__ = ("terms", "_arrays")
+    __slots__ = ("modes", "t", "col", "e", "coef", "deg", "_terms")
 
     def __init__(self, terms=None):
-        self.terms = _prune(dict(terms) if terms else {})
-        self._arrays = None
+        terms = dict(terms) if terms else {}
+        modes = sorted({m for k in terms for m, _ in k[1] + k[2]})
+        index, n = {m: k for k, m in enumerate(modes)}, len(modes)
+        # each term's xi entries, then its eta ones: ascending columns
+        entries = np.array([(t, index[m] + off, e)
+                            for t, k in enumerate(terms)
+                            for off, part in ((0, k[1]), (n, k[2]))
+                            for m, e in part], dtype=int).reshape(-1, 3)
+        vals = list(terms.values())
+        exact = bool(vals) and _is_exact(vals[0])
+        self.__setstate__((modes, *entries.T, np.array(
+            vals, dtype=object if exact else complex)))
+
+    @classmethod
+    def from_entries(cls, modes: list, t: np.ndarray, col: np.ndarray,
+                     e: np.ndarray, coef) -> "Polynomial":
+        """The polynomial of these entries and coefficients over the sorted
+        `modes`, which hold every mode the entries use."""
+        p = cls.__new__(cls)
+        p.__setstate__((modes, t, col, e, coef))
+        return p
+
+    def __getstate__(self):
+        return self.modes, self.t, self.col, self.e, self.coef
+
+    def __setstate__(self, state):
+        """Hold the terms of `state`, pruned, over the modes they carry."""
+        modes, t, col, e, coef = state
+        coef = np.asarray(coef)
+        if coef.dtype != object:
+            coef = coef.astype(complex, copy=False)
+        keep = _prune(coef)
+        t, col, e = _take(t, col, e, keep)
+        n, coef = len(modes), coef[keep]
+        used = np.zeros(n, dtype=bool)
+        used[np.where(col < n, col, col - n)] = True
+        new = np.cumsum(used) - 1
+        self.modes = [m for m, u in zip(modes, used) if u]
+        self.t, self.col = t, np.r_[new, new + len(self.modes)][col]
+        self.e, self.coef = e.astype(np.int16), coef
+        self.deg = np.bincount(t, weights=e, minlength=len(coef)).astype(int)
+        self._terms = None
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self):
+        """The read-only {Monomial: coefficient} mapping, in term order,
+        built on first use."""
+        if self._terms is None:
+            labels = self.modes + self.modes
+            slots = tuple(zip([labels[c] for c in self.col.tolist()],
+                              self.e.tolist()))
+            ends = np.cumsum(np.bincount(self.t, minlength=len(self)))
+            mids = ends - np.bincount(self.t[self.col >= len(self.modes)],
+                                      minlength=len(self))
+            keys = [_key(slots[lo:mid], slots[mid:hi], d) for lo, mid, hi, d
+                    in zip([0] + ends.tolist(), mids.tolist(), ends.tolist(),
+                           self.deg.tolist())]
+            self._terms = MappingProxyType(dict(zip(keys,
+                                                    self.coef.tolist())))
+        return self._terms
+
     def __len__(self):
-        return len(self.terms)
+        return len(self.coef)
 
     def __bool__(self):
-        return bool(self.terms)
+        return len(self.coef) > 0
 
     def items(self):
         return self.terms.items()
@@ -136,28 +188,35 @@ class Polynomial:
         return self.terms.get(mono, 0.0)
 
     def l1(self) -> float:
-        return math.fsum(abs(c) for c in self.terms.values())
+        return math.fsum(_abs(self.coef).tolist())
 
     def min_degree(self) -> int:
-        return min((m.degree for m in self.terms), default=0)
+        return int(self.deg.min()) if self else 0
 
     def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
+        return int(self.deg.max()) if self else 0
 
     def degrees(self) -> list:
-        return sorted({m.degree for m in self.terms})
-
-    def modes(self) -> set:
-        """Every mode that some term carries in xi or eta."""
-        return set(_arrays(self).modes)
+        return np.unique(self.deg).tolist()
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            _accum(acc, mono, c)
-        return Polynomial(acc)
+        """self's terms in order, then the terms of other that self lacks;
+        a term of both has self's coefficient + other's."""
+        if not self or not other:
+            return self or other
+        modes = sorted(set(self.modes).union(other.modes))
+        (at, ac, ae), (bt, bc, be) = (exponent_entries(p, modes)
+                                      for p in (self, other))
+        t, col, e = np.r_[at, bt + len(self)], np.r_[ac, bc], np.r_[ae, be]
+        count = len(self) + len(other)
+        first, coef = _merge(_pack(t, col, e, count, 2 * len(modes)),
+                             np.concatenate([self.coef, other.coef]),
+                             np.arange(count))
+        keep = np.zeros(count, dtype=bool)
+        keep[first] = True
+        return Polynomial.from_entries(modes, *_take(t, col, e, keep), coef)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
@@ -166,64 +225,76 @@ class Polynomial:
         return self.scale(-1)
 
     def scale(self, a) -> "Polynomial":
-        return Polynomial({m: a * c for m, c in self.terms.items()})
+        if self.coef.dtype == object:
+            return self.with_coefficients(a * self.coef)
+        return self.with_coefficients(_cmul(complex(a), self.coef))
 
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accum(acc, m1.mul(m2), c1 * c2)
-        return Polynomial(acc)
+    def __mul__(self, a):
+        """A scalar multiple."""
+        return NotImplemented if isinstance(a, Polynomial) else self.scale(a)
 
     __rmul__ = __mul__
+
+    def with_coefficients(self, coef) -> "Polynomial":
+        """The same terms with the coefficients `coef`, pruned."""
+        return Polynomial.from_entries(self.modes, self.t, self.col, self.e,
+                                       coef)
 
     # -- structure ----------------------------------------------------
 
     def reality_defect(self) -> float:
-        """max |conj(c_kl) - c_lk|; zero for real-valued Hamiltonians."""
-        d = 0.0
-        for m, c in self.terms.items():
-            d = max(d, abs(c.conjugate() - self.terms.get(m.flip(), 0.0)))
-        return d
+        """max |conj(c_kl) - c_lk|; zero for real-valued Hamiltonians.
+
+        Each term's key meets that of its twin, xi and eta swapped, and
+        the two sum as -c_lk + conj(c_kl); a term without a twin meets
+        none."""
+        if not self:
+            return 0.0
+        n, count = len(self.modes), len(self)
+        twin = np.where(self.col < n, self.col + n, self.col - n)
+        keys = _pack(np.r_[self.t, self.t + count], np.r_[self.col, twin],
+                     np.r_[self.e, self.e], 2 * count, 2 * n)
+        _, sums = _merge(keys, np.concatenate([-self.coef,
+                                               np.conj(self.coef)]),
+                         np.arange(2 * count))
+        return float(np.max(_abs(sums)))
 
     def homogeneous_part(self, r: int) -> "Polynomial":
-        return self.filter(lambda m: m.degree == r)
+        return self.filter(self.deg == r)
 
-    def filter(self, pred) -> "Polynomial":
-        return Polynomial({m: c for m, c in self.terms.items() if pred(m)})
+    def filter(self, mask) -> "Polynomial":
+        """The terms where `mask`, one flag per term in order, is true."""
+        keep = np.asarray(mask, dtype=bool)
+        return Polynomial.from_entries(
+            self.modes, *_take(self.t, self.col, self.e, keep),
+            self.coef[keep])
 
     def truncate_above(self, cap: int) -> "Polynomial":
         """The terms of degree <= cap."""
-        return self.filter(lambda m: m.degree <= cap)
+        return self.filter(self.deg <= cap)
 
     def tail_degrees(self, cutoff: float) -> np.ndarray:
-        """Per term, in dict order: the exponent mass on modes |j| > cutoff."""
-        a = _arrays(self)
-        tail = [mode_abs2(m) > cutoff * cutoff for m in a.modes]
-        on = np.array(tail + tail, dtype=bool)[a.col]
-        return np.bincount(a.t[on], weights=a.e[on], minlength=len(self))
+        """Per term, in order: the exponent mass on modes |j| > cutoff."""
+        tail = [mode_abs2(m) > cutoff * cutoff for m in self.modes]
+        on = np.array(tail + tail, dtype=bool)[self.col]
+        return np.bincount(self.t[on], weights=self.e[on],
+                           minlength=len(self))
 
     def tail_split(self, cutoff_n: float) -> "TailSplit":
         """Split by tail degree at cutoff N: low (<= 2) and high (>= 3)."""
-        parts: tuple = ({}, {})
-        high = (self.tail_degrees(cutoff_n) > 2).tolist()
-        for (m, c), h in zip(self.terms.items(), high):
-            parts[h][m] = c
-        return TailSplit(Polynomial(parts[0]), Polynomial(parts[1]), cutoff_n)
+        high = self.tail_degrees(cutoff_n) > 2
+        return TailSplit(self.filter(~high), self.filter(high), cutoff_n)
 
     def is_zero_momentum(self) -> bool:
         """Whether every term has total momentum sum k_j - sum l_j = 0."""
-        a = _arrays(self)
-        n = len(a.modes)
+        n = len(self.modes)
         if not n:  # the empty and the constant polynomial
             return True
-        signed = np.where(a.col < n, a.e, -a.e)
-        coords = np.array(a.modes, dtype=np.int64).reshape(n, -1)[a.col % n]
-        return not any(np.bincount(a.t, weights=signed * k,
+        signed = np.where(self.col < n, self.e, -self.e)
+        coords = np.array(self.modes, dtype=np.int64).reshape(n, -1)
+        return not any(np.bincount(self.t, weights=signed * k,
                                    minlength=len(self)).any()
-                       for k in coords.T)
+                       for k in coords[self.col % n].T)
 
     # -- comparison ---------------------------------------------------
 
@@ -231,7 +302,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     def __repr__(self):
-        if not self.terms:
+        if not self:
             return "Polynomial(0)"
         bits = ["(%r)*%r" % (c, m) for m, c in sorted(self.terms.items(), key=lambda t: t[0])]
         return "Polynomial[" + " + ".join(bits[:8]) + (" ..." if len(bits) > 8 else "") + "]"
@@ -244,21 +315,76 @@ class TailSplit:
     cutoff_n: float
 
 
-def _accum(acc: dict, mono: Monomial, c):
-    cur = acc.get(mono)
-    acc[mono] = c if cur is None else cur + c
+def _abs(coef: np.ndarray) -> np.ndarray:
+    """|c| of each coefficient to the bit of Python's abs, which numpy's
+    hypot matches and its complex absolute need not."""
+    if coef.dtype == object:
+        return np.array([abs(c) for c in coef.tolist()], dtype=float)
+    return np.hypot(coef.real, coef.imag)
 
 
-def _prune(terms: dict) -> dict:
-    if not terms:
-        return {}
-    if _is_exact(next(iter(terms.values()))):
-        return {m: c for m, c in terms.items() if c}
-    top = max(abs(c) for c in terms.values())
-    if top == 0.0:
-        return {}
-    thr = PRUNE_REL * top
-    return {m: complex(c) for m, c in terms.items() if abs(c) > thr}
+def _cmul(x, y) -> np.ndarray:
+    """x * y elementwise with the float operations, in order, of Python's
+    complex product, which numpy's complex multiply need not follow; an
+    integer or a float enters as (k, 0.0)."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _prune(coef: np.ndarray) -> np.ndarray:
+    """Which coefficients to keep: the non-zero exact ones, and the float
+    ones above PRUNE_REL times the largest modulus."""
+    if coef.dtype == object:
+        return np.array([bool(c) for c in coef.tolist()], dtype=bool)
+    mod = _abs(coef)
+    return mod > PRUNE_REL * mod.max(initial=0.0)
+
+
+def _take(t, col, e, keep: np.ndarray) -> tuple:
+    """The entries of the terms where `keep`, renumbered in order."""
+    on = keep[t]
+    return (np.cumsum(keep) - 1)[t[on]], col[on], e[on]
+
+
+def _pack(t, col, e, count: int, width: int,
+          bits: Optional[int] = None) -> np.ndarray:
+    """(count, words) int64 keys of the `width`-column exponent rows whose
+    non-zero entries are e at (row t, column col): `bits` bits a column (by
+    default enough for the largest e), 62 // bits columns a word.  Keys add
+    as the rows do, modulo 2**64, so a sum of keys is the key of the summed
+    row when each of that row's exponents fits in `bits`."""
+    bits = bits or int(np.max(e, initial=1)).bit_length()
+    per = 62 // bits
+    words = max(1, -(-width // per))
+    keys = np.zeros(count * words, dtype=np.int64)
+    np.add.at(keys, t * words + col // per,
+              np.left_shift(e.astype(np.int64), bits * (col % per)))
+    return keys.reshape(count, words)
+
+
+def _unpack(keys: np.ndarray, bits: int) -> tuple:
+    """The entries (t, col, e), by row and then column, of rows packed
+    with `bits` bits a column."""
+    per = 62 // bits
+    t, w = np.nonzero(keys)
+    fields = keys[t, w, None] >> bits * np.arange(per) & (1 << bits) - 1
+    at, slot = np.nonzero(fields)
+    return t[at], w[at] * per + slot, fields[at, slot]
+
+
+def _merge(keys: np.ndarray, c: np.ndarray, emit: np.ndarray) -> tuple:
+    """(first, sums): c summed over the rows with equal keys, each sum in
+    emission order (`emit`, distinct per row) from its first row, and the
+    index of that row; both in emission order."""
+    order = np.lexsort((emit,) + tuple(keys.T))
+    keys, c = keys[order], c[order]
+    new = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    sums = c[new]
+    np.add.at(sums, np.cumsum(new)[~new] - 1, c[~new])
+    rank = np.argsort(emit[order[new]])
+    return order[new][rank], sums[rank]
 
 
 # -- constructors ------------------------------------------------------
@@ -298,45 +424,7 @@ def quadratic_diagonal(freqs: dict) -> Polynomial:
     return Polynomial(acc)
 
 
-# -- the Poisson bracket on exponent matrices -----------------------------
-
-
-class _Arrays(NamedTuple):
-    """A polynomial's terms in dict order over its sorted `modes`, as the
-    non-zero exponents e of term t at column col (xi of modes[k] is column
-    k, its eta column len(modes) + k), sorted by term and then column.
-    `coef` is complex (object when exact).
-    """
-    modes: list
-    t: np.ndarray
-    col: np.ndarray
-    e: np.ndarray
-    coef: np.ndarray
-    deg: np.ndarray
-
-
-def _arrays(p: Polynomial) -> _Arrays:
-    """The arrays of p, built on first use and kept with it."""
-    if p._arrays is None:
-        parts = ([mono[1] for mono in p.terms], [mono[2] for mono in p.terms])
-        modes = sorted({m for part in parts for sl in part for m, _ in sl})
-        index = {m: k for k, m in enumerate(modes)}
-        t, col, e = [], [], []
-        for off, part in zip((0, len(modes)), parts):
-            slots = list(chain.from_iterable(part))
-            t.append(np.repeat(np.arange(len(part)), [len(s) for s in part]))
-            col.append(np.array([index[m] + off for m, _ in slots], dtype=int))
-            e.append(np.array([x for _, x in slots], dtype=np.int16))
-        # each term's xi entries, then its eta ones: ascending columns
-        order = np.argsort(np.concatenate(t), kind="stable")
-        t, col, e = (np.concatenate(v)[order] for v in (t, col, e))
-        vals = list(p.terms.values())
-        exact = bool(vals) and _is_exact(vals[0])
-        p._arrays = _Arrays(
-            modes, t, col, e,
-            np.array(vals, dtype=object if exact else complex),
-            np.bincount(t, weights=e, minlength=len(p)).astype(int))
-    return p._arrays
+# -- the Poisson bracket on exponent entries -------------------------------
 
 
 def exponent_entries(p: Polynomial, modes: list) -> tuple:
@@ -344,46 +432,19 @@ def exponent_entries(p: Polynomial, modes: list) -> tuple:
     and then column, over sorted `modes`, which hold every mode of p (xi of
     modes[k] is column k, its eta len(modes) + k); t and e are p's own."""
     index = {m: k for k, m in enumerate(modes)}
-    a = _arrays(p)
-    cols = np.array([index[m] for m in a.modes], dtype=int)
-    return a.t, np.r_[cols, cols + len(modes)][a.col], a.e
+    cols = np.array([index[m] for m in p.modes], dtype=int)
+    return p.t, np.r_[cols, cols + len(modes)][p.col], p.e
 
 
-def monomials(t: np.ndarray, col: np.ndarray, e: np.ndarray, count: int,
-              modes: list) -> list:
-    """The Monomials of `count` exponent rows over sorted modes, given as
-    their non-zero entries e at (row t, column col), sorted by row and then
-    column: xi of modes[k] is column k, its eta column len(modes) + k."""
-    n = len(modes)
-    deg = np.bincount(t, weights=e, minlength=count).astype(int).tolist()
-    ends = np.cumsum(np.bincount(t, minlength=count)).tolist()
-    nxi = np.bincount(t[col < n], minlength=count).tolist()
-    labels = modes + modes
-    slots = tuple(zip([labels[c] for c in col.tolist()], e.tolist()))
-    out, lo = [], 0
-    for hi, k, d in zip(ends, nxi, deg):
-        out.append(_key(slots[lo:lo + k], slots[lo + k:hi], d))
-        lo = hi
-    return out
-
-
-def _times_i_products(a: _Arrays, b: _Arrays, i: np.ndarray, j: np.ndarray,
-                      k: np.ndarray) -> np.ndarray:
+def _times_i_products(f: Polynomial, g: Polynomial, i: np.ndarray,
+                      j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """1j * (cf * cg * k) for terms i of f and j of g and integers k, with
-    the float operations, in order, of Python's complex arithmetic: an
-    integer enters a product as (k, 0.0)."""
-    if a.coef.dtype == object or b.coef.dtype == object:
+    the float operations, in order, of Python's complex arithmetic."""
+    if f.coef.dtype == object or g.coef.dtype == object:
         return np.array([(x * y * e).times_i() for x, y, e
-                         in zip(a.coef[i], b.coef[j], k.tolist())],
+                         in zip(f.coef[i], g.coef[j], k.tolist())],
                         dtype=object)
-    x, y = a.coef[i], b.coef[j]
-    pr = x.real * y.real - x.imag * y.imag
-    pi = x.real * y.imag + x.imag * y.real
-    qr = pr * k - pi * 0.0
-    qi = pr * 0.0 + pi * k
-    out = np.empty(len(k), dtype=complex)
-    out.real, out.imag = 0.0 * qr - qi, 0.0 * qi + qr
-    return out
+    return _cmul(1j, _cmul(_cmul(f.coef[i], g.coef[j]), k))
 
 
 def poisson_bracket(f: Polynomial, g: Polynomial,
@@ -398,22 +459,26 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
     g's terms of degree <= cap + 2 - deg.  Equal output rows merge by one
     sort of packed keys, summed in the term-pair loop's order (f's terms,
     g's terms, eta then xi contractions, by mode): terms, coefficient bits
-    and dict order equal that loop's.
+    and term order equal that loop's.
     """
     if not f or not g:
         return Polynomial()
-    a, b = _arrays(f), _arrays(g)
-    modes = sorted(set(a.modes).union(b.modes))
-    n, top = len(modes), int(b.deg.max())
+    modes = sorted(set(f.modes).union(g.modes))
+    n, top = len(modes), int(g.deg.max())
     (fi, fv, fe), (gj, gv, ge) = (exponent_entries(p, modes) for p in (f, g))
-    # whole rows, as the packed output keys are sums of them
-    F, G = (np.zeros((len(p), 2 * n), dtype=np.int16) for p in (f, g))
-    F[fi, fv], G[gj, gv] = fe, ge
+    # output rows F[i] + G[j] - xi_m - eta_m as packed keys; sums may wrap
+    # on the way, the results are exact
+    bits = max(1, (top + int(f.deg.max()) - 2 if cap is None
+                   else max(cap, 0)).bit_length())
+    unit = np.arange(n)
+    KF, KG, U = (_pack(*entries, 2 * n, bits) for entries in (
+        (fi, fv, fe, len(f)), (gj, gv, ge, len(g)),
+        (np.r_[unit, unit], np.r_[unit, unit + n], np.ones(2 * n, int), n)))
     # g's exponents by the column of f they contract with, then degree
-    gkey = (gv + n) % (2 * n) * (top + 1) + b.deg[gj]
+    gkey = (gv + n) % (2 * n) * (top + 1) + g.deg[gj]
     order = np.argsort(gkey, kind="stable")
-    gkey, gj, gv = gkey[order], gj[order], gv[order]
-    room = top if cap is None else np.clip(cap + 2 - a.deg[fi], -1, top)
+    gkey, gj, ge = gkey[order], gj[order], ge[order]
+    room = top if cap is None else np.clip(cap + 2 - f.deg[fi], -1, top)
     lo = np.searchsorted(gkey, fv * (top + 1))
     cnt = np.maximum(
         np.searchsorted(gkey, fv * (top + 1) + room, "right") - lo, 0)
@@ -422,41 +487,19 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
         return Polynomial()
     f_at = np.repeat(np.arange(len(fi)), cnt)
     g_at = np.arange(total) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-    i, v, j, w = fi[f_at], fv[f_at], gj[g_at], gv[g_at]
+    i, v, j = fi[f_at], fv[f_at], gj[g_at]
     m, xi_kind = v % n, v < n
-    emit = ((i * len(G) + j) * 2 + xi_kind) * n + m
-    # output rows F[i] + G[j] - xi_m - eta_m, as int64 words of `bits`-bit
-    # columns (sums may wrap on the way; the results are exact), grouped
-    # with emission order kept inside each group
-    bits = max(1, (top + int(a.deg.max()) - 2 if cap is None
-                   else max(cap, 0)).bit_length())
-    cols = np.arange(2 * n)
-    weight = np.left_shift(1, bits * (cols % (62 // bits)))
-    unit = np.eye(n, dtype=np.int64)
-    KF, KG, U = (np.add.reduceat(M * weight, cols[::62 // bits], axis=1)
-                 for M in (F, G, np.hstack([unit, unit])))
+    emit = ((i * len(g) + j) * 2 + xi_kind) * n + m
     keys = KF[i] + KG[j] - U[m]
-    order = np.lexsort((emit,) + tuple(keys.T))
-    keys = keys[order]
-    new = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
-    # each sum starts at its group's first contribution, as the dict's did
-    k = np.where(xi_kind, -1, 1) * F[i, v] * G[j, w]
-    c = _times_i_products(a, b, i, j, k)[order]
-    acc = c[new]
-    np.add.at(acc, np.cumsum(new)[~new] - 1, c[~new])
-    rank = np.argsort(emit[order[new]])
-    rep = order[new][rank]
-    rows = F[i[rep]] + G[j[rep]]
-    rows[np.arange(len(rep))[:, None], np.c_[m[rep], m[rep] + n]] -= 1
-    t, col = np.nonzero(rows)
-    return Polynomial(dict(zip(monomials(t, col, rows[t, col], len(rows),
-                                         modes), acc[rank].tolist())))
+    k = np.where(xi_kind, -1, 1) * fe[f_at] * ge[g_at]
+    first, coef = _merge(keys, _times_i_products(f, g, i, j, k), emit)
+    return Polynomial.from_entries(modes, *_unpack(keys[first], bits), coef)
 
 
 def pair_counts(f: Polynomial, g: Polynomial, cap: int) -> Tuple[int, int]:
     """Term pairs of {f, g} at or below degree `cap`, and above it: sums of
     len(F_d) * len(G_e) over the degree buckets of f and g."""
-    pairs = np.outer(np.bincount(_arrays(f).deg), np.bincount(_arrays(g).deg))
+    pairs = np.outer(np.bincount(f.deg), np.bincount(g.deg))
     over = np.add.outer(np.arange(len(pairs)), np.arange(pairs.shape[1])) \
         - 2 > cap
     return int(pairs[~over].sum()), int(pairs[over].sum())
@@ -472,15 +515,14 @@ def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
     sum_m (A_eta[m] B_xi[m] + A_xi[m] B_eta[m]), where
     A_eta[m] = sum |c_f| (eta_m exponent) over f's terms of degree d, and
     so on, so the cost is O(terms) instead of O(term pairs).  Every sum
-    runs over terms in dict order, and over modes in the order they first
+    runs over terms in order, and over modes in the order they first
     appear in those terms.
     """
-    modes = sorted(f.modes() | g.modes())
+    modes = sorted(set(f.modes).union(g.modes))
     n, mass = len(modes), []
     for p in (f, g):
         # degree -> column -> sum of |c| e, filled in entry order
-        absc = [abs(c) for c in p.terms.values()]
-        deg, out = _arrays(p).deg.tolist(), {}
+        absc, deg, out = _abs(p.coef).tolist(), p.deg.tolist(), {}
         entries = (v.tolist() for v in exponent_entries(p, modes))
         for t, col, e in zip(*entries):
             cols = out.setdefault(deg[t], {})

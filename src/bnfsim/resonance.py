@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .modes import Mode, f17, lattice_modes, mode_abs2
-from .poly import Monomial, Polynomial, exps_text
+from .poly import Polynomial, exps_text
 from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
                       SpectralError, _param, convolution_frequencies,
                       mode_eigenvalues, periodic_nlw_table, sample_potential,
@@ -65,14 +65,18 @@ def omega_dot(omega: FrequencyTable, k) -> float:
     return math.fsum(omega.omega_of(j) * int(c) for j, c in items if c)
 
 
-def net_exponents(mono: Monomial) -> Dict[Mode, int]:
-    """Net exponent k - l per mode of xi^k eta^l (zeros included)."""
-    net: Dict[Mode, int] = {}
-    for j, e in mono.xi:
-        net[j] = net.get(j, 0) + e
-    for j, e in mono.eta:
-        net[j] = net.get(j, 0) - e
-    return net
+def term_divisors(p: Polynomial, omega: FrequencyTable) -> List[float]:
+    """omega.(k - l) of each term xi^k eta^l of p, in term order: per term,
+    the exactly rounded sum (math.fsum) of omega_j (k_j - l_j) over its
+    modes of non-zero net exponent, read from p's entries."""
+    n = max(len(p.modes), 1)
+    cells, at = np.unique(p.t * n + p.col % n, return_inverse=True)
+    net = np.bincount(at, weights=np.where(p.col < n, p.e, -p.e)).astype(int)
+    t, k = np.divmod(cells[net != 0], n)
+    w = {j: omega.omega_of(p.modes[j]) for j in set(k.tolist())}
+    prods = [w[j] * x for j, x in zip(k.tolist(), net[net != 0].tolist())]
+    ends = np.cumsum(np.bincount(t, minlength=len(p))).tolist()
+    return [math.fsum(prods[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
 @dataclass
@@ -393,8 +397,8 @@ def normal_form_membership(p: Polynomial, omega: FrequencyTable,
     """
     thr = gamma / N ** alpha
     low = (p.tail_degrees(N) <= 2).tolist()
-    return [abs(omega_dot(omega, net_exponents(mono))) <= thr and ok
-            for mono, ok in zip(p.terms, low)]
+    return [abs(d) <= thr and ok
+            for d, ok in zip(term_divisors(p, omega), low)]
 
 
 # -- Monte Carlo measure of the violating set ----------------------------

@@ -13,9 +13,9 @@ import numpy as np
 from bnfsim import dynamics as D
 from bnfsim.fields import QuadratureField, eta_gradient_table
 from bnfsim.modes import as_mode, mode_abs2, weight
-from bnfsim.norms import TAME_CAL, majorant_norm, nu_term
+from bnfsim.norms import majorant_norm, nu_term
 from bnfsim.exact import GaussRat
-from bnfsim.poly import Monomial, Polynomial, _accum
+from bnfsim.poly import PRUNE_REL, Monomial, Polynomial
 from bnfsim.resonance import (DivisorQuery, EnumerationResult, ResonanceHit,
                                _domain, omega_dot)
 from bnfsim.spectra import EigenBasis, ExpansionFit, _cosine_coeffs, _solve
@@ -57,7 +57,88 @@ def tail_degree(mono: Monomial, cutoff: float) -> int:
 
 def momentum_filter(p: Polynomial) -> Polynomial:
     """Zero-total-momentum part of the polynomial."""
-    return p.filter(lambda m: not any(momentum(m)))
+    return p.filter([not any(momentum(m)) for m in p.terms])
+
+
+def net_exponents(mono: Monomial) -> dict:
+    """Net exponent k - l per mode of xi^k eta^l (zeros included)."""
+    net = {}
+    for j, e in mono.xi:
+        net[j] = net.get(j, 0) + e
+    for j, e in mono.eta:
+        net[j] = net.get(j, 0) - e
+    return net
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    xk = dict(a.xi)
+    for m, e in b.xi:
+        xk[m] = xk.get(m, 0) + e
+    ek = dict(a.eta)
+    for m, e in b.eta:
+        ek[m] = ek.get(m, 0) + e
+    return Monomial(xk, ek)
+
+
+def product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The polynomial product p q, accumulated term pair by term pair."""
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            _accum(acc, mono_mul(m1, m2), c1 * c2)
+    return Polynomial(acc)
+
+
+# The term operations as the dict code they were before a polynomial became
+# arrays: each gives the {Monomial: coefficient} dict the operation built,
+# pruned, and `Polynomial` must hold the same terms, coefficient bits and
+# order.
+
+
+def _accum(acc: dict, mono: Monomial, c):
+    cur = acc.get(mono)
+    acc[mono] = c if cur is None else cur + c
+
+
+def prune_reference(terms: dict) -> dict:
+    if not terms:
+        return {}
+    if isinstance(next(iter(terms.values())), GaussRat):
+        return {m: c for m, c in terms.items() if c}
+    top = max(abs(c) for c in terms.values())
+    if top == 0.0:
+        return {}
+    thr = PRUNE_REL * top
+    return {m: complex(c) for m, c in terms.items() if abs(c) > thr}
+
+
+def add_reference(p: Polynomial, q: Polynomial) -> dict:
+    acc = dict(p.terms)
+    for mono, c in q.terms.items():
+        _accum(acc, mono, c)
+    return prune_reference(acc)
+
+
+def scale_reference(p: Polynomial, a) -> dict:
+    return prune_reference({m: a * c for m, c in p.terms.items()})
+
+
+def filter_reference(p: Polynomial, pred) -> dict:
+    return prune_reference({m: c for m, c in p.terms.items() if pred(m)})
+
+
+def tail_split_reference(p: Polynomial, cutoff: float) -> tuple:
+    parts: tuple = ({}, {})
+    for m, c in p.terms.items():
+        parts[tail_degree(m, cutoff) > 2][m] = c
+    return tuple(prune_reference(d) for d in parts)
+
+
+def reality_defect_reference(p: Polynomial) -> float:
+    d = 0.0
+    for m, c in p.terms.items():
+        d = max(d, abs(c.conjugate() - p.terms.get(m.flip(), 0.0)))
+    return d
 
 
 def _deriv(p: Polynomial, mode, wrt_xi: bool) -> Polynomial:
@@ -344,12 +425,12 @@ def merge_quartic_reference(modes: list, tuples: np.ndarray,
 
 
 def hamiltonian_flow_field(H: Polynomial, x) -> np.ndarray:
-    """xi-dot = -i dH/d(eta) at the state x over sorted(H.modes()), on the
-    real slice."""
+    """xi-dot = -i dH/d(eta) at the state x over H.modes, on the real
+    slice."""
     defect = H.reality_defect()
     if defect > 1e-10 * max(1.0, H.l1()):
         raise ValueError("H: not real-flagged (defect %.3e)" % defect)
-    layout = sorted(H.modes())
+    layout = H.modes
     return -1j * eta_gradient_table(H, layout).eval(
         D._state(x, len(layout), "x"))
 
@@ -428,7 +509,7 @@ def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
         if isinstance(nl, QuadratureField):
             nl = QuadratureFieldReference(nl)
     else:
-        layout = sorted(H.modes())
+        layout = H.modes
         omv, nl, ht = D._flow_parts(H, layout)
     x = D._state(x0, len(layout), "x0")
     nsteps = max(1, int(round(T / dt)))
@@ -476,7 +557,7 @@ def nu_term_reference(mono: Monomial, s: float) -> float:
                 if jdx != idx:
                     denom *= weight(mj, 1.0)
             best = max(best, e_v * math.sqrt(w_out / denom))
-    return best * TAME_CAL
+    return best
 
 
 def majorant_norm_reference(f: Polynomial, s: float, radius: float) -> float:

@@ -26,7 +26,7 @@ from bnfsim.resonance import (DivisorQuery, PATTERN_NONE,
 from bnfsim.spectra import (FrequencyTable, expansion_fit, sample_potential,
                             sturm_liouville)
 
-from helpers import enumerate_brute_force, tail_degree
+from helpers import enumerate_brute_force, product, tail_degree
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -122,8 +122,9 @@ def test_criterion_02_bracket_algebra():
         jac = (poisson_bracket(f, poisson_bracket(g, h))
                + poisson_bracket(g, poisson_bracket(h, f))
                + poisson_bracket(h, poisson_bracket(f, g))).l1()
-        leib = (poisson_bracket(f, g * h) - poisson_bracket(f, g) * h
-                - g * poisson_bracket(f, h)).l1()
+        leib = (poisson_bracket(f, product(g, h))
+                - product(poisson_bracket(f, g), h)
+                - product(g, poisson_bracket(f, h))).l1()
         worst = max(worst, anti / scale, jac / scale, leib / scale)
     # exact-rational mode: identically zero
     exact_ok = True

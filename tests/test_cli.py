@@ -536,17 +536,22 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
 
 
 def test_nls_coupled_fields_get_their_own_draws():
-    # psi_j carries lambda_j of V1 and phi_j, mode -j, -lambda_j of V2
-    cfg = {"model": "nls_coupled", "jmax": 3,
-           "potential.family": "nls_cosine",
-           "potential.params": {"R": 0.5, "sigma": 0.4, "kmax": 9}}
-    omega = cli.build_system(cfg, 5).table.omega
-    draws = [cli.resolve_potential(cfg, 5, i) for i in (0, 1)]
-    assert cli.build_model_hamiltonian(
-        "nls_coupled", jmax=3, potential1=draws[0], potential2=draws[1]
-    ).table.omega == omega
-    assert draws[0].coeffs != draws[1].coeffs
-    assert all(omega[(j,)] != -omega[(-j,)] for j in (1, 2, 3))
+    # psi_j carries lambda_j of V1 and phi_j, mode -j, -lambda_j of V2;
+    # with potential.seed set, field 0 keeps the draw of that seed
+    for pinned in ({}, {"potential.seed": 3}):
+        cfg = {"model": "nls_coupled", "jmax": 3,
+               "potential.family": "nls_cosine",
+               "potential.params": {"R": 0.5, "sigma": 0.4, "kmax": 9},
+               **pinned}
+        omega = cli.build_system(cfg, 5).table.omega
+        draws = [cli.resolve_potential(cfg, 5, i) for i in (0, 1)]
+        assert cli.build_model_hamiltonian(
+            "nls_coupled", jmax=3, potential1=draws[0], potential2=draws[1]
+        ).table.omega == omega
+        assert draws[0].coeffs != draws[1].coeffs
+        assert all(omega[(j,)] != -omega[(-j,)] for j in (1, 2, 3))
+    assert draws[0].coeffs == cli.sample_potential(
+        "nls_cosine", cfg["potential.params"], 3).coeffs
 
 
 def test_nls_dd_dict_potential_matches_the_explicit_config():

@@ -3,17 +3,25 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
+from bnfsim import birkhoff as B
+from bnfsim import cli
 from bnfsim import poly as P
+from bnfsim.dynamics import build_model_hamiltonian
 from bnfsim.exact import GaussRat
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
-from bnfsim.resonance import net_exponents, normal_form_membership, omega_dot
+from bnfsim.resonance import normal_form_membership, omega_dot, term_divisors
 from bnfsim.spectra import FrequencyTable
 
-from helpers import (allclose, bracket_overflow_reference, d_eta, d_xi,
-                     evaluate, evaluate_real_slice, momentum, momentum_filter,
-                     poisson_bracket_reference, tail_degree)
+from helpers import (add_reference, allclose, bracket_overflow_reference,
+                     conj_flip, d_eta, d_xi, evaluate, evaluate_real_slice,
+                     filter_reference, momentum, momentum_filter, mono_mul,
+                     net_exponents, poisson_bracket_reference,
+                     product, prune_reference, reality_defect_reference,
+                     scale_reference, tail_degree, tail_split_reference)
+from test_birkhoff import TRANSPORT_CFG
 
 
 def rand_poly(rnd, nterms=6, nmodes=4, maxdeg=4, dim=1, exact=False):
@@ -73,7 +81,7 @@ def test_add_and_scale():
 
 def test_product_example():
     # (xi_1)(eta_1) = the action monomial
-    assert (P.xi(1) * P.eta(1)).terms == P.action(1).terms
+    assert product(P.xi(1), P.eta(1)).terms == P.action(1).terms
 
 
 def test_bracket_overflow_matches_pair_sum():
@@ -181,7 +189,7 @@ def test_entry_queries_match_the_monomial_references():
             for _ in range(6):
                 p = rand_poly(rnd, nterms=rnd.randint(1, 20), nmodes=3,
                               maxdeg=5, dim=dim, exact=exact)
-                even = Polynomial({m.mul(m.flip()): c
+                even = Polynomial({mono_mul(m, m.flip()): c
                                    for m, c in p.terms.items()})
                 cases += [p, momentum_filter(p), even, even + p]
     assert {c.is_zero_momentum() for c in cases} == {True, False}
@@ -208,15 +216,16 @@ def test_entry_queries_match_the_monomial_references():
 def test_terms_survive_pickle_and_deepcopy():
     # pickle and deepcopy rebuild each key through Monomial(xi, eta)
     rnd = random.Random(41)
-    for p in (rand_poly(rnd, nterms=12, dim=2), rand_poly(rnd, exact=True),
+    f, g = rand_poly(rnd, nterms=12, dim=2), rand_poly(rnd, nterms=12, dim=2)
+    for p in (f, rand_poly(rnd, exact=True), poisson_bracket(f, g),
               P.quadratic_diagonal({1: 2.5, 2: 0.5}), P.zero()):
-        P._arrays(p)
         for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             # repr keeps the coefficients' bits, signed zeros too
             assert q == p and repr(list(q.items())) == repr(list(p.items()))
             assert all(type(m) is Monomial for m in q.terms)
             assert [(m.degree, m.xi, m.eta) for m in q.terms] \
                 == [(m.degree, m.xi, m.eta) for m in p.terms]
+            assert_entries(q, p.terms)
 
 
 def test_float_coefficients_are_stored_as_complex():
@@ -224,7 +233,7 @@ def test_float_coefficients_are_stored_as_complex():
     # bracket of float-built operands is the pair loop's to the bit
     f = P.monomial(-2.0, xi={1: 2}, eta={2: 1}) + P.monomial(3, eta={1: 1})
     g = P.monomial(0.5, xi={2: 1}, eta={1: 1}) + P.action(1, -1.5)
-    for p in (f, g, f.scale(-1), f * g):
+    for p in (f, g, f.scale(-1), f + g, product(f, g)):
         assert {type(c) for c in p.terms.values()} == {complex}
     assert f.coeff(Monomial({(1,): 2}, {(2,): 1})) == -2.0
     for a, b in ((f, g), (g, f), (f, f), (f, -g)):
@@ -235,6 +244,95 @@ def test_float_coefficients_are_stored_as_complex():
     # conjugation reads complex coefficients (and GaussRat ones) alike
     assert f.reality_defect() == 3.0
     assert P.action(1, -1.5).reality_defect() == 0.0
+
+
+def assert_entries(p, want: dict):
+    """p holds the terms of `want`, in its order and to the bit (signed
+    zeros too), and its entries are the ones that dict converts to."""
+    assert list(p.terms) == list(want)
+    assert all(type(m) is Monomial for m in p.terms)
+    got, vals = list(p.terms.values()), list(want.values())
+    assert [type(c) for c in got] == [type(c) for c in vals]
+    if p.coef.dtype == object:
+        assert got == vals
+    else:
+        assert np.array_equal(np.array(got, dtype=complex).view(np.int64),
+                              np.array(vals, dtype=complex).view(np.int64))
+    q = Polynomial(want)
+    assert p.modes == q.modes and (not q or p.coef.dtype == q.coef.dtype)
+    for name in ("t", "col", "e", "deg"):
+        assert np.array_equal(getattr(p, name), getattr(q, name)), name
+
+
+def term_corpus():
+    """The polynomials the term operations are checked on."""
+    system = cli.build_system(TRANSPORT_CFG, 0)
+    res = B.normalize(system.table, system.P,
+                      cli.resolved_params(TRANSPORT_CFG))
+    dd = build_model_hamiltonian("nls_dd", d=2, jmax=4, kappa=0.1)
+    rnd = random.Random(53)
+    actions = (P.quadratic_diagonal({1: 2.5, 2: -0.5})
+               + P.monomial(0.5j, xi={1: 2}, eta={1: 2})
+               + P.monomial(1 - 1j, xi={1: 1, 2: 1}, eta={1: 1}))
+    small = [rand_poly(rnd, nterms=15, nmodes=3, maxdeg=5, dim=dim,
+                       exact=exact) for dim in (1, 2) for exact in (0, 1)]
+    cases = [(system.P, system.table), (dd.P, dd.table)]
+    cases += [(chi, system.table) for chi in res.generators]
+    for p in small + [actions, actions + conj_flip(actions), P.zero(),
+                      Polynomial({Monomial(): 1.5}),
+                      Polynomial({Monomial(): GaussRat(2, -1)})]:
+        modes = {m for mono in p.terms for m, _ in mono.xi + mono.eta}
+        cases.append((p, FrequencyTable({m: rnd.uniform(-3.0, 3.0)
+                                         for m in modes})))
+    return cases
+
+
+def test_term_operations_match_the_dict_references():
+    # every operation equals the dict code it replaced, term order and
+    # coefficient bits included
+    rnd = random.Random(59)
+    cases = term_corpus()
+    for p, table in cases:
+        assert_entries(p, dict(p.terms))
+        exact = p.coef.dtype == object
+        # construction prunes dust, zeros and cancellations
+        d = dict(p.terms)
+        if d and not exact:
+            m0 = p.modes[0] if p.modes else (1,)
+            d[Monomial({m0: 7})] = 1e-15 * max(abs(c) for c in d.values())
+            d[Monomial({}, {m0: 5})] = 0
+        assert_entries(Polynomial(d), prune_reference(d))
+        # sums: with itself, its negative, a part of itself and others
+        half = p.filter([rnd.random() < 0.5 for _ in range(len(p))])
+        scales = ((-1, GaussRat(2, 1)) if exact
+                  else (-1, 1.0 / 3, 1j, 0.3 - 0.7j, 3))
+        for a in scales:
+            assert_entries(p.scale(a), scale_reference(p, a))
+        others = [p, -p, half, half.scale(scales[1]), P.zero()]
+        others += [q for q, _ in cases if len(p) + len(q) < 1000
+                   and (q.coef.dtype == object) == exact]
+        for q in others:
+            assert_entries(p + q, add_reference(p, q))
+            assert_entries(q + p, add_reference(q, p))
+        # masks
+        for r in p.degrees() + [7]:
+            assert_entries(p.homogeneous_part(r),
+                           filter_reference(p, lambda m: m.degree == r))
+            assert_entries(p.truncate_above(r),
+                           filter_reference(p, lambda m: m.degree <= r))
+        for N in (0.5, 1, 2, 3, 5):
+            got = p.tail_split(N)
+            low, high = tail_split_reference(p, N)
+            assert_entries(got.low, low)
+            assert_entries(got.high, high)
+        # l1, the reality defect and the divisors, as float bits
+        assert p.l1().hex() == math.fsum(abs(c) for c in p.terms.values()).hex()
+        if not exact:
+            assert p.reality_defect().hex() \
+                == float(reality_defect_reference(p)).hex()
+        assert [d.hex() for d in term_divisors(p, table)] == [
+            omega_dot(table, net_exponents(m)).hex() for m in p.terms]
+    assert {p.reality_defect() == 0.0 for p, _ in cases} == {True, False}
 
 
 def test_prune_threshold():
@@ -299,7 +397,9 @@ def test_bracket_antisymmetry_jacobi_leibniz_float():
                + poisson_bracket(g, poisson_bracket(h, f))
                + poisson_bracket(h, poisson_bracket(f, g)))
         assert jac.l1() <= 1e-10 * max(f.l1() * g.l1() * h.l1(), 1.0)
-        leib = poisson_bracket(f, g * h) - (poisson_bracket(f, g) * h + g * poisson_bracket(f, h))
+        leib = poisson_bracket(f, product(g, h)) - (
+            product(poisson_bracket(f, g), h)
+            + product(g, poisson_bracket(f, h)))
         assert leib.l1() <= 1e-12 * max(f.l1() * g.l1() * h.l1(), 1.0)
 
 
@@ -313,8 +413,9 @@ def test_bracket_identities_exact_mode():
         assert not (poisson_bracket(f, poisson_bracket(g, h))
                     + poisson_bracket(g, poisson_bracket(h, f))
                     + poisson_bracket(h, poisson_bracket(f, g)))
-        assert not (poisson_bracket(f, g * h)
-                    - (poisson_bracket(f, g) * h + g * poisson_bracket(f, h)))
+        assert not (poisson_bracket(f, product(g, h))
+                    - (product(poisson_bracket(f, g), h)
+                       + product(g, poisson_bracket(f, h))))
 
 
 def test_bracket_momentum_conserved():
@@ -332,8 +433,8 @@ def test_reality_flag():
     q = p + P.monomial(0.5j, xi={3: 1}, eta={3: 1})
     assert q.reality_defect() > 0.4
     # operations preserving the flag
-    assert (p * p).reality_defect() <= 1e-14
-    assert poisson_bracket(p, p * p).reality_defect() <= 1e-12
+    assert product(p, p).reality_defect() <= 1e-14
+    assert poisson_bracket(p, product(p, p)).reality_defect() <= 1e-12
 
 
 def test_tail_split():
