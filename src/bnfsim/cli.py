@@ -41,7 +41,7 @@ from .poly import to_text
 from .resonance import (DEFAULT_NODE_CAP, DivisorQuery,
                         enumerate_near_resonances, family_rules,
                         measure_scan, write_hits_csv, write_measure_csv)
-from .spectra import (CONVOLUTION_D, FAMILIES, NLW_PERIODIC,
+from .spectra import (CONVOLUTION_D, FAMILIES, NLW_PERIODIC, MassError,
                       sample_potential)
 
 STREAMS = {"potential": 0, "initial": 1, "monte_carlo": 2}
@@ -254,6 +254,10 @@ def build_system(cfg: dict, seed: int) -> ModelSystem:
         return build_model_hamiltonian(model, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    except MassError as exc:
+        if "mass" not in kwargs:  # a drawn or default mass: a compute failure
+            raise
+        raise ConfigError("mass: %s" % exc)
 
 
 def resolved_params(cfg: dict) -> NormalFormParams:

@@ -13,7 +13,13 @@ with v's output slot and m removed.  The exponent factor e_v accounts for
 the derivative multiplicity; on single-mode monomials the bound is exact
 (xi_1^r has tame norm r / w_1(1)^((r-2)/2), reproduced by nu_s).
 
-Then  majorant_norm(f, s, R) = sum_r nu_s(f_r) R^(r-1).
+Then  majorant_norm(f, s, R) = sum_r nu_s(f_r) R^(r-1).  It reads the
+entries a degree at a time and gives the floats of the per-occurrence loop
+it replaced (tests/helpers.py), to the bit: a term's occurrences are its
+entries' modes repeated by their exponents, in entry order; slot v drops
+the first occurrence of its mode (list.remove: for xi_j eta_j the eta slot
+drops the xi one); each denominator is w_s of a remaining occurrence times
+w_1 of the others, in order; and |c| nu sums over a degree's terms in order.
 
 `sampled_tame_ratio` estimates the same operator norm from below by Monte
 Carlo over positive multivectors; `nu_s >= sampled_tame_ratio` is enforced
@@ -28,55 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
 from .modes import weight
-from .poly import Monomial, Polynomial
-
-
-def _occurrences(mono: Monomial) -> list:
-    """Variable slots of a monomial: (kind, mode, exponent) triples."""
-    out = [("xi", m, e) for m, e in mono.xi]
-    out += [("eta", m, e) for m, e in mono.eta]
-    return out
-
-
-def nu_term(mono: Monomial, s: float, weights: Optional[dict] = None
-            ) -> float:
-    """Per-term majorant factor (coefficient excluded).  `weights` maps
-    each mode to (w_s, w_1); a caller with many terms computes it once."""
-    slots = _occurrences(mono)
-    weights = weights or _weights({m for _, m, _ in slots}, s)
-    r = mono.degree
-    if r == 0:
-        return 0.0
-    if r == 1:
-        return math.sqrt(weights[slots[0][1]][0])
-    # occurrence multiset of modes, with multiplicity
-    occ: List = []
-    for _, m, e in slots:
-        occ.extend([m] * e)
-    best = 0.0
-    for kind, mode_v, e_v in slots:
-        rest0 = list(occ)
-        rest0.remove(mode_v)  # output slot uses one occurrence of mode_v
-        w_out = weights[mode_v][0]
-        for idx in range(len(rest0)):
-            m = rest0[idx]
-            denom = weights[m][0]
-            for jdx, mj in enumerate(rest0):
-                if jdx != idx:
-                    denom *= weights[mj][1]
-            val = e_v * math.sqrt(w_out / denom)
-            if val > best:
-                best = val
-    return best
-
-
-def _weights(modes, s: float) -> dict:
-    return {m: (weight(m, s), weight(m, 1.0)) for m in modes}
+from .poly import Polynomial, _abs
 
 
 def majorant_norm(f: Polynomial, s: float, radius: float) -> float:
@@ -84,12 +47,29 @@ def majorant_norm(f: Polynomial, s: float, radius: float) -> float:
 
     Sums nu_s(f_r) * R^(r-1) over the homogeneous parts f_r.
     """
-    weights = _weights(f.modes, s)
-    by_deg: Dict[int, float] = {}
-    for m, c in f.items():
-        by_deg[m.degree] = (by_deg.get(m.degree, 0.0)
-                            + abs(c) * nu_term(m, s, weights))
-    return math.fsum(v * radius ** (r - 1) for r, v in by_deg.items())
+    ws, w1 = (np.array([weight(m, x) for m in f.modes]) for x in (s, 1.0))
+    n, nu, parts = len(f.modes), np.zeros(len(f)), []
+    for r in f.degrees():  # fsum is exact, so the order is free
+        on = f.deg[f.t] == r
+        t, v, e = f.t[on], f.col[on] % n, f.e[on]
+        if r == 1:
+            nu[t] = np.sqrt(ws[v])
+        elif r > 1:
+            # each slot's occurrences, less the first one of its mode
+            occ = np.repeat(v, e).reshape(-1, r)[
+                np.unique(t, return_inverse=True)[1]]
+            first = np.argmax(occ == v[:, None], axis=1)
+            k = np.arange(r - 1)
+            rest = np.take_along_axis(occ, k + (k >= first[:, None]), axis=1)
+            for i in k:
+                denom = ws[rest[:, i]]
+                for j in k[k != i]:
+                    denom = denom * w1[rest[:, j]]
+                np.maximum.at(nu, t, e * np.sqrt(ws[v] / denom))
+        at = f.deg == r
+        parts.append(float(np.add.accumulate(_abs(f.coef[at]) * nu[at])[-1])
+                     * radius ** (r - 1))
+    return math.fsum(parts)
 
 
 # -- sampled tame ratio ------------------------------------------------
@@ -100,9 +80,11 @@ def _field_entries(f: Polynomial):
     entries = []
     for mono, c in f.items():
         a = abs(c)
-        for kind, m, e in _occurrences(mono):
+        slots = [("xi", m, e) for m, e in mono.xi]
+        slots += [("eta", m, e) for m, e in mono.eta]
+        for kind, m, e in slots:
             rest = []
-            for kind2, m2, e2 in _occurrences(mono):
+            for kind2, m2, e2 in slots:
                 n = e2 - 1 if (kind2, m2) == (kind, m) else e2
                 rest.extend([(kind2, m2)] * n)
             entries.append((m, a * e, tuple(rest)))

@@ -333,6 +333,12 @@ def _cmul(x, y) -> np.ndarray:
     return out
 
 
+def first_seen(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x in the order they first appear."""
+    values, first = np.unique(x, return_index=True)
+    return values[np.argsort(first)]
+
+
 def _prune(coef: np.ndarray) -> np.ndarray:
     """Which coefficients to keep: the non-zero exact ones, and the float
     ones above PRUNE_REL times the largest modulus."""
@@ -519,24 +525,23 @@ def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
     appear in those terms.
     """
     modes = sorted(set(f.modes).union(g.modes))
-    n, mass = len(modes), []
-    for p in (f, g):
-        # degree -> column -> sum of |c| e, filled in entry order
-        absc, deg, out = _abs(p.coef).tolist(), p.deg.tolist(), {}
-        entries = (v.tolist() for v in exponent_entries(p, modes))
-        for t, col, e in zip(*entries):
-            cols = out.setdefault(deg[t], {})
-            cols[col] = cols.get(col, 0.0) + absc[t] * e
-        mass.append(out)
+    n, entries = len(modes), [exponent_entries(p, modes) for p in (f, g)]
+    # (degree, column) -> sum of |c| e, added in entry order
+    fa, gb = (np.zeros((p.max_degree() + 1, 2 * n)) for p in (f, g))
+    for out, p, (t, col, e) in zip((fa, gb), (f, g), entries):
+        np.add.at(out, (p.deg[t], col), _abs(p.coef)[t] * e)
+    fdeg, fcol = f.deg[f.t], entries[0][1]
     tot = 0.0
-    for df, fcols in mass[0].items():
-        for dg, gcols in mass[1].items():
+    for df in first_seen(fdeg).tolist():
+        cols = first_seen(fcol[fdeg == df])
+        for dg in first_seen(g.deg[g.t]).tolist():
             if df + dg - 2 > cap:
-                tot += sum(x * gcols.get(c - n, 0.0)
-                           for c, x in fcols.items() if c >= n)
-                tot += sum(x * gcols.get(c + n, 0.0)
-                           for c, x in fcols.items() if c < n)
-    return tot
+                # eta columns against g's xi ones, then xi against eta
+                for c in (cols[cols >= n], cols[cols < n]):
+                    if len(c):
+                        tot += np.add.accumulate(
+                            fa[df, c] * gb[dg, (c + n) % (2 * n)])[-1]
+    return float(tot)
 
 
 # -- serialization -----------------------------------------------------

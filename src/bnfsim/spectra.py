@@ -38,6 +38,10 @@ class SpectralError(RuntimeError):
     pass
 
 
+class MassError(SpectralError):
+    """A mass m with lambda_j + m <= 0, where omega_j is undefined."""
+
+
 @dataclass
 class PotentialSample:
     """A drawn potential: cosine (1-d) or lattice Fourier (d-dim) coefficients.
@@ -257,7 +261,7 @@ def nlw_frequencies(lams: dict, mass: float) -> FrequencyTable:
     for j, l in lams.items():
         v = l + mass
         if v <= 0:
-            raise SpectralError("lambda_%s + m = %g <= 0, omega undefined" % (j, v))
+            raise MassError("lambda_%s + m = %g <= 0, omega undefined" % (j, v))
         omega[as_mode(j)] = math.sqrt(v)
     return FrequencyTable(omega)
 

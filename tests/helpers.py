@@ -13,7 +13,7 @@ import numpy as np
 from bnfsim import dynamics as D
 from bnfsim.fields import QuadratureField, eta_gradient_table
 from bnfsim.modes import as_mode, mode_abs2, weight
-from bnfsim.norms import majorant_norm, nu_term
+from bnfsim.norms import majorant_norm
 from bnfsim.exact import GaussRat
 from bnfsim.poly import PRUNE_REL, Monomial, Polynomial
 from bnfsim.resonance import (DivisorQuery, EnumerationResult, ResonanceHit,
@@ -533,13 +533,14 @@ def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
 
 def nu_homogeneous(f_r: Polynomial, s: float) -> float:
     """nu_s of a homogeneous polynomial (sum of per-term contributions)."""
-    return math.fsum(abs(c) * nu_term(m, s) for m, c in f_r.items())
+    return math.fsum(abs(c) * nu_term_reference(m, s) for m, c in f_r.items())
 
 
 def nu_term_reference(mono: Monomial, s: float) -> float:
-    """`norms.nu_term` as it was written before each mode's weights were
-    computed once: a weight call per occurrence, every output slot and
-    every denominator taken."""
+    """The per-term majorant factor nu_s (coefficient excluded) as a loop
+    over the occurrence pairs: a weight call per occurrence, every output
+    slot and every denominator taken.  `norms.majorant_norm` must give the
+    floats of `majorant_norm_reference`, which sums it, to the bit."""
     slots = [(m, e) for m, e in mono.xi] + [(m, e) for m, e in mono.eta]
     if mono.degree == 0:
         return 0.0

@@ -366,9 +366,14 @@ def test_stream_seeds_are_distinct_and_stable():
 
 
 def test_compute_failure_exits_1(tmp_path, capsys):
-    # lambda_1 + m < 0 leaves omega_1 undefined: the spectral solve fails
+    # a drawn mass m = 0 under lambda_0 < 0 (the Neumann ground state of a
+    # non-constant zero-mean V) leaves omega_0 undefined: the spectral
+    # solve fails; a mass the config sets would exit 2 naming `mass`
     p = write_cfg(tmp_path / "x.cfg", DEMO[1:] + [
-        'model = "nlw_dirichlet"', "jmax = 3", "mass = -5.0", "T = 1.0"])
+        'model = "nlw_periodic"', "jmax = 3", "T = 1.0",
+        'potential.family = "nlw_periodic"',
+        'potential.params = {"R": 0.5, "sigma": 0.4, "kmax": 9, '
+        '"mass_span": 0.0}'])
     rc = cli.main(["simulate", p, "--out", str(tmp_path / "out")])
     assert rc == 1
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -521,6 +526,12 @@ DD_SAMPLED = ['model="nls_dd"', 'potential.family="convolution_d"',
     ("simulate", [*DD_SAMPLED, "jmax=-1", "eps=0.1", "T=0.1",
                   "integrator.dt=0.01"], "jmax"),
     ("scan-resonances", [*DD_SAMPLED, "jmax=-1"], "jmax"),
+    # a set mass that leaves some lambda_j + mass <= 0 (lambda_1 = 1 at V = 0)
+    ("simulate", ['model="nlw_dirichlet"', 'potential.family="none"',
+                  "mass=-1", "eps=0.1", "T=0.1",
+                  "integrator.dt=0.01"], "mass"),
+    ("simulate", ['model="nlw_periodic"', "mass=-5", "eps=0.1", "T=0.1",
+                  "integrator.dt=0.01"], "mass"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):

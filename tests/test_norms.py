@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bnfsim import poly as P
+from bnfsim.exact import GaussRat
 from bnfsim.modes import weight
 from bnfsim.norms import majorant_norm, sampled_tame_ratio
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
@@ -87,6 +88,14 @@ def test_sampled_ratio_deterministic_and_monotone():
     c = sampled_tame_ratio(f, 3.0, samples=80, seed=9)
     assert a == b
     assert c >= a  # running max over a longer prefix of the same stream
+    # two fixed polynomials, one with an xi_j eta_j term: the values pinned
+    f = (P.monomial(0.7, xi={1: 2}, eta={3: 1})
+         + P.monomial(0.2 - 0.4j, xi={2: 1}, eta={1: 2}))
+    g = (P.monomial(1.5, xi={1: 1, 2: 1}, eta={1: 1, 2: 1})
+         + P.monomial(-0.3j, xi={1: 1}, eta={1: 2, 3: 1}))
+    assert [sampled_tame_ratio(p, s, samples=30, seed=4).hex()
+            for p, s in ((f, 3.0), (g, 2.0))] \
+        == ["0x1.07d2105e88a35p-1", "0x1.7807ae881784fp-4"]
 
 
 def test_nu_dominates_sampled_ratio_corpus():
@@ -126,11 +135,19 @@ def test_bracket_norm_inequality():
 
 
 def test_majorant_norm_matches_the_per_occurrence_loop():
-    # each mode's weights computed once: the same floats, to the bit
+    # the array form gives the loop's floats, to the bit
     rnd = random.Random(41)
-    for dim in (1, 2):
-        for _ in range(10):
-            f = rand_poly(rnd, nterms=20, nmodes=4, maxdeg=6, dim=dim)
-            for s, R in ((2.0, 1.0), (4.0, 0.5)):
-                assert majorant_norm(f, s, R).hex() \
-                    == majorant_norm_reference(f, s, R).hex()
+    cases = [rand_poly(rnd, nterms=20, nmodes=4, maxdeg=6, dim=dim)
+             for dim in (1, 2) for _ in range(10)]
+    # a mode in both halves: an eta slot drops the mode's first occurrence,
+    # which is its xi one (list.remove)
+    cases.append(P.monomial(0.5 - 2j, xi={1: 2}, eta={1: 1, 2: 3})
+                 + P.monomial(1.5, xi={2: 1, 3: 1}, eta={2: 1, 3: 3})
+                 + P.action(2, -0.25) + P.monomial(3j, xi={1: 1}, eta={1: 1})
+                 + P.monomial(0.1, xi={4: 1}, eta={1: 1, 4: 2}))
+    cases.append(rand_poly(rnd, nterms=15, nmodes=3, maxdeg=6, exact=True)
+                 + Polynomial({Monomial({1: 1}, {1: 1}): GaussRat(2, -1)}))
+    for f in cases:
+        for s, R in ((2.0, 1.0), (4.0, 0.5)):
+            assert majorant_norm(f, s, R).hex() \
+                == majorant_norm_reference(f, s, R).hex()

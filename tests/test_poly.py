@@ -11,14 +11,15 @@ from bnfsim import cli
 from bnfsim import poly as P
 from bnfsim.dynamics import build_model_hamiltonian
 from bnfsim.exact import GaussRat
+from bnfsim.norms import majorant_norm
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 from bnfsim.resonance import normal_form_membership, omega_dot, term_divisors
 from bnfsim.spectra import FrequencyTable
 
 from helpers import (add_reference, allclose, bracket_overflow_reference,
                      conj_flip, d_eta, d_xi, evaluate, evaluate_real_slice,
-                     filter_reference, momentum, momentum_filter, mono_mul,
-                     net_exponents, poisson_bracket_reference,
+                     filter_reference, majorant_norm_reference, momentum,
+                     momentum_filter, mono_mul, net_exponents, poisson_bracket_reference,
                      product, prune_reference, reality_defect_reference,
                      scale_reference, tail_degree, tail_split_reference)
 from test_birkhoff import TRANSPORT_CFG
@@ -332,7 +333,18 @@ def test_term_operations_match_the_dict_references():
                 == float(reality_defect_reference(p)).hex()
         assert [d.hex() for d in term_divisors(p, table)] == [
             omega_dot(table, net_exponents(m)).hex() for m in p.terms]
+        # the two meters of the normal form
+        for s, R in ((2.0, 1.0), (4.0, 0.5)):
+            assert majorant_norm(p, s, R).hex() \
+                == majorant_norm_reference(p, s, R).hex()
     assert {p.reality_defect() == 0.0 for p, _ in cases} == {True, False}
+    # the transport P, then its generators, share the transport table
+    transport_P, *generators = [p for p, t in cases if t is cases[0][1]]
+    for chi in generators:
+        for cap in caps_for(chi, transport_P)[1:]:
+            assert P.bracket_overflow(chi, transport_P, cap).hex() \
+                == float(bracket_overflow_reference(chi, transport_P,
+                                                    cap)).hex()
 
 
 def test_prune_threshold():
