@@ -429,9 +429,6 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     nf = None
     if None not in (read(cfg, "gamma", None), read(cfg, "r_star", None)):
         nf = run_normalize(cfg, system)
-        if not nf.membership_ok():
-            print("warning: normal form membership checks failed",
-                  file=sys.stderr)
     seeds = [stream_seed(seed, "initial", k) for k in range(nseeds)]
     rows = drift_experiment(system, nf, eps_list, seeds, r, c=c, s1=s1,
                             **run)

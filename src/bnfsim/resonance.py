@@ -14,9 +14,10 @@ time, each step in numpy, so its depth is not bounded by Python's
 recursion limit.  Its budget `node_cap` is in tree nodes: `nodes` counts
 the root and every node made, pruned or not, and a search past the cap
 stops with complete False, at most one block's children past it.  The
-measure scan of the lattice family searches once for all samples, takes
-every sample's divisors in one blocked product and classifies only the
-candidates that are hits.
+measure scan searches once for all samples of every potential family, over
+the box [min, max] per mode of the drawn frequencies, so node_cap is one
+budget per scan; it takes every sample's divisors in one blocked product
+and classifies only the candidates that are hits.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it is zero on every
@@ -40,9 +41,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modes import Mode, f17, lattice_modes, mode_abs2
+from .modes import Mode, f17, mode_abs2
 from .poly import Polynomial, exps_text
-from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
+from .spectra import (CONVOLUTION_D, NLW_PERIODIC, FrequencyTable,
                       SpectralError, _param, convolution_frequencies,
                       mode_eigenvalues, periodic_nlw_table, sample_potential,
                       sturm_liouville)
@@ -417,7 +418,7 @@ class MeasureEstimate:
     half_width: float
     pattern_histogram: Dict[str, int] = field(default_factory=dict)
     complete: bool = True
-    nodes: int = 0  # summed over the searches of the scan
+    nodes: int = 0  # of the scan's one search
 
 
 def wilson_interval(v: int, n: int) -> Tuple[float, float, float]:
@@ -455,51 +456,30 @@ def family_rules(family: str, params: dict, q: DivisorQuery,
     return []
 
 
-def _convolution_candidates(params: dict, q: DivisorQuery, gamma_max: float
-                            ) -> Tuple[list, np.ndarray, bool, int]:
-    """Exponent vectors that can be hits for SOME potential in the ensemble,
-    one sign of each pair +-k, as int8 rows, with `_dfs`'s complete and
-    nodes.
-
-    Frequencies are intervals |k|^2 +- envelope(k); one interval search
-    covers every sample, after which per-sample divisors are plain dot
-    products.
-    """
-    modes = lattice_modes(_param(params, "d", int), q.jmax)
-    probe = PotentialSample("convolution_d", params, 0, {})
-    base = [float(mode_abs2(m)) for m in modes]
-    env = [probe.envelope(m) for m in modes]
-    return _dfs(modes, [b - e for b, e in zip(base, env)],
-                [b + e for b, e in zip(base, env)],
-                [mode_abs2(m) > q.N * q.N for m in modes], q.r + 2,
-                gamma_max / q.N ** q.alpha, q.node_cap)
-
-
 def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
-           thrs: Sequence[float], order: int, rule_sets: Sequence[list],
-           violates: np.ndarray, hist: List[Counter]) -> None:
+           thrs: Sequence[float], order: int, rule_sets: Sequence[tuple],
+           rule_of: np.ndarray, violates: np.ndarray, hist: List[Counter]
+           ) -> None:
     """Add the hits among the rows of K under each column (sample) of W.
 
     Row k stands for the pair +-k, which shares its divisor and its tag, so
-    it counts twice.  At threshold thrs[g], under rules rule_sets[g], the
-    tags of the hits go to hist[g], and a NONE hit under column s sets
-    violates[g, s].  K is cast to float64 one block of rows at a time
-    (float64 holds these small integers exactly, and BLAS takes it); one
-    `_below` pass decides the block for every threshold (thrs is
+    it counts twice.  At threshold thrs[g] a hit under column s is tagged
+    under the rules rule_sets[rule_of[g, s]]; the tags go to hist[g], and a
+    NONE hit sets violates[g, s].  K is cast to float64 one block of rows at
+    a time (float64 holds these small integers exactly, and BLAS takes it);
+    one `_below` pass decides the block for every threshold (thrs is
     non-increasing), and only the rows hit under some threshold are
-    classified, once per distinct rule set.
+    classified, once under each rule set.
     """
     step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
     for lo in range(0, len(K), step):
         Kb = K[lo:lo + step].astype(float)
         found = _below(Kb @ W, Kb, W, thrs, order)
         live = np.unique(np.concatenate([ri for ri, _ in found]))
-        tags = {}
+        tags = np.stack([classify_rows(Kb[live], modes, rules)
+                         for rules in rule_sets])
         for gi, (ri, si) in enumerate(found):
-            rules = tuple(rule_sets[gi])
-            if rules not in tags:
-                tags[rules] = classify_rows(Kb[live], modes, rules)
-            hit = tags[rules][np.searchsorted(live, ri)]
+            hit = tags[rule_of[gi, si], np.searchsorted(live, ri)]
             for tag, n in Counter(hit.tolist()).items():
                 hist[gi][tag] += 2 * n
             violates[gi, si[hit == PATTERN_NONE]] = True
@@ -512,9 +492,12 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
 
     A sample violates at gamma when it has any hit classified NONE.  Reusing
     the same potentials across the grid makes the fraction exactly
-    nonincreasing in gamma.  convolution_d searches once for every sample
-    and takes all the samples' divisors in one blocked product; the other
-    families build and search each sample's table.
+    nonincreasing in gamma.  A sample whose table fails (SpectralError) is
+    skipped.  Every family searches once, within the node_cap budget, over
+    the box [min, max] per mode of the drawn frequency vectors: its
+    candidates hold each sample's own, and one `_tally` takes all the
+    samples' divisors in one blocked product, under each (gamma, sample)'s
+    exception rules.
     """
     if samples < 30:
         raise ValueError("resonance.samples: must be >= 30")
@@ -523,42 +506,40 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     f = family.lower()
     gammas = sorted(gammas, reverse=True)
     thrs = [g / q.N ** q.alpha for g in gammas]
-    order = q.r + 2
-    potentials = [sample_potential(f, params, s)
-                  for s in sample_seeds(seed, samples)]
-    violates = np.zeros((len(gammas), samples), dtype=bool)
+    cols, rule_ids = [], []
+    rule_sets: Dict[tuple, int] = {}
+    for s in sample_seeds(seed, samples):
+        sample = sample_potential(f, params, s)
+        try:  # the lattice, the periodic wave model or the Dirichlet NLS
+            if f == CONVOLUTION_D:
+                table = convolution_frequencies(_param(params, "d", int),
+                                                sample, q.jmax)
+            elif f == NLW_PERIODIC:
+                table = periodic_nlw_table(sample, int(q.jmax))[0]
+            else:
+                table = FrequencyTable(mode_eigenvalues(sturm_liouville(
+                    sample, "dirichlet", int(q.jmax))))
+        except SpectralError:
+            continue
+        if not cols:
+            modes, _, tail = _domain(replace(q, omega=table))
+        cols.append(table.vector(modes))
+        rule_ids.append([rule_sets.setdefault(
+            tuple(family_rules(f, params, q, table, g)), len(rule_sets))
+            for g in gammas])
+    violates = np.zeros((len(gammas), len(cols)), dtype=bool)
     hist: List[Counter] = [Counter() for _ in gammas]
-    skipped = nodes = 0
-    complete = True
-    if f == "convolution_d":
-        modes, K, complete, nodes = _convolution_candidates(params, q,
-                                                            gammas[0])
-        d = _param(params, "d", int)
-        W = np.column_stack([convolution_frequencies(d, p, q.jmax)
-                             .vector(modes) for p in potentials])
-        rules = family_rules(f, params, q, None, gammas[0])
-        _tally(K, modes, W, thrs, order, [rules] * len(gammas), violates,
-               hist)
-    else:
-        for si, sample in enumerate(potentials):
-            try:  # the table of nlw_periodic, or of the Dirichlet NLS
-                if f == NLW_PERIODIC:
-                    table = periodic_nlw_table(sample, int(q.jmax))[0]
-                else:
-                    table = FrequencyTable(mode_eigenvalues(sturm_liouville(
-                        sample, "dirichlet", int(q.jmax))))
-            except SpectralError:
-                skipped += 1
-                continue
-            modes, w, tail = _domain(replace(q, omega=table))
-            modes, K, ok, n = _dfs(modes, w, w, tail, order, thrs[0],
-                                   q.node_cap)
-            complete, nodes = complete and ok, nodes + n
-            _tally(K, modes, table.vector(modes)[:, None], thrs, order,
-                   [family_rules(f, params, q, table, g) for g in gammas],
-                   violates[:, si:si + 1], hist)
+    complete, nodes = True, 0
+    if cols:
+        W = np.column_stack(cols)
+        at = {m: i for i, m in enumerate(modes)}
+        modes, K, complete, nodes = _dfs(
+            modes, W.min(axis=1).tolist(), W.max(axis=1).tolist(), tail,
+            q.r + 2, thrs[0], q.node_cap)
+        _tally(K, modes, W[[at[m] for m in modes]], thrs, q.r + 2,
+               list(rule_sets), np.array(rule_ids).T, violates, hist)
 
-    n_eff = samples - skipped
+    skipped, n_eff = samples - len(cols), len(cols)
     out = []
     for gi, g in enumerate(gammas):
         v = int(violates[gi].sum())

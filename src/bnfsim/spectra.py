@@ -27,10 +27,12 @@ CONVOLUTION_D = "convolution_d"
 
 FAMILIES = (NLW_PERIODIC, NLS_COSINE, CONVOLUTION_D)
 
-# the parameters the envelopes and the exception rules read, range-checked
+# the parameters the envelopes, the lattices and the exception rules read,
+# range-checked
 _RANGE = {"R": ("a number >= 0", lambda v: v >= 0),
           "b": ("a number >= 0", lambda v: v >= 0),
           "d": ("an integer >= 1", lambda v: v >= 1),
+          "kmax": ("an integer >= 0", lambda v: v >= 0),
           "decay": ("a number > 0", lambda v: v > 0)}
 
 
@@ -56,29 +58,22 @@ class PotentialSample:
     coeffs: dict
     mass: float = 0.0
 
-    def envelope(self, k) -> float:
-        """Bound guaranteed for |v_k| by the family's envelope."""
-        p = self.params
-        r = _param(p, "R")
-        if self.family == CONVOLUTION_D:
-            return 0.5 * r / (1.0 + mode_abs(k)) ** _param(p, "decay")
-        return 0.5 * r * math.exp(-_param(p, "sigma") * abs(k))
-
 
 def _param(params: dict, name: str, kind=float, default=None):
-    """One sampling parameter, required unless it has a default; a
+    """One sampling parameter, required unless it has a default: a number,
+    not a bool, and of kind int an integer one (2.0 reads as 2); a
     ValueError names it."""
     if name not in params:
         if default is None:
             raise ValueError("potential.params: %s required" % name)
         return default
     what, ok = _RANGE.get(name, ("a number", lambda v: True))
-    try:
-        value = kind(params[name])
-        if ok(value):
-            return value
-    except (TypeError, ValueError):
-        pass
+    v = params[name]
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number and isinstance(v, float) and v.is_integer() and kind is int:
+        v = int(v)
+    if number and (kind is float or isinstance(v, int)) and ok(v):
+        return kind(v)
     raise ValueError("potential.params: %s expected %s" % (name, what))
 
 

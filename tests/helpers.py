@@ -5,20 +5,24 @@ package's results from their definitions.
 """
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from bnfsim import dynamics as D
+from bnfsim import resonance
 from bnfsim.fields import QuadratureField, eta_gradient_table
-from bnfsim.modes import as_mode, mode_abs2, weight
+from bnfsim.modes import as_mode, lattice_modes, mode_abs, mode_abs2, weight
 from bnfsim.norms import majorant_norm
 from bnfsim.exact import GaussRat
 from bnfsim.poly import PRUNE_REL, Monomial, Polynomial
 from bnfsim.resonance import (DivisorQuery, EnumerationResult, ResonanceHit,
                                _domain, omega_dot)
-from bnfsim.spectra import EigenBasis, ExpansionFit, _cosine_coeffs, _solve
+from bnfsim.spectra import (CONVOLUTION_D, NLW_PERIODIC, EigenBasis,
+                            ExpansionFit, FrequencyTable, PotentialSample,
+                            SpectralError, _cosine_coeffs, _param, _solve,
+                            mode_eigenvalues, sample_potential)
 
 
 def small_divisor(omega, k) -> float:
@@ -325,6 +329,85 @@ def below_reference(div: np.ndarray, K: np.ndarray, W: np.ndarray,
         nz = np.flatnonzero(K[ri[e]])
         keep[e] = abs(math.fsum(W[nz, si[e]] * K[ri[e], nz])) < thr
     return ri[keep], si[keep]
+
+
+def envelope(sample: PotentialSample, k) -> float:
+    """Bound guaranteed for |v_k| by the sample family's envelope."""
+    p = sample.params
+    r = _param(p, "R")
+    if sample.family == CONVOLUTION_D:
+        return 0.5 * r / (1.0 + mode_abs(k)) ** _param(p, "decay")
+    return 0.5 * r * math.exp(-_param(p, "sigma") * abs(k))
+
+
+def envelope_candidates(params: dict, q: DivisorQuery, gamma_max: float
+                        ) -> Tuple[list, np.ndarray, bool, int]:
+    """`_dfs` over the convolution_d ensemble's frequency intervals
+    |k|^2 +- envelope(k): the exponent vectors that can be hits at gamma_max
+    for SOME potential of the ensemble, one sign of each pair +-k, as int8
+    rows, with the search's complete and nodes.  It pins the tree search:
+    its emission order, node count and independence of the block size."""
+    modes = lattice_modes(_param(params, "d", int), q.jmax)
+    probe = PotentialSample(CONVOLUTION_D, params, 0, {})
+    base = [float(mode_abs2(m)) for m in modes]
+    env = [envelope(probe, m) for m in modes]
+    return resonance._dfs(modes, [b - e for b, e in zip(base, env)],
+                          [b + e for b, e in zip(base, env)],
+                          [mode_abs2(m) > q.N * q.N for m in modes], q.r + 2,
+                          gamma_max / q.N ** q.alpha, q.node_cap)
+
+
+@dataclass
+class PerSampleScan:
+    violations: list
+    pattern_histogram: list
+    skipped: int
+    complete: bool
+    nodes: int
+
+
+def measure_scan_per_sample(family: str, params: dict, q: DivisorQuery,
+                            gammas: Sequence[float], samples: int, seed: int
+                            ) -> PerSampleScan:
+    """The measure scan one sample at a time, as the 1-d families once ran
+    it: each sample's table (a SpectralError skips it) is searched on its
+    own at the largest gamma, its rows are decided on its own column, and
+    its hits under each gamma are tagged with that (gamma, table)'s
+    exception rules.  Tables are built through the `resonance` module's
+    names, so a test that patches them there patches both routes."""
+    gammas = sorted(gammas, reverse=True)
+    thrs = [g / q.N ** q.alpha for g in gammas]
+    order = q.r + 2
+    viol = [0] * len(gammas)
+    hists = [{} for _ in gammas]
+    skipped = nodes = 0
+    complete = True
+    for s in resonance.sample_seeds(seed, samples):
+        sample = sample_potential(family, params, s)
+        try:
+            if family == NLW_PERIODIC:
+                table = resonance.periodic_nlw_table(sample, int(q.jmax))[0]
+            else:
+                table = FrequencyTable(mode_eigenvalues(
+                    resonance.sturm_liouville(sample, "dirichlet",
+                                              int(q.jmax))))
+        except SpectralError:
+            skipped += 1
+            continue
+        modes, w, tail = _domain(replace(q, omega=table))
+        modes, K, ok, n = resonance._dfs(modes, w, w, tail, order, thrs[0],
+                                         q.node_cap)
+        complete, nodes = complete and ok, nodes + n
+        W = table.vector(modes)[:, None]
+        found = resonance._below(K @ W, K, W, thrs, order)
+        for gi, (ri, _) in enumerate(found):
+            rules = resonance.family_rules(family, params, q, table,
+                                           gammas[gi])
+            tags = resonance.classify_rows(K[ri], modes, rules).tolist()
+            for tag in tags:  # row k stands for the pair +-k
+                hists[gi][tag] = hists[gi].get(tag, 0) + 2
+            viol[gi] += resonance.PATTERN_NONE in tags
+    return PerSampleScan(viol, hists, skipped, complete, nodes)
 
 
 def dirichlet_matrix_reference(coeffs: dict, m: int) -> np.ndarray:

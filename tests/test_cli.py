@@ -532,6 +532,24 @@ DD_SAMPLED = ['model="nls_dd"', 'potential.family="convolution_d"',
                   "integrator.dt=0.01"], "mass"),
     ("simulate", ['model="nlw_periodic"', "mass=-5", "eps=0.1", "T=0.1",
                   "integrator.dt=0.01"], "mass"),
+    # a bool is no number; and d and kmax >= 0 are integers: a bool or a
+    # fraction is none (2.0 reads as 2)
+    ("measure-estimate", ['potential.params={"R": true, "kmax": 2, "d": 2, '
+                          '"decay": 2.0}'], "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": 2, "d": 2.7, '
+                          '"decay": 2.0}'], "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": 4.5, "d": 2, '
+                          '"decay": 2.0}'], "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": true, "d": 2, '
+                          '"decay": 2.0}'], "potential.params"),
+    ("measure-estimate", ['potential.params={"R": 1.0, "kmax": -1, "d": 2, '
+                          '"decay": 2.0}'], "potential.params"),
+    ("normalize", ['potential.params={"R": 0.5, "sigma": 0.4, "kmax": 9.5}'],
+     "potential.params"),
+    ("normalize", ['potential.params={"R": 0.5, "sigma": 0.4, "kmax": -1}'],
+     "potential.params"),
+    ("normalize", ['potential.params={"R": 0.5, "sigma": 0.4, "kmax": true}'],
+     "potential.params"),
 ])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
                                           key):
@@ -544,6 +562,19 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, sets,
         argv = [command, p, "--out", str(tmp_path / "out"), *extra]
     assert cli.main(argv) == 2
     assert "bnfsim: %s:" % key in capsys.readouterr().err
+
+
+def test_integer_params_read_whole_floats(tmp_path):
+    # "d": 2.0 and "kmax": 2.0 read as 2: the same draws and measure.csv
+    out = []
+    for params in ('{"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}',
+                   '{"R": 1.0, "kmax": 2.0, "d": 2.0, "decay": 2.0}'):
+        p = write_cfg(tmp_path / "m.cfg", MEASURE)
+        d = tmp_path / str(len(out))
+        assert cli.main(["measure-estimate", p, "--out", str(d), "--set",
+                         "potential.params=" + params]) == 0
+        out.append((d / "measure.csv").read_bytes())
+    assert out[0] == out[1]
 
 
 def test_nls_coupled_fields_get_their_own_draws():

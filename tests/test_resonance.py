@@ -10,7 +10,7 @@ from bnfsim import poly
 from bnfsim import resonance as R
 from bnfsim.poly import Monomial
 from bnfsim.spectra import (FrequencyTable, SpectralError,
-                            periodic_nlw_table)
+                            convolution_frequencies, periodic_nlw_table)
 
 import helpers
 from helpers import small_divisor
@@ -384,8 +384,8 @@ def test_csv_outputs(tmp_path):
     assert len(rows) == 3
 
 
-# measure_scan on the per-sample route: a table is built and searched for
-# every sampled potential (values pinned from the per-combination code)
+# measure_scan on the 1-d families: a table is built for every sampled
+# potential (values pinned from the per-combination code)
 NLW = {"R": 0.1, "sigma": 1.0, "kmax": 6, "mass_span": 1.0}
 PER_SAMPLE_PINS = [
     ("nlw_periodic", NLW, 2, [26, 12, 5],
@@ -444,6 +444,75 @@ def test_measure_scan_skips_a_sample_whose_spectrum_fails(monkeypatch):
             == R.wilson_interval(e.violations, 29)[:2]
 
 
+# the 1-d families against the route the scan replaced, one search per
+# sample: b calibrated per table and gamma, b given, and no rules at all
+PER_SAMPLE_FAMILIES = [
+    ("nlw_periodic", NLW, 2),
+    ("nlw_periodic", dict(NLW, b=3.0), 2),
+    ("nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 2),
+]
+
+
+@pytest.fixture(scope="module")
+def spectra_of_draws():
+    return {}
+
+
+@pytest.fixture
+def shared_spectra(monkeypatch, spectra_of_draws):
+    """Each draw's table solved once in this module: a scan of 30 samples
+    draws the first 30 of the scan of 100, and both routes solve the same
+    draws."""
+    for name in ("periodic_nlw_table", "sturm_liouville"):
+        def solve(sample, *args, _f=getattr(R, name), _name=name):
+            key = (_name, sample.mass, tuple(sample.coeffs.items()), args)
+            if key not in spectra_of_draws:
+                spectra_of_draws[key] = _f(sample, *args)
+            return spectra_of_draws[key]
+        monkeypatch.setattr(R, name, solve)
+
+
+def assert_matches_per_sample(family, params, N, seed, samples):
+    q = R.DivisorQuery(None, r=2, N=N, gamma=0.05, alpha=1.0, jmax=6)
+    gammas = [0.05, 0.01, 0.001]
+    est = R.measure_scan(family, params, q, gammas, samples, seed)
+    ref = helpers.measure_scan_per_sample(family, params, q, gammas,
+                                          samples, seed)
+    assert [e.violations for e in est] == ref.violations
+    assert [e.pattern_histogram for e in est] == ref.pattern_histogram
+    assert {e.skipped for e in est} == {ref.skipped}
+    n = samples - ref.skipped
+    assert [e.fraction for e in est] == [v / n for v in ref.violations]
+    assert all(e.complete for e in est) and ref.complete
+    return est, ref
+
+
+@pytest.mark.parametrize("samples", [30, 100])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("family,params,N", PER_SAMPLE_FAMILIES)
+def test_measure_scan_matches_the_per_sample_route(shared_spectra, family,
+                                                   params, N, seed, samples):
+    est, ref = assert_matches_per_sample(family, params, N, seed, samples)
+    assert ref.violations[0] > 0 and ref.skipped == 0
+    assert est[0].nodes < ref.nodes
+
+
+def test_measure_scan_matches_the_per_sample_route_past_a_failed_spectrum(
+        monkeypatch):
+    # the draws of samples 3 and 17 have no spectrum: both routes skip them
+    family, params, N = PER_SAMPLE_FAMILIES[2]
+    bad = set(R.sample_seeds(5, 30)[i] for i in (3, 17))
+    solve = R.sturm_liouville
+
+    def flaky(sample, *args, **kwargs):
+        if sample.seed in bad:
+            raise SpectralError("no spectrum for this draw")
+        return solve(sample, *args, **kwargs)
+    monkeypatch.setattr(R, "sturm_liouville", flaky)
+    est, ref = assert_matches_per_sample(family, params, N, 5, 30)
+    assert ref.skipped == 2
+
+
 def test_measure_histogram_keys_are_plain_str():
     params = {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 3}
     q = R.DivisorQuery(None, r=2, N=1, gamma=1.0, alpha=1.0, jmax=3)
@@ -471,7 +540,7 @@ def oracle_tag(k: dict, pattern: str, cutoff: float) -> str:
 def test_matrix_classifier_matches_definitions_on_convolution_scan():
     params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
     q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
-    modes, K, complete, nodes = R._convolution_candidates(params, q, 1e-2)
+    modes, K, complete, nodes = helpers.envelope_candidates(params, q, 1e-2)
     # one sign of each pair +-k: the first nonzero exponent is positive
     assert complete and K.shape == (4212, 13) and nodes == 22614
     # the rows in the order the search emits them
@@ -511,12 +580,12 @@ def test_search_does_not_depend_on_the_block_size(monkeypatch, chunk):
     monkeypatch.setattr(R, "CHUNK", chunk)
     params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
     q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
-    modes, K, complete, nodes = R._convolution_candidates(params, q, 1e-2)
+    modes, K, complete, nodes = helpers.envelope_candidates(params, q, 1e-2)
     assert complete and nodes == 22614
     assert hashlib.sha256(K.tobytes()).hexdigest() == \
         "4043b47459bcd4f3fb0d44017308b754d0b0926dfd994e3f0e83bc953923ce9c"
-    short = R._convolution_candidates(params, replace(q, node_cap=9000),
-                                      1e-2)
+    short = helpers.envelope_candidates(params, replace(q, node_cap=9000),
+                                        1e-2)
     assert not short[2] and 9000 < short[3] <= 9000 + 11 * chunk
     assert set(map(bytes, short[1])) <= set(map(bytes, K))
 
@@ -526,26 +595,37 @@ def test_candidates_of_the_benchmark_measure_config():
     # the default budget
     params = {"R": 1.0, "kmax": 4, "d": 2, "decay": 2.0}
     q = R.DivisorQuery(None, r=3, N=2, gamma=1e-4, alpha=1.0, jmax=4)
-    modes, K, complete, nodes = R._convolution_candidates(params, q, 1e-4)
+    modes, K, complete, nodes = helpers.envelope_candidates(params, q, 1e-4)
     assert complete and K.shape == (145078, 49) and nodes == 1071288
     assert hashlib.sha256(K.tobytes()).hexdigest() == \
         "ec3410ba650e6f9754a218e34fb9c2428ef7331b8ea7a25de71fc4cee1b66060"
 
 
-def test_measure_scan_sums_the_nodes_of_its_searches():
-    params = {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 2}
-    q = R.DivisorQuery(None, r=1, N=1, gamma=0.35, alpha=1.0, jmax=2)
-    fast = R.measure_scan("convolution_d", params, q, [0.35, 0.1], 30, 21)
-    assert {e.nodes for e in fast} == \
-        {R._convolution_candidates(params, q, 0.35)[3]}
-    q = R.DivisorQuery(None, r=2, N=2, gamma=0.05, alpha=1.0, jmax=6)
-    slow = R.measure_scan("nlw_periodic", NLW, q, [0.05, 0.01], 30, seed=5)
-    nodes = 0
-    for s in R.sample_seeds(5, 30):
-        t = periodic_nlw_table(R.sample_potential("nlw_periodic", NLW, s),
-                               int(q.jmax))[0]
-        nodes += R.enumerate_near_resonances(replace(q, omega=t)).nodes
-    assert {e.nodes for e in slow} == {nodes}
+@pytest.mark.parametrize("node_cap", [R.DEFAULT_NODE_CAP, 40])
+@pytest.mark.parametrize("family,params,r,N,jmax,gammas,seed", [
+    ("convolution_d", {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 2}, 1, 1, 2,
+     [0.35, 0.1], 21),
+    ("nlw_periodic", NLW, 2, 2, 6, [0.05, 0.01], 5)])
+def test_measure_scan_searches_once_over_the_box_of_its_draws(
+        family, params, r, N, jmax, gammas, seed, node_cap):
+    # one search for the whole scan, over the [min, max] per mode of the
+    # drawn frequency vectors, within one node_cap budget
+    q = R.DivisorQuery(None, r=r, N=N, gamma=gammas[0], alpha=1.0,
+                       jmax=jmax, node_cap=node_cap)
+    est = R.measure_scan(family, params, q, gammas, 30, seed)
+    tables = []
+    for s in R.sample_seeds(seed, 30):
+        smp = R.sample_potential(family, params, s)
+        tables.append(convolution_frequencies(1, smp, jmax)
+                      if family == "convolution_d"
+                      else periodic_nlw_table(smp, jmax)[0])
+    modes, _, tail = R._domain(replace(q, omega=tables[0]))
+    W = np.array([t.vector(modes) for t in tables])
+    _, _, complete, nodes = R._dfs(modes, W.min(axis=0).tolist(),
+                                   W.max(axis=0).tolist(), tail, r + 2,
+                                   q.threshold, node_cap)
+    assert {(e.nodes, e.complete) for e in est} == {(nodes, complete)}
+    assert complete == (node_cap == R.DEFAULT_NODE_CAP)
 
 
 def test_matrix_classifier_matches_definitions_on_random_rows():

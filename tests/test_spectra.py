@@ -55,7 +55,7 @@ def test_sampling_deterministic_and_enveloped():
     assert a.coeffs == b.coeffs
     assert a.coeffs != c.coeffs
     for k, v in a.coeffs.items():
-        assert abs(v) <= a.envelope(k) + 1e-15
+        assert abs(v) <= helpers.envelope(a, k) + 1e-15
     m = S.sample_potential("nlw_periodic", dict(params, mass_span=0.5), seed=1)
     assert 0.0 <= m.mass <= 0.5
 
@@ -65,7 +65,7 @@ def test_convolution_sampling_symmetric():
     s = S.sample_potential("convolution_d", params, seed=2)
     for k, v in s.coeffs.items():
         assert s.coeffs[tuple(-c for c in k)] == v
-        assert abs(v) <= s.envelope(k) + 1e-15
+        assert abs(v) <= helpers.envelope(s, k) + 1e-15
 
 
 def test_samples_pinned():
