@@ -366,8 +366,9 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
     complete = all(e.complete for e in estimates)
     if not complete:
         print(INCOMPLETE, file=sys.stderr)
-    print("measure-estimate: complete=%s, nodes=%d"
-          % (complete, estimates[0].nodes))
+    e = estimates[0]
+    print("measure-estimate: complete=%s, nodes=%d, rows=%d, decided=%d"
+          % (complete, e.nodes, e.rows, e.decided))
     for e in estimates:
         print("measure-estimate: gamma=%g fraction=%.4f (%d/%d, skipped %d)"
               % (e.gamma, e.fraction, e.violations, e.samples - e.skipped,

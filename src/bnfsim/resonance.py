@@ -16,8 +16,9 @@ the root and every node made, pruned or not, and a search past the cap
 stops with complete False, at most one block's children past it.  The
 measure scan searches once for all samples of every potential family, over
 the box [min, max] per mode of the drawn frequencies, so node_cap is one
-budget per scan; it takes every sample's divisors in one blocked product
-and classifies only the candidates that are hits.
+budget per scan; it takes every sample's divisors in one blocked product,
+one row per set of rows with equal sums over the modes of equal
+frequency, and classifies only the candidates that are hits.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it is zero on every
@@ -199,7 +200,7 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
         cap = np.minimum(m, tb) if is_tail[i] else m
         ok = A <= cap[:, None]
         ok[m == order, :order] = False  # no exponent yet: e >= 0
-        p, c = np.nonzero(ok)
+        p, c = np.divmod(np.flatnonzero(ok), ok.shape[1])
         nodes += len(p)
         if nodes > node_cap:
             complete = False
@@ -229,24 +230,39 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
 
 
 def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray,
-           thrs: Sequence[float], order: int
+           thrs: Sequence[float], order: int,
+           share: Optional[np.ndarray] = None
            ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """For each threshold of the non-increasing thrs, the entries (i, s), in
-    row-major order, with |K[i] . W[:, s]| < thr, given div = K @ W (div is
-    overwritten by its absolute value).
+    """For each threshold of the non-increasing thrs, the entries (i, s)
+    with |K[i] . W[:, s]| < thr, given div whose row share[i] is K[i] @ W
+    up to rounding: rows of K with the same exact divisors may share one
+    row of div.  share defaults to the identity, and the entries then come
+    in row-major order; div is overwritten by its absolute value.
 
     With |k| <= order the product is off the exactly-rounded sum by less
     than (n + 1) eps order max|w| over n columns; entries within twice that
-    of thr, with each column's own max|w|, are decided by `math.fsum`, as
-    `omega_dot` decides them.  One pass over div finds the entries under
-    the largest threshold plus its band; each smaller threshold's
-    candidates are a subset of the previous one's.
+    of thr, with each column's own max|w|, are decided by `math.fsum` on
+    their own row of K, as `omega_dot` decides them (it sums the rounded
+    products, which rows sharing a div row need not have in common).  One
+    pass over div finds the entries under the largest threshold plus its
+    band; each smaller threshold's candidates are a subset of the previous
+    one's.
     """
     band = 2 * (len(W) + 1) * np.finfo(float).eps * order * \
         np.max(np.abs(W), axis=0, initial=0.0)
     np.abs(div, out=div)
-    ri, si = np.nonzero(div < thrs[0] + band)
-    a = div[ri, si]
+    u, si = np.divmod(np.flatnonzero(div < thrs[0] + band), div.shape[1])
+    a = div[u, si]
+    if share is None:
+        share = np.arange(len(K))
+    # each div row's own rows of K, in order: rows[ends[u] - size[u]:ends[u]]
+    rows = np.argsort(share, kind="stable")
+    size = np.bincount(share, minlength=len(div))
+    ends = np.cumsum(size)
+    at = np.repeat(np.arange(len(u)), size[u])
+    ri = rows[np.repeat(ends[u] - np.cumsum(size[u]), size[u])
+              + np.arange(len(at))]
+    si, a = si[at], a[at]
     out = []
     for thr in thrs:
         c = a < thr + band[si]
@@ -419,6 +435,8 @@ class MeasureEstimate:
     pattern_histogram: Dict[str, int] = field(default_factory=dict)
     complete: bool = True
     nodes: int = 0  # of the scan's one search
+    rows: int = 0  # the search's candidate rows
+    decided: int = 0  # rows whose divisors the tally multiplied out
 
 
 def wilson_interval(v: int, n: int) -> Tuple[float, float, float]:
@@ -456,25 +474,54 @@ def family_rules(family: str, params: dict, q: DivisorQuery,
     return []
 
 
+def _shared_rows(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One row index per distinct row of key, and the position in that list
+    of each row's own key."""
+    at = np.lexsort(key.T[::-1])
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = np.any(key[at[1:]] != key[at[:-1]], axis=1)
+    share = np.empty(len(at), dtype=np.intp)
+    share[at] = np.cumsum(new) - 1
+    return at[new], share
+
+
 def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
            thrs: Sequence[float], order: int, rule_sets: Sequence[tuple],
            rule_of: np.ndarray, violates: np.ndarray, hist: List[Counter]
-           ) -> None:
-    """Add the hits among the rows of K under each column (sample) of W.
+           ) -> int:
+    """Add the hits among the rows of K under each column (sample) of W;
+    return the number of rows whose divisors were multiplied out.
 
     Row k stands for the pair +-k, which shares its divisor and its tag, so
     it counts twice.  At threshold thrs[g] a hit under column s is tagged
     under the rules rule_sets[rule_of[g, s]]; the tags go to hist[g], and a
-    NONE hit sets violates[g, s].  K is cast to float64 one block of rows at
-    a time (float64 holds these small integers exactly, and BLAS takes it);
-    one `_below` pass decides the block for every threshold (thrs is
-    non-increasing), and only the rows hit under some threshold are
-    classified, once under each rule set.
+    NONE hit sets violates[g, s].
+
+    Modes whose rows of W are equal form a group, and a row's divisors
+    depend only on its group sums, which |k| <= order bounds by order.  So
+    a row's key packs them as balanced base-(2 order + 1) digits, `per` to
+    a float64 word, each word exact below 2^52; one row per distinct key
+    in a block of rows takes the product with W.  K is cast to float64 one
+    block of rows at a time (float64 holds these small integers exactly,
+    and BLAS takes it); one `_below` pass decides the block for every
+    threshold (thrs is non-increasing), and only the rows hit under some
+    threshold are classified, once under each rule set: rows of one key
+    can differ on modes inside a cutoff.
     """
+    base = 2 * order + 1
+    per = 1  # the most digits with base^per < 2^52
+    while base ** (per + 1) < 1 << 52:
+        per += 1
+    grp = np.unique(W, axis=0, return_inverse=True)[1].ravel()
+    digits = np.zeros((len(W), grp.max(initial=0) // per + 1))
+    digits[np.arange(len(W)), grp // per] = base ** (grp % per)
     step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
+    decided = 0
     for lo in range(0, len(K), step):
         Kb = K[lo:lo + step].astype(float)
-        found = _below(Kb @ W, Kb, W, thrs, order)
+        first, share = _shared_rows(Kb @ digits)
+        decided += len(first)
+        found = _below(Kb[first] @ W, Kb, W, thrs, order, share)
         live = np.unique(np.concatenate([ri for ri, _ in found]))
         tags = np.stack([classify_rows(Kb[live], modes, rules)
                          for rules in rule_sets])
@@ -483,6 +530,7 @@ def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
             for tag, n in Counter(hit.tolist()).items():
                 hist[gi][tag] += 2 * n
             violates[gi, si[hit == PATTERN_NONE]] = True
+    return decided
 
 
 def measure_scan(family: str, params: dict, q: DivisorQuery,
@@ -529,15 +577,17 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             for g in gammas])
     violates = np.zeros((len(gammas), len(cols)), dtype=bool)
     hist: List[Counter] = [Counter() for _ in gammas]
-    complete, nodes = True, 0
+    complete, nodes, rows, decided = True, 0, 0, 0
     if cols:
         W = np.column_stack(cols)
         at = {m: i for i, m in enumerate(modes)}
         modes, K, complete, nodes = _dfs(
             modes, W.min(axis=1).tolist(), W.max(axis=1).tolist(), tail,
             q.r + 2, thrs[0], q.node_cap)
-        _tally(K, modes, W[[at[m] for m in modes]], thrs, q.r + 2,
-               list(rule_sets), np.array(rule_ids).T, violates, hist)
+        rows = len(K)
+        decided = _tally(K, modes, W[[at[m] for m in modes]], thrs, q.r + 2,
+                         list(rule_sets), np.array(rule_ids).T, violates,
+                         hist)
 
     skipped, n_eff = samples - len(cols), len(cols)
     out = []
@@ -549,7 +599,7 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             violations=v, fraction=v / n_eff if n_eff else 0.0,
             wilson_low=lo, wilson_high=hi, half_width=hw,
             pattern_histogram=dict(hist[gi]), complete=complete,
-            nodes=nodes))
+            nodes=nodes, rows=rows, decided=decided))
     return out
 
 

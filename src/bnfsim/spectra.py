@@ -179,15 +179,17 @@ class SpectralResult:
     refinement_err: float
 
 
-def _solve(coeffs, bc, m):
+def _operator(coeffs, bc, m):
+    """The Galerkin matrix of size m and its basis wavenumbers."""
     if bc == "dirichlet":
-        h = _dirichlet_matrix(coeffs, m)
-        waven = np.arange(1, m + 1)
-    elif bc == "neumann":
-        h = _neumann_matrix(coeffs, m)
-        waven = np.arange(m)
-    else:
-        raise ValueError("bc must be dirichlet or neumann")
+        return _dirichlet_matrix(coeffs, m), np.arange(1, m + 1)
+    if bc == "neumann":
+        return _neumann_matrix(coeffs, m), np.arange(m)
+    raise ValueError("bc must be dirichlet or neumann")
+
+
+def _solve(coeffs, bc, m):
+    h, waven = _operator(coeffs, bc, m)
     lams, vecs = np.linalg.eigh(h)
     return lams, vecs, waven
 
@@ -213,7 +215,8 @@ def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
         raise ValueError("basis_size: must be >= %d, two more than the %d "
                          "eigenvalues solved for" % (jmax + 2, jmax))
     lams, vecs, waven = _solve(coeffs, bc, m)
-    lams2, _, _ = _solve(coeffs, bc, 2 * m)
+    # the refinement only checks the eigenvalues
+    lams2 = np.linalg.eigvalsh(_operator(coeffs, bc, 2 * m)[0])
     num = np.abs(lams[:jmax] - lams2[:jmax])
     den = np.maximum(1.0, np.abs(lams2[:jmax]))
     err = float(np.max(num / den))

@@ -410,6 +410,46 @@ def measure_scan_per_sample(family: str, params: dict, q: DivisorQuery,
     return PerSampleScan(viol, hists, skipped, complete, nodes)
 
 
+def tally_reference(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
+                    rule_sets, rule_of: np.ndarray, violates: np.ndarray,
+                    hist: list) -> None:
+    """`resonance._tally` without its shared rows: every row of K takes its
+    own product with W, a block of rows at a time, and is decided on it.
+
+    Row k stands for the pair +-k, so it counts twice.  At threshold
+    thrs[g] a hit under column s is tagged under the rules
+    rule_sets[rule_of[g, s]]; the tags go to hist[g], and a NONE hit sets
+    violates[g, s]."""
+    step = max(1, resonance.SCAN_BLOCK_BYTES // (8 * (K.shape[1]
+                                                       + W.shape[1])))
+    for lo in range(0, len(K), step):
+        Kb = K[lo:lo + step].astype(float)
+        found = resonance._below(Kb @ W, Kb, W, thrs, order)
+        live = np.unique(np.concatenate([ri for ri, _ in found]))
+        tags = np.stack([resonance.classify_rows(Kb[live], modes, rules)
+                         for rules in rule_sets])
+        for gi, (ri, si) in enumerate(found):
+            hit = tags[rule_of[gi, si], np.searchsorted(live, ri)]
+            for tag in hit.tolist():
+                hist[gi][tag] = hist[gi].get(tag, 0) + 2
+            violates[gi, si[hit == resonance.PATTERN_NONE]] = True
+
+
+def distinct_divisor_rows(K: np.ndarray, W: np.ndarray) -> int:
+    """Rows of K, summed over the blocks `resonance._tally` takes, that
+    differ in their sums over the modes whose rows of W are equal: the
+    rows whose divisors the tally multiplies out."""
+    group = {}
+    cols = [group.setdefault(row.tobytes(), len(group)) for row in W]
+    G = np.zeros((len(W), len(group)), dtype=np.int64)
+    G[np.arange(len(W)), cols] = 1
+    step = max(1, resonance.SCAN_BLOCK_BYTES // (8 * (K.shape[1]
+                                                       + W.shape[1])))
+    blocks = (K[lo:lo + step].astype(np.int64) @ G
+              for lo in range(0, len(K), step))
+    return sum(len({r.tobytes() for r in sums}) for sums in blocks)
+
+
 def dirichlet_matrix_reference(coeffs: dict, m: int) -> np.ndarray:
     """Matrix of -d2/dx2 + sum v_k cos(kx) in the sine basis on (0, pi),
     assembled one basis function at a time."""

@@ -235,9 +235,10 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
     ])
     out = str(tmp_path / "out")
     assert cli.main(["measure-estimate", p, "--out", out]) == 0
-    # one search for every sample, reported as scan-resonances reports its
-    assert "measure-estimate: complete=True, nodes=22614" in \
-        capsys.readouterr().out.splitlines()
+    # one search for every sample, reported as scan-resonances reports its,
+    # with the search's rows and the distinct divisor rows among them
+    assert "measure-estimate: complete=True, nodes=22614, rows=4208, " \
+        "decided=298" in capsys.readouterr().out.splitlines()
     rows = (tmp_path / "out" / "measure.csv").read_text().splitlines()
     assert rows[0].startswith("gamma,threshold,samples")
     assert len(rows) == 3
@@ -246,6 +247,41 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
     assert cli.main(["measure-estimate", p, "--out", out2]) == 0
     assert (tmp_path / "out2" / "measure.csv").read_text() == \
         "\n".join(rows) + "\n"
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded from the source tree."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("seed,digest,violations", [
+    (0, "486ec050647ecc4af836584c4c7f5f191a1ca57278bea26449872230f0c2f1f0",
+     [75, 16, 1, 0]),
+    (7, "ef231c3c18754b8857ea405c866827bc774f3b12d6296bda4872e8917609cb78",
+     [69, 10, 2, 0])])
+def test_benchmark_measure_config_pinned(tmp_path, capsys, seed, digest,
+                                         violations):
+    # the measure config of criterion 10 and of the benchmark
+    workloads = benchmark_workloads()
+    p = str(tmp_path / "m.cfg")
+    workloads.write_config(workloads.WORKLOADS["measure"].config(seed), p)
+    out = tmp_path / "out"
+    assert cli.main(["measure-estimate", p, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "measure.csv").read_bytes()).hexdigest() \
+        == digest
+    with open(out / "measure.csv") as fh:
+        assert [int(r["violations"]) for r in csv.DictReader(fh)] == \
+            violations
+    head = re.fullmatch(r"measure-estimate: complete=True, nodes=1071288, "
+                        r"rows=(\d+), decided=(\d+)",
+                        capsys.readouterr().out.splitlines()[0])
+    # rows of equal pair sums share one divisor decision
+    rows, decided = int(head[1]), int(head[2])
+    assert rows == 145078 and 0 < decided <= rows / 5
 
 
 def test_measure_estimate_reads_gamma_only_as_the_list_default(tmp_path):
@@ -662,10 +698,7 @@ def test_keys_table_lists_exactly_the_keys_read():
 
 
 def test_benchmark_configs_pass_the_key_check(tmp_path, monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads()
     for name, w in workloads.WORKLOADS.items():
         p = str(tmp_path / (name + ".cfg"))
         workloads.write_config(w.config(0), p)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from bnfsim import poly
 from bnfsim import resonance as R
+from bnfsim.cli import stream_seed
 from bnfsim.poly import Monomial
 from bnfsim.spectra import (FrequencyTable, SpectralError,
                             convolution_frequencies, periodic_nlw_table)
@@ -764,3 +766,175 @@ def test_one_pass_accept_step_matches_one_call_per_threshold():
     assert np.array_equal(tags, R.classify_rows(K, modes, rules)[live])
     assert set(tags) == {R.PATTERN_NONE, R.PATTERN_SHELL,
                          R.PATTERN_PAIR_TAIL}
+
+
+# -- shared divisor rows in the measure tally ------------------------------
+
+
+def tally_both(K, modes, W, thrs, order, rule_sets, rule_of):
+    """`_tally` and the row-by-row reference on the same input: their
+    violations and histograms must be equal; `_tally`'s (violates,
+    histograms, decided)."""
+    out = []
+    for tally in (R._tally, helpers.tally_reference):
+        violates = np.zeros(rule_of.shape, dtype=bool)
+        hist = [Counter() for _ in thrs]
+        decided = tally(K, modes, W, thrs, order, rule_sets, rule_of,
+                        violates, hist)
+        out.append((violates, [dict(h) for h in hist], decided))
+    (v, h, decided), (rv, rh, _) = out
+    assert np.array_equal(v, rv) and h == rh
+    return v, h, decided
+
+
+BENCH = {"R": 1.0, "kmax": 4, "d": 2, "decay": 2.0}
+BENCH_GAMMAS = [1e-4, 1e-5, 1e-6, 1e-7]
+
+
+@pytest.fixture(scope="module")
+def benchmark_rows():
+    """The benchmark measure config's envelope candidates and the
+    frequencies its seed-0 run draws, over the same modes."""
+    q = R.DivisorQuery(None, r=3, N=2, gamma=1e-4, alpha=1.0, jmax=4)
+    modes, K, _, _ = helpers.envelope_candidates(BENCH, q, 1e-4)
+    W = np.column_stack([convolution_frequencies(
+        2, R.sample_potential("convolution_d", BENCH, s), 4).vector(modes)
+        for s in R.sample_seeds(stream_seed(0, "monte_carlo"), 100)])
+    return q, modes, K, W
+
+
+@pytest.mark.parametrize("block_bytes", [R.SCAN_BLOCK_BYTES, 1 << 10])
+def test_tally_of_shared_rows_matches_the_reference_on_the_benchmark(
+        monkeypatch, benchmark_rows, block_bytes):
+    # omega_k = omega_{-k} in every draw, so the rows that agree on their
+    # pair sums share one divisor decision, with the hits and the tags of
+    # deciding every row on its own
+    monkeypatch.setattr(R, "SCAN_BLOCK_BYTES", block_bytes)
+    q, modes, K, W = benchmark_rows
+    if block_bytes == 1 << 10:
+        K = K[::100]  # blocks of one row: a sample of the rows
+    thrs = [g / q.N ** q.alpha for g in BENCH_GAMMAS]
+    rules = tuple(R.family_rules("convolution_d", BENCH, q, None, 1e-4))
+    rule_of = np.zeros((len(thrs), W.shape[1]), dtype=int)
+    v, h, decided = tally_both(K, modes, W, thrs, q.r + 2, [rules], rule_of)
+    assert decided == helpers.distinct_divisor_rows(K, W)
+    if block_bytes != 1 << 10:
+        # the seed-0 measure.csv of the benchmark
+        assert v.sum(axis=1).tolist() == [75, 16, 1, 0]
+        assert h[0] == {R.PATTERN_NONE: 10000, R.PATTERN_PAIR_TAIL: 36000,
+                        R.PATTERN_SHELL: 19424}
+        assert decided * 5 <= len(K)
+    else:
+        assert decided == len(K) and set(h[0]) == {
+            R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
+
+
+def planted_twins():
+    """Rows over the modes |j| <= 2 of the 2-d lattice, frequencies over 8
+    samples, thresholds and rules, with planted twins: rows of equal sums
+    over the modes of equal frequencies.
+
+    The frequencies are even in j, and the four modes |j| = 1 are equal.
+    (2, 0) and (-2, 0) differ in the last bit in one sample, so they are
+    two groups.  Rows 0 and 1 are twins whose `math.fsum` rechecks straddle
+    a threshold: 3 w_j - w_-j rounds apart from 2 w_j."""
+    from bnfsim.modes import lattice_modes
+    rng = np.random.default_rng(23)
+    modes = lattice_modes(2, 2)
+    at = {m: i for i, m in enumerate(modes)}
+    n, S, order = len(modes), 8, 5
+
+    def neg(m):
+        return tuple(-c for c in m)
+
+    W = rng.uniform(1.0, 3.0, size=(n, S))
+    for m in modes:
+        if m < neg(m):
+            W[at[neg(m)]] = W[at[m]]
+    for m in [(-1, 0), (0, -1), (0, 1)]:
+        W[at[m]] = W[at[(1, 0)]]
+    W[at[(-2, 0)], 3] = np.nextafter(W[at[(2, 0)], 3], np.inf)
+    # the straddling twins, on column 5: w_0 leaves them near 0.05
+    j, s = at[(1, 1)], 5
+    a = b = 0.0
+    while a == b:
+        w = rng.uniform(1.0, 3.0)
+        W[j, s] = W[at[(-1, -1)], s] = w
+        W[at[(0, 0)], s] = 2 * w - 0.05
+        a = math.fsum([3.0 * w, -1.0 * w, -W[at[(0, 0)], s]])
+        b = math.fsum([2.0 * w, -W[at[(0, 0)], s]])
+    thrs = [0.3, max(abs(a), abs(b)), 1e-3]
+    rows = []
+
+    def row(*pairs):
+        r = [0] * n
+        for m, e in pairs:
+            r[at[m]] += e
+        rows.append(r)
+
+    row(((1, 1), 3), ((-1, -1), -1), ((0, 0), -1))
+    row(((1, 1), 2), ((0, 0), -1))
+    # cancellations inside and beyond the SHELL cutoff 1.2 share the zero
+    # key but not a tag: NONE, PAIR_TAIL, SHELL, and a pair of two groups
+    row(((1, 0), 1), ((0, 1), -1))
+    row(((1, 0), 1), ((-1, 0), -1))
+    row(((1, 1), 1), ((-1, -1), -1))
+    row(((2, 0), 1), ((-2, 0), -1))
+    groups = [[(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 1), (-1, -1)],
+              [(1, -1), (-1, 1)], [(0, 2), (0, -2)], [(2, 0), (-2, 0)]]
+    for _ in range(80):
+        # a base of |k| <= 1 and splits of one group sum over its modes
+        base = [] if rng.random() < 0.3 else \
+            [(modes[rng.integers(n)], int(rng.choice([-1, 1])))]
+        g = groups[rng.integers(len(groups))]
+        total = int(rng.integers(-2, 3))
+        for _ in range(3):
+            while True:
+                split = rng.integers(-3, 4, size=len(g))
+                split[-1] = total - split[:-1].sum()
+                if 0 < np.abs(split).sum() <= 4:
+                    break
+            row(*base, *zip(g, split.tolist()))
+    for _ in range(400):
+        r = [0] * n
+        for c in rng.integers(0, n, size=rng.integers(1, order + 1)):
+            r[c] += int(rng.choice([-1, 1]))
+        if any(r):
+            rows.append(r)
+    K = np.array(rows, dtype=np.int8)
+    assert np.abs(K).sum(axis=1).max() <= order
+    rule_sets = [((R.PATTERN_SHELL, 1.2), (R.PATTERN_PAIR_TAIL, 0.0)),
+                 ((R.PATTERN_PAIR_TAIL, 1.5),)]
+    rule_of = rng.integers(0, 2, size=(len(thrs), S))
+    return K, modes, W, thrs, order, rule_sets, rule_of
+
+
+@pytest.mark.parametrize("block_bytes", [R.SCAN_BLOCK_BYTES, 1 << 10])
+@pytest.mark.parametrize("case", ["twins", "no rows", "one mode",
+                                  "one mode, no rows"])
+def test_tally_of_shared_rows_matches_the_reference(monkeypatch, case,
+                                                    block_bytes):
+    monkeypatch.setattr(R, "SCAN_BLOCK_BYTES", block_bytes)
+    K, modes, W, thrs, order, rule_sets, rule_of = planted_twins()
+    if case.startswith("one mode"):
+        modes, W = [(1,)], np.linspace(-0.02, 0.03, 8)[None, :]
+        K = np.array([[1], [2], [-1], [3], [5], [4]], dtype=np.int8)
+        rule_sets = [((R.PATTERN_PAIR_TAIL, 0.0),)]
+        rule_of = np.zeros_like(rule_of)
+    if case.endswith("no rows"):
+        K = K[:0]
+    v, h, decided = tally_both(K, modes, W, thrs, order, rule_sets, rule_of)
+    assert decided == helpers.distinct_divisor_rows(K, W)
+    if not len(K):
+        assert decided == 0 and not v.any() and h == [{}, {}, {}]
+    elif case == "twins":
+        # the planted twins: shared keys, tags that differ, and the two
+        # rows of one key that one threshold parts
+        assert decided < len(K)
+        assert all(set(t) == {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL,
+                              R.PATTERN_SHELL} for t in h)
+        ri, _ = helpers.below_reference(K[:2] @ W[:, 5:6], K[:2], W[:, 5:6],
+                                        thrs[1], order)
+        assert ri.tolist() in ([0], [1])
+    else:
+        assert decided == len(K) and v.any()

@@ -179,3 +179,25 @@ def test_eigenvalue_derivative_fd_converges():
     e2 = abs(r2.fd_derivative - ref.fd_derivative)
     if e1 > 1e-12:
         assert e2 <= e1 / 2.5
+
+
+@pytest.mark.parametrize("bc,jmax", [("dirichlet", 9), ("dirichlet", 6),
+                                     ("neumann", 6)])
+def test_refinement_solve_takes_only_the_eigenvalues(bc, jmax):
+    # the potential of the drift (jmax 9) and transport (jmax 6) benchmark
+    # systems: the first solve is the eigh solve, and the refinement's
+    # eigenvalues-only solve moves refinement_err by no more than either
+    # solver's rounding, eps times the norm of the doubled matrix
+    samp = S.sample_potential("nls_cosine",
+                              {"R": 0.5, "sigma": 0.4, "kmax": 9}, seed=3)
+    res = S.sturm_liouville(samp, bc, jmax)
+    m = max(4 * jmax, 32)
+    lams, vecs, _ = S._solve(samp.coeffs, bc, m)
+    assert np.array_equal(res.lams, lams[:jmax])
+    assert np.array_equal(res.basis.coeffs, vecs[:, :jmax])
+    lams2 = S._solve(samp.coeffs, bc, 2 * m)[0]
+    err = np.max(np.abs(lams[:jmax] - lams2[:jmax])
+                 / np.maximum(1.0, np.abs(lams2[:jmax])))
+    assert res.refinement_err <= 1e-8
+    assert abs(res.refinement_err - err) <= \
+        4 * np.finfo(float).eps * np.abs(lams2).max()
