@@ -10,9 +10,10 @@ value counts as unset, and any key not in `KEYS` exits 2 naming it.
 All randomness derives from the one manifest seed through named streams:
 stream k of seed S is SeedSequence(entropy=S, spawn_key=(k, index)) with
 k = 0 for potential sampling, 1 for initial data, 2 for Monte Carlo.  Runs
-with identical resolved config are bit-reproducible; every subcommand
-records the resolved config and its sha256 in manifest.json next to its
-artifacts, keyed by subcommand so reports can sit in the same directory.
+with identical resolved config at a fixed BLAS thread count are
+bit-reproducible; every subcommand records the resolved config and its
+sha256 in manifest.json next to its artifacts, keyed by subcommand so
+reports can sit in the same directory.
 
 Exit codes: 0 success, 1 compute failure (partial artifacts are flagged in
 the manifest), 2 validation failure with a message naming the field.
@@ -33,8 +34,8 @@ import numpy as np
 from . import __version__
 from .birkhoff import (AUTO, BLOCK, DEGREE_BY_DEGREE, NormalFormParams,
                        NormalFormResult, normalize)
-from .dynamics import (MODELS, ModelSystem, build_model_hamiltonian,
-                       drift_experiment, initial_state, integrate,
+from .dynamics import (MODELS, PARAMETERS, ModelSystem, drift_experiment,
+                       build_model_hamiltonian, initial_state, integrate,
                        write_drift_csv, write_frames_csv)
 from .modes import mode_abs
 from .poly import to_text
@@ -96,9 +97,9 @@ SEED, COUNT, TEXT = "an integer >= 0", "an integer >= 1", "a string"
 POSITIVES, OBJECT = "a non-empty list of numbers > 0", "a JSON object"
 
 # The config schema: every key that some command reads, with its one kind.
-# Narrowed in three places: jmax (a radius on nls_dd and in the resonance
-# commands) is a COUNT on the 1-d models, measure-estimate samples only
-# FAMILIES, and _coeffs reads each potential.coeffs value as a NUMBER.
+# Narrowed in three places: jmax (a lattice radius, as in the resonance
+# commands) is a count on models whose builder has no `d`, measure-estimate
+# samples only FAMILIES, and _coeffs reads potential.coeffs values as NUMBER.
 KEYS = {
     "model": MODELS, "d": COUNT, "jmax": NUMBER, "kappa": NUMBER,
     "mass": NUMBER, "basis_size": COUNT, "quad_n": COUNT,  # see README
@@ -178,7 +179,7 @@ def stream_seed(seed: int, stream: str, index: int = 0) -> int:
 
 def _coeffs(raw: dict, d: Optional[int]) -> dict:
     """Explicit coefficients: {"3": v} on the 1-d models (d None), {"1,0": v}
-    on the d-lattice of nls_dd.  A key of another dimension is an error."""
+    on a lattice model's d-lattice.  A key of another dimension is an error."""
     coeffs = {}
     for key, v in raw.items():
         try:
@@ -200,10 +201,10 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
     family = read(cfg, "potential.family", "none")
     if family == "none":
         return None
-    lattice = cfg.get("model") == "nls_dd"
+    dim = PARAMETERS[read(cfg, "model")].get("d")  # lattice models take d
+    lattice = dim is not None
     if family == "explicit":
-        # nls_dd's lattice dimension: 2 unless set, as in its builder
-        d = read(cfg, "d", 2) if lattice else None
+        d = read(cfg, "d", dim.default) if lattice else None
         return _coeffs(read(cfg, "potential.coeffs", {}), d)
     if (family == CONVOLUTION_D) != lattice:
         raise ConfigError("potential.family: %s does not fit model %s, whose "
@@ -220,36 +221,28 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
         raise ConfigError(str(exc))
 
 
-_ONE_D = ("jmax", "kappa", "basis_size", "quad_n")
-_MODEL_KEYS = {
-    "demo_2mode": ("kappa",),
-    "nls1d_dirichlet": _ONE_D,
-    "nlw_dirichlet": _ONE_D + ("mass",),
-    "nlw_periodic": _ONE_D + ("mass",),
-    "nls_coupled": _ONE_D,
-    "nls_dd": ("d", "jmax", "kappa"),
-}
+# each model's keys: the config keys among its builder's parameters
+_MODEL_KEYS = {model: tuple(name for name in params if name in KEYS)
+               for model, params in PARAMETERS.items()}
 
 
 def build_system(cfg: dict, seed: int) -> ModelSystem:
     model = read(cfg, "model")
+    params, keys = PARAMETERS[model], _MODEL_KEYS[model]
     # model-only keys the builder does not take; nlw_periodic draws the mass
     for key in ("mass", "basis_size", "quad_n", "d"):
-        if cfg.get(key) is not None and key not in _MODEL_KEYS[model]:
+        if cfg.get(key) is not None and key not in keys:
             raise ConfigError("%s: not a key of model %s" % (key, model))
     if cfg.get("mass") is not None and \
             cfg.get("potential.family") == NLW_PERIODIC:
         raise ConfigError("mass: the nlw_periodic family draws it")
-    kwargs = {key: read(cfg, key) for key in _MODEL_KEYS[model]
-              if cfg.get(key) is not None}
-    if model != "nls_dd" and "jmax" in kwargs:
+    kwargs = {key: read(cfg, key) for key in keys if cfg.get(key) is not None}
+    if "d" not in params and "jmax" in kwargs:  # a count off the lattice
         kwargs["jmax"] = _check("jmax", kwargs["jmax"], COUNT)
-    if model == "nls_coupled":
-        # two fields: independent draws off the potential stream
-        kwargs["potential1"] = resolve_potential(cfg, seed, 0)
-        kwargs["potential2"] = resolve_potential(cfg, seed, 1)
-    elif model != "demo_2mode":
-        kwargs["potential"] = resolve_potential(cfg, seed, 0)
+    # one draw per potential parameter, each off its own index of the stream
+    fields = [name for name in params if name.startswith("potential")]
+    kwargs.update((name, resolve_potential(cfg, seed, index))
+                  for index, name in enumerate(fields))
     try:
         return build_model_hamiltonian(model, **kwargs)
     except ValueError as exc:

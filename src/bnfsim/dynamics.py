@@ -27,6 +27,7 @@ exactly rounded (math.fsum).
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -42,9 +43,6 @@ from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
                       SpectralResult, convolution_frequencies,
                       mode_eigenvalues, nlw_frequencies, periodic_nlw_table,
                       sturm_liouville)
-
-MODELS = ("demo_2mode", "nls1d_dirichlet", "nlw_dirichlet", "nlw_periodic",
-          "nls_coupled", "nls_dd")
 
 PAIRS = "pairs"
 SHELLS = "shells"
@@ -341,6 +339,9 @@ _BUILDERS = {
     "nls_coupled": _nls_coupled,
     "nls_dd": _nls_dd,
 }
+MODELS = tuple(_BUILDERS)
+# what each model takes: its builder's parameters, the one statement of them
+PARAMETERS = {m: inspect.signature(b).parameters for m, b in _BUILDERS.items()}
 
 
 def build_model_hamiltonian(model: str, **params) -> ModelSystem:

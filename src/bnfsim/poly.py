@@ -45,6 +45,7 @@ from .exact import GaussRat
 from .modes import as_mode, mode_abs2, mode_str, parse_mode
 
 PRUNE_REL = 1e-14
+TAIL_BUDGET = 2  # the exponent mass a normalizable term may carry beyond N
 
 
 def _sorted_items(d: Dict[tuple, int]) -> tuple:
@@ -281,8 +282,8 @@ class Polynomial:
                            minlength=len(self))
 
     def tail_split(self, cutoff_n: float) -> "TailSplit":
-        """Split by tail degree at cutoff N: low (<= 2) and high (>= 3)."""
-        high = self.tail_degrees(cutoff_n) > 2
+        """Split by tail degree at cutoff N: low (<= TAIL_BUDGET) and high."""
+        high = self.tail_degrees(cutoff_n) > TAIL_BUDGET
         return TailSplit(self.filter(~high), self.filter(high), cutoff_n)
 
     def is_zero_momentum(self) -> bool:

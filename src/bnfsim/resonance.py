@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .modes import Mode, f17, mode_abs2
-from .poly import Polynomial, exps_text
+from .poly import TAIL_BUDGET, Polynomial, exps_text
 from .spectra import (CONVOLUTION_D, NLW_PERIODIC, FrequencyTable,
                       SpectralError, _param, convolution_frequencies,
                       mode_eigenvalues, periodic_nlw_table, sample_potential,
@@ -192,7 +192,7 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
     rows = array("b")
     nodes, complete = 1, True
     # (level, budget m, tail budget tb, s_lo, s_hi, exponents assigned)
-    root = (0, np.array([order], dtype=np.int8), np.array([2], np.int8),
+    root = (0, np.array([order], np.int8), np.array([TAIL_BUDGET], np.int8),
             np.zeros(1), np.zeros(1), np.zeros((1, 0), np.int8))
     stack = [root] if n else []
     while stack:
@@ -413,7 +413,7 @@ def normal_form_membership(p: Polynomial, omega: FrequencyTable,
     divisor, and membership has to agree with that split.
     """
     thr = gamma / N ** alpha
-    low = (p.tail_degrees(N) <= 2).tolist()
+    low = (p.tail_degrees(N) <= TAIL_BUDGET).tolist()
     return [abs(d) <= thr and ok
             for d, ok in zip(term_divisors(p, omega), low)]
 

@@ -26,6 +26,7 @@ NLS_COSINE = "nls_cosine"
 CONVOLUTION_D = "convolution_d"
 
 FAMILIES = (NLW_PERIODIC, NLS_COSINE, CONVOLUTION_D)
+REFINE_RTOL = 1e-8  # relative eigenvalue movement allowed at twice the basis
 
 # the parameters the envelopes, the lattices and the exception rules read,
 # range-checked
@@ -200,14 +201,13 @@ def _cosine_coeffs(p) -> Dict[int, float]:
 
 
 def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
-                    basis_size: Optional[int] = None,
-                    rel_tol: float = 1e-8) -> SpectralResult:
+                    basis_size: Optional[int] = None) -> SpectralResult:
     """First jmax eigenvalues and eigenfunctions of -d2/dx2 + V0 on (0, pi).
 
     The potential's mean/mass term is *not* included; for models that carry
     one, shift the eigenvalues afterwards (the shift is exact).  The solve
     is repeated at twice the basis size and the relative eigenvalue
-    movement must stay below rel_tol.
+    movement must stay below REFINE_RTOL.
     """
     coeffs = _cosine_coeffs(potential)
     m = basis_size or max(4 * jmax, 32)
@@ -220,10 +220,10 @@ def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
     num = np.abs(lams[:jmax] - lams2[:jmax])
     den = np.maximum(1.0, np.abs(lams2[:jmax]))
     err = float(np.max(num / den))
-    if err > rel_tol:
+    if err > REFINE_RTOL:
         raise SpectralError(
             "Galerkin truncation not converged: rel err %.3e > %.0e "
-            "(increase basis_size)" % (err, rel_tol))
+            "(increase basis_size)" % (err, REFINE_RTOL))
     basis = EigenBasis(bc, vecs[:, :jmax].copy(), waven)
     return SpectralResult(lams[:jmax].copy(), basis, bc, m, err)
 

@@ -9,11 +9,14 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from bnfsim import cli
+from bnfsim.dynamics import PARAMETERS
 from bnfsim.poly import from_text
 
 
@@ -753,3 +756,110 @@ def test_lattice_coeffs_shift_their_frequency():
     table = cli.build_system(cfg, 0).table
     assert table.omega_of((1, 0)) == 1.5
     assert table.omega_of((0, 1)) == 1.0
+
+
+# sha256 of the seed-0 drift and transport benchmark artifacts and of the
+# README config's, at one BLAS thread: the assembled quartic's matrix
+# product rounds by the thread count, and the README nf.json moves with it
+PINNED = {
+    "drift/drift.csv":
+        "3f1a8a98bbe4836169fe62390ae5c5724084778daa71acf38406bde63eb25b27",
+    "transport/drift.csv":
+        "903e03dd5b95c594cf38f6e8a1150e49b7465e03f1006284393572ede234c0d9",
+    "transport/nf.json":
+        "c32373204b644cf486d272d48f7a104b4a6d34d89e79206949560dd28d2450b4",
+    "readme/nf.json":
+        "259852769db8cae149c950da6da15021ef39a2af32043acbc04f51ffcdac7acd",
+    "readme/hits.csv":
+        "1b64ddbc7911b387bdb175324e474c65e02673f7bba46fe8c9f6f2469be1763b",
+    "readme/frames.csv":
+        "35bdcecc5cd2532eae2d3754e7a284dca1e295562fd36571624ffdbb6693b311",
+}
+
+
+def test_pinned_artifacts_at_one_blas_thread(tmp_path):
+    workloads = benchmark_workloads()
+    cfgs = {}
+    for name in ("drift", "transport"):
+        cfgs[name] = str(tmp_path / (name + ".cfg"))
+        workloads.write_config(workloads.WORKLOADS[name].config(0),
+                               cfgs[name])
+    argvs = [["drift-experiment", cfgs["drift"], "--out",
+              str(tmp_path / "drift")]]
+    argvs += [[command, cfgs["transport"], "--out", str(tmp_path / "transport")]
+              for command in ("drift-experiment", "normalize")]
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    config = [b for b in re.findall(r"```\n(.*?)```", readme.read_text(), re.S)
+              if b.startswith("model")]
+    p = write_cfg(tmp_path / "run.cfg", [config[0]])
+    out = str(tmp_path / "readme")
+    argvs += [["normalize", p, "--out", out],
+              ["scan-resonances", p, "--out", out],
+              ["simulate", p, "--set", "eps=0.05", "--out", out]]
+    # BLAS reads its thread count once, when numpy loads: a fresh process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(cli.__file__).resolve().parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    run = ("import json, sys\nfrom bnfsim import cli\n"
+           "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
+    done = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED} == PINNED
+
+
+def test_every_builder_parameter_but_the_potentials_is_a_config_key():
+    # so no builder parameter is out of a config's reach
+    for model, params in PARAMETERS.items():
+        rest = {name for name in params if not name.startswith("potential")}
+        assert rest <= set(cli.KEYS), model
+
+
+def test_jmax_is_a_radius_exactly_on_models_with_a_dimension(tmp_path,
+                                                             capsys):
+    # nls_dd leaves d at its builder's default, 2
+    table = cli.build_system({"model": "nls_dd", "jmax": 2.5}, 0).table
+    assert len(table.modes()) == 21
+    assert max(sum(c * c for c in m) for m in table.modes()) == 5
+    p = write_cfg(tmp_path / "j.cfg", ['model = "nls1d_dirichlet"',
+                                       "jmax = 2.5"])
+    assert cli.main(["normalize", p, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "bnfsim: jmax: expected an integer >= 1\n"
+
+
+# each model's config keys, pinned
+MODEL_KEYS = {
+    "demo_2mode": {"kappa"},
+    "nls1d_dirichlet": {"jmax", "kappa", "basis_size", "quad_n"},
+    "nlw_dirichlet": {"jmax", "kappa", "basis_size", "quad_n", "mass"},
+    "nlw_periodic": {"jmax", "kappa", "basis_size", "quad_n", "mass"},
+    "nls_coupled": {"jmax", "kappa", "basis_size", "quad_n"},
+    "nls_dd": {"d", "jmax", "kappa"},
+}
+
+
+def build_only(cfg, outdir):
+    cli.build_system(cfg, 0)
+    return []
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_KEYS))
+def test_model_only_keys_exit_2_exactly_off_their_models(tmp_path, capsys,
+                                                         monkeypatch, model):
+    assert set(cli._MODEL_KEYS[model]) == MODEL_KEYS[model]
+    monkeypatch.setitem(cli.COMMANDS, "normalize", build_only)
+    values = {"mass": 0.5, "basis_size": 64, "quad_n": 512, "d": 1}
+    for key, value in values.items():
+        p = write_cfg(tmp_path / "k.cfg", ['model = "%s"' % model, "jmax = 3",
+                                           "%s = %s" % (key, value)])
+        rc = cli.main(["normalize", p, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if key in MODEL_KEYS[model]:
+            assert (rc, err) == (0, "")
+        else:
+            assert (rc, err) == (2, "bnfsim: %s: not a key of model %s\n"
+                                 % (key, model))
