@@ -29,8 +29,8 @@ import numpy as np
 
 from .fields import eta_gradient_table
 from .norms import majorant_norm
-from .poly import (Monomial, Polynomial, bracket_overflow, exps_text,
-                   pair_counts, poisson_bracket, quadratic_diagonal, zero)
+from .poly import (Polynomial, bracket_overflow, pair_counts, poisson_bracket,
+                   quadratic_diagonal, term_texts, zero)
 from .resonance import normal_form_membership, term_divisors
 from .spectra import FrequencyTable
 
@@ -138,10 +138,6 @@ class RemainderLedger:
         return all(x >= 0 for x in self.chi_majorants)
 
 
-def term_key(mono: Monomial) -> str:
-    return exps_text(mono.xi) + "|" + exps_text(mono.eta)
-
-
 @dataclass
 class NormalFormResult:
     Z: Polynomial
@@ -172,8 +168,9 @@ def solve_homological(f: Polynomial, omega: FrequencyTable, gamma: float,
     thr = gamma / N ** alpha
     high = f.tail_split(N).high
     if high:
-        raise ValueError("tail degree > 2 in homological input: %r"
-                         % (next(iter(high.terms)),))
+        xi, eta = term_texts(high, ("xi[%s]^%d", "eta[%s]^%d"))
+        raise ValueError("tail degree > 2 in homological input: %s"
+                         % (xi[0] + " " + eta[0]).strip())
     div = np.array(term_divisors(f, omega))
     small = np.abs(div) <= thr
     z, chi = f.filter(small), f.filter(~small)
@@ -262,19 +259,15 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
     zero_mom = P.is_zero_momentum()
     # the part of P above the cap never enters the series: ledger it here
     g, overflow_cum = lie_transform(P, zero(), cap)
-    z = zero()
-    rn = zero()
+    z = rn = zero()
     gens: List[Polynomial] = []
     ledger = RemainderLedger()
     tail_cum = 0.0
     for r in range(params.r_star):
-        split = g.tail_split(N)
-        low, high = split.low, split.high
+        low, high, _ = g.tail_split(N)
         tail_cum += majorant_norm(high, params.s, 1.0)
-        if params.mode == DEGREE_BY_DEGREE:
-            working = low.homogeneous_part(r + 3)
-        else:
-            working = low
+        working = low.homogeneous_part(r + 3) \
+            if params.mode == DEGREE_BY_DEGREE else low
         chi, z_r = solve_homological(working, h0_freqs, params.gamma,
                                      params.alpha, N)
         gens.append(chi)
@@ -292,8 +285,10 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
         ledger.chi_terms.append(len(chi))
         ledger.Z_terms.append(len(z))
 
-    membership = dict(zip(map(term_key, z.terms), normal_form_membership(
-        z, h0_freqs, params.gamma, params.alpha, N)))
+    # keyed by the text form's xi and eta tokens: "xi tokens|eta tokens"
+    membership = dict(zip(map("|".join, zip(*term_texts(z))),
+                          normal_form_membership(z, h0_freqs, params.gamma,
+                                                 params.alpha, N)))
     if not all(membership.values()):
         raise ArithmeticError("normal form term failed membership")
     if params.mode == DEGREE_BY_DEGREE:

@@ -203,14 +203,17 @@ def resolve_potential(cfg: dict, seed: int, index: int = 0):
         return None
     dim = PARAMETERS[read(cfg, "model")].get("d")  # lattice models take d
     lattice = dim is not None
+    d = read(cfg, "d", dim.default) if lattice else None
     if family == "explicit":
-        d = read(cfg, "d", dim.default) if lattice else None
         return _coeffs(read(cfg, "potential.coeffs", {}), d)
     if (family == CONVOLUTION_D) != lattice:
         raise ConfigError("potential.family: %s does not fit model %s, whose "
                           "potential is %s" % (family, cfg.get("model"),
                                                "d-dim" if lattice else "1-d"))
     params = read(cfg, "potential.params")
+    if lattice and params.get("d") != d:
+        raise ConfigError("potential.params: d = %r does not match the d = %d "
+                          "of model %s" % (params.get("d"), d, cfg["model"]))
     pseed = read(cfg, "potential.seed", None)
     if pseed is None or index:  # field `index` > 0 draws apart from field 0
         pseed = stream_seed(seed if pseed is None else pseed, "potential",

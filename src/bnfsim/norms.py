@@ -39,7 +39,7 @@ from typing import Dict
 import numpy as np
 
 from .modes import weight
-from .poly import Polynomial, _abs
+from .poly import Polynomial, _abs, term_bounds
 
 
 def majorant_norm(f: Polynomial, s: float, radius: float) -> float:
@@ -76,33 +76,25 @@ def majorant_norm(f: Polynomial, s: float, radius: float) -> float:
 
 
 def _field_entries(f: Polynomial):
-    """Modulus-field entries: (output_mode, |coeff|*exp, remaining slots)."""
-    entries = []
-    for mono, c in f.items():
-        a = abs(c)
-        slots = [("xi", m, e) for m, e in mono.xi]
-        slots += [("eta", m, e) for m, e in mono.eta]
-        for kind, m, e in slots:
-            rest = []
-            for kind2, m2, e2 in slots:
-                n = e2 - 1 if (kind2, m2) == (kind, m) else e2
-                rest.extend([(kind2, m2)] * n)
-            entries.append((m, a * e, tuple(rest)))
-    return entries
+    """Modulus-field entries: (output_mode, |coeff|*exp, remaining slots),
+    per term and exponent entry in order; a slot is ("xi" or "eta", mode)."""
+    n, e = len(f.modes), f.e.tolist()
+    slots = [("xi" if c < n else "eta", f.modes[c % n])
+             for c in f.col.tolist()]
+    lo, _, hi = term_bounds(f)
+    return [(slots[i][1], a * e[i], tuple(slots[j] for j in range(s, t)
+                                          for _ in range(e[j] - (j == i))))
+            for s, t, a in zip(lo, hi, _abs(f.coef).tolist())
+            for i in range(s, t)]
 
 
 def _sym_eval(rest, vectors) -> float:
     """Symmetrized multilinear evaluation: permanent average over slots."""
-    n = len(rest)
-    if n == 0:
-        return 1.0
-    tot = 0.0
-    for perm in itertools.permutations(range(n)):
-        p = 1.0
-        for t, i in enumerate(perm):
-            p *= vectors[i][rest[t]]
-        tot += p
-    return tot / math.factorial(n)
+    tot = 0.0  # one empty permutation when rest is empty: 1.0
+    for perm in itertools.permutations(range(len(rest))):
+        tot += math.prod((vectors[i][rest[t]] for t, i in enumerate(perm)),
+                         start=1.0)
+    return tot / math.factorial(len(rest))
 
 
 def _vec_norm(vec: dict, s: float) -> float:
@@ -124,10 +116,9 @@ def sampled_tame_ratio(f: Polynomial, s: float, samples: int = 200, seed: int = 
     degs = f.degrees()
     if len(degs) != 1:
         raise ValueError("sampled_tame_ratio needs a homogeneous polynomial")
-    r = degs[0]
-    if r < 2:
+    nvec = degs[0] - 1
+    if nvec < 1:
         raise ValueError("degree must be >= 2")
-    nvec = r - 1
     entries = _field_entries(f)
     slots = sorted({sl for _, _, rest in entries for sl in rest})
     if not slots:
@@ -135,24 +126,18 @@ def sampled_tame_ratio(f: Polynomial, s: float, samples: int = 200, seed: int = 
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):
-        vectors = []
-        for _ in range(nvec):
-            vals = rng.uniform(0.0, 1.0, size=len(slots))
-            vectors.append({sl: float(v) for sl, v in zip(slots, vals)})
+        vectors = [dict(zip(slots, rng.uniform(0.0, 1.0, len(slots)).tolist()))
+                   for _ in range(nvec)]
         comp: Dict[tuple, float] = {}
-        for out_mode, a, rest in entries:
-            v = a * _sym_eval(rest, vectors)
-            comp[out_mode] = comp.get(out_mode, 0.0) + v
+        for m, a, rest in entries:
+            comp[m] = comp.get(m, 0.0) + a * _sym_eval(rest, vectors)
         num = math.sqrt(math.fsum(weight(m, s) * v * v for m, v in comp.items()))
         den = 0.0
         norms_1 = [_vec_norm(v, 1.0) for v in vectors]
         norms_s = [_vec_norm(v, s) for v in vectors]
-        for l in range(nvec):
-            p = norms_s[l]
-            for t in range(nvec):
-                if t != l:
-                    p *= norms_1[t]
-            den += p
+        for l in range(nvec):  # norms_s[l] times the other norms_1, in order
+            den += math.prod((norms_1[t] for t in range(nvec) if t != l),
+                             start=norms_s[l])
         den /= nvec
         if den > 0:
             best = max(best, num / den)

@@ -27,17 +27,17 @@ equal terms by one sort of packed exponent rows (`_pack`, `_merge`).  The
 terms come out in the order of the dict code and the term-pair loop these
 replaced (kept in tests/helpers.py), later sums depend on it, and each
 coefficient with Python's complex operations in order, so results equal
-theirs to the bit.  A `Monomial`, the tuple (degree, xi, eta), exists only
-at the edges: a {Monomial: coefficient} mapping is converted once, at
-construction, and `terms` builds one back on first use.
+theirs to the bit.  The text form and the membership keys are written
+from the entries too (`term_texts`).  A `Monomial`, the tuple (degree, xi,
+eta), appears only in a {Monomial: coefficient} mapping given to the
+constructor and in the read-only `terms` view, built on first use.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,10 +46,6 @@ from .modes import as_mode, mode_abs2, mode_str, parse_mode
 
 PRUNE_REL = 1e-14
 TAIL_BUDGET = 2  # the exponent mass a normalizable term may carry beyond N
-
-
-def _sorted_items(d: Dict[tuple, int]) -> tuple:
-    return tuple(sorted((m, e) for m, e in d.items() if e != 0))
 
 
 class Monomial(tuple):
@@ -63,12 +59,10 @@ class Monomial(tuple):
     __slots__ = ()
 
     def __new__(cls, xi=(), eta=()):
-        if isinstance(xi, dict):
-            xi = _sorted_items(xi)
-        if isinstance(eta, dict):
-            eta = _sorted_items(eta)
-        xi = tuple((as_mode(m), int(e)) for m, e in xi)
-        eta = tuple((as_mode(m), int(e)) for m, e in eta)
+        # a mapping's pairs are sorted and its zero exponents dropped
+        xi, eta = (tuple((as_mode(m), int(e)) for m, e in (
+            sorted((m, e) for m, e in x.items() if e) if isinstance(x, dict)
+            else x)) for x in (xi, eta))
         if any(e <= 0 for _, e in xi + eta):
             raise ValueError("exponents must be positive")
         return _key(xi, eta, sum(e for _, e in xi + eta))
@@ -97,16 +91,12 @@ def _key(xi: tuple, eta: tuple, degree: int) -> Monomial:
     return tuple.__new__(Monomial, (degree, xi, eta))
 
 
-def _is_exact(c) -> bool:
-    return isinstance(c, GaussRat)
-
-
 class Polynomial:
     """Sparse polynomial: sorted `modes`, exponent entries `t`, `col`, `e`
     and coefficients `coef` (see the module docstring); `deg` is each
-    term's degree.  Built from a {Monomial: coefficient} mapping, or by the
-    operations straight from arrays; either way exact zeros and float
-    coefficients at most 1e-14 of the largest modulus are pruned.  A
+    term's degree.  Built straight from entries (`from_entries`), or from
+    a {Monomial: coefficient} mapping (tests); either way exact zeros and
+    float coefficients at most 1e-14 of the largest modulus are pruned.  A
     polynomial is not changed once built.
     """
 
@@ -114,17 +104,9 @@ class Polynomial:
 
     def __init__(self, terms=None):
         terms = dict(terms) if terms else {}
-        modes = sorted({m for k in terms for m, _ in k[1] + k[2]})
-        index, n = {m: k for k, m in enumerate(modes)}, len(modes)
-        # each term's xi entries, then its eta ones: ascending columns
-        entries = np.array([(t, index[m] + off, e)
-                            for t, k in enumerate(terms)
-                            for off, part in ((0, k[1]), (n, k[2]))
-                            for m, e in part], dtype=int).reshape(-1, 3)
-        vals = list(terms.values())
-        exact = bool(vals) and _is_exact(vals[0])
-        self.__setstate__((modes, *entries.T, np.array(
-            vals, dtype=object if exact else complex)))
+        self.__setstate__(_state([(t, part, m, e) for t, k in enumerate(terms)
+                                  for part in (0, 1) for m, e in k[1 + part]],
+                                 list(terms.values())))
 
     @classmethod
     def from_entries(cls, modes: list, t: np.ndarray, col: np.ndarray,
@@ -166,12 +148,8 @@ class Polynomial:
             labels = self.modes + self.modes
             slots = tuple(zip([labels[c] for c in self.col.tolist()],
                               self.e.tolist()))
-            ends = np.cumsum(np.bincount(self.t, minlength=len(self)))
-            mids = ends - np.bincount(self.t[self.col >= len(self.modes)],
-                                      minlength=len(self))
             keys = [_key(slots[lo:mid], slots[mid:hi], d) for lo, mid, hi, d
-                    in zip([0] + ends.tolist(), mids.tolist(), ends.tolist(),
-                           self.deg.tolist())]
+                    in zip(*term_bounds(self), self.deg.tolist())]
             self._terms = MappingProxyType(dict(zip(keys,
                                                     self.coef.tolist())))
         return self._terms
@@ -181,12 +159,6 @@ class Polynomial:
 
     def __bool__(self):
         return len(self.coef) > 0
-
-    def items(self):
-        return self.terms.items()
-
-    def coeff(self, mono: Monomial):
-        return self.terms.get(mono, 0.0)
 
     def l1(self) -> float:
         return math.fsum(_abs(self.coef).tolist())
@@ -309,8 +281,7 @@ class Polynomial:
         return "Polynomial[" + " + ".join(bits[:8]) + (" ..." if len(bits) > 8 else "") + "]"
 
 
-@dataclass
-class TailSplit:
+class TailSplit(NamedTuple):
     low: Polynomial
     high: Polynomial
     cutoff_n: float
@@ -347,6 +318,31 @@ def _prune(coef: np.ndarray) -> np.ndarray:
         return np.array([bool(c) for c in coef.tolist()], dtype=bool)
     mod = _abs(coef)
     return mod > PRUNE_REL * mod.max(initial=0.0)
+
+
+def term_bounds(p: Polynomial) -> tuple:
+    """(lo, mid, hi), lists of ints: term k's entries are lo[k]:hi[k], its
+    xi ones lo[k]:mid[k] and its eta ones mid[k]:hi[k]."""
+    count = np.bincount(p.t, minlength=len(p))
+    ends = np.cumsum(count)
+    eta = np.bincount(p.t[p.col >= len(p.modes)], minlength=len(p))
+    return (ends - count).tolist(), (ends - eta).tolist(), ends.tolist()
+
+
+def _state(rows: list, vals: list) -> tuple:
+    """(modes, t, col, e, coef) of the terms with coefficients `vals` and
+    exponent rows (term, part, mode, exponent), part 0 for xi and 1 for
+    eta, given in any order; every exponent must be positive."""
+    modes = sorted({m for _, _, m, _ in rows})
+    index = {m: k for k, m in enumerate(modes)}
+    t, col, e = np.array([(t, part * len(modes) + index[m], e) for t, part,
+                          m, e in rows], dtype=int).reshape(-1, 3).T
+    if (e <= 0).any():
+        raise ValueError("exponents must be positive")
+    order = np.lexsort((col, t))
+    exact = bool(vals) and isinstance(vals[0], GaussRat)
+    return (modes, t[order], col[order], e[order],
+            np.array(vals, dtype=object if exact else complex))
 
 
 def _take(t, col, e, keep: np.ndarray) -> tuple:
@@ -402,10 +398,11 @@ def zero() -> Polynomial:
 
 
 def monomial(coeff, xi=(), eta=()) -> Polynomial:
-    """Single-term polynomial.  xi/eta are {mode: exponent} mappings."""
-    xd = {as_mode(m): e for m, e in (xi.items() if isinstance(xi, dict) else xi)}
-    ed = {as_mode(m): e for m, e in (eta.items() if isinstance(eta, dict) else eta)}
-    return Polynomial({Monomial(xd, ed): coeff})
+    """Single-term polynomial.  xi/eta are {mode: exponent} mappings or
+    (mode, exponent) pairs; zero exponents are dropped."""
+    return Polynomial.from_entries(*_state(
+        [(0, part, as_mode(m), e) for part, x in enumerate((xi, eta))
+         for m, e in dict(x).items() if e], [coeff]))
 
 
 def xi(j, coeff=1.0) -> Polynomial:
@@ -418,17 +415,16 @@ def eta(j, coeff=1.0) -> Polynomial:
 
 def action(j, coeff=1.0) -> Polynomial:
     """The action monomial I_j = xi_j eta_j."""
-    m = as_mode(j)
-    return monomial(coeff, xi={m: 1}, eta={m: 1})
+    return monomial(coeff, xi={j: 1}, eta={j: 1})
 
 
 def quadratic_diagonal(freqs: dict) -> Polynomial:
     """H0 = sum_j omega_j xi_j eta_j from a mode -> frequency mapping."""
     norm = {as_mode(k): v for k, v in freqs.items()}
-    acc = {}
-    for j in sorted(norm):
-        acc[Monomial({j: 1}, {j: 1})] = norm[j]
-    return Polynomial(acc)
+    modes = sorted(norm)
+    return Polynomial.from_entries(*_state(
+        [(k, part, m, 1) for k, m in enumerate(modes) for part in (0, 1)],
+        [norm[m] for m in modes]))
 
 
 # -- the Poisson bracket on exponent entries -------------------------------
@@ -548,6 +544,33 @@ def bracket_overflow(f: Polynomial, g: Polynomial, cap: int) -> float:
 # -- serialization -----------------------------------------------------
 
 
+def term_texts(p: Polynomial, tokens=("%s:%d", "%s:%d")) -> tuple:
+    """(xi, eta): per term, in term order, its xi exponents and its eta
+    ones as space-joined tokens, each `tokens[0]` (xi) or `tokens[1]` (eta)
+    % (mode, exponent), by mode; the default tokens are the text form's."""
+    n, labels = len(p.modes), [mode_str(m) for m in p.modes] * 2
+    words = [tokens[c >= n] % (labels[c], e)
+             for c, e in zip(p.col.tolist(), p.e.tolist())]
+    lo, mid, hi = term_bounds(p)
+    return ([" ".join(words[a:b]) for a, b in zip(lo, mid)],
+            [" ".join(words[a:b]) for a, b in zip(mid, hi)])
+
+
+def _text_order(p: Polynomial) -> np.ndarray:
+    """The terms of p sorted as their Monomials compare: by degree, then
+    the (mode, exponent) slots of xi, then those of eta.  A slot is (mode
+    rank, exponent); an absent one is (-1, -1), below every real slot, as a
+    shorter tuple sorts below a longer one it begins."""
+    n, count = len(p.modes), len(p)
+    eta = (p.col >= n).astype(int)
+    part = 2 * p.t + eta  # entries run by term, xi part before eta part
+    slot = np.arange(len(part)) - np.searchsorted(part, part)
+    width = slot.max(initial=-1) + 1
+    rows = np.full((count, 2, width, 2), -1, dtype=int)
+    rows[p.t, eta, slot] = np.c_[p.col - n * eta, p.e]
+    return np.lexsort(np.c_[p.deg, rows.reshape(count, 4 * width)].T[::-1])
+
+
 def to_text(p: Polynomial, hexfloat: bool = False) -> str:
     """Line-oriented text form, one term per line:
 
@@ -562,41 +585,33 @@ def to_text(p: Polynomial, hexfloat: bool = False) -> str:
     def fmt(x: float) -> str:
         return x.hex() if hexfloat else repr(x)
 
-    lines = []
-    for mono in sorted(p.terms):
-        c = p.terms[mono]
-        lines.append("%s %s | %s | %s" % (fmt(c.real), fmt(c.imag),
-                                          exps_text(mono.xi),
-                                          exps_text(mono.eta)))
+    xi, eta = term_texts(p)
+    order = _text_order(p).tolist()
+    lines = ["%s %s | %s | %s" % (fmt(c.real), fmt(c.imag), xi[k], eta[k])
+             for k, c in zip(order, p.coef[order].tolist())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def from_text(text: str) -> Polynomial:
-    terms = {}
+    """The polynomial of a text form, a term per line in order, read
+    straight into entries; no term may appear twice."""
+    rows, vals = [], []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         head, xi_s, eta_s = (part.strip() for part in line.split("|"))
         re_s, im_s = head.split()
-        c = complex(_parse_float(re_s), _parse_float(im_s))
-        terms[Monomial(_parse_exps(xi_s), _parse_exps(eta_s))] = c
-    return Polynomial(terms)
+        for part, s in enumerate((xi_s, eta_s)):
+            exps = {parse_mode(m): int(e)
+                    for m, e in (tok.rsplit(":", 1) for tok in s.split())}
+            rows += [(len(vals), part, m, e) for m, e in exps.items()]
+        vals.append(complex(_parse_float(re_s), _parse_float(im_s)))
+    p = Polynomial.from_entries(*_state(rows, vals))
+    if len(set(zip(*term_texts(p)))) < len(p):
+        raise ValueError("from_text: a term appears twice")
+    return p
 
 
 def _parse_float(s: str) -> float:
     return float.fromhex(s) if "0x" in s or "0X" in s else float(s)
-
-
-def exps_text(pairs) -> str:
-    """(mode, exponent) pairs as `mode:exponent` tokens, the form
-    `_parse_exps` reads."""
-    return " ".join("%s:%d" % (mode_str(m), e) for m, e in pairs)
-
-
-def _parse_exps(s: str) -> dict:
-    out = {}
-    for tok in s.split():
-        mode_part, exp_part = tok.rsplit(":", 1)
-        out[parse_mode(mode_part)] = int(exp_part)
-    return out

@@ -42,8 +42,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modes import Mode, f17, mode_abs2
-from .poly import TAIL_BUDGET, Polynomial, exps_text
+from .modes import Mode, f17, mode_abs2, mode_str
+from .poly import TAIL_BUDGET, Polynomial
 from .spectra import (CONVOLUTION_D, NLW_PERIODIC, FrequencyTable,
                       SpectralError, _param, convolution_frequencies,
                       mode_eigenvalues, periodic_nlw_table, sample_potential,
@@ -125,7 +125,7 @@ class ResonanceHit:
         return sum(abs(c) for c in self.k.values())
 
     def serialize(self) -> str:
-        return exps_text(self.key())
+        return " ".join("%s:%d" % (mode_str(j), c) for j, c in self.key())
 
 
 @dataclass
@@ -405,7 +405,7 @@ def calibrate_pair_cutoff(table: FrequencyTable, gamma: float, alpha: float,
 
 def normal_form_membership(p: Polynomial, omega: FrequencyTable,
                            gamma: float, alpha: float, N: int) -> List[bool]:
-    """Per term of p, in dict order: small divisor within threshold and at
+    """Per term of p, in term order: small divisor within threshold and at
     most two tail exponents.
 
     The boundary |omega.(k-l)| == gamma/N^alpha counts as a member: the

@@ -13,7 +13,8 @@ import numpy as np
 from bnfsim import dynamics as D
 from bnfsim import resonance
 from bnfsim.fields import QuadratureField, eta_gradient_table
-from bnfsim.modes import as_mode, lattice_modes, mode_abs, mode_abs2, weight
+from bnfsim.modes import (as_mode, lattice_modes, mode_abs, mode_abs2,
+                          mode_str, weight)
 from bnfsim.norms import majorant_norm
 from bnfsim.exact import GaussRat
 from bnfsim.poly import PRUNE_REL, Monomial, Polynomial
@@ -114,6 +115,40 @@ def prune_reference(terms: dict) -> dict:
         return {}
     thr = PRUNE_REL * top
     return {m: complex(c) for m, c in terms.items() if abs(c) > thr}
+
+
+def monomial_reference(coeff, xi=(), eta=()) -> Polynomial:
+    """`poly.monomial` as it was: one Monomial key, through the dict
+    constructor."""
+    xd, ed = ({as_mode(m): e for m, e in (x.items() if isinstance(x, dict)
+                                          else x)} for x in (xi, eta))
+    return Polynomial({Monomial(xd, ed): coeff})
+
+
+def quadratic_diagonal_reference(freqs: dict) -> Polynomial:
+    """`poly.quadratic_diagonal` as it was: a Monomial per mode, sorted."""
+    norm = {as_mode(k): v for k, v in freqs.items()}
+    return Polynomial({Monomial({j: 1}, {j: 1}): norm[j]
+                       for j in sorted(norm)})
+
+
+def exps_text(pairs) -> str:
+    """(mode, exponent) pairs as the text form's `mode:exponent` tokens."""
+    return " ".join("%s:%d" % (mode_str(m), e) for m, e in pairs)
+
+
+def to_text_reference(p: Polynomial, hexfloat: bool = False) -> str:
+    """`poly.to_text` as it was: the sorted Monomial keys, a line each."""
+    def fmt(x: float) -> str:
+        return x.hex() if hexfloat else repr(x)
+    return "".join("%s %s | %s | %s\n" % (fmt(c.real), fmt(c.imag),
+                                          exps_text(m.xi), exps_text(m.eta))
+                   for m, c in sorted(p.terms.items()))
+
+
+def term_key_reference(mono: Monomial) -> str:
+    """The membership key of a term as it was: xi tokens|eta tokens."""
+    return exps_text(mono.xi) + "|" + exps_text(mono.eta)
 
 
 def add_reference(p: Polynomial, q: Polynomial) -> dict:
@@ -512,9 +547,9 @@ def table_reference(p: Polynomial, modes, grad: bool) -> tuple:
         return idxs
     if grad:
         rows = [(complex(c) * e, factors(mono, m), index[m])
-                for mono, c in p.items() for m, e in mono.eta]
+                for mono, c in p.terms.items() for m, e in mono.eta]
     else:
-        rows = [(complex(c), factors(mono), 0) for mono, c in p.items()]
+        rows = [(complex(c), factors(mono), 0) for mono, c in p.terms.items()]
     vidx = np.full((len(rows), max(0, p.max_degree() - grad)), 2 * n,
                    dtype=np.int64, order="F")
     coeff = np.empty(len(rows), dtype=complex)
@@ -656,7 +691,8 @@ def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
 
 def nu_homogeneous(f_r: Polynomial, s: float) -> float:
     """nu_s of a homogeneous polynomial (sum of per-term contributions)."""
-    return math.fsum(abs(c) * nu_term_reference(m, s) for m, c in f_r.items())
+    return math.fsum(abs(c) * nu_term_reference(m, s)
+                     for m, c in f_r.terms.items())
 
 
 def nu_term_reference(mono: Monomial, s: float) -> float:
@@ -686,10 +722,28 @@ def nu_term_reference(mono: Monomial, s: float) -> float:
 
 def majorant_norm_reference(f: Polynomial, s: float, radius: float) -> float:
     by_deg = {}
-    for m, c in f.items():
+    for m, c in f.terms.items():
         by_deg[m.degree] = by_deg.get(m.degree, 0.0) \
             + abs(c) * nu_term_reference(m, s)
     return math.fsum(v * radius ** (r - 1) for r, v in by_deg.items())
+
+
+def field_entries_reference(f: Polynomial):
+    """`norms._field_entries` as the per-Monomial loop it was: per term, per
+    (kind, mode, exponent) slot, the slot's mode, |c| * exponent and the
+    other occurrences, the slot's own less one."""
+    entries = []
+    for mono, c in f.terms.items():
+        a = abs(c)
+        slots = [("xi", m, e) for m, e in mono.xi]
+        slots += [("eta", m, e) for m, e in mono.eta]
+        for kind, m, e in slots:
+            rest = []
+            for kind2, m2, e2 in slots:
+                n = e2 - 1 if (kind2, m2) == (kind, m) else e2
+                rest.extend([(kind2, m2)] * n)
+            entries.append((m, a * e, tuple(rest)))
+    return entries
 
 
 def orthonormality_defect(basis: EigenBasis) -> float:

@@ -85,7 +85,7 @@ def test_solve_homological_examples():
     f_off = poly.monomial(1.0, xi={1: 1}, eta={2: 1})
     chi, z = B.solve_homological(f_off, t, 0.1, 1.0, 1)
     assert not z
-    c = chi.coeff(Monomial({(1,): 1}, {(2,): 1}))
+    c = chi.terms.get(Monomial({(1,): 1}, {(2,): 1}), 0.0)
     assert c == pytest.approx(1.0 / (1j * (1.0 - math.sqrt(2))))
 
 
@@ -215,7 +215,7 @@ def test_normalize_single_term_oracle():
     res = B.normalize(t, P, prm)
     assert res.Z.l1() <= 1e-14
     div = 3.0 - math.sqrt(2)
-    c = res.generators[1].coeff(Monomial({(1,): 3}, {(2,): 1}))
+    c = res.generators[1].terms.get(Monomial({(1,): 3}, {(2,): 1}), 0.0)
     assert c == pytest.approx(0.3 / (1j * div))
     assert res.f_final.l1() <= 1e-12
     assert not res.generators[0]
@@ -274,8 +274,9 @@ def test_normalize_demo_model():
     # cubic-stage correction (1/2){chi_3, f_3} = (kappa^2/d)(xi1^2 eta1^2
     # - 4 I1 I2) with d = 2 - sqrt(2)
     d = 2.0 - math.sqrt(2.0)
-    c_cross = res.Z.coeff(Monomial({(1,): 1, (2,): 1}, {(1,): 1, (2,): 1}))
-    c_sq = res.Z.coeff(Monomial({(1,): 2}, {(1,): 2}))
+    c_cross = res.Z.terms.get(
+        Monomial({(1,): 1, (2,): 1}, {(1,): 1, (2,): 1}), 0.0)
+    c_sq = res.Z.terms.get(Monomial({(1,): 2}, {(1,): 2}), 0.0)
     assert c_cross == pytest.approx(kappa - 4.0 * kappa ** 2 / d, rel=1e-12)
     assert c_sq == pytest.approx(kappa ** 2 / d, rel=1e-12)
     assert conjugation_identity_error(t, P, res) <= 1e-12
@@ -361,8 +362,8 @@ def test_normalize_tail_remainder_transported():
     low = poly.monomial(0.2, xi={1: 2}, eta={1: 1, 2: 1})
     prm = B.NormalFormParams(r_star=2, gamma=0.05, alpha=1.0, N=2)
     res = B.normalize(t, tail_cubic + low, prm)
-    assert res.remainder_tail.coeff(
-        Monomial({(3,): 1, (4,): 1}, {(5,): 1})) == pytest.approx(0.3)
+    assert res.remainder_tail.terms.get(
+        Monomial({(3,): 1, (4,): 1}, {(5,): 1}), 0.0) == pytest.approx(0.3)
     assert res.ledger.tail_cubic_mass[0] > 0
     assert conjugation_identity_error(t, tail_cubic + low, res) <= 1e-12
     for mono in res.Z.terms:

@@ -647,6 +647,26 @@ def test_nls_dd_dict_potential_matches_the_explicit_config():
     assert lib_table[(1, 0)] == 1.5
 
 
+def test_convolution_params_d_must_be_the_model_d(tmp_path, capsys):
+    # a potential drawn on another lattice dimension would leave V = 0
+    p = write_cfg(tmp_path / "dd.cfg", ['model = "nls_dd"', "jmax = 2",
+                                        "r_star = 2", "gamma = 0.01", "N = 1",
+                                        'potential.family = "convolution_d"'])
+    params = {"R": 1.0, "kmax": 2, "decay": 2.0}
+    for d in (1, 3):
+        argv = ["normalize", p, "--out", str(tmp_path / "out"), "--set",
+                "potential.params=" + json.dumps(dict(params, d=d))]
+        assert cli.main(argv) == 2
+        assert "bnfsim: potential.params: d = %d does not match the d = 2 " \
+            "of model nls_dd" % d in capsys.readouterr().err
+    cfg = {"model": "nls_dd", "jmax": 2, "potential.family": "convolution_d",
+           "potential.params": dict(params, d=2)}
+    free = cli.build_system(dict(cfg, **{"potential.family": "none"}), 0)
+    omega = cli.build_system(cfg, 0).table.omega
+    assert omega.keys() == free.table.omega.keys()
+    assert omega != free.table.omega
+
+
 def test_backward_integration_runs(tmp_path):
     p = write_cfg(tmp_path / "b.cfg", DEMO + ["T = -0.1"])
     assert cli.main(["simulate", p, "--out", str(tmp_path / "out"),
@@ -777,7 +797,9 @@ PINNED = {
 }
 
 
-def test_pinned_artifacts_at_one_blas_thread(tmp_path):
+def pinned_digests(tmp_path, prelude: str = "") -> dict:
+    """sha256 of each PINNED artifact, written by one fresh process at one
+    BLAS thread that first runs `prelude`; every command must exit 0."""
     workloads = benchmark_workloads()
     cfgs = {}
     for name in ("drift", "transport"):
@@ -802,13 +824,35 @@ def test_pinned_artifacts_at_one_blas_thread(tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(Path(cli.__file__).resolve().parents[1]),
                    os.environ.get("PYTHONPATH")])))
-    run = ("import json, sys\nfrom bnfsim import cli\n"
-           "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
+    run = prelude + (
+        "import json, sys\nfrom bnfsim import cli\n"
+        "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
     done = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs)
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in PINNED} == PINNED
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs), \
+        done.stderr
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED}
+
+
+def test_pinned_artifacts_at_one_blas_thread(tmp_path):
+    assert pinned_digests(tmp_path) == PINNED
+
+
+# refuse both ways a Monomial is made: the constructor and poly._key, which
+# the `terms` view calls
+NO_MONOMIALS = """\
+from bnfsim import poly
+def refuse(*args, **kwargs):
+    raise AssertionError("a command path built a Monomial")
+poly._key = poly.Monomial.__new__ = refuse
+"""
+
+
+def test_command_paths_build_no_monomial(tmp_path):
+    # normalize and drift-experiment on the transport config, normalize,
+    # scan-resonances and simulate on the README's, all from the entries
+    assert pinned_digests(tmp_path, NO_MONOMIALS) == PINNED
 
 
 def test_every_builder_parameter_but_the_potentials_is_a_config_key():

@@ -32,7 +32,7 @@ def quad_grid(n=512):
 
 def test_nls1d_single_mode_coefficient():
     sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=1, kappa=0.3)
-    c = sys1.P.coeff(Monomial({(1,): 2}, {(1,): 2}))
+    c = sys1.P.terms.get(Monomial({(1,): 2}, {(1,): 2}), 0.0)
     # psi = sqrt(2) xi phi_1, integral of phi_1^4 = 3/(2 pi)
     assert c == pytest.approx(0.3 * 4.0 * 3.0 / (2.0 * math.pi), rel=1e-12)
     assert sys1.table.omega_of(1) == pytest.approx(1.0, abs=1e-10)
@@ -76,7 +76,7 @@ def test_nlw_mass_scaling_of_quartic():
     for mass in (0.5, 3.0):
         sys1 = D.build_model_hamiltonian("nlw_dirichlet", jmax=2, kappa=1.0,
                                          mass=mass)
-        c[mass] = sys1.P.coeff(Monomial({(1,): 4}, {}))
+        c[mass] = sys1.P.terms.get(Monomial({(1,): 4}, {}), 0.0)
     assert c[0.5] * (1.0 + 0.5) == pytest.approx(c[3.0] * (1.0 + 3.0),
                                                  rel=1e-10)
 
@@ -120,7 +120,7 @@ def test_nls_dd_zero_momentum_and_value():
     rnd = random.Random(13)
     sys1 = D.build_model_hamiltonian("nls_dd", d=2, jmax=2, kappa=0.5)
     assert sys1.P.is_zero_momentum()
-    assert sys1.P.coeff(Monomial({(0, 0): 2}, {(0, 0): 2})) \
+    assert sys1.P.terms.get(Monomial({(0, 0): 2}, {(0, 0): 2}), 0.0) \
         == pytest.approx(0.5 / (2.0 * math.pi) ** 2, rel=1e-14)
     n = 24
     xs = (np.arange(n) + 0.5) * (2.0 * math.pi / n)

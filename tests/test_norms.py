@@ -3,13 +3,15 @@ import random
 
 import pytest
 
+from bnfsim import norms
 from bnfsim import poly as P
 from bnfsim.exact import GaussRat
 from bnfsim.modes import weight
 from bnfsim.norms import majorant_norm, sampled_tame_ratio
 from bnfsim.poly import Monomial, Polynomial, poisson_bracket
 
-from helpers import majorant_norm_reference, nu_homogeneous
+from helpers import (field_entries_reference, majorant_norm_reference,
+                     nu_homogeneous)
 from test_poly import rand_poly
 
 
@@ -151,3 +153,28 @@ def test_majorant_norm_matches_the_per_occurrence_loop():
         for s, R in ((2.0, 1.0), (4.0, 0.5)):
             assert majorant_norm(f, s, R).hex() \
                 == majorant_norm_reference(f, s, R).hex()
+
+
+def test_field_entries_match_the_per_monomial_loop(monkeypatch):
+    # _field_entries reads the exponent entries; the loop over Monomials it
+    # replaced is kept in helpers, and sampled_tame_ratio agrees to the bit
+    rnd = random.Random(43)
+    cases = [random_homog(rnd, r, 4, rnd.randint(1, 6))
+             for r in (2, 3, 4) for _ in range(6)]
+    cases += [rand_poly(rnd, nterms=8, nmodes=2, maxdeg=4, dim=2
+                        ).homogeneous_part(3) for _ in range(4)]
+    # modes in both halves: xi_j eta_j and xi_j^2 eta_j terms
+    cases += [P.action(1, 0.5) + P.monomial(1 - 2j, xi={2: 1}, eta={1: 1}),
+              P.monomial(0.7, xi={1: 2}, eta={1: 1})
+              + P.monomial(-0.3j, xi={1: 1, 2: 1}, eta={2: 1}),
+              P.monomial(1.5, xi={1: 1, 2: 1}, eta={1: 1, 2: 1})]
+    cases = [f for f in cases if f]
+    assert any(len(f.degrees()) == 1 and f.degrees()[0] > 2 for f in cases)
+    for f in cases:
+        assert norms._field_entries(f) == field_entries_reference(f)
+    runs = [(f, s, k) for k, f in enumerate(cases) for s in (2.0, 3.0)]
+    got = [sampled_tame_ratio(f, s, samples=15, seed=k).hex()
+           for f, s, k in runs]
+    monkeypatch.setattr(norms, "_field_entries", field_entries_reference)
+    assert got == [sampled_tame_ratio(f, s, samples=15, seed=k).hex()
+                   for f, s, k in runs]

@@ -19,9 +19,12 @@ from bnfsim.spectra import FrequencyTable
 from helpers import (add_reference, allclose, bracket_overflow_reference,
                      conj_flip, d_eta, d_xi, evaluate, evaluate_real_slice,
                      filter_reference, majorant_norm_reference, momentum,
-                     momentum_filter, mono_mul, net_exponents, poisson_bracket_reference,
-                     product, prune_reference, reality_defect_reference,
-                     scale_reference, tail_degree, tail_split_reference)
+                     monomial_reference, momentum_filter, mono_mul,
+                     net_exponents, poisson_bracket_reference, product,
+                     prune_reference, quadratic_diagonal_reference,
+                     reality_defect_reference, scale_reference, tail_degree,
+                     tail_split_reference, term_key_reference,
+                     to_text_reference)
 from test_birkhoff import TRANSPORT_CFG
 
 
@@ -75,7 +78,7 @@ def test_flip_matches_constructed_monomial():
 
 def test_add_and_scale():
     p = P.xi(1) + P.xi(1, 2.0)
-    assert p.coeff(Monomial({(1,): 1})) == 3.0
+    assert p.terms.get(Monomial({(1,): 1}), 0.0) == 3.0
     q = p - p
     assert not q
 
@@ -222,7 +225,8 @@ def test_terms_survive_pickle_and_deepcopy():
               P.quadratic_diagonal({1: 2.5, 2: 0.5}), P.zero()):
         for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             # repr keeps the coefficients' bits, signed zeros too
-            assert q == p and repr(list(q.items())) == repr(list(p.items()))
+            assert q == p and repr(list(q.terms.items())) \
+                == repr(list(p.terms.items()))
             assert all(type(m) is Monomial for m in q.terms)
             assert [(m.degree, m.xi, m.eta) for m in q.terms] \
                 == [(m.degree, m.xi, m.eta) for m in p.terms]
@@ -236,7 +240,7 @@ def test_float_coefficients_are_stored_as_complex():
     g = P.monomial(0.5, xi={2: 1}, eta={1: 1}) + P.action(1, -1.5)
     for p in (f, g, f.scale(-1), f + g, product(f, g)):
         assert {type(c) for c in p.terms.values()} == {complex}
-    assert f.coeff(Monomial({(1,): 2}, {(2,): 1})) == -2.0
+    assert f.terms.get(Monomial({(1,): 2}, {(2,): 1}), 0.0) == -2.0
     for a, b in ((f, g), (g, f), (f, f), (f, -g)):
         got, want = poisson_bracket(a, b), poisson_bracket_reference(a, b)
         assert P.to_text(got, hexfloat=True) \
@@ -286,6 +290,69 @@ def term_corpus():
         cases.append((p, FrequencyTable({m: rnd.uniform(-3.0, 3.0)
                                          for m in modes})))
     return cases
+
+
+def test_constructors_build_the_terms_of_the_dict_path():
+    # monomial and quadratic_diagonal build their entries directly; the
+    # Monomial dict path they replaced gives the same terms, order, modes
+    # and bits, and both prune a zero frequency or coefficient
+    rnd = random.Random(61)
+    freqs = [{1: 2.5, 2: 0.0, 3: -0.5}, {2: 0.0}, {},
+             {(0, 1): 1.0, (1, 0): 0.0, (-1, 0): 2.0},
+             {1: GaussRat(1, 2), 3: GaussRat(0), 2: GaussRat(-1)}]
+    for dim in (1, 2):
+        for _ in range(10):
+            modes = {tuple(rnd.randint(-3, 3) for _ in range(dim))
+                     for _ in range(rnd.randint(1, 8))}
+            freqs.append({m if dim == 2 else m[0]:
+                          rnd.choice([0.0, rnd.uniform(-3.0, 3.0)])
+                          for m in modes})
+    pairs = [(P.quadratic_diagonal(f), quadratic_diagonal_reference(f))
+             for f in freqs]
+    for coeff in (1.5, 3, -2j, 0.0, complex(-0.0, 1.0), GaussRat(2, -1)):
+        for dim in (1, 2):
+            for _ in range(4):
+                xi, eta = ({tuple(rnd.randint(-2, 2) for _ in range(dim)):
+                            rnd.randint(0, 3)
+                            for _ in range(rnd.randint(0, 3))}
+                           for _ in range(2))
+                pairs += [(P.monomial(coeff, xi, eta),
+                           monomial_reference(coeff, xi, eta)),
+                          (P.monomial(coeff, list(xi.items()), eta),
+                           monomial_reference(coeff, list(xi.items()), eta))]
+    pairs += [(P.monomial(2.0), monomial_reference(2.0)),
+              (P.xi(2, 0.5), monomial_reference(0.5, {2: 1})),
+              (P.action((1, -1)), monomial_reference(1.0, {(1, -1): 1},
+                                                     {(1, -1): 1}))]
+    assert any(not got and want.terms == {} for got, want in pairs)
+    for got, want in pairs:
+        assert_entries(got, dict(want.terms))
+        assert got.modes == want.modes
+        if got.coef.dtype != object:
+            assert P.to_text(got, hexfloat=True) \
+                == P.to_text(want, hexfloat=True)
+    for make in (P.monomial, monomial_reference):
+        with pytest.raises(ValueError, match="positive"):
+            make(1.0, {1: 2}, {2: -1})
+
+
+def test_text_form_and_membership_keys_match_the_monomial_references():
+    # to_text sorts and writes the entries, from_text reads straight into
+    # them, and the membership keys are joined from the same tokens
+    for p, _ in term_corpus():
+        xi, eta = P.term_texts(p)
+        assert [x + "|" + y for x, y in zip(xi, eta)] \
+            == [term_key_reference(m) for m in p.terms]
+        if p.coef.dtype == object:
+            continue
+        for hexfloat in (False, True):
+            text = P.to_text(p, hexfloat=hexfloat)
+            assert text == to_text_reference(p, hexfloat)
+            assert_entries(P.from_text(text), dict(sorted(p.terms.items())))
+    with pytest.raises(ValueError, match="positive"):
+        P.from_text("1.0 0.0 | 1:2 | 2:0\n")
+    with pytest.raises(ValueError, match="twice"):
+        P.from_text("1.0 0.0 | 1:1 2:1 |\n2.0 0.0 | 2:1 1:1 |\n")
 
 
 def test_term_operations_match_the_dict_references():
@@ -390,7 +457,7 @@ def test_bracket_diagonal_action_exact():
         for j in sorted(freqs):
             expect = expect + 1j * (freqs[j] * xi.get((j,), 0)) * c
             expect = expect + 1j * (-freqs[j] * eta.get((j,), 0)) * c
-        got = out.coeff(mono)
+        got = out.terms.get(mono, 0.0)
         if expect == 0:
             assert not out or abs(got) < 1e-15
         else:
