@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .birkhoff import NormalFormResult, apply_transport, transport_plan
 from .fields import Leg, QuadratureField, eta_gradient_table, value_table
-from .modes import f17, mode_abs, mode_abs2, weight
+from .modes import f17, mode_abs, mode_abs2, mode_groups, weight
 from .poly import Polynomial, quadratic_diagonal
 from .spectra import (NLW_PERIODIC, FrequencyTable, PotentialSample,
                       SpectralResult, convolution_frequencies,
@@ -54,19 +54,30 @@ MIDPOINT_MAX_ITER = 64  # fixed-point iterations before a step is halved
 class ModelSystem:
     """H0 + P of one model.
 
-    H0 comes from the frequency table.  A model whose quartic comes from
-    quadrature keeps the description it was built from: P = quad_weight *
-    sum over grid points of the product of its four `legs`, and the
-    integrator evaluates the field from the same legs.  H0, H and the
-    integrator's compiled parts are built on first use and kept.
+    H0 comes from the frequency table and P from `quartic`, the builder's
+    recipe for it, which runs on first use of P; P is then checked real.  So
+    a command that reads only the table builds no quartic.  A model whose
+    quartic comes from quadrature keeps the description it was built from:
+    P = quad_weight * sum over grid points of the product of its four
+    `legs`, and the integrator evaluates the field from the same legs.  P,
+    H0, H and the integrator's compiled parts are built on first use and
+    kept.
     """
     model: str
     table: FrequencyTable
-    P: Polynomial
+    quartic: Callable[[], Polynomial]
     grouping: Optional[str]
-    meta: dict = field(default_factory=dict)
     legs: Tuple[Leg, ...] = ()
     quad_weight: float = 0.0
+
+    @cached_property
+    def P(self) -> Polynomial:
+        P = self.quartic()
+        defect = P.reality_defect()
+        if defect > 1e-10 * max(1.0, P.l1()):
+            raise ArithmeticError("interaction not real: defect %.3e"
+                                  % defect)
+        return P
 
     @cached_property
     def H0(self) -> Polynomial:
@@ -191,12 +202,13 @@ def _merge_quartic(modes: list, tuples: np.ndarray, values: np.ndarray,
 
 
 def _quadrature_model(model: str, table: FrequencyTable, legs: tuple,
-                      w: float, scale: float, grouping: Optional[str],
-                      meta: dict) -> ModelSystem:
+                      w: float, scale: float,
+                      grouping: Optional[str] = None) -> ModelSystem:
     """P = scale * quadrature (grid weight w) of the product of the legs;
     the integrator's field comes from the same legs with weight w * scale."""
-    P = _assemble_quartic(table.modes(), legs, w, scale)
-    return ModelSystem(model, table, P, grouping, meta, legs, w * scale)
+    return ModelSystem(model, table,
+                       partial(_assemble_quartic, table.modes(), legs, w,
+                               scale), grouping, legs, w * scale)
 
 
 # -- model builders --------------------------------------------------------
@@ -205,12 +217,12 @@ def _quadrature_model(model: str, table: FrequencyTable, legs: tuple,
 def _demo_2mode(kappa: float = 0.1) -> ModelSystem:
     t = FrequencyTable({(1,): 1.0, (2,): math.sqrt(2.0)})
     from .poly import monomial
-    P = (monomial(kappa, xi={1: 2}, eta={2: 1})
-         + monomial(kappa, xi={2: 1}, eta={1: 2})
-         + monomial(kappa, xi={1: 1, 2: 1}, eta={1: 1, 2: 1})
-         + monomial(kappa, xi={1: 2}, eta={2: 2})
-         + monomial(kappa, xi={2: 2}, eta={1: 2}))
-    return ModelSystem("demo_2mode", t, P, None, {"kappa": kappa})
+    return ModelSystem("demo_2mode", t, lambda: (
+        monomial(kappa, xi={1: 2}, eta={2: 1})
+        + monomial(kappa, xi={2: 1}, eta={1: 2})
+        + monomial(kappa, xi={1: 1, 2: 1}, eta={1: 1, 2: 1})
+        + monomial(kappa, xi={1: 2}, eta={2: 2})
+        + monomial(kappa, xi={2: 2}, eta={1: 2})), None)
 
 
 def _nls1d_dirichlet(jmax: int = 6, kappa: float = 0.1, potential=None,
@@ -225,8 +237,7 @@ def _nls1d_dirichlet(jmax: int = 6, kappa: float = 0.1, potential=None,
               _basis_rows(res, x))
     psi_bar = psi._replace(vars=jmax + psi.vars)
     return _quadrature_model("nls1d_dirichlet", t,
-                             (psi, psi, psi_bar, psi_bar), w, kappa, None,
-                             {"kappa": kappa, "spectral": res})
+                             (psi, psi, psi_bar, psi_bar), w, kappa)
 
 
 def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
@@ -237,9 +248,7 @@ def _nlw_dirichlet(jmax: int = 5, kappa: float = 1.0, mass: float = 0.0,
     t = nlw_frequencies(mode_eigenvalues(res), sample.mass)
     x, w = _midpoint_grid(quad_n, res)
     legs = _wave_legs(_basis_rows(res, x), t)
-    return _quadrature_model("nlw_dirichlet", t, legs, w, kappa, None,
-                             {"kappa": kappa, "mass": sample.mass,
-                              "spectral": res})
+    return _quadrature_model("nlw_dirichlet", t, legs, w, kappa)
 
 
 def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
@@ -260,8 +269,7 @@ def _nlw_periodic(jmax: int = 3, kappa: float = 1.0, mass: float = 0.5,
     sign = np.array([[-1.0] if j > 0 else [1.0] for (j,) in modes])
     rows = np.hstack([half, sign * half]) / math.sqrt(2.0)
     return _quadrature_model("nlw_periodic", t, _wave_legs(rows, t),
-                             w, kappa, PAIRS,
-                             {"kappa": kappa, "mass": sample.mass})
+                             w, kappa, PAIRS)
 
 
 def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
@@ -288,8 +296,7 @@ def _nls_coupled(jmax: int = 4, kappa: float = 0.1, potential1=None,
     phi = Leg(jmax - j, one, _basis_rows(res2, x))
     legs = (psi, psi._replace(vars=2 * jmax + psi.vars),
             phi, phi._replace(vars=2 * jmax + phi.vars))
-    return _quadrature_model("nls_coupled", t, legs, w, -kappa, PAIRS,
-                             {"kappa": kappa})
+    return _quadrature_model("nls_coupled", t, legs, w, -kappa, PAIRS)
 
 
 def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
@@ -308,27 +315,32 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
                          % jmax)
     t = convolution_frequencies(d, _as_sample(potential), jmax)
     modes = t.modes()
-    n = len(modes)
+    n, J = len(modes), int(jmax)
+    grid = 4 * J + 1
+    x = (2.0 * math.pi / grid) * np.indices((grid,) * d).reshape(d, -1)
+    rows = np.exp(1j * (np.array(modes) @ x)) * (2.0 * math.pi) ** (-0.5 * d)
+    psi = Leg(np.arange(n), np.ones(n), rows)
+    psi_bar = Leg(n + psi.vars, psi.weights, np.conj(rows))
+    return ModelSystem("nls_dd", t,
+                       partial(_momentum_quartic, modes, J,
+                               kappa * (2.0 * math.pi) ** (-d)), SHELLS,
+                       (psi, psi, psi_bar, psi_bar),
+                       kappa * (2.0 * math.pi / grid) ** d)
+
+
+def _momentum_quartic(modes: list, J: int, scale: float) -> Polynomial:
+    """scale * sum of xi_a xi_b eta_c eta_e over the ordered (a, b, c, e) of
+    the modes, all within the box |components| <= J, with a + b = c + e."""
+    n, lattice = len(modes), np.array(modes)
     a, b = np.divmod(np.arange(n * n), n)
-    J = int(jmax)
-    lattice = np.array(modes)
     total = np.ravel_multi_index((lattice[a] + lattice[b] + 2 * J).T,
-                                 (4 * J + 1,) * d)
+                                 (4 * J + 1,) * lattice.shape[1])
     order = np.argsort(total, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(total[order])) + 1)
     left = np.concatenate([np.repeat(g, len(g)) for g in groups])
     right = np.concatenate([np.tile(g, len(g)) for g in groups])
     tuples = np.column_stack([a[left], b[left], n + a[right], n + b[right]])
-    P = _merge_quartic(modes, tuples, np.ones(len(left)),
-                       kappa * (2.0 * math.pi) ** (-d))
-    grid = 4 * J + 1
-    x = (2.0 * math.pi / grid) * np.indices((grid,) * d).reshape(d, -1)
-    rows = np.exp(1j * (lattice @ x)) * (2.0 * math.pi) ** (-0.5 * d)
-    psi = Leg(np.arange(n), np.ones(n), rows)
-    psi_bar = Leg(n + psi.vars, psi.weights, np.conj(rows))
-    return ModelSystem("nls_dd", t, P, SHELLS, {"kappa": kappa, "d": d},
-                       (psi, psi, psi_bar, psi_bar),
-                       kappa * (2.0 * math.pi / grid) ** d)
+    return _merge_quartic(modes, tuples, np.ones(len(left)), scale)
 
 
 _BUILDERS = {
@@ -348,11 +360,7 @@ def build_model_hamiltonian(model: str, **params) -> ModelSystem:
     if model not in _BUILDERS:
         raise ValueError("model: unknown %r (choose from %s)"
                          % (model, ", ".join(MODELS)))
-    system = _BUILDERS[model](**params)
-    defect = system.P.reality_defect()
-    if defect > 1e-10 * max(1.0, system.P.l1()):
-        raise ArithmeticError("interaction not real: defect %.3e" % defect)
-    return system
+    return _BUILDERS[model](**params)
 
 
 # -- flow field and integrator ---------------------------------------------
@@ -550,24 +558,23 @@ def initial_state(modes: Sequence, eps: float, s: float, rng,
 def action_groups(system: ModelSystem) -> List[Tuple[str, List[int], float]]:
     """(label, member indices, weight) triples for the J observables.
 
-    Members index the system's sorted modes.  Pairs group {j, -j} under
-    weight w_s evaluated at |j|; shells group by the exact squared modulus
-    M with weight evaluated at radius sqrt(M).  The weight is returned as
-    the base (1 + radius); callers raise it to the 2s power for a given s.
+    Members index the system's sorted modes, grouped as the exceptional
+    patterns group them (`modes.mode_groups`): pairs {j, -j} as J_|j| or
+    shells |j|^2 = M as J_M<M>, in order of |j|.  The weight is returned as
+    the base 1 + |j|; callers raise it to the 2s power for a given s.
     """
     modes = system.modes()
-    groups: Dict[object, List[int]] = {}
-    if system.grouping == PAIRS:
-        for i, m in enumerate(modes):
-            groups.setdefault(abs(m[0]), []).append(i)
-        return [("J_%d" % k, v, 1.0 + k) for k, v in sorted(groups.items())]
-    if system.grouping == SHELLS:
-        for i, m in enumerate(modes):
-            groups.setdefault(mode_abs2(m), []).append(i)
-        return [("J_M%d" % k, v, 1.0 + math.sqrt(k))
-                for k, v in sorted(groups.items())]
-    return [("I_%s" % "_".join(str(c) for c in m), [i], 1.0 + mode_abs(m))
-            for i, m in enumerate(modes)]
+    if system.grouping is None:
+        return [("I_%s" % "_".join(str(c) for c in m), [i], 1.0 + mode_abs(m))
+                for i, m in enumerate(modes)]
+    shells = system.grouping == SHELLS
+    groups = []
+    for g in mode_groups(modes, shells).T:
+        v = np.flatnonzero(g).tolist()
+        m = modes[v[0]]
+        label = "J_M%d" % mode_abs2(m) if shells else "J_%d" % mode_abs(m)
+        groups.append((mode_abs2(m), label, v, 1.0 + mode_abs(m)))
+    return [g[1:] for g in sorted(groups)]
 
 
 # -- drift experiment -------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Mode labels, Sobolev-type mode weights and the CSV float format.
+"""Mode labels and geometry, Sobolev-type mode weights and the CSV format.
 
-A mode is a point of the integer lattice Z^d, stored as a tuple of ints.
-For 1-d problems plain ints are accepted everywhere and normalized to
-1-tuples internally.
+A mode is a point of Z^d, a tuple of ints (plain ints are 1-d modes).  The
+geometry is stated here once: the ball |j| <= r (`in_ball`) and the groups
+of modes, the pairs {j, -j} or the shells |j|^2 = M (`mode_groups`).
 """
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import functools
 import itertools
 import math
 from typing import Sequence, Union
+
+import numpy as np
 
 ModeLike = Union[int, Sequence[int]]
 Mode = tuple
@@ -38,6 +40,23 @@ def mode_abs2(j: ModeLike) -> int:
     return sum(c * c for c in m)
 
 
+def in_ball(j: ModeLike, r: float) -> bool:
+    """|j| <= r, with slack so a radius sqrt(M) holds the shell |j|^2 = M."""
+    return mode_abs2(j) <= r * r + 1e-12
+
+
+def mode_groups(modes: Sequence[ModeLike], shells: bool) -> np.ndarray:
+    """The mode -> group indicator, one column per group in order of first
+    member: the shells |j|^2 = M when shells, else the pairs {j, -j}, where
+    a mode without its partner, like the zero mode, is alone."""
+    keys = [mode_abs2(j) if shells else min(j, tuple(-c for c in j))
+            for j in modes]
+    col = {k: g for g, k in enumerate(dict.fromkeys(keys))}
+    G = np.zeros((len(keys), len(col)), dtype=np.int64)
+    G[np.arange(len(keys)), [col[k] for k in keys]] = 1
+    return G
+
+
 def weight(j: ModeLike, s: float) -> float:
     """Mode weight w_s(j) = (1 + |j|)^(2 s)."""
     return (1.0 + mode_abs(j)) ** (2.0 * s)
@@ -59,11 +78,10 @@ def lattice_modes(d: int, jmax: float) -> tuple:
     """All modes of Z^d with Euclidean norm <= jmax (the zero mode
     included), canonically sorted; kept, since every sample of a scan asks
     for the same lattice."""
-    jmax2 = jmax * jmax + 1e-12
     rng = range(-int(jmax), int(jmax) + 1)
     # product runs in lexicographic order, which is the sorted order
     return tuple(k for k in itertools.product(rng, repeat=d)
-                 if sum(c * c for c in k) <= jmax2)
+                 if in_ball(k, jmax))
 
 
 def f17(x) -> str:

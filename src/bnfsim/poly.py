@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .exact import GaussRat
-from .modes import as_mode, mode_abs2, mode_str, parse_mode
+from .modes import as_mode, in_ball, mode_str, parse_mode
 
 PRUNE_REL = 1e-14
 TAIL_BUDGET = 2  # the exponent mass a normalizable term may carry beyond N
@@ -248,7 +248,7 @@ class Polynomial:
 
     def tail_degrees(self, cutoff: float) -> np.ndarray:
         """Per term, in order: the exponent mass on modes |j| > cutoff."""
-        tail = [mode_abs2(m) > cutoff * cutoff for m in self.modes]
+        tail = [not in_ball(m, cutoff) for m in self.modes]
         on = np.array(tail + tail, dtype=bool)[self.col]
         return np.bincount(self.t[on], weights=self.e[on],
                            minlength=len(self))

@@ -21,11 +21,11 @@ one row per set of rows with equal sums over the modes of equal
 frequency, and classifies only the candidates that are hits.
 
 The patterns are group cancellations.  A combination, as a row of an
-integer matrix K over the modes, is exceptional when it is zero on every
-mode up to a cutoff and sums to zero over every group of modes beyond it:
+integer matrix K over the modes, is exceptional when it has no weight on
+the ball |j| <= cutoff and sums to zero over every group of `mode_groups`:
 the pairs {j, -j} (PAIR_TAIL: periodic NLW, coupled NLS) or the shells
-|j|^2 = M (SHELL: NLS on the d-torus).  `classify_rows` tags a whole matrix
-with one integer product K @ G against the mode -> group indicator G.
+|j|^2 = M (SHELL: NLS on the d-torus), whose actions J are the ones the
+normal form nearly conserves.  `classify_rows` takes K @ G per rule.
 
 Divisor decisions agree with exactly-rounded summation: a row near the
 threshold, within the rounding error of K @ w, is rechecked by `math.fsum`;
@@ -42,7 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modes import Mode, f17, mode_abs2, mode_str
+from .modes import Mode, f17, in_ball, mode_groups, mode_str
 from .poly import TAIL_BUDGET, Polynomial
 from .spectra import (CONVOLUTION_D, NLW_PERIODIC, FrequencyTable,
                       SpectralError, _param, convolution_frequencies,
@@ -143,11 +143,9 @@ def _domain(q: DivisorQuery) -> Tuple[list, list, list]:
     """Modes within |j| <= jmax with frequencies and tail flags."""
     if q.omega is None:
         raise ValueError("omega: required for enumeration")
-    j2 = q.jmax * q.jmax
-    n2 = q.N * q.N
-    modes = [m for m in q.omega.modes() if mode_abs2(m) <= j2]
+    modes = [m for m in q.omega.modes() if in_ball(m, q.jmax)]
     w = [q.omega.omega_of(m) for m in modes]
-    tail = [mode_abs2(m) > n2 for m in modes]
+    tail = [not in_ball(m, q.N) for m in modes]
     return modes, w, tail
 
 
@@ -325,31 +323,15 @@ def _exception_rule(model: str, params: dict) -> Tuple[str, float]:
 def classify_rows(K: np.ndarray, modes: Sequence[Mode],
                   rules: Sequence[Tuple[str, float]]) -> np.ndarray:
     """Tag of each row of K (one column per mode): the pattern of the first
-    rule (pattern, cutoff) whose group sums all vanish, else NONE.  Each mode
-    with |j| <= cutoff is a group of its own; beyond it the groups are the
-    shells for SHELL and the pairs {j, -j} for PAIR_TAIL, where a mode
-    without its partner among the columns (or the zero mode) stands alone.
-    An empty row takes the first rule's pattern."""
+    rule (pattern, cutoff) under which the row has no weight on the modes
+    with |j| <= cutoff and sums to zero over every group of the pattern, the
+    shells for SHELL and the pairs for PAIR_TAIL (`modes.mode_groups`), else
+    NONE.  An empty row takes the first rule's pattern."""
     tags = np.full(len(K), PATTERN_NONE, dtype=object)
-    open_rows = np.ones(len(K), dtype=bool)
-    for pattern, cutoff in rules:
-        c2 = cutoff * cutoff
-        groups: Dict[object, int] = {}
-        col = []
-        for i, j in enumerate(modes):
-            a2 = mode_abs2(j)
-            if a2 <= c2:
-                key = ("alone", i)
-            elif pattern == PATTERN_SHELL:
-                key = a2
-            else:
-                key = min(j, tuple(-c for c in j))
-            col.append(groups.setdefault(key, len(groups)))
-        G = np.zeros((len(modes), len(groups)), dtype=np.int64)
-        G[np.arange(len(modes)), col] = 1
-        match = open_rows & ~np.any(K @ G, axis=1)
-        tags[match] = pattern
-        open_rows &= ~match
+    for pattern, cutoff in reversed(rules):  # so the first rule wins
+        inside = np.array([in_ball(j, cutoff) for j in modes], dtype=bool)
+        G = mode_groups(modes, pattern == PATTERN_SHELL)
+        tags[~np.any(K[:, inside], axis=1) & ~np.any(K @ G, axis=1)] = pattern
     return tags
 
 
@@ -379,7 +361,8 @@ def calibrate_pair_cutoff(table: FrequencyTable, gamma: float, alpha: float,
     """Smallest b with |omega_j - omega_{-j}| < gamma/(2 N^alpha) past b*lnN.
 
     Scans the pairs present in the (finite) table; modes beyond it are out
-    of the model by construction.
+    of the model by construction.  b is the smallest float whose cutoff
+    b*lnN, as the rule computes it, is not below the last failing pair.
     """
     thr = gamma / (2.0 * N ** alpha)
     gaps = {}
@@ -396,7 +379,12 @@ def calibrate_pair_cutoff(table: FrequencyTable, gamma: float, alpha: float,
     if j_cut == 0:
         b = 0.0
     elif N > 1:
-        b = j_cut / math.log(N)
+        log_n = math.log(N)
+        b = j_cut / log_n
+        while b * log_n < j_cut:
+            b = math.nextafter(b, math.inf)
+        while math.nextafter(b, 0.0) * log_n >= j_cut:
+            b = math.nextafter(b, 0.0)
     else:
         raise ValueError("N: cannot place a b*ln(N) cutoff at N=1 "
                          "with near-degeneracy failing at j=%d" % j_cut)

@@ -470,6 +470,54 @@ def tally_reference(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
             violates[gi, si[hit == resonance.PATTERN_NONE]] = True
 
 
+def classify_rows_reference(K: np.ndarray, modes, rules) -> np.ndarray:
+    """`resonance.classify_rows` with the cutoff folded into the groups:
+    each mode with |j|^2 <= cutoff^2 is a group of its own, and beyond it
+    the groups are the shells for SHELL and the pairs {j, -j} for
+    PAIR_TAIL, where a mode without its partner among the columns (or the
+    zero mode) stands alone; the first rule whose group sums all vanish
+    tags the row."""
+    tags = np.full(len(K), resonance.PATTERN_NONE, dtype=object)
+    open_rows = np.ones(len(K), dtype=bool)
+    for pattern, cutoff in rules:
+        c2 = cutoff * cutoff
+        groups = {}
+        col = []
+        for i, j in enumerate(modes):
+            a2 = mode_abs2(j)
+            if a2 <= c2:
+                key = ("alone", i)
+            elif pattern == resonance.PATTERN_SHELL:
+                key = a2
+            else:
+                key = min(j, tuple(-c for c in j))
+            col.append(groups.setdefault(key, len(groups)))
+        G = np.zeros((len(modes), len(groups)), dtype=np.int64)
+        G[np.arange(len(modes)), col] = 1
+        match = open_rows & ~np.any(K @ G, axis=1)
+        tags[match] = pattern
+        open_rows &= ~match
+    return tags
+
+
+def action_groups_reference(system) -> list:
+    """`dynamics.action_groups` with its own loops: pairs keyed by |j| with
+    base 1 + |j|, shells keyed by M = |j|^2 with base 1 + sqrt(M)."""
+    modes = system.modes()
+    groups = {}
+    if system.grouping == D.PAIRS:
+        for i, m in enumerate(modes):
+            groups.setdefault(abs(m[0]), []).append(i)
+        return [("J_%d" % k, v, 1.0 + k) for k, v in sorted(groups.items())]
+    if system.grouping == D.SHELLS:
+        for i, m in enumerate(modes):
+            groups.setdefault(mode_abs2(m), []).append(i)
+        return [("J_M%d" % k, v, 1.0 + math.sqrt(k))
+                for k, v in sorted(groups.items())]
+    return [("I_%s" % "_".join(str(c) for c in m), [i], 1.0 + mode_abs(m))
+            for i, m in enumerate(modes)]
+
+
 def distinct_divisor_rows(K: np.ndarray, W: np.ndarray) -> int:
     """Rows of K, summed over the blocks `resonance._tally` takes, that
     differ in their sums over the modes whose rows of W are equal: the

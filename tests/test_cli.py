@@ -378,6 +378,41 @@ def test_readme_config_runs_as_printed(tmp_path):
         assert cli.main(argv) == 0, argv
 
 
+def readme_config(path) -> str:
+    """The README's example config, written to path."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    config = [b for b in re.findall(r"```\n(.*?)```", readme.read_text(), re.S)
+              if b.startswith("model")]
+    path.write_text(config[0])
+    return str(path)
+
+
+def test_scan_resonances_builds_no_quartic(tmp_path, monkeypatch):
+    # the scan reads only the frequency table: with the quartic assemblers
+    # refused it writes the same hits.csv, at the README's gamma (no hits)
+    # and at gamma = 10 (70 hits)
+    from bnfsim import dynamics
+    p = readme_config(tmp_path / "run.cfg")
+    runs = [["--set", "jmax=20"], ["--set", "jmax=20", "--set", "gamma=10"]]
+
+    def scan(name):
+        for i, extra in enumerate(runs):
+            out = tmp_path / name / str(i)
+            assert cli.main(["scan-resonances", p, *extra,
+                             "--out", str(out)]) == 0
+            yield (out / "hits.csv").read_bytes()
+
+    free = list(scan("free"))
+    assert [len(b.splitlines()) for b in free] == [1, 71]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan-resonances built the quartic")
+
+    monkeypatch.setattr(dynamics, "_assemble_quartic", refuse)
+    monkeypatch.setattr(dynamics, "_merge_quartic", refuse)
+    assert list(scan("refused")) == free
+
+
 def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
     out = str(tmp_path)
     cli.write_manifest(out, "normalize", {"model": "demo_2mode"}, [], 1.0)

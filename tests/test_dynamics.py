@@ -12,9 +12,10 @@ from bnfsim.modes import mode_abs, weight
 from bnfsim.poly import Monomial
 from bnfsim.spectra import sample_potential, sturm_liouville
 
-from helpers import (QuadratureFieldReference, conj_flip, evaluate_real_slice,
-                     hamiltonian_flow_field, integrate_reference,
-                     merge_quartic_reference, momentum, total_momentum)
+from helpers import (QuadratureFieldReference, action_groups_reference,
+                     conj_flip, evaluate_real_slice, hamiltonian_flow_field,
+                     integrate_reference, merge_quartic_reference, momentum,
+                     total_momentum)
 
 
 def rand_state(rnd, modes, scale=0.3):
@@ -43,7 +44,7 @@ def test_nls1d_matches_direct_quadrature():
     for potential in (None, {1: 0.4, 2: -0.2}):
         sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=4,
                                          kappa=0.7, potential=potential)
-        res = sys1.meta["spectral"]
+        res = sturm_liouville(D._as_sample(potential), "dirichlet", 4)
         x, w = quad_grid()
         rows = D._basis_rows(res, x)
         z = rand_state(rnd, sys1.modes())
@@ -59,7 +60,7 @@ def test_nlw_matches_direct_quadrature():
     rnd = random.Random(7)
     sys1 = D.build_model_hamiltonian("nlw_dirichlet", jmax=4, kappa=1.2,
                                      mass=0.5, potential={2: 0.3})
-    res = sys1.meta["spectral"]
+    res = sturm_liouville(D._as_sample({2: 0.3}, 0.5), "dirichlet", 4)
     x, w = quad_grid()
     rows = D._basis_rows(res, x)
     z = rand_state(rnd, sys1.modes())
@@ -509,6 +510,21 @@ def test_action_groups():
     shell2 = dict((g[0], g[1]) for g in D.action_groups(dd))["J_M2"]
     assert sorted(dd.modes()[i] for i in shell2) == [
         (-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+
+@pytest.mark.parametrize("model,params", [
+    ("nlw_periodic", {"jmax": 4}), ("nls_coupled", {"jmax": 3}),
+    ("nls1d_dirichlet", {"jmax": 4}), ("nls_dd", {"d": 1, "jmax": 4}),
+    ("nls_dd", {"d": 2, "jmax": 3}), ("nls_dd", {"d": 3, "jmax": 2}),
+    ("nls_dd", {"d": 3, "jmax": math.sqrt(6)})])
+def test_action_groups_match_the_reference(model, params):
+    # the J groups are the groups of the exceptional patterns; labels,
+    # members and weights are the ones the per-grouping loops gave
+    system = D.build_model_hamiltonian(model, **params)
+    got = [(label, members, base.hex())
+           for label, members, base in D.action_groups(system)]
+    assert got == [(label, members, base.hex()) for label, members, base
+                   in action_groups_reference(system)]
 
 
 def test_torus_distance_zero_iff_match():

@@ -10,6 +10,7 @@ import pytest
 from bnfsim import poly
 from bnfsim import resonance as R
 from bnfsim.cli import stream_seed
+from bnfsim.modes import lattice_modes
 from bnfsim.poly import Monomial
 from bnfsim.spectra import (FrequencyTable, SpectralError,
                             convolution_frequencies, periodic_nlw_table)
@@ -664,6 +665,97 @@ def test_matrix_classifier_matches_definitions_on_random_rows():
             assert R.classify_exception(full, model, prm) == want
             seen.add(want)
     assert seen == {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
+
+
+def grouped_rows(modes, rnd, count):
+    """Random rows over the modes, empty ones included: cancellations
+    within a pair or a shell, and now and then one stray unit."""
+    groups = {}
+    for i, j in enumerate(modes):
+        groups.setdefault(sum(c * c for c in j), []).append(i)
+        groups.setdefault(min(j, tuple(-c for c in j)), []).append(i)
+    groups = [v for v in groups.values() if len(v) > 1]
+    rows = np.zeros((count, len(modes)), dtype=np.int64)
+    for row in rows[count // 10:]:
+        for _ in range(rnd.randint(1, 2)):
+            a, b = rnd.sample(rnd.choice(groups), 2)
+            e = rnd.randint(-2, 2)
+            row[a] += e
+            row[b] -= e
+        if rnd.random() < 0.3:
+            row[rnd.randrange(len(modes))] += rnd.choice([-1, 1])
+    return rows
+
+
+@pytest.mark.parametrize("modes", [
+    [(-3,), (-2,), (-1,), (0,), (1,), (2,), (3,), (5,)],
+    list(lattice_modes(2, 3)), list(lattice_modes(3, math.sqrt(6)))],
+    ids=["1d", "d2", "d3"])
+def test_classify_rows_matches_the_reference(modes):
+    # the rule as its definition states it against the cutoff folded into
+    # the groups; the ball |j| <= cutoff holds a shell |j|^2 = M at the
+    # cutoff sqrt(M) even where sqrt(M) rounds below its root, as the
+    # reference's ball does one ulp above the cutoff
+    rnd = random.Random(11)
+    K = grouped_rows(modes, rnd, 400)
+    shells = sorted({sum(c * c for c in j) for j in modes})
+    cutoffs = [0.0, 2 ** math.sqrt(0.5)] + [math.sqrt(M) for M in shells]
+    rule_lists = [[(pattern, c)] for c in cutoffs
+                  for pattern in (R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL)]
+    rule_lists += [[(R.PATTERN_SHELL, c), (R.PATTERN_PAIR_TAIL, 0.0)]
+                   for c in cutoffs]
+    seen = set()
+    for rules in rule_lists:
+        up = [(p, math.nextafter(c, math.inf)) for p, c in rules]
+        want = helpers.classify_rows_reference(K, modes, up)
+        for rows in (K.astype(np.int8), K.astype(float)):
+            assert list(R.classify_rows(rows, modes, rules)) == list(want)
+            assert list(R.classify_rows(rows[:0], modes, rules)) == []
+        seen.update(want)
+    assert seen == {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
+    # where sqrt(M)^2 < M the reference at the cutoff itself put the shell
+    # outside, and tagged its cancellations as exceptional
+    low = [math.sqrt(M) for M in shells if math.sqrt(M) ** 2 < M]
+    assert bool(low) == (len(modes[0]) == 3)
+    for c in low:
+        rules = [(R.PATTERN_SHELL, c)]
+        assert np.any(R.classify_rows(K, modes, rules)
+                      != helpers.classify_rows_reference(K, modes, rules))
+
+
+@pytest.mark.parametrize("jmax,n", [(math.sqrt(3), 27), (math.sqrt(6), 81)])
+def test_search_domain_keeps_every_mode_of_the_lattice(jmax, n):
+    # sqrt(3) and sqrt(6) square to just under 3 and 6: the table's lattice
+    # and the search domain read the same ball, so no shell drops out
+    table = convolution_frequencies(3, None, jmax)
+    q = R.DivisorQuery(table, r=1, N=1, gamma=0.1, alpha=1.0, jmax=jmax)
+    modes, w, tail = R._domain(q)
+    assert modes == table.modes() and len(modes) == n
+    assert tail == [sum(c * c for c in j) > 1 for j in modes]
+
+
+def test_calibrated_pair_cutoff_holds_the_last_failing_pair():
+    # one failing pair, j_cut: its b ln N is not below j_cut, so the pair is
+    # inside the cutoff (NONE) and the next one beyond it (PAIR_TAIL)
+    for n in range(2, 41):
+        for j_cut in range(1, 61):
+            omega = {}
+            for j in range(1, 63):
+                omega[(j,)] = float(j)
+                omega[(-j,)] = float(j) + (0.5 if j == j_cut else 1e-12)
+            t = FrequencyTable(omega)
+            cal = R.calibrate_pair_cutoff(t, 0.1, 1.0, n)
+            assert cal.j_cutoff == j_cut
+            assert cal.b * math.log(n) >= j_cut
+            assert math.nextafter(cal.b, 0.0) * math.log(n) < j_cut
+            q = R.DivisorQuery(t, r=1, N=n, gamma=0.1, alpha=1.0, jmax=62)
+            rules = R.family_rules("nlw_periodic", {}, q, t, q.gamma)
+            K = np.zeros((2, len(t.modes())), dtype=np.int8)
+            for row, j in zip(K, (j_cut, j_cut + 1)):
+                row[t.modes().index((j,))] = 1
+                row[t.modes().index((-j,))] = -1
+            assert list(R.classify_rows(K, t.modes(), rules)) == \
+                [R.PATTERN_NONE, R.PATTERN_PAIR_TAIL], (n, j_cut)
 
 
 @pytest.mark.parametrize("block_bytes", [R.SCAN_BLOCK_BYTES, 1 << 10])
