@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -580,13 +580,9 @@ def action_groups(system: ModelSystem) -> List[Tuple[str, List[int], float]]:
 # -- drift experiment -------------------------------------------------------
 
 
-DRIFT_COLUMNS = ("model", "eps", "seed", "t", "H", "norm_s",
-                 "max_weighted_action_drift", "max_weighted_J_drift",
-                 "torus_dist", "escaped")
-
-
 @dataclass
 class DriftRow:
+    """One line of drift.csv; its fields are the columns, in order."""
     model: str
     eps: float
     seed: int
@@ -597,6 +593,9 @@ class DriftRow:
     max_weighted_J_drift: float
     torus_dist: float
     escaped: int
+
+
+DRIFT_COLUMNS = tuple(f.name for f in fields(DriftRow))
 
 
 def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
@@ -653,14 +652,12 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
 
 
 def write_drift_csv(rows: Sequence[DriftRow], path) -> None:
+    fmt = [f17 if f.type == "float" else str for f in fields(DriftRow)]
     with open(path, "w") as fh:
         fh.write(",".join(DRIFT_COLUMNS) + "\n")
         for r in rows:
-            fh.write(",".join([r.model, f17(r.eps), str(r.seed),
-                               f17(r.t), f17(r.H), f17(r.norm_s),
-                               f17(r.max_weighted_action_drift),
-                               f17(r.max_weighted_J_drift),
-                               f17(r.torus_dist), str(r.escaped)]) + "\n")
+            fh.write(",".join(f(v) for f, v in zip(fmt, vars(r).values()))
+                     + "\n")
 
 
 def write_frames_csv(system: ModelSystem, traj: Trajectory, path,

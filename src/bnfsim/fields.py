@@ -8,8 +8,9 @@ first turned into one of two evaluators:
   P = weight * sum over grid points of the product of four linear legs.
   One evaluation is a handful of small matrix products on the grid.
 - `FieldTable` is the generic fallback for any polynomial.  It is compiled
-  once into index tables, and each evaluation is a gather, a product over
-  the table's columns and one scatter product: the work matrix has the rows
+  once into index tables, and each evaluation is, per block of rows, a
+  gather, a product over the table's columns and one 0/1 matrix product
+  back to the modes: the work matrix has the rows
   G = [xi_0..xi_{n-1}, conj(xi_0)..conj(xi_{n-1}), 1], one column per
   state, and every table row is one term, coefficient times a padded list
   of indices into G.  `ValueTable` evaluates p itself the same way.
@@ -20,7 +21,7 @@ every frame of a trajectory through a generator flow in one such batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
@@ -135,20 +136,15 @@ def _column_product(G: np.ndarray, vidx: np.ndarray) -> np.ndarray:
 class FieldTable:
     """Rows evaluating d(p)/d(eta_m) for every layout mode m at eta=conj(xi).
 
-    Row r adds into mode out[r]; `scatter` is the fixed (n x rows) 0/1
-    matrix of that map, so the sum back to modes is one real matrix product
-    on the interleaved real and imaginary parts of all states at once.
+    Row r adds into mode out[r].  Each block of rows sums back to the modes
+    through the (n x block) 0/1 matrix of that map, built from `out` per
+    block: one real matrix product on the interleaved real and imaginary
+    parts of all states at once.
     """
     modes: List[tuple]
     vidx: np.ndarray
     coeff: np.ndarray
     out: np.ndarray
-    scatter: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows = len(self.out)
-        self.scatter = np.zeros((len(self.modes), rows))
-        self.scatter[self.out, np.arange(rows)] = 1.0
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         """The field at x, (n,) for one state or (B, n) for a batch."""
@@ -158,7 +154,9 @@ class FieldTable:
         for r in _row_blocks(len(self.coeff), len(X)):
             vals = _column_product(G, self.vidx[r])
             vals *= self.coeff[r, None]
-            F += self.scatter[:, r] @ vals.view(float)
+            S = np.zeros((len(self.modes), len(vals)))
+            S[self.out[r], np.arange(len(vals))] = 1.0
+            F += S @ vals.view(float)
         F = F.view(complex).T
         return F if np.ndim(x) == 2 else F[0]
 

@@ -27,7 +27,7 @@ def as_mode(j: ModeLike) -> tuple:
 
 
 def mode_abs(j: ModeLike) -> float:
-    """Euclidean norm |j| of a lattice mode."""
+    """Euclidean norm |j| of a lattice mode, rounded once from |j|^2."""
     m = as_mode(j)
     if len(m) == 1:
         return float(abs(m[0]))
@@ -41,8 +41,8 @@ def mode_abs2(j: ModeLike) -> int:
 
 
 def in_ball(j: ModeLike, r: float) -> bool:
-    """|j| <= r, with slack so a radius sqrt(M) holds the shell |j|^2 = M."""
-    return mode_abs2(j) <= r * r + 1e-12
+    """|j| <= r: a radius math.sqrt(M) holds the shell |j|^2 = M, not M+1."""
+    return mode_abs(j) <= r
 
 
 def mode_groups(modes: Sequence[ModeLike], shells: bool) -> np.ndarray:

@@ -419,7 +419,6 @@ class MeasureEstimate:
     fraction: float
     wilson_low: float
     wilson_high: float
-    half_width: float
     pattern_histogram: Dict[str, int] = field(default_factory=dict)
     complete: bool = True
     nodes: int = 0  # of the scan's one search
@@ -581,11 +580,11 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     out = []
     for gi, g in enumerate(gammas):
         v = int(violates[gi].sum())
-        lo, hi, hw = wilson_interval(v, n_eff)
+        lo, hi, _ = wilson_interval(v, n_eff)
         out.append(MeasureEstimate(
             gamma=g, threshold=thrs[gi], samples=samples, skipped=skipped,
             violations=v, fraction=v / n_eff if n_eff else 0.0,
-            wilson_low=lo, wilson_high=hi, half_width=hw,
+            wilson_low=lo, wilson_high=hi,
             pattern_histogram=dict(hist[gi]), complete=complete,
             nodes=nodes, rows=rows, decided=decided))
     return out

@@ -176,7 +176,6 @@ class SpectralResult:
     lams: np.ndarray
     basis: EigenBasis
     bc: str
-    basis_size: int
     refinement_err: float
 
 
@@ -225,7 +224,7 @@ def sturm_liouville(potential, bc: str = "dirichlet", jmax: int = 16,
             "Galerkin truncation not converged: rel err %.3e > %.0e "
             "(increase basis_size)" % (err, REFINE_RTOL))
     basis = EigenBasis(bc, vecs[:, :jmax].copy(), waven)
-    return SpectralResult(lams[:jmax].copy(), basis, bc, m, err)
+    return SpectralResult(lams[:jmax].copy(), basis, bc, err)
 
 
 # -- frequency tables ---------------------------------------------------

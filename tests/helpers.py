@@ -12,8 +12,9 @@ import numpy as np
 
 from bnfsim import dynamics as D
 from bnfsim import resonance
-from bnfsim.fields import QuadratureField, eta_gradient_table
-from bnfsim.modes import (as_mode, lattice_modes, mode_abs, mode_abs2,
+from bnfsim.fields import (FieldTable, QuadratureField, _column_product,
+                           _row_blocks, _work_matrix, eta_gradient_table)
+from bnfsim.modes import (as_mode, f17, lattice_modes, mode_abs, mode_abs2,
                           mode_str, weight)
 from bnfsim.norms import majorant_norm
 from bnfsim.exact import GaussRat
@@ -609,6 +610,23 @@ def table_reference(p: Polynomial, modes, grad: bool) -> tuple:
     return ms, vidx, coeff, out
 
 
+def field_table_eval_reference(table: FieldTable, x) -> np.ndarray:
+    """`FieldTable.eval` summing every row block back to the modes through
+    its columns of one dense (n x rows) 0/1 matrix of the whole table."""
+    rows = len(table.out)
+    scatter = np.zeros((len(table.modes), rows))
+    scatter[table.out, np.arange(rows)] = 1.0
+    X = np.atleast_2d(x)
+    G = _work_matrix(X)
+    F = np.zeros((len(table.modes), 2 * len(X)))
+    for r in _row_blocks(rows, len(X)):
+        vals = _column_product(G, table.vidx[r])
+        vals *= table.coeff[r, None]
+        F += scatter[:, r] @ vals.view(float)
+    F = F.view(complex).T
+    return F if np.ndim(x) == 2 else F[0]
+
+
 def merge_quartic_reference(modes: list, tuples: np.ndarray,
                             values: np.ndarray, scale: float) -> Polynomial:
     """`dynamics._merge_quartic`, building each Monomial from its sorted key
@@ -732,6 +750,19 @@ def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
     states = np.array(frames)
     return D.Trajectory(layout, times, states,
                         ht.eval(states).real.tolist(), dt_eff, worst, evals)
+
+
+def write_drift_csv_reference(rows: Sequence[D.DriftRow], path) -> None:
+    """`dynamics.write_drift_csv` with every column written out by name."""
+    with open(path, "w") as fh:
+        fh.write("model,eps,seed,t,H,norm_s,max_weighted_action_drift,"
+                 "max_weighted_J_drift,torus_dist,escaped\n")
+        for r in rows:
+            fh.write(",".join([r.model, f17(r.eps), str(r.seed),
+                               f17(r.t), f17(r.H), f17(r.norm_s),
+                               f17(r.max_weighted_action_drift),
+                               f17(r.max_weighted_J_drift),
+                               f17(r.torus_dist), str(r.escaped)]) + "\n")
 
 
 # -- spectral and norm diagnostics ------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -15,7 +16,7 @@ from bnfsim.spectra import sample_potential, sturm_liouville
 from helpers import (QuadratureFieldReference, action_groups_reference,
                      conj_flip, evaluate_real_slice, hamiltonian_flow_field,
                      integrate_reference, merge_quartic_reference, momentum,
-                     total_momentum)
+                     total_momentum, write_drift_csv_reference)
 
 
 def rand_state(rnd, modes, scale=0.3):
@@ -569,6 +570,27 @@ def test_drift_deterministic_and_transported():
     # running suprema never decrease
     sups = [r.max_weighted_action_drift for r in rows1]
     assert all(b >= a for a, b in zip(sups, sups[1:]))
+
+
+def test_drift_csv_matches_the_per_column_writer(tmp_path):
+    # float and int eps, numpy scalars and an escaped row: the floats are
+    # exactly the float fields, the header exactly the DriftRow fields
+    f64 = np.float64
+    rows = [D.DriftRow("demo_2mode", 0.05, 1, 0.0, 0.1 + 0.2, 1 / 3, 0.0,
+                       0.0, 0.0, 0),
+            D.DriftRow("nls_dd", 2, np.int64(7), f64(2.5), f64(-1e-300),
+                       f64(0.1), f64(1e17), 5e-324, float("inf"), 1),
+            D.DriftRow("nlw_periodic", f64(0.025), 0, 12, 3, 1, 0, 0, 0,
+                       np.int64(1))]
+    rows += D.drift_experiment(D.build_model_hamiltonian(
+        "demo_2mode", kappa=0.2), None, [0.05], [1], r=1, s=2.0, dt=0.05,
+        stride=10)
+    D.write_drift_csv(rows, tmp_path / "got.csv")
+    write_drift_csv_reference(rows, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.split(b"\n")[0].decode() == ",".join(
+        f.name for f in dataclasses.fields(D.DriftRow))
 
 
 def test_drift_csv_roundtrip(tmp_path):

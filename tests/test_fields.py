@@ -3,12 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from bnfsim import birkhoff as B
+from bnfsim import cli
 from bnfsim import dynamics as D
 from bnfsim import poly
 from bnfsim.fields import (Leg, QuadratureField, _row_blocks,
                            eta_gradient_table, value_table)
 
-from helpers import table_reference
+from helpers import field_table_eval_reference, table_reference
 
 
 def test_quadrature_field_repeated_leg_and_variable():
@@ -127,3 +129,38 @@ def test_tables_match_the_per_term_compile():
             assert table.coeff.tobytes() == coeff.tobytes()
             if grad:
                 assert np.array_equal(table.out, out)
+
+
+def test_table_eval_is_bit_equal_to_the_dense_scatter_reference():
+    # each block's 0/1 map built from `out` is the block's columns of the
+    # whole table's map, so BLAS takes the same product: the transport
+    # workload's 720-row generator table, the 27,261-row d=2 jmax=4 P table
+    # of nls_dd, an empty table and a one-mode table
+    cfg = {"model": "nls1d_dirichlet", "jmax": 6, "kappa": 0.25,
+           "potential.family": "nls_cosine",
+           "potential.params": {"R": 0.5, "sigma": 0.4, "kmax": 9},
+           "potential.seed": 3, "r_star": 2, "gamma": 0.002, "N": 6,
+           "s": 4.0}
+    system = cli.build_system(cfg, 0)
+    res = B.normalize(system.table, system.P, cli.resolved_params(cfg))
+    [transport] = B.transport_plan(res.generators, system.modes()).steps
+    dd = D.build_model_hamiltonian("nls_dd", d=2, jmax=4, kappa=0.1)
+    big = eta_gradient_table(dd.P, dd.modes())
+    assert (len(transport.out), len(big.out), len(big.modes)) == \
+        (720, 27261, 49)
+    empty = eta_gradient_table(poly.zero(), [(1,), (2,)])
+    one = eta_gradient_table(poly.monomial(0.5, xi={1: 2}, eta={1: 2})
+                             + poly.monomial(-1.5, xi={1: 1}, eta={1: 1}),
+                             [(1,)])
+    rng = np.random.default_rng(np.random.SeedSequence(61))
+    for table in (transport, big, empty, one):
+        n = len(table.modes)
+        for batch in (1, 2, 3, 5, 8, 13, 41, 64, 100):
+            X = 0.3 * (rng.standard_normal((batch, n))
+                       + 1j * rng.standard_normal((batch, n)))
+            assert np.array_equal(table.eval(X),
+                                  field_table_eval_reference(table, X))
+        x = X[0]
+        assert table.eval(x).shape == (n,)
+        assert np.array_equal(table.eval(x),
+                              field_table_eval_reference(table, x))

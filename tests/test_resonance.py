@@ -10,7 +10,7 @@ import pytest
 from bnfsim import poly
 from bnfsim import resonance as R
 from bnfsim.cli import stream_seed
-from bnfsim.modes import lattice_modes
+from bnfsim.modes import in_ball, lattice_modes
 from bnfsim.poly import Monomial
 from bnfsim.spectra import (FrequencyTable, SpectralError,
                             convolution_frequencies, periodic_nlw_table)
@@ -732,6 +732,27 @@ def test_search_domain_keeps_every_mode_of_the_lattice(jmax, n):
     modes, w, tail = R._domain(q)
     assert modes == table.modes() and len(modes) == n
     assert tail == [sum(c * c for c in j) > 1 for j in modes]
+
+
+def test_ball_of_radius_sqrt_m_holds_the_shell_m_and_not_m_plus_1():
+    # sqrt(16388)^2 rounds to 16388 less 3.6e-12: the first shell a ball
+    # with 1e-12 of slack on r^2 leaves out
+    r = math.sqrt(16388)
+    assert r * r + 1e-12 < 16388
+    assert in_ball((128, 2), r)
+    assert (128, 2) in lattice_modes(2, r)
+    table = FrequencyTable({(0, 1): 1.0, (1, 0): 2.0, (128, 2): 3.0})
+    q = R.DivisorQuery(table, r=1, N=r, gamma=0.1, alpha=1.0, jmax=r)
+    modes, _, tail = R._domain(q)
+    assert modes == table.modes() and tail == [False] * 3
+    mono = Monomial({(128, 2): 1}, {(0, 1): 1})
+    assert list(poly.Polynomial({mono: 1.0}).tail_degrees(r)) == [0]
+    for a in range(633):
+        for b in range(a, 633):
+            M = a * a + b * b
+            if 1 <= M <= 400_000:
+                assert in_ball((a, b), math.sqrt(M)), (a, b)
+                assert not in_ball((a, b), math.sqrt(M - 1)), (a, b)
 
 
 def test_calibrated_pair_cutoff_holds_the_last_failing_pair():
