@@ -25,7 +25,8 @@ integer matrix K over the modes, is exceptional when it has no weight on
 the ball |j| <= cutoff and sums to zero over every group of `mode_groups`:
 the pairs {j, -j} (PAIR_TAIL: periodic NLW, coupled NLS) or the shells
 |j|^2 = M (SHELL: NLS on the d-torus), whose actions J are the ones the
-normal form nearly conserves.  `classify_rows` takes K @ G per rule.
+normal form nearly conserves.  `apply_rules` takes K @ G per rule, with
+each rule's G built once (`compile_rules`), and gives integer tag codes.
 
 Divisor decisions agree with exactly-rounded summation: a row near the
 threshold, within the rounding error of K @ w, is rechecked by `math.fsum`;
@@ -36,7 +37,6 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,6 +52,8 @@ from .spectra import (CONVOLUTION_D, NLW_PERIODIC, FrequencyTable,
 PATTERN_NONE = "NONE"
 PATTERN_PAIR_TAIL = "PAIR_TAIL"
 PATTERN_SHELL = "SHELL"
+# a tag as a small integer: code c is PATTERNS[c], and 0 is no exception
+PATTERNS = (PATTERN_NONE, PATTERN_SHELL, PATTERN_PAIR_TAIL)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -195,10 +197,11 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
     stack = [root] if n else []
     while stack:
         i, m, tb, s_lo, s_hi, K = stack.pop()
-        cap = np.minimum(m, tb) if is_tail[i] else m
-        ok = A <= cap[:, None]
-        ok[m == order, :order] = False  # no exponent yet: e >= 0
-        p, c = np.divmod(np.flatnonzero(ok), ok.shape[1])
+        cap = (np.minimum(m, tb) if is_tail[i] else m).astype(np.intp)
+        c0 = np.where(m == order, order, order - cap)  # no exponent: e >= 0
+        size = order + 1 + cap - c0
+        p = np.repeat(np.arange(len(m)), size)
+        c = np.arange(len(p)) + (c0 + size - np.cumsum(size))[p]
         nodes += len(p)
         if nodes > node_cap:
             complete = False
@@ -320,19 +323,33 @@ def _exception_rule(model: str, params: dict) -> Tuple[str, float]:
     raise ValueError("unknown model tag %r" % model)
 
 
+def compile_rules(modes: Sequence[Mode], rules: Sequence[Tuple[str, float]]
+                  ) -> list:
+    """Each rule (pattern, cutoff) over the columns modes as its tag code,
+    the mask of the modes with |j| <= cutoff, and its mode -> group
+    indicator: the shells for SHELL, the pairs for PAIR_TAIL."""
+    return [(PATTERNS.index(p),
+             np.array([in_ball(j, c) for j in modes], dtype=bool),
+             mode_groups(modes, p == PATTERN_SHELL)) for p, c in rules]
+
+
+def apply_rules(K: np.ndarray, compiled: list) -> np.ndarray:
+    """Tag code of each row of K (one column per mode): that of the first
+    compiled rule under which the row has no weight inside the cutoff and
+    sums to zero over every group, else 0 (NONE).  An empty row takes the
+    first rule's code."""
+    codes = np.zeros(len(K), dtype=np.int8)
+    for code, inside, G in reversed(compiled):  # so the first rule wins
+        codes[~np.any(K[:, inside], axis=1) & ~np.any(K @ G, axis=1)] = code
+    return codes
+
+
 def classify_rows(K: np.ndarray, modes: Sequence[Mode],
                   rules: Sequence[Tuple[str, float]]) -> np.ndarray:
-    """Tag of each row of K (one column per mode): the pattern of the first
-    rule (pattern, cutoff) under which the row has no weight on the modes
-    with |j| <= cutoff and sums to zero over every group of the pattern, the
-    shells for SHELL and the pairs for PAIR_TAIL (`modes.mode_groups`), else
-    NONE.  An empty row takes the first rule's pattern."""
-    tags = np.full(len(K), PATTERN_NONE, dtype=object)
-    for pattern, cutoff in reversed(rules):  # so the first rule wins
-        inside = np.array([in_ball(j, cutoff) for j in modes], dtype=bool)
-        G = mode_groups(modes, pattern == PATTERN_SHELL)
-        tags[~np.any(K[:, inside], axis=1) & ~np.any(K @ G, axis=1)] = pattern
-    return tags
+    """Tag of each row of K under the rules (pattern, cutoff), by name: the
+    codes of `apply_rules` under `compile_rules`."""
+    codes = apply_rules(K, compile_rules(modes, rules))
+    return np.array(PATTERNS, dtype=object)[codes]
 
 
 def classify_exception(hit, model: str, params: dict) -> str:
@@ -462,11 +479,16 @@ def family_rules(family: str, params: dict, q: DivisorQuery,
 
 
 def _shared_rows(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One row index per distinct row of key, and the position in that list
-    of each row's own key."""
+    """One row index per distinct row of the float64 key, the first of its
+    rows, and the position in that list of each row's own key.  Each pair
+    of words is read as one complex128 (an odd last word pairs with 0), so
+    the sort takes half as many keys, and compares them in the same order."""
+    odd = np.zeros((len(key), key.shape[1] % 2))
+    key = np.concatenate([key, odd], axis=1).view(np.complex128)
     at = np.lexsort(key.T[::-1])
+    key = key[at]
     new = np.ones(len(at), dtype=bool)
-    new[1:] = np.any(key[at[1:]] != key[at[:-1]], axis=1)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
     share = np.empty(len(at), dtype=np.intp)
     share[at] = np.cumsum(new) - 1
     return at[new], share
@@ -474,7 +496,7 @@ def _shared_rows(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
            thrs: Sequence[float], order: int, rule_sets: Sequence[tuple],
-           rule_of: np.ndarray, violates: np.ndarray, hist: List[Counter]
+           rule_of: np.ndarray, violates: np.ndarray, hist: List[dict]
            ) -> int:
     """Add the hits among the rows of K under each column (sample) of W;
     return the number of rows whose divisors were multiplied out.
@@ -489,11 +511,13 @@ def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
     a row's key packs them as balanced base-(2 order + 1) digits, `per` to
     a float64 word, each word exact below 2^52; one row per distinct key
     in a block of rows takes the product with W.  K is cast to float64 one
-    block of rows at a time (float64 holds these small integers exactly,
-    and BLAS takes it); one `_below` pass decides the block for every
-    threshold (thrs is non-increasing), and only the rows hit under some
-    threshold are classified, once under each rule set: rows of one key
-    can differ on modes inside a cutoff.
+    block of rows at a time, into one buffer for the scan (float64 holds
+    these small integers exactly, and BLAS takes it); one `_below` pass
+    decides the block for every threshold (thrs is non-increasing), and
+    only the rows hit under some threshold are classified, once under each
+    rule set: rows of one key can differ on modes inside a cutoff.  The
+    rule sets are compiled once per scan (`compile_rules`), and the tags
+    stay integer codes, counted per threshold, until hist is filled.
     """
     base = 2 * order + 1
     per = 1  # the most digits with base^per < 2^52
@@ -503,20 +527,24 @@ def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
     digits = np.zeros((len(W), grp.max(initial=0) // per + 1))
     digits[np.arange(len(W)), grp // per] = base ** (grp % per)
     step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
+    compiled = [compile_rules(modes, rules) for rules in rule_sets]
+    counts = np.zeros((len(thrs), len(PATTERNS)), dtype=np.int64)
     decided = 0
+    buf = np.empty((min(step, len(K)), K.shape[1]))
     for lo in range(0, len(K), step):
-        Kb = K[lo:lo + step].astype(float)
+        Kb = buf[:len(K) - lo]
+        Kb[...] = K[lo:lo + step]
         first, share = _shared_rows(Kb @ digits)
         decided += len(first)
         found = _below(Kb[first] @ W, Kb, W, thrs, order, share)
         live = np.unique(np.concatenate([ri for ri, _ in found]))
-        tags = np.stack([classify_rows(Kb[live], modes, rules)
-                         for rules in rule_sets])
+        codes = np.stack([apply_rules(Kb[live], c) for c in compiled])
         for gi, (ri, si) in enumerate(found):
-            hit = tags[rule_of[gi, si], np.searchsorted(live, ri)]
-            for tag, n in Counter(hit.tolist()).items():
-                hist[gi][tag] += 2 * n
-            violates[gi, si[hit == PATTERN_NONE]] = True
+            hit = codes[rule_of[gi, si], np.searchsorted(live, ri)]
+            counts[gi] += np.bincount(hit, minlength=len(PATTERNS))
+            violates[gi, si[hit == 0]] = True
+    for h, row in zip(hist, counts.tolist()):
+        h.update({t: h.get(t, 0) + 2 * n for t, n in zip(PATTERNS, row) if n})
     return decided
 
 
@@ -563,7 +591,7 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             tuple(family_rules(f, params, q, table, g)), len(rule_sets))
             for g in gammas])
     violates = np.zeros((len(gammas), len(cols)), dtype=bool)
-    hist: List[Counter] = [Counter() for _ in gammas]
+    hist: List[dict] = [{} for _ in gammas]
     complete, nodes, rows, decided = True, 0, 0, 0
     if cols:
         W = np.column_stack(cols)
@@ -585,7 +613,7 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             gamma=g, threshold=thrs[gi], samples=samples, skipped=skipped,
             violations=v, fraction=v / n_eff if n_eff else 0.0,
             wilson_low=lo, wilson_high=hi,
-            pattern_histogram=dict(hist[gi]), complete=complete,
+            pattern_histogram=hist[gi], complete=complete,
             nodes=nodes, rows=rows, decided=decided))
     return out
 

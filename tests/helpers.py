@@ -14,8 +14,8 @@ from bnfsim import dynamics as D
 from bnfsim import resonance
 from bnfsim.fields import (FieldTable, QuadratureField, _column_product,
                            _row_blocks, _work_matrix, eta_gradient_table)
-from bnfsim.modes import (as_mode, f17, lattice_modes, mode_abs, mode_abs2,
-                          mode_str, weight)
+from bnfsim.modes import (as_mode, f17, in_ball, lattice_modes, mode_abs,
+                          mode_abs2, mode_str, weight)
 from bnfsim.norms import majorant_norm
 from bnfsim.exact import GaussRat
 from bnfsim.poly import PRUNE_REL, Monomial, Polynomial
@@ -56,9 +56,9 @@ def momentum(mono: Monomial) -> tuple:
 
 
 def tail_degree(mono: Monomial, cutoff: float) -> int:
-    """Total exponent mass carried by modes with |j| > cutoff."""
-    c2 = cutoff * cutoff
-    return sum(e for m, e in mono.xi + mono.eta if mode_abs2(m) > c2)
+    """Total exponent mass carried by modes with |j| > cutoff, outside the
+    package's ball (`modes.in_ball`)."""
+    return sum(e for m, e in mono.xi + mono.eta if not in_ball(m, cutoff))
 
 
 def momentum_filter(p: Polynomial) -> Polynomial:

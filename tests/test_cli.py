@@ -282,9 +282,10 @@ def test_benchmark_measure_config_pinned(tmp_path, capsys, seed, digest,
     head = re.fullmatch(r"measure-estimate: complete=True, nodes=1071288, "
                         r"rows=(\d+), decided=(\d+)",
                         capsys.readouterr().out.splitlines()[0])
-    # rows of equal pair sums share one divisor decision
+    # rows of equal pair sums share one divisor decision: the README's
+    # figure
     rows, decided = int(head[1]), int(head[2])
-    assert rows == 145078 and 0 < decided <= rows / 5
+    assert rows == 145078 and decided == 15229
 
 
 def test_measure_estimate_reads_gamma_only_as_the_list_default(tmp_path):

@@ -529,6 +529,24 @@ def test_tail_split():
     assert all(tail_degree(m, 4) <= 2 for m in ts.low.terms)
 
 
+def test_tail_reference_reads_the_ball_at_radius_sqrt_16388():
+    # sqrt(16388)^2 rounds below 16388, and the ball of that radius still
+    # holds the shell of (128, 2): the reference agrees with the package
+    r = math.sqrt(16388)
+    assert r * r < 16388
+    inside, outside = Monomial({(128, 2): 3}), Monomial({(128, 3): 3})
+    mixed = Monomial({(128, 2): 1}, {(0, 1): 1})
+    p = Polynomial({inside: 1.0, outside: 2.0, mixed: 3.0})
+    want = {inside: 0, outside: 3, mixed: 0}
+    assert {m: tail_degree(m, r) for m in p.terms} == want
+    assert dict(zip(p.terms, p.tail_degrees(r).tolist())) == want
+    low, high = tail_split_reference(p, r)
+    assert outside in high and inside in low and len(low) == 2
+    ts = p.tail_split(r)
+    assert_entries(ts.low, low)
+    assert_entries(ts.high, high)
+
+
 def test_momentum_filter_1d():
     p = P.monomial(1.0, xi={1: 1, 2: 1}, eta={3: 1}) + P.monomial(1.0, xi={1: 1}, eta={3: 1})
     q = momentum_filter(p)

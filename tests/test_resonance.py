@@ -1051,3 +1051,61 @@ def test_tally_of_shared_rows_matches_the_reference(monkeypatch, case,
         assert ri.tolist() in ([0], [1])
     else:
         assert decided == len(K) and v.any()
+
+
+# -- work done once per scan ---------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [0, 400])
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_shared_rows_match_the_unique_rows(words, rows):
+    # whole-float words as the tally packs them, up to 2^52 in size, drawn
+    # from a few values so that rows repeat and agree on some words only
+    rng = np.random.default_rng(words)
+    values = np.array([-2.0 ** 52 + 1, -7.0, 0.0, 1.0, 2.0 ** 51 + 3])
+    key = values[rng.integers(0, len(values), size=(rows, words))]
+    first, share = R._shared_rows(key)
+    _, idx, inv = np.unique(key, axis=0, return_index=True,
+                            return_inverse=True)
+    # one representative per distinct row, and it is its group's first row
+    assert len(first) == len(idx) and len(share) == rows
+    assert np.array_equal(first[share], idx[inv.ravel()])
+    assert np.array_equal(key[first[share]], key)
+    if rows:
+        assert 1 < len(first) < rows
+
+
+@pytest.mark.parametrize("family,params,r,N,jmax,gammas", [
+    ("convolution_d", {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}, 3, 2, 2,
+     [1e-2, 1e-3]),
+    ("nlw_periodic", NLW, 2, 2, 6, [0.05, 0.01])])
+def test_measure_scan_builds_each_group_indicator_once(
+        monkeypatch, family, params, r, N, jmax, gammas):
+    # the mode -> group indicators are built once per rule of each rule
+    # set, whatever the number of row blocks; nlw_periodic calibrates b
+    # per draw, so its rule sets differ from sample to sample
+    monkeypatch.setattr(R, "SCAN_BLOCK_BYTES", 1 << 10)
+    calls = Counter()
+    rule_sets = set()
+    family_rules = R.family_rules
+
+    def counted(name, fn):
+        def wrap(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrap
+
+    def recorded(*args):
+        rules = family_rules(*args)
+        rule_sets.add(tuple(rules))
+        return rules
+
+    monkeypatch.setattr(R, "family_rules", recorded)
+    monkeypatch.setattr(R, "mode_groups", counted("groups", R.mode_groups))
+    monkeypatch.setattr(R, "_shared_rows", counted("blocks", R._shared_rows))
+    q = R.DivisorQuery(None, r=r, N=N, gamma=gammas[0], alpha=1.0,
+                       jmax=jmax)
+    est = R.measure_scan(family, params, q, gammas, 30, seed=5)
+    assert calls["blocks"] > 10 and sum(est[0].pattern_histogram.values())
+    assert (len(rule_sets) > 1) == (family == "nlw_periodic")
+    assert calls["groups"] == sum(len(rules) for rules in rule_sets)
