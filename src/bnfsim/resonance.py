@@ -15,10 +15,11 @@ recursion limit.  Its budget `node_cap` is in tree nodes: `nodes` counts
 the root and every node made, pruned or not, and a search past the cap
 stops with complete False, at most one block's children past it.  The
 measure scan searches once for all samples of every potential family, over
-the box [min, max] per mode of the drawn frequencies, so node_cap is one
-budget per scan; it takes every sample's divisors in one blocked product,
-one row per set of rows with equal sums over the modes of equal
-frequency, and classifies only the candidates that are hits.
+the box [min, max] of the drawn frequencies, so node_cap is one budget per
+scan.  It searches the sums over groups of modes of equal frequencies in
+every draw (the pairs +-k of the even convolution_d potentials), takes
+every sample's divisors of those rows in one product, and splits only the
+candidate rows into the rows over the modes that it decides and classifies.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it has no weight on
@@ -58,7 +59,7 @@ PATTERNS = (PATTERN_NONE, PATTERN_SHELL, PATTERN_PAIR_TAIL)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 DEFAULT_NODE_CAP = 2_000_000
-# the measure scan's float64 rows and divisors per block of candidates
+# the measure scan's float64 group rows and divisors per block
 SCAN_BLOCK_BYTES = 1 << 22
 CHUNK = 4096  # live nodes per block of the candidate search
 
@@ -230,40 +231,30 @@ def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
     return modes, K, complete, nodes
 
 
-def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray,
-           thrs: Sequence[float], order: int,
-           share: Optional[np.ndarray] = None
-           ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """For each threshold of the non-increasing thrs, the entries (i, s)
-    with |K[i] . W[:, s]| < thr, given div whose row share[i] is K[i] @ W
-    up to rounding: rows of K with the same exact divisors may share one
-    row of div.  share defaults to the identity, and the entries then come
-    in row-major order; div is overwritten by its absolute value.
-
-    With |k| <= order the product is off the exactly-rounded sum by less
-    than (n + 1) eps order max|w| over n columns; entries within twice that
-    of thr, with each column's own max|w|, are decided by `math.fsum` on
-    their own row of K, as `omega_dot` decides them (it sums the rounded
-    products, which rows sharing a div row need not have in common).  One
-    pass over div finds the entries under the largest threshold plus its
-    band; each smaller threshold's candidates are a subset of the previous
-    one's.
-    """
-    band = 2 * (len(W) + 1) * np.finfo(float).eps * order * \
+def _band(W: np.ndarray, order: int) -> np.ndarray:
+    """Per column of W (n modes), twice the bound (n + 1) eps order max|w|
+    on the rounding of a row's product with it, |k| <= order."""
+    return 2 * (len(W) + 1) * np.finfo(float).eps * order * \
         np.max(np.abs(W), axis=0, initial=0.0)
+
+
+def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray,
+           thrs: Sequence[float], order: int
+           ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """For each threshold of the non-increasing thrs, the entries (i, s),
+    in row-major order, with |K[i] . W[:, s]| < thr, given div = K @ W up
+    to rounding (over any grouping of the modes that leaves the exact sums
+    alone); div is overwritten by its absolute value.
+
+    Entries within `_band` of thr are decided by `math.fsum` on their own
+    row of K, as `omega_dot` decides them.  One pass over div finds the
+    entries under the largest threshold plus its band; each smaller
+    threshold's candidates are a subset of the previous one's.
+    """
+    band = _band(W, order)
     np.abs(div, out=div)
-    u, si = np.divmod(np.flatnonzero(div < thrs[0] + band), div.shape[1])
-    a = div[u, si]
-    if share is None:
-        share = np.arange(len(K))
-    # each div row's own rows of K, in order: rows[ends[u] - size[u]:ends[u]]
-    rows = np.argsort(share, kind="stable")
-    size = np.bincount(share, minlength=len(div))
-    ends = np.cumsum(size)
-    at = np.repeat(np.arange(len(u)), size[u])
-    ri = rows[np.repeat(ends[u] - np.cumsum(size[u]), size[u])
-              + np.arange(len(at))]
-    si, a = si[at], a[at]
+    ri, si = np.divmod(np.flatnonzero(div < thrs[0] + band), div.shape[1])
+    a = div[ri, si]
     out = []
     for thr in thrs:
         c = a < thr + band[si]
@@ -327,20 +318,23 @@ def compile_rules(modes: Sequence[Mode], rules: Sequence[Tuple[str, float]]
                   ) -> list:
     """Each rule (pattern, cutoff) over the columns modes as its tag code,
     the mask of the modes with |j| <= cutoff, and its mode -> group
-    indicator: the shells for SHELL, the pairs for PAIR_TAIL."""
+    indicator (float32): the shells for SHELL, the pairs for PAIR_TAIL."""
     return [(PATTERNS.index(p),
              np.array([in_ball(j, c) for j in modes], dtype=bool),
-             mode_groups(modes, p == PATTERN_SHELL)) for p, c in rules]
+             mode_groups(modes, p == PATTERN_SHELL).astype(np.float32))
+            for p, c in rules]
 
 
 def apply_rules(K: np.ndarray, compiled: list) -> np.ndarray:
     """Tag code of each row of K (one column per mode): that of the first
     compiled rule under which the row has no weight inside the cutoff and
     sums to zero over every group, else 0 (NONE).  An empty row takes the
-    first rule's code."""
+    first rule's code.  The group sums are one float32 product, exact for
+    sums of magnitude below 2^24."""
     codes = np.zeros(len(K), dtype=np.int8)
+    X = K.astype(np.float32)
     for code, inside, G in reversed(compiled):  # so the first rule wins
-        codes[~np.any(K[:, inside], axis=1) & ~np.any(K @ G, axis=1)] = code
+        codes[~np.any(K[:, inside], axis=1) & ~np.any(X @ G, axis=1)] = code
     return codes
 
 
@@ -439,8 +433,7 @@ class MeasureEstimate:
     pattern_histogram: Dict[str, int] = field(default_factory=dict)
     complete: bool = True
     nodes: int = 0  # of the scan's one search
-    rows: int = 0  # the search's candidate rows
-    decided: int = 0  # rows whose divisors the tally multiplied out
+    rows: int = 0  # the search's candidate rows, of group sums
 
 
 def wilson_interval(v: int, n: int) -> Tuple[float, float, float]:
@@ -478,74 +471,86 @@ def family_rules(family: str, params: dict, q: DivisorQuery,
     return []
 
 
-def _shared_rows(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One row index per distinct row of the float64 key, the first of its
-    rows, and the position in that list of each row's own key.  Each pair
-    of words is read as one complex128 (an odd last word pairs with 0), so
-    the sort takes half as many keys, and compares them in the same order."""
-    odd = np.zeros((len(key), key.shape[1] % 2))
-    key = np.concatenate([key, odd], axis=1).view(np.complex128)
-    at = np.lexsort(key.T[::-1])
-    key = key[at]
-    new = np.ones(len(at), dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
-    share = np.empty(len(at), dtype=np.intp)
-    share[at] = np.cumsum(new) - 1
-    return at[new], share
+def _members(S: np.ndarray, groups: Sequence[np.ndarray],
+             tail: Sequence[bool], order: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every int8 row over the modes whose sums over the groups (mode
+    indices, one group per column of S) are a row of S, within the order
+    and tail budgets, and the row of S it splits, in order.  A group sum t
+    is split one mode at a time: giving v of it to the next mode spends
+    |v| + |t - v| - |t| of the budget that |S| leaves, so no split stalls."""
+    src, K = np.arange(len(S)), np.zeros((len(S), len(tail)), np.int8)
+    tg = [tail[g[0]] for g in groups]
+    ex = order - np.abs(S).sum(axis=1, dtype=np.intp)
+    tex = TAIL_BUDGET - np.abs(S[:, tg]).sum(axis=1, dtype=np.intp)
+    for c, g in enumerate(groups):
+        t = S[src, c].astype(np.intp)
+        for j in g[:-1]:
+            half = (np.minimum(ex, tex) if tg[c] else ex) // 2
+            size = np.abs(t) + 2 * half + 1
+            p = np.repeat(np.arange(len(t)), size)
+            v = (np.minimum(t, 0) - half - np.cumsum(size) + size)[p] + \
+                np.arange(len(p))
+            used = np.abs(v) + np.abs(t[p] - v) - np.abs(t[p])
+            ex, tex = ex[p] - used, tex[p] - used * tg[c]
+            src, t, K = src[p], t[p] - v, K[p]
+            K[:, j] = v
+        K[:, g[-1]] = t
+    return K, src
 
 
-def _tally(K: np.ndarray, modes: Sequence[Mode], W: np.ndarray,
-           thrs: Sequence[float], order: int, rule_sets: Sequence[tuple],
-           rule_of: np.ndarray, violates: np.ndarray, hist: List[dict]
-           ) -> int:
-    """Add the hits among the rows of K under each column (sample) of W;
-    return the number of rows whose divisors were multiplied out.
+def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
+          thrs: Sequence[float], order: int, node_cap: int,
+          rule_sets: Sequence[tuple], rule_of: np.ndarray,
+          violates: np.ndarray, hist: List[dict]) -> Tuple[bool, int, int]:
+    """Add the hits of the rows over the modes under each column (sample)
+    of W; return the search's complete, nodes and candidate rows.
 
-    Row k stands for the pair +-k, which shares its divisor and its tag, so
-    it counts twice.  At threshold thrs[g] a hit under column s is tagged
-    under the rules rule_sets[rule_of[g, s]]; the tags go to hist[g], and a
-    NONE hit sets violates[g, s].
-
-    Modes whose rows of W are equal form a group, and a row's divisors
-    depend only on its group sums, which |k| <= order bounds by order.  So
-    a row's key packs them as balanced base-(2 order + 1) digits, `per` to
-    a float64 word, each word exact below 2^52; one row per distinct key
-    in a block of rows takes the product with W.  K is cast to float64 one
-    block of rows at a time, into one buffer for the scan (float64 holds
-    these small integers exactly, and BLAS takes it); one `_below` pass
-    decides the block for every threshold (thrs is non-increasing), and
-    only the rows hit under some threshold are classified, once under each
-    rule set: rows of one key can differ on modes inside a cutoff.  The
-    rule sets are compiled once per scan (`compile_rules`), and the tags
-    stay integer codes, counted per threshold, until hist is filled.
+    Modes of equal rows of W and tail flags form a group (the pairs +-k of
+    convolution_d); a row's divisors depend only on its group sums, which
+    keep within its budgets.  So `_dfs` searches the group sums on the
+    groups' boxes, and a block of group rows at a time takes one product
+    with the group frequencies.
+    The rows under thrs[0] plus the band in some column, and the zero row
+    (pure group cancellations, which the search never emits), are split
+    into members (`_members`); one `_below` pass decides them for every
+    threshold, each near a threshold on its own row, and each is tagged
+    once per rule set.  Row k stands for +-k, so it counts twice: a group
+    row holds one sign, and the zero row's members keep the one whose first
+    nonzero entry is positive.  At thrs[g] a hit under column s is tagged
+    under rule_sets[rule_of[g, s]] into hist[g]; a NONE hit sets
+    violates[g, s].
     """
-    base = 2 * order + 1
-    per = 1  # the most digits with base^per < 2^52
-    while base ** (per + 1) < 1 << 52:
-        per += 1
-    grp = np.unique(W, axis=0, return_inverse=True)[1].ravel()
-    digits = np.zeros((len(W), grp.max(initial=0) // per + 1))
-    digits[np.arange(len(W)), grp // per] = base ** (grp % per)
-    step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
+    first, grp = np.unique(np.column_stack([W, tail]), axis=0,
+                           return_index=True, return_inverse=True)[1:]
+    at = {modes[i]: g for g, i in enumerate(first)}
+    reps, K, complete, nodes = _dfs(list(at), W[first].min(axis=1).tolist(),
+                                    W[first].max(axis=1).tolist(),
+                                    [tail[i] for i in first], order,
+                                    thrs[0], node_cap)
+    cols = [at[m] for m in reps]
+    groups = [np.flatnonzero(grp.ravel() == g) for g in cols]
+    Wg, band = W[first[cols]], _band(W, order)
     compiled = [compile_rules(modes, rules) for rules in rule_sets]
     counts = np.zeros((len(thrs), len(PATTERNS)), dtype=np.int64)
-    decided = 0
-    buf = np.empty((min(step, len(K)), K.shape[1]))
-    for lo in range(0, len(K), step):
-        Kb = buf[:len(K) - lo]
-        Kb[...] = K[lo:lo + step]
-        first, share = _shared_rows(Kb @ digits)
-        decided += len(first)
-        found = _below(Kb[first] @ W, Kb, W, thrs, order, share)
-        live = np.unique(np.concatenate([ri for ri, _ in found]))
-        codes = np.stack([apply_rules(Kb[live], c) for c in compiled])
+    step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
+    for Kb in [np.zeros((1, K.shape[1]), np.int8)] + \
+            [K[lo:lo + step] for lo in range(0, len(K), step)]:
+        div = Kb.astype(float) @ Wg
+        live = np.any(np.abs(div) < thrs[0] + band, axis=1)
+        Km, src = _members(Kb[live], groups, tail, order)
+        lead = Km[np.arange(len(Km)), np.argmax(Km != 0, axis=1)]
+        keep = np.any(Kb[live], axis=1)[src] | (lead > 0)
+        Km, src = Km[keep], src[keep]
+        found = _below(div[live][src], Km, W, thrs, order)
+        codes = np.stack([apply_rules(Km, c) for c in compiled])
         for gi, (ri, si) in enumerate(found):
-            hit = codes[rule_of[gi, si], np.searchsorted(live, ri)]
+            hit = codes[rule_of[gi, si], ri]
             counts[gi] += np.bincount(hit, minlength=len(PATTERNS))
             violates[gi, si[hit == 0]] = True
     for h, row in zip(hist, counts.tolist()):
         h.update({t: h.get(t, 0) + 2 * n for t, n in zip(PATTERNS, row) if n})
-    return decided
+    return complete, nodes, len(K)
 
 
 def measure_scan(family: str, params: dict, q: DivisorQuery,
@@ -558,9 +563,8 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     nonincreasing in gamma.  A sample whose table fails (SpectralError) is
     skipped.  Every family searches once, within the node_cap budget, over
     the box [min, max] per mode of the drawn frequency vectors: its
-    candidates hold each sample's own, and one `_tally` takes all the
-    samples' divisors in one blocked product, under each (gamma, sample)'s
-    exception rules.
+    candidates hold each sample's own, and `_scan` decides them for all the
+    samples at once, under each (gamma, sample)'s exception rules.
     """
     if samples < 30:
         raise ValueError("resonance.samples: must be >= 30")
@@ -592,17 +596,11 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             for g in gammas])
     violates = np.zeros((len(gammas), len(cols)), dtype=bool)
     hist: List[dict] = [{} for _ in gammas]
-    complete, nodes, rows, decided = True, 0, 0, 0
+    complete, nodes, rows = True, 0, 0
     if cols:
-        W = np.column_stack(cols)
-        at = {m: i for i, m in enumerate(modes)}
-        modes, K, complete, nodes = _dfs(
-            modes, W.min(axis=1).tolist(), W.max(axis=1).tolist(), tail,
-            q.r + 2, thrs[0], q.node_cap)
-        rows = len(K)
-        decided = _tally(K, modes, W[[at[m] for m in modes]], thrs, q.r + 2,
-                         list(rule_sets), np.array(rule_ids).T, violates,
-                         hist)
+        complete, nodes, rows = _scan(
+            modes, np.column_stack(cols), tail, thrs, q.r + 2, q.node_cap,
+            list(rule_sets), np.array(rule_ids).T, violates, hist)
 
     skipped, n_eff = samples - len(cols), len(cols)
     out = []
@@ -614,7 +612,7 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             violations=v, fraction=v / n_eff if n_eff else 0.0,
             wilson_low=lo, wilson_high=hi,
             pattern_histogram=hist[gi], complete=complete,
-            nodes=nodes, rows=rows, decided=decided))
+            nodes=nodes, rows=rows))
     return out
 
 

@@ -449,7 +449,7 @@ def measure_scan_per_sample(family: str, params: dict, q: DivisorQuery,
 def tally_reference(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
                     rule_sets, rule_of: np.ndarray, violates: np.ndarray,
                     hist: list) -> None:
-    """`resonance._tally` without its shared rows: every row of K takes its
+    """`tally_shared_rows` without its shared rows: every row of K takes its
     own product with W, a block of rows at a time, and is decided on it.
 
     Row k stands for the pair +-k, so it counts twice.  At threshold
@@ -469,6 +469,82 @@ def tally_reference(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
             for tag in hit.tolist():
                 hist[gi][tag] = hist[gi].get(tag, 0) + 2
             violates[gi, si[hit == resonance.PATTERN_NONE]] = True
+
+
+def shared_rows(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One row index per distinct row of the float64 key, the first of its
+    rows, and the position in that list of each row's own key.  Each pair
+    of words is read as one complex128 (an odd last word pairs with 0), so
+    the sort takes half as many keys, and compares them in the same order."""
+    odd = np.zeros((len(key), key.shape[1] % 2))
+    key = np.concatenate([key, odd], axis=1).view(np.complex128)
+    at = np.lexsort(key.T[::-1])
+    key = key[at]
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    share = np.empty(len(at), dtype=np.intp)
+    share[at] = np.cumsum(new) - 1
+    return at[new], share
+
+
+def tally_shared_rows(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
+                      rule_sets, rule_of: np.ndarray, violates: np.ndarray,
+                      hist: list) -> int:
+    """The mode-level measure tally: add the hits among the rows of K (a
+    search over the modes) under each column (sample) of W, and return the
+    number of rows whose divisors were multiplied out.
+
+    Modes whose rows of W are equal form a group, and a row's divisors
+    depend only on its group sums, which |k| <= order bounds by order.  So
+    a row's key packs them as balanced base-(2 order + 1) digits, `per` to
+    a float64 word, each word exact below 2^52; one row per distinct key
+    in a block of rows takes the product with W, and its divisors stand
+    for every row of the key in one `_below` pass.  Row k stands for the
+    pair +-k, so it counts twice; tags and violations as in
+    `tally_reference`."""
+    base = 2 * order + 1
+    per = 1  # the most digits with base^per < 2^52
+    while base ** (per + 1) < 1 << 52:
+        per += 1
+    grp = np.unique(W, axis=0, return_inverse=True)[1].ravel()
+    digits = np.zeros((len(W), grp.max(initial=0) // per + 1))
+    digits[np.arange(len(W)), grp // per] = base ** (grp % per)
+    step = max(1, resonance.SCAN_BLOCK_BYTES // (8 * (K.shape[1]
+                                                       + W.shape[1])))
+    compiled = [resonance.compile_rules(modes, rules) for rules in rule_sets]
+    counts = np.zeros((len(thrs), len(resonance.PATTERNS)), dtype=np.int64)
+    decided = 0
+    for lo in range(0, len(K), step):
+        Kb = K[lo:lo + step].astype(float)
+        first, share = shared_rows(Kb @ digits)
+        decided += len(first)
+        found = resonance._below((Kb[first] @ W)[share], Kb, W, thrs, order)
+        live = np.unique(np.concatenate([ri for ri, _ in found]))
+        codes = np.stack([resonance.apply_rules(Kb[live], c)
+                          for c in compiled])
+        for gi, (ri, si) in enumerate(found):
+            hit = codes[rule_of[gi, si], np.searchsorted(live, ri)]
+            counts[gi] += np.bincount(hit, minlength=len(resonance.PATTERNS))
+            violates[gi, si[hit == 0]] = True
+    for h, row in zip(hist, counts.tolist()):
+        h.update({t: h.get(t, 0) + 2 * n
+                  for t, n in zip(resonance.PATTERNS, row) if n})
+    return decided
+
+
+def scan_mode_level(modes, W: np.ndarray, tail, thrs, order: int,
+                    node_cap: int, rule_sets, rule_of: np.ndarray,
+                    violates: np.ndarray, hist: list) -> Tuple[bool, int, int]:
+    """`resonance._scan` as the measure scan ran it over the modes: `_dfs`
+    over every mode's box [min, max] of W, then `tally_shared_rows` on
+    the rows it finds; returns complete, nodes and rows."""
+    at = {m: i for i, m in enumerate(modes)}
+    modes, K, complete, nodes = resonance._dfs(
+        modes, W.min(axis=1).tolist(), W.max(axis=1).tolist(), tail, order,
+        thrs[0], node_cap)
+    tally_shared_rows(K, modes, W[[at[m] for m in modes]], thrs, order,
+                      rule_sets, rule_of, violates, hist)
+    return complete, nodes, len(K)
 
 
 def classify_rows_reference(K: np.ndarray, modes, rules) -> np.ndarray:
@@ -520,7 +596,7 @@ def action_groups_reference(system) -> list:
 
 
 def distinct_divisor_rows(K: np.ndarray, W: np.ndarray) -> int:
-    """Rows of K, summed over the blocks `resonance._tally` takes, that
+    """Rows of K, summed over the blocks `tally_shared_rows` takes, that
     differ in their sums over the modes whose rows of W are equal: the
     rows whose divisors the tally multiplies out."""
     group = {}

@@ -238,10 +238,10 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
     ])
     out = str(tmp_path / "out")
     assert cli.main(["measure-estimate", p, "--out", out]) == 0
-    # one search for every sample, reported as scan-resonances reports its,
-    # with the search's rows and the distinct divisor rows among them
-    assert "measure-estimate: complete=True, nodes=22614, rows=4208, " \
-        "decided=298" in capsys.readouterr().out.splitlines()
+    # one search for every sample, over the pair sums, reported as
+    # scan-resonances reports its, with the search's rows
+    assert "measure-estimate: complete=True, nodes=1089, rows=269" in \
+        capsys.readouterr().out.splitlines()
     rows = (tmp_path / "out" / "measure.csv").read_text().splitlines()
     assert rows[0].startswith("gamma,threshold,samples")
     assert len(rows) == 3
@@ -279,13 +279,10 @@ def test_benchmark_measure_config_pinned(tmp_path, capsys, seed, digest,
     with open(out / "measure.csv") as fh:
         assert [int(r["violations"]) for r in csv.DictReader(fh)] == \
             violations
-    head = re.fullmatch(r"measure-estimate: complete=True, nodes=1071288, "
-                        r"rows=(\d+), decided=(\d+)",
-                        capsys.readouterr().out.splitlines()[0])
-    # rows of equal pair sums share one divisor decision: the README's
-    # figure
-    rows, decided = int(head[1]), int(head[2])
-    assert rows == 145078 and decided == 15229
+    head = re.fullmatch(r"measure-estimate: complete=True, nodes=41200, "
+                        r"rows=(\d+)", capsys.readouterr().out.splitlines()[0])
+    # the search runs over the pair sums: the README's figure
+    assert int(head[1]) == 6922
 
 
 def test_measure_estimate_reads_gamma_only_as_the_list_default(tmp_path):
@@ -349,7 +346,7 @@ def test_incomplete_measure_scan_says_so(tmp_path, capsys):
     assert cli.main(["measure-estimate", p, "--out", out]) == 0
     std = capsys.readouterr()
     assert cli.INCOMPLETE in std.err
-    assert "measure-estimate: complete=False, nodes=94" in std.out
+    assert "measure-estimate: complete=False, nodes=73" in std.out
     with open(os.path.join(out, "measure.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["complete"] for r in rows] == ["0"]

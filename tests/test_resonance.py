@@ -611,8 +611,9 @@ def test_candidates_of_the_benchmark_measure_config():
     ("nlw_periodic", NLW, 2, 2, 6, [0.05, 0.01], 5)])
 def test_measure_scan_searches_once_over_the_box_of_its_draws(
         family, params, r, N, jmax, gammas, seed, node_cap):
-    # one search for the whole scan, over the [min, max] per mode of the
-    # drawn frequency vectors, within one node_cap budget
+    # one search for the whole scan, over the [min, max] of the drawn
+    # frequency vectors, within one node_cap budget: one mode per group of
+    # modes with equal frequencies in every draw (and equal tail flags)
     q = R.DivisorQuery(None, r=r, N=N, gamma=gammas[0], alpha=1.0,
                        jmax=jmax, node_cap=node_cap)
     est = R.measure_scan(family, params, q, gammas, 30, seed)
@@ -624,11 +625,21 @@ def test_measure_scan_searches_once_over_the_box_of_its_draws(
                       else periodic_nlw_table(smp, jmax)[0])
     modes, _, tail = R._domain(replace(q, omega=tables[0]))
     W = np.array([t.vector(modes) for t in tables])
-    _, _, complete, nodes = R._dfs(modes, W.min(axis=0).tolist(),
-                                   W.max(axis=0).tolist(), tail, r + 2,
+    first = [i for i in range(len(modes))
+             if not any(tail[i] == tail[j] and np.array_equal(W[:, i], W[:, j])
+                        for j in range(i))]
+    # the pairs {j, -j} and the zero mode, or every mode alone
+    assert len(first) == ((len(modes) + 1) // 2 if family == "convolution_d"
+                          else len(modes))
+    _, _, complete, nodes = R._dfs([modes[i] for i in first],
+                                   W[:, first].min(axis=0).tolist(),
+                                   W[:, first].max(axis=0).tolist(),
+                                   [tail[i] for i in first], r + 2,
                                    q.threshold, node_cap)
     assert {(e.nodes, e.complete) for e in est} == {(nodes, complete)}
-    assert complete == (node_cap == R.DEFAULT_NODE_CAP)
+    # convolution_d's pair sums take fewer nodes than the smaller cap
+    assert complete == (node_cap == R.DEFAULT_NODE_CAP
+                        or family == "convolution_d")
 
 
 def test_matrix_classifier_matches_definitions_on_random_rows():
@@ -885,11 +896,11 @@ def test_one_pass_accept_step_matches_one_call_per_threshold():
 
 
 def tally_both(K, modes, W, thrs, order, rule_sets, rule_of):
-    """`_tally` and the row-by-row reference on the same input: their
-    violations and histograms must be equal; `_tally`'s (violates,
-    histograms, decided)."""
+    """`tally_shared_rows` and the row-by-row reference on the same input:
+    their violations and histograms must be equal; `tally_shared_rows`'s
+    (violates, histograms, decided)."""
     out = []
-    for tally in (R._tally, helpers.tally_reference):
+    for tally in (helpers.tally_shared_rows, helpers.tally_reference):
         violates = np.zeros(rule_of.shape, dtype=bool)
         hist = [Counter() for _ in thrs]
         decided = tally(K, modes, W, thrs, order, rule_sets, rule_of,
@@ -1053,6 +1064,117 @@ def test_tally_of_shared_rows_matches_the_reference(monkeypatch, case,
         assert decided == len(K) and v.any()
 
 
+# -- the group route against the mode-level reference ----------------------
+
+
+def view(e):
+    return e.violations, e.pattern_histogram, e.fraction, e.complete
+
+
+@pytest.mark.parametrize("family,params,r,N,jmax,gammas,samples,seed", [
+    ("convolution_d", BENCH, 3, 2, 4, BENCH_GAMMAS, 100,
+     stream_seed(0, "monte_carlo")),
+    ("convolution_d", BENCH, 3, 2, 4, BENCH_GAMMAS, 100,
+     stream_seed(7, "monte_carlo")),
+    ("convolution_d", {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 3}, 2, 1, 3,
+     [20.0, 0.5, 1e-2, 1e-6], 40, 9),
+    ("convolution_d", {"R": 1.0, "kmax": 2, "d": 3, "decay": 2.0}, 1, 1,
+     math.sqrt(6), [0.05, 0.01, 1e-3], 30, 3),
+    ("nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 2, 2, 6,
+     [0.05, 0.01, 0.001], 30, 5),
+    ("nlw_periodic", NLW, 2, 2, 6, [0.05, 0.01, 0.001], 30, 5)],
+    ids=["benchmark-0", "benchmark-7", "d1", "d3", "nls_cosine",
+         "nlw_periodic"])
+def test_group_scan_matches_the_mode_level_reference(
+        monkeypatch, family, params, r, N, jmax, gammas, samples, seed):
+    # the search over group sums, split into member rows, against the
+    # search over the modes with its shared-row tally, on the same draws
+    q = R.DivisorQuery(None, r=r, N=N, gamma=gammas[0], alpha=1.0,
+                       jmax=jmax)
+    est = R.measure_scan(family, params, q, gammas, samples, seed)
+    monkeypatch.setattr(R, "_scan", helpers.scan_mode_level)
+    ref = R.measure_scan(family, params, q, gammas, samples, seed)
+    assert [view(e) for e in est] == [view(e) for e in ref]
+    assert all(e.complete for e in est)
+    assert len({tag for e in est for tag in e.pattern_histogram}) > 1 or \
+        family == "nls_cosine"
+    if family == "convolution_d":
+        # the pairs {k, -k} halve the searched modes
+        assert est[0].nodes * 5 < ref[0].nodes
+        assert est[0].rows * 5 < ref[0].rows
+    else:
+        # every group is one mode: the same search
+        assert (est[0].nodes, est[0].rows) == (ref[0].nodes, ref[0].rows)
+
+
+def test_group_scan_matches_the_mode_level_reference_on_planted_twins(
+        monkeypatch):
+    # the planted twins have one group sum and per-mode fsums that
+    # straddle thrs[1] in column 5: the group route decides each member on
+    # its own row, so exactly one of them is a hit there, as in the
+    # reference; a group of four modes and two modes one bit apart
+    K, modes, W, thrs, order, rule_sets, rule_of = planted_twins()
+    twins = {K[i].tobytes() for i in (0, 1)} | \
+        {(-K[i]).tobytes() for i in (0, 1)}
+    seen = []
+    below = R._below
+
+    def spy(div, Km, *args):
+        found = below(div, Km, *args)
+        ri, si = found[1]
+        seen.extend(Km[i].tobytes() for i in ri[si == 5])
+        return found
+    out = []
+    for scan in (R._scan, helpers.scan_mode_level):
+        violates = np.zeros(rule_of.shape, dtype=bool)
+        hist = [Counter() for _ in thrs]
+        with monkeypatch.context() as m:
+            if scan is R._scan:
+                m.setattr(R, "_below", spy)
+            stats = scan(modes, W, [False] * len(modes), thrs, order,
+                         R.DEFAULT_NODE_CAP, rule_sets, rule_of, violates,
+                         hist)
+        out.append((violates, [dict(h) for h in hist], stats))
+    (v, h, (complete, nodes, _)), (rv, rh, (rcomplete, rnodes, _)) = out
+    assert np.array_equal(v, rv) and h == rh and v.any()
+    assert complete and rcomplete and nodes < rnodes
+    assert len([k for k in seen if k in twins]) == 1
+
+
+def test_measure_scan_past_its_node_cap_says_so():
+    # a group search stopped by its budget: every estimate says so, the
+    # count stops at most one block's children past the cap, and the
+    # hits are some of those of the complete scan
+    q = R.DivisorQuery(None, r=3, N=2, gamma=1e-4, alpha=1.0, jmax=4,
+                       node_cap=10_000)
+    est = R.measure_scan("convolution_d", BENCH, q, BENCH_GAMMAS, 100,
+                         stream_seed(0, "monte_carlo"))
+    assert not any(e.complete for e in est)
+    assert {e.nodes for e in est} == {est[0].nodes}
+    assert 10_000 < est[0].nodes <= 10_000 + (2 * (q.r + 2) + 1) * R.CHUNK
+    assert all(v <= full for v, full in
+               zip([e.violations for e in est], [75, 16, 1, 0]))
+
+
+def test_deep_lattice_measure_scan_completes_at_the_default_cap():
+    # convolution_d d=2 jmax=8: the search over the modes stops short at
+    # the default cap (2,000,321 nodes) and completes at node_cap 4e7
+    # (8,246,510 nodes), with these histograms; the pair sums need far
+    # fewer nodes
+    params = {"R": 1.0, "kmax": 4, "d": 2, "decay": 2.0}
+    q = R.DivisorQuery(None, r=3, N=2, gamma=1e-4, alpha=1.0, jmax=8)
+    est = R.measure_scan("convolution_d", params, q, [1e-4, 1e-5], 30,
+                         stream_seed(0, "monte_carlo"))
+    assert q.node_cap == R.DEFAULT_NODE_CAP
+    assert all(e.complete for e in est) and est[0].nodes < q.node_cap
+    assert [e.violations for e in est] == [30, 30]
+    assert [e.pattern_histogram for e in est] == [
+        {R.PATTERN_NONE: 220368, R.PATTERN_SHELL: 163600,
+         R.PATTERN_PAIR_TAIL: 46320},
+        {R.PATTERN_NONE: 217368, R.PATTERN_SHELL: 163560,
+         R.PATTERN_PAIR_TAIL: 46320}]
+
+
 # -- work done once per scan ---------------------------------------------
 
 
@@ -1064,7 +1186,7 @@ def test_shared_rows_match_the_unique_rows(words, rows):
     rng = np.random.default_rng(words)
     values = np.array([-2.0 ** 52 + 1, -7.0, 0.0, 1.0, 2.0 ** 51 + 3])
     key = values[rng.integers(0, len(values), size=(rows, words))]
-    first, share = R._shared_rows(key)
+    first, share = helpers.shared_rows(key)
     _, idx, inv = np.unique(key, axis=0, return_index=True,
                             return_inverse=True)
     # one representative per distinct row, and it is its group's first row
@@ -1102,7 +1224,7 @@ def test_measure_scan_builds_each_group_indicator_once(
 
     monkeypatch.setattr(R, "family_rules", recorded)
     monkeypatch.setattr(R, "mode_groups", counted("groups", R.mode_groups))
-    monkeypatch.setattr(R, "_shared_rows", counted("blocks", R._shared_rows))
+    monkeypatch.setattr(R, "_below", counted("blocks", R._below))
     q = R.DivisorQuery(None, r=r, N=N, gamma=gammas[0], alpha=1.0,
                        jmax=jmax)
     est = R.measure_scan(family, params, q, gammas, 30, seed=5)
