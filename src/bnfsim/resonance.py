@@ -5,21 +5,20 @@ combinations omega.k into small divisors (kept in the normal form) and safe
 ones (eliminated).  This module enumerates the small combinations under the
 order and tail constraints, classifies the structured patterns that survive
 in the paired and lattice-shell models, and Monte Carlo-estimates the measure
-of the violating potential set over the random ensembles.  One search
-(`_dfs`) yields the candidates as int8 rows over the modes, one sign of each
-pair +-k, and one accept step (`_below`) keeps the rows under each of a
-list of thresholds in one pass, for both jobs.  The search goes depth first
-through the tree of exponent vectors a block of up to CHUNK nodes at a
-time, each step in numpy, so its depth is not bounded by Python's
-recursion limit.  Its budget `node_cap` is in tree nodes: `nodes` counts
-the root and every node made, pruned or not, and a search past the cap
-stops with complete False, at most one block's children past it.  The
-measure scan searches once for all samples of every potential family, over
-the box [min, max] of the drawn frequencies, so node_cap is one budget per
-scan.  It searches the sums over groups of modes of equal frequencies in
-every draw (the pairs +-k of the even convolution_d potentials), takes
-every sample's divisors of those rows in one product, and splits only the
-candidate rows into the rows over the modes that it decides and classifies.
+of the violating potential set over the random ensembles.  Both jobs take
+one search (`_scan`) over the columns of a frequency matrix W: one table
+for `enumerate_near_resonances`, every drawn sample for the measure scan,
+on the box [min, max] of its draws, so node_cap is one budget per scan.
+Modes of equal rows of W and tail flags form a group (the pairs +-k of an
+even potential, the shells of the flat torus, single modes in 1-d); `_dfs`
+searches the group sums, one sign of each pair +-k, depth first through
+the tree of exponent vectors a block of up to CHUNK nodes at a time, each
+step in numpy, so its depth is not bounded by Python's recursion limit.
+Its budget `node_cap` is in tree nodes: `nodes` counts the root and every
+node made, pruned or not, and a search past the cap stops with complete
+False, at most one block's children past it.  Only the candidate group
+rows are split into the rows over the modes, which one accept step
+(`_below`) decides under a list of thresholds in one pass.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it has no weight on
@@ -59,7 +58,7 @@ PATTERNS = (PATTERN_NONE, PATTERN_SHELL, PATTERN_PAIR_TAIL)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 DEFAULT_NODE_CAP = 2_000_000
-# the measure scan's float64 group rows and divisors per block
+# the float64 group rows and divisors per block of the search `_scan`
 SCAN_BLOCK_BYTES = 1 << 22
 CHUNK = 4096  # live nodes per block of the candidate search
 
@@ -267,30 +266,105 @@ def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray,
     return out
 
 
+def _members(S: np.ndarray, groups: Sequence[np.ndarray],
+             tail: Sequence[bool], order: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every int8 row over the modes whose sums over the groups (mode
+    indices, one group per column of S) are a row of S, within the order
+    and tail budgets, and the row of S it splits, in order.  A group sum t
+    is split one mode at a time: giving v of it to the next mode spends
+    |v| + |t - v| - |t| of the budget that |S| leaves, so no split stalls."""
+    src, K = np.arange(len(S)), np.zeros((len(S), len(tail)), np.int8)
+    tg = [tail[g[0]] for g in groups]
+    ex = order - np.abs(S).sum(axis=1, dtype=np.intp)
+    tex = TAIL_BUDGET - np.abs(S[:, tg]).sum(axis=1, dtype=np.intp)
+    for c, g in enumerate(groups):
+        t = S[src, c].astype(np.intp)
+        for j in g[:-1]:
+            half = (np.minimum(ex, tex) if tg[c] else ex) // 2
+            size = np.abs(t) + 2 * half + 1
+            p = np.repeat(np.arange(len(t)), size)
+            v = (np.minimum(t, 0) - half - np.cumsum(size) + size)[p] + \
+                np.arange(len(p))
+            used = np.abs(v) + np.abs(t[p] - v) - np.abs(t[p])
+            ex, tex = ex[p] - used, tex[p] - used * tg[c]
+            src, t, K = src[p], t[p] - v, K[p]
+            K[:, j] = v
+        K[:, g[-1]] = t
+    return K, src
+
+
+def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
+          thrs: Sequence[float], order: int, node_cap: int
+          ) -> Tuple[bool, int, int, Iterable[tuple]]:
+    """Search the rows over the modes under each column of W, at each of the
+    non-increasing thresholds thrs.  Returns the search's complete, nodes
+    and candidate group rows, and a lazy iterator of blocks: a block's
+    member rows Km and `_below`'s entries (row of Km, column of W) per
+    threshold.
+
+    Modes of equal rows of W and tail flags form a group; a row's divisors
+    depend only on its group sums, which keep within its budgets.  So
+    `_dfs` searches the group sums on the groups' boxes, and a block of
+    group rows at a time takes one product with the group frequencies.
+    The rows under thrs[0] plus the band in some column, and the zero row
+    (pure group cancellations, which the search never emits), are split
+    into members (`_members`), each decided on its own row near a
+    threshold.  Row k stands for +-k: a group row holds one sign, and the
+    zero row's members keep the one whose first nonzero entry is positive.
+    """
+    first, grp = np.unique(np.column_stack([W, tail]), axis=0,
+                           return_index=True, return_inverse=True)[1:]
+    at = {modes[i]: g for g, i in enumerate(first)}
+    reps, K, complete, nodes = _dfs(list(at), W[first].min(axis=1).tolist(),
+                                    W[first].max(axis=1).tolist(),
+                                    [tail[i] for i in first], order,
+                                    thrs[0], node_cap)
+    cols = [at[m] for m in reps]
+    groups = [np.flatnonzero(grp.ravel() == g) for g in cols]
+    Wg, band = W[first[cols]], _band(W, order)
+    step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
+
+    def block(Kb):
+        div = Kb.astype(float) @ Wg
+        live = np.any(np.abs(div) < thrs[0] + band, axis=1)
+        Km, src = _members(Kb[live], groups, tail, order)
+        lead = Km[np.arange(len(Km)), np.argmax(Km != 0, axis=1)]
+        keep = np.any(Kb[live], axis=1)[src] | (lead > 0)
+        Km, src = Km[keep], src[keep]
+        return Km, _below(div[live][src], Km, W, thrs, order)
+    zero = np.zeros((1, K.shape[1]), np.int8)
+    rows = [zero] + [K[lo:lo + step] for lo in range(0, len(K), step)]
+    return complete, nodes, len(K), map(block, rows)
+
+
 def enumerate_near_resonances(q: DivisorQuery,
                               rules: Sequence[Tuple[str, float]] = ()
                               ) -> EnumerationResult:
     """All k with 0 < |k| <= r+2, tail mass <= 2, |omega.k| < gamma/N^alpha,
-    each tagged by `classify_rows` under the exception rules (NONE without).
+    each tagged under the exception rules by `apply_rules` (NONE without).
 
-    Branch-and-bound over frequencies sorted by size; the search keeps one
-    sign of each pair +-k and the other is appended.  The returned list is
-    canonically sorted, so it does not depend on the search order.  A node
-    budget overrun is reported through the complete flag, never silently.
+    The search of `_scan` with the table as the one column of W; each
+    block's hits are tagged as they come out, one sign per row, and -k
+    takes k's tag.  The returned list is canonically sorted, so it does not
+    depend on the search order.  A node budget overrun is reported through
+    the complete flag, never silently.
     """
-    modes, w, tail = _domain(q)
-    thr, order = q.threshold, q.r + 2
-    modes, K, complete, nodes = _dfs(modes, w, w, tail, order, thr,
-                                     q.node_cap)
-    W = q.omega.vector(modes)[:, None]
-    K = K[_below(K @ W, K, W, [thr], order)[0][0]]
-    K = np.concatenate([K, -K])
+    modes, _, tail = _domain(q)
+    complete, nodes, _, blocks = _scan(
+        modes, q.omega.vector(modes)[:, None], tail, [q.threshold], q.r + 2,
+        q.node_cap)
+    compiled = compile_rules(modes, rules)
     hits: List[ResonanceHit] = []
-    for row, tag in zip(K, classify_rows(K, modes, rules)):
-        pairs = [(modes[i], int(row[i])) for i in np.flatnonzero(row)]
-        hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs), tag))
+    for Km, [(ri, _)] in blocks:
+        K = Km[ri]
+        tags = [PATTERNS[c] for c in apply_rules(K, compiled)] * 2
+        for row, tag in zip(np.concatenate([K, -K]), tags):
+            pairs = [(modes[i], int(row[i])) for i in np.flatnonzero(row)]
+            hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs),
+                                     tag))
     hits.sort(key=ResonanceHit.key)
-    return EnumerationResult(hits, complete, nodes, thr)
+    return EnumerationResult(hits, complete, nodes, q.threshold)
 
 
 # -- exceptional patterns ------------------------------------------------
@@ -338,14 +412,6 @@ def apply_rules(K: np.ndarray, compiled: list) -> np.ndarray:
     return codes
 
 
-def classify_rows(K: np.ndarray, modes: Sequence[Mode],
-                  rules: Sequence[Tuple[str, float]]) -> np.ndarray:
-    """Tag of each row of K under the rules (pattern, cutoff), by name: the
-    codes of `apply_rules` under `compile_rules`."""
-    codes = apply_rules(K, compile_rules(modes, rules))
-    return np.array(PATTERNS, dtype=object)[codes]
-
-
 def classify_exception(hit, model: str, params: dict) -> str:
     """Pattern tag for a hit under a model's exceptional-resonance rule.
 
@@ -356,7 +422,8 @@ def classify_exception(hit, model: str, params: dict) -> str:
     """
     k = dict(hit.k) if isinstance(hit, ResonanceHit) else dict(hit)
     row = np.array(list(k.values()), dtype=np.int64).reshape(1, len(k))
-    return classify_rows(row, list(k), [_exception_rule(model, params)])[0]
+    rule = compile_rules(list(k), [_exception_rule(model, params)])
+    return PATTERNS[apply_rules(row, rule)[0]]
 
 
 @dataclass
@@ -471,88 +538,6 @@ def family_rules(family: str, params: dict, q: DivisorQuery,
     return []
 
 
-def _members(S: np.ndarray, groups: Sequence[np.ndarray],
-             tail: Sequence[bool], order: int
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every int8 row over the modes whose sums over the groups (mode
-    indices, one group per column of S) are a row of S, within the order
-    and tail budgets, and the row of S it splits, in order.  A group sum t
-    is split one mode at a time: giving v of it to the next mode spends
-    |v| + |t - v| - |t| of the budget that |S| leaves, so no split stalls."""
-    src, K = np.arange(len(S)), np.zeros((len(S), len(tail)), np.int8)
-    tg = [tail[g[0]] for g in groups]
-    ex = order - np.abs(S).sum(axis=1, dtype=np.intp)
-    tex = TAIL_BUDGET - np.abs(S[:, tg]).sum(axis=1, dtype=np.intp)
-    for c, g in enumerate(groups):
-        t = S[src, c].astype(np.intp)
-        for j in g[:-1]:
-            half = (np.minimum(ex, tex) if tg[c] else ex) // 2
-            size = np.abs(t) + 2 * half + 1
-            p = np.repeat(np.arange(len(t)), size)
-            v = (np.minimum(t, 0) - half - np.cumsum(size) + size)[p] + \
-                np.arange(len(p))
-            used = np.abs(v) + np.abs(t[p] - v) - np.abs(t[p])
-            ex, tex = ex[p] - used, tex[p] - used * tg[c]
-            src, t, K = src[p], t[p] - v, K[p]
-            K[:, j] = v
-        K[:, g[-1]] = t
-    return K, src
-
-
-def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
-          thrs: Sequence[float], order: int, node_cap: int,
-          rule_sets: Sequence[tuple], rule_of: np.ndarray,
-          violates: np.ndarray, hist: List[dict]) -> Tuple[bool, int, int]:
-    """Add the hits of the rows over the modes under each column (sample)
-    of W; return the search's complete, nodes and candidate rows.
-
-    Modes of equal rows of W and tail flags form a group (the pairs +-k of
-    convolution_d); a row's divisors depend only on its group sums, which
-    keep within its budgets.  So `_dfs` searches the group sums on the
-    groups' boxes, and a block of group rows at a time takes one product
-    with the group frequencies.
-    The rows under thrs[0] plus the band in some column, and the zero row
-    (pure group cancellations, which the search never emits), are split
-    into members (`_members`); one `_below` pass decides them for every
-    threshold, each near a threshold on its own row, and each is tagged
-    once per rule set.  Row k stands for +-k, so it counts twice: a group
-    row holds one sign, and the zero row's members keep the one whose first
-    nonzero entry is positive.  At thrs[g] a hit under column s is tagged
-    under rule_sets[rule_of[g, s]] into hist[g]; a NONE hit sets
-    violates[g, s].
-    """
-    first, grp = np.unique(np.column_stack([W, tail]), axis=0,
-                           return_index=True, return_inverse=True)[1:]
-    at = {modes[i]: g for g, i in enumerate(first)}
-    reps, K, complete, nodes = _dfs(list(at), W[first].min(axis=1).tolist(),
-                                    W[first].max(axis=1).tolist(),
-                                    [tail[i] for i in first], order,
-                                    thrs[0], node_cap)
-    cols = [at[m] for m in reps]
-    groups = [np.flatnonzero(grp.ravel() == g) for g in cols]
-    Wg, band = W[first[cols]], _band(W, order)
-    compiled = [compile_rules(modes, rules) for rules in rule_sets]
-    counts = np.zeros((len(thrs), len(PATTERNS)), dtype=np.int64)
-    step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
-    for Kb in [np.zeros((1, K.shape[1]), np.int8)] + \
-            [K[lo:lo + step] for lo in range(0, len(K), step)]:
-        div = Kb.astype(float) @ Wg
-        live = np.any(np.abs(div) < thrs[0] + band, axis=1)
-        Km, src = _members(Kb[live], groups, tail, order)
-        lead = Km[np.arange(len(Km)), np.argmax(Km != 0, axis=1)]
-        keep = np.any(Kb[live], axis=1)[src] | (lead > 0)
-        Km, src = Km[keep], src[keep]
-        found = _below(div[live][src], Km, W, thrs, order)
-        codes = np.stack([apply_rules(Km, c) for c in compiled])
-        for gi, (ri, si) in enumerate(found):
-            hit = codes[rule_of[gi, si], ri]
-            counts[gi] += np.bincount(hit, minlength=len(PATTERNS))
-            violates[gi, si[hit == 0]] = True
-    for h, row in zip(hist, counts.tolist()):
-        h.update({t: h.get(t, 0) + 2 * n for t, n in zip(PATTERNS, row) if n})
-    return complete, nodes, len(K)
-
-
 def measure_scan(family: str, params: dict, q: DivisorQuery,
                  gammas: Sequence[float], samples: int, seed: int
                  ) -> List[MeasureEstimate]:
@@ -564,7 +549,8 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     skipped.  Every family searches once, within the node_cap budget, over
     the box [min, max] per mode of the drawn frequency vectors: its
     candidates hold each sample's own, and `_scan` decides them for all the
-    samples at once, under each (gamma, sample)'s exception rules.
+    samples at once.  Each member row is tagged once per rule set, and a
+    hit takes its (gamma, sample)'s exception rules.
     """
     if samples < 30:
         raise ValueError("resonance.samples: must be >= 30")
@@ -595,12 +581,20 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             tuple(family_rules(f, params, q, table, g)), len(rule_sets))
             for g in gammas])
     violates = np.zeros((len(gammas), len(cols)), dtype=bool)
-    hist: List[dict] = [{} for _ in gammas]
+    counts = np.zeros((len(gammas), len(PATTERNS)), dtype=np.int64)
     complete, nodes, rows = True, 0, 0
     if cols:
-        complete, nodes, rows = _scan(
-            modes, np.column_stack(cols), tail, thrs, q.r + 2, q.node_cap,
-            list(rule_sets), np.array(rule_ids).T, violates, hist)
+        complete, nodes, rows, blocks = _scan(
+            modes, np.column_stack(cols), tail, thrs, q.r + 2, q.node_cap)
+        compiled = [compile_rules(modes, rules) for rules in rule_sets]
+        rule_of = np.array(rule_ids).T
+        for Km, found in blocks:
+            codes = np.stack([apply_rules(Km, c) for c in compiled])
+            for gi, (ri, si) in enumerate(found):
+                hit = codes[rule_of[gi, si], ri]
+                # row k stands for +-k, so it counts twice
+                counts[gi] += 2 * np.bincount(hit, minlength=len(PATTERNS))
+                violates[gi, si[hit == 0]] = True
 
     skipped, n_eff = samples - len(cols), len(cols)
     out = []
@@ -611,8 +605,9 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             gamma=g, threshold=thrs[gi], samples=samples, skipped=skipped,
             violations=v, fraction=v / n_eff if n_eff else 0.0,
             wilson_low=lo, wilson_high=hi,
-            pattern_histogram=hist[gi], complete=complete,
-            nodes=nodes, rows=rows))
+            pattern_histogram={t: n for t, n in zip(
+                PATTERNS, counts[gi].tolist()) if n},
+            complete=complete, nodes=nodes, rows=rows))
     return out
 
 

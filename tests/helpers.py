@@ -6,7 +6,7 @@ package's results from their definitions.
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -367,6 +367,32 @@ def below_reference(div: np.ndarray, K: np.ndarray, W: np.ndarray,
     return ri[keep], si[keep]
 
 
+def pattern_tags(K: np.ndarray, modes, rules) -> np.ndarray:
+    """The tag of each row of K under the rules (pattern, cutoff), by name:
+    the PATTERNS entry of its `apply_rules` code under `compile_rules`."""
+    codes = resonance.apply_rules(K, resonance.compile_rules(modes, rules))
+    return np.array(resonance.PATTERNS, dtype=object)[codes]
+
+
+def enumerate_mode_level(q: DivisorQuery, rules=()) -> EnumerationResult:
+    """`resonance.enumerate_near_resonances` as it searched the modes: `_dfs`
+    over every mode of the table, `_below` on K @ W, then both signs of
+    each hit tagged under the rules; sorted canonically."""
+    modes, w, tail = _domain(q)
+    thr, order = q.threshold, q.r + 2
+    modes, K, complete, nodes = resonance._dfs(modes, w, w, tail, order, thr,
+                                               q.node_cap)
+    W = q.omega.vector(modes)[:, None]
+    K = K[resonance._below(K @ W, K, W, [thr], order)[0][0]]
+    K = np.concatenate([K, -K])
+    hits = []
+    for row, tag in zip(K, pattern_tags(K, modes, rules)):
+        pairs = [(modes[i], int(row[i])) for i in np.flatnonzero(row)]
+        hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs), tag))
+    hits.sort(key=ResonanceHit.key)
+    return EnumerationResult(hits, complete, nodes, thr)
+
+
 def envelope(sample: PotentialSample, k) -> float:
     """Bound guaranteed for |v_k| by the sample family's envelope."""
     p = sample.params
@@ -439,7 +465,7 @@ def measure_scan_per_sample(family: str, params: dict, q: DivisorQuery,
         for gi, (ri, _) in enumerate(found):
             rules = resonance.family_rules(family, params, q, table,
                                            gammas[gi])
-            tags = resonance.classify_rows(K[ri], modes, rules).tolist()
+            tags = pattern_tags(K[ri], modes, rules).tolist()
             for tag in tags:  # row k stands for the pair +-k
                 hists[gi][tag] = hists[gi].get(tag, 0) + 2
             viol[gi] += resonance.PATTERN_NONE in tags
@@ -462,7 +488,7 @@ def tally_reference(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
         Kb = K[lo:lo + step].astype(float)
         found = resonance._below(Kb @ W, Kb, W, thrs, order)
         live = np.unique(np.concatenate([ri for ri, _ in found]))
-        tags = np.stack([resonance.classify_rows(Kb[live], modes, rules)
+        tags = np.stack([pattern_tags(Kb[live], modes, rules)
                          for rules in rule_sets])
         for gi, (ri, si) in enumerate(found):
             hit = tags[rule_of[gi, si], np.searchsorted(live, ri)]
@@ -487,6 +513,20 @@ def shared_rows(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return at[new], share
 
 
+def group_digits(W: np.ndarray, order: int) -> np.ndarray:
+    """The key words of `tally_shared_rows`: row i of K @ group_digits packs
+    the sums of row i over the groups of equal rows of W, as balanced
+    base-(2 order + 1) digits, `per` to a float64 word."""
+    base = 2 * order + 1
+    per = 1  # the most digits with base^per < 2^52
+    while base ** (per + 1) < 1 << 52:
+        per += 1
+    grp = np.unique(W, axis=0, return_inverse=True)[1].ravel()
+    digits = np.zeros((len(W), grp.max(initial=0) // per + 1))
+    digits[np.arange(len(W)), grp // per] = base ** (grp % per)
+    return digits
+
+
 def tally_shared_rows(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
                       rule_sets, rule_of: np.ndarray, violates: np.ndarray,
                       hist: list) -> int:
@@ -502,13 +542,7 @@ def tally_shared_rows(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
     for every row of the key in one `_below` pass.  Row k stands for the
     pair +-k, so it counts twice; tags and violations as in
     `tally_reference`."""
-    base = 2 * order + 1
-    per = 1  # the most digits with base^per < 2^52
-    while base ** (per + 1) < 1 << 52:
-        per += 1
-    grp = np.unique(W, axis=0, return_inverse=True)[1].ravel()
-    digits = np.zeros((len(W), grp.max(initial=0) // per + 1))
-    digits[np.arange(len(W)), grp // per] = base ** (grp % per)
+    digits = group_digits(W, order)
     step = max(1, resonance.SCAN_BLOCK_BYTES // (8 * (K.shape[1]
                                                        + W.shape[1])))
     compiled = [resonance.compile_rules(modes, rules) for rules in rule_sets]
@@ -533,27 +567,52 @@ def tally_shared_rows(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
 
 
 def scan_mode_level(modes, W: np.ndarray, tail, thrs, order: int,
-                    node_cap: int, rule_sets, rule_of: np.ndarray,
-                    violates: np.ndarray, hist: list) -> Tuple[bool, int, int]:
+                    node_cap: int) -> Tuple[bool, int, int, Iterable]:
     """`resonance._scan` as the measure scan ran it over the modes: `_dfs`
-    over every mode's box [min, max] of W, then `tally_shared_rows` on
-    the rows it finds; returns complete, nodes and rows."""
-    at = {m: i for i, m in enumerate(modes)}
-    modes, K, complete, nodes = resonance._dfs(
+    over every mode's box [min, max] of W, then each block of its rows
+    decided in one `_below` pass on the products of its distinct key rows
+    (`tally_shared_rows`); returns complete, nodes, rows and the blocks,
+    their rows over the modes in the given order."""
+    found, K, complete, nodes = resonance._dfs(
         modes, W.min(axis=1).tolist(), W.max(axis=1).tolist(), tail, order,
         thrs[0], node_cap)
-    tally_shared_rows(K, modes, W[[at[m] for m in modes]], thrs, order,
-                      rule_sets, rule_of, violates, hist)
-    return complete, nodes, len(K)
+    at = {m: i for i, m in enumerate(found)}
+    K, digits = K[:, [at[m] for m in modes]], group_digits(W, order)
+    step = max(1, resonance.SCAN_BLOCK_BYTES // (8 * (K.shape[1]
+                                                       + W.shape[1])))
+
+    def block(Kb):
+        first, share = shared_rows(Kb @ digits)
+        return Kb, resonance._below((Kb[first] @ W)[share], Kb, W, thrs,
+                                    order)
+    return complete, nodes, len(K), map(block, (
+        K[lo:lo + step] for lo in range(0, len(K), step)))
+
+
+def tally_blocks(scan, modes, rule_sets, rule_of: np.ndarray,
+                 violates: np.ndarray, hist: list) -> Tuple[bool, int, int]:
+    """The measure tally of a `_scan` result (complete, nodes, rows, blocks),
+    a tag at a time: at threshold g a hit under column s is tagged under
+    rule_sets[rule_of[g, s]] into hist[g], twice for +-k, and a NONE hit
+    sets violates[g, s]; returns complete, nodes and rows."""
+    complete, nodes, rows, blocks = scan
+    for Km, found in blocks:
+        tags = [pattern_tags(Km, modes, rules) for rules in rule_sets]
+        for gi, (ri, si) in enumerate(found):
+            for r, s in zip(ri.tolist(), si.tolist()):
+                tag = tags[rule_of[gi, s]][r]
+                hist[gi][tag] = hist[gi].get(tag, 0) + 2
+                violates[gi, s] |= tag == resonance.PATTERN_NONE
+    return complete, nodes, rows
 
 
 def classify_rows_reference(K: np.ndarray, modes, rules) -> np.ndarray:
-    """`resonance.classify_rows` with the cutoff folded into the groups:
-    each mode with |j|^2 <= cutoff^2 is a group of its own, and beyond it
-    the groups are the shells for SHELL and the pairs {j, -j} for
-    PAIR_TAIL, where a mode without its partner among the columns (or the
-    zero mode) stands alone; the first rule whose group sums all vanish
-    tags the row."""
+    """The tags `pattern_tags` reads off `resonance.apply_rules`, with the
+    cutoff folded into the groups: each mode with |j|^2 <= cutoff^2 is a
+    group of its own, and beyond it the groups are the shells for SHELL
+    and the pairs {j, -j} for PAIR_TAIL, where a mode without its partner
+    among the columns (or the zero mode) stands alone; the first rule whose
+    group sums all vanish tags the row."""
     tags = np.full(len(K), resonance.PATTERN_NONE, dtype=object)
     open_rows = np.ones(len(K), dtype=bool)
     for pattern, cutoff in rules:

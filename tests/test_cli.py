@@ -354,6 +354,51 @@ def test_incomplete_measure_scan_says_so(tmp_path, capsys):
     assert "complete=0" in capsys.readouterr().out
 
 
+DD_DEEP = ['model = "nls_dd"', "d = 2", "jmax = 8",
+           'potential.family = "convolution_d"',
+           'potential.params = {"R": 1.0, "kmax": 4, "d": 2, "decay": 2.0}',
+           "potential.seed = 3", "r = 3", "r_star = 2", "N = 2",
+           "gamma = 1e-4"]
+
+
+def hit_rows(out) -> list:
+    with open(os.path.join(out, "hits.csv")) as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_scan_resonances_on_the_lattice_completes_at_the_default_cap(
+        tmp_path, capsys):
+    # nls_dd d=2 at jmax 8: the search over the pair sums completes within
+    # the default node_cap, where the search over the modes stopped with
+    # 4,488 of the 14,292 hits
+    p = write_cfg(tmp_path / "dd.cfg", DD_DEEP)
+    out = str(tmp_path / "out")
+    assert cli.main(["scan-resonances", p, "--out", out]) == 0
+    std = capsys.readouterr()
+    assert "scan-resonances: 14292 hits (complete=True, nodes=45114)" in \
+        std.out.splitlines()
+    assert cli.INCOMPLETE not in std.err
+    assert len(hit_rows(out)) == 14292
+
+
+def test_scan_resonances_past_its_node_cap_says_so(tmp_path, capsys):
+    # a budget of 1,000 nodes: the run exits 0, warns, reports
+    # complete=False, and keeps some of the complete run's hits
+    p = write_cfg(tmp_path / "dd.cfg", DD_DEEP)
+    full, short = str(tmp_path / "full"), str(tmp_path / "short")
+    assert cli.main(["scan-resonances", p, "--out", full]) == 0
+    capsys.readouterr()
+    assert cli.main(["scan-resonances", p, "--out", short,
+                     "--set", "node_cap=1000"]) == 0
+    std = capsys.readouterr()
+    assert cli.INCOMPLETE in std.err
+    assert re.search(r"^scan-resonances: \d+ hits \(complete=False, ",
+                     std.out, re.M)
+    rows = hit_rows(short)
+    assert set(map(tuple, rows)) < set(map(tuple, hit_rows(full)))
+    assert len(rows) == len(set(map(tuple, rows)))
+
+
 def test_readme_config_runs_as_printed(tmp_path):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:

@@ -1,8 +1,10 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,7 +564,7 @@ def test_matrix_classifier_matches_definitions_on_convolution_scan():
     shell = {"N": 2, "alpha": 1.0, "m_decay": 2.0}
     cutoff = 2 ** math.sqrt(0.5)
     rules = [(R.PATTERN_SHELL, cutoff), (R.PATTERN_PAIR_TAIL, 0.0)]
-    fast = R.classify_rows(K, modes, rules)
+    fast = helpers.pattern_tags(K, modes, rules)
     counts = {}
     for row, tag in zip(K, fast):
         k = {m: int(c) for m, c in zip(modes, row) if c}
@@ -662,7 +664,7 @@ def test_matrix_classifier_matches_definitions_on_random_rows():
     for pattern, cutoff in [(R.PATTERN_PAIR_TAIL, 0.0),
                             (R.PATTERN_PAIR_TAIL, 1.5),
                             (R.PATTERN_SHELL, 0.0), (R.PATTERN_SHELL, 2.0)]:
-        fast = R.classify_rows(K, modes, [(pattern, cutoff)])
+        fast = helpers.pattern_tags(K, modes, [(pattern, cutoff)])
         if pattern == R.PATTERN_SHELL:
             model, prm = "shell", {"N": cutoff, "alpha": 1.0, "m_decay": 1.0}
         else:
@@ -720,8 +722,8 @@ def test_classify_rows_matches_the_reference(modes):
         up = [(p, math.nextafter(c, math.inf)) for p, c in rules]
         want = helpers.classify_rows_reference(K, modes, up)
         for rows in (K.astype(np.int8), K.astype(float)):
-            assert list(R.classify_rows(rows, modes, rules)) == list(want)
-            assert list(R.classify_rows(rows[:0], modes, rules)) == []
+            assert list(helpers.pattern_tags(rows, modes, rules)) == list(want)
+            assert list(helpers.pattern_tags(rows[:0], modes, rules)) == []
         seen.update(want)
     assert seen == {R.PATTERN_NONE, R.PATTERN_PAIR_TAIL, R.PATTERN_SHELL}
     # where sqrt(M)^2 < M the reference at the cutoff itself put the shell
@@ -730,7 +732,7 @@ def test_classify_rows_matches_the_reference(modes):
     assert bool(low) == (len(modes[0]) == 3)
     for c in low:
         rules = [(R.PATTERN_SHELL, c)]
-        assert np.any(R.classify_rows(K, modes, rules)
+        assert np.any(helpers.pattern_tags(K, modes, rules)
                       != helpers.classify_rows_reference(K, modes, rules))
 
 
@@ -786,7 +788,7 @@ def test_calibrated_pair_cutoff_holds_the_last_failing_pair():
             for row, j in zip(K, (j_cut, j_cut + 1)):
                 row[t.modes().index((j,))] = 1
                 row[t.modes().index((-j,))] = -1
-            assert list(R.classify_rows(K, t.modes(), rules)) == \
+            assert list(helpers.pattern_tags(K, t.modes(), rules)) == \
                 [R.PATTERN_NONE, R.PATTERN_PAIR_TAIL], (n, j_cut)
 
 
@@ -815,7 +817,7 @@ def test_blocked_measure_scan_matches_brute_force_per_sample(
             modes = sorted({j for h in kept for j in h.k})
             K = np.array([[h.k.get(j, 0) for j in modes] for h in kept],
                          dtype=np.int64).reshape(len(kept), len(modes))
-            tags = R.classify_rows(K, modes, rules).tolist()
+            tags = helpers.pattern_tags(K, modes, rules).tolist()
             for tag in tags:
                 hists[gi][tag] = hists[gi].get(tag, 0) + 1
             violations[gi] += R.PATTERN_NONE in tags
@@ -886,8 +888,8 @@ def test_one_pass_accept_step_matches_one_call_per_threshold():
     # tags of the live rows alone equal the whole block's at those rows
     rules = [(R.PATTERN_SHELL, 2.0), (R.PATTERN_PAIR_TAIL, 0.0)]
     live = np.unique(np.concatenate([ri for ri, _ in got]))
-    tags = R.classify_rows(K[live], modes, rules)
-    assert np.array_equal(tags, R.classify_rows(K, modes, rules)[live])
+    tags = helpers.pattern_tags(K[live], modes, rules)
+    assert np.array_equal(tags, helpers.pattern_tags(K, modes, rules)[live])
     assert set(tags) == {R.PATTERN_NONE, R.PATTERN_SHELL,
                          R.PATTERN_PAIR_TAIL}
 
@@ -1131,9 +1133,10 @@ def test_group_scan_matches_the_mode_level_reference_on_planted_twins(
         with monkeypatch.context() as m:
             if scan is R._scan:
                 m.setattr(R, "_below", spy)
-            stats = scan(modes, W, [False] * len(modes), thrs, order,
-                         R.DEFAULT_NODE_CAP, rule_sets, rule_of, violates,
-                         hist)
+            stats = helpers.tally_blocks(
+                scan(modes, W, [False] * len(modes), thrs, order,
+                     R.DEFAULT_NODE_CAP), modes, rule_sets, rule_of,
+                violates, hist)
         out.append((violates, [dict(h) for h in hist], stats))
     (v, h, (complete, nodes, _)), (rv, rh, (rcomplete, rnodes, _)) = out
     assert np.array_equal(v, rv) and h == rh and v.any()
@@ -1173,6 +1176,79 @@ def test_deep_lattice_measure_scan_completes_at_the_default_cap():
          R.PATTERN_PAIR_TAIL: 46320},
         {R.PATTERN_NONE: 217368, R.PATTERN_SHELL: 163560,
          R.PATTERN_PAIR_TAIL: 46320}]
+
+
+# -- scan-resonances on the group route -----------------------------------
+
+
+def lattice_query(d, potential, jmax, r, N, gamma):
+    """A d-torus table, flat or under the convolution_d draw of seed 3, and
+    the convolution_d rules (SHELL, then PAIR_TAIL) to tag its hits."""
+    params = {"R": 1.0, "kmax": 4 if d == 2 else 2, "d": d, "decay": 2.0}
+    table = convolution_frequencies(d, R.sample_potential(
+        "convolution_d", params, 3) if potential else None, jmax)
+    q = R.DivisorQuery(table, r=r, N=N, gamma=gamma, alpha=1.0, jmax=jmax,
+                       node_cap=10 ** 7)
+    return q, R.family_rules("convolution_d", params, q, table, gamma)
+
+
+def readme_query(tmp_path):
+    """The README config's query and rules as scan-resonances builds them,
+    at gamma 10, where it has hits."""
+    from bnfsim import cli
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    config = [b for b in re.findall(r"```\n(.*?)```", readme.read_text(),
+                                    re.S) if b.startswith("model")]
+    (tmp_path / "run.cfg").write_text(config[0])
+    cfg = cli.load_config(str(tmp_path / "run.cfg"))
+    cfg["gamma"] = 10.0
+    system, prm = cli.build_system(cfg, cfg["seed"]), cli.resolved_params(cfg)
+    q = R.DivisorQuery(system.table, r=prm.r_star, N=prm.N, gamma=prm.gamma,
+                       alpha=prm.alpha, jmax=cfg["jmax"], node_cap=10 ** 7)
+    return q, R.family_rules(cfg["potential.family"],
+                             cfg["potential.params"], q, system.table,
+                             q.gamma)
+
+
+def nlw_query(tmp_path):
+    """nlw_periodic with its b calibrated on the table: a cutoff of 1."""
+    table = periodic_nlw_table(R.sample_potential("nlw_periodic", NLW, 5),
+                               6)[0]
+    q = R.DivisorQuery(table, r=2, N=3, gamma=0.01, alpha=1.0, jmax=6)
+    return q, R.family_rules("nlw_periodic", {}, q, table, q.gamma)
+
+
+ENUMERATION_CASES = {
+    # the nls_dd d=2 config of scan-resonances at jmax 6: the search over
+    # the modes takes 2,083,172 nodes, past the default node_cap
+    "dd2-jmax6": (lambda _: lattice_query(2, True, 6, 3, 2, 1e-4), 6440),
+    # no potential: whole shells are the groups
+    "flat-d2-jmax2": (lambda _: lattice_query(2, False, 2, 3, 2, 1e-4), 7496),
+    "d3-jmax2": (lambda _: lattice_query(3, True, 2, 2, 1, 1e-2), 1376),
+    "flat-d3-jmax2": (lambda _: lattice_query(3, False, 2, 2, 1, 1e-2),
+                      18644),
+    "readme": (readme_query, 70),
+    "nlw_periodic": (nlw_query, 64)}
+
+
+@pytest.mark.parametrize("case", list(ENUMERATION_CASES))
+def test_enumeration_matches_the_mode_level_reference(tmp_path, case):
+    # the group search, split into member rows and tagged a block at a
+    # time, against the search over the modes with one accept step and one
+    # tag pass: the same hits, divisors to the bit and tags, the same
+    # complete flag, and no more nodes
+    build, count = ENUMERATION_CASES[case]
+    q, rules = build(tmp_path)
+    got = R.enumerate_near_resonances(q, rules)
+    ref = helpers.enumerate_mode_level(q, rules)
+    assert [(h.key(), h.value.hex(), h.pattern) for h in got.hits] == \
+        [(h.key(), h.value.hex(), h.pattern) for h in ref.hits]
+    assert got.complete == ref.complete and got.complete
+    assert got.nodes <= ref.nodes and len(got.hits) == count
+    tags = {h.pattern for h in got.hits}
+    assert len(tags) > 1 or case == "readme"
+    if case == "dd2-jmax6":
+        assert (got.nodes, ref.nodes) == (36008, 2083172)
 
 
 # -- work done once per scan ---------------------------------------------
