@@ -6,7 +6,6 @@ of modes, the pairs {j, -j} or the shells |j|^2 = M (`mode_groups`).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Sequence, Union
@@ -73,11 +72,9 @@ def parse_mode(text: str) -> tuple:
     return tuple(int(p) for p in text.split(","))
 
 
-@functools.lru_cache(maxsize=64)
 def lattice_modes(d: int, jmax: float) -> tuple:
     """All modes of Z^d with Euclidean norm <= jmax (the zero mode
-    included), canonically sorted; kept, since every sample of a scan asks
-    for the same lattice."""
+    included), canonically sorted."""
     rng = range(-int(jmax), int(jmax) + 1)
     # product runs in lexicographic order, which is the sorted order
     return tuple(k for k in itertools.product(rng, repeat=d)

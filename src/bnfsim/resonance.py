@@ -45,7 +45,7 @@ import numpy as np
 from .modes import Mode, f17, in_ball, mode_groups, mode_str
 from .poly import TAIL_BUDGET, Polynomial
 from .spectra import (CONVOLUTION_D, NLW_PERIODIC, FrequencyTable,
-                      SpectralError, _param, convolution_frequencies,
+                      SpectralError, _param, convolution_columns,
                       mode_eigenvalues, periodic_nlw_table, sample_potential,
                       sturm_liouville)
 
@@ -125,9 +125,6 @@ class ResonanceHit:
 
     def order(self) -> int:
         return sum(abs(c) for c in self.k.values())
-
-    def serialize(self) -> str:
-        return " ".join("%s:%d" % (mode_str(j), c) for j, c in self.key())
 
 
 @dataclass
@@ -546,11 +543,14 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     A sample violates at gamma when it has any hit classified NONE.  Reusing
     the same potentials across the grid makes the fraction exactly
     nonincreasing in gamma.  A sample whose table fails (SpectralError) is
-    skipped.  Every family searches once, within the node_cap budget, over
-    the box [min, max] per mode of the drawn frequency vectors: its
-    candidates hold each sample's own, and `_scan` decides them for all the
-    samples at once.  Each member row is tagged once per rule set, and a
-    hit takes its (gamma, sample)'s exception rules.
+    skipped.  convolution_d draws every sample's frequencies as one array
+    (`convolution_columns`); the 1-d families build one table per draw.
+    Every family searches once, within the node_cap budget, over the box
+    [min, max] per mode of the drawn frequency vectors: its candidates hold
+    each sample's own, and `_scan` decides them for all the samples at
+    once.  Each member row is tagged once per rule set, and a hit takes its
+    (gamma, sample)'s exception rules, asked for once per gamma, and per
+    kept draw too where they read its table.
     """
     if samples < 30:
         raise ValueError("resonance.samples: must be >= 30")
@@ -559,35 +559,39 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     f = family.lower()
     gammas = sorted(gammas, reverse=True)
     thrs = [g / q.N ** q.alpha for g in gammas]
-    cols, rule_ids = [], []
-    rule_sets: Dict[tuple, int] = {}
-    for s in sample_seeds(seed, samples):
-        sample = sample_potential(f, params, s)
-        try:  # the lattice, the periodic wave model or the Dirichlet NLS
-            if f == CONVOLUTION_D:
-                table = convolution_frequencies(_param(params, "d", int),
-                                                sample, q.jmax)
-            elif f == NLW_PERIODIC:
-                table = periodic_nlw_table(sample, int(q.jmax))[0]
-            else:
-                table = FrequencyTable(mode_eigenvalues(sturm_liouville(
-                    sample, "dirichlet", int(q.jmax))))
-        except SpectralError:
-            continue
-        if not cols:
-            modes, _, tail = _domain(replace(q, omega=table))
-        cols.append(table.vector(modes))
-        rule_ids.append([rule_sets.setdefault(
-            tuple(family_rules(f, params, q, table, g)), len(rule_sets))
-            for g in gammas])
-    violates = np.zeros((len(gammas), len(cols)), dtype=bool)
+    seeds, tables = sample_seeds(seed, samples), []
+    if f == CONVOLUTION_D:  # every draw's lattice frequencies as one array
+        modes, W = convolution_columns(params, seeds, q.jmax)
+    else:
+        for s in seeds:
+            sample = sample_potential(f, params, s)
+            try:  # the periodic wave model or the Dirichlet NLS
+                tables.append(periodic_nlw_table(sample, int(q.jmax))[0]
+                              if f == NLW_PERIODIC else
+                              FrequencyTable(mode_eigenvalues(sturm_liouville(
+                                  sample, "dirichlet", int(q.jmax)))))
+            except SpectralError:
+                continue
+        modes, W = [], np.zeros((0, 0))
+        if tables:
+            modes = _domain(replace(q, omega=tables[0]))[0]
+            W = np.column_stack([t.vector(modes) for t in tables])
+    tail = [not in_ball(m, q.N) for m in modes]
+    n_eff = W.shape[1]
+    violates = np.zeros((len(gammas), n_eff), dtype=bool)
     counts = np.zeros((len(gammas), len(PATTERNS)), dtype=np.int64)
     complete, nodes, rows = True, 0, 0
-    if cols:
-        complete, nodes, rows, blocks = _scan(
-            modes, np.column_stack(cols), tail, thrs, q.r + 2, q.node_cap)
+    if n_eff:
+        complete, nodes, rows, blocks = _scan(modes, W, tail, thrs, q.r + 2,
+                                              q.node_cap)
+        # only a calibrated nlw_periodic reads its table for the rules
+        per = tables if f == NLW_PERIODIC and params.get("b") is None \
+            else [None]
+        rule_sets: Dict[tuple, int] = {}
+        rule_of = np.broadcast_to(np.array([[rule_sets.setdefault(
+            tuple(family_rules(f, params, q, t, g)), len(rule_sets))
+            for g in gammas] for t in per]).T, (len(gammas), n_eff))
         compiled = [compile_rules(modes, rules) for rules in rule_sets]
-        rule_of = np.array(rule_ids).T
         for Km, found in blocks:
             codes = np.stack([apply_rules(Km, c) for c in compiled])
             for gi, (ri, si) in enumerate(found):
@@ -596,7 +600,7 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
                 counts[gi] += 2 * np.bincount(hit, minlength=len(PATTERNS))
                 violates[gi, si[hit == 0]] = True
 
-    skipped, n_eff = samples - len(cols), len(cols)
+    skipped = samples - n_eff
     out = []
     for gi, g in enumerate(gammas):
         v = int(violates[gi].sum())
@@ -615,11 +619,14 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
 
 
 def write_hits_csv(result: EnumerationResult, path) -> None:
+    # each mode's text once per file, not once per token of every hit
+    text = {j: mode_str(j) for j in set().union(*(h.k for h in result.hits))}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k_serialized", "divisor", "pattern"])
         for h in result.hits:
-            w.writerow([h.serialize(), f17(h.value), h.pattern])
+            k = " ".join("%s:%d" % (text[j], c) for j, c in h.key())
+            w.writerow([k, f17(h.value), h.pattern])
 
 
 def write_measure_csv(estimates: Iterable[MeasureEstimate], path) -> None:

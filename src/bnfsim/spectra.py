@@ -13,13 +13,14 @@ periodic spectrum of the even potential on the circle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modes import as_mode, lattice_modes, mode_abs
+from .modes import as_mode, lattice_modes, mode_abs, mode_abs2
 
 NLW_PERIODIC = "nlw_periodic"
 NLS_COSINE = "nls_cosine"
@@ -89,20 +90,14 @@ def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
     """
     if family not in FAMILIES:
         raise ValueError("unknown potential family %r" % family)
+    if family == CONVOLUTION_D:
+        half, V = convolution_draws(params, [seed])
+        coeffs = {}
+        for k, v in zip(half, V[:, 0].tolist()):
+            coeffs[k] = coeffs[tuple(-c for c in k)] = v
+        return PotentialSample(family, dict(params), seed, coeffs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     r = _param(params, "R")
-    if family == CONVOLUTION_D:
-        d = _param(params, "d", int)
-        kmax = _param(params, "kmax", int)
-        decay = _param(params, "decay")
-        # one draw per pair +-k, taken at the half-lattice k <= -k in order
-        half = [k for k in lattice_modes(d, kmax)
-                if k <= tuple(-c for c in k)]
-        coeffs = {}
-        for k, u in zip(half, rng.uniform(-0.5, 0.5, len(half)).tolist()):
-            coeffs[k] = coeffs[tuple(-c for c in k)] = \
-                r * u / (1.0 + mode_abs(k)) ** decay
-        return PotentialSample(family, dict(params), seed, coeffs)
     sigma = _param(params, "sigma")
     kmax = _param(params, "kmax", int)
     # the cosine draws, then nlw_periodic's mass draw, in one call
@@ -113,6 +108,32 @@ def sample_potential(family: str, params: dict, seed: int) -> PotentialSample:
     mass = _param(params, "mass_span", default=1.0) * u[-1] \
         if family == NLW_PERIODIC else 0.0
     return PotentialSample(family, dict(params), seed, coeffs, mass)
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice(d: int, radius: float) -> tuple:
+    """The modes of |k| <= radius (`lattice_modes`), their |k|^2 as a
+    float64 column, and the half k <= -k, one mode of each pair +-k."""
+    modes = lattice_modes(d, radius)
+    abs2 = np.array([float(mode_abs2(k)) for k in modes])
+    abs2.flags.writeable = False  # one array for every caller of the cache
+    return modes, abs2, tuple(k for k in modes if k <= tuple(-c for c in k))
+
+
+def convolution_draws(params: dict, seeds: Sequence[int]
+                      ) -> Tuple[tuple, np.ndarray]:
+    """The half k <= -k of |k| <= kmax and the convolution_d draws
+    v_k = R u_k / (1+|k|)^decay on it, one column per seed: one uniform
+    call on the seed's own stream, and per mode a Python-float envelope and
+    one IEEE multiply and divide, so no column depends on the others."""
+    r = _param(params, "R")
+    d, kmax = _param(params, "d", int), _param(params, "kmax", int)
+    decay = _param(params, "decay")
+    half = _lattice(d, kmax)[2]
+    env = np.array([(1.0 + mode_abs(k)) ** decay for k in half])
+    U = np.array([np.random.default_rng(np.random.SeedSequence(s))
+                  .uniform(-0.5, 0.5, len(half)) for s in seeds]).T
+    return half, r * U / env[:, None]
 
 
 # -- Galerkin assembly --------------------------------------------------
@@ -280,10 +301,21 @@ def convolution_frequencies(d: int, sample: Optional[PotentialSample],
                             jmax: float) -> FrequencyTable:
     """omega_k = |k|^2 + v_k on the lattice |k| <= jmax."""
     coeffs = sample.coeffs if sample is not None else {}
-    omega = {}
-    for k in lattice_modes(d, jmax):
-        omega[k] = float(sum(c * c for c in k)) + float(coeffs.get(k, 0.0))
-    return FrequencyTable(omega)
+    modes, abs2, _ = _lattice(d, jmax)
+    return FrequencyTable({k: a + float(coeffs.get(k, 0.0))
+                           for k, a in zip(modes, abs2.tolist())})
+
+
+def convolution_columns(params: dict, seeds: Sequence[int], jmax: float
+                        ) -> Tuple[tuple, np.ndarray]:
+    """The modes of |k| <= jmax and, one column per seed, the
+    `convolution_frequencies` of its `sample_potential` draw: |k|^2 plus
+    the draw of k's pair, or 0.0 past kmax, the table's one IEEE add."""
+    half, V = convolution_draws(params, seeds)
+    modes, abs2, _ = _lattice(_param(params, "d", int), jmax)
+    at = dict(zip(half, range(len(half))))
+    rows = [at.get(min(k, tuple(-c for c in k)), len(half)) for k in modes]
+    return modes, abs2[:, None] + np.vstack([V, np.zeros(len(seeds))])[rows]
 
 
 # -- diagnostics --------------------------------------------------------

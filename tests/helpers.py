@@ -393,6 +393,23 @@ def enumerate_mode_level(q: DivisorQuery, rules=()) -> EnumerationResult:
     return EnumerationResult(hits, complete, nodes, thr)
 
 
+def convolution_sample_reference(params: dict, seed: int) -> PotentialSample:
+    """The convolution_d draw one mode at a time, as `sample_potential` took
+    it before its draws were columns: one uniform call on the seed's stream
+    over the half-lattice k <= -k, then v_k = v_{-k} = R u_k / (1+|k|)^decay
+    in Python floats, pair by pair."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    r = _param(params, "R")
+    d, kmax = _param(params, "d", int), _param(params, "kmax", int)
+    decay = _param(params, "decay")
+    half = [k for k in lattice_modes(d, kmax) if k <= tuple(-c for c in k)]
+    coeffs = {}
+    for k, u in zip(half, rng.uniform(-0.5, 0.5, len(half)).tolist()):
+        coeffs[k] = coeffs[tuple(-c for c in k)] = \
+            r * u / (1.0 + mode_abs(k)) ** decay
+    return PotentialSample(CONVOLUTION_D, dict(params), seed, coeffs)
+
+
 def envelope(sample: PotentialSample, k) -> float:
     """Bound guaranteed for |v_k| by the sample family's envelope."""
     p = sample.params

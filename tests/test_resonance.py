@@ -1307,3 +1307,38 @@ def test_measure_scan_builds_each_group_indicator_once(
     assert calls["blocks"] > 10 and sum(est[0].pattern_histogram.values())
     assert (len(rule_sets) > 1) == (family == "nlw_periodic")
     assert calls["groups"] == sum(len(rules) for rules in rule_sets)
+
+
+@pytest.mark.parametrize("family,params,jmax,calibrated", [
+    ("convolution_d", {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}, 2, False),
+    ("nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 6, False),
+    ("nlw_periodic", dict(NLW, b=3.0), 6, False),
+    ("nlw_periodic", NLW, 6, True)])
+def test_measure_scan_reads_the_family_rules_once_per_gamma(
+        monkeypatch, family, params, jmax, calibrated):
+    # rules that do not read the table are asked for once per gamma; a
+    # calibrated nlw_periodic asks once per kept draw and gamma, and the
+    # draws of samples 3 and 17 have no spectrum here
+    calls = []
+    family_rules = R.family_rules
+    bad = set(R.sample_seeds(5, 30)[i] for i in (3, 17))
+    solve = R.periodic_nlw_table
+
+    def counted(*args):
+        calls.append(args)
+        return family_rules(*args)
+
+    def flaky(sample, *args, **kwargs):
+        if sample.seed in bad:
+            raise SpectralError("no spectrum for this draw")
+        return solve(sample, *args, **kwargs)
+    monkeypatch.setattr(R, "family_rules", counted)
+    monkeypatch.setattr(R, "periodic_nlw_table", flaky)
+    q = R.DivisorQuery(None, r=2, N=2, gamma=0.05, alpha=1.0, jmax=jmax)
+    gammas = [0.05, 0.01, 0.001]
+    est = R.measure_scan(family, params, q, gammas, 30, seed=5)
+    kept = 30 - est[0].skipped
+    assert kept == (28 if family == "nlw_periodic" else 30)
+    assert len(calls) == len(gammas) * (kept if calibrated else 1)
+    assert len({id(args[3]) for args in calls}) == (kept if calibrated
+                                                    else 1)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from bnfsim import resonance as R
 from bnfsim import spectra as S
 
 import helpers
@@ -84,6 +85,40 @@ def test_samples_pinned():
     assert nlw.coeffs[4] == 0.00032282169019275884
     assert nlw.coeffs[6] == -4.144128402094982e-05
     assert nlw.mass == 0.5983087535871898
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("master", [0, 7])
+@pytest.mark.parametrize("decay", [2.0, 1.5])
+@pytest.mark.parametrize("kmax", [0, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_convolution_columns_match_the_per_seed_tables(d, kmax, decay,
+                                                       master):
+    # the scan's one array of draws is, bit for bit, the stack of one
+    # sample_potential and convolution_frequencies table per seed, and each
+    # draw is the one-mode-at-a-time draw it replaced (R 0.7, so the
+    # multiply rounds; decay 1.5 is a non-integer power)
+    params = {"R": 0.7, "kmax": kmax, "d": d, "decay": decay}
+    seeds = R.sample_seeds(master, 100)
+    samples = [S.sample_potential("convolution_d", params, s) for s in seeds]
+    for smp, s in zip(samples, seeds):
+        ref = helpers.convolution_sample_reference(params, s)
+        assert list(smp.coeffs) == list(ref.coeffs) and smp == ref
+        assert np.array_equal(bits(list(smp.coeffs.values())),
+                              bits(list(ref.coeffs.values())))
+    half, V = S.convolution_draws(params, seeds)
+    assert V.shape == (len(half), 100)
+    assert np.array_equal(bits(V), bits([[smp.coeffs[k] for smp in samples]
+                                         for k in half]))
+    for jmax in (kmax, 2.5):
+        modes, W = S.convolution_columns(params, seeds, jmax)
+        assert list(modes) == S.convolution_frequencies(d, None, jmax).modes()
+        ref = np.column_stack([S.convolution_frequencies(d, smp, jmax)
+                               .vector(modes) for smp in samples])
+        assert np.array_equal(bits(W), bits(ref))
 
 
 def test_galerkin_matrices_match_the_loop_reference():
