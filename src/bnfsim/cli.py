@@ -427,12 +427,14 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     if None not in (read(cfg, "gamma", None), read(cfg, "r_star", None)):
         nf = run_normalize(cfg, system)
     seeds = [stream_seed(seed, "initial", k) for k in range(nseeds)]
-    rows = drift_experiment(system, nf, eps_list, seeds, r, c=c, s1=s1,
+    runs = drift_experiment(system, nf, eps_list, seeds, r, c=c, s1=s1,
                             **run)
-    write_drift_csv(rows, os.path.join(outdir, "drift.csv"))
-    nesc = sum(1 for row in rows if row.escaped)
-    print("drift-experiment: %d rows over %d runs, %d escaped frames"
-          % (len(rows), len(eps_list) * len(seeds), nesc))
+    write_drift_csv(runs.rows, os.path.join(outdir, "drift.csv"))
+    nesc = sum(1 for row in runs.rows if row.escaped)
+    print("drift-experiment: %d rows over %d runs, %d escaped frames, "
+          "halved steps: %d, field evaluations per step: %.2f"
+          % (len(runs.rows), len(eps_list) * len(seeds), nesc, runs.halvings,
+             runs.evals / runs.steps))
     return ["drift.csv"]
 
 

@@ -31,7 +31,8 @@ import inspect
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -409,53 +410,74 @@ class Trajectory:
         return max(1, int(round(self.times[-1] / self.dt)))
 
 
-def _coefficients(dt, omv):
-    """(a, b, -i dt) of a midpoint step of dt: x1 = (a x0 - i dt F(mid)) / b
-    with a = 1 - i dt omega / 2 and b = 1 + i dt omega / 2."""
-    return 1.0 - 0.5j * dt * omv, 1.0 + 0.5j * dt * omv, dt * (-1j)
+def _midpoint_rule(omv: np.ndarray, nl, tol: float) -> tuple:
+    """(step, advance): the implicit midpoint rule bound to one run, with
+    its work arrays, the field's kernel (`fields.Kernel`) and the
+    coefficients of every step size met so far.  A step of dt is
+    x1 = (a x0 - i dt F(mid)) / b with a = 1 - i dt omega / 2 and
+    b = 1 + i dt omega / 2.
 
-
-def _midpoint_step(x0, coef, nl, tol):
-    """One implicit midpoint step by fixed-point iteration, with the
-    `_coefficients` of its step size.
-
-    Returns (x1, converged, field evaluations).  A non-finite iterate ends
-    the step at once as not converged.  The update runs in place on arrays
-    the step allocates itself, never on the array `nl.eval` returns.
+    `step(x0, dt)` iterates to a fixed point and returns (x1, converged,
+    field evaluations), x1 being a work array the next step overwrites; a
+    non-finite iterate ends it at once as not converged.  `advance(x, dt,
+    depth)` steps x in place, retrying a step that does not converge on
+    two half steps, and returns (deepest halving, field evaluations).
     """
-    a, b, mdt = coef
-    rhs0 = a * x0
-    x1 = rhs0 / b
-    for it in range(1, MIDPOINT_MAX_ITER + 1):
-        mid = x0 + x1
-        mid *= 0.5
-        x1n = nl.eval(mid) * mdt
-        x1n += rhs0
-        x1n /= b
-        err = np.maximum.reduce(np.abs(x1n - x1))
-        x1 = x1n
-        if not math.isfinite(err):
-            return x1, False, it
-        # err <= tol decides as the scaled test would, since 1 + max|x1| >= 1
-        if err <= tol or err <= tol * (1.0 + np.maximum.reduce(np.abs(x1))):
-            return x1, True, it
-    return x1, False, MIDPOINT_MAX_ITER
+    kern = nl.kernel()
+    mid, run = kern.x, kern.run
+    rhs0, w1, w2, diff = (np.empty(len(omv), dtype=complex)
+                          for _ in range(4))
+    mag = np.empty(len(omv))
+    # Every ufunc below writes into its last argument, in the order and on
+    # the operands of the allocating form (x1n = F * (-i dt); x1n += rhs0;
+    # x1n /= b), so the iterates keep their bits.  Scalars are 0-d complex
+    # arrays: the value a Python scalar is cast to, passed for about 300 ns
+    # a call against 500 ns.  The ufuncs are bound once, as locals.
+    half = np.array(0.5 + 0j)
+    coefs: dict = {}
+    add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
+                                       np.divide)
+    absolute, amax, isfinite = np.absolute, np.maximum.reduce, math.isfinite
 
+    def step(x0, dt):
+        coef = coefs.get(dt)
+        if coef is None:
+            coef = coefs[dt] = (1.0 - 0.5j * dt * omv, 1.0 + 0.5j * dt * omv,
+                                np.array(dt * (-1j)))
+        a, b, mdt = coef
+        multiply(a, x0, rhs0)
+        x1, x1n = w1, w2
+        divide(rhs0, b, x1)
+        for it in range(1, MIDPOINT_MAX_ITER + 1):
+            add(x0, x1, mid)
+            multiply(mid, half, mid)
+            run(x1n)
+            multiply(x1n, mdt, x1n)
+            add(x1n, rhs0, x1n)
+            divide(x1n, b, x1n)
+            subtract(x1n, x1, diff)
+            err = amax(absolute(diff, mag))
+            x1, x1n = x1n, x1
+            if not isfinite(err):
+                return x1, False, it
+            # err <= tol decides as the scaled test would, since
+            # 1 + max|x1| >= 1
+            if err <= tol or err <= tol * (1.0 + amax(absolute(x1, mag))):
+                return x1, True, it
+        return x1, False, MIDPOINT_MAX_ITER
 
-def _advance(x, dt, omv, nl, tol, depth, coefs):
-    """(state, deepest halving, field evaluations) after one step of dt.
-    `coefs` keeps the `_coefficients` of every step size met so far."""
-    coef = coefs.get(dt)
-    if coef is None:
-        coef = coefs[dt] = _coefficients(dt, omv)
-    x1, ok, evals = _midpoint_step(x, coef, nl, tol)
-    if ok:
-        return x1, depth, evals
-    if depth >= MAX_HALVINGS:
-        raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
-    xh, d1, e1 = _advance(x, 0.5 * dt, omv, nl, tol, depth + 1, coefs)
-    x1, d2, e2 = _advance(xh, 0.5 * dt, omv, nl, tol, depth + 1, coefs)
-    return x1, max(d1, d2), evals + e1 + e2
+    def advance(x, dt, depth):
+        x1, ok, evals = step(x, dt)
+        if ok:
+            x[...] = x1
+            return depth, evals
+        if depth >= MAX_HALVINGS:
+            raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
+        d1, e1 = advance(x, 0.5 * dt, depth + 1)
+        d2, e2 = advance(x, 0.5 * dt, depth + 1)
+        return max(d1, d2), evals + e1 + e2
+
+    return step, advance
 
 
 def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
@@ -467,9 +489,11 @@ def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
     sorted modes.  A system integrates with the parts it compiles once for
     all its runs (`ModelSystem.flow_parts`): the QuadratureField of its
     legs, or else a FieldTable of its non-diagonal part.  A polynomial
-    integrates with a FieldTable.  Energies always come from the compiled
-    value table of the whole H, evaluated on all frames at once after the
-    run.
+    integrates with a FieldTable.  Each run binds the midpoint rule once
+    (`_midpoint_rule`): the field's kernel and the work arrays every step
+    writes into; frames are copied out of them.  Energies always come from
+    the compiled value table of the whole H, evaluated on all frames at
+    once after the run.
 
     A non-converging step is retried on two half steps (recursively, up to
     MAX_HALVINGS); the outer time grid is unchanged.  T < 0 integrates
@@ -485,20 +509,22 @@ def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
     else:
         layout = H.modes
         omv, nl, ht = _flow_parts(H, layout)
-    x = _state(x0, len(layout), "x0")
+    x = _state(x0, len(layout), "x0").copy()
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
-    times, frames = [0.0], [x]
+    # frame 0, every stride-th step and the last
+    times, states = [0.0], np.empty((2 + (nsteps - 1) // stride, len(x)),
+                                    dtype=complex)
+    states[0] = x
     worst = evals = 0
-    coefs: dict = {}
+    _, advance = _midpoint_rule(omv, nl, tol)
     for n in range(1, nsteps + 1):
-        x, depth, e = _advance(x, dt_eff, omv, nl, tol, 0, coefs)
+        depth, e = advance(x, dt_eff, 0)
         worst = max(worst, depth)
         evals += e
         if n % stride == 0 or n == nsteps:
             times.append(n * dt_eff)
-            frames.append(x)
-    states = np.array(frames)
+            states[len(times) - 1] = x
     # the energies of all frames in one batched evaluation
     return Trajectory(layout, times, states, ht.eval(states).real.tolist(),
                       dt_eff, worst, evals)
@@ -598,12 +624,21 @@ class DriftRow:
 DRIFT_COLUMNS = tuple(f.name for f in fields(DriftRow))
 
 
+class DriftRuns(NamedTuple):
+    """What `drift_experiment` returns: the drift.csv rows and, summed over
+    its runs, each run's deepest halving, field evaluations and steps."""
+    rows: List[DriftRow]
+    halvings: int
+    evals: int
+    steps: int
+
+
 def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
                      eps_list: Sequence[float], seeds: Sequence[int],
                      r: int, s: float, c: float = 1.0, dt: float = 0.01,
                      stride: int = 10, s1: Optional[float] = None,
                      tol: float = 1e-12, profile: str = "sobolev"
-                     ) -> List[DriftRow]:
+                     ) -> DriftRuns:
     """Integrate to T = c eps^-r per (eps, seed) and track drift observables.
 
     Drift columns hold running suprema up to the frame time, so the last
@@ -623,6 +658,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
     if nf is not None and nf.generators:
         plan = transport_plan(nf.generators, layout, "inverse")
     rows: List[DriftRow] = []
+    halvings = evals = steps = 0
     for ei, eps in enumerate(eps_list):
         for seed in seeds:
             rng = np.random.default_rng(
@@ -630,6 +666,9 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
             x0 = initial_state(layout, eps, s, rng, profile)
             T = c * eps ** (-float(r))
             traj = integrate(system, x0, T, dt, stride=stride, tol=tol)
+            halvings += traj.halvings
+            evals += traj.evals
+            steps += traj.steps
             X = traj.states
             A = actions(X)
             J = np.array([[math.fsum(a[idx]) for _, idx, _ in groups]
@@ -645,7 +684,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
                            sup_i.tolist(), sup_j.tolist(), dist.tolist(),
                            escaped.tolist()):
                 rows.append(DriftRow(system.model, eps, seed, *row))
-    return rows
+    return DriftRuns(rows, halvings, evals, steps)
 
 
 # -- CSV output -------------------------------------------------------------

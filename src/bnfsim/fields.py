@@ -18,11 +18,18 @@ first turned into one of two evaluators:
 Both tables take a batch of B states as a (B, n) array and return one row
 (one value) per state; a 1-d state is a batch of one.  Transport carries
 every frame of a trajectory through a generator flow in one such batch.
+
+The integrator evaluates one state at a time, thousands of times a run, so
+both field evaluators also give a `Kernel`: a writable input row and
+`run(out)`, which writes the field at that row into `out`.  A quadrature
+kernel owns every work array of its evaluation and has each product write
+into one of them, so a run allocates them once; `eval` fills a fresh
+kernel's row and runs it into a fresh array.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence
+from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +46,21 @@ class Leg(NamedTuple):
     vars: np.ndarray
     weights: np.ndarray
     rows: np.ndarray
+
+
+class Kernel(NamedTuple):
+    """One field evaluation bound to its own work arrays: `run(out)` writes
+    the field at the state in the writable row `x` into the (n,) `out`."""
+    x: np.ndarray
+    run: Callable[[np.ndarray], None]
+
+
+def eval_kernel(evaluate: Callable[[np.ndarray], np.ndarray],
+                n: int) -> Kernel:
+    """The kernel of an evaluator that returns its field as a new array:
+    `run` evaluates the row and copies the result out."""
+    x = np.zeros(n, dtype=complex)
+    return Kernel(x, lambda out: np.copyto(out, evaluate(x)))
 
 
 class QuadratureField:
@@ -73,29 +95,51 @@ class QuadratureField:
                          for _ in range(m - (u == skip))]
                         for skip in self.eta_legs]
 
-    # Both products are taken between 2-d arrays.  With two OpenBLAS
-    # threads on a 2-vCPU host, the 1-d (18,) @ (18, 320) product of the
-    # nls1d jmax=9 legs took 395 us, against 6 us for (1, 18) @ (18, 320).
-    # Their operands, shapes and order stay as they are: the integrator's
-    # outputs are pinned to the bit, and so is the rounding of these BLAS
-    # calls (conj(x @ W) and conj(x) @ W, for one, differ in the last bits).
-    def _legs(self, x: np.ndarray) -> np.ndarray:
-        n = len(x)
-        z = np.empty((1, 2 * n), dtype=complex)
-        z[0, :n] = x
-        np.conjugate(x, out=z[0, n:])
-        return (z @ self.legs_of_z).reshape(-1, self.grid)
+    # The legs come from a (1, 2n) @ (2n, legs * grid) product into a
+    # (1, legs * grid) row.  With two OpenBLAS threads on a 2-vCPU host, the
+    # 1-d (18,) @ (18, 320) product of the nls1d jmax=9 legs took 395 us,
+    # against 6 us for (1, 18) @ (18, 320).  The field is gathered back by
+    # (n, P) @ (P,), which reaches the same gemv as (n, P) @ (P, 1) and gave
+    # the same bits in 10,000 random trials at one and at two threads.  The
+    # operands and order of both products stay as they are: the
+    # integrator's outputs are pinned to the bit, and so is the rounding of
+    # these BLAS calls (conj(x @ W) and conj(x) @ W, for one, differ in the
+    # last bits).
+    def kernel(self) -> Kernel:
+        n, grid = self.field_of_legs.shape[0], self.grid
+        z = np.zeros((1, 2 * n), dtype=complex)
+        x, x_bar = z[0, :n], z[0, n:]
+        legs_of_z, field_of_legs = self.legs_of_z, self.field_of_legs
+        # the complex value the float weight is cast to, as a 0-d array:
+        # cheaper to pass than a Python scalar
+        weight = np.array(complex(self.weight))
+        L = np.empty((1, legs_of_z.shape[1]), dtype=complex)
+        rows = L.reshape(-1, grid)
+        prod = np.empty(len(self.factors) * grid, dtype=complex)
+        # per eta leg: its slice of prod, its first leg row and the rest
+        plan = [(prod[k * grid:(k + 1) * grid], rows[first],
+                 [rows[u] for u in rest])
+                for k, (first, *rest) in enumerate(self.factors)]
+
+        conjugate, matmul, multiply = np.conjugate, np.matmul, np.multiply
+
+        # each ufunc writes into its last argument
+        def run(out: np.ndarray) -> None:
+            conjugate(x, x_bar)
+            matmul(z, legs_of_z, L)
+            for col, first, rest in plan:
+                multiply(weight, first, col)
+                for Lu in rest:
+                    multiply(col, Lu, col)
+            matmul(field_of_legs, prod, out)
+        return Kernel(x, run)
 
     def eval(self, x: np.ndarray) -> np.ndarray:
-        L = self._legs(x)
-        prods = []
-        for first, *rest in self.factors:
-            prod = self.weight * L[first]
-            for u in rest:
-                prod *= L[u]
-            prods.append(prod)
-        prod = prods[0] if len(prods) == 1 else np.concatenate(prods)
-        return (self.field_of_legs @ prod[:, None])[:, 0]
+        kern = self.kernel()
+        kern.x[:] = x
+        out = np.empty(len(kern.x), dtype=complex)
+        kern.run(out)
+        return out
 
 
 # Rows per block of a table evaluation: each block's (rows, B) complex
@@ -145,6 +189,9 @@ class FieldTable:
     vidx: np.ndarray
     coeff: np.ndarray
     out: np.ndarray
+
+    def kernel(self) -> Kernel:
+        return eval_kernel(self.eval, len(self.modes))
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         """The field at x, (n,) for one state or (B, n) for a batch."""

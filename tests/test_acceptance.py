@@ -356,7 +356,7 @@ def test_criterion_08_action_drift_scaling():
 
     eps_list = [0.2, 0.1, 0.05]
     rows = drift_experiment(sysm, None, eps_list, [12345], r=2, s=4.0,
-                            dt=0.0045, stride=50)
+                            dt=0.0045, stride=50).rows
     finals = {}
     for row in rows:
         finals[row.eps] = row

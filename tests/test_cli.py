@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from bnfsim import cli
+from bnfsim import dynamics as D
 from bnfsim.dynamics import PARAMETERS
 from bnfsim.poly import from_text
 
@@ -147,6 +148,26 @@ def test_drift_rerun_is_byte_identical(tmp_path):
     assert cli.main(drift_argv(tmp_path, c, ("--set", "seed=12"))) == 0
     hc = hashlib.sha256((Path(c) / "drift.csv").read_bytes())
     assert hc.hexdigest() != ha.hexdigest()
+
+
+def test_drift_experiment_reports_halvings_and_evaluations(tmp_path, capsys,
+                                                          monkeypatch):
+    # summed over the runs, each made through the module's integrate
+    runs = []
+
+    def integrate(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    real = D.integrate
+    monkeypatch.setattr(D, "integrate", integrate)
+    assert cli.main(drift_argv(tmp_path, str(tmp_path / "A"))) == 0
+    assert len(runs) == 2
+    steps = sum(t.steps for t in runs)
+    assert sum(t.evals for t in runs) > steps
+    assert ("halved steps: %d, field evaluations per step: %.2f\n"
+            % (sum(t.halvings for t in runs),
+               sum(t.evals for t in runs) / steps)) in capsys.readouterr().out
 
 
 def test_normalize_ledger_counts_reach_nf_json_and_report(tmp_path, capsys):
@@ -875,9 +896,10 @@ PINNED = {
 }
 
 
-def pinned_digests(tmp_path, prelude: str = "") -> dict:
-    """sha256 of each PINNED artifact, written by one fresh process at one
-    BLAS thread that first runs `prelude`; every command must exit 0."""
+def pinned_digests(tmp_path, prelude: str = "", threads: int = 1) -> dict:
+    """sha256 of each PINNED artifact, written by one fresh process at
+    `threads` BLAS threads that first runs `prelude`; every command must
+    exit 0."""
     workloads = benchmark_workloads()
     cfgs = {}
     for name in ("drift", "transport"):
@@ -897,8 +919,8 @@ def pinned_digests(tmp_path, prelude: str = "") -> dict:
               ["scan-resonances", p, "--out", out],
               ["simulate", p, "--set", "eps=0.05", "--out", out]]
     # BLAS reads its thread count once, when numpy loads: a fresh process
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(Path(cli.__file__).resolve().parents[1]),
                    os.environ.get("PYTHONPATH")])))
@@ -915,6 +937,15 @@ def pinned_digests(tmp_path, prelude: str = "") -> dict:
 
 def test_pinned_artifacts_at_one_blas_thread(tmp_path):
     assert pinned_digests(tmp_path) == PINNED
+
+
+def test_pinned_drift_csvs_at_two_blas_threads(tmp_path):
+    # the benchmark runs at two threads, and its drift.csv files keep their
+    # bits there; the README nf.json does not (its quartic's product rounds
+    # by the thread count)
+    digests = pinned_digests(tmp_path, threads=2)
+    for name in ("drift/drift.csv", "transport/drift.csv"):
+        assert digests[name] == PINNED[name]
 
 
 # refuse both ways a Monomial is made: the constructor and poly._key, which

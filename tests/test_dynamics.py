@@ -8,7 +8,7 @@ import pytest
 from bnfsim import birkhoff as B
 from bnfsim import dynamics as D
 from bnfsim import poly
-from bnfsim.fields import eta_gradient_table, value_table
+from bnfsim.fields import eta_gradient_table, eval_kernel, value_table
 from bnfsim.modes import mode_abs, weight
 from bnfsim.poly import Monomial
 from bnfsim.spectra import sample_potential, sturm_liouville
@@ -352,11 +352,13 @@ def test_midpoint_step_stops_on_overflow():
             self.calls += 1
             return x * 1e300
 
+        def kernel(self):
+            return eval_kernel(self.eval, 1)
+
     nl = Blowup()
+    step, _ = D._midpoint_rule(np.zeros(1), nl, 1e-12)
     with np.errstate(over="ignore", invalid="ignore"):
-        x1, ok, evals = D._midpoint_step(
-            np.array([1e10 + 0j]), D._coefficients(1.0, np.zeros(1)), nl,
-            1e-12)
+        x1, ok, evals = step(np.array([1e10 + 0j]), 1.0)
     assert not ok
     assert evals == nl.calls <= 3
 
@@ -365,8 +367,9 @@ def _dissipative():
     return poly.monomial(-0.5j, xi={1: 2}, eta={1: 2})
 
 
-@pytest.mark.parametrize("case", ["nls1d", "nls_coupled", "demo_2mode",
-                                  "halving", "backward", "stride"])
+@pytest.mark.parametrize("case", ["nls1d", "nls_coupled", "nlw_dirichlet",
+                                  "nlw_periodic", "demo_2mode", "halving",
+                                  "backward", "stride"])
 def test_integrate_matches_the_reference_step_to_the_bit(case):
     # the fast step keeps every floating-point operation on the state, so
     # frames, energies and counts equal those of the reference step exactly
@@ -378,17 +381,31 @@ def test_integrate_matches_the_reference_step_to_the_bit(case):
     coupled = D.build_model_hamiltonian("nls_coupled", jmax=3, kappa=0.5)
     z6 = D.initial_state(coupled.modes(), 0.3, 2.0,
                          np.random.default_rng(np.random.SeedSequence(9)))
+    # the wave models pass one leg object four times: factors [[0, 0, 0]]
+    wave = {model: D.build_model_hamiltonian(model, **params)
+            for model, params, _ in MODEL_SIZES if model.startswith("nlw")}
+    zw = {model: D.initial_state(sysw.modes(), 0.3, 2.0,
+                                 np.random.default_rng(
+                                     np.random.SeedSequence(11)))
+          for model, sysw in wave.items()}
     H, x0, T, dt, stride = {
         # QuadratureField, one eta leg
         "nls1d": (nls1d, z9, 0.9, 0.0045, 1),
         # QuadratureField, two eta legs
         "nls_coupled": (coupled, z6, 1.0, 0.01, 1),
+        # QuadratureField, one leg of multiplicity four
+        "nlw_dirichlet": (wave["nlw_dirichlet"], zw["nlw_dirichlet"], 1.0,
+                          0.01, 1),
+        "nlw_periodic": (wave["nlw_periodic"], zw["nlw_periodic"], 1.0,
+                         0.01, 1),
         # FieldTable
         "demo_2mode": (demo, [0.4, 0.3j], 2.0, 0.01, 1),
         "halving": (_dissipative(), [10.0], 0.1, 0.1, 1),
         "backward": (demo, [0.35 + 0.05j, 0.1 - 0.25j], -1.0, -0.01, 1),
         "stride": (nls1d, z9, 1.0, 0.0045, 7),
     }[case]
+    if case.startswith("nlw"):
+        assert H.quadrature_field().factors == [[0, 0, 0]]
     with np.errstate(over="ignore", invalid="ignore"):
         fast = D.integrate(H, x0, T, dt, stride=stride)
         ref = integrate_reference(H, x0, T, dt, stride=stride)
@@ -411,16 +428,39 @@ def test_midpoint_step_leaves_the_field_output_alone():
             self.kept.append((F, F.copy()))
             return F
 
+        def kernel(self):
+            return eval_kernel(self.eval, len(self.nl.field_of_legs))
+
     sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=9, kappa=0.25,
                                      potential=NLS_POTENTIAL)
     omv, nl, _ = sys1.flow_parts
     z0 = D.initial_state(sys1.modes(), 0.2, 4.0,
                          np.random.default_rng(np.random.SeedSequence(5)))
     keeps = Keeps(nl)
-    x1, ok, evals = D._midpoint_step(z0, D._coefficients(0.0045, omv), keeps,
-                                     1e-12)
+    step, _ = D._midpoint_rule(omv, keeps, 1e-12)
+    x1, ok, evals = step(z0, 0.0045)
     assert ok and evals == len(keeps.kept) >= 2
     assert all(np.array_equal(F, copy) for F, copy in keeps.kept)
+
+
+def test_integrate_leaves_x0_alone_and_owns_its_states():
+    # the step runs in place on work arrays of its own run: not on the
+    # caller's x0, and not on the states of an earlier run
+    sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=6, kappa=0.25,
+                                     potential=NLS_POTENTIAL)
+    z0 = D.initial_state(sys1.modes(), 0.2, 4.0,
+                         np.random.default_rng(np.random.SeedSequence(5)))
+    kept = z0.copy()
+    first = D.integrate(sys1, z0, 0.5, 0.01, stride=10)
+    assert np.array_equal(z0, kept)
+    states = first.states.copy()
+    second = D.integrate(sys1, 0.5 * z0, 0.5, 0.01, stride=10)
+    assert np.array_equal(first.states, states)
+    for traj in (first, second):
+        assert traj.states.flags.owndata
+        assert not np.shares_memory(traj.states, z0)
+    assert not np.shares_memory(first.states, second.states)
+    assert not np.array_equal(first.states, second.states)
 
 
 def test_integrate_counts_field_evaluations():
@@ -545,7 +585,7 @@ def test_torus_distance_zero_iff_match():
 def test_drift_zero_nonlinearity():
     sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=3, kappa=0.0)
     rows = D.drift_experiment(sys1, None, [0.1], [5], r=2, s=3.0,
-                              c=0.5, dt=0.02, stride=25)
+                              c=0.5, dt=0.02, stride=25).rows
     assert rows[-1].max_weighted_action_drift <= 1e-12
     assert rows[-1].max_weighted_J_drift <= 1e-12
     assert rows[-1].torus_dist <= 1e-9
@@ -559,9 +599,9 @@ def test_drift_deterministic_and_transported():
     nf = B.normalize(sys1.table, sys1.P, prm)
     kw = dict(eps_list=[0.08], seeds=[3], r=1, s=2.0, c=1.0, dt=0.05,
               stride=20)
-    rows1 = D.drift_experiment(sys1, nf, **kw)
-    rows2 = D.drift_experiment(sys1, nf, **kw)
-    assert rows1 == rows2
+    runs = D.drift_experiment(sys1, nf, **kw)
+    assert runs == D.drift_experiment(sys1, nf, **kw)
+    rows1 = runs.rows
     assert rows1[0].t == 0.0
     assert rows1[0].max_weighted_action_drift == 0.0
     # in normalized coordinates the torus distance stays near its initial 0
@@ -584,7 +624,7 @@ def test_drift_csv_matches_the_per_column_writer(tmp_path):
                        np.int64(1))]
     rows += D.drift_experiment(D.build_model_hamiltonian(
         "demo_2mode", kappa=0.2), None, [0.05], [1], r=1, s=2.0, dt=0.05,
-        stride=10)
+        stride=10).rows
     D.write_drift_csv(rows, tmp_path / "got.csv")
     write_drift_csv_reference(rows, tmp_path / "want.csv")
     got = (tmp_path / "got.csv").read_bytes()
@@ -596,7 +636,7 @@ def test_drift_csv_matches_the_per_column_writer(tmp_path):
 def test_drift_csv_roundtrip(tmp_path):
     sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
     rows = D.drift_experiment(sys1, None, [0.05], [1], r=1, s=2.0,
-                              dt=0.05, stride=10)
+                              dt=0.05, stride=10).rows
     path = tmp_path / "drift.csv"
     D.write_drift_csv(rows, path)
     lines = path.read_text().strip().split("\n")
@@ -727,7 +767,7 @@ def test_drift_observables_match_the_dict_reference(case):
         nf, kw = None, dict(eps_list=[8.0], seeds=[2, 5], r=1, s=3.0,
                             c=20.0, dt=0.002, stride=25)
     assert nf is None or nf.generators[-1]
-    got = D.drift_experiment(system, nf, **kw)
+    got = D.drift_experiment(system, nf, **kw).rows
     want = ref_drift(system, nf, **kw)
     assert len(got) == len(want) > 2 * len(kw["eps_list"])
     assert any(w.torus_dist > 0.0 for w in want)

@@ -29,6 +29,28 @@ def test_quadrature_field_repeated_leg_and_variable():
     assert np.max(np.abs(quad.eval(x) - F)) <= 1e-14 * np.max(np.abs(F))
 
 
+def test_successive_evals_return_distinct_arrays():
+    # each eval runs into a fresh array, so a kept result stays as it was;
+    # a kernel run writes the bits eval returns
+    sys1 = D.build_model_hamiltonian("nls1d_dirichlet", jmax=6, kappa=0.25)
+    layout = sys1.modes()
+    rng = np.random.default_rng(np.random.SeedSequence(73))
+    x, y = 0.3 * (rng.standard_normal((2, len(layout)))
+                  + 1j * rng.standard_normal((2, len(layout))))
+    for field in (sys1.quadrature_field(),
+                  eta_gradient_table(sys1.P, layout)):
+        F = field.eval(x)
+        kept = F.copy()
+        G = field.eval(y)
+        assert not np.shares_memory(F, G)
+        assert np.array_equal(F, kept) and not np.array_equal(F, G)
+        kern = field.kernel()
+        kern.x[:] = y
+        out = np.empty(len(layout), dtype=complex)
+        kern.run(out)
+        assert np.array_equal(out, G)
+
+
 def random_polynomial(seed, nterms=60, modes=5):
     rnd = random.Random(seed)
     terms = {}
