@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,16 +140,18 @@ class RemainderLedger:
 
 @dataclass
 class NormalFormResult:
+    """`membership` flags each term of Z, in term order; only nf.json keys
+    the flags by the terms' texts."""
     Z: Polynomial
     generators: List[Polynomial]
     f_final: Polynomial
     remainder_tail: Polynomial
     ledger: RemainderLedger
     params: NormalFormParams
-    membership: Dict[str, bool]
+    membership: List[bool]
 
     def membership_ok(self) -> bool:
-        return all(self.membership.values())
+        return all(self.membership)
 
 
 # -- the homological step ------------------------------------------------
@@ -285,11 +287,9 @@ def normalize(h0_freqs: FrequencyTable, P: Polynomial,
         ledger.chi_terms.append(len(chi))
         ledger.Z_terms.append(len(z))
 
-    # keyed by the text form's xi and eta tokens: "xi tokens|eta tokens"
-    membership = dict(zip(map("|".join, zip(*term_texts(z))),
-                          normal_form_membership(z, h0_freqs, params.gamma,
-                                                 params.alpha, N)))
-    if not all(membership.values()):
+    membership = normal_form_membership(z, h0_freqs, params.gamma,
+                                        params.alpha, N)
+    if not all(membership):
         raise ArithmeticError("normal form term failed membership")
     if params.mode == DEGREE_BY_DEGREE:
         for i, chi in enumerate(gens):

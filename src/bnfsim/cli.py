@@ -38,7 +38,7 @@ from .dynamics import (MODELS, PARAMETERS, ModelSystem, drift_experiment,
                        build_model_hamiltonian, initial_state, integrate,
                        write_drift_csv, write_frames_csv)
 from .modes import mode_abs
-from .poly import to_text
+from .poly import term_texts, to_text
 from .resonance import (DEFAULT_NODE_CAP, DivisorQuery,
                         enumerate_near_resonances, family_rules,
                         measure_scan, write_hits_csv, write_measure_csv)
@@ -294,7 +294,9 @@ def cmd_normalize(cfg: dict, outdir: str) -> List[str]:
                    "alpha": pr.alpha, "N": pr.N, "s": pr.s,
                    "mode": pr.mode, "degree_cap": pr.degree_cap,
                    "threshold": pr.threshold},
-        "membership": res.membership,
+        # keyed by the text form's xi and eta tokens: "xi tokens|eta tokens"
+        "membership": dict(zip(map("|".join, zip(*term_texts(res.Z))),
+                               res.membership)),
         "membership_ok": res.membership_ok(),
         "Z": to_text(res.Z),
         "generators": [to_text(g) for g in res.generators],
@@ -407,7 +409,7 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
     write_frames_csv(system, traj, os.path.join(outdir, "frames.csv"),
                      eps=eps, seed=seed)
     de = max(abs(e - traj.energies[0]) for e in traj.energies)
-    print("simulate: %d frames, max |dH| = %.3e, halved steps: %d, "
+    print("simulate: %d frames, max |dH| = %.3e, deepest halving: %d, "
           "field evaluations per step: %.2f"
           % (len(traj.times), de, traj.halvings, traj.evals / traj.steps))
     return ["frames.csv"]
@@ -432,7 +434,7 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     write_drift_csv(runs.rows, os.path.join(outdir, "drift.csv"))
     nesc = sum(1 for row in runs.rows if row.escaped)
     print("drift-experiment: %d rows over %d runs, %d escaped frames, "
-          "halved steps: %d, field evaluations per step: %.2f"
+          "deepest halving: %d, field evaluations per step: %.2f"
           % (len(runs.rows), len(eps_list) * len(seeds), nesc, runs.halvings,
              runs.evals / runs.steps))
     return ["drift.csv"]

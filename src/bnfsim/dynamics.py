@@ -7,8 +7,8 @@ the quadrature, grid weight w, of the product of four linear legs
 per leg, the 1-d NLS written in real canonical pairs carries sqrt(2) per
 field leg, complex-field models couple xi_k directly.  The same (legs, w,
 scale) give the integrator its field evaluator (`fields.QuadratureField`),
-so only a bare polynomial is compiled into a `fields.FieldTable`.  The
-flow is
+so only a bare polynomial is compiled into a `fields.FieldTable`.  A model
+keeps P and its field as recipes, run on first use.  The flow is
 
     d(xi_j)/dt = -i dH/d(eta_j)   on the real slice eta = conj(xi),
 
@@ -55,21 +55,18 @@ MIDPOINT_MAX_ITER = 64  # fixed-point iterations before a step is halved
 class ModelSystem:
     """H0 + P of one model.
 
-    H0 comes from the frequency table and P from `quartic`, the builder's
-    recipe for it, which runs on first use of P; P is then checked real.  So
-    a command that reads only the table builds no quartic.  A model whose
-    quartic comes from quadrature keeps the description it was built from:
-    P = quad_weight * sum over grid points of the product of its four
-    `legs`, and the integrator evaluates the field from the same legs.  P,
-    H0, H and the integrator's compiled parts are built on first use and
-    kept.
+    H0 comes from the frequency table.  P comes from `quartic`, the
+    builder's recipe for it, run on first use and then checked real.  A
+    quadrature model's recipe `quadrature_field` gives a new field of the
+    legs P is the grid sum of; any other model's gives None.  So a command
+    that reads only the table builds neither, and on the d-torus no grid.
+    P, H0, H and the integrator's compiled parts are built once and kept.
     """
     model: str
     table: FrequencyTable
     quartic: Callable[[], Polynomial]
     grouping: Optional[str]
-    legs: Tuple[Leg, ...] = ()
-    quad_weight: float = 0.0
+    quadrature_field: Callable[[], Optional[QuadratureField]] = lambda: None
 
     @cached_property
     def P(self) -> Polynomial:
@@ -91,16 +88,11 @@ class ModelSystem:
     def modes(self) -> list:
         return self.table.modes()
 
-    def quadrature_field(self) -> Optional[QuadratureField]:
-        if not self.legs:
-            return None
-        return QuadratureField(len(self.modes()), self.legs, self.quad_weight)
-
     @cached_property
     def flow_parts(self) -> tuple:
         """`_flow_parts` of H over the system's own modes, with the
-        quadrature field of its legs when it has them: P is quartic, so its
-        legs give the field of every term of H but those of H0."""
+        quadrature field when the model has one: P is quartic, so its legs
+        give the field of every term of H but those of H0."""
         return _flow_parts(self.H, self.modes(), self.quadrature_field())
 
 
@@ -207,9 +199,11 @@ def _quadrature_model(model: str, table: FrequencyTable, legs: tuple,
                       grouping: Optional[str] = None) -> ModelSystem:
     """P = scale * quadrature (grid weight w) of the product of the legs;
     the integrator's field comes from the same legs with weight w * scale."""
+    modes = table.modes()
     return ModelSystem(model, table,
-                       partial(_assemble_quartic, table.modes(), legs, w,
-                               scale), grouping, legs, w * scale)
+                       partial(_assemble_quartic, modes, legs, w, scale),
+                       grouping,
+                       partial(QuadratureField, len(modes), legs, w * scale))
 
 
 # -- model builders --------------------------------------------------------
@@ -307,26 +301,30 @@ def _nls_dd(d: int = 2, jmax: float = 2, kappa: float = 0.1,
     g = kappa |psi|^4 with psi = sum_k xi_k e^(i k.x) / (2 pi)^(d/2); the
     zero-momentum selection rule k1 + k2 = k3 + k4 is exact, so every
     ordered (a, b, c, e) with a + b = c + e carries the same coefficient.
-    The field is evaluated from plane-wave legs on the uniform (4J+1)^d
-    grid, where the trapezoid rule is exact: every component of
-    a + b - c - e is at most 4J in modulus.
     """
     if jmax < 0:
         raise ValueError("jmax: a lattice radius, must be >= 0, got %g"
                          % jmax)
     t = convolution_frequencies(d, _as_sample(potential), jmax)
-    modes = t.modes()
-    n, J = len(modes), int(jmax)
-    grid = 4 * J + 1
+    modes, J = t.modes(), int(jmax)
+    return ModelSystem("nls_dd", t,
+                       partial(_momentum_quartic, modes, J,
+                               kappa * (2.0 * math.pi) ** (-d)), SHELLS,
+                       partial(_plane_wave_field, modes, J, d, kappa))
+
+
+def _plane_wave_field(modes: list, J: int, d: int,
+                      kappa: float) -> QuadratureField:
+    """The field of `_nls_dd`, from plane-wave legs on the uniform (4J+1)^d
+    grid, where the trapezoid rule is exact: every component of
+    a + b - c - e is at most 4J in modulus."""
+    n, grid = len(modes), 4 * J + 1
     x = (2.0 * math.pi / grid) * np.indices((grid,) * d).reshape(d, -1)
     rows = np.exp(1j * (np.array(modes) @ x)) * (2.0 * math.pi) ** (-0.5 * d)
     psi = Leg(np.arange(n), np.ones(n), rows)
     psi_bar = Leg(n + psi.vars, psi.weights, np.conj(rows))
-    return ModelSystem("nls_dd", t,
-                       partial(_momentum_quartic, modes, J,
-                               kappa * (2.0 * math.pi) ** (-d)), SHELLS,
-                       (psi, psi, psi_bar, psi_bar),
-                       kappa * (2.0 * math.pi / grid) ** d)
+    return QuadratureField(n, (psi, psi, psi_bar, psi_bar),
+                           kappa * (2.0 * math.pi / grid) ** d)
 
 
 def _momentum_quartic(modes: list, J: int, scale: float) -> Polynomial:
@@ -487,9 +485,9 @@ def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
 
     H is a Hamiltonian polynomial or a ModelSystem, and x0 a state over its
     sorted modes.  A system integrates with the parts it compiles once for
-    all its runs (`ModelSystem.flow_parts`): the QuadratureField of its
-    legs, or else a FieldTable of its non-diagonal part.  A polynomial
-    integrates with a FieldTable.  Each run binds the midpoint rule once
+    all its runs (`ModelSystem.flow_parts`): its QuadratureField, or else a
+    FieldTable of its non-diagonal part.  A polynomial integrates with a
+    FieldTable.  Each run binds the midpoint rule once
     (`_midpoint_rule`): the field's kernel and the work arrays every step
     writes into; frames are copied out of them.  Energies always come from
     the compiled value table of the whole H, evaluated on all frames at
@@ -625,8 +623,8 @@ DRIFT_COLUMNS = tuple(f.name for f in fields(DriftRow))
 
 
 class DriftRuns(NamedTuple):
-    """What `drift_experiment` returns: the drift.csv rows and, summed over
-    its runs, each run's deepest halving, field evaluations and steps."""
+    """What `drift_experiment` returns: the drift.csv rows, the deepest
+    halving over its runs, and their field evaluations and steps, summed."""
     rows: List[DriftRow]
     halvings: int
     evals: int
@@ -666,7 +664,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
             x0 = initial_state(layout, eps, s, rng, profile)
             T = c * eps ** (-float(r))
             traj = integrate(system, x0, T, dt, stride=stride, tol=tol)
-            halvings += traj.halvings
+            halvings = max(halvings, traj.halvings)
             evals += traj.evals
             steps += traj.steps
             X = traj.states

@@ -76,7 +76,7 @@ class QuadratureField:
     def __init__(self, size: int, legs: Sequence[Leg], weight: float):
         uniq = list({id(leg): leg for leg in legs}.values())
         self.mult = [sum(leg is known for leg in legs) for known in uniq]
-        self.weight = weight
+        self.legs, self.weight = legs, weight
         self.grid = uniq[0].rows.shape[1]
         # weighted rows of every leg, scattered into one complex matrix once
         # rather than cast on every call: z @ mat[:, u, :] is leg u

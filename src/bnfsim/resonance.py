@@ -138,14 +138,12 @@ class EnumerationResult:
         return {h.key() for h in self.hits}
 
 
-def _domain(q: DivisorQuery) -> Tuple[list, list, list]:
-    """Modes within |j| <= jmax with frequencies and tail flags."""
+def _domain(q: DivisorQuery) -> Tuple[list, list]:
+    """Modes within |j| <= jmax with their tail flags."""
     if q.omega is None:
         raise ValueError("omega: required for enumeration")
     modes = [m for m in q.omega.modes() if in_ball(m, q.jmax)]
-    w = [q.omega.omega_of(m) for m in modes]
-    tail = [not in_ball(m, q.N) for m in modes]
-    return modes, w, tail
+    return modes, [not in_ball(m, q.N) for m in modes]
 
 
 def _dfs(modes: Sequence[Mode], lo: Sequence[float], hi: Sequence[float],
@@ -347,7 +345,7 @@ def enumerate_near_resonances(q: DivisorQuery,
     depend on the search order.  A node budget overrun is reported through
     the complete flag, never silently.
     """
-    modes, _, tail = _domain(q)
+    modes, tail = _domain(q)
     complete, nodes, _, blocks = _scan(
         modes, q.omega.vector(modes)[:, None], tail, [q.threshold], q.r + 2,
         q.node_cap)

@@ -27,6 +27,12 @@ from bnfsim.spectra import (CONVOLUTION_D, NLW_PERIODIC, EigenBasis,
                             mode_eigenvalues, sample_potential)
 
 
+def domain(q: DivisorQuery) -> tuple:
+    """`resonance._domain` with its modes' frequencies: (modes, w, tail)."""
+    modes, tail = _domain(q)
+    return modes, [q.omega.omega_of(m) for m in modes], tail
+
+
 def small_divisor(omega, k) -> float:
     """|omega.k|; raises KeyError on modes outside the table."""
     return abs(omega_dot(omega, k))
@@ -315,7 +321,7 @@ def enumerate_brute_force(q: DivisorQuery) -> EnumerationResult:
     Only the defining constraints are applied, so this shares no pruning
     logic with the branch-and-bound search; a test oracle on small domains.
     """
-    modes, w, tail = _domain(q)
+    modes, w, tail = domain(q)
     n = len(modes)
     R = q.r + 2
     width = 2 * R + 1
@@ -378,7 +384,7 @@ def enumerate_mode_level(q: DivisorQuery, rules=()) -> EnumerationResult:
     """`resonance.enumerate_near_resonances` as it searched the modes: `_dfs`
     over every mode of the table, `_below` on K @ W, then both signs of
     each hit tagged under the rules; sorted canonically."""
-    modes, w, tail = _domain(q)
+    modes, w, tail = domain(q)
     thr, order = q.threshold, q.r + 2
     modes, K, complete, nodes = resonance._dfs(modes, w, w, tail, order, thr,
                                                q.node_cap)
@@ -473,7 +479,7 @@ def measure_scan_per_sample(family: str, params: dict, q: DivisorQuery,
         except SpectralError:
             skipped += 1
             continue
-        modes, w, tail = _domain(replace(q, omega=table))
+        modes, w, tail = domain(replace(q, omega=table))
         modes, K, ok, n = resonance._dfs(modes, w, w, tail, order, thrs[0],
                                          q.node_cap)
         complete, nodes = complete and ok, nodes + n

@@ -152,7 +152,8 @@ def test_drift_rerun_is_byte_identical(tmp_path):
 
 def test_drift_experiment_reports_halvings_and_evaluations(tmp_path, capsys,
                                                           monkeypatch):
-    # summed over the runs, each made through the module's integrate
+    # the deepest halving of the runs and their evaluations per step, each
+    # run made through the module's integrate
     runs = []
 
     def integrate(*args, **kwargs):
@@ -165,8 +166,8 @@ def test_drift_experiment_reports_halvings_and_evaluations(tmp_path, capsys,
     assert len(runs) == 2
     steps = sum(t.steps for t in runs)
     assert sum(t.evals for t in runs) > steps
-    assert ("halved steps: %d, field evaluations per step: %.2f\n"
-            % (sum(t.halvings for t in runs),
+    assert ("deepest halving: %d, field evaluations per step: %.2f\n"
+            % (max(t.halvings for t in runs),
                sum(t.evals for t in runs) / steps)) in capsys.readouterr().out
 
 
@@ -475,6 +476,26 @@ def test_scan_resonances_builds_no_quartic(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_assemble_quartic", refuse)
     monkeypatch.setattr(dynamics, "_merge_quartic", refuse)
     assert list(scan("refused")) == free
+
+
+def test_scan_resonances_on_the_lattice_forms_no_legs(tmp_path, monkeypatch):
+    # nls_dd forms its plane-wave legs only for the field, which the scan
+    # never asks for: with Leg refused it writes the same hits.csv
+    p = write_cfg(tmp_path / "dd.cfg", DD_DEEP)
+
+    def scan(name):
+        out = tmp_path / name
+        assert cli.main(["scan-resonances", p, "--set", "jmax=6",
+                         "--out", str(out)]) == 0
+        return (out / "hits.csv").read_bytes()
+
+    free = scan("free")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan-resonances formed a leg")
+
+    monkeypatch.setattr(D, "Leg", refuse)
+    assert scan("refused") == free
 
 
 def test_failed_manifest_write_keeps_previous(tmp_path, monkeypatch):
@@ -896,10 +917,26 @@ PINNED = {
 }
 
 
+def run_fresh(argvs, prelude: str = "", threads: int = 1) -> None:
+    """Run the commands in one fresh process at `threads` BLAS threads that
+    first runs `prelude`; every command must exit 0."""
+    # BLAS reads its thread count once, when numpy loads: a fresh process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(cli.__file__).resolve().parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    run = prelude + (
+        "import json, sys\nfrom bnfsim import cli\n"
+        "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
+    done = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs), \
+        done.stderr
+
+
 def pinned_digests(tmp_path, prelude: str = "", threads: int = 1) -> dict:
-    """sha256 of each PINNED artifact, written by one fresh process at
-    `threads` BLAS threads that first runs `prelude`; every command must
-    exit 0."""
+    """sha256 of each PINNED artifact, written by `run_fresh`."""
     workloads = benchmark_workloads()
     cfgs = {}
     for name in ("drift", "transport"):
@@ -918,19 +955,7 @@ def pinned_digests(tmp_path, prelude: str = "", threads: int = 1) -> dict:
     argvs += [["normalize", p, "--out", out],
               ["scan-resonances", p, "--out", out],
               ["simulate", p, "--set", "eps=0.05", "--out", out]]
-    # BLAS reads its thread count once, when numpy loads: a fresh process
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(Path(cli.__file__).resolve().parents[1]),
-                   os.environ.get("PYTHONPATH")])))
-    run = prelude + (
-        "import json, sys\nfrom bnfsim import cli\n"
-        "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
-    done = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs), \
-        done.stderr
+    run_fresh(argvs, prelude, threads)
     return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in PINNED}
 
@@ -962,6 +987,36 @@ def test_command_paths_build_no_monomial(tmp_path):
     # normalize and drift-experiment on the transport config, normalize,
     # scan-resonances and simulate on the README's, all from the entries
     assert pinned_digests(tmp_path, NO_MONOMIALS) == PINNED
+
+
+# refuse the term texts inside the normal form: only nf.json keys the
+# membership flags by them
+NO_MEMBERSHIP_TEXT = """\
+from bnfsim import birkhoff
+def refuse(*args, **kwargs):
+    raise AssertionError("normalize built the membership text")
+birkhoff.term_texts = refuse
+"""
+
+
+def test_normalize_builds_no_membership_text(tmp_path):
+    # drift-experiment normalizes the transport config and writes no
+    # nf.json; both normalize commands still write theirs
+    assert pinned_digests(tmp_path, NO_MEMBERSHIP_TEXT) == PINNED
+
+
+# sha256 of hits.csv of scan-resonances on DD_DEEP at jmax 6, at one BLAS
+# thread: the group search over the d-torus lattice
+LATTICE_HITS = \
+    "642f6cacf9e4ae65b68b543c3ab8dda0b4ff8a69b11b5e75f1b5d9fae1de72b3"
+
+
+def test_pinned_lattice_hits_at_one_blas_thread(tmp_path):
+    p = write_cfg(tmp_path / "dd.cfg", DD_DEEP)
+    run_fresh([["scan-resonances", p, "--set", "jmax=6", "--out",
+                str(tmp_path / "out")]])
+    assert hashlib.sha256((tmp_path / "out" / "hits.csv").read_bytes()
+                          ).hexdigest() == LATTICE_HITS
 
 
 def test_every_builder_parameter_but_the_potentials_is_a_config_key():

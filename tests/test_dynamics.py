@@ -191,11 +191,12 @@ def test_quadrature_field_matches_compiled_tables(model, params, terms):
                    + 1j * rng.standard_normal(len(layout)))
         F = field.eval(x)
         assert np.max(np.abs(quad.eval(x) - F)) <= 1e-12 * np.max(np.abs(F))
-        # P itself: quad_weight times the grid sum of the legs' product
+        # P itself: the field's weight times the grid sum of the legs'
+        # product
         z = np.concatenate([x, np.conj(x)])
-        L = [(leg.weights * z[leg.vars]) @ leg.rows for leg in sys1.legs]
+        L = [(leg.weights * z[leg.vars]) @ leg.rows for leg in quad.legs]
         v = value.eval(x)
-        assert abs(sys1.quad_weight * np.sum(np.prod(L, axis=0)) - v) \
+        assert abs(quad.weight * np.sum(np.prod(L, axis=0)) - v) \
             <= 1e-12 * abs(v)
 
 
@@ -216,14 +217,16 @@ def test_quadrature_field_matches_the_reference_to_the_bit(model, params,
 def test_finer_quadrature_grid_gives_the_same_quartic(model, params, terms):
     # nls_dd is left out: its grid is fixed by jmax and takes no quad_n
     sys1 = D.build_model_hamiltonian(model, **params)
-    # quad_weight = +-kappa * pi / n on the default n-point midpoint grid
-    n = round(math.pi * abs(params["kappa"] / sys1.quad_weight))
+    # the field's weight is +-kappa * pi / n on the default n-point
+    # midpoint grid
+    w1 = sys1.quadrature_field().weight
+    n = round(math.pi * abs(params["kappa"] / w1))
     sys2 = D.build_model_hamiltonian(model, quad_n=2 * n, **params)
     assert set(sys2.P.terms) == set(sys1.P.terms)
     big = max(abs(c) for c in sys1.P.terms.values())
     assert max(abs(sys2.P.terms[m] - c) for m, c in sys1.P.terms.items()) \
         <= 1e-13 * big
-    assert sys2.quad_weight == sys1.quad_weight / 2
+    assert sys2.quadrature_field().weight == w1 / 2
 
 
 def test_nlw_dirichlet_takes_the_drawn_mass_of_an_nlw_periodic_sample():
@@ -591,6 +594,25 @@ def test_drift_zero_nonlinearity():
     assert rows[-1].torus_dist <= 1e-9
     assert all(r.escaped == 0 for r in rows)
     assert abs(rows[-1].H - rows[0].H) <= 1e-12
+
+
+def test_drift_runs_report_the_deepest_halving_and_summed_counts(
+        monkeypatch):
+    # halvings is a depth, so the runs give their deepest; evaluations and
+    # steps add up
+    sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
+    runs, depths, real = [], iter([3, 1]), D.integrate
+
+    def integrate(*args, **kwargs):
+        runs.append(dataclasses.replace(real(*args, **kwargs),
+                                        halvings=next(depths)))
+        return runs[-1]
+
+    monkeypatch.setattr(D, "integrate", integrate)
+    out = D.drift_experiment(sys1, None, [0.08], [3, 4], r=1, s=2.0,
+                             dt=0.05, stride=20)
+    assert (out.halvings, out.evals, out.steps) == (
+        3, sum(t.evals for t in runs), sum(t.steps for t in runs))
 
 
 def test_drift_deterministic_and_transported():

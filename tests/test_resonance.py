@@ -625,7 +625,7 @@ def test_measure_scan_searches_once_over_the_box_of_its_draws(
         tables.append(convolution_frequencies(1, smp, jmax)
                       if family == "convolution_d"
                       else periodic_nlw_table(smp, jmax)[0])
-    modes, _, tail = R._domain(replace(q, omega=tables[0]))
+    modes, tail = R._domain(replace(q, omega=tables[0]))
     W = np.array([t.vector(modes) for t in tables])
     first = [i for i in range(len(modes))
              if not any(tail[i] == tail[j] and np.array_equal(W[:, i], W[:, j])
@@ -742,7 +742,7 @@ def test_search_domain_keeps_every_mode_of_the_lattice(jmax, n):
     # and the search domain read the same ball, so no shell drops out
     table = convolution_frequencies(3, None, jmax)
     q = R.DivisorQuery(table, r=1, N=1, gamma=0.1, alpha=1.0, jmax=jmax)
-    modes, w, tail = R._domain(q)
+    modes, tail = R._domain(q)
     assert modes == table.modes() and len(modes) == n
     assert tail == [sum(c * c for c in j) > 1 for j in modes]
 
@@ -756,7 +756,7 @@ def test_ball_of_radius_sqrt_m_holds_the_shell_m_and_not_m_plus_1():
     assert (128, 2) in lattice_modes(2, r)
     table = FrequencyTable({(0, 1): 1.0, (1, 0): 2.0, (128, 2): 3.0})
     q = R.DivisorQuery(table, r=1, N=r, gamma=0.1, alpha=1.0, jmax=r)
-    modes, _, tail = R._domain(q)
+    modes, tail = R._domain(q)
     assert modes == table.modes() and tail == [False] * 3
     mono = Monomial({(128, 2): 1}, {(0, 1): 1})
     assert list(poly.Polynomial({mono: 1.0}).tail_degrees(r)) == [0]
