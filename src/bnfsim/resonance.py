@@ -11,14 +11,11 @@ for `enumerate_near_resonances`, every drawn sample for the measure scan,
 on the box [min, max] of its draws, so node_cap is one budget per scan.
 Modes of equal rows of W and tail flags form a group (the pairs +-k of an
 even potential, the shells of the flat torus, single modes in 1-d); `_dfs`
-searches the group sums, one sign of each pair +-k, depth first through
-the tree of exponent vectors a block of up to CHUNK nodes at a time, each
-step in numpy, so its depth is not bounded by Python's recursion limit.
-Its budget `node_cap` is in tree nodes: `nodes` counts the root and every
-node made, pruned or not, and a search past the cap stops with complete
-False, at most one block's children past it.  Only the candidate group
-rows are split into the rows over the modes, which one accept step
-(`_below`) decides under a list of thresholds in one pass.
+searches the group sums depth first, within node_cap tree nodes.  One
+accept step (`_below`) decides the candidate group rows under a list of
+thresholds in one pass.  Decisions agree with exactly-rounded summation:
+each member (row over the modes) of an entry within the rounding error of
+the product is rechecked by `math.fsum`; a naive sum misclassifies there.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it has no weight on
@@ -27,10 +24,6 @@ the pairs {j, -j} (PAIR_TAIL: periodic NLW, coupled NLS) or the shells
 |j|^2 = M (SHELL: NLS on the d-torus), whose actions J are the ones the
 normal form nearly conserves.  `apply_rules` takes K @ G per rule, with
 each rule's G built once (`compile_rules`), and gives integer tag codes.
-
-Divisor decisions agree with exactly-rounded summation: a row near the
-threshold, within the rounding error of K @ w, is rechecked by `math.fsum`;
-a naive left-to-right sum misclassifies there.
 """
 from __future__ import annotations
 
@@ -58,7 +51,7 @@ PATTERNS = (PATTERN_NONE, PATTERN_SHELL, PATTERN_PAIR_TAIL)
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 DEFAULT_NODE_CAP = 2_000_000
-# the float64 group rows and divisors per block of the search `_scan`
+# float64 group rows and divisors per block of `_scan`; int8 members per piece
 SCAN_BLOCK_BYTES = 1 << 22
 CHUNK = 4096  # live nodes per block of the candidate search
 
@@ -232,61 +225,68 @@ def _band(W: np.ndarray, order: int) -> np.ndarray:
         np.max(np.abs(W), axis=0, initial=0.0)
 
 
-def _below(div: np.ndarray, K: np.ndarray, W: np.ndarray,
-           thrs: Sequence[float], order: int
-           ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """For each threshold of the non-increasing thrs, the entries (i, s),
-    in row-major order, with |K[i] . W[:, s]| < thr, given div = K @ W up
-    to rounding (over any grouping of the modes that leaves the exact sums
-    alone); div is overwritten by its absolute value.
-
-    Entries within `_band` of thr are decided by `math.fsum` on their own
-    row of K, as `omega_dot` decides them.  One pass over div finds the
-    entries under the largest threshold plus its band; each smaller
-    threshold's candidates are a subset of the previous one's.
+def _below(div: np.ndarray, Km: np.ndarray, src: np.ndarray, W: np.ndarray,
+           thrs: Sequence[float], order: int) -> List[tuple]:
+    """Per threshold of the non-increasing thrs, the entries with
+    |k . W[:, s]| < thr of the members Km of group rows src (sorted), given
+    div, |products| of the group rows with W up to rounding: group entries
+    (g, s), hits of every member of row g, and member entries (i, s) within
+    `_band` of thr, decided by `math.fsum` on their own rows as `omega_dot`
+    decides them.  One pass over div finds the entries under thrs[0] plus
+    the band; each smaller threshold's candidates are a subset of those.
     """
     band = _band(W, order)
-    np.abs(div, out=div)
-    ri, si = np.divmod(np.flatnonzero(div < thrs[0] + band), div.shape[1])
-    a = div[ri, si]
+    gi, si = np.divmod(np.flatnonzero(div < thrs[0] + band), div.shape[1])
+    a = div[gi, si]
     out = []
     for thr in thrs:
         c = a < thr + band[si]
-        ri, si, a = ri[c], si[c], a[c]
-        keep = a < thr
-        for e in np.flatnonzero(np.abs(a - thr) <= band[si]):
-            nz = np.flatnonzero(K[ri[e]])
-            keep[e] = abs(math.fsum(W[nz, si[e]] * K[ri[e], nz])) < thr
-        out.append((ri[keep], si[keep]))
+        gi, si, a = gi[c], si[c], a[c]
+        near = np.abs(a - thr) <= band[si]
+        hits = [(i, s) for g, s in zip(gi[near].tolist(), si[near].tolist())
+                for i in range(*np.searchsorted(src, [g, g + 1]).tolist())
+                if abs(math.fsum(W[Km[i] != 0, s] * Km[i][Km[i] != 0])) < thr]
+        out.append(((gi[~near], si[~near]),
+                    np.array(hits, dtype=np.intp).reshape(-1, 2).T))
     return out
 
 
 def _members(S: np.ndarray, groups: Sequence[np.ndarray],
-             tail: Sequence[bool], order: int
-             ) -> Tuple[np.ndarray, np.ndarray]:
+             tail: Sequence[bool], order: int, cap: int
+             ) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
     """Every int8 row over the modes whose sums over the groups (mode
     indices, one group per column of S) are a row of S, within the order
-    and tail budgets, and the row of S it splits, in order.  A group sum t
-    is split one mode at a time: giving v of it to the next mode spends
-    |v| + |t - v| - |t| of the budget that |S| leaves, so no split stalls."""
-    src, K = np.arange(len(S)), np.zeros((len(S), len(tail)), np.int8)
-    tg = [tail[g[0]] for g in groups]
-    ex = order - np.abs(S).sum(axis=1, dtype=np.intp)
-    tex = TAIL_BUDGET - np.abs(S[:, tg]).sum(axis=1, dtype=np.intp)
-    for c, g in enumerate(groups):
-        t = S[src, c].astype(np.intp)
-        for j in g[:-1]:
-            half = (np.minimum(ex, tex) if tg[c] else ex) // 2
-            size = np.abs(t) + 2 * half + 1
-            p = np.repeat(np.arange(len(t)), size)
-            v = (np.minimum(t, 0) - half - np.cumsum(size) + size)[p] + \
-                np.arange(len(p))
-            used = np.abs(v) + np.abs(t[p] - v) - np.abs(t[p])
-            ex, tex = ex[p] - used, tex[p] - used * tg[c]
-            src, t, K = src[p], t[p] - v, K[p]
-            K[:, j] = v
-        K[:, g[-1]] = t
-    return K, src
+    and tail budgets, and the row of S it splits, in order, in pieces of at
+    most cap rows (or one row's splits).  A group's last mode holds what is
+    left of its sum t: giving v of it to the next mode spends |v| + |t - v|
+    - |t| of the budget that |S| leaves, so no split stalls."""
+    K = np.zeros((len(S), len(tail)), np.int8)
+    K[:, [g[-1] for g in groups]] = S
+    steps = [(j, g[-1]) for g in groups for j in g[:-1]]
+    ex = order - np.abs(K).sum(axis=1, dtype=np.intp)
+    tex = TAIL_BUDGET - np.abs(K[:, tail]).sum(axis=1, dtype=np.intp)
+    stack = [(0, (np.arange(len(S)), K, ex, tex))] if len(S) else []
+    while stack:
+        i, (src, K, ex, tex) = stack.pop()
+        if i == len(steps):
+            yield K, src
+            continue
+        j, last = steps[i]
+        t = K[:, last].astype(np.intp)
+        half = (np.minimum(ex, tex) if tail[j] else ex) // 2
+        size = np.abs(t) + 2 * half + 1
+        ends = np.cumsum(size)
+        if len(t) > 1 and ends[-1] > cap:  # halve the rows, first on top
+            part, h = (src, K, ex, tex), len(t) // 2
+            stack += [(i, [x[h:] for x in part]), (i, [x[:h] for x in part])]
+            continue
+        p = np.repeat(np.arange(len(t)), size)
+        v = (np.minimum(t, 0) - half - ends + size)[p] + np.arange(len(p))
+        used = np.abs(v) + np.abs(t[p] - v) - np.abs(t[p])
+        K = K[p]
+        K[:, j], K[:, last] = v, t[p] - v
+        stack.append((i + 1, (src[p], K, ex[p] - used,
+                              tex[p] - used * tail[j])))
 
 
 def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
@@ -294,19 +294,18 @@ def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
           ) -> Tuple[bool, int, int, Iterable[tuple]]:
     """Search the rows over the modes under each column of W, at each of the
     non-increasing thresholds thrs.  Returns the search's complete, nodes
-    and candidate group rows, and a lazy iterator of blocks: a block's
-    member rows Km and `_below`'s entries (row of Km, column of W) per
-    threshold.
+    and candidate group rows, and a lazy iterator of pieces: member rows
+    Km, their group rows src (sorted, from 0 in each piece) and `_below`'s
+    group and member entries per threshold.
 
     Modes of equal rows of W and tail flags form a group; a row's divisors
-    depend only on its group sums, which keep within its budgets.  So
-    `_dfs` searches the group sums on the groups' boxes, and a block of
-    group rows at a time takes one product with the group frequencies.
-    The rows under thrs[0] plus the band in some column, and the zero row
-    (pure group cancellations, which the search never emits), are split
-    into members (`_members`), each decided on its own row near a
-    threshold.  Row k stands for +-k: a group row holds one sign, and the
-    zero row's members keep the one whose first nonzero entry is positive.
+    depend only on its group sums, which keep within its budgets: `_dfs`
+    searches them on the groups' boxes, and a block of group rows at a
+    time takes one product |div| with the group frequencies.  The rows
+    under thrs[0] plus the band in some column, and the zero row, which
+    the search never emits, are split into members (`_members`), at most
+    SCAN_BLOCK_BYTES of int8 rows a piece.  Row k stands for +-k: a group
+    row holds one sign, a zero-row member the one that leads with e > 0.
     """
     first, grp = np.unique(np.column_stack([W, tail]), axis=0,
                            return_index=True, return_inverse=True)[1:]
@@ -319,18 +318,21 @@ def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
     groups = [np.flatnonzero(grp.ravel() == g) for g in cols]
     Wg, band = W[first[cols]], _band(W, order)
     step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
+    cap = max(1, SCAN_BLOCK_BYTES // max(len(tail), 1))
 
     def block(Kb):
-        div = Kb.astype(float) @ Wg
-        live = np.any(np.abs(div) < thrs[0] + band, axis=1)
-        Km, src = _members(Kb[live], groups, tail, order)
-        lead = Km[np.arange(len(Km)), np.argmax(Km != 0, axis=1)]
-        keep = np.any(Kb[live], axis=1)[src] | (lead > 0)
-        Km, src = Km[keep], src[keep]
-        return Km, _below(div[live][src], Km, W, thrs, order)
+        div = np.abs(Kb.astype(float) @ Wg)
+        live = np.flatnonzero(np.any(div < thrs[0] + band, axis=1))
+        for Km, src in _members(Kb[live], groups, tail, order, cap):
+            if not Kb.any():  # the zero row
+                c = Km[np.arange(len(Km)), np.argmax(Km != 0, axis=1)] > 0
+                Km, src = Km[c], src[c]
+            if len(src):
+                g, src = live[src[0]:src[-1] + 1], src - src[0]
+                yield Km, src, _below(div[g], Km, src, W, thrs, order)
     zero = np.zeros((1, K.shape[1]), np.int8)
     rows = [zero] + [K[lo:lo + step] for lo in range(0, len(K), step)]
-    return complete, nodes, len(K), map(block, rows)
+    return complete, nodes, len(K), (p for Kb in rows for p in block(Kb))
 
 
 def enumerate_near_resonances(q: DivisorQuery,
@@ -340,10 +342,10 @@ def enumerate_near_resonances(q: DivisorQuery,
     each tagged under the exception rules by `apply_rules` (NONE without).
 
     The search of `_scan` with the table as the one column of W; each
-    block's hits are tagged as they come out, one sign per row, and -k
-    takes k's tag.  The returned list is canonically sorted, so it does not
-    depend on the search order.  A node budget overrun is reported through
-    the complete flag, never silently.
+    piece's hits (the members of its group hits, and its member hits) are
+    tagged as they come out, one sign per row, and -k takes k's tag.  The
+    list is canonically sorted, so it does not depend on the search order.
+    A node budget overrun is reported through the complete flag.
     """
     modes, tail = _domain(q)
     complete, nodes, _, blocks = _scan(
@@ -351,13 +353,16 @@ def enumerate_near_resonances(q: DivisorQuery,
         q.node_cap)
     compiled = compile_rules(modes, rules)
     hits: List[ResonanceHit] = []
-    for Km, [(ri, _)] in blocks:
-        K = Km[ri]
-        tags = [PATTERNS[c] for c in apply_rules(K, compiled)] * 2
-        for row, tag in zip(np.concatenate([K, -K]), tags):
-            pairs = [(modes[i], int(row[i])) for i in np.flatnonzero(row)]
-            hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs),
-                                     tag))
+    for Km, src, [((g, _), (m, _))] in blocks:
+        K = Km[np.concatenate([np.flatnonzero(np.isin(src, g)), m])]
+        tags = [PATTERNS[c] for c in apply_rules(K, compiled)]
+        r, c = np.nonzero(K)  # each hit's modes and exponents, in order
+        js, es = [modes[i] for i in c.tolist()], K[r, c].tolist()
+        ends = np.count_nonzero(K, axis=1).cumsum().tolist()
+        for lo, hi, tag in zip([0] + ends, ends, tags):
+            for sign in (1, -1):
+                k = {j: sign * e for j, e in zip(js[lo:hi], es[lo:hi])}
+                hits.append(ResonanceHit(k, omega_dot(q.omega, k), tag))
     hits.sort(key=ResonanceHit.key)
     return EnumerationResult(hits, complete, nodes, q.threshold)
 
@@ -438,17 +443,11 @@ def calibrate_pair_cutoff(table: FrequencyTable, gamma: float, alpha: float,
     b*lnN, as the rule computes it, is not below the last failing pair.
     """
     thr = gamma / (2.0 * N ** alpha)
-    gaps = {}
-    for m in table.omega:
-        n = m[0]
-        if len(m) == 1 and n > 0 and (-n,) in table.omega:
-            gaps[n] = abs(table.omega[m] - table.omega[(-n,)])
-    j_cut = 0
-    for n in sorted(gaps):
-        if gaps[n] >= thr:
-            j_cut = n
-    beyond = [g for n, g in gaps.items() if n > j_cut]
-    worst = max(beyond) if beyond else 0.0
+    w = table.omega
+    gaps = {m[0]: abs(w[m] - w[(-m[0],)]) for m in w
+            if len(m) == 1 and m[0] > 0 and (-m[0],) in w}
+    j_cut = max([n for n, g in gaps.items() if g >= thr], default=0)
+    worst = max([g for n, g in gaps.items() if n > j_cut], default=0.0)
     if j_cut == 0:
         b = 0.0
     elif N > 1:
@@ -495,7 +494,7 @@ class MeasureEstimate:
     pattern_histogram: Dict[str, int] = field(default_factory=dict)
     complete: bool = True
     nodes: int = 0  # of the scan's one search
-    rows: int = 0  # the search's candidate rows, of group sums
+    rows: int = 0  # the search's candidate group rows, not their members
 
 
 def wilson_interval(v: int, n: int) -> Tuple[float, float, float]:
@@ -543,12 +542,11 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     nonincreasing in gamma.  A sample whose table fails (SpectralError) is
     skipped.  convolution_d draws every sample's frequencies as one array
     (`convolution_columns`); the 1-d families build one table per draw.
-    Every family searches once, within the node_cap budget, over the box
-    [min, max] per mode of the drawn frequency vectors: its candidates hold
-    each sample's own, and `_scan` decides them for all the samples at
-    once.  Each member row is tagged once per rule set, and a hit takes its
-    (gamma, sample)'s exception rules, asked for once per gamma, and per
-    kept draw too where they read its table.
+    One search (`_scan`) over the box of the draws decides every sample.
+    Each member row is tagged once per rule set: a group hit counts the tag
+    histogram of its group row's members, a member hit its own tag, under
+    its (gamma, sample)'s exception rules, asked for once per gamma, and
+    per kept draw too where they read its table.
     """
     if samples < 30:
         raise ValueError("resonance.samples: must be >= 30")
@@ -590,24 +588,26 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             tuple(family_rules(f, params, q, t, g)), len(rule_sets))
             for g in gammas] for t in per]).T, (len(gammas), n_eff))
         compiled = [compile_rules(modes, rules) for rules in rule_sets]
-        for Km, found in blocks:
+        n = len(PATTERNS)
+        for Km, src, found in blocks:
             codes = np.stack([apply_rules(Km, c) for c in compiled])
-            for gi, (ri, si) in enumerate(found):
-                hit = codes[rule_of[gi, si], ri]
-                # row k stands for +-k, so it counts twice
-                counts[gi] += 2 * np.bincount(hit, minlength=len(PATTERNS))
-                violates[gi, si[hit == 0]] = True
+            hist = np.stack([np.bincount(src * n + c, minlength=n * (
+                src[-1] + 1)) for c in codes]).reshape(len(codes), -1, n)
+            for gi, ((g, s), (m, ms)) in enumerate(found):
+                h = np.concatenate([hist[rule_of[gi, s], g], np.eye(
+                    n, dtype=np.int64)[codes[rule_of[gi, ms], m]]])
+                counts[gi] += 2 * h.sum(axis=0)  # row k stands for +-k
+                violates[gi, np.concatenate([s, ms])[h[:, 0] > 0]] = True
 
-    skipped = samples - n_eff
     out = []
     for gi, g in enumerate(gammas):
         v = int(violates[gi].sum())
         lo, hi, _ = wilson_interval(v, n_eff)
         out.append(MeasureEstimate(
-            gamma=g, threshold=thrs[gi], samples=samples, skipped=skipped,
-            violations=v, fraction=v / n_eff if n_eff else 0.0,
-            wilson_low=lo, wilson_high=hi,
-            pattern_histogram={t: n for t, n in zip(
+            gamma=g, threshold=thrs[gi], samples=samples,
+            skipped=samples - n_eff, violations=v,
+            fraction=v / n_eff if n_eff else 0.0, wilson_low=lo,
+            wilson_high=hi, pattern_histogram={t: n for t, n in zip(
                 PATTERNS, counts[gi].tolist()) if n},
             complete=complete, nodes=nodes, rows=rows))
     return out

@@ -373,6 +373,21 @@ def below_reference(div: np.ndarray, K: np.ndarray, W: np.ndarray,
     return ri[keep], si[keep]
 
 
+def below_rows(div: np.ndarray, K: np.ndarray, W: np.ndarray, thrs,
+               order: int) -> list:
+    """`resonance._below` on |div|, div = K @ W up to rounding, with every
+    row of K its own group row: per threshold, its group and member
+    entries as one list of entries (i, s) in row-major order."""
+    out = []
+    for (g, s), (m, ms) in resonance._below(np.abs(div), K,
+                                            np.arange(len(K)), W, thrs,
+                                            order):
+        ri, si = np.concatenate([g, m]), np.concatenate([s, ms])
+        at = np.lexsort((si, ri))
+        out.append((ri[at], si[at]))
+    return out
+
+
 def pattern_tags(K: np.ndarray, modes, rules) -> np.ndarray:
     """The tag of each row of K under the rules (pattern, cutoff), by name:
     the PATTERNS entry of its `apply_rules` code under `compile_rules`."""
@@ -389,7 +404,7 @@ def enumerate_mode_level(q: DivisorQuery, rules=()) -> EnumerationResult:
     modes, K, complete, nodes = resonance._dfs(modes, w, w, tail, order, thr,
                                                q.node_cap)
     W = q.omega.vector(modes)[:, None]
-    K = K[resonance._below(K @ W, K, W, [thr], order)[0][0]]
+    K = K[below_rows(K @ W, K, W, [thr], order)[0][0]]
     K = np.concatenate([K, -K])
     hits = []
     for row, tag in zip(K, pattern_tags(K, modes, rules)):
@@ -484,7 +499,7 @@ def measure_scan_per_sample(family: str, params: dict, q: DivisorQuery,
                                          q.node_cap)
         complete, nodes = complete and ok, nodes + n
         W = table.vector(modes)[:, None]
-        found = resonance._below(K @ W, K, W, thrs, order)
+        found = below_rows(K @ W, K, W, thrs, order)
         for gi, (ri, _) in enumerate(found):
             rules = resonance.family_rules(family, params, q, table,
                                            gammas[gi])
@@ -509,7 +524,7 @@ def tally_reference(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
                                                        + W.shape[1])))
     for lo in range(0, len(K), step):
         Kb = K[lo:lo + step].astype(float)
-        found = resonance._below(Kb @ W, Kb, W, thrs, order)
+        found = below_rows(Kb @ W, Kb, W, thrs, order)
         live = np.unique(np.concatenate([ri for ri, _ in found]))
         tags = np.stack([pattern_tags(Kb[live], modes, rules)
                          for rules in rule_sets])
@@ -575,7 +590,7 @@ def tally_shared_rows(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
         Kb = K[lo:lo + step].astype(float)
         first, share = shared_rows(Kb @ digits)
         decided += len(first)
-        found = resonance._below((Kb[first] @ W)[share], Kb, W, thrs, order)
+        found = below_rows((Kb[first] @ W)[share], Kb, W, thrs, order)
         live = np.unique(np.concatenate([ri for ri, _ in found]))
         codes = np.stack([resonance.apply_rules(Kb[live], c)
                           for c in compiled])
@@ -594,8 +609,9 @@ def scan_mode_level(modes, W: np.ndarray, tail, thrs, order: int,
     """`resonance._scan` as the measure scan ran it over the modes: `_dfs`
     over every mode's box [min, max] of W, then each block of its rows
     decided in one `_below` pass on the products of its distinct key rows
-    (`tally_shared_rows`); returns complete, nodes, rows and the blocks,
-    their rows over the modes in the given order."""
+    (`tally_shared_rows`), each row its own group row; returns complete,
+    nodes, rows and the blocks as `_scan`'s pieces, their rows over the
+    modes in the given order."""
     found, K, complete, nodes = resonance._dfs(
         modes, W.min(axis=1).tolist(), W.max(axis=1).tolist(), tail, order,
         thrs[0], node_cap)
@@ -606,22 +622,29 @@ def scan_mode_level(modes, W: np.ndarray, tail, thrs, order: int,
 
     def block(Kb):
         first, share = shared_rows(Kb @ digits)
-        return Kb, resonance._below((Kb[first] @ W)[share], Kb, W, thrs,
-                                    order)
+        src = np.arange(len(Kb))  # every row its own group row
+        return Kb, src, resonance._below(np.abs(Kb[first] @ W)[share], Kb,
+                                         src, W, thrs, order)
     return complete, nodes, len(K), map(block, (
         K[lo:lo + step] for lo in range(0, len(K), step)))
 
 
 def tally_blocks(scan, modes, rule_sets, rule_of: np.ndarray,
                  violates: np.ndarray, hist: list) -> Tuple[bool, int, int]:
-    """The measure tally of a `_scan` result (complete, nodes, rows, blocks),
-    a tag at a time: at threshold g a hit under column s is tagged under
+    """The measure tally of a `_scan` result (complete, nodes, rows, pieces),
+    a tag at a time: a group entry is a hit of every member of its group
+    row, and at threshold g a hit under column s is tagged under
     rule_sets[rule_of[g, s]] into hist[g], twice for +-k, and a NONE hit
     sets violates[g, s]; returns complete, nodes and rows."""
     complete, nodes, rows, blocks = scan
-    for Km, found in blocks:
+    for Km, src, found in blocks:
         tags = [pattern_tags(Km, modes, rules) for rules in rule_sets]
-        for gi, (ri, si) in enumerate(found):
+        for gi, ((g, gs), (m, ms)) in enumerate(found):
+            # a group entry is a hit of every member of its group row
+            at = [np.flatnonzero(src == row) for row in g.tolist()]
+            ri = np.concatenate([m] + at).astype(int)
+            si = np.concatenate([ms] + [np.full(len(a), c)
+                                        for a, c in zip(at, gs.tolist())])
             for r, s in zip(ri.tolist(), si.tolist()):
                 tag = tags[rule_of[gi, s]][r]
                 hist[gi][tag] = hist[gi].get(tag, 0) + 2

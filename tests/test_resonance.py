@@ -834,8 +834,9 @@ def test_blocked_measure_scan_matches_brute_force_per_sample(
 def test_one_pass_accept_step_matches_one_call_per_threshold():
     # random int8 rows (|k| <= order) against one planted entry per column,
     # exactly at, within and just beyond the fsum band of every threshold
-    # (a duplicate included), on both signs: one `_below` pass must give
-    # each threshold's entries as the single-threshold step gives them
+    # (a duplicate included), on both signs: one `_below` pass, every row
+    # its own group row, must give each threshold's entries as the
+    # single-threshold step gives them
     from bnfsim.modes import lattice_modes
     rng = np.random.default_rng(11)
     modes, order = lattice_modes(1, 4), 6
@@ -876,10 +877,18 @@ def test_one_pass_accept_step_matches_one_call_per_threshold():
         div += K[:, m, None] * W[m]
     want = [helpers.below_reference(div, K, W, thr, order) for thr in thrs]
     naive = [np.nonzero(np.abs(div) < thr) for thr in thrs]
-    got = R._below(div.copy(), K, W, thrs, order)
+    got = helpers.below_rows(div, K, W, thrs, order)
     assert len(got) == len(thrs)
     for (ri, si), (wr, ws) in zip(got, want):
         assert np.array_equal(ri, wr) and np.array_equal(si, ws)
+    # the group entries are the hits clear of the band, the member entries
+    # the hits the fsum decides within it
+    band = R._band(W, order)
+    split = R._below(np.abs(div), K, np.arange(len(K)), W, thrs, order)
+    for ((g, gs), (m, ms)), thr in zip(split, thrs):
+        assert np.all(np.abs(div[g, gs]) < thr - band[gs])
+        assert np.all(np.abs(np.abs(div[m, ms]) - thr) <= band[ms])
+    assert all(len(m) for _, (m, _) in split)
     # the data reach the fsum recheck: at every threshold a plain product
     # decision differs
     assert all(len(a) != len(b) or np.any(a != b)
@@ -1112,9 +1121,10 @@ def test_group_scan_matches_the_mode_level_reference(
 def test_group_scan_matches_the_mode_level_reference_on_planted_twins(
         monkeypatch):
     # the planted twins have one group sum and per-mode fsums that
-    # straddle thrs[1] in column 5: the group route decides each member on
-    # its own row, so exactly one of them is a hit there, as in the
-    # reference; a group of four modes and two modes one bit apart
+    # straddle thrs[1] in column 5: the group route decides each member in
+    # the band on its own row, so exactly one of them is a member hit
+    # there, as in the reference; a group of four modes and two modes one
+    # bit apart
     K, modes, W, thrs, order, rule_sets, rule_of = planted_twins()
     twins = {K[i].tobytes() for i in (0, 1)} | \
         {(-K[i]).tobytes() for i in (0, 1)}
@@ -1123,8 +1133,8 @@ def test_group_scan_matches_the_mode_level_reference_on_planted_twins(
 
     def spy(div, Km, *args):
         found = below(div, Km, *args)
-        ri, si = found[1]
-        seen.extend(Km[i].tobytes() for i in ri[si == 5])
+        _, (mi, ms) = found[1]
+        seen.extend(Km[i].tobytes() for i in mi[ms == 5])
         return found
     out = []
     for scan in (R._scan, helpers.scan_mode_level):
@@ -1142,6 +1152,96 @@ def test_group_scan_matches_the_mode_level_reference_on_planted_twins(
     assert np.array_equal(v, rv) and h == rh and v.any()
     assert complete and rcomplete and nodes < rnodes
     assert len([k for k in seen if k in twins]) == 1
+
+
+def straddling_group_row():
+    """Modes -3..3 over 30 samples, omega_j = omega_-j, the threshold and the
+    five members of the group row 2 on the pair {-1, 1} less mode 0, in
+    canonical sign: its divisor 2 w_1 - w_0 is 0.01 in column 0, clear of
+    the band, and the threshold itself in column 1, where the members'
+    fsums straddle it: 3 w_1 - w_1 rounds apart from 2 w_1."""
+    rng = np.random.default_rng(5)
+    modes = [(j,) for j in range(-3, 4)]
+    W = np.array([[0.0, 1.0, 4.0, 9.0][abs(j)] for (j,) in modes])[:, None] \
+        + rng.uniform(-0.1, 0.1, size=(4, 30))[[3, 2, 1, 0, 1, 2, 3]]
+    W[3] = 2 * W[4] - np.r_[0.01, 0.05, rng.uniform(0.1, 0.5, size=28)]
+    a = b = 0.0
+    while a == b:
+        W[2, 1] = W[4, 1] = w = rng.uniform(0.9, 1.1)
+        W[3, 1] = 2 * w - 0.05
+        a, b = math.fsum([3 * w, -w, -W[3, 1]]), math.fsum([2 * w, -W[3, 1]])
+    rows = np.zeros((5, 7), dtype=np.int8)
+    rows[:, [2, 3, 4]] = [[v, -1, 2 - v] for v in range(-1, 4)]
+    return modes, W, max(a, b), {canonical(row) for row in rows}
+
+
+def canonical(row) -> bytes:
+    return max(row.tobytes(), (-row).tobytes())
+
+
+def test_group_row_split_by_the_band_matches_the_tally_reference(
+        monkeypatch):
+    # a group row of five members: in column 0 one group entry stands for
+    # all of them; in column 1 each is decided on its own row, and some,
+    # not all, are hits; the tally of histograms against the row-by-row
+    # reference on the same draws
+    modes, W, gamma, members = straddling_group_row()
+    params = {"R": 1.0, "kmax": 3, "d": 1, "decay": 2.0}
+    monkeypatch.setattr(R, "convolution_columns", lambda *args: (modes, W))
+    below, seen = R._below, ([], [])
+
+    def spy(div, Km, src, *args):
+        found = below(div, Km, src, *args)
+        (g, s), (m, ms) = found[0]
+        seen[0].extend(map(canonical, Km[np.isin(src, g[s == 0])]))
+        seen[1].extend(map(canonical, Km[m[ms == 1]]))
+        return found
+    monkeypatch.setattr(R, "_below", spy)
+    q = R.DivisorQuery(None, r=3, N=1, gamma=gamma, alpha=1.0, jmax=3)
+    est = R.measure_scan("convolution_d", params, q, [gamma, 0.02], 30, 0)
+    assert members <= set(seen[0]) and 0 < len(members & set(seen[1])) < 5
+    thrs, order = [gamma, 0.02], q.r + 2
+    tail = [abs(j) > 1 for (j,) in modes]
+    found, K, complete, _ = R._dfs(modes, W.min(axis=1).tolist(),
+                                   W.max(axis=1).tolist(), tail, order,
+                                   gamma, q.node_cap)
+    K = K[:, [found.index(m) for m in modes]]
+    violates, hist = np.zeros((2, 30), dtype=bool), [{}, {}]
+    rules = tuple(R.family_rules("convolution_d", params, q, None, gamma))
+    helpers.tally_reference(K, modes, W, thrs, order, [rules],
+                            np.zeros((2, 30), dtype=int), violates, hist)
+    assert [e.violations for e in est] == violates.sum(axis=1).tolist()
+    assert [e.pattern_histogram for e in est] == hist
+    assert complete and all(e.complete for e in est) and violates[0, :2].all()
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+def test_histograms_do_not_depend_on_the_member_piece_budget(monkeypatch,
+                                                             cap):
+    # a block's members in pieces of at most cap rows (or of one row's
+    # splits of a mode): end to end they are the rows of the default
+    # budget's pieces, in order, and the estimates do not move
+    params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
+    q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
+    gammas = [1e-2, 1e-3, 1e-4]
+    whole = R.measure_scan("convolution_d", params, q, gammas, 30, seed=5)
+    members, sizes, default = R._members, [], []
+
+    def pieces(S, groups, tail, order, budget):
+        out = list(members(S, groups, tail, order, cap))
+        one = list(members(S, groups, tail, order, budget))
+        for i in (0, 1):
+            assert [r.tobytes() for p in out for r in p[i]] == \
+                [r.tobytes() for p in one for r in p[i]]
+        sizes.extend(len(K) for K, _ in out)
+        default.extend(len(K) for K, _ in one)
+        return iter(out)
+    monkeypatch.setattr(R, "_members", pieces)
+    est = R.measure_scan("convolution_d", params, q, gammas, 30, seed=5)
+    assert [view(e) for e in est] == [view(e) for e in whole]
+    assert sum(sizes) == sum(default) and len(sizes) > len(default)
+    assert max(sizes) <= max(cap, q.r + 3) < max(default)
+    assert sum(whole[0].pattern_histogram.values())
 
 
 def test_measure_scan_past_its_node_cap_says_so():
@@ -1280,8 +1380,9 @@ def test_shared_rows_match_the_unique_rows(words, rows):
 def test_measure_scan_builds_each_group_indicator_once(
         monkeypatch, family, params, r, N, jmax, gammas):
     # the mode -> group indicators are built once per rule of each rule
-    # set, whatever the number of row blocks; nlw_periodic calibrates b
-    # per draw, so its rule sets differ from sample to sample
+    # set, whatever the number of row blocks and member pieces;
+    # nlw_periodic calibrates b per draw, so its rule sets differ from
+    # sample to sample
     monkeypatch.setattr(R, "SCAN_BLOCK_BYTES", 1 << 10)
     calls = Counter()
     rule_sets = set()
@@ -1300,11 +1401,11 @@ def test_measure_scan_builds_each_group_indicator_once(
 
     monkeypatch.setattr(R, "family_rules", recorded)
     monkeypatch.setattr(R, "mode_groups", counted("groups", R.mode_groups))
-    monkeypatch.setattr(R, "_below", counted("blocks", R._below))
+    monkeypatch.setattr(R, "_below", counted("pieces", R._below))
     q = R.DivisorQuery(None, r=r, N=N, gamma=gammas[0], alpha=1.0,
                        jmax=jmax)
     est = R.measure_scan(family, params, q, gammas, 30, seed=5)
-    assert calls["blocks"] > 10 and sum(est[0].pattern_histogram.values())
+    assert calls["pieces"] > 10 and sum(est[0].pattern_histogram.values())
     assert (len(rule_sets) > 1) == (family == "nlw_periodic")
     assert calls["groups"] == sum(len(rules) for rules in rule_sets)
 
