@@ -365,8 +365,8 @@ def cmd_measure_estimate(cfg: dict, outdir: str) -> List[str]:
     if not complete:
         print(INCOMPLETE, file=sys.stderr)
     e = estimates[0]
-    print("measure-estimate: complete=%s, nodes=%d, rows=%d"
-          % (complete, e.nodes, e.rows))
+    print("measure-estimate: complete=%s, nodes=%d, rows=%d, listed=%d"
+          % (complete, e.nodes, e.rows, e.listed))
     for e in estimates:
         print("measure-estimate: gamma=%g fraction=%.4f (%d/%d, skipped %d)"
               % (e.gamma, e.fraction, e.violations, e.samples - e.skipped,

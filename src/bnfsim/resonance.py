@@ -16,14 +16,18 @@ accept step (`_below`) decides the candidate group rows under a list of
 thresholds in one pass.  Decisions agree with exactly-rounded summation:
 each member (row over the modes) of an entry within the rounding error of
 the product is rechecked by `math.fsum`; a naive sum misclassifies there.
+The measure scan reads only the tag histogram of a group row clear of
+that band, so it counts the row's members by tag (`_TagCounter`) and
+lists them (`_members`) only for the band, as the enumeration lists all.
 
 The patterns are group cancellations.  A combination, as a row of an
 integer matrix K over the modes, is exceptional when it has no weight on
 the ball |j| <= cutoff and sums to zero over every group of `mode_groups`:
 the pairs {j, -j} (PAIR_TAIL: periodic NLW, coupled NLS) or the shells
 |j|^2 = M (SHELL: NLS on the d-torus), whose actions J are the ones the
-normal form nearly conserves.  `apply_rules` takes K @ G per rule, with
-each rule's G built once (`compile_rules`), and gives integer tag codes.
+normal form nearly conserves.  `apply_rules` sums each row's few
+non-zero entries over each rule's groups, labelled once per rule
+(`compile_rules`), and gives integer tag codes.
 """
 from __future__ import annotations
 
@@ -31,7 +35,9 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -289,23 +295,222 @@ def _members(S: np.ndarray, groups: Sequence[np.ndarray],
                               tex[p] - used * tail[j])))
 
 
+@lru_cache(maxsize=None)
+def _split_counts(m: int, order: int) -> np.ndarray:
+    """N[t + order, c]: the integer vectors over m modes that sum to t at
+    cost |v|_1 - |t| = 2c, for |t| <= order and c <= order // 2.  For
+    t >= 0 such a vector's positive entries sum to t + c and its negative
+    ones to -c (the reverse for t < 0): choose i and j of the modes for
+    them, and split each sum into that many positive parts."""
+    def parts(s, k):
+        return math.comb(s - 1, k - 1) if s >= k > 0 else int(s == k == 0)
+    N = np.zeros((2 * order + 1, order // 2 + 1), dtype=np.int64)
+    for t in range(-order, order + 1):
+        for c in range(order // 2 + 1):
+            p = abs(t) + c
+            N[t + order, c] = sum(math.comb(m, i) * math.comb(m - i, j) *
+                                  parts(p, i) * parts(c, j)
+                                  for i in range(min(m, p) + 1)
+                                  for j in range(min(m - i, c) + 1))
+    return N
+
+
+class _TagCounter:
+    """The tag histograms of group rows' members, counted, not listed.
+
+    A member splits each group sum t_g over the group's m modes, at the
+    even cost |v|_1 - |t_g| = 2c of the order budget (and of TAIL_BUDGET on
+    a tail group).  So the members of a group row are the coefficients,
+    with half-cost a <= (order - sum |t_g|) // 2 and tail half-cost b
+    within what the tail budget leaves, of a product over the groups of
+    polynomials in (x, y): sum_c N(m, t_g, c) x^c (y^c on the tail), each
+    kept on the grid a <= order // 2, b <= TAIL_BUDGET // 2, flattened.
+
+    A_U, the members that every rule of a subset U of a rule set accepts,
+    are counted the same way.  Under a rule, a group wholly inside the
+    cutoff takes the zero split only; a rule group that is a union of
+    search groups has its sum read off the group row (`apply_rules` on the
+    group rows); a group that is a union of rule groups takes the splits
+    whose every rule group sums to zero.  The first rule that accepts a
+    member tags it, so rule r tags |A_r minus (A_1 u ... u A_{r-1})|
+    members, by inclusion-exclusion over the subsets whose last rule is r,
+    and NONE the rest.  `bad` says that some group is none of these: it
+    straddles a cutoff, crosses a rule group, or is split two ways.
+
+    Per subset, B is the product over every group at t_g = 0, and a row
+    multiplies B by F_g(t_g) / F_g(0) for each of its at most `order`
+    non-zero entries, one pass per entry rank, vectorized over the rows.
+    """
+
+    def __init__(self, groups, tail, compiled, order):
+        X, Y, G, n = order // 2, TAIL_BUDGET // 2, len(groups), len(tail)
+        a, b = np.divmod(np.arange((X + 1) * (Y + 1)), Y + 1)
+        # the pairs of cells whose product stays on the grid, by product
+        # cell: a cell's flat index is linear in (a, b), so it is i + j
+        i, j = np.nonzero((a[:, None] + a <= X) & (b[:, None] + b <= Y))
+        at = np.argsort(i + j, kind="stable")
+        self.i, self.j = i[at], j[at]
+        self.cell = np.flatnonzero(np.diff(self.i + self.j, prepend=-1))
+        self.a, self.b, self.order = a, b, order
+        unit = (a + b == 0).astype(np.int64)
+        grp = np.zeros(n, dtype=np.intp)
+        for g, idx in enumerate(groups):
+            grp[idx] = g
+        size = np.bincount(grp, minlength=G)
+        self.tail = np.array([tail[idx[0]] for idx in groups], dtype=bool)
+        first = np.array([idx[0] for idx in groups], dtype=np.intp)
+        self.bad, self.labels = False, []
+
+        def relate(inside, label):
+            # per group under one rule: wholly inside the cutoff, and the
+            # partition of its modes where it is a union of rule groups;
+            # and the label of each group for `apply_rules` on group rows:
+            # its rule group where that is a union of search groups, else
+            # one of its own, so that t_g = 0
+            cg, cl = np.divmod(np.unique(grp * n + label), n)
+            nl = np.bincount(cg, minlength=G)  # rule groups on each group
+            union = np.ones(n, dtype=bool)
+            union[cl[nl[cg] > 1]] = False
+            fine = np.ones(G, dtype=bool)
+            fine[cg[np.bincount(cl, minlength=n)[cl] > 1]] = False
+            row = union[label[first]] & (nl == 1)
+            ins = np.bincount(grp, weights=inside, minlength=G)
+            zero = ins == size
+            self.bad |= np.any((ins > 0) & ~zero | ~(zero | row | fine))
+            self.labels.append(np.where(row, label[first], n + np.arange(G)))
+            return zero, {g: tuple(np.unique(label[groups[g]],
+                                             return_inverse=True)[1])
+                          for g in np.flatnonzero(fine & ~row & ~zero)}
+
+        factors = {}
+
+        def factor(key):  # F_g(t) for every t, and F_g(t) / F_g(0)
+            if key not in factors:
+                kind, sizes, on_tail = key
+                F = np.zeros((2 * order + 1, len(a)), dtype=np.int64)
+                F[order] = unit
+                for m in sizes:  # a "part" group: each rule group sums to 0
+                    f = np.where(b == a * on_tail,
+                                 _split_counts(m, order)[:, a], 0)
+                    F = f if kind == "free" else self.mul(F, f[order])
+                inv, D = unit, unit - F[order]
+                for _ in range(X):  # 1 / F(0) = sum of (1 - F(0))^k, and
+                    # each term of 1 - F(0) is of degree 1 or more in x
+                    inv = unit + self.mul(D, inv)
+                factors[key] = (F[order], self.mul(F, inv))
+            return factors[key]
+
+        F0, Q, M, self.subsets, self.first = [], [], [], [], []
+        k = len(PATTERNS)
+        for s, rules in enumerate(compiled):
+            rel = [relate(inside, label) for _, inside, label in rules]
+            for r, (_, part) in enumerate(rel):
+                for _, other in rel[:r]:  # a group split two ways
+                    self.bad |= any(part[g] != other[g]
+                                    for g in set(part) & set(other))
+            self.first.append(rules[0][0] if rules else 0)
+            for u in range(1 << len(rules)):
+                U = [r for r in range(len(rules)) if u >> r & 1]
+                zero, part = np.zeros(G, dtype=bool), {}
+                for r in U:
+                    zero |= rel[r][0]
+                    part.update(rel[r][1])
+                f0, q = zip(*[factor(
+                    ("zero", (), False) if zero[g] else
+                    ("part", tuple(np.bincount(part[g])), self.tail[g])
+                    if g in part else ("free", (size[g],), self.tail[g]))
+                    for g in range(G)])
+                F0.append(np.stack(f0))
+                Q.append(np.stack(q))
+                self.subsets.append([len(self.labels) - len(rules) + r
+                                     for r in U])
+                m = np.zeros(len(compiled) * k, dtype=np.int64)
+                if U:  # the members whose first accepting rule is U's last
+                    sign = (-1) ** (len(U) - 1)
+                    m[s * k + rules[U[-1]][0]] += sign
+                    m[s * k] -= sign
+                else:
+                    m[s * k] = 1
+                M.append(m)
+        B = np.stack(F0)
+        while B.shape[1] > 1:  # the product over the groups, pairwise
+            if B.shape[1] % 2:
+                B = np.concatenate([B, np.broadcast_to(unit, B[:, :1].shape)],
+                                   axis=1)
+            B = self.mul(B[:, 0::2], B[:, 1::2])
+        self.B, self.Q, self.M = B[:, 0], np.stack(Q), np.stack(M)
+
+    def mul(self, f, g):
+        """The product of polynomials on the grid, truncated to it."""
+        return np.add.reduceat(f[..., self.i] * g[..., self.j], self.cell,
+                               axis=-1)
+
+    def __call__(self, S):
+        """The tag histogram of each row's members, per rule set: (rule
+        sets, rows, PATTERNS); the zero row stands for one sign, without
+        its all-zero member."""
+        rr, gg = np.nonzero(S)
+        t = S[rr, gg].astype(np.intp)
+        P = np.repeat(self.B[:, None], len(S), axis=1)
+        rank = np.arange(len(rr)) - np.searchsorted(rr, rr)
+        for k in range(rank.max(initial=-1) + 1):  # each row's k-th entry
+            e = rank == k
+            P[:, rr[e]] = self.mul(P[:, rr[e]],
+                                   self.Q[:, gg[e], t[e] + self.order])
+        spent = np.abs(S).astype(np.intp)  # the half-costs left per row:
+        ha = (self.order - spent.sum(axis=1)) // 2  # of the order budget
+        hb = (TAIL_BUDGET - spent[:, self.tail].sum(axis=1)) // 2  # tail
+        fit = (self.a <= ha[:, None]) & (self.b <= hb[:, None])
+        count = np.einsum("urk,rk->ur", P, fit)
+        nowhere = np.zeros(S.shape[1], dtype=bool)
+        fails = np.array([apply_rules(S, [(1, nowhere, label)]) == 0
+                          for label in self.labels]).reshape(-1, len(S))
+        for u, rules in enumerate(self.subsets):
+            count[u, fails[rules].any(axis=0)] = 0
+        hist = (count.T @ self.M).reshape(len(S), len(self.first), -1)
+        zero = ~S.any(axis=1)  # without the all-zero member, one sign
+        hist[zero] = (hist[zero] - np.eye(hist.shape[2], dtype=np.int64)[
+            self.first]) // 2
+        return hist.transpose(1, 0, 2)
+
+
+class Piece(NamedTuple):
+    """A piece of `_scan`: member rows Km over the modes and their group
+    rows src (sorted, from 0 in each piece), their tag codes and their
+    group rows' tag histograms per rule set, `_below`'s entries per
+    threshold, and the group rows whose members the block lists."""
+    Km: np.ndarray
+    src: np.ndarray
+    codes: np.ndarray
+    hist: np.ndarray
+    found: list
+    listed: int
+
+
 def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
-          thrs: Sequence[float], order: int, node_cap: int
-          ) -> Tuple[bool, int, int, Iterable[tuple]]:
+          thrs: Sequence[float], order: int, node_cap: int,
+          compiled: Sequence[list], count: bool = True
+          ) -> Tuple[bool, int, int, Iterable[Piece]]:
     """Search the rows over the modes under each column of W, at each of the
-    non-increasing thresholds thrs.  Returns the search's complete, nodes
-    and candidate group rows, and a lazy iterator of pieces: member rows
-    Km, their group rows src (sorted, from 0 in each piece) and `_below`'s
-    group and member entries per threshold.
+    non-increasing thresholds thrs, and tag them under each compiled rule
+    set.  Returns the search's complete, nodes and candidate group rows,
+    and a lazy iterator of pieces.
 
     Modes of equal rows of W and tail flags form a group; a row's divisors
     depend only on its group sums, which keep within its budgets: `_dfs`
     searches them on the groups' boxes, and a block of group rows at a
     time takes one product |div| with the group frequencies.  The rows
     under thrs[0] plus the band in some column, and the zero row, which
-    the search never emits, are split into members (`_members`), at most
-    SCAN_BLOCK_BYTES of int8 rows a piece.  Row k stands for +-k: a group
-    row holds one sign, a zero-row member the one that leads with e > 0.
+    the search never emits, are live.  With count, and unless a group
+    cannot be counted (`_TagCounter.bad`), a live row with no entry within
+    the band of any threshold has its tag histograms counted; the other
+    live rows are split into members (`_members`), at most
+    SCAN_BLOCK_BYTES of int8 rows a piece, and tagged (`apply_rules`), and
+    `_below` rechecks their members within the band.  Each block yields
+    the piece of its counted rows, which lists no members, then those of
+    its listed rows.  Row k stands for +-k: a group row holds one sign, a
+    zero-row member the one that leads with e > 0, and a counted zero row
+    half its members but the all-zero one.
     """
     first, grp = np.unique(np.column_stack([W, tail]), axis=0,
                            return_index=True, return_inverse=True)[1:]
@@ -316,22 +521,47 @@ def _scan(modes: Sequence[Mode], W: np.ndarray, tail: Sequence[bool],
                                     thrs[0], node_cap)
     cols = [at[m] for m in reps]
     groups = [np.flatnonzero(grp.ravel() == g) for g in cols]
-    Wg, band = W[first[cols]], _band(W, order)
+    WgT, band = np.ascontiguousarray(W[first[cols]].T), _band(W, order)
     step = max(1, SCAN_BLOCK_BYTES // (8 * (K.shape[1] + W.shape[1])))
     cap = max(1, SCAN_BLOCK_BYTES // max(len(tail), 1))
+    tally = _TagCounter(groups, tail, compiled, order) if count else None
+    tally = None if tally is None or tally.bad else tally  # list them all
+    n = len(PATTERNS)
+    empty = (np.zeros((0, len(tail)), np.int8), np.zeros(0, np.intp),
+             np.zeros((len(compiled), 0), np.int8),
+             np.zeros((len(compiled), 0, n), np.int64))
 
     def block(Kb):
-        div = np.abs(Kb.astype(float) @ Wg)
-        live = np.flatnonzero(np.any(div < thrs[0] + band, axis=1))
-        for Km, src in _members(Kb[live], groups, tail, order, cap):
-            if not Kb.any():  # the zero row
-                c = Km[np.arange(len(Km)), np.argmax(Km != 0, axis=1)] > 0
-                Km, src = Km[c], src[c]
+        div = WgT @ Kb.T.astype(float)  # samples x rows
+        np.abs(div, out=div)
+        live = np.flatnonzero(np.any(div < (thrs[0] + band)[:, None], axis=0))
+        S, div = Kb[live], div[:, live].T
+        lists = np.full(len(S), tally is None)
+        if tally:
+            for thr in thrs:  # an entry within the band of thr
+                lists |= np.any((np.abs(div - thr) <= band) &
+                                (div < thr + band), axis=1)
+        c = ~lists
+        yield Piece(*empty[:3], tally(S[c]) if c.any() else empty[3],
+                    _below(div[c], *empty[:2], W, thrs, order),
+                    int(lists.sum()))
+        rows = np.flatnonzero(lists)
+        zero = ~S[rows].any(axis=1)
+        for Km, src in _members(S[rows], groups, tail, order, cap):
+            if zero.any():  # the zero row's members lead with e > 0
+                lead = Km[np.arange(len(Km)), np.argmax(Km != 0, axis=1)]
+                keep = ~zero[src] | (lead > 0)
+                Km, src = Km[keep], src[keep]
             if len(src):
-                g, src = live[src[0]:src[-1] + 1], src - src[0]
-                yield Km, src, _below(div[g], Km, src, W, thrs, order)
+                g, src = rows[src[0]:src[-1] + 1], src - src[0]
+                codes = np.stack([apply_rules(Km, c) for c in compiled])
+                hist = np.stack([np.bincount(src * n + c, minlength=n * (
+                    src[-1] + 1)) for c in codes]).reshape(len(codes), -1, n)
+                yield Piece(Km, src, codes, hist,
+                            _below(div[g], Km, src, W, thrs, order), 0)
     zero = np.zeros((1, K.shape[1]), np.int8)
-    rows = [zero] + [K[lo:lo + step] for lo in range(0, len(K), step)]
+    rows = [np.concatenate([zero, K[:step]])] + \
+        [K[lo:lo + step] for lo in range(step, len(K), step)]
     return complete, nodes, len(K), (p for Kb in rows for p in block(Kb))
 
 
@@ -348,14 +578,14 @@ def enumerate_near_resonances(q: DivisorQuery,
     A node budget overrun is reported through the complete flag.
     """
     modes, tail = _domain(q)
-    complete, nodes, _, blocks = _scan(
+    complete, nodes, _, pieces = _scan(
         modes, q.omega.vector(modes)[:, None], tail, [q.threshold], q.r + 2,
-        q.node_cap)
-    compiled = compile_rules(modes, rules)
+        q.node_cap, [compile_rules(modes, rules)], count=False)
     hits: List[ResonanceHit] = []
-    for Km, src, [((g, _), (m, _))] in blocks:
-        K = Km[np.concatenate([np.flatnonzero(np.isin(src, g)), m])]
-        tags = [PATTERNS[c] for c in apply_rules(K, compiled)]
+    for p in pieces:
+        [((g, _), (m, _))] = p.found
+        at = np.concatenate([np.flatnonzero(np.isin(p.src, g)), m])
+        K, tags = p.Km[at], [PATTERNS[c] for c in p.codes[0, at]]
         r, c = np.nonzero(K)  # each hit's modes and exponents, in order
         js, es = [modes[i] for i in c.tolist()], K[r, c].tolist()
         ends = np.count_nonzero(K, axis=1).cumsum().tolist()
@@ -391,11 +621,11 @@ def _exception_rule(model: str, params: dict) -> Tuple[str, float]:
 def compile_rules(modes: Sequence[Mode], rules: Sequence[Tuple[str, float]]
                   ) -> list:
     """Each rule (pattern, cutoff) over the columns modes as its tag code,
-    the mask of the modes with |j| <= cutoff, and its mode -> group
-    indicator (float32): the shells for SHELL, the pairs for PAIR_TAIL."""
+    the mask of the modes with |j| <= cutoff, and each mode's group label:
+    its shell for SHELL, its pair for PAIR_TAIL."""
     return [(PATTERNS.index(p),
              np.array([in_ball(j, c) for j in modes], dtype=bool),
-             mode_groups(modes, p == PATTERN_SHELL).astype(np.float32))
+             mode_groups(modes, p == PATTERN_SHELL).nonzero()[1])
             for p, c in rules]
 
 
@@ -403,12 +633,21 @@ def apply_rules(K: np.ndarray, compiled: list) -> np.ndarray:
     """Tag code of each row of K (one column per mode): that of the first
     compiled rule under which the row has no weight inside the cutoff and
     sums to zero over every group, else 0 (NONE).  An empty row takes the
-    first rule's code.  The group sums are one float32 product, exact for
-    sums of magnitude below 2^24."""
+    first rule's code.  The group sums are taken from the rows' non-zero
+    entries (at most `order` a member row), not over every mode."""
+    r, c = np.divmod(np.flatnonzero(K != 0), K.shape[1])
+    n = np.bincount(r, minlength=len(K))
+    rank = np.arange(len(r)) - (np.cumsum(n) - n)[r]
+    C = np.full((len(K), n.max(initial=0)), K.shape[1])  # padded entries
+    C[r, rank] = c
+    V = np.zeros(C.shape, dtype=np.int64)
+    V[r, rank] = K[r, c]
     codes = np.zeros(len(K), dtype=np.int8)
-    X = K.astype(np.float32)
-    for code, inside, G in reversed(compiled):  # so the first rule wins
-        codes[~np.any(K[:, inside], axis=1) & ~np.any(X @ G, axis=1)] = code
+    for code, inside, label in reversed(compiled):  # so the first rule wins
+        L = np.append(label, -1)[C]  # each entry's group, -1 for padding
+        same = (L[:, :, None] == L[:, None, :]).view(np.int8)
+        off = np.einsum("rij,rj->ri", same, V).any(axis=1)
+        codes[~off & ~np.append(inside, False)[C].any(axis=1)] = code
     return codes
 
 
@@ -495,6 +734,7 @@ class MeasureEstimate:
     complete: bool = True
     nodes: int = 0  # of the scan's one search
     rows: int = 0  # the search's candidate group rows, not their members
+    listed: int = 0  # the group rows whose members were listed
 
 
 def wilson_interval(v: int, n: int) -> Tuple[float, float, float]:
@@ -543,10 +783,12 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     skipped.  convolution_d draws every sample's frequencies as one array
     (`convolution_columns`); the 1-d families build one table per draw.
     One search (`_scan`) over the box of the draws decides every sample.
-    Each member row is tagged once per rule set: a group hit counts the tag
-    histogram of its group row's members, a member hit its own tag, under
-    its (gamma, sample)'s exception rules, asked for once per gamma, and
-    per kept draw too where they read its table.
+    A group hit counts the tag histogram of its group row's members, a
+    member hit (a listed member within the rounding band) its own tag,
+    under its (gamma, sample)'s exception rules, asked for once per gamma,
+    and per kept draw too where they read its table.  The histograms of
+    group rows clear of the band are counted, not listed; `listed` counts
+    the group rows whose members were listed.
     """
     if samples < 30:
         raise ValueError("resonance.samples: must be >= 30")
@@ -576,10 +818,8 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
     n_eff = W.shape[1]
     violates = np.zeros((len(gammas), n_eff), dtype=bool)
     counts = np.zeros((len(gammas), len(PATTERNS)), dtype=np.int64)
-    complete, nodes, rows = True, 0, 0
+    complete, nodes, rows, listed = True, 0, 0, 0
     if n_eff:
-        complete, nodes, rows, blocks = _scan(modes, W, tail, thrs, q.r + 2,
-                                              q.node_cap)
         # only a calibrated nlw_periodic reads its table for the rules
         per = tables if f == NLW_PERIODIC and params.get("b") is None \
             else [None]
@@ -588,14 +828,14 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             tuple(family_rules(f, params, q, t, g)), len(rule_sets))
             for g in gammas] for t in per]).T, (len(gammas), n_eff))
         compiled = [compile_rules(modes, rules) for rules in rule_sets]
-        n = len(PATTERNS)
-        for Km, src, found in blocks:
-            codes = np.stack([apply_rules(Km, c) for c in compiled])
-            hist = np.stack([np.bincount(src * n + c, minlength=n * (
-                src[-1] + 1)) for c in codes]).reshape(len(codes), -1, n)
-            for gi, ((g, s), (m, ms)) in enumerate(found):
-                h = np.concatenate([hist[rule_of[gi, s], g], np.eye(
-                    n, dtype=np.int64)[codes[rule_of[gi, ms], m]]])
+        complete, nodes, rows, pieces = _scan(modes, W, tail, thrs, q.r + 2,
+                                              q.node_cap, compiled)
+        one = np.eye(len(PATTERNS), dtype=np.int64)
+        for p in pieces:
+            listed += p.listed
+            for gi, ((g, s), (m, ms)) in enumerate(p.found):
+                h = np.concatenate([p.hist[rule_of[gi, s], g],
+                                    one[p.codes[rule_of[gi, ms], m]]])
                 counts[gi] += 2 * h.sum(axis=0)  # row k stands for +-k
                 violates[gi, np.concatenate([s, ms])[h[:, 0] > 0]] = True
 
@@ -609,7 +849,7 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
             fraction=v / n_eff if n_eff else 0.0, wilson_low=lo,
             wilson_high=hi, pattern_histogram={t: n for t, n in zip(
                 PATTERNS, counts[gi].tolist()) if n},
-            complete=complete, nodes=nodes, rows=rows))
+            complete=complete, nodes=nodes, rows=rows, listed=listed))
     return out
 
 

@@ -605,13 +605,15 @@ def tally_shared_rows(K: np.ndarray, modes, W: np.ndarray, thrs, order: int,
 
 
 def scan_mode_level(modes, W: np.ndarray, tail, thrs, order: int,
-                    node_cap: int) -> Tuple[bool, int, int, Iterable]:
+                    node_cap: int, compiled) -> Tuple[bool, int, int,
+                                                      Iterable]:
     """`resonance._scan` as the measure scan ran it over the modes: `_dfs`
     over every mode's box [min, max] of W, then each block of its rows
     decided in one `_below` pass on the products of its distinct key rows
-    (`tally_shared_rows`), each row its own group row; returns complete,
-    nodes, rows and the blocks as `_scan`'s pieces, their rows over the
-    modes in the given order."""
+    (`tally_shared_rows`), each row its own group row, listed and tagged
+    under each compiled rule set; returns complete, nodes, rows and the
+    blocks as `_scan`'s pieces, their rows over the modes in the given
+    order."""
     found, K, complete, nodes = resonance._dfs(
         modes, W.min(axis=1).tolist(), W.max(axis=1).tolist(), tail, order,
         thrs[0], node_cap)
@@ -619,12 +621,16 @@ def scan_mode_level(modes, W: np.ndarray, tail, thrs, order: int,
     K, digits = K[:, [at[m] for m in modes]], group_digits(W, order)
     step = max(1, resonance.SCAN_BLOCK_BYTES // (8 * (K.shape[1]
                                                        + W.shape[1])))
+    n = len(resonance.PATTERNS)
 
     def block(Kb):
         first, share = shared_rows(Kb @ digits)
         src = np.arange(len(Kb))  # every row its own group row
-        return Kb, src, resonance._below(np.abs(Kb[first] @ W)[share], Kb,
-                                         src, W, thrs, order)
+        codes = np.stack([resonance.apply_rules(Kb, c) for c in compiled])
+        return resonance.Piece(
+            Kb, src, codes, np.eye(n, dtype=np.int64)[codes],
+            resonance._below(np.abs(Kb[first] @ W)[share], Kb, src, W, thrs,
+                             order), len(Kb))
     return complete, nodes, len(K), map(block, (
         K[lo:lo + step] for lo in range(0, len(K), step)))
 
@@ -635,13 +641,22 @@ def tally_blocks(scan, modes, rule_sets, rule_of: np.ndarray,
     a tag at a time: a group entry is a hit of every member of its group
     row, and at threshold g a hit under column s is tagged under
     rule_sets[rule_of[g, s]] into hist[g], twice for +-k, and a NONE hit
-    sets violates[g, s]; returns complete, nodes and rows."""
-    complete, nodes, rows, blocks = scan
-    for Km, src, found in blocks:
-        tags = [pattern_tags(Km, modes, rules) for rules in rule_sets]
-        for gi, ((g, gs), (m, ms)) in enumerate(found):
+    sets violates[g, s]; a piece of counted rows, which lists no member,
+    adds its group rows' histograms.  Returns complete, nodes and rows."""
+    complete, nodes, rows, pieces = scan
+    for p in pieces:
+        tags = [pattern_tags(p.Km, modes, rules) for rules in rule_sets]
+        for gi, ((g, gs), (m, ms)) in enumerate(p.found):
+            if not len(p.Km):
+                for row, s in zip(g.tolist(), gs.tolist()):
+                    h = p.hist[rule_of[gi, s], row].tolist()
+                    for tag, c in zip(resonance.PATTERNS, h):
+                        if c:
+                            hist[gi][tag] = hist[gi].get(tag, 0) + 2 * c
+                    violates[gi, s] |= h[0] > 0
+                continue
             # a group entry is a hit of every member of its group row
-            at = [np.flatnonzero(src == row) for row in g.tolist()]
+            at = [np.flatnonzero(p.src == row) for row in g.tolist()]
             ri = np.concatenate([m] + at).astype(int)
             si = np.concatenate([ms] + [np.full(len(a), c)
                                         for a, c in zip(at, gs.tolist())])
@@ -650,6 +665,57 @@ def tally_blocks(scan, modes, rule_sets, rule_of: np.ndarray,
                 hist[gi][tag] = hist[gi].get(tag, 0) + 2
                 violates[gi, s] |= tag == resonance.PATTERN_NONE
     return complete, nodes, rows
+
+
+def split_counts_reference(m: int, order: int) -> np.ndarray:
+    """`resonance._split_counts` by listing: every integer vector over m
+    modes with |v|_1 <= order + 2 (order // 2), tallied by its sum t and
+    half-cost c = (|v|_1 - |t|) / 2 into N[t + order, c]."""
+    X = order // 2
+    N = np.zeros((2 * order + 1, X + 1), dtype=np.int64)
+
+    def walk(i, t, l1):
+        if i == m:
+            c = (l1 - abs(t)) // 2
+            if abs(t) <= order and c <= X:
+                N[t + order, c] += 1
+            return
+        for v in range(l1 - order - 2 * X, order + 2 * X - l1 + 1):
+            walk(i + 1, t + v, l1 + abs(v))
+    walk(0, 0, 0)
+    return N
+
+
+def dense_rule_tags(K: np.ndarray, compiled) -> np.ndarray:
+    """The tag codes of `resonance.apply_rules` as it took them from a
+    dense product: each rule's group sums are K times its mode -> group
+    indicator, in int64, over every mode."""
+    codes = np.zeros(len(K), dtype=np.int8)
+    K = K.astype(np.int64)
+    for code, inside, label in reversed(compiled):
+        G = np.zeros((len(label), label.max(initial=0) + 1), dtype=np.int64)
+        G[np.arange(len(label)), label] = 1
+        codes[~np.any(K[:, inside], axis=1) & ~np.any(K @ G, axis=1)] = code
+    return codes
+
+
+def listed_histograms(S: np.ndarray, groups, tail, compiled,
+                      order: int) -> np.ndarray:
+    """The tag histogram of each group row of S by listing its members
+    (`resonance._members`; the zero row's of one sign, the first nonzero
+    entry positive, without the all-zero member) and tagging each with
+    `dense_rule_tags` under each compiled rule set: (rule sets, rows,
+    PATTERNS)."""
+    n = len(resonance.PATTERNS)
+    hist = np.zeros((len(compiled), len(S), n), dtype=np.int64)
+    for Km, src in resonance._members(S, groups, tail, order, 1 << 20):
+        for row, g in zip(Km, src):
+            nz = np.flatnonzero(row)
+            if not S[g].any() and (not len(nz) or row[nz[0]] < 0):
+                continue
+            for s, rules in enumerate(compiled):
+                hist[s, g, dense_rule_tags(row[None], rules)[0]] += 1
+    return hist
 
 
 def classify_rows_reference(K: np.ndarray, modes, rules) -> np.ndarray:

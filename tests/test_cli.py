@@ -261,9 +261,10 @@ def test_measure_estimate_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["measure-estimate", p, "--out", out]) == 0
     # one search for every sample, over the pair sums, reported as
-    # scan-resonances reports its, with the search's rows
-    assert "measure-estimate: complete=True, nodes=1089, rows=269" in \
-        capsys.readouterr().out.splitlines()
+    # scan-resonances reports its, with the search's rows and the rows
+    # whose members were listed: none, every row is counted
+    assert "measure-estimate: complete=True, nodes=1089, rows=269, " \
+        "listed=0" in capsys.readouterr().out.splitlines()
     rows = (tmp_path / "out" / "measure.csv").read_text().splitlines()
     assert rows[0].startswith("gamma,threshold,samples")
     assert len(rows) == 3
@@ -302,9 +303,11 @@ def test_benchmark_measure_config_pinned(tmp_path, capsys, seed, digest,
         assert [int(r["violations"]) for r in csv.DictReader(fh)] == \
             violations
     head = re.fullmatch(r"measure-estimate: complete=True, nodes=41200, "
-                        r"rows=(\d+)", capsys.readouterr().out.splitlines()[0])
-    # the search runs over the pair sums: the README's figure
-    assert int(head[1]) == 6922
+                        r"rows=(\d+), listed=(\d+)",
+                        capsys.readouterr().out.splitlines()[0])
+    # the search runs over the pair sums: the README's figure; no row has
+    # an entry within the rounding band, so none is listed
+    assert (int(head[1]), int(head[2])) == (6922, 0)
 
 
 def test_measure_estimate_reads_gamma_only_as_the_list_default(tmp_path):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnfsim import poly
 from bnfsim import resonance as R
@@ -1145,8 +1147,9 @@ def test_group_scan_matches_the_mode_level_reference_on_planted_twins(
                 m.setattr(R, "_below", spy)
             stats = helpers.tally_blocks(
                 scan(modes, W, [False] * len(modes), thrs, order,
-                     R.DEFAULT_NODE_CAP), modes, rule_sets, rule_of,
-                violates, hist)
+                     R.DEFAULT_NODE_CAP, [R.compile_rules(modes, rules)
+                                          for rules in rule_sets]),
+                modes, rule_sets, rule_of, violates, hist)
         out.append((violates, [dict(h) for h in hist], stats))
     (v, h, (complete, nodes, _)), (rv, rh, (rcomplete, rnodes, _)) = out
     assert np.array_equal(v, rv) and h == rh and v.any()
@@ -1220,11 +1223,17 @@ def test_histograms_do_not_depend_on_the_member_piece_budget(monkeypatch,
                                                              cap):
     # a block's members in pieces of at most cap rows (or of one row's
     # splits of a mode): end to end they are the rows of the default
-    # budget's pieces, in order, and the estimates do not move
+    # budget's pieces, in order, and the estimates do not move; the scan
+    # lists every live row, as scan-resonances does, so that its members
+    # reach `_members`
     params = {"R": 1.0, "kmax": 2, "d": 2, "decay": 2.0}
     q = R.DivisorQuery(None, r=3, N=2, gamma=1e-2, alpha=1.0, jmax=2)
     gammas = [1e-2, 1e-3, 1e-4]
+    counted = R.measure_scan("convolution_d", params, q, gammas, 30, seed=5)
+    scan = R._scan
+    monkeypatch.setattr(R, "_scan", lambda *args: scan(*args, count=False))
     whole = R.measure_scan("convolution_d", params, q, gammas, 30, seed=5)
+    assert [view(e) for e in whole] == [view(e) for e in counted]
     members, sizes, default = R._members, [], []
 
     def pieces(S, groups, tail, order, budget):
@@ -1443,3 +1452,170 @@ def test_measure_scan_reads_the_family_rules_once_per_gamma(
     assert len(calls) == len(gammas) * (kept if calibrated else 1)
     assert len({id(args[3]) for args in calls}) == (kept if calibrated
                                                     else 1)
+
+
+# -- the tag histograms of group rows, counted --------------------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(3, 7))
+def test_split_table_matches_listing(m, order):
+    # N(m, t, c): the splits of a group sum t over m modes at half-cost c
+    assert np.array_equal(R._split_counts(m, order),
+                          helpers.split_counts_reference(m, order))
+
+
+@st.composite
+def counted_rows(draw):
+    """Search groups of 1 to 6 modes (tail or not), rule sets whose rules
+    see each group wholly inside or outside the cutoff, and as part of a
+    union of search groups or as a union of rule groups of its own, and
+    group rows within the budgets: the zero row, and rows of up to order
+    unit steps, so some sit at the order or tail budget's edge."""
+    order = draw(st.integers(3, 5))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    G, n = len(sizes), sum(sizes)
+    on_tail = draw(st.lists(st.booleans(), min_size=G, max_size=G))
+    ends = np.cumsum(sizes)
+    groups = [np.arange(e - m, e) for e, m in zip(ends, sizes)]
+    tail = [on_tail[g] for g, m in enumerate(sizes) for _ in range(m)]
+    # one partition of each group into the rule groups within it
+    blocks = [draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+              for m in sizes]
+    compiled = []
+    for _ in range(draw(st.integers(1, 2))):
+        rules = []
+        for _ in range(draw(st.integers(0, 2))):
+            inside = draw(st.lists(st.booleans(), min_size=G, max_size=G))
+            fine = draw(st.lists(st.booleans(), min_size=G, max_size=G))
+            union = draw(st.lists(st.integers(0, G - 1), min_size=G,
+                                  max_size=G))
+            label = np.concatenate([
+                n + 3 * g + np.array(b) if fine[g] else np.full(m, union[g])
+                for g, (m, b) in enumerate(zip(sizes, blocks))])
+            rules.append((draw(st.sampled_from([1, 2])),
+                          np.repeat(inside, sizes),
+                          np.unique(label, return_inverse=True)[1]))
+        compiled.append(rules)
+    S = [np.zeros(G, dtype=np.int8)]
+    for steps in draw(st.lists(st.lists(st.tuples(
+            st.integers(0, G - 1), st.sampled_from([-1, 1])),
+            max_size=order), max_size=6)):
+        t = np.zeros(G, dtype=np.int8)
+        for g, e in steps:
+            t[g] += e
+            if np.abs(t[on_tail]).sum() > poly.TAIL_BUDGET:
+                t[g] -= e
+        if t.any():
+            S.append(t)
+    return np.array(S), groups, tail, compiled, order
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(counted_rows())
+def test_counted_histograms_match_the_listed_members(case):
+    # each group row's tag histogram, per rule set, counted against its
+    # members listed and tagged one by one; the zero row of one sign
+    S, groups, tail, compiled, order = case
+    tally = R._TagCounter(groups, tail, compiled, order)
+    assert not tally.bad
+    assert np.array_equal(tally(S), helpers.listed_histograms(
+        S, groups, tail, compiled, order))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(counted_rows(), st.integers(0, 2 ** 32 - 1))
+def test_sparse_rule_tags_match_the_dense_product(case, seed):
+    # apply_rules sums each row's few entries over the rule groups; the
+    # dense product over every mode gives the same codes
+    S, groups, tail, compiled, order = case
+    K = np.concatenate([Km for Km, _ in R._members(S, groups, tail, order,
+                                                   1 << 20)])
+    K = K[np.random.default_rng(seed).permutation(len(K))]
+    for rules in compiled:
+        assert np.array_equal(R.apply_rules(K, rules),
+                              helpers.dense_rule_tags(K, rules))
+
+
+def test_a_group_split_two_ways_is_not_counted():
+    # two rules of one set that split a group of four modes into the same
+    # two rule groups count it; two that split it two ways cannot
+    groups, tail = [np.arange(4)], [False] * 4
+    S = np.array([[0], [2]], dtype=np.int8)
+    nowhere = np.zeros(4, dtype=bool)
+    for labels, bad in [(([0, 0, 1, 1], [0, 0, 1, 1]), False),
+                        (([0, 0, 1, 1], [0, 1, 0, 1]), True)]:
+        compiled = [[(code, nowhere, np.array(label))
+                     for code, label in zip((1, 2), labels)]]
+        tally = R._TagCounter(groups, tail, compiled, 5)
+        assert tally.bad == bad
+        if not bad:
+            assert np.array_equal(tally(S), helpers.listed_histograms(
+                S, groups, tail, compiled, 5))
+
+
+def planted_group(case):
+    """Modes -3..3 over 30 samples, even in j, with a planted search group:
+    "crossing", modes 1 and 2 share their frequencies in every sample, so
+    the group {1, 2} crosses the pairs {1, -1} and {2, -2} of PAIR_TAIL;
+    "straddling", the modes +-1 and +-2 share them, so the group
+    {+-1, +-2} straddles the SHELL cutoff 2^sqrt(1/2) of N = 2."""
+    rng = np.random.default_rng(3)
+    modes = [(j,) for j in range(-3, 4)]
+    W = np.array([[0.0, 1.0, 4.0, 9.0][abs(j)] for (j,) in modes])[:, None] \
+        + rng.uniform(-0.1, 0.1, size=(4, 30))[[3, 2, 1, 0, 1, 2, 3]]
+    W[5] = W[4] = W[4] + 1.5
+    if case == "straddling":
+        W[1] = W[2] = W[4]
+    return modes, W
+
+
+@pytest.mark.parametrize("case", ["crossing", "straddling", "nlw_periodic"])
+def test_counting_falls_back_to_listing(monkeypatch, case):
+    # a search group that crosses a rule group, or straddles a cutoff,
+    # cannot be counted: every live row of the scan is listed, and the
+    # histograms are those of the row-by-row reference; a calibrated
+    # nlw_periodic, one rule set per draw, counts every row, with the
+    # listing route's histograms
+    members, listed = R._members, []
+
+    def spy(S, *args):
+        listed.append(len(S))
+        return members(S, *args)
+    if case != "nlw_periodic":
+        modes, W = planted_group(case)
+        params = {"R": 1.0, "kmax": 3, "d": 1, "decay": 2.0}
+        monkeypatch.setattr(R, "convolution_columns",
+                            lambda *args: (modes, W))
+        q = R.DivisorQuery(None, r=3, N=2, gamma=0.05, alpha=1.0, jmax=3)
+        gammas = [0.05, 0.01]
+        family, samples = "convolution_d", 30
+    else:
+        params, family, samples = NLW, "nlw_periodic", 30
+        q = R.DivisorQuery(None, r=2, N=2, gamma=0.05, alpha=1.0, jmax=6)
+        gammas = [0.05, 0.01, 0.001]
+    monkeypatch.setattr(R, "_members", spy)
+    est = R.measure_scan(family, params, q, gammas, samples, seed=5)
+    scan = R._scan
+    with monkeypatch.context() as m:
+        m.setattr(R, "_scan", lambda *args: scan(*args, count=False))
+        ref = R.measure_scan(family, params, q, gammas, samples, seed=5)
+    assert [view(e) for e in est] == [view(e) for e in ref]
+    assert ref[0].listed > 0 and sum(est[0].pattern_histogram.values())
+    if case == "nlw_periodic":
+        assert est[0].listed == 0
+        return
+    assert est[0].listed == ref[0].listed == sum(listed) // 2
+    thrs, order = [g / q.N for g in gammas], q.r + 2
+    tail = [abs(j) > q.N for (j,) in modes]
+    found, K, complete, _ = R._dfs(modes, W.min(axis=1).tolist(),
+                                   W.max(axis=1).tolist(), tail, order,
+                                   thrs[0], q.node_cap)
+    K = K[:, [found.index(m) for m in modes]]
+    violates, hist = np.zeros((2, 30), dtype=bool), [{}, {}]
+    rules = tuple(R.family_rules(family, params, q, None, gammas[0]))
+    helpers.tally_reference(K, modes, W, thrs, order, [rules],
+                            np.zeros((2, 30), dtype=int), violates, hist)
+    assert [e.violations for e in est] == violates.sum(axis=1).tolist()
+    assert [e.pattern_histogram for e in est] == hist
+    assert complete and violates.any()
