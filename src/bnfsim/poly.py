@@ -28,14 +28,14 @@ terms come out in the order of the dict code and the term-pair loop these
 replaced (kept in tests/helpers.py), later sums depend on it, and each
 coefficient with Python's complex operations in order, so results equal
 theirs to the bit.  The text form and the membership keys are written
-from the entries too (`term_texts`).  A `Monomial`, the tuple (degree, xi,
-eta), appears only in a {Monomial: coefficient} mapping given to the
-constructor and in the read-only `terms` view, built on first use.
+from the entries too (`term_texts`), and equality compares the entries in
+the text form's canonical order (`_text_order`).  The read-only `terms`
+view, {(degree, xi, eta): coefficient} with xi and eta sorted tuples of
+(mode, exponent) pairs, is built on first use; no operation reads it.
 """
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Tuple
 
@@ -48,65 +48,19 @@ PRUNE_REL = 1e-14
 TAIL_BUDGET = 2  # the exponent mass a normalizable term may carry beyond N
 
 
-class Monomial(tuple):
-    """An exponent pattern xi^k eta^l, the key of a polynomial's terms: the
-    tuple (degree, xi, eta), whose order is by degree, then xi, then eta.
-
-    `xi` and `eta` are sorted tuples of (mode, exponent) pairs with
-    positive integer exponents.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, xi=(), eta=()):
-        # a mapping's pairs are sorted and its zero exponents dropped
-        xi, eta = (tuple((as_mode(m), int(e)) for m, e in (
-            sorted((m, e) for m, e in x.items() if e) if isinstance(x, dict)
-            else x)) for x in (xi, eta))
-        if any(e <= 0 for _, e in xi + eta):
-            raise ValueError("exponents must be positive")
-        return _key(xi, eta, sum(e for _, e in xi + eta))
-
-    def __getnewargs__(self):
-        """pickle and deepcopy rebuild a key as Monomial(xi, eta)."""
-        return self[1], self[2]
-
-    degree = property(itemgetter(0))
-    xi = property(itemgetter(1))
-    eta = property(itemgetter(2))
-
-    def flip(self) -> "Monomial":
-        """Swap the xi and eta exponent patterns."""
-        return _key(self[2], self[1], self[0])
-
-    def __repr__(self):
-        parts = ["xi[%s]^%d" % (mode_str(m), e) for m, e in self.xi]
-        parts += ["eta[%s]^%d" % (mode_str(m), e) for m, e in self.eta]
-        return " ".join(parts) if parts else "1"
-
-
-def _key(xi: tuple, eta: tuple, degree: int) -> Monomial:
-    """A Monomial from parts already in the form Monomial() gives them,
-    unchecked."""
-    return tuple.__new__(Monomial, (degree, xi, eta))
-
-
 class Polynomial:
     """Sparse polynomial: sorted `modes`, exponent entries `t`, `col`, `e`
     and coefficients `coef` (see the module docstring); `deg` is each
-    term's degree.  Built straight from entries (`from_entries`), or from
-    a {Monomial: coefficient} mapping (tests); either way exact zeros and
-    float coefficients at most 1e-14 of the largest modulus are pruned.  A
-    polynomial is not changed once built.
+    term's degree.  Built straight from entries (`from_entries`), with
+    exact zeros and float coefficients at most 1e-14 of the largest modulus
+    pruned; `Polynomial()` is the zero polynomial.  A polynomial is not
+    changed once built.
     """
 
     __slots__ = ("modes", "t", "col", "e", "coef", "deg", "_terms")
 
-    def __init__(self, terms=None):
-        terms = dict(terms) if terms else {}
-        self.__setstate__(_state([(t, part, m, e) for t, k in enumerate(terms)
-                                  for part in (0, 1) for m, e in k[1 + part]],
-                                 list(terms.values())))
+    def __init__(self):
+        self.__setstate__(_state([], []))
 
     @classmethod
     def from_entries(cls, modes: list, t: np.ndarray, col: np.ndarray,
@@ -142,13 +96,13 @@ class Polynomial:
 
     @property
     def terms(self):
-        """The read-only {Monomial: coefficient} mapping, in term order,
-        built on first use."""
+        """The read-only {(degree, xi, eta): coefficient} mapping, in term
+        order, built on first use."""
         if self._terms is None:
             labels = self.modes + self.modes
             slots = tuple(zip([labels[c] for c in self.col.tolist()],
                               self.e.tolist()))
-            keys = [_key(slots[lo:mid], slots[mid:hi], d) for lo, mid, hi, d
+            keys = [(d, slots[lo:mid], slots[mid:hi]) for lo, mid, hi, d
                     in zip(*term_bounds(self), self.deg.tolist())]
             self._terms = MappingProxyType(dict(zip(keys,
                                                     self.coef.tolist())))
@@ -272,13 +226,25 @@ class Polynomial:
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        """The same modes and terms: equal entry rows and coefficients in
+        canonical order (`_text_order`)."""
+        if not isinstance(other, Polynomial) or self.modes != other.modes:
+            return False
+        (a, i), (b, j) = _text_order(self), _text_order(other)
+        if a.shape != b.shape:
+            return False
+        return bool((a[i] == b[j]).all()
+                    and (self.coef[i] == other.coef[j]).all())
 
     def __repr__(self):
         if not self:
             return "Polynomial(0)"
-        bits = ["(%r)*%r" % (c, m) for m, c in sorted(self.terms.items(), key=lambda t: t[0])]
-        return "Polynomial[" + " + ".join(bits[:8]) + (" ..." if len(bits) > 8 else "") + "]"
+        xi, eta = term_texts(self, ("xi[%s]^%d", "eta[%s]^%d"))
+        first = _text_order(self)[1][:8].tolist()
+        bits = ["(%r)*%s" % (c, " ".join(filter(None, (xi[k], eta[k]))) or "1")
+                for k, c in zip(first, self.coef[first].tolist())]
+        return "Polynomial[" + " + ".join(bits) \
+            + (" ..." if len(self) > 8 else "") + "]"
 
 
 class TailSplit(NamedTuple):
@@ -403,19 +369,6 @@ def monomial(coeff, xi=(), eta=()) -> Polynomial:
     return Polynomial.from_entries(*_state(
         [(0, part, as_mode(m), e) for part, x in enumerate((xi, eta))
          for m, e in dict(x).items() if e], [coeff]))
-
-
-def xi(j, coeff=1.0) -> Polynomial:
-    return monomial(coeff, xi={as_mode(j): 1})
-
-
-def eta(j, coeff=1.0) -> Polynomial:
-    return monomial(coeff, eta={as_mode(j): 1})
-
-
-def action(j, coeff=1.0) -> Polynomial:
-    """The action monomial I_j = xi_j eta_j."""
-    return monomial(coeff, xi={j: 1}, eta={j: 1})
 
 
 def quadratic_diagonal(freqs: dict) -> Polynomial:
@@ -556,11 +509,13 @@ def term_texts(p: Polynomial, tokens=("%s:%d", "%s:%d")) -> tuple:
             [" ".join(words[a:b]) for a, b in zip(mid, hi)])
 
 
-def _text_order(p: Polynomial) -> np.ndarray:
-    """The terms of p sorted as their Monomials compare: by degree, then
-    the (mode, exponent) slots of xi, then those of eta.  A slot is (mode
-    rank, exponent); an absent one is (-1, -1), below every real slot, as a
-    shorter tuple sorts below a longer one it begins."""
+def _text_order(p: Polynomial) -> tuple:
+    """(rows, order): per term, in term order, the row that ranks it as its
+    (degree, xi, eta) key compares, and the canonical order of the terms,
+    which sorts the rows.  A row is the degree, then the (mode, exponent)
+    slots of xi, then those of eta.  A slot is (mode rank, exponent); an
+    absent one is (-1, -1), below every real slot, as a shorter tuple sorts
+    below a longer one it begins."""
     n, count = len(p.modes), len(p)
     eta = (p.col >= n).astype(int)
     part = 2 * p.t + eta  # entries run by term, xi part before eta part
@@ -568,7 +523,8 @@ def _text_order(p: Polynomial) -> np.ndarray:
     width = slot.max(initial=-1) + 1
     rows = np.full((count, 2, width, 2), -1, dtype=int)
     rows[p.t, eta, slot] = np.c_[p.col - n * eta, p.e]
-    return np.lexsort(np.c_[p.deg, rows.reshape(count, 4 * width)].T[::-1])
+    rows = np.c_[p.deg, rows.reshape(count, 4 * width)]
+    return rows, np.lexsort(rows.T[::-1])
 
 
 def to_text(p: Polynomial, hexfloat: bool = False) -> str:
@@ -586,7 +542,7 @@ def to_text(p: Polynomial, hexfloat: bool = False) -> str:
         return x.hex() if hexfloat else repr(x)
 
     xi, eta = term_texts(p)
-    order = _text_order(p).tolist()
+    order = _text_order(p)[1].tolist()
     lines = ["%s %s | %s | %s" % (fmt(c.real), fmt(c.imag), xi[k], eta[k])
              for k, c in zip(order, p.coef[order].tolist())]
     return "\n".join(lines) + ("\n" if lines else "")

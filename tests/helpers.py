@@ -6,6 +6,7 @@ package's results from their definitions.
 import itertools
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,13 +19,78 @@ from bnfsim.modes import (as_mode, f17, in_ball, lattice_modes, mode_abs,
                           mode_abs2, mode_str, weight)
 from bnfsim.norms import majorant_norm
 from bnfsim.exact import GaussRat
-from bnfsim.poly import PRUNE_REL, Monomial, Polynomial
+from bnfsim.poly import PRUNE_REL, Polynomial, _state, monomial
 from bnfsim.resonance import (DivisorQuery, EnumerationResult, ResonanceHit,
                                _domain, omega_dot)
 from bnfsim.spectra import (CONVOLUTION_D, NLW_PERIODIC, EigenBasis,
                             ExpansionFit, FrequencyTable, PotentialSample,
                             SpectralError, _cosine_coeffs, _param, _solve,
                             mode_eigenvalues, sample_potential)
+
+
+class Monomial(tuple):
+    """An exponent pattern xi^k eta^l, the key of a polynomial's terms: the
+    tuple (degree, xi, eta), whose order is by degree, then xi, then eta.
+
+    `xi` and `eta` are sorted tuples of (mode, exponent) pairs with
+    positive integer exponents.  It compares and hashes as the plain tuple,
+    so it looks up the keys of `Polynomial.terms`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, xi=(), eta=()):
+        # a mapping's pairs are sorted and its zero exponents dropped
+        xi, eta = (tuple((as_mode(m), int(e)) for m, e in (
+            sorted((m, e) for m, e in x.items() if e) if isinstance(x, dict)
+            else x)) for x in (xi, eta))
+        if any(e <= 0 for _, e in xi + eta):
+            raise ValueError("exponents must be positive")
+        return tuple.__new__(cls, (sum(e for _, e in xi + eta), xi, eta))
+
+    def __getnewargs__(self):
+        """pickle and deepcopy rebuild a key as Monomial(xi, eta)."""
+        return self[1], self[2]
+
+    degree = property(itemgetter(0))
+    xi = property(itemgetter(1))
+    eta = property(itemgetter(2))
+
+    def flip(self) -> "Monomial":
+        """Swap the xi and eta exponent patterns."""
+        return tuple.__new__(Monomial, (self[0], self[2], self[1]))
+
+    def __repr__(self):
+        parts = ["xi[%s]^%d" % (mode_str(m), e) for m, e in self.xi]
+        parts += ["eta[%s]^%d" % (mode_str(m), e) for m, e in self.eta]
+        return " ".join(parts) if parts else "1"
+
+
+def terms(p: Polynomial) -> dict:
+    """p's {Monomial: coefficient} terms, in term order."""
+    return {tuple.__new__(Monomial, k): c for k, c in p.terms.items()}
+
+
+def poly_of(mapping: dict) -> Polynomial:
+    """The polynomial of a {Monomial: coefficient} mapping, its terms in
+    the mapping's order, pruned as `Polynomial` prunes."""
+    mapping = dict(mapping)
+    return Polynomial.from_entries(*_state(
+        [(t, part, m, e) for t, k in enumerate(mapping) for part in (0, 1)
+         for m, e in k[1 + part]], list(mapping.values())))
+
+
+def xi(j, coeff=1.0) -> Polynomial:
+    return monomial(coeff, xi={as_mode(j): 1})
+
+
+def eta(j, coeff=1.0) -> Polynomial:
+    return monomial(coeff, eta={as_mode(j): 1})
+
+
+def action(j, coeff=1.0) -> Polynomial:
+    """The action monomial I_j = xi_j eta_j."""
+    return monomial(coeff, xi={j: 1}, eta={j: 1})
 
 
 def domain(q: DivisorQuery) -> tuple:
@@ -44,7 +110,7 @@ def allclose(p: Polynomial, q: Polynomial, tol: float = 1e-12) -> bool:
 
 def conj_flip(p: Polynomial) -> Polynomial:
     """conj(c_{kl}) attached to xi^l eta^k; equals p iff real-flagged."""
-    return Polynomial({m.flip(): c.conjugate() for m, c in p.terms.items()})
+    return poly_of({m.flip(): c.conjugate() for m, c in terms(p).items()})
 
 
 def momentum(mono: Monomial) -> tuple:
@@ -69,7 +135,7 @@ def tail_degree(mono: Monomial, cutoff: float) -> int:
 
 def momentum_filter(p: Polynomial) -> Polynomial:
     """Zero-total-momentum part of the polynomial."""
-    return p.filter([not any(momentum(m)) for m in p.terms])
+    return p.filter([not any(momentum(m)) for m in terms(p)])
 
 
 def net_exponents(mono: Monomial) -> dict:
@@ -94,11 +160,11 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def product(p: Polynomial, q: Polynomial) -> Polynomial:
     """The polynomial product p q, accumulated term pair by term pair."""
-    acc = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+    acc, q_terms = {}, terms(q).items()
+    for m1, c1 in terms(p).items():
+        for m2, c2 in q_terms:
             _accum(acc, mono_mul(m1, m2), c1 * c2)
-    return Polynomial(acc)
+    return poly_of(acc)
 
 
 # The term operations as the dict code they were before a polynomial became
@@ -126,16 +192,16 @@ def prune_reference(terms: dict) -> dict:
 
 def monomial_reference(coeff, xi=(), eta=()) -> Polynomial:
     """`poly.monomial` as it was: one Monomial key, through the dict
-    constructor."""
+    constructor (`poly_of`)."""
     xd, ed = ({as_mode(m): e for m, e in (x.items() if isinstance(x, dict)
                                           else x)} for x in (xi, eta))
-    return Polynomial({Monomial(xd, ed): coeff})
+    return poly_of({Monomial(xd, ed): coeff})
 
 
 def quadratic_diagonal_reference(freqs: dict) -> Polynomial:
     """`poly.quadratic_diagonal` as it was: a Monomial per mode, sorted."""
     norm = {as_mode(k): v for k, v in freqs.items()}
-    return Polynomial({Monomial({j: 1}, {j: 1}): norm[j]
+    return poly_of({Monomial({j: 1}, {j: 1}): norm[j]
                        for j in sorted(norm)})
 
 
@@ -150,7 +216,17 @@ def to_text_reference(p: Polynomial, hexfloat: bool = False) -> str:
         return x.hex() if hexfloat else repr(x)
     return "".join("%s %s | %s | %s\n" % (fmt(c.real), fmt(c.imag),
                                           exps_text(m.xi), exps_text(m.eta))
-                   for m, c in sorted(p.terms.items()))
+                   for m, c in sorted(terms(p).items()))
+
+
+def repr_reference(p: Polynomial) -> str:
+    """`Polynomial.__repr__` as it was: the first 8 terms by sorted
+    Monomial key."""
+    if not p:
+        return "Polynomial(0)"
+    bits = ["(%r)*%r" % (c, m) for m, c in sorted(terms(p).items())]
+    return "Polynomial[" + " + ".join(bits[:8]) \
+        + (" ..." if len(bits) > 8 else "") + "]"
 
 
 def term_key_reference(mono: Monomial) -> str:
@@ -159,30 +235,30 @@ def term_key_reference(mono: Monomial) -> str:
 
 
 def add_reference(p: Polynomial, q: Polynomial) -> dict:
-    acc = dict(p.terms)
-    for mono, c in q.terms.items():
+    acc = dict(terms(p))
+    for mono, c in terms(q).items():
         _accum(acc, mono, c)
     return prune_reference(acc)
 
 
 def scale_reference(p: Polynomial, a) -> dict:
-    return prune_reference({m: a * c for m, c in p.terms.items()})
+    return prune_reference({m: a * c for m, c in terms(p).items()})
 
 
 def filter_reference(p: Polynomial, pred) -> dict:
-    return prune_reference({m: c for m, c in p.terms.items() if pred(m)})
+    return prune_reference({m: c for m, c in terms(p).items() if pred(m)})
 
 
 def tail_split_reference(p: Polynomial, cutoff: float) -> tuple:
     parts: tuple = ({}, {})
-    for m, c in p.terms.items():
+    for m, c in terms(p).items():
         parts[tail_degree(m, cutoff) > 2][m] = c
     return tuple(prune_reference(d) for d in parts)
 
 
 def reality_defect_reference(p: Polynomial) -> float:
     d = 0.0
-    for m, c in p.terms.items():
+    for m, c in terms(p).items():
         d = max(d, abs(c.conjugate() - p.terms.get(m.flip(), 0.0)))
     return d
 
@@ -190,7 +266,7 @@ def reality_defect_reference(p: Polynomial) -> float:
 def _deriv(p: Polynomial, mode, wrt_xi: bool) -> Polynomial:
     mode = as_mode(mode)
     acc = {}
-    for mono, c in p.terms.items():
+    for mono, c in terms(p).items():
         d = dict(mono.xi if wrt_xi else mono.eta)
         e = d.get(mode, 0)
         if e == 0:
@@ -201,7 +277,7 @@ def _deriv(p: Polynomial, mode, wrt_xi: bool) -> Polynomial:
             d[mode] = e - 1
         new = Monomial(d, mono.eta) if wrt_xi else Monomial(mono.xi, d)
         _accum(acc, new, c * e)
-    return Polynomial(acc)
+    return poly_of(acc)
 
 
 def d_xi(p: Polynomial, mode) -> Polynomial:
@@ -218,7 +294,7 @@ def evaluate(p: Polynomial, xi_map: dict, eta_map: dict):
     xm = {as_mode(k): v for k, v in xi_map.items()}
     em = {as_mode(k): v for k, v in eta_map.items()}
     tot = 0.0
-    for mono, c in p.terms.items():
+    for mono, c in terms(p).items():
         zs = [(xm.get(m, 0.0), e) for m, e in mono.xi] + \
             [(em.get(m, 0.0), e) for m, e in mono.eta]
         if all(z != 0.0 for z, _ in zs):
@@ -245,12 +321,12 @@ def poisson_bracket_reference(f: Polynomial, g: Polynomial,
     """{f, g}, one Monomial per contribution, accumulated into a dict in
     pair order: f's terms, g's terms, the eta contractions, then the xi
     ones, each by mode."""
-    acc = {}
-    for mf, cf in f.terms.items():
+    acc, g_terms = {}, terms(g).items()
+    for mf, cf in terms(f).items():
         fxi = dict(mf.xi)
         feta = dict(mf.eta)
         room = None if cap is None else cap + 2 - mf.degree
-        for mg, cg in g.terms.items():
+        for mg, cg in g_terms:
             if room is not None and mg.degree > room:
                 continue
             gxi = dict(mg.xi)
@@ -265,7 +341,7 @@ def poisson_bracket_reference(f: Polynomial, g: Polynomial,
                 if eg:
                     mono = _bracket_mono(gxi, geta, fxi, feta, m)
                     _accum(acc, mono, times_i(cf * cg * (-ef * eg)))
-    return Polynomial(acc)
+    return poly_of(acc)
 
 
 def times_i(c):
@@ -294,7 +370,7 @@ def bracket_overflow_reference(f: Polynomial, g: Polynomial,
     """`poly.bracket_overflow` from per-degree dicts of exponent masses."""
     def mass(p):
         out = {}
-        for mono, c in p.terms.items():
+        for mono, c in terms(p).items():
             a = abs(c)
             xs, es = out.setdefault(mono.degree, ({}, {}))
             for m, e in mono.xi:
@@ -843,9 +919,9 @@ def table_reference(p: Polynomial, modes, grad: bool) -> tuple:
         return idxs
     if grad:
         rows = [(complex(c) * e, factors(mono, m), index[m])
-                for mono, c in p.terms.items() for m, e in mono.eta]
+                for mono, c in terms(p).items() for m, e in mono.eta]
     else:
-        rows = [(complex(c), factors(mono), 0) for mono, c in p.terms.items()]
+        rows = [(complex(c), factors(mono), 0) for mono, c in terms(p).items()]
     vidx = np.full((len(rows), max(0, p.max_degree() - grad)), 2 * n,
                    dtype=np.int64, order="F")
     coeff = np.empty(len(rows), dtype=complex)
@@ -883,13 +959,13 @@ def merge_quartic_reference(modes: list, tuples: np.ndarray,
     code = np.ravel_multi_index(keys.T, (2 * n,) * 4)
     _, first, inv = np.unique(code, return_index=True, return_inverse=True)
     coeffs = scale * np.bincount(inv, weights=values, minlength=len(first))
-    terms = {}
+    acc = {}
     for key, c in zip(keys[first].tolist(), coeffs.tolist()):
         xi, eta = [], []
         for v, grp in itertools.groupby(key):
             (xi if v < n else eta).append((modes[v % n], len(tuple(grp))))
-        terms[Monomial(xi, eta)] = c
-    return Polynomial(terms)
+        acc[Monomial(xi, eta)] = c
+    return poly_of(acc)
 
 
 # -- flows and the reference integrator ---------------------------------------
@@ -1018,7 +1094,7 @@ def write_drift_csv_reference(rows: Sequence[D.DriftRow], path) -> None:
 def nu_homogeneous(f_r: Polynomial, s: float) -> float:
     """nu_s of a homogeneous polynomial (sum of per-term contributions)."""
     return math.fsum(abs(c) * nu_term_reference(m, s)
-                     for m, c in f_r.terms.items())
+                     for m, c in terms(f_r).items())
 
 
 def nu_term_reference(mono: Monomial, s: float) -> float:
@@ -1048,7 +1124,7 @@ def nu_term_reference(mono: Monomial, s: float) -> float:
 
 def majorant_norm_reference(f: Polynomial, s: float, radius: float) -> float:
     by_deg = {}
-    for m, c in f.terms.items():
+    for m, c in terms(f).items():
         by_deg[m.degree] = by_deg.get(m.degree, 0.0) \
             + abs(c) * nu_term_reference(m, s)
     return math.fsum(v * radius ** (r - 1) for r, v in by_deg.items())
@@ -1059,7 +1135,7 @@ def field_entries_reference(f: Polynomial):
     (kind, mode, exponent) slot, the slot's mode, |c| * exponent and the
     other occurrences, the slot's own less one."""
     entries = []
-    for mono, c in f.terms.items():
+    for mono, c in terms(f).items():
         a = abs(c)
         slots = [("xi", m, e) for m, e in mono.xi]
         slots += [("eta", m, e) for m, e in mono.eta]

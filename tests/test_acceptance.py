@@ -20,13 +20,14 @@ from bnfsim.dynamics import (actions, build_model_hamiltonian,
                              norm_s)
 from bnfsim.exact import GaussRat
 from bnfsim.fields import eta_gradient_table
-from bnfsim.poly import Monomial, Polynomial, poisson_bracket
+from bnfsim.poly import poisson_bracket
 from bnfsim.resonance import (DivisorQuery, PATTERN_NONE,
                               enumerate_near_resonances, measure_scan)
 from bnfsim.spectra import (FrequencyTable, expansion_fit, sample_potential,
                             sturm_liouville)
 
-from helpers import enumerate_brute_force, product, tail_degree
+from helpers import (Monomial, enumerate_brute_force, poly_of, product,
+                     tail_degree, terms)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -62,7 +63,7 @@ def test_criterion_01_homological_identity():
         om = {m: rnd.choice((-1, 1)) * rnd.uniform(0.3, 4.0) for m in modes}
         table = FrequencyTable(om)
         h0 = P.quadratic_diagonal(om)
-        terms = {}
+        acc = {}
         for _ in range(rnd.randint(3, 10)):
             deg = rnd.randint(3, 6)
             ntail = rnd.randint(0, 2)
@@ -72,13 +73,13 @@ def test_criterion_01_homological_identity():
             for leg in legs:
                 side = xi if rnd.random() < 0.5 else eta
                 side[leg] = side.get(leg, 0) + 1
-            terms[Monomial(xi, eta)] = complex(rnd.uniform(-2, 2),
-                                               rnd.uniform(-2, 2))
-        f = Polynomial(terms)
+            acc[Monomial(xi, eta)] = complex(rnd.uniform(-2, 2),
+                                             rnd.uniform(-2, 2))
+        f = poly_of(acc)
         chi, Z = solve_homological(f, table, gamma, alpha, n)
         resid = (poisson_bracket(h0, chi) + Z - f).l1()
         worst = max(worst, resid / max(f.l1(), 1e-300))
-        for mono in Z.terms:
+        for mono in terms(Z):
             div = sum(om[m] * (dict(mono.xi).get(m, 0)
                                - dict(mono.eta).get(m, 0)) for m in modes)
             assert abs(div) <= thr
@@ -92,7 +93,7 @@ def test_criterion_01_homological_identity():
 
 
 def rand_poly(rnd, nterms, maxdeg=3, nmodes=3, exact=False):
-    terms = {}
+    acc = {}
     for _ in range(nterms):
         deg = rnd.randint(1, maxdeg)
         kx = rnd.randint(0, deg)
@@ -105,8 +106,8 @@ def rand_poly(rnd, nterms, maxdeg=3, nmodes=3, exact=False):
             c = GaussRat(rnd.randint(-9, 9), rnd.randint(-9, 9))
         else:
             c = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
-        terms[Monomial(xi, eta)] = c
-    return Polynomial(terms)
+        acc[Monomial(xi, eta)] = c
+    return poly_of(acc)
 
 
 def test_criterion_02_bracket_algebra():
@@ -149,7 +150,7 @@ def test_criterion_02_bracket_algebra():
 def test_criterion_03_canonicity():
     sysm, res = demo_normal_form()
     cap = res.params.degree_cap
-    gens = [Polynomial(chi.terms) for chi in res.generators]
+    gens = [poly_of(chi.terms) for chi in res.generators]
     rnd = random.Random(4103)
     worst = 0.0
     for _ in range(6):
@@ -159,7 +160,7 @@ def test_criterion_03_canonicity():
                               lie_compose(G, gens, 2 * cap))
         rhs = lie_compose(poisson_bracket(F, G), gens, 2 * cap)
         diff = lhs - rhs
-        err = sum(abs(c) for m, c in diff.terms.items()
+        err = sum(abs(c) for m, c in terms(diff).items()
                   if m.degree <= cap - 1)
         worst = max(worst, err)
     # forward then inverse state transport at ||z||_s = 0.05
@@ -408,7 +409,7 @@ def test_criterion_09_pattern_theorems():
                     NormalFormParams(r_star=2, gamma=1e-8, alpha=1.0, N=2,
                                      s=6.0))
     action_only = (res.Z.terms and res.membership_ok()
-                   and all(dict(m.xi) == dict(m.eta) for m in res.Z.terms))
+                   and all(dict(m.xi) == dict(m.eta) for m in terms(res.Z)))
     verdict(9, "pattern theorems", ratio >= 10.0 and bool(action_only),
             "I/J drift ratio %.1f, Z actions-only over %d terms"
             % (ratio, len(res.Z.terms)))

@@ -976,20 +976,19 @@ def test_pinned_drift_csvs_at_two_blas_threads(tmp_path):
         assert digests[name] == PINNED[name]
 
 
-# refuse both ways a Monomial is made: the constructor and poly._key, which
-# the `terms` view calls
-NO_MONOMIALS = """\
+# refuse every read of the `terms` view, of an empty polynomial too
+NO_TERMS_VIEW = """\
 from bnfsim import poly
-def refuse(*args, **kwargs):
-    raise AssertionError("a command path built a Monomial")
-poly._key = poly.Monomial.__new__ = refuse
+def refuse(self):
+    raise AssertionError("a command path read Polynomial.terms")
+poly.Polynomial.terms = property(refuse)
 """
 
 
-def test_command_paths_build_no_monomial(tmp_path):
+def test_command_paths_read_no_terms_view(tmp_path):
     # normalize and drift-experiment on the transport config, normalize,
     # scan-resonances and simulate on the README's, all from the entries
-    assert pinned_digests(tmp_path, NO_MONOMIALS) == PINNED
+    assert pinned_digests(tmp_path, NO_TERMS_VIEW) == PINNED
 
 
 # refuse the term texts inside the normal form: only nf.json keys the

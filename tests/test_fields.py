@@ -10,7 +10,8 @@ from bnfsim import poly
 from bnfsim.fields import (Leg, QuadratureField, _row_blocks,
                            eta_gradient_table, value_table)
 
-from helpers import field_table_eval_reference, table_reference
+from helpers import (Monomial, field_table_eval_reference, poly_of,
+                     table_reference)
 
 
 def test_quadrature_field_repeated_leg_and_variable():
@@ -53,7 +54,7 @@ def test_successive_evals_return_distinct_arrays():
 
 def random_polynomial(seed, nterms=60, modes=5):
     rnd = random.Random(seed)
-    terms = {}
+    acc = {}
     for _ in range(nterms):
         deg = rnd.randint(1, 6)
         xi, eta = {}, {}
@@ -61,9 +62,9 @@ def random_polynomial(seed, nterms=60, modes=5):
             side = xi if rnd.random() < 0.5 else eta
             m = rnd.randint(1, modes)
             side[m] = side.get(m, 0) + 1
-        terms[poly.Monomial(xi, eta)] = complex(rnd.uniform(-1, 1),
-                                               rnd.uniform(-1, 1))
-    return poly.Polynomial(terms)
+        acc[Monomial(xi, eta)] = complex(rnd.uniform(-1, 1),
+                                         rnd.uniform(-1, 1))
+    return poly_of(acc)
 
 
 def test_column_products_match_row_products():
@@ -125,9 +126,9 @@ def lattice_polynomial(seed, nterms=60):
     def side(least):
         return {rnd.choice(grid): rnd.randint(1, 3)
                 for _ in range(rnd.randint(least, 3))}
-    return poly.Polynomial({poly.Monomial(side(0), side(1)):
-                            complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1))
-                            for _ in range(nterms)})
+    return poly_of({Monomial(side(0), side(1)):
+                    complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1))
+                    for _ in range(nterms)})
 
 
 def test_tables_match_the_per_term_compile():
@@ -135,8 +136,8 @@ def test_tables_match_the_per_term_compile():
     # on layouts wider than the polynomial, on d=2 modes with exponents
     # above 1, and on an empty polynomial
     p = random_polynomial(37, nterms=80)
-    signed = poly.Polynomial({m: complex(-0.0, c.imag) if k % 2 else c.real
-                              for k, (m, c) in enumerate(p.terms.items())})
+    signed = poly_of({m: complex(-0.0, c.imag) if k % 2 else c.real
+                      for k, (m, c) in enumerate(p.terms.items())})
     line = [(m,) for m in range(0, 7)]
     lattice = [(a, b) for a in (-1, 0, 1, 3) for b in (-1, 0, 1, 2)]
     for q, layout in ((p, line), (signed, line), (poly.zero(), line),

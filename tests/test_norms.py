@@ -8,15 +8,15 @@ from bnfsim import poly as P
 from bnfsim.exact import GaussRat
 from bnfsim.modes import weight
 from bnfsim.norms import majorant_norm, sampled_tame_ratio
-from bnfsim.poly import Monomial, Polynomial, poisson_bracket
+from bnfsim.poly import poisson_bracket
 
-from helpers import (field_entries_reference, majorant_norm_reference,
-                     nu_homogeneous)
+from helpers import (Monomial, action, field_entries_reference,
+                     majorant_norm_reference, nu_homogeneous, poly_of, xi)
 from test_poly import rand_poly
 
 
 def random_homog(rnd, r, nmodes, nterms):
-    terms = {}
+    acc = {}
     for _ in range(nterms):
         kx = rnd.randint(0, r)
         xi, eta = {}, {}
@@ -26,8 +26,9 @@ def random_homog(rnd, r, nmodes, nterms):
         for _ in range(r - kx):
             m = (rnd.randint(1, nmodes),)
             eta[m] = eta.get(m, 0) + 1
-        terms[Monomial(xi, eta)] = complex(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
-    return Polynomial(terms)
+        acc[Monomial(xi, eta)] = complex(rnd.uniform(-2, 2),
+                                         rnd.uniform(-2, 2))
+    return poly_of(acc)
 
 
 def test_majorant_zero():
@@ -36,7 +37,7 @@ def test_majorant_zero():
 
 def test_majorant_single_quadratic():
     # single diagonal quadratic term: |c| * R (the weight ratio is 1)
-    p = P.action(1, -2.0)
+    p = action(1, -2.0)
     assert majorant_norm(p, 3.0, 0.5) == pytest.approx(2.0 * 0.5)
     # off-diagonal quadratic: sqrt of weight ratio, frozen hand evaluation
     q = P.monomial(1.0, xi={2: 1}, eta={1: 1})
@@ -79,7 +80,7 @@ def test_sampled_ratio_single_mode_oracle():
 
 def test_sampled_ratio_requires_homogeneous():
     with pytest.raises(ValueError):
-        sampled_tame_ratio(P.xi(1) + P.action(1), 2.0)
+        sampled_tame_ratio(xi(1) + action(1), 2.0)
 
 
 def test_sampled_ratio_deterministic_and_monotone():
@@ -145,10 +146,10 @@ def test_majorant_norm_matches_the_per_occurrence_loop():
     # which is its xi one (list.remove)
     cases.append(P.monomial(0.5 - 2j, xi={1: 2}, eta={1: 1, 2: 3})
                  + P.monomial(1.5, xi={2: 1, 3: 1}, eta={2: 1, 3: 3})
-                 + P.action(2, -0.25) + P.monomial(3j, xi={1: 1}, eta={1: 1})
+                 + action(2, -0.25) + P.monomial(3j, xi={1: 1}, eta={1: 1})
                  + P.monomial(0.1, xi={4: 1}, eta={1: 1, 4: 2}))
     cases.append(rand_poly(rnd, nterms=15, nmodes=3, maxdeg=6, exact=True)
-                 + Polynomial({Monomial({1: 1}, {1: 1}): GaussRat(2, -1)}))
+                 + poly_of({Monomial({1: 1}, {1: 1}): GaussRat(2, -1)}))
     for f in cases:
         for s, R in ((2.0, 1.0), (4.0, 0.5)):
             assert majorant_norm(f, s, R).hex() \
@@ -164,7 +165,7 @@ def test_field_entries_match_the_per_monomial_loop(monkeypatch):
     cases += [rand_poly(rnd, nterms=8, nmodes=2, maxdeg=4, dim=2
                         ).homogeneous_part(3) for _ in range(4)]
     # modes in both halves: xi_j eta_j and xi_j^2 eta_j terms
-    cases += [P.action(1, 0.5) + P.monomial(1 - 2j, xi={2: 1}, eta={1: 1}),
+    cases += [action(1, 0.5) + P.monomial(1 - 2j, xi={2: 1}, eta={1: 1}),
               P.monomial(0.7, xi={1: 2}, eta={1: 1})
               + P.monomial(-0.3j, xi={1: 1, 2: 1}, eta={2: 1}),
               P.monomial(1.5, xi={1: 1, 2: 1}, eta={1: 1, 2: 1})]

@@ -15,12 +15,11 @@ from bnfsim import poly
 from bnfsim import resonance as R
 from bnfsim.cli import stream_seed
 from bnfsim.modes import in_ball, lattice_modes
-from bnfsim.poly import Monomial
 from bnfsim.spectra import (FrequencyTable, SpectralError,
                             convolution_frequencies, periodic_nlw_table)
 
 import helpers
-from helpers import small_divisor
+from helpers import Monomial, poly_of, small_divisor
 
 
 def table_1d(omegas: dict) -> FrequencyTable:
@@ -29,8 +28,8 @@ def table_1d(omegas: dict) -> FrequencyTable:
 
 def member(mono, t, gamma, alpha, N) -> bool:
     """The membership flag of one monomial."""
-    flags = R.normal_form_membership(poly.Polynomial({mono: 1.0}), t, gamma,
-                                     alpha, N)
+    flags = R.normal_form_membership(poly_of({mono: 1.0}), t, gamma, alpha,
+                                     N)
     assert len(flags) == 1
     return flags[0]
 
@@ -761,7 +760,7 @@ def test_ball_of_radius_sqrt_m_holds_the_shell_m_and_not_m_plus_1():
     modes, tail = R._domain(q)
     assert modes == table.modes() and tail == [False] * 3
     mono = Monomial({(128, 2): 1}, {(0, 1): 1})
-    assert list(poly.Polynomial({mono: 1.0}).tail_degrees(r)) == [0]
+    assert list(poly_of({mono: 1.0}).tail_degrees(r)) == [0]
     for a in range(633):
         for b in range(a, 633):
             M = a * a + b * b
