@@ -410,8 +410,9 @@ def cmd_simulate(cfg: dict, outdir: str) -> List[str]:
                      eps=eps, seed=seed)
     de = max(abs(e - traj.energies[0]) for e in traj.energies)
     print("simulate: %d frames, max |dH| = %.3e, deepest halving: %d, "
-          "field evaluations per step: %.2f"
-          % (len(traj.times), de, traj.halvings, traj.evals / traj.steps))
+          "halved steps: %d, field evaluations per step: %.2f"
+          % (len(traj.times), de, traj.halvings, traj.halved_steps,
+             traj.evals / traj.steps))
     return ["frames.csv"]
 
 
@@ -434,9 +435,10 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     write_drift_csv(runs.rows, os.path.join(outdir, "drift.csv"))
     nesc = sum(1 for row in runs.rows if row.escaped)
     print("drift-experiment: %d rows over %d runs, %d escaped frames, "
-          "deepest halving: %d, field evaluations per step: %.2f"
+          "deepest halving: %d, halved steps: %d, field evaluations per "
+          "step: %.2f"
           % (len(runs.rows), len(eps_list) * len(seeds), nesc, runs.halvings,
-             runs.evals / runs.steps))
+             runs.halved_steps, runs.evals / runs.steps))
     return ["drift.csv"]
 
 

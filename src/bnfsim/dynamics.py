@@ -400,7 +400,8 @@ class Trajectory:
     states: np.ndarray   # (frames, n), one row per frame
     energies: List[float]
     dt: float
-    halvings: int
+    halvings: int        # the deepest halving of any step
+    halved_steps: int    # steps, of any size, retried on two half steps
     evals: int = 0   # field evaluations over all steps and halvings
 
     @property
@@ -419,7 +420,8 @@ def _midpoint_rule(omv: np.ndarray, nl, tol: float) -> tuple:
     field evaluations), x1 being a work array the next step overwrites; a
     non-finite iterate ends it at once as not converged.  `advance(x, dt,
     depth)` steps x in place, retrying a step that does not converge on
-    two half steps, and returns (deepest halving, field evaluations).
+    two half steps, and returns (deepest halving, steps retried, field
+    evaluations).
     """
     kern = nl.kernel()
     mid, run = kern.x, kern.run
@@ -468,12 +470,12 @@ def _midpoint_rule(omv: np.ndarray, nl, tol: float) -> tuple:
         x1, ok, evals = step(x, dt)
         if ok:
             x[...] = x1
-            return depth, evals
+            return depth, 0, evals
         if depth >= MAX_HALVINGS:
             raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
-        d1, e1 = advance(x, 0.5 * dt, depth + 1)
-        d2, e2 = advance(x, 0.5 * dt, depth + 1)
-        return max(d1, d2), evals + e1 + e2
+        d1, h1, e1 = advance(x, 0.5 * dt, depth + 1)
+        d2, h2, e2 = advance(x, 0.5 * dt, depth + 1)
+        return max(d1, d2), 1 + h1 + h2, evals + e1 + e2
 
     return step, advance
 
@@ -514,18 +516,19 @@ def integrate(H: Union[ModelSystem, Polynomial], x0, T: float,
     times, states = [0.0], np.empty((2 + (nsteps - 1) // stride, len(x)),
                                     dtype=complex)
     states[0] = x
-    worst = evals = 0
+    worst = halved = evals = 0
     _, advance = _midpoint_rule(omv, nl, tol)
     for n in range(1, nsteps + 1):
-        depth, e = advance(x, dt_eff, 0)
+        depth, h, e = advance(x, dt_eff, 0)
         worst = max(worst, depth)
+        halved += h
         evals += e
         if n % stride == 0 or n == nsteps:
             times.append(n * dt_eff)
             states[len(times) - 1] = x
     # the energies of all frames in one batched evaluation
     return Trajectory(layout, times, states, ht.eval(states).real.tolist(),
-                      dt_eff, worst, evals)
+                      dt_eff, worst, halved, evals)
 
 
 # -- observables -----------------------------------------------------------
@@ -624,9 +627,11 @@ DRIFT_COLUMNS = tuple(f.name for f in fields(DriftRow))
 
 class DriftRuns(NamedTuple):
     """What `drift_experiment` returns: the drift.csv rows, the deepest
-    halving over its runs, and their field evaluations and steps, summed."""
+    halving over its runs, and their halved steps, field evaluations and
+    steps, summed."""
     rows: List[DriftRow]
     halvings: int
+    halved_steps: int
     evals: int
     steps: int
 
@@ -656,7 +661,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
     if nf is not None and nf.generators:
         plan = transport_plan(nf.generators, layout, "inverse")
     rows: List[DriftRow] = []
-    halvings = evals = steps = 0
+    halvings = halved = evals = steps = 0
     for ei, eps in enumerate(eps_list):
         for seed in seeds:
             rng = np.random.default_rng(
@@ -665,6 +670,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
             T = c * eps ** (-float(r))
             traj = integrate(system, x0, T, dt, stride=stride, tol=tol)
             halvings = max(halvings, traj.halvings)
+            halved += traj.halved_steps
             evals += traj.evals
             steps += traj.steps
             X = traj.states
@@ -682,7 +688,7 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
                            sup_i.tolist(), sup_j.tolist(), dist.tolist(),
                            escaped.tolist()):
                 rows.append(DriftRow(system.model, eps, seed, *row))
-    return DriftRuns(rows, halvings, evals, steps)
+    return DriftRuns(rows, halvings, halved, evals, steps)
 
 
 # -- CSV output -------------------------------------------------------------

@@ -6,7 +6,8 @@ first turned into one of two evaluators:
 
 - `QuadratureField` keeps the structure a model builds its quartic from:
   P = weight * sum over grid points of the product of four linear legs.
-  One evaluation is a handful of small matrix products on the grid.
+  One evaluation is a handful of small matrix products on the grid: one
+  gemv per leg, each small enough that OpenBLAS keeps it on one thread.
 - `FieldTable` is the generic fallback for any polynomial.  It is compiled
   once into index tables, and each evaluation is, per block of rows, a
   gather, a product over the table's columns and one 0/1 matrix product
@@ -63,6 +64,12 @@ def eval_kernel(evaluate: Callable[[np.ndarray], np.ndarray],
     return Kernel(x, lambda out: np.copyto(out, evaluate(x)))
 
 
+# OpenBLAS runs a complex gemv of fewer entries than this on one thread
+# (1,024 times its GEMM_MULTITHREAD_THRESHOLD of 4); from there on it hands
+# the product to its threads, which costs more than such a product takes
+GEMV_ONE_THREAD = 4096
+
+
 class QuadratureField:
     """d(P)/d(eta_m) and P for P = weight * sum_g prod_i L_i(g) on a grid.
 
@@ -70,7 +77,9 @@ class QuadratureField:
     grid, with z = [xi, eta] over a layout of `size` modes and eta = conj(xi)
     on the real slice.  A leg passed several times as the same object is
     formed once and multiplied in that many times.  All legs are formed by
-    one matrix product, and the field is gathered back by a second one.
+    one broadcast matrix product, one gemv per leg (per piece of a leg, on
+    a grid too large for one gemv below GEMV_ONE_THREAD entries), and the
+    field is gathered back by a second product.
     """
 
     def __init__(self, size: int, legs: Sequence[Leg], weight: float):
@@ -79,11 +88,22 @@ class QuadratureField:
         self.legs, self.weight = legs, weight
         self.grid = uniq[0].rows.shape[1]
         # weighted rows of every leg, scattered into one complex matrix once
-        # rather than cast on every call: z @ mat[:, u, :] is leg u
-        mat = np.zeros((2 * size, len(uniq), self.grid), dtype=complex)
+        # rather than cast on every call: z @ mat[:, u, :] is leg u.  The
+        # grid is padded with zero columns to whole pieces of `width`, so
+        # that a piece of a leg is a gemv of fewer than GEMV_ONE_THREAD
+        # entries
+        width = max(1, (GEMV_ONE_THREAD - 1) // (2 * size))
+        pieces = -(-self.grid // width)
+        width = -(-self.grid // pieces)
+        padded = np.zeros((2 * size, len(uniq), pieces * width),
+                          dtype=complex)
+        mat = padded[:, :, :self.grid]
         for u, leg in enumerate(uniq):
             np.add.at(mat[:, u], leg.vars, leg.weights[:, None] * leg.rows)
-        self.legs_of_z = mat.reshape(2 * size, -1)
+        # one (2n, width) matrix per piece: z @ legs_of_z[u * pieces + p] is
+        # piece p of leg u
+        self.legs_of_z = np.ascontiguousarray(
+            padded.reshape(2 * size, -1, width).transpose(1, 0, 2))
         # d(L_u)/d(eta), times the multiplicity, for the legs that carry eta
         self.eta_legs = [u for u in range(len(uniq)) if mat[size:, u].any()]
         self.field_of_legs = (mat[size:, self.eta_legs]
@@ -95,16 +115,28 @@ class QuadratureField:
                          for _ in range(m - (u == skip))]
                         for skip in self.eta_legs]
 
-    # The legs come from a (1, 2n) @ (2n, legs * grid) product into a
-    # (1, legs * grid) row.  With two OpenBLAS threads on a 2-vCPU host, the
-    # 1-d (18,) @ (18, 320) product of the nls1d jmax=9 legs took 395 us,
-    # against 6 us for (1, 18) @ (18, 320).  The field is gathered back by
-    # (n, P) @ (P,), which reaches the same gemv as (n, P) @ (P, 1) and gave
-    # the same bits in 10,000 random trials at one and at two threads.  The
-    # operands and order of both products stay as they are: the
-    # integrator's outputs are pinned to the bit, and so is the rounding of
-    # these BLAS calls (conj(x @ W) and conj(x) @ W, for one, differ in the
-    # last bits).
+    # The legs come from one broadcast (1, 2n) @ (legs * pieces, 2n, width)
+    # product into a (legs * pieces, 1, width) work array: one numpy call,
+    # one gemv per matrix of the stack.  OpenBLAS threads a complex gemv
+    # from about 4,096 entries on (at two threads on a 2-vCPU host the time
+    # steps up between 4,032 and 4,104 entries).
+    # - A drift leg (nls1d jmax=9) has 18 x 160 = 2,880 entries and a
+    #   transport leg (jmax=6) 12 x 144 = 1,728, so neither threads.  One
+    #   (1, 18) @ (18, 320) product of both drift legs, 5,760 entries,
+    #   threads on every run: with it drift was about 14% slower at two
+    #   threads than at one on a quiet host, and up to 10 times slower on
+    #   a loaded one.
+    # - On the 1-d models each leg's gemv gives the bits of that packed
+    #   product, to which the integrator's outputs are pinned.
+    # - A threaded gemv splits its columns between the threads, and its
+    #   last bits moved with the thread count (nls_dd d=2 jmax=3, 58 x 169 =
+    #   9,802 entries a leg).  Formed in pieces below the cutoff, three of
+    #   57 columns there, every leg keeps its bits at any thread count.
+    # The field is gathered back by (n, P) @ (P,), which reaches the same
+    # gemv as (n, P) @ (P, 1) and gave the same bits in 10,000 random
+    # trials at one and at two threads.  The operands and order of both
+    # products stay as they are: the rounding of these BLAS calls is pinned
+    # too (conj(x @ W) and conj(x) @ W, for one, differ in the last bits).
     def kernel(self) -> Kernel:
         n, grid = self.field_of_legs.shape[0], self.grid
         z = np.zeros((1, 2 * n), dtype=complex)
@@ -113,8 +145,8 @@ class QuadratureField:
         # the complex value the float weight is cast to, as a 0-d array:
         # cheaper to pass than a Python scalar
         weight = np.array(complex(self.weight))
-        L = np.empty((1, legs_of_z.shape[1]), dtype=complex)
-        rows = L.reshape(-1, grid)
+        L = np.empty((len(legs_of_z), 1, legs_of_z.shape[2]), dtype=complex)
+        rows = L.reshape(len(self.mult), -1)[:, :grid]
         prod = np.empty(len(self.factors) * grid, dtype=complex)
         # per eta leg: its slice of prod, its first leg row and the rest
         plan = [(prod[k * grid:(k + 1) * grid], rows[first],

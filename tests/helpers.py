@@ -3,10 +3,15 @@
 The package never calls these; the tests use them to state and check the
 package's results from their definitions.
 """
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from operator import itemgetter
+from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -995,14 +1000,17 @@ def total_momentum(x: np.ndarray, modes) -> tuple:
 
 class QuadratureFieldReference:
     """`QuadratureField.eval` of the same compiled matrices, one product of
-    the legs at a time."""
+    the legs at a time: each piece of a leg is its own `(1, 2n) @ (2n,
+    width)` product, and the pieces of a leg are joined and cut to the
+    grid."""
 
     def __init__(self, quad: QuadratureField):
         self.q = quad
 
     def _legs(self, x):
         z = np.concatenate([x, np.conj(x)])
-        return (z[None, :] @ self.q.legs_of_z).reshape(-1, self.q.grid)
+        L = np.concatenate([z[None, :] @ piece for piece in self.q.legs_of_z])
+        return L.reshape(len(self.q.mult), -1)[:, :self.q.grid]
 
     def _product(self, L, skip):
         prod = self.q.weight
@@ -1037,12 +1045,14 @@ def midpoint_step_reference(x0, dt, omv, nl, tol):
 def _advance_reference(x, dt, omv, nl, tol, depth):
     x1, ok, evals = midpoint_step_reference(x, dt, omv, nl, tol)
     if ok:
-        return x1, depth, evals
+        return x1, depth, 0, evals
     if depth >= D.MAX_HALVINGS:
         raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
-    xh, d1, e1 = _advance_reference(x, 0.5 * dt, omv, nl, tol, depth + 1)
-    x1, d2, e2 = _advance_reference(xh, 0.5 * dt, omv, nl, tol, depth + 1)
-    return x1, max(d1, d2), evals + e1 + e2
+    xh, d1, h1, e1 = _advance_reference(x, 0.5 * dt, omv, nl, tol,
+                                        depth + 1)
+    x1, d2, h2, e2 = _advance_reference(xh, 0.5 * dt, omv, nl, tol,
+                                        depth + 1)
+    return x1, max(d1, d2), 1 + h1 + h2, evals + e1 + e2
 
 
 def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
@@ -1062,17 +1072,71 @@ def integrate_reference(H, x0, T: float, dt: float, tol: float = 1e-12,
     nsteps = max(1, int(round(T / dt)))
     dt_eff = T / nsteps
     times, frames = [0.0], [x]
-    worst = evals = 0
+    worst = halved = evals = 0
     for n in range(1, nsteps + 1):
-        x, depth, e = _advance_reference(x, dt_eff, omv, nl, tol, 0)
+        x, depth, h, e = _advance_reference(x, dt_eff, omv, nl, tol, 0)
         worst = max(worst, depth)
+        halved += h
         evals += e
         if n % stride == 0 or n == nsteps:
             times.append(n * dt_eff)
             frames.append(x)
     states = np.array(frames)
     return D.Trajectory(layout, times, states,
-                        ht.eval(states).real.tolist(), dt_eff, worst, evals)
+                        ht.eval(states).real.tolist(), dt_eff, worst, halved,
+                        evals)
+
+
+# The quadrature models the field tests run, with P's term count.
+NLS_POTENTIAL = sample_potential(
+    "nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 3)
+
+MODEL_SIZES = [
+    ("nls1d_dirichlet", dict(jmax=9, kappa=0.25, potential=NLS_POTENTIAL),
+     2025),
+    ("nls1d_dirichlet", dict(jmax=6, kappa=0.25, potential=NLS_POTENTIAL),
+     441),
+    ("nlw_dirichlet", dict(jmax=5, kappa=1.2, mass=0.5, potential={2: 0.3}),
+     371),
+    ("nlw_periodic", dict(jmax=3, kappa=0.8, mass=0.7, potential={1: 0.1}),
+     1196),
+    ("nls_coupled", dict(jmax=4, kappa=0.6, potential2={1: 0.2}), 256),
+    ("nls_dd", dict(d=2, jmax=3, kappa=0.1), 2893),
+]
+
+
+def kernel_digests(states: int = 20) -> dict:
+    """sha256 of each MODEL_SIZES model's quadrature kernel run on the same
+    seeded states, keyed by model and jmax."""
+    digests = {}
+    for model, params, _ in MODEL_SIZES:
+        quad = D.build_model_hamiltonian(model, **params).quadrature_field()
+        kern = quad.kernel()
+        F = np.empty(len(kern.x), dtype=complex)
+        rng = np.random.default_rng(np.random.SeedSequence(73))
+        h = hashlib.sha256()
+        for _ in range(states):
+            kern.x[:] = 0.3 * (rng.standard_normal(len(F))
+                               + 1j * rng.standard_normal(len(F)))
+            kern.run(F)
+            h.update(F.tobytes())
+        digests["%s/%d" % (model, params["jmax"])] = h.hexdigest()
+    return digests
+
+
+def fresh_python(code: str, args: Sequence[str] = (),
+                 threads: int = 1) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh Python process at `threads` BLAS
+    threads, the package and these helpers importable; BLAS reads its
+    thread count once, when numpy loads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(D.__file__).resolve().parents[1]),
+                   str(Path(__file__).resolve().parent),
+                   os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
 
 
 def write_drift_csv_reference(rows: Sequence[D.DriftRow], path) -> None:

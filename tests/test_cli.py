@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -9,8 +10,6 @@ import math
 import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,8 @@ from bnfsim import cli
 from bnfsim import dynamics as D
 from bnfsim.dynamics import PARAMETERS
 from bnfsim.poly import from_text
+
+from helpers import fresh_python
 
 
 def write_cfg(path, lines):
@@ -152,12 +153,13 @@ def test_drift_rerun_is_byte_identical(tmp_path):
 
 def test_drift_experiment_reports_halvings_and_evaluations(tmp_path, capsys,
                                                           monkeypatch):
-    # the deepest halving of the runs and their evaluations per step, each
-    # run made through the module's integrate
-    runs = []
+    # the deepest halving of the runs, their halved steps and their
+    # evaluations per step, each run made through the module's integrate
+    runs, halved = [], iter([4, 3])
 
     def integrate(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
+        runs.append(dataclasses.replace(real(*args, **kwargs),
+                                        halved_steps=next(halved)))
         return runs[-1]
 
     real = D.integrate
@@ -166,9 +168,18 @@ def test_drift_experiment_reports_halvings_and_evaluations(tmp_path, capsys,
     assert len(runs) == 2
     steps = sum(t.steps for t in runs)
     assert sum(t.evals for t in runs) > steps
-    assert ("deepest halving: %d, field evaluations per step: %.2f\n"
-            % (max(t.halvings for t in runs),
-               sum(t.evals for t in runs) / steps)) in capsys.readouterr().out
+    assert ("deepest halving: %d, halved steps: 7, field evaluations per "
+            "step: %.2f\n" % (max(t.halvings for t in runs),
+                              sum(t.evals for t in runs) / steps)
+            ) in capsys.readouterr().out
+
+
+def test_simulate_reports_halvings_and_evaluations(tmp_path, capsys):
+    p = write_cfg(tmp_path / "s.cfg", DEMO + ["T = 1.0",
+                                              "integrator.dt = 0.02"])
+    assert cli.main(["simulate", p, "--out", str(tmp_path / "out")]) == 0
+    assert ("deepest halving: 0, halved steps: 0, field evaluations per "
+            "step: ") in capsys.readouterr().out
 
 
 def test_normalize_ledger_counts_reach_nf_json_and_report(tmp_path, capsys):
@@ -923,17 +934,10 @@ PINNED = {
 def run_fresh(argvs, prelude: str = "", threads: int = 1) -> None:
     """Run the commands in one fresh process at `threads` BLAS threads that
     first runs `prelude`; every command must exit 0."""
-    # BLAS reads its thread count once, when numpy loads: a fresh process
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(Path(cli.__file__).resolve().parents[1]),
-                   os.environ.get("PYTHONPATH")])))
     run = prelude + (
         "import json, sys\nfrom bnfsim import cli\n"
         "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
-    done = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, check=True)
+    done = fresh_python(run, [json.dumps(argvs)], threads)
     assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs), \
         done.stderr
 

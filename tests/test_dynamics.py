@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -12,8 +13,9 @@ from bnfsim.fields import eta_gradient_table, eval_kernel, value_table
 from bnfsim.modes import mode_abs, weight
 from bnfsim.spectra import sample_potential, sturm_liouville
 
-from helpers import (Monomial, QuadratureFieldReference,
-                     action_groups_reference, conj_flip, evaluate_real_slice,
+from helpers import (MODEL_SIZES, NLS_POTENTIAL, Monomial,
+                     QuadratureFieldReference, action_groups_reference,
+                     conj_flip, evaluate_real_slice, fresh_python,
                      hamiltonian_flow_field, integrate_reference,
                      merge_quartic_reference, momentum, terms, total_momentum,
                      write_drift_csv_reference)
@@ -155,24 +157,6 @@ def test_nls_coupled_frequencies_and_sign():
     assert val.real == pytest.approx(direct, rel=1e-10)
 
 
-NLS_POTENTIAL = sample_potential(
-    "nls_cosine", {"R": 0.5, "sigma": 0.4, "kmax": 9}, 3)
-
-
-MODEL_SIZES = [
-    ("nls1d_dirichlet", dict(jmax=9, kappa=0.25, potential=NLS_POTENTIAL),
-     2025),
-    ("nls1d_dirichlet", dict(jmax=6, kappa=0.25, potential=NLS_POTENTIAL),
-     441),
-    ("nlw_dirichlet", dict(jmax=5, kappa=1.2, mass=0.5, potential={2: 0.3}),
-     371),
-    ("nlw_periodic", dict(jmax=3, kappa=0.8, mass=0.7, potential={1: 0.1}),
-     1196),
-    ("nls_coupled", dict(jmax=4, kappa=0.6, potential2={1: 0.2}), 256),
-    ("nls_dd", dict(d=2, jmax=3, kappa=0.1), 2893),
-]
-
-
 @pytest.mark.parametrize("model, params, terms", MODEL_SIZES)
 def test_model_term_counts(model, params, terms):
     assert len(D.build_model_hamiltonian(model, **params).P) == terms
@@ -210,6 +194,46 @@ def test_quadrature_field_matches_the_reference_to_the_bit(model, params,
         x = 0.3 * (rng.standard_normal(quad.field_of_legs.shape[0])
                    + 1j * rng.standard_normal(quad.field_of_legs.shape[0]))
         assert np.array_equal(quad.eval(x), ref.eval(x))
+
+
+@pytest.mark.parametrize("model, params", [
+    m[:2] for m in MODEL_SIZES] + [
+    ("nls_dd", dict(d=2, jmax=2, kappa=0.1)),
+    ("nls_dd", dict(d=1, jmax=5, kappa=0.1))])
+def test_per_leg_legs_match_the_packed_product(model, params):
+    # the kernel forms each leg (each piece of one, on a grid too large for
+    # a single-thread gemv) by its own product; on the 1-d models that gives
+    # the bits of one (1, 2n) @ (2n, legs * grid) product of all legs, on
+    # which the pinned trajectories were made
+    quad = D.build_model_hamiltonian(model, **params).quadrature_field()
+    ref = QuadratureFieldReference(quad)
+    legs, n = len(quad.mult), quad.legs_of_z.shape[1] // 2
+    packed = (quad.legs_of_z.reshape(legs, -1, 2 * n, quad.legs_of_z.shape[2])
+              .transpose(2, 0, 1, 3).reshape(2 * n, legs, -1)[:, :, :quad.grid]
+              .reshape(2 * n, -1))
+    rng = np.random.default_rng(np.random.SeedSequence(74))
+    for _ in range(100):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        L = ref._legs(x)
+        P = (np.concatenate([x, np.conj(x)])[None, :] @ packed).reshape(
+            legs, -1)
+        if model == "nls_dd":
+            # grids of 169, 81 and 21 points: the legs differ from the
+            # packed product in the last bits only
+            assert np.max(np.abs(L - P)) <= 1e-15 * np.max(np.abs(P))
+        else:
+            assert np.array_equal(L, P)
+
+
+def test_kernel_bits_do_not_depend_on_the_blas_thread_count():
+    # every leg product is a gemv OpenBLAS runs on one thread, and the
+    # gather gives the same bits at one and at two
+    code = ("import json\nfrom helpers import kernel_digests\n"
+            "print(json.dumps(kernel_digests()))")
+    one, two = (json.loads(fresh_python(code, threads=t).stdout)
+                for t in (1, 2))
+    assert len(one) == len(MODEL_SIZES)
+    assert one == two
 
 
 @pytest.mark.parametrize("model, params, terms",
@@ -343,8 +367,12 @@ def test_integrate_reports_deepest_halving():
     with np.errstate(over="ignore", invalid="ignore"):
         full = D.integrate(H, [10.0], 0.1, 0.1)
         first = D.integrate(H, [10.0], 0.05, 0.05)
+        second = D.integrate(H, first.states[-1], 0.05, 0.05)
     assert first.halvings >= 2
     assert full.halvings == first.halvings + 1
+    # the one step of 0.1 is retried, then counts what its halves retry
+    assert first.halved_steps >= first.halvings
+    assert full.halved_steps == 1 + first.halved_steps + second.halved_steps
 
 
 def test_midpoint_step_stops_on_overflow():
@@ -415,9 +443,11 @@ def test_integrate_matches_the_reference_step_to_the_bit(case):
     assert fast.times == ref.times
     assert np.array_equal(fast.states, ref.states)
     assert fast.energies == ref.energies
-    assert (fast.evals, fast.halvings) == (ref.evals, ref.halvings)
+    assert (fast.evals, fast.halvings, fast.halved_steps) == (
+        ref.evals, ref.halvings, ref.halved_steps)
     if case == "halving":
         assert fast.halvings >= 2
+        assert fast.halved_steps >= fast.halvings
 
 
 def test_midpoint_step_leaves_the_field_output_alone():
@@ -598,21 +628,22 @@ def test_drift_zero_nonlinearity():
 
 def test_drift_runs_report_the_deepest_halving_and_summed_counts(
         monkeypatch):
-    # halvings is a depth, so the runs give their deepest; evaluations and
-    # steps add up
+    # halvings is a depth, so the runs give their deepest; halved steps,
+    # evaluations and steps add up
     sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
-    runs, depths, real = [], iter([3, 1]), D.integrate
+    runs, counts, real = [], iter([(3, 5), (1, 2)]), D.integrate
 
     def integrate(*args, **kwargs):
+        depth, halved = next(counts)
         runs.append(dataclasses.replace(real(*args, **kwargs),
-                                        halvings=next(depths)))
+                                        halvings=depth, halved_steps=halved))
         return runs[-1]
 
     monkeypatch.setattr(D, "integrate", integrate)
     out = D.drift_experiment(sys1, None, [0.08], [3, 4], r=1, s=2.0,
                              dt=0.05, stride=20)
-    assert (out.halvings, out.evals, out.steps) == (
-        3, sum(t.evals for t in runs), sum(t.steps for t in runs))
+    assert (out.halvings, out.halved_steps, out.evals, out.steps) == (
+        3, 7, sum(t.evals for t in runs), sum(t.steps for t in runs))
 
 
 def test_drift_deterministic_and_transported():
