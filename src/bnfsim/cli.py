@@ -436,9 +436,9 @@ def cmd_drift_experiment(cfg: dict, outdir: str) -> List[str]:
     nesc = sum(1 for row in runs.rows if row.escaped)
     print("drift-experiment: %d rows over %d runs, %d escaped frames, "
           "deepest halving: %d, halved steps: %d, field evaluations per "
-          "step: %.2f"
+          "step: %.2f, processes: %d"
           % (len(runs.rows), len(eps_list) * len(seeds), nesc, runs.halvings,
-             runs.halved_steps, runs.evals / runs.steps))
+             runs.halved_steps, runs.evals / runs.steps, runs.processes))
     return ["drift.csv"]
 
 

@@ -29,6 +29,10 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
@@ -627,13 +631,14 @@ DRIFT_COLUMNS = tuple(f.name for f in fields(DriftRow))
 
 class DriftRuns(NamedTuple):
     """What `drift_experiment` returns: the drift.csv rows, the deepest
-    halving over its runs, and their halved steps, field evaluations and
-    steps, summed."""
+    halving over its runs, their halved steps, field evaluations and steps,
+    summed, and the number of processes that ran them."""
     rows: List[DriftRow]
     halvings: int
     halved_steps: int
     evals: int
     steps: int
+    processes: int
 
 
 def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
@@ -650,6 +655,10 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
     Torus distance is measured in normalized coordinates: frames travel
     through the inverse generator flows, the reference actions are those of
     the transformed initial point.
+
+    The runs share nothing but what is compiled here, so they are spread
+    over the CPUs the process may use (`_on_cpus`); each run's numbers do
+    not depend on where it ran, and the rows keep the (eps, seed) order.
     """
     if s1 is None:
         s1 = s
@@ -660,35 +669,136 @@ def drift_experiment(system: ModelSystem, nf: Optional[NormalFormResult],
     plan = None
     if nf is not None and nf.generators:
         plan = transport_plan(nf.generators, layout, "inverse")
-    rows: List[DriftRow] = []
-    halvings = halved = evals = steps = 0
-    for ei, eps in enumerate(eps_list):
-        for seed in seeds:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(ei,)))
-            x0 = initial_state(layout, eps, s, rng, profile)
-            T = c * eps ** (-float(r))
-            traj = integrate(system, x0, T, dt, stride=stride, tol=tol)
-            halvings = max(halvings, traj.halvings)
-            halved += traj.halved_steps
-            evals += traj.evals
-            steps += traj.steps
-            X = traj.states
-            A = actions(X)
-            J = np.array([[math.fsum(a[idx]) for _, idx, _ in groups]
-                          for a in A])
-            sup_i = np.maximum.accumulate(np.max(ws * np.abs(A - A[0]), 1))
-            sup_j = np.maximum.accumulate(np.max(wvec * np.abs(J - J[0]), 1))
-            nsz = norm_s(X, layout, s)
-            escaped = np.maximum.accumulate(nsz > 2.0 * eps).astype(int)
-            # every frame through the inverse flows in one batch
-            AY = actions(X if plan is None else apply_transport(plan, X))
-            dist = torus_distance(AY, AY[0], layout, s1)
-            for row in zip(traj.times, traj.energies, nsz.tolist(),
-                           sup_i.tolist(), sup_j.tolist(), dist.tolist(),
-                           escaped.tolist()):
-                rows.append(DriftRow(system.model, eps, seed, *row))
-    return DriftRuns(rows, halvings, halved, evals, steps)
+    system.flow_parts  # compiled once, before any run is forked
+
+    def run(job) -> tuple:
+        ei, eps, seed, T = job
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(ei,)))
+        x0 = initial_state(layout, eps, s, rng, profile)
+        traj = integrate(system, x0, T, dt, stride=stride, tol=tol)
+        X = traj.states
+        A = actions(X)
+        J = np.array([[math.fsum(a[idx]) for _, idx, _ in groups]
+                      for a in A])
+        sup_i = np.maximum.accumulate(np.max(ws * np.abs(A - A[0]), 1))
+        sup_j = np.maximum.accumulate(np.max(wvec * np.abs(J - J[0]), 1))
+        nsz = norm_s(X, layout, s)
+        escaped = np.maximum.accumulate(nsz > 2.0 * eps).astype(int)
+        # every frame through the inverse flows in one batch
+        AY = actions(X if plan is None else apply_transport(plan, X))
+        dist = torus_distance(AY, AY[0], layout, s1)
+        rows = [DriftRow(system.model, eps, seed, *row) for row in zip(
+            traj.times, traj.energies, nsz.tolist(), sup_i.tolist(),
+            sup_j.tolist(), dist.tolist(), escaped.tolist())]
+        return rows, (traj.halvings, traj.halved_steps, traj.evals,
+                      traj.steps)
+
+    jobs = [(ei, eps, seed, c * eps ** (-float(r)))
+            for ei, eps in enumerate(eps_list) for seed in seeds]
+    done, k = _on_cpus(run, jobs, [abs(job[3] / dt) for job in jobs],
+                       ["(eps %g, seed %d)" % job[1:3] for job in jobs])
+    rows = [row for part, _ in done for row in part]
+    counts = [n for _, n in done]
+    halved, evals, steps = (sum(n[i] for n in counts) for i in (1, 2, 3))
+    return DriftRuns(rows, max((n[0] for n in counts), default=0), halved,
+                     evals, steps, k)
+
+
+# the warning Python 3.12 gives when a process that runs threads forks
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of "
+                 r"fork\(\) may lead to deadlocks in the child")
+
+
+def _on_cpus(task: Callable, jobs: Sequence, costs: Sequence[float],
+             names: Sequence[str]) -> Tuple[list, int]:
+    """([task(job) for job in jobs], k), the jobs run on k = min(#jobs,
+    CPUs in the affinity mask) processes: this one and k - 1 forked
+    children.  With one of either nothing is forked.
+
+    Jobs go longest first (by cost) to the least-loaded process.  A child
+    pickles its results back over a pipe and leaves through `os._exit`.
+    If jobs fail, the exception of the one of lowest index is raised, the
+    one a loop over the jobs would meet first; a child that dies without
+    sending its results raises a ChildProcessError naming its jobs.  Every
+    child is reaped before this returns, and killed first if it is still
+    running when this one unwinds.
+
+    Forking is safe here though OpenBLAS may run threads: it installs
+    pthread_atfork handlers that leave the child a consistent BLAS, and a
+    child only computes, writes its pipe and exits.
+    """
+    k = min(len(jobs), len(os.sched_getaffinity(0)))
+    if k <= 1:
+        return [task(job) for job in jobs], 1
+    shares: List[List[int]] = [[] for _ in range(k)]
+    load = [0.0] * k
+    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
+        w = load.index(min(load))
+        shares[w].append(i)
+        load[w] += costs[i]
+    children = {}  # pid -> (read end of its pipe, its share)
+    unwinding = True
+    try:
+        for share in shares[1:]:
+            rfd, wfd = os.pipe()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _FORK_WARNING,
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _child(task, jobs, share, wfd)
+            os.close(wfd)
+            children[pid] = (os.fdopen(rfd, "rb"), share)
+        out = _attempt(task, jobs, shares[0])
+        for pid, (fh, share) in children.items():
+            data = fh.read()
+            try:
+                out.update(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    "the process running %s exited without its results"
+                    % ", ".join(names[i] for i in sorted(share))) from None
+        unwinding = False
+    finally:
+        for pid, (fh, _) in children.items():
+            if unwinding:
+                os.kill(pid, signal.SIGKILL)
+            fh.close()
+            os.waitpid(pid, 0)
+    failed = [i for i, (ok, _) in out.items() if not ok]
+    if failed:
+        raise out[min(failed)][1]
+    return [out[i][1] for i in range(len(jobs))], k
+
+
+def _attempt(task: Callable, jobs: Sequence, share: Sequence[int]) -> dict:
+    """{index: (True, result) or (False, exception)} of the share's jobs, in
+    its order.  After a failure only jobs of a lower index run, so the
+    share's lowest failing index is always met."""
+    out, failed = {}, len(jobs)
+    for i in share:
+        if i < failed:
+            try:
+                out[i] = (True, task(jobs[i]))
+            except Exception as exc:
+                out[i], failed = (False, exc), i
+    return out
+
+
+def _child(task: Callable, jobs: Sequence, share: Sequence[int],
+           wfd: int) -> None:
+    """A forked child's whole life: run the share, pickle its `_attempt`
+    into the pipe, and leave without unwinding into the parent's frames."""
+    code = 1
+    try:
+        out = pickle.dumps(_attempt(task, jobs, share),
+                           pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(out)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # -- CSV output -------------------------------------------------------------

@@ -153,25 +153,66 @@ def test_drift_rerun_is_byte_identical(tmp_path):
 
 def test_drift_experiment_reports_halvings_and_evaluations(tmp_path, capsys,
                                                           monkeypatch):
-    # the deepest halving of the runs, their halved steps and their
-    # evaluations per step, each run made through the module's integrate
-    runs, halved = [], iter([4, 3])
+    # the deepest halving of the runs, their halved steps, their evaluations
+    # per step and the processes that ran them, each run made through the
+    # module's integrate.  The stub takes its halved steps from the run's T
+    # (1/0.3 or 1/0.25); a forked run appends to no list here, so the runs
+    # are listed on one CPU
+    runs, real = [], D.integrate
 
-    def integrate(*args, **kwargs):
-        runs.append(dataclasses.replace(real(*args, **kwargs),
-                                        halved_steps=next(halved)))
+    def integrate(system, x0, T, *args, **kwargs):
+        runs.append(dataclasses.replace(real(system, x0, T, *args, **kwargs),
+                                        halved_steps=4 if T < 3.5 else 3))
         return runs[-1]
 
-    real = D.integrate
     monkeypatch.setattr(D, "integrate", integrate)
-    assert cli.main(drift_argv(tmp_path, str(tmp_path / "A"))) == 0
-    assert len(runs) == 2
+    argv = drift_argv(tmp_path, str(tmp_path / "A"), (
+        "--set", "experiment.eps_list=[0.3, 0.25]",
+        "--set", "experiment.seeds=1"))
+    lines = []
+    for k in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        assert cli.main(argv) == 0
+        lines.append(capsys.readouterr().out)
+    assert len(runs) == 2 + 1
+    runs = runs[:2]
     steps = sum(t.steps for t in runs)
     assert sum(t.evals for t in runs) > steps
-    assert ("deepest halving: %d, halved steps: 7, field evaluations per "
-            "step: %.2f\n" % (max(t.halvings for t in runs),
-                              sum(t.evals for t in runs) / steps)
-            ) in capsys.readouterr().out
+    for k, out in enumerate(lines, 1):
+        assert ("deepest halving: %d, halved steps: 7, field evaluations "
+                "per step: %.2f, processes: %d\n"
+                % (max(t.halvings for t in runs),
+                   sum(t.evals for t in runs) / steps, k)) in out
+
+
+def test_drift_divergence_in_a_child_exits_1_as_on_one_cpu(tmp_path, capsys,
+                                                          monkeypatch):
+    # the shorter run (eps 0.3) goes to the forked child and diverges there;
+    # the error reaches main as the one-process run raises it
+    calls, real = [], D.integrate
+
+    def integrate(system, x0, T, dt, **kwargs):
+        calls.append(T)
+        if T < 3.5:
+            raise ArithmeticError("midpoint solver diverged at dt=%.3e" % dt)
+        return real(system, x0, T, dt, **kwargs)
+
+    monkeypatch.setattr(D, "integrate", integrate)
+    argv = drift_argv(tmp_path, str(tmp_path / "A"), (
+        "--set", "experiment.eps_list=[0.3, 0.25]",
+        "--set", "experiment.seeds=1"))
+    errs = []
+    for k in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        calls.clear()
+        assert cli.main(argv) == 1
+        errs.append(capsys.readouterr().err)
+    # the parent ran only its own share, eps 0.25
+    assert calls == [4.0]
+    assert errs[0] == errs[1] == ("bnfsim: ArithmeticError: midpoint solver "
+                                  "diverged at dt=5.000e-02\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_reports_halvings_and_evaluations(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -626,24 +629,159 @@ def test_drift_zero_nonlinearity():
     assert abs(rows[-1].H - rows[0].H) <= 1e-12
 
 
+def drift_on_cpus(monkeypatch, k, *args, **kwargs):
+    """`drift_experiment` with an affinity mask of k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    return D.drift_experiment(*args, **kwargs)
+
+
+# every DriftRow field by repr, which tells each float's bits (-0.0 too),
+# and the four counters; the run grid's costs differ, so 3 processes get
+# uneven shares, and on one CPU os.fork is refused
+ON_CPUS = """\
+import dataclasses, json, os
+from bnfsim import birkhoff as B
+from bnfsim import dynamics as D
+from helpers import NLS_POTENTIAL
+
+def key(out):
+    return [[repr(dataclasses.astuple(r)) for r in out.rows],
+            list(out[1:5]), out.processes]
+
+def refuse():
+    raise AssertionError("forked on one CPU")
+
+real_fork, forks = os.fork, []
+def fork():
+    forks.append(os.getpid())
+    return real_fork()
+
+demo = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
+nf = B.normalize(demo.table, demo.P, B.NormalFormParams(
+    r_star=2, gamma=0.1, alpha=1.0, N=2))
+nls = D.build_model_hamiltonian("nls1d_dirichlet", jmax=6, kappa=0.25,
+                                potential=NLS_POTENTIAL)
+cases = {"transport": (demo, nf, 0.05), "no normal form": (nls, None, 0.01)}
+done = {}
+for name, (system, form, dt) in cases.items():
+    outs = []
+    for cpus, fork_with in ((3, fork), (1, refuse)):
+        os.sched_getaffinity = lambda pid: set(range(cpus))
+        os.fork = fork_with
+        outs.append(key(D.drift_experiment(
+            system, form, [0.1, 0.08, 0.06], [3, 4], r=1, s=2.0, dt=dt,
+            stride=20)))
+    done[name] = outs + [len(forks)]
+    forks.clear()
+print(json.dumps(done))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_drift_runs_on_cpus_match_one_cpu_to_the_bit(threads):
+    done = json.loads(fresh_python(ON_CPUS, threads=threads).stdout)
+    for name, (on_cpus, on_one, forks) in done.items():
+        assert on_cpus[:2] == on_one[:2], name
+        assert len(on_cpus[0]) > 6 and on_cpus[1][3] > 0, name
+        assert (on_cpus[2], on_one[2], forks) == (3, 1, 2), name
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# three runs, T = 1/eps: the parent's share is eps 0.2, the child's eps 0.25
+# then 0.3, so the parent fails on its own share in the (2,) case, and in
+# the (0, 1) case the child fails first on the run of higher index
+DRIFT_CALL = dict(nf=None, eps_list=[0.3, 0.25, 0.2], seeds=[3], r=1, s=2.0,
+                  dt=0.05, stride=20)
+
+
+@pytest.mark.parametrize("failing, raised", [((1, 2), 1), ((2,), 2),
+                                             ((0, 2), 0), ((0, 1), 0)])
+def test_drift_runs_on_cpus_raise_the_lowest_failed_run(monkeypatch, failing,
+                                                        raised):
+    # each worker keeps running its runs of lower index than its first
+    # failure, so the run a loop would fail on first is the one raised
+    sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
+    horizons = [eps ** -1.0 for eps in DRIFT_CALL["eps_list"]]
+    real = D.integrate
+
+    def integrate(system, x0, T, *args, **kwargs):
+        i = horizons.index(T)
+        if i in failing:
+            raise ArithmeticError("run %d diverged" % i)
+        return real(system, x0, T, *args, **kwargs)
+
+    monkeypatch.setattr(D, "integrate", integrate)
+    for k in (1, 2):
+        with pytest.raises(ArithmeticError, match="^run %d diverged$"
+                           % raised):
+            drift_on_cpus(monkeypatch, k, sys1, **DRIFT_CALL)
+        assert_no_child_left()
+
+
+def test_drift_child_killed_before_it_replies_names_its_runs(monkeypatch):
+    sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
+    parent, real = os.getpid(), D.integrate
+
+    def integrate(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(D, "integrate", integrate)
+    with pytest.raises(ChildProcessError) as err:
+        drift_on_cpus(monkeypatch, 2, sys1, **DRIFT_CALL)
+    assert str(err.value) == ("the process running (eps 0.3, seed 3), "
+                              "(eps 0.25, seed 3) exited without its results")
+    assert_no_child_left()
+
+
+def test_drift_parent_unwinding_kills_its_children(monkeypatch):
+    # the parent's own share is interrupted while the child would sleep for
+    # a minute: the child is killed and reaped at once
+    sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
+    parent = os.getpid()
+
+    def integrate(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(D, "integrate", integrate)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        drift_on_cpus(monkeypatch, 2, sys1, **DRIFT_CALL)
+    assert time.monotonic() - t0 < 30.0
+    assert_no_child_left()
+
+
 def test_drift_runs_report_the_deepest_halving_and_summed_counts(
         monkeypatch):
     # halvings is a depth, so the runs give their deepest; halved steps,
-    # evaluations and steps add up
+    # evaluations and steps add up, on one process or on two.  The stub
+    # takes its counts from the run's T (12.5 at eps 0.08, 10 at eps 0.1);
+    # a forked run appends to no list here, so the runs are listed on one
     sys1 = D.build_model_hamiltonian("demo_2mode", kappa=0.2)
-    runs, counts, real = [], iter([(3, 5), (1, 2)]), D.integrate
+    runs, real = [], D.integrate
 
-    def integrate(*args, **kwargs):
-        depth, halved = next(counts)
-        runs.append(dataclasses.replace(real(*args, **kwargs),
+    def integrate(system, x0, T, *args, **kwargs):
+        depth, halved = (3, 5) if T > 11.0 else (1, 2)
+        runs.append(dataclasses.replace(real(system, x0, T, *args, **kwargs),
                                         halvings=depth, halved_steps=halved))
         return runs[-1]
 
     monkeypatch.setattr(D, "integrate", integrate)
-    out = D.drift_experiment(sys1, None, [0.08], [3, 4], r=1, s=2.0,
-                             dt=0.05, stride=20)
-    assert (out.halvings, out.halved_steps, out.evals, out.steps) == (
-        3, 7, sum(t.evals for t in runs), sum(t.steps for t in runs))
+    outs = [drift_on_cpus(monkeypatch, k, sys1, None, [0.08, 0.1], [3],
+                          r=1, s=2.0, dt=0.05, stride=20) for k in (1, 2)]
+    assert len(runs) == 2 + 1
+    want = (3, 7, sum(t.evals for t in runs[:2]),
+            sum(t.steps for t in runs[:2]))
+    for k, out in enumerate(outs, 1):
+        assert (out.halvings, out.halved_steps, out.evals, out.steps,
+                out.processes) == want + (k,)
 
 
 def test_drift_deterministic_and_transported():
