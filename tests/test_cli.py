@@ -1052,18 +1052,34 @@ def test_normalize_builds_no_membership_text(tmp_path):
     assert pinned_digests(tmp_path, NO_MEMBERSHIP_TEXT) == PINNED
 
 
-# sha256 of hits.csv of scan-resonances on DD_DEEP at jmax 6, at one BLAS
-# thread: the group search over the d-torus lattice
-LATTICE_HITS = \
-    "642f6cacf9e4ae65b68b543c3ab8dda0b4ff8a69b11b5e75f1b5d9fae1de72b3"
+# the flat torus: no potential, so every group is a whole shell
+FLAT = ['model = "nls_dd"', "d = 2", "jmax = 3", "r = 3", "r_star = 2",
+        "N = 2", "gamma = 1e-4"]
+
+# sha256 of hits.csv of scan-resonances at one BLAS thread, per (config,
+# jmax): the group search over the d-torus lattice
+LATTICE_HITS = {
+    # 14,292 hits
+    ("dd", 8):
+        "fc040d974a5721516991f1b7ecdc1d6da6d679582eef71195aa802fba05140be",
+    ("dd", 6):
+        "642f6cacf9e4ae65b68b543c3ab8dda0b4ff8a69b11b5e75f1b5d9fae1de72b3",
+    # 94,176 hits
+    ("flat", 3):
+        "ad1be9e42ec32e59691b28f5671218f53b8e204619d2e905bf119c17e6e53f15",
+}
 
 
 def test_pinned_lattice_hits_at_one_blas_thread(tmp_path):
-    p = write_cfg(tmp_path / "dd.cfg", DD_DEEP)
-    run_fresh([["scan-resonances", p, "--set", "jmax=6", "--out",
-                str(tmp_path / "out")]])
-    assert hashlib.sha256((tmp_path / "out" / "hits.csv").read_bytes()
-                          ).hexdigest() == LATTICE_HITS
+    cfgs = {"dd": write_cfg(tmp_path / "dd.cfg", DD_DEEP),
+            "flat": write_cfg(tmp_path / "flat.cfg", FLAT)}
+    out = {key: tmp_path / ("%s-%d" % key) for key in LATTICE_HITS}
+    run_fresh([["scan-resonances", cfgs[name], "--set", "jmax=%d" % jmax,
+                "--out", str(out[name, jmax])]
+               for name, jmax in LATTICE_HITS])
+    assert {key: hashlib.sha256((out[key] / "hits.csv").read_bytes()
+                                ).hexdigest()
+            for key in LATTICE_HITS} == LATTICE_HITS
 
 
 def test_every_builder_parameter_but_the_potentials_is_a_config_key():
