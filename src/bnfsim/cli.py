@@ -334,7 +334,7 @@ def cmd_scan_resonances(cfg: dict, outdir: str) -> List[str]:
     if not res.complete:
         print(INCOMPLETE, file=sys.stderr)
     print("scan-resonances: %d hits (complete=%s, nodes=%d)"
-          % (len(res.hits), res.complete, res.nodes))
+          % (len(res.divisor), res.complete, res.nodes))
     return ["hits.csv"]
 
 

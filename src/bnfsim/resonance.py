@@ -15,7 +15,7 @@ searches the group sums depth first, within node_cap tree nodes.  One
 accept step (`_below`) decides the candidate group rows under a list of
 thresholds in one pass.  Decisions agree with exactly-rounded summation:
 each member (row over the modes) of an entry within the rounding error of
-the product is rechecked by `math.fsum`; a naive sum misclassifies there.
+the product is rechecked by `fsum_rows`; a naive sum misclassifies there.
 The measure scan reads only the tag histogram of a group row clear of
 that band, so it counts the row's members by tag (`_TagCounter`) and
 lists them (`_members`) only for the band, as the enumeration lists all.
@@ -62,24 +62,23 @@ SCAN_BLOCK_BYTES = 1 << 22
 CHUNK = 4096  # live nodes per block of the candidate search
 
 
-def omega_dot(omega: FrequencyTable, k) -> float:
-    """Signed omega.k by exactly-rounded summation."""
-    items = k.items() if isinstance(k, dict) else k
-    return math.fsum(omega.omega_of(j) * int(c) for j, c in items if c)
+def fsum_rows(rows: np.ndarray, prods: np.ndarray, n: int) -> np.ndarray:
+    """Per row i < n, `math.fsum` of the prods of its entries (rows sorted):
+    the one exactly rounded divisor of a hit, a term or a band member."""
+    ends, v = np.bincount(rows, minlength=n).cumsum().tolist(), prods.tolist()
+    return np.array([math.fsum(v[a:b]) for a, b in zip([0] + ends, ends)])
 
 
 def term_divisors(p: Polynomial, omega: FrequencyTable) -> List[float]:
-    """omega.(k - l) of each term xi^k eta^l of p, in term order: per term,
-    the exactly rounded sum (math.fsum) of omega_j (k_j - l_j) over its
-    modes of non-zero net exponent, read from p's entries."""
+    """omega.(k - l) of each term xi^k eta^l of p, in term order: the
+    `fsum_rows` of its modes of non-zero net exponent in p's entries."""
     n = max(len(p.modes), 1)
     cells, at = np.unique(p.t * n + p.col % n, return_inverse=True)
     net = np.bincount(at, weights=np.where(p.col < n, p.e, -p.e)).astype(int)
     t, k = np.divmod(cells[net != 0], n)
-    w = {j: omega.omega_of(p.modes[j]) for j in set(k.tolist())}
-    prods = [w[j] * x for j, x in zip(k.tolist(), net[net != 0].tolist())]
-    ends = np.cumsum(np.bincount(t, minlength=len(p))).tolist()
-    return [math.fsum(prods[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    used, k = np.unique(k, return_inverse=True)
+    w = omega.vector([p.modes[j] for j in used.tolist()])
+    return fsum_rows(t, w[k] * net[net != 0], len(p)).tolist()
 
 
 @dataclass
@@ -114,27 +113,17 @@ class DivisorQuery:
 
 
 @dataclass
-class ResonanceHit:
-    k: Dict[Mode, int]
-    value: float
-    pattern: str = PATTERN_NONE
-
-    def key(self) -> tuple:
-        return tuple(sorted((j, c) for j, c in self.k.items() if c))
-
-    def order(self) -> int:
-        return sum(abs(c) for c in self.k.values())
-
-
-@dataclass
 class EnumerationResult:
-    hits: List[ResonanceHit]
+    """The hits, one row per sign of each k, in canonical order: k's
+    non-zero exponents exp[i] and their indices idx[i] into modes (sorted),
+    by mode, padded with (-1, 0) to width r+2; omega.k and the tag code."""
+    modes: list
+    idx: np.ndarray
+    exp: np.ndarray
+    divisor: np.ndarray
+    code: np.ndarray
     complete: bool
     nodes: int
-    threshold: float = 0.0
-
-    def keys(self) -> set:
-        return {h.key() for h in self.hits}
 
 
 def _domain(q: DivisorQuery) -> Tuple[list, list]:
@@ -237,24 +226,24 @@ def _below(div: np.ndarray, Km: np.ndarray, src: np.ndarray, W: np.ndarray,
     |k . W[:, s]| < thr of the members Km of group rows src (sorted), given
     div, |products| of the group rows with W up to rounding: group entries
     (g, s), hits of every member of row g, and member entries (i, s) within
-    `_band` of thr, decided by `math.fsum` on their own rows as `omega_dot`
-    decides them.  One pass over div finds the entries under thrs[0] plus
-    the band; each smaller threshold's candidates are a subset of those.
+    `_band` of thr, decided on their own rows by `fsum_rows`, as a hit's
+    divisor is, each summed once for all thresholds.  One pass over div
+    finds the entries under thrs[0] plus the band; each smaller
+    threshold's candidates are a subset of those.
     """
     band = _band(W, order)
     gi, si = np.divmod(np.flatnonzero(div < thrs[0] + band), div.shape[1])
     a = div[gi, si]
-    out = []
-    for thr in thrs:
-        c = a < thr + band[si]
-        gi, si, a = gi[c], si[c], a[c]
-        near = np.abs(a - thr) <= band[si]
-        hits = [(i, s) for g, s in zip(gi[near].tolist(), si[near].tolist())
-                for i in range(*np.searchsorted(src, [g, g + 1]).tolist())
-                if abs(math.fsum(W[Km[i] != 0, s] * Km[i][Km[i] != 0])) < thr]
-        out.append(((gi[~near], si[~near]),
-                    np.array(hits, dtype=np.intp).reshape(-1, 2).T))
-    return out
+    # per entry and threshold: under it plus the band, and within the band
+    c = a[:, None] < np.add(thrs, band[si, None])
+    near = np.abs(a[:, None] - thrs) <= band[si, None]
+    lo, hi = np.searchsorted(src, [gi, gi + 1])
+    e = np.repeat(np.arange(len(a)), np.where(near.any(axis=1), hi - lo, 0))
+    i, s = lo[e] + np.arange(len(e)) - np.searchsorted(e, e), si[e]
+    r, j = np.nonzero(Km[i])  # each member i of a band entry e, under s
+    d = np.abs(fsum_rows(r, W[j, s[r]] * Km[i[r], j], len(i)))
+    G, M = c & ~near, (c & near)[e] & (d[:, None] < thrs)
+    return [((gi[g], si[g]), np.stack([i[m], s[m]])) for g, m in zip(G.T, M.T)]
 
 
 def _members(S: np.ndarray, groups: Sequence[np.ndarray],
@@ -573,28 +562,29 @@ def enumerate_near_resonances(q: DivisorQuery,
 
     The search of `_scan` with the table as the one column of W; each
     piece's hits (the members of its group hits, and its member hits) are
-    tagged as they come out, one sign per row, and -k takes k's tag.  The
-    list is canonically sorted, so it does not depend on the search order.
-    A node budget overrun is reported through the complete flag.
+    made rows as they come out, both signs, and -k takes k's tag.  One
+    lexsort over the padded slots, padding below every mode, sorts them as
+    key tuples compare, whatever the search order.  A node budget overrun
+    is reported through the complete flag.
     """
     modes, tail = _domain(q)
+    w, width = q.omega.vector(modes), q.r + 2
     complete, nodes, _, pieces = _scan(
-        modes, q.omega.vector(modes)[:, None], tail, [q.threshold], q.r + 2,
-        q.node_cap, [compile_rules(modes, rules)], count=False)
-    hits: List[ResonanceHit] = []
-    for p in pieces:
+        modes, w[:, None], tail, [q.threshold], width, q.node_cap,
+        [compile_rules(modes, rules)], count=False)
+    parts = []
+    for p in pieces:  # one at least: the first block holds the zero row
         [((g, _), (m, _))] = p.found
         at = np.concatenate([np.flatnonzero(np.isin(p.src, g)), m])
-        K, tags = p.Km[at], [PATTERNS[c] for c in p.codes[0, at]]
-        r, c = np.nonzero(K)  # each hit's modes and exponents, in order
-        js, es = [modes[i] for i in c.tolist()], K[r, c].tolist()
-        ends = np.count_nonzero(K, axis=1).cumsum().tolist()
-        for lo, hi, tag in zip([0] + ends, ends, tags):
-            for sign in (1, -1):
-                k = {j: sign * e for j, e in zip(js[lo:hi], es[lo:hi])}
-                hits.append(ResonanceHit(k, omega_dot(q.omega, k), tag))
-    hits.sort(key=ResonanceHit.key)
-    return EnumerationResult(hits, complete, nodes, q.threshold)
+        I, E = _slots(p.Km[at], -1, width)
+        I, E = np.concatenate([I, I]), np.concatenate([E, -E])
+        r, c = np.divmod(np.flatnonzero(E), width)
+        parts.append((I, E, fsum_rows(r, w[I[r, c]] * E[r, c], len(E)),
+                      np.tile(p.codes[0, at], 2)))
+    idx, exp, div, code = map(np.concatenate, zip(*parts))
+    at = np.lexsort([k[:, s] for s in range(width)[::-1] for k in (exp, idx)])
+    return EnumerationResult(modes, idx[at], exp[at], div[at], code[at],
+                             complete, nodes)
 
 
 # -- exceptional patterns ------------------------------------------------
@@ -629,19 +619,23 @@ def compile_rules(modes: Sequence[Mode], rules: Sequence[Tuple[str, float]]
             for p, c in rules]
 
 
+def _slots(K: np.ndarray, pad: int, width: int = 0) -> tuple:
+    """Each row's non-zero (column, value) entries, padded with (pad, 0)."""
+    r, c = np.divmod(np.flatnonzero(K != 0), K.shape[1])
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
+    C = np.full((len(K), max(width, rank.max(initial=-1) + 1)), pad, np.int32)
+    V = np.zeros(C.shape, dtype=K.dtype)
+    C[r, rank], V[r, rank] = c, K[r, c]
+    return C, V
+
+
 def apply_rules(K: np.ndarray, compiled: list) -> np.ndarray:
     """Tag code of each row of K (one column per mode): that of the first
     compiled rule under which the row has no weight inside the cutoff and
     sums to zero over every group, else 0 (NONE).  An empty row takes the
     first rule's code.  The group sums are taken from the rows' non-zero
     entries (at most `order` a member row), not over every mode."""
-    r, c = np.divmod(np.flatnonzero(K != 0), K.shape[1])
-    n = np.bincount(r, minlength=len(K))
-    rank = np.arange(len(r)) - (np.cumsum(n) - n)[r]
-    C = np.full((len(K), n.max(initial=0)), K.shape[1])  # padded entries
-    C[r, rank] = c
-    V = np.zeros(C.shape, dtype=np.int64)
-    V[r, rank] = K[r, c]
+    C, V = _slots(K, K.shape[1])
     codes = np.zeros(len(K), dtype=np.int8)
     for code, inside, label in reversed(compiled):  # so the first rule wins
         L = np.append(label, -1)[C]  # each entry's group, -1 for padding
@@ -651,15 +645,14 @@ def apply_rules(K: np.ndarray, compiled: list) -> np.ndarray:
     return codes
 
 
-def classify_exception(hit, model: str, params: dict) -> str:
-    """Pattern tag for a hit under a model's exceptional-resonance rule.
+def classify_exception(k: dict, model: str, params: dict) -> str:
+    """Pattern tag of {mode: exponent} under a model's exceptional rule.
 
     nlw_periodic: pair cancellation beyond b*ln(N).
     nls_coupled:  pair cancellation beyond C*N^sqrt(2*alpha).
     pair:         pair cancellation beyond an explicit cutoff (default 0).
     nls_dd / convolution_d / shell: zero shell sums beyond N^sqrt(alpha/m).
     """
-    k = dict(hit.k) if isinstance(hit, ResonanceHit) else dict(hit)
     row = np.array(list(k.values()), dtype=np.int64).reshape(1, len(k))
     rule = compile_rules(list(k), [_exception_rule(model, params)])
     return PATTERNS[apply_rules(row, rule)[0]]
@@ -857,14 +850,20 @@ def measure_scan(family: str, params: dict, q: DivisorQuery,
 
 
 def write_hits_csv(result: EnumerationResult, path) -> None:
-    # each mode's text once per file, not once per token of every hit
-    text = {j: mode_str(j) for j in set().union(*(h.k for h in result.hits))}
+    # the token of slot (i, e) at [i + 1, e + top], each made once; row 0,
+    # the padding's, is "" (top = r+2 bounds every |exponent|)
+    top, rows = result.exp.shape[1], len(result.divisor)
+    tokens = np.array([[""] * (2 * top + 1)] + [
+        ["%s:%d" % (text, e) for e in range(-top, top + 1)]
+        for text in map(mode_str, result.modes)], dtype=object)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k_serialized", "divisor", "pattern"])
-        for h in result.hits:
-            k = " ".join("%s:%d" % (text[j], c) for j, c in h.key())
-            w.writerow([k, f17(h.value), h.pattern])
+        for b in np.array_split(np.arange(rows), 1 + rows // 65536):
+            k = tokens[result.idx[b] + 1, result.exp[b] + top].tolist()
+            k = map(str.rstrip, map(" ".join, k))
+            w.writerows(zip(k, map(f17, result.divisor[b].tolist()),
+                            [PATTERNS[c] for c in result.code[b].tolist()]))
 
 
 def write_measure_csv(estimates: Iterable[MeasureEstimate], path) -> None:

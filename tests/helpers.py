@@ -25,8 +25,7 @@ from bnfsim.modes import (as_mode, f17, in_ball, lattice_modes, mode_abs,
 from bnfsim.norms import majorant_norm
 from bnfsim.exact import GaussRat
 from bnfsim.poly import PRUNE_REL, Polynomial, _state, monomial
-from bnfsim.resonance import (DivisorQuery, EnumerationResult, ResonanceHit,
-                               _domain, omega_dot)
+from bnfsim.resonance import PATTERN_NONE, PATTERNS, DivisorQuery, _domain
 from bnfsim.spectra import (CONVOLUTION_D, NLW_PERIODIC, EigenBasis,
                             ExpansionFit, FrequencyTable, PotentialSample,
                             SpectralError, _cosine_coeffs, _param, _solve,
@@ -102,6 +101,49 @@ def domain(q: DivisorQuery) -> tuple:
     """`resonance._domain` with its modes' frequencies: (modes, w, tail)."""
     modes, tail = _domain(q)
     return modes, [q.omega.omega_of(m) for m in modes], tail
+
+
+def omega_dot(omega, k) -> float:
+    """Signed omega.k by exactly-rounded summation, one mode at a time."""
+    items = k.items() if isinstance(k, dict) else k
+    return math.fsum(omega.omega_of(j) * int(c) for j, c in items if c)
+
+
+@dataclass
+class ResonanceHit:
+    """One sign of a near resonance k, as {mode: exponent}."""
+    k: dict
+    value: float
+    pattern: str = PATTERN_NONE
+
+    def key(self) -> tuple:
+        return tuple(sorted((j, c) for j, c in self.k.items() if c))
+
+    def order(self) -> int:
+        return sum(abs(c) for c in self.k.values())
+
+
+@dataclass
+class ReferenceHits:
+    """A reference enumeration: its hits, canonically sorted."""
+    hits: list
+    complete: bool
+    nodes: int
+
+
+def hits(res) -> list:
+    """The hits of an `EnumerationResult` (one per row) or of a reference,
+    as `ResonanceHit`s, in their order."""
+    if isinstance(res, ReferenceHits):
+        return res.hits
+    return [ResonanceHit({res.modes[i]: e for i, e in zip(I, E) if i >= 0},
+                         v, PATTERNS[c])
+            for I, E, v, c in zip(res.idx.tolist(), res.exp.tolist(),
+                                  res.divisor.tolist(), res.code.tolist())]
+
+
+def keys(res) -> set:
+    return {h.key() for h in hits(res)}
 
 
 def small_divisor(omega, k) -> float:
@@ -396,7 +438,7 @@ def bracket_overflow_reference(f: Polynomial, g: Polynomial,
 BRUTE_FORCE_BOX_CAP = 40_000_000  # exponent vectors the oracle may form
 
 
-def enumerate_brute_force(q: DivisorQuery) -> EnumerationResult:
+def enumerate_brute_force(q: DivisorQuery) -> ReferenceHits:
     """Exhaustive reference enumeration over the full exponent box.
 
     Only the defining constraints are applied, so this shares no pruning
@@ -430,7 +472,7 @@ def enumerate_brute_force(q: DivisorQuery) -> EnumerationResult:
         if abs(value) < thr:
             hits.append(ResonanceHit(dict(pairs), value))
     hits.sort(key=ResonanceHit.key)
-    return EnumerationResult(hits, True, int(K.shape[0]), thr)
+    return ReferenceHits(hits, True, int(K.shape[0]))
 
 
 def below_reference(div: np.ndarray, K: np.ndarray, W: np.ndarray,
@@ -476,7 +518,7 @@ def pattern_tags(K: np.ndarray, modes, rules) -> np.ndarray:
     return np.array(resonance.PATTERNS, dtype=object)[codes]
 
 
-def enumerate_mode_level(q: DivisorQuery, rules=()) -> EnumerationResult:
+def enumerate_mode_level(q: DivisorQuery, rules=()) -> ReferenceHits:
     """`resonance.enumerate_near_resonances` as it searched the modes: `_dfs`
     over every mode of the table, `_below` on K @ W, then both signs of
     each hit tagged under the rules; sorted canonically."""
@@ -492,7 +534,7 @@ def enumerate_mode_level(q: DivisorQuery, rules=()) -> EnumerationResult:
         pairs = [(modes[i], int(row[i])) for i in np.flatnonzero(row)]
         hits.append(ResonanceHit(dict(pairs), omega_dot(q.omega, pairs), tag))
     hits.sort(key=ResonanceHit.key)
-    return EnumerationResult(hits, complete, nodes, thr)
+    return ReferenceHits(hits, complete, nodes)
 
 
 def convolution_sample_reference(params: dict, seed: int) -> PotentialSample:

@@ -15,19 +15,19 @@ from bnfsim.dynamics import build_model_hamiltonian
 from bnfsim.exact import GaussRat
 from bnfsim.norms import majorant_norm
 from bnfsim.poly import poisson_bracket
-from bnfsim.resonance import normal_form_membership, omega_dot, term_divisors
+from bnfsim.resonance import normal_form_membership, term_divisors
 from bnfsim.spectra import FrequencyTable
 
 from helpers import (Monomial, action, add_reference, allclose,
                      bracket_overflow_reference, conj_flip, d_eta, d_xi, eta,
                      evaluate, evaluate_real_slice, filter_reference,
                      majorant_norm_reference, momentum, monomial_reference,
-                     momentum_filter, mono_mul, net_exponents, poly_of,
-                     poisson_bracket_reference, product, prune_reference,
-                     quadratic_diagonal_reference, reality_defect_reference,
-                     repr_reference, scale_reference, tail_degree,
-                     tail_split_reference, term_key_reference, terms,
-                     to_text_reference, xi)
+                     momentum_filter, mono_mul, net_exponents, omega_dot,
+                     poly_of, poisson_bracket_reference, product,
+                     prune_reference, quadratic_diagonal_reference,
+                     reality_defect_reference, repr_reference,
+                     scale_reference, tail_degree, tail_split_reference,
+                     term_key_reference, terms, to_text_reference, xi)
 from test_birkhoff import TRANSPORT_CFG
 
 

@@ -67,8 +67,8 @@ def test_integer_spectrum_contains_exact_resonance():
     res = R.enumerate_near_resonances(q)
     assert res.complete
     target = (((1,), 1), ((2,), 1), ((3,), -1))
-    assert target in res.keys()
-    for h in res.hits:
+    assert target in helpers.keys(res)
+    for h in helpers.hits(res):
         assert 0 < h.order() <= q.r + 2
         assert abs(h.value) < q.threshold
         assert abs(h.value - small_divisor(t, h.k)) <= 1e-15 or \
@@ -78,7 +78,7 @@ def test_integer_spectrum_contains_exact_resonance():
 def test_wild_spectrum_empty():
     t = table_1d({j: math.pi ** j for j in range(1, 4)})
     q = R.DivisorQuery(t, r=2, N=3, gamma=1e-3, alpha=1.0, jmax=3)
-    assert R.enumerate_near_resonances(q).hits == []
+    assert helpers.hits(R.enumerate_near_resonances(q)) == []
     assert helpers.enumerate_brute_force(q).hits == []
 
 
@@ -90,11 +90,13 @@ def test_borderline_divisor_is_decided_exactly():
     q = R.DivisorQuery(t, r=1, N=1, gamma=4e-17, alpha=1.0, jmax=4)
     assert abs((0.1 - 0.4) + 0.3) > q.threshold
     res = R.enumerate_near_resonances(q)
-    hit = {h.key(): h for h in res.hits}[(((1,), 1), ((2,), 1), ((3,), -1))]
-    assert hit.value == R.omega_dot(t, hit.k) == math.fsum([0.1, 0.3, -0.4])
+    hit = {h.key(): h for h in helpers.hits(res)}[
+        (((1,), 1), ((2,), 1), ((3,), -1))]
+    assert hit.value == helpers.omega_dot(t, hit.k) == \
+        math.fsum([0.1, 0.3, -0.4])
     assert abs(hit.value) < q.threshold
-    assert res.complete \
-        and res.keys() == helpers.enumerate_brute_force(q).keys()
+    assert res.complete and helpers.keys(res) == \
+        helpers.keys(helpers.enumerate_brute_force(q))
 
 
 def test_pruned_equals_brute_force_1d():
@@ -109,8 +111,9 @@ def test_pruned_equals_brute_force_1d():
         a = R.enumerate_near_resonances(q)
         b = helpers.enumerate_brute_force(q)
         assert a.complete
-        assert a.keys() == b.keys(), (trial, gamma)
-        assert [h.key() for h in a.hits] == [h.key() for h in b.hits]
+        assert helpers.keys(a) == helpers.keys(b), (trial, gamma)
+        assert [h.key() for h in helpers.hits(a)] == \
+            [h.key() for h in helpers.hits(b)]
 
 
 def test_pruned_equals_brute_force_d2():
@@ -122,22 +125,23 @@ def test_pruned_equals_brute_force_d2():
         q = R.DivisorQuery(t, r=2, N=1, gamma=0.6, alpha=1.0, jmax=1)
         a = R.enumerate_near_resonances(q)
         b = helpers.enumerate_brute_force(q)
-        assert a.keys() == b.keys()
+        assert helpers.keys(a) == helpers.keys(b)
         # exact pair degeneracy on the symmetric slice
-        assert (((-1, 0), -1), ((1, 0), 1)) in a.keys()
+        assert (((-1, 0), -1), ((1, 0), 1)) in helpers.keys(a)
 
 
 def test_tail_budget_enforced():
     t = table_1d({j: float(j) + 0.03 * j * j for j in range(1, 7)})
     q = R.DivisorQuery(t, r=3, N=2, gamma=50.0, alpha=1.0, jmax=6)
     res = R.enumerate_near_resonances(q)
-    assert res.complete and res.hits
+    assert res.complete and len(res.divisor)
     n2 = q.N * q.N
-    for h in res.hits:
+    for h in helpers.hits(res):
         tail_mass = sum(abs(c) for j, c in h.k.items()
                         if j[0] * j[0] > n2)
         assert tail_mass <= 2
-    assert res.keys() == helpers.enumerate_brute_force(q).keys()
+    assert helpers.keys(res) == \
+        helpers.keys(helpers.enumerate_brute_force(q))
 
 
 def test_node_cap_flags_incomplete():
@@ -148,7 +152,7 @@ def test_node_cap_flags_incomplete():
     assert not res.complete
     full = R.enumerate_near_resonances(
         R.DivisorQuery(t, r=3, N=6, gamma=20.0, alpha=1.0, jmax=6))
-    assert res.keys() <= full.keys()
+    assert helpers.keys(res) <= helpers.keys(full)
 
 
 def test_node_cap_counts_tree_nodes():
@@ -160,9 +164,10 @@ def test_node_cap_counts_tree_nodes():
     assert full.complete
     exact = R.enumerate_near_resonances(replace(q, node_cap=full.nodes))
     assert exact.complete and exact.nodes == full.nodes
-    assert [h.key() for h in exact.hits] == [h.key() for h in full.hits]
+    assert [h.key() for h in helpers.hits(exact)] == \
+        [h.key() for h in helpers.hits(full)]
     short = R.enumerate_near_resonances(replace(q, node_cap=full.nodes - 1))
-    assert not short.complete and short.keys() <= full.keys()
+    assert not short.complete and helpers.keys(short) <= helpers.keys(full)
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -173,7 +178,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
                        node_cap=5000)
     res = R.enumerate_near_resonances(q)
     assert not res.complete and 5000 < res.nodes <= 5000 + 7 * R.CHUNK
-    assert res.hits == []
+    assert helpers.hits(res) == []
 
 
 def test_classify_pair_tail():
@@ -358,7 +363,7 @@ def test_measure_generic_path_matches_fast_path():
         smp = sample_potential("convolution_d", params, s)
         t = convolution_frequencies(1, smp, jmax=2)
         qs = R.DivisorQuery(t, r=1, N=1, gamma=0.35, alpha=1.0, jmax=2)
-        hits = R.enumerate_near_resonances(qs).hits
+        hits = helpers.hits(R.enumerate_near_resonances(qs))
         bad = False
         for h in hits:
             tag = R.classify_exception(h.k, "shell",
@@ -378,7 +383,7 @@ def test_csv_outputs(tmp_path):
     R.write_hits_csv(res, p)
     lines = p.read_text().splitlines()
     assert lines[0] == "k_serialized,divisor,pattern"
-    assert len(lines) == len(res.hits) + 1
+    assert len(lines) == len(res.divisor) + 1
     assert "1:1 2:1 3:-1" in [l.split(",")[0] for l in lines[1:]]
     params = {"R": 0.8, "decay": 2.0, "d": 1, "kmax": 2}
     q2 = R.DivisorQuery(None, r=1, N=1, gamma=0.3, alpha=1.0, jmax=2)
@@ -1349,14 +1354,34 @@ def test_enumeration_matches_the_mode_level_reference(tmp_path, case):
     q, rules = build(tmp_path)
     got = R.enumerate_near_resonances(q, rules)
     ref = helpers.enumerate_mode_level(q, rules)
-    assert [(h.key(), h.value.hex(), h.pattern) for h in got.hits] == \
-        [(h.key(), h.value.hex(), h.pattern) for h in ref.hits]
+    assert [(h.key(), h.value.hex(), h.pattern) for h in helpers.hits(got)] \
+        == [(h.key(), h.value.hex(), h.pattern) for h in ref.hits]
     assert got.complete == ref.complete and got.complete
-    assert got.nodes <= ref.nodes and len(got.hits) == count
-    tags = {h.pattern for h in got.hits}
+    assert got.nodes <= ref.nodes and len(got.divisor) == count
+    tags = {h.pattern for h in helpers.hits(got)}
     assert len(tags) > 1 or case == "readme"
     if case == "dd2-jmax6":
         assert (got.nodes, ref.nodes) == (36008, 2083172)
+
+
+def test_hit_rows_are_both_signs_in_padded_mode_order():
+    # a row holds k's non-zero exponents and their mode indices, by mode,
+    # padded with (-1, 0) to width r+2; -k is a row too, with k's tag and
+    # the negated divisor; the rows are in canonical order, once each
+    q, rules = lattice_query(2, False, 2, 3, 2, 1e-4)
+    res = R.enumerate_near_resonances(q, rules)
+    pad = res.idx < 0
+    assert res.idx.shape == res.exp.shape == (len(res.divisor), q.r + 2)
+    assert np.array_equal(pad, res.exp == 0) and not pad[:, 0].any()
+    assert not np.any(pad[:, :-1] & ~pad[:, 1:])  # padding comes last
+    real = ~pad[:, :-1] & ~pad[:, 1:]
+    assert np.all(np.diff(res.idx, axis=1)[real] > 0)
+    hits = helpers.hits(res)
+    rows = {h.key(): h for h in hits}
+    assert [h.key() for h in hits] == sorted(rows) and len(rows) == len(hits)
+    for key, h in rows.items():
+        neg = rows[tuple((j, -c) for j, c in key)]
+        assert neg.value == -h.value and neg.pattern == h.pattern
 
 
 # -- work done once per scan ---------------------------------------------
